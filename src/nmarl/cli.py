@@ -27,8 +27,9 @@ from .errors import (
     NmarlError,
     ProtocolInvariantError,
 )
+from .model import FactoredNmarlModel
 from .policy import CoupledSoftmaxPolicy
-from .trainer import DscpConfig, TrainRecord, evaluate_policy, run_dscp
+from .trainer import DscpConfig, evaluate_policy, run_dscp
 
 log = logging.getLogger("nmarl")
 
@@ -50,8 +51,9 @@ def build_identifier() -> str:
     return f"nmarl-{__version__}"
 
 
-def _write_checkpoint(path: Path, theta: np.ndarray, cfg: DscpConfig, run: RunConfig) -> None:
-    model = run.build_model()
+def _write_checkpoint(
+    path: Path, theta: np.ndarray, cfg: DscpConfig, model: FactoredNmarlModel
+) -> None:
     payload = {
         "n": int(theta.shape[0]),
         "d": int(theta.shape[1]),
@@ -77,7 +79,7 @@ def _train_one(run: RunConfig, seed: int, out: Path) -> dict:
     csv_path = out / f"metrics_seed{seed}.csv"
     with open(csv_path, "w") as fp:
         record.write_csv(fp, include_wall_time=cfg.record_wall_time)
-    _write_checkpoint(out / f"checkpoint_seed{seed}.json", theta, cfg, run)
+    _write_checkpoint(out / f"checkpoint_seed{seed}.json", theta, cfg, model)
     final = record.final_eval()
     last = record.rows[-1]
     return {
@@ -104,20 +106,6 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def iterations_to_plateau(record: TrainRecord) -> int | None:
-    """First evaluated iteration within noise of the final plateau level."""
-    evals = [(r.t, r.j_est, r.j_se) for r in record.rows if r.j_est is not None]
-    if len(evals) < 2:
-        return None
-    tail = evals[-3:]
-    plateau = float(np.mean([j for _, j, _ in tail]))
-    tol = 2.0 * float(np.sqrt(np.mean([se**2 for _, _, se in tail])))
-    for t, j, _ in evals:
-        if j >= plateau - tol:
-            return t
-    return evals[-1][0]
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
     run = load_config(args.config, args.set)
     kappas = args.kappa_p
@@ -134,10 +122,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         run_k.dscp.validate()
         per_seed = []
         for seed in seeds:
-            res = _train_one(run_k, seed, sub)
-            csv_path = sub / res["metrics_csv"]
-            del csv_path  # plateau needs the in-memory record; recompute below
-            per_seed.append(res)
+            per_seed.append(_train_one(run_k, seed, sub))
         finals = [r["final_J"] for r in per_seed if r["final_J"] is not None]
         aggregate[str(kappa)] = {
             "mean_final_J": None if not finals else float(np.mean(finals)),

@@ -4,12 +4,14 @@ States and actions are handled as 0-based indices internally; label lists
 translate at the boundary. Transition kernels factor per agent, so the
 global transition probability is the product of the local ones. Reward
 functions read only the restriction of the global state-action to the
-``kappa_r``-hop neighborhood of their agent.
+``kappa_r``-hop neighborhood of their agent, so each one is also a dense
+table over that restricted domain (``FactoredNmarlModel.reward_tables``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -18,12 +20,12 @@ from . import netgraph
 from .errors import (
     DimensionMismatch,
     EmptySpace,
-    IndexOutOfRange,
     KernelRowNotStochastic,
     SpaceTooLarge,
 )
 
 ROW_SUM_TOL = 1e-12
+MAX_REWARD_DOMAIN = 2_000_000  # restricted reward domains beyond this are not tabulated
 
 # Per-agent reward callable over the neighborhood restriction: the tuples are
 # ordered by the sorted member ids of the agent's kappa_r-hop neighborhood.
@@ -69,8 +71,9 @@ class InitialDistribution:
         if self.kind == "fixed":
             return self.state  # type: ignore[return-value]
         draws = rng.random(len(self.dists))  # one draw per agent, agent order
+        # A cumsum can end just below 1; clip a draw beyond it to the last state.
         return tuple(
-            int(np.searchsorted(np.cumsum(d), u, side="right"))
+            min(int(np.searchsorted(np.cumsum(d), u, side="right")), len(d) - 1)
             for d, u in zip(self.dists, draws)
         )
 
@@ -94,6 +97,13 @@ class ModelDiagnostics:
 class FactoredNmarlModel:
     """Model tuple: graph, spaces, kernels, neighborhood rewards, start, discount.
 
+    Two derived arrays are built lazily and cached: the kernel row cumsums
+    the samplers step with (``stacked_kernel_cum``), and one dense reward
+    table per agent over its ``kappa_r``-hop restricted domain
+    (``reward_tables``). The reward tables feed the reward bound and every
+    reward the exact oracle integrates; rewards do not depend on the policy,
+    so the domain is enumerated once per model.
+
     Args:
         graph: communication network; also defines reward neighborhoods.
         state_labels / action_labels: per-agent label lists.
@@ -104,7 +114,7 @@ class FactoredNmarlModel:
         gamma: discount in (0, 1).
         kappa_r: reward dependency radius, at least 1.
         reward_bounds: optional per-agent analytic caps on ``|r_i|``; when
-            absent the bound is found by enumerating the restricted domain.
+            absent the bound is the largest ``|r_i|`` in the reward tables.
         batch_rewards: optional vectorized reward evaluator over arrays of
             shape ``(..., n)``; must agree with ``reward_fns``.
         reward_ref: ``(family_name, params)`` for JSON round-trips.
@@ -145,6 +155,7 @@ class FactoredNmarlModel:
         )
         self._kernel_cum = [np.cumsum(k, axis=-1) for k in self.kernels]
         self._stacked_cum: np.ndarray | None = None
+        self._reward_tables: tuple[np.ndarray, ...] | None = None
         self._diagnostics: ModelDiagnostics | None = None
 
     # ------------------------------------------------------------------
@@ -173,6 +184,35 @@ class FactoredNmarlModel:
                 raise DimensionMismatch("stacked kernels require homogeneous spaces")
             self._stacked_cum = np.stack(self._kernel_cum)
         return self._stacked_cum
+
+    def reward_tables(self) -> tuple[np.ndarray, ...]:
+        """Dense per-agent reward tables over the restricted domains (cached).
+
+        Table ``i`` is indexed by the member states, then the member actions,
+        members in sorted order: the argument order of ``reward_fns[i]``.
+
+        Raises:
+            SpaceTooLarge: a restricted domain exceeds ``MAX_REWARD_DOMAIN`` points.
+        """
+        if self._reward_tables is None:
+            tables = []
+            for i, (fn, members) in enumerate(zip(self.reward_fns, self.reward_members)):
+                s_shape = tuple(self.state_sizes[j] for j in members)
+                a_shape = tuple(self.action_sizes[j] for j in members)
+                size = math.prod(s_shape + a_shape)
+                if size > MAX_REWARD_DOMAIN:
+                    raise SpaceTooLarge(
+                        f"reward domain of agent {i} has {size} points, cap is "
+                        f"{MAX_REWARD_DOMAIN}; declare reward_bounds instead of enumerating"
+                    )
+                values = (
+                    fn(s_nb, a_nb) for s_nb in np.ndindex(*s_shape) for a_nb in np.ndindex(*a_shape)
+                )
+                tables.append(
+                    np.fromiter(values, dtype=float, count=size).reshape(s_shape + a_shape)
+                )
+            self._reward_tables = tuple(tables)
+        return self._reward_tables
 
     # ------------------------------------------------------------------
     # validation
@@ -217,24 +257,9 @@ class FactoredNmarlModel:
         return self._diagnostics
 
     def _compute_reward_bound(self) -> float:
-        bound = 0.0
-        for i in range(self.n):
-            if self.reward_bounds is not None:
-                bound = max(bound, float(self.reward_bounds[i]))
-                continue
-            members = self.reward_members[i]
-            domain = 1
-            for j in members:
-                domain *= self.state_sizes[j] * self.action_sizes[j]
-            if domain > 2_000_000:
-                raise SpaceTooLarge(
-                    f"reward domain of agent {i} has {domain} points; "
-                    "declare reward_bounds instead of enumerating"
-                )
-            for s_nb in np.ndindex(*(self.state_sizes[j] for j in members)):
-                for a_nb in np.ndindex(*(self.action_sizes[j] for j in members)):
-                    bound = max(bound, abs(float(self.reward_fns[i](s_nb, a_nb))))
-        return bound
+        if self.reward_bounds is not None:
+            return max(0.0, *(float(b) for b in self.reward_bounds))
+        return max(0.0, *(float(np.max(np.abs(t))) for t in self.reward_tables()))
 
     # ------------------------------------------------------------------
     # dynamics
@@ -311,11 +336,6 @@ class FactoredNmarlModel:
             batch_rewards=bundle.batch,
             reward_ref=(name, obj["reward"]["params"]),
         )
-
-    def check_state(self, s: Sequence[int]) -> None:
-        for i, si in enumerate(s):
-            if not 0 <= si < self.state_sizes[i]:
-                raise IndexOutOfRange(f"state {si} of agent {i} out of range")
 
 
 def _rho_to_json(rho: InitialDistribution) -> dict:

@@ -6,9 +6,23 @@ Horizons are truncated at ``T = ceil(ln(eps * (1 - gamma) / R) / ln gamma)``
 so the absolute error is bounded by ``eps``; no sampling occurs anywhere.
 
 Per-agent action distributions factor over agents (each policy table reads
-only the agent's own state), so a chain restricted to any agent subset is
-exact as long as the subset covers the reward dependencies being evaluated.
-Restriction is therefore an optimization, never an approximation.
+only the agent's own state), and so do the transition kernels. A chain
+restricted to an agent subset is therefore a tensor product: its joint
+policy is ``prod_j pi_j[s_j, a_j]`` and its transition table
+``prod_j K_j[s_j, a_j, s'_j]``, both built by broadcasting the members'
+tables in sorted member order. Joint tensors keep one axis per member and
+group (all member states, then all member actions, then all next states),
+so flattening them row-major gives the ``EnumeratedSpace`` order. A chain's
+reward is the broadcast sum of the chosen agents' cached reward tables
+(``FactoredNmarlModel.reward_tables``) divided by a scale. The restriction is
+exact as long as the subset covers the reward dependencies being evaluated,
+so it is an optimization, never an approximation.
+
+The gradient forms weight every joint pair by ``d(s) pi(a|s) Q(s, a)``,
+marginalize that weight onto each scored agent's own ``(s_j, a_j)`` and
+contract it with the closed-form score. No Python loop here runs over joint
+states or joint actions: loops run over agents and over the value-iteration
+horizon. Every size guard fires before the tensor it protects is allocated.
 """
 
 from __future__ import annotations
@@ -16,7 +30,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
@@ -31,10 +46,20 @@ MAX_TABLE_ENTRIES = 50_000_000  # dense DP arrays beyond this are refused
 
 @dataclass(frozen=True)
 class EnumeratedSpace:
-    """All tuples of a small product space, in row-major order."""
+    """A small product space, flattened in row-major order.
+
+    ``points`` lists every tuple; it is built on first access only.
+    """
 
     sizes: tuple[int, ...]
-    points: tuple[tuple[int, ...], ...]
+
+    @property
+    def size(self) -> int:
+        return math.prod(self.sizes)
+
+    @cached_property
+    def points(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(itertools.product(*(range(s) for s in self.sizes)))
 
     def index(self, point: Sequence[int]) -> int:
         idx = 0
@@ -44,14 +69,15 @@ class EnumeratedSpace:
 
 
 def enumerate_space(sizes: Sequence[int], cap: int = MAX_JOINT_STATES) -> EnumeratedSpace:
-    total = 1
-    for s in sizes:
-        total *= s
+    total = math.prod(sizes)
     if total > cap:
         raise SpaceTooLarge(f"product space has {total} points, cap is {cap}")
-    return EnumeratedSpace(
-        sizes=tuple(sizes), points=tuple(itertools.product(*(range(s) for s in sizes)))
-    )
+    return EnumeratedSpace(sizes=tuple(sizes))
+
+
+def _check_entries(entries: int, what: str) -> None:
+    if entries > MAX_TABLE_ENTRIES:
+        raise SpaceTooLarge(f"{what} needs {entries} entries, cap is {MAX_TABLE_ENTRIES}")
 
 
 @dataclass
@@ -71,45 +97,79 @@ class RestrictedChain:
     reward: np.ndarray
 
 
+def _outer(tables: Sequence[np.ndarray]) -> np.ndarray:
+    """Tensor product of per-member tables that share their axis groups.
+
+    Member ``p``'s table has one axis per group (state, action, ...). The
+    result has axes ``(group 0 of every member, group 1 of every member,
+    ...)`` and multiplies the members in order, left to right.
+    """
+    k = len(tables)
+    groups = tables[0].ndim
+    out = np.ones([t.shape[g] for g in range(groups) for t in tables])
+    for p, t in enumerate(tables):
+        shape = [1] * (k * groups)
+        for g in range(groups):
+            shape[g * k + p] = t.shape[g]
+        out *= t.reshape(shape)
+    return out
+
+
+def _embed(table: np.ndarray, inner: Sequence[int], outer: Sequence[int]) -> np.ndarray:
+    """``table`` over ``inner`` as a view that broadcasts over ``outer``.
+
+    ``table`` has ``inner``'s state axes, then its action axes; both member
+    tuples are sorted and ``inner`` is a subset of ``outer``. The view has
+    ``outer``'s axis layout, with size 1 on non-member axes.
+    """
+    k, m = len(outer), len(inner)
+    shape = [1] * (2 * k)
+    for q, j in enumerate(inner):
+        p = outer.index(j)
+        shape[p] = table.shape[q]
+        shape[k + p] = table.shape[m + q]
+    return table.reshape(shape)
+
+
+def _member_tables(
+    prob_tables: Sequence[np.ndarray], members: Sequence[int], m: FactoredNmarlModel
+) -> list[np.ndarray]:
+    """Each member's policy table cut to its own state and action counts."""
+    return [prob_tables[j][: m.state_sizes[j], : m.action_sizes[j]] for j in members]
+
+
 def build_restricted_chain(
     m: FactoredNmarlModel,
     members: Sequence[int],
     prob_tables: Sequence[np.ndarray],
-    reward_fn: Callable[[tuple[int, ...], tuple[int, ...]], float],
+    reward_agents: Sequence[int],
+    scale: float = 1.0,
 ) -> RestrictedChain:
     """Assemble the joint tables of the chain restricted to ``members``.
 
-    ``reward_fn`` receives the member-ordered state and action tuples.
+    The chain's reward is ``sum_{j in reward_agents} r_j / scale``; every
+    reward agent's ``kappa_r``-hop neighborhood must lie inside ``members``.
     """
     members = tuple(sorted(members))
     sspace = enumerate_space([m.state_sizes[j] for j in members])
     aspace = enumerate_space([m.action_sizes[j] for j in members])
-    ns, na = len(sspace.points), len(aspace.points)
-    if ns * na * ns > MAX_TABLE_ENTRIES or ns * na > MAX_TABLE_ENTRIES:
-        raise SpaceTooLarge(
-            f"restricted chain needs {ns}x{na}x{ns} transition entries"
-        )
+    ns, na = sspace.size, aspace.size
+    _check_entries(ns * na * ns, "restricted chain transition table")
 
-    trans = np.ones((ns, na, ns))
-    policy_tab = np.ones((ns, na))
-    reward = np.empty((ns, na))
-    for si, s in enumerate(sspace.points):
-        for ai, a in enumerate(aspace.points):
-            reward[si, ai] = reward_fn(s, a)
-            row = np.ones(1)
-            pol = 1.0
-            for pos, j in enumerate(members):
-                pol *= prob_tables[j][s[pos], a[pos]]
-                row = np.multiply.outer(row, m.kernels[j][s[pos], a[pos]]).ravel()
-            policy_tab[si, ai] = pol
-            trans[si, ai] = row
+    policy = _outer(_member_tables(prob_tables, members, m))
+    trans = _outer([m.kernels[j] for j in members])
+    reward_tables = m.reward_tables()
+    reward = np.zeros(policy.shape)
+    for j in reward_agents:
+        reward += _embed(reward_tables[j], m.reward_members[j], members)
+    reward /= scale
     return RestrictedChain(
         members=members,
         state_space=sspace,
         action_space=aspace,
-        trans=trans,
-        policy=policy_tab,
-        reward=reward,
+        trans=trans.reshape(ns, na, ns),
+        policy=policy.reshape(ns, na),
+        reward=reward.reshape(ns, na),
     )
 
 
@@ -121,41 +181,42 @@ def truncation_horizon(gamma: float, eps: float, reward_bound: float) -> int:
 
 
 def chain_q_table(chain: RestrictedChain, gamma: float, eps: float) -> np.ndarray:
-    """Action-value table of the chain's reward, truncated at accuracy ``eps``."""
+    """Action-value table of the chain's reward, truncated at accuracy ``eps``.
+
+    Iterates ``v <- r_pi + gamma P_pi v`` on the state space for ``T - 1``
+    steps, then forms ``q = r + gamma T v`` once: the ``T``-step truncation.
+    """
     bound = float(np.max(np.abs(chain.reward)))
     horizon = truncation_horizon(gamma, eps, bound)
-    v = np.zeros(len(chain.state_space.points))
-    q = np.zeros_like(chain.reward)
-    for _ in range(horizon):
-        q = chain.reward + gamma * chain.trans @ v
-        v = (chain.policy * q).sum(axis=1)
-    return q
+    r_pi = (chain.policy * chain.reward).sum(axis=1)
+    p_pi = np.einsum("sa,sat->st", chain.policy, chain.trans)
+    v = np.zeros(len(r_pi))
+    for _ in range(horizon - 1):
+        v = r_pi + gamma * (p_pi @ v)
+    return chain.reward + gamma * (chain.trans @ v)
+
+
+def _q_tensor(chain: RestrictedChain, q: np.ndarray) -> np.ndarray:
+    """A chain's flat ``(s, a)`` table with one axis per member and group."""
+    return q.reshape(chain.state_space.sizes + chain.action_space.sizes)
 
 
 # ----------------------------------------------------------------------
 # full-joint quantities
 
 
-def _mean_reward_fn(m: FactoredNmarlModel) -> Callable:
-    def fn(s: tuple[int, ...], a: tuple[int, ...]) -> float:
-        return float(np.mean(m.rewards(s, a)))
-
-    return fn
-
-
 def _full_chain(
     m: FactoredNmarlModel, prob_tables: Sequence[np.ndarray]
 ) -> RestrictedChain:
-    return build_restricted_chain(m, range(m.n), prob_tables, _mean_reward_fn(m))
+    everyone = range(m.n)
+    return build_restricted_chain(m, everyone, prob_tables, everyone, scale=m.n)
 
 
 def _initial_vector(m: FactoredNmarlModel, space: EnumeratedSpace) -> np.ndarray:
-    rho = np.zeros(len(space.points))
-    if m.rho.kind == "fixed":
-        rho[space.index(m.rho.state)] = 1.0
-    else:
-        for idx, s in enumerate(space.points):
-            rho[idx] = m.rho.prob(s)
+    if m.rho.kind == "product":
+        return _outer(m.rho.dists).ravel()
+    rho = np.zeros(space.size)
+    rho[space.index(m.rho.state)] = 1.0
     return rho
 
 
@@ -198,21 +259,9 @@ def local_q_value(
     ``s_nb`` / ``a_nb`` are ordered by the sorted members of the
     ``kappa_r``-hop neighborhood of ``i``.
     """
-    members = m.reward_members[i]
-
-    def reward_fn(s: tuple[int, ...], a: tuple[int, ...]) -> float:
-        return float(m.reward_fns[i](s, a))
-
-    chain = build_restricted_chain(m, members, prob_tables, reward_fn)
+    chain = build_restricted_chain(m, m.reward_members[i], prob_tables, (i,))
     q = chain_q_table(chain, m.gamma, eps)
     return float(q[chain.state_space.index(tuple(s_nb)), chain.action_space.index(tuple(a_nb))])
-
-
-def _restriction_positions(
-    outer: Sequence[int], inner: Sequence[int]
-) -> list[int]:
-    pos = {j: k for k, j in enumerate(outer)}
-    return [pos[j] for j in inner]
 
 
 def neighbors_averaged_chain(
@@ -226,20 +275,7 @@ def neighbors_averaged_chain(
     ``kappa_p + 2 * kappa_r``-hop state-action restriction."""
     inner = netgraph.khop(m.graph, i, kappa_p + m.kappa_r).members
     outer = netgraph.khop(m.graph, i, kappa_p + 2 * m.kappa_r).members
-    slots = {
-        j: _restriction_positions(outer, m.reward_members[j]) for j in inner
-    }
-
-    def reward_fn(s: tuple[int, ...], a: tuple[int, ...]) -> float:
-        total = 0.0
-        for j in inner:
-            sel = slots[j]
-            s_j = tuple(s[k] for k in sel)
-            a_j = tuple(a[k] for k in sel)
-            total += float(m.reward_fns[j](s_j, a_j))
-        return total / m.n
-
-    return build_restricted_chain(m, outer, prob_tables, reward_fn)
+    return build_restricted_chain(m, outer, prob_tables, inner, scale=m.n)
 
 
 def neighbors_averaged_q(
@@ -266,10 +302,19 @@ def discounted_visitation(
     prob_tables: Sequence[np.ndarray],
     eps: float = 1e-9,
 ) -> tuple[np.ndarray, EnumeratedSpace]:
-    """``(1 - gamma)``-normalized discounted state occupancy over the joint space."""
-    chain = _full_chain(m, prob_tables)
-    tp = np.einsum("sa,sat->st", chain.policy, chain.trans)
-    dist = _initial_vector(m, chain.state_space)
+    """``(1 - gamma)``-normalized discounted state occupancy over the joint space.
+
+    The joint state kernel under the policy is the tensor product of the
+    per-agent ones, ``P_j[s_j, s'_j] = sum_a pi_j(a | s_j) K_j[s_j, a, s'_j]``.
+    """
+    space = enumerate_space(m.state_sizes)
+    _check_entries(space.size * space.size, "joint state kernel")
+    per_agent = [
+        np.einsum("sa,sat->st", pi_j, m.kernels[j])
+        for j, pi_j in enumerate(_member_tables(prob_tables, range(m.n), m))
+    ]
+    tp = _outer(per_agent).reshape(space.size, space.size)
+    dist = _initial_vector(m, space)
     horizon = truncation_horizon(m.gamma, eps, 1.0)
     tab = np.zeros_like(dist)
     weight = 1.0
@@ -277,25 +322,63 @@ def discounted_visitation(
         tab += weight * dist
         dist = dist @ tp
         weight *= m.gamma
-    return (1.0 - m.gamma) * tab, chain.state_space
+    return (1.0 - m.gamma) * tab, space
 
 
-def _tables_and_scores(
+def _gradient_inputs(
     m: FactoredNmarlModel,
     pol: CoupledSoftmaxPolicy,
     params: np.ndarray,
     i: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Dynamics tables plus the parameter row agent ``i`` evaluates scores at.
+    eps: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Dynamics tables, the tables agent ``i`` scores with, and the visitation.
 
     ``params`` with shape ``(n, d)`` means consistent true parameters; an
     ``(n, n, d)`` stack means each agent executes its own estimate row while
-    agent ``i`` scores with row ``i``.
+    agent ``i`` scores with row ``i``. The joint weight tensor's size is
+    checked before anything joint is built.
     """
+    _check_entries(
+        math.prod(m.state_sizes) * math.prod(m.action_sizes), "joint weight tensor"
+    )
     arr = np.asarray(params, dtype=float)
     tables = pol.prob_tables(arr)
-    score_row = arr if arr.ndim == 2 else arr[i]
-    return tables, score_row
+    score_tables = tables if arr.ndim == 2 else pol.prob_tables(arr[i])
+    visitation, _ = discounted_visitation(m, tables, eps)
+    return tables, score_tables, visitation
+
+
+def _score_gradient(
+    m: FactoredNmarlModel,
+    pol: CoupledSoftmaxPolicy,
+    i: int,
+    tables: np.ndarray,
+    score_tables: np.ndarray,
+    visitation: np.ndarray,
+    value: np.ndarray,
+) -> np.ndarray:
+    """``sum_{s, a} d(s) pi(a|s) value(s, a) score_sum_i(s, a) / (1 - gamma)``.
+
+    ``value`` broadcasts over the joint ``(states..., actions...)`` axes.
+    The score of agent ``j``'s policy reads only ``(s_j, a_j)``: it is
+    ``c * (1{a = a_j} - pi_j(a | s_j))`` on the parameter block of ``s_j``,
+    with ``c = coupling[j, i]``. So the weight ``d pi value`` is marginalized
+    onto each scored agent's ``(s_j, a_j)`` and contracted with that form.
+    """
+    n = m.n
+    pi = _outer(_member_tables(tables, range(n), m))
+    weight = visitation.reshape(m.state_sizes + (1,) * n) * pi * value
+    grad = np.zeros((pol.n_states, pol.n_actions))
+    for j in pol.hoods[i]:
+        marginal = np.zeros_like(grad)
+        marginal[: m.state_sizes[j], : m.action_sizes[j]] = weight.sum(
+            axis=tuple(ax for ax in range(2 * n) if ax not in (j, n + j))
+        )
+        grad += pol.coupling[j, i] * (
+            marginal - score_tables[j] * marginal.sum(axis=1, keepdims=True)
+        )
+    return grad.ravel() / (1.0 - m.gamma)
 
 
 def gradient_via_local_q(
@@ -314,47 +397,19 @@ def gradient_via_local_q(
     consistent parameters because out-of-range score terms integrate to
     zero).
     """
-    tables, score_row = _tables_and_scores(m, pol, params, i)
-    visitation, space = discounted_visitation(m, tables, eps)
+    tables, score_tables, visitation = _gradient_inputs(m, pol, params, i, eps)
     targets = (
         tuple(range(m.n))
         if full_sum
         else netgraph.khop(m.graph, i, pol.spec.kappa_p + m.kappa_r).members
     )
-    q_tabs = {}
+    everyone = tuple(range(m.n))
+    qsum = 0.0
     for l in targets:
-        members = m.reward_members[l]
-
-        def reward_fn(s, a, l=l):
-            return float(m.reward_fns[l](s, a))
-
-        chain = build_restricted_chain(m, members, tables, reward_fn)
-        q_tabs[l] = (chain, chain_q_table(chain, m.gamma, eps))
-
-    aspace = enumerate_space(m.action_sizes)
-    grad = np.zeros(pol.d)
-    for s_idx, s in enumerate(space.points):
-        ds = visitation[s_idx]
-        if ds == 0.0:
-            continue
-        for a in aspace.points:
-            pi = 1.0
-            for j in range(m.n):
-                pi *= tables[j][s[j], a[j]]
-            if pi == 0.0:
-                continue
-            qsum = 0.0
-            for l in targets:
-                chain, qtab = q_tabs[l]
-                sel = chain.members
-                s_r = tuple(s[j] for j in sel)
-                a_r = tuple(a[j] for j in sel)
-                qsum += qtab[
-                    chain.state_space.index(s_r), chain.action_space.index(a_r)
-                ]
-            weight = ds * pi * qsum / m.n
-            grad += weight * pol.score_sum(i, s, a, score_row)
-    return grad / (1.0 - m.gamma)
+        chain = build_restricted_chain(m, m.reward_members[l], tables, (l,))
+        q = chain_q_table(chain, m.gamma, eps)
+        qsum = qsum + _embed(_q_tensor(chain, q), chain.members, everyone)
+    return _score_gradient(m, pol, i, tables, score_tables, visitation, qsum / m.n)
 
 
 def gradient_via_averaged_q(
@@ -365,29 +420,11 @@ def gradient_via_averaged_q(
     eps: float = 1e-9,
 ) -> np.ndarray:
     """Policy gradient for agent ``i`` using the neighbors-averaged action value."""
-    tables, score_row = _tables_and_scores(m, pol, params, i)
-    visitation, space = discounted_visitation(m, tables, eps)
+    tables, score_tables, visitation = _gradient_inputs(m, pol, params, i, eps)
     chain = neighbors_averaged_chain(m, tables, i, pol.spec.kappa_p)
-    qtab = chain_q_table(chain, m.gamma, eps)
-    sel = chain.members
-
-    aspace = enumerate_space(m.action_sizes)
-    grad = np.zeros(pol.d)
-    for s_idx, s in enumerate(space.points):
-        ds = visitation[s_idx]
-        if ds == 0.0:
-            continue
-        for a in aspace.points:
-            pi = 1.0
-            for j in range(m.n):
-                pi *= tables[j][s[j], a[j]]
-            if pi == 0.0:
-                continue
-            s_r = tuple(s[j] for j in sel)
-            a_r = tuple(a[j] for j in sel)
-            qv = qtab[chain.state_space.index(s_r), chain.action_space.index(a_r)]
-            grad += ds * pi * qv * pol.score_sum(i, s, a, score_row)
-    return grad / (1.0 - m.gamma)
+    q = chain_q_table(chain, m.gamma, eps)
+    value = _embed(_q_tensor(chain, q), chain.members, tuple(range(m.n)))
+    return _score_gradient(m, pol, i, tables, score_tables, visitation, value)
 
 
 def central_difference(fn, x: np.ndarray, h: float) -> np.ndarray:

@@ -134,12 +134,6 @@ class TrainRecord:
                 return r
         return None
 
-    def eval_at(self, t: int) -> IterationRow | None:
-        for r in self.rows:
-            if r.t == t and r.j_est is not None:
-                return r
-        return None
-
 
 def _fmt(x: float | None) -> str:
     return "" if x is None else repr(float(x))

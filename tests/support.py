@@ -1,11 +1,18 @@
-"""Shared instance builders for the test suite."""
+"""Shared instance builders and reference implementations for the test suite."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from nmarl import netgraph
+from nmarl.errors import SpaceTooLarge
 from nmarl.model import FactoredNmarlModel, InitialDistribution
+from nmarl.oracle import (
+    MAX_TABLE_ENTRIES,
+    RestrictedChain,
+    enumerate_space,
+    truncation_horizon,
+)
 
 
 def line_graph(n: int) -> netgraph.AgentGraph:
@@ -103,3 +110,160 @@ def constant_reward_model(
 
 def zero_reward_model(g: netgraph.AgentGraph, **kw) -> FactoredNmarlModel:
     return constant_reward_model(g, 0.0, **kw)
+
+
+# ----------------------------------------------------------------------
+# Reference oracle: the literal per-(s, a) loops the vectorized oracle
+# replaced. Slow, and kept only to test the oracle against.
+
+
+def ref_build_restricted_chain(m, members, prob_tables, reward_fn) -> RestrictedChain:
+    """Chain tables filled point by point; ``reward_fn`` takes member-ordered tuples."""
+    members = tuple(sorted(members))
+    sspace = enumerate_space([m.state_sizes[j] for j in members])
+    aspace = enumerate_space([m.action_sizes[j] for j in members])
+    ns, na = len(sspace.points), len(aspace.points)
+    if ns * na * ns > MAX_TABLE_ENTRIES or ns * na > MAX_TABLE_ENTRIES:
+        raise SpaceTooLarge(f"restricted chain needs {ns}x{na}x{ns} transition entries")
+
+    trans = np.ones((ns, na, ns))
+    policy_tab = np.ones((ns, na))
+    reward = np.empty((ns, na))
+    for si, s in enumerate(sspace.points):
+        for ai, a in enumerate(aspace.points):
+            reward[si, ai] = reward_fn(s, a)
+            row = np.ones(1)
+            pol = 1.0
+            for pos, j in enumerate(members):
+                pol *= prob_tables[j][s[pos], a[pos]]
+                row = np.multiply.outer(row, m.kernels[j][s[pos], a[pos]]).ravel()
+            policy_tab[si, ai] = pol
+            trans[si, ai] = row
+    return RestrictedChain(members, sspace, aspace, trans, policy_tab, reward)
+
+
+def ref_chain_q_table(chain, gamma, eps) -> np.ndarray:
+    horizon = truncation_horizon(gamma, eps, float(np.max(np.abs(chain.reward))))
+    v = np.zeros(len(chain.state_space.points))
+    q = np.zeros_like(chain.reward)
+    for _ in range(horizon):
+        q = chain.reward + gamma * chain.trans @ v
+        v = (chain.policy * q).sum(axis=1)
+    return q
+
+
+def ref_local_reward_fn(m, l):
+    return lambda s, a: float(m.reward_fns[l](s, a))
+
+
+def ref_mean_reward_fn(m):
+    return lambda s, a: float(np.mean(m.rewards(s, a)))
+
+
+def ref_averaged_reward_fn(m, inner, outer):
+    """The ``1/N``-scaled reward sum of ``inner`` read off an ``outer`` restriction."""
+    pos = {j: k for k, j in enumerate(outer)}
+    slots = {j: [pos[k] for k in m.reward_members[j]] for j in inner}
+
+    def fn(s, a):
+        total = 0.0
+        for j in inner:
+            sel = slots[j]
+            total += float(m.reward_fns[j](tuple(s[k] for k in sel), tuple(a[k] for k in sel)))
+        return total / m.n
+
+    return fn
+
+
+def ref_initial_vector(m, space) -> np.ndarray:
+    rho = np.zeros(len(space.points))
+    if m.rho.kind == "fixed":
+        rho[space.index(m.rho.state)] = 1.0
+    else:
+        for idx, s in enumerate(space.points):
+            rho[idx] = m.rho.prob(s)
+    return rho
+
+
+def ref_discounted_visitation(m, prob_tables, eps=1e-9):
+    chain = ref_build_restricted_chain(m, range(m.n), prob_tables, ref_mean_reward_fn(m))
+    tp = np.einsum("sa,sat->st", chain.policy, chain.trans)
+    dist = ref_initial_vector(m, chain.state_space)
+    tab = np.zeros_like(dist)
+    weight = 1.0
+    for _ in range(truncation_horizon(m.gamma, eps, 1.0) + 1):
+        tab += weight * dist
+        dist = dist @ tp
+        weight *= m.gamma
+    return (1.0 - m.gamma) * tab, chain.state_space
+
+
+def ref_exact_objective(m, prob_tables, eps=1e-9) -> float:
+    chain = ref_build_restricted_chain(m, range(m.n), prob_tables, ref_mean_reward_fn(m))
+    q = ref_chain_q_table(chain, m.gamma, eps)
+    return float(ref_initial_vector(m, chain.state_space) @ (chain.policy * q).sum(axis=1))
+
+
+def _ref_score_weighted_sum(m, pol, params, i, tables, value_of, eps):
+    """``sum_{s, a} d(s) pi(a|s) value_of(s, a) score_sum_i(s, a) / (1 - gamma)``."""
+    arr = np.asarray(params, dtype=float)
+    score_row = arr if arr.ndim == 2 else arr[i]
+    visitation, space = ref_discounted_visitation(m, tables, eps)
+    aspace = enumerate_space(m.action_sizes)
+    grad = np.zeros(pol.d)
+    for s_idx, s in enumerate(space.points):
+        ds = visitation[s_idx]
+        if ds == 0.0:
+            continue
+        for a in aspace.points:
+            pi = 1.0
+            for j in range(m.n):
+                pi *= tables[j][s[j], a[j]]
+            if pi == 0.0:
+                continue
+            grad += ds * pi * value_of(s, a) * pol.score_sum(i, s, a, score_row)
+    return grad / (1.0 - m.gamma)
+
+
+def _ref_lookup(chain, qtab, s, a) -> float:
+    sel = chain.members
+    return qtab[
+        chain.state_space.index(tuple(s[j] for j in sel)),
+        chain.action_space.index(tuple(a[j] for j in sel)),
+    ]
+
+
+def ref_gradient_via_local_q(m, pol, params, i, full_sum=False, eps=1e-9) -> np.ndarray:
+    tables = pol.prob_tables(np.asarray(params, dtype=float))
+    targets = (
+        tuple(range(m.n))
+        if full_sum
+        else netgraph.khop(m.graph, i, pol.spec.kappa_p + m.kappa_r).members
+    )
+    q_tabs = []
+    for l in targets:
+        chain = ref_build_restricted_chain(
+            m, m.reward_members[l], tables, ref_local_reward_fn(m, l)
+        )
+        q_tabs.append((chain, ref_chain_q_table(chain, m.gamma, eps)))
+
+    def value_of(s, a):
+        qsum = 0.0
+        for chain, qtab in q_tabs:
+            qsum += _ref_lookup(chain, qtab, s, a)
+        return qsum / m.n
+
+    return _ref_score_weighted_sum(m, pol, params, i, tables, value_of, eps)
+
+
+def ref_gradient_via_averaged_q(m, pol, params, i, eps=1e-9) -> np.ndarray:
+    tables = pol.prob_tables(np.asarray(params, dtype=float))
+    inner = netgraph.khop(m.graph, i, pol.spec.kappa_p + m.kappa_r).members
+    outer = netgraph.khop(m.graph, i, pol.spec.kappa_p + 2 * m.kappa_r).members
+    chain = ref_build_restricted_chain(
+        m, outer, tables, ref_averaged_reward_fn(m, inner, outer)
+    )
+    qtab = ref_chain_q_table(chain, m.gamma, eps)
+    return _ref_score_weighted_sum(
+        m, pol, params, i, tables, lambda s, a: _ref_lookup(chain, qtab, s, a), eps
+    )

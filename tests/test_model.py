@@ -244,3 +244,47 @@ class TestSerialization:
         draws = np.array([rho.sample(rng) for _ in range(20_000)])
         assert abs(draws[:, 0].mean() - 0.75) < 3 * np.sqrt(0.25 * 0.75 / 20_000)
         assert np.all(draws[:, 1] == 0)
+
+
+class TestInitialDistribution:
+    def test_rho_sample_clips_draw_above_cumsum(self):
+        # cumsum([0.7, 0.2, 0.1]) ends at 0.9999999999999999, the largest draw
+        # below 1, so a right-sided search puts that draw past the last
+        # state; it must map to the last state, one draw per agent as before.
+        class StubRng:
+            def __init__(self, draws):
+                self.draws = np.asarray(draws)
+                self.sizes = []
+
+            def random(self, size):
+                self.sizes.append(size)
+                return self.draws
+
+        d = np.array([0.7, 0.2, 0.1])
+        top = np.nextafter(1.0, 0.0)
+        assert np.cumsum(d)[-1] <= top
+        rng = StubRng([top, 0.0])
+        assert InitialDistribution.product([d, d]).sample(rng) == (2, 0)
+        assert rng.sizes == [2]
+
+
+class TestRewardTables:
+    def test_tables_match_reward_fns(self, line3_model):
+        m = line3_model
+        tables = m.reward_tables()
+        assert m.reward_tables() is tables  # built once
+        for i, members in enumerate(m.reward_members):
+            k = len(members)
+            assert tables[i].shape == (2,) * (2 * k)
+            for s in itertools.product(range(2), repeat=k):
+                for a in itertools.product(range(2), repeat=k):
+                    assert tables[i][s + a] == m.reward_fns[i](s, a)
+
+    def test_domain_guard(self, monkeypatch):
+        from nmarl import model as model_mod
+        from nmarl.errors import SpaceTooLarge
+
+        m = random_table_model(line_graph(3), np.random.default_rng(4))
+        monkeypatch.setattr(model_mod, "MAX_REWARD_DOMAIN", 15)
+        with pytest.raises(SpaceTooLarge):
+            m.reward_tables()

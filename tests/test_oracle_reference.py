@@ -1,0 +1,163 @@
+"""The vectorized oracle against the per-point reference loops in ``support``."""
+
+from __future__ import annotations
+
+import itertools
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from nmarl import netgraph, oracle
+from nmarl.errors import SpaceTooLarge
+from nmarl.model import FactoredNmarlModel, InitialDistribution
+from nmarl.policy import CoupledSoftmaxPolicy, MixingSpec
+
+import support
+from support import line_graph, random_stochastic_kernel, random_table_model
+
+TOL = 1e-12
+
+
+def close(got, want):
+    np.testing.assert_allclose(got, want, rtol=TOL, atol=TOL)
+
+
+def build_graph(kind: str, n: int) -> netgraph.AgentGraph:
+    if kind == "ring" and n >= 3:
+        return netgraph.ring_graph(n)
+    if kind == "star":
+        return netgraph.build_graph(n, [(1, k) for k in range(2, n + 1)])
+    return line_graph(n)
+
+
+@st.composite
+def instances(draw):
+    n = draw(st.integers(2, 4))
+    g = build_graph(draw(st.sampled_from(["line", "ring", "star"])), n)
+    n_states, n_actions = draw(st.integers(2, 3)), draw(st.integers(2, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = random_table_model(
+        g, rng, n_states, n_actions,
+        gamma=draw(st.sampled_from([0.6, 0.9])),
+        fixed_start=draw(st.booleans()),
+    )
+    pol = CoupledSoftmaxPolicy(
+        g, n_states, n_actions, MixingSpec(kappa_p=draw(st.integers(0, 2)))
+    )
+    shape = (n, pol.d) if draw(st.booleans()) else (n, n, pol.d)
+    params = rng.uniform(-1.0, 1.0, size=shape)
+    return m, pol, params, draw(st.integers(0, n - 1)), draw(st.booleans())
+
+
+@given(instances())
+@settings(max_examples=25, deadline=None)
+def test_vectorized_oracle_matches_reference_loops(inst):
+    m, pol, params, i, full_sum = inst
+    tables = pol.prob_tables(params)
+
+    chain = oracle.build_restricted_chain(m, range(m.n), tables, range(m.n), scale=m.n)
+    ref = support.ref_build_restricted_chain(
+        m, range(m.n), tables, support.ref_mean_reward_fn(m)
+    )
+    assert chain.state_space.points == ref.state_space.points
+    assert chain.action_space.points == ref.action_space.points
+    close(chain.trans, ref.trans)
+    close(chain.policy, ref.policy)
+    close(chain.reward, ref.reward)
+    close(oracle.chain_q_table(chain, m.gamma, 1e-9), support.ref_chain_q_table(ref, m.gamma, 1e-9))
+
+    close(oracle.exact_objective(m, tables), support.ref_exact_objective(m, tables))
+    close(oracle.discounted_visitation(m, tables)[0], support.ref_discounted_visitation(m, tables)[0])
+    close(
+        oracle.gradient_via_local_q(m, pol, params, i, full_sum=full_sum),
+        support.ref_gradient_via_local_q(m, pol, params, i, full_sum=full_sum),
+    )
+    close(
+        oracle.gradient_via_averaged_q(m, pol, params, i),
+        support.ref_gradient_via_averaged_q(m, pol, params, i),
+    )
+
+
+def heterogeneous_model(rng: np.random.Generator) -> FactoredNmarlModel:
+    """A 3-line whose agents have different state and action counts."""
+    g = line_graph(3)
+    s_sizes, a_sizes = (2, 3, 2), (3, 2, 2)
+    fns = []
+    for i in range(3):
+        members = netgraph.khop(g, i, 1).members
+        shape = tuple(s_sizes[j] for j in members) + tuple(a_sizes[j] for j in members)
+        table = rng.uniform(-1.0, 1.0, size=shape)
+        fns.append(lambda s, a, table=table: float(table[tuple(s) + tuple(a)]))
+    dists = [rng.random(k) + 0.2 for k in s_sizes]
+    return FactoredNmarlModel(
+        g,
+        [list(range(k)) for k in s_sizes],
+        [list(range(k)) for k in a_sizes],
+        [random_stochastic_kernel(rng, s, a) for s, a in zip(s_sizes, a_sizes)],
+        fns,
+        InitialDistribution.product([d / d.sum() for d in dists]),
+        0.9,
+    )
+
+
+def test_heterogeneous_spaces_match_reference():
+    rng = np.random.default_rng(8)
+    m = heterogeneous_model(rng)
+    tables = []
+    for s, a in zip(m.state_sizes, m.action_sizes):
+        t = rng.random((s, a)) + 0.1
+        tables.append(t / t.sum(axis=1, keepdims=True))
+
+    for members, agents in [((0, 1, 2), (0, 1, 2)), ((0, 1), (0,)), ((1, 2), (2,))]:
+        chain = oracle.build_restricted_chain(m, members, tables, agents, scale=m.n)
+        ref = support.ref_build_restricted_chain(
+            m, members, tables, support.ref_averaged_reward_fn(m, agents, members)
+        )
+        close(chain.trans, ref.trans)
+        close(chain.policy, ref.policy)
+        close(chain.reward, ref.reward)
+    close(oracle.exact_objective(m, tables), support.ref_exact_objective(m, tables))
+    close(oracle.discounted_visitation(m, tables)[0], support.ref_discounted_visitation(m, tables)[0])
+    ref_local = support.ref_build_restricted_chain(
+        m, m.reward_members[1], tables, support.ref_local_reward_fn(m, 1)
+    )
+    q_ref = support.ref_chain_q_table(ref_local, m.gamma, 1e-9)
+    for (si, s), (ai, a) in itertools.product(
+        enumerate(ref_local.state_space.points), enumerate(ref_local.action_space.points)
+    ):
+        close(oracle.local_q_value(m, tables, 1, s, a), q_ref[si, ai])
+
+
+class Untouchable:
+    """Stands in for tables that a size guard must not read or build."""
+
+    def _fail(self, *_):
+        raise AssertionError("table read before the size guard fired")
+
+    __getitem__ = __iter__ = __call__ = _fail
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda m, pol, th: oracle.build_restricted_chain(m, range(m.n), Untouchable(), range(m.n)),
+        lambda m, pol, th: oracle.exact_objective(m, Untouchable()),
+        lambda m, pol, th: oracle.discounted_visitation(m, Untouchable()),
+        lambda m, pol, th: oracle.gradient_via_local_q(m, pol, th, 0),
+        lambda m, pol, th: oracle.gradient_via_averaged_q(m, pol, th, 0),
+    ],
+    ids=["build_restricted_chain", "exact_objective", "discounted_visitation",
+         "gradient_via_local_q", "gradient_via_averaged_q"],
+)
+def test_table_guard_fires_before_any_joint_tensor(monkeypatch, call):
+    g = line_graph(3)
+    m = random_table_model(g, np.random.default_rng(9))
+    pol = CoupledSoftmaxPolicy(g, 2, 2, MixingSpec(kappa_p=1))
+    theta = np.random.default_rng(10).uniform(-1.0, 1.0, size=(3, 4))
+    monkeypatch.setattr(oracle, "MAX_TABLE_ENTRIES", 15)
+    m.kernels = Untouchable()
+    m.reward_tables = Untouchable()
+    with pytest.raises(SpaceTooLarge):
+        call(m, pol, theta)
