@@ -2,11 +2,14 @@
 
 Both builders produce :class:`FactoredNmarlModel` instances with
 deterministic (one-hot) kernels and direct-neighbor reward dependencies.
+Each reward family is one batched callable, the model's reward contract:
+integer state and action arrays ``(..., n)`` map to float rewards
+``(..., n)``, and column ``i`` reads only agent ``i``'s ``kappa_r``-hop
+members.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -127,36 +130,6 @@ class PathPlanningSpec:
             raise ConfigError("the per-step time cost must be positive")
 
 
-def path_reward(
-    i_pos: int,
-    s_nb: Sequence[int],
-    a_nb: Sequence[int],
-    spec: PathPlanningSpec,
-    next_table: np.ndarray,
-    dest_idx: int,
-) -> float:
-    """Reward of the agent at position ``i_pos`` of a neighborhood restriction.
-
-    Staying costs the flat time penalty; moving additionally costs a share
-    per neighbor that traverses the same (from, to) edge this step. An agent
-    that stays never collides, and a stationary neighbor can never share a
-    moving agent's edge.
-    """
-    s_i, a_i = s_nb[i_pos], a_nb[i_pos]
-    nxt_i = next_table[s_i, a_i]
-    if spec.terminal_zero_reward and s_i == dest_idx:
-        return 0.0
-    if nxt_i == s_i:
-        return -spec.r_eps
-    shared = 0
-    for k, (s_j, a_j) in enumerate(zip(s_nb, a_nb)):
-        if k == i_pos:
-            continue
-        if s_j == s_i and next_table[s_j, a_j] == nxt_i:
-            shared += 1
-    return -spec.r_eps - spec.collision_weight * shared / spec.n
-
-
 def _path_next_table(ps: PathStructure) -> np.ndarray:
     table = np.empty((len(ps.locations), 3), dtype=np.intp)
     for s, loc in enumerate(ps.locations):
@@ -165,7 +138,7 @@ def _path_next_table(ps: PathStructure) -> np.ndarray:
     return table
 
 
-def _path_reward_bundle(
+def _path_planning_rewards(
     graph: netgraph.AgentGraph, kappa_r: int, params: dict
 ) -> RewardBundle:
     spec = PathPlanningSpec(
@@ -180,18 +153,10 @@ def _path_reward_bundle(
     next_table = _path_next_table(ps)
     dest = ps.index(ps.destination)
 
-    fns = []
-    for i in range(graph.n):
-        members = netgraph.khop(graph, i, kappa_r).members
-        i_pos = members.index(i)
-
-        def fn(s_nb, a_nb, i_pos=i_pos):
-            return path_reward(i_pos, s_nb, a_nb, spec, next_table, dest)
-
-        fns.append(fn)
-
-    # Ordered neighbor pairs and an incidence matrix turn the per-agent
-    # shared-edge count into one comparison plus one matmul.
+    # Staying costs the flat time penalty; moving additionally costs a share
+    # per neighbor that traverses the same (from, to) edge this step. Ordered
+    # neighbor pairs and an incidence matrix turn the per-agent shared-edge
+    # count into one comparison plus one matmul.
     pair_i, pair_j = [], []
     for i in range(graph.n):
         for j in netgraph.khop(graph, i, kappa_r).members:
@@ -222,7 +187,7 @@ def _path_reward_bundle(
 
     # Formula cap: time cost plus the penalty with every agent colliding.
     cap = spec.r_eps + spec.collision_weight * graph.n / spec.n
-    return RewardBundle(fns=fns, bounds=[cap] * graph.n, batch=batch)
+    return RewardBundle(batch=batch, bounds=[cap] * graph.n)
 
 
 def _structure_from_params(params: dict) -> PathStructure:
@@ -264,18 +229,17 @@ def build_path_env(
         "locations": list(ps.locations),
         "destination": ps.destination,
     }
-    bundle = _path_reward_bundle(comm, 1, params)
+    bundle = _path_planning_rewards(comm, 1, params)
     return FactoredNmarlModel(
         graph=comm,
         state_labels=[list(ps.locations)] * spec.n,
         action_labels=[[0, 1, 2]] * spec.n,
         kernels=[kernel] * spec.n,
-        reward_fns=bundle.fns,
+        batch_rewards=bundle.batch,
         rho=InitialDistribution.fixed([ps.index(loc) for loc in spec.starts]),
         gamma=spec.gamma,
         kappa_r=1,
         reward_bounds=bundle.bounds,
-        batch_rewards=bundle.batch,
         reward_ref=("path_planning", params),
     )
 
@@ -286,7 +250,7 @@ def build_path_env(
 _POWER_ACTIONS = (0, -1, 1)
 
 
-def _power_reward_bundle(
+def _power_control_rewards(
     graph: netgraph.AgentGraph, kappa_r: int, params: dict
 ) -> RewardBundle:
     gains = np.asarray(params["gains"], dtype=float)
@@ -296,23 +260,25 @@ def _power_reward_bundle(
         raise NonPositiveNoise("noise powers must be strictly positive")
     if np.any(gains < 0.0):
         raise ConfigError("channel gains must be nonnegative")
+    n = graph.n
+    if gains.shape != (n, n) or noise.shape != (n,) or price.shape != (n,):
+        raise ConfigError(
+            f"{n} agents need {n}x{n} gains and {n} noise powers and prices"
+        )
+    # Agent i hears the power of its kappa_r-hop members only.
+    cross = np.zeros((n, n))
+    for i in range(n):
+        for j in netgraph.khop(graph, i, kappa_r).members:
+            if j != i:
+                cross[i, j] = gains[i, j]
+    own = np.diag(gains)
 
-    fns = []
-    for i in range(graph.n):
-        members = netgraph.khop(graph, i, kappa_r).members
-        i_pos = members.index(i)
+    def batch(states: np.ndarray, acts: np.ndarray) -> np.ndarray:
+        del acts  # the reward reads power levels only
+        p = states.astype(float)
+        return np.log(1.0 + p * own / (p @ cross.T + noise)) - price * p
 
-        def fn(s_nb, a_nb, i=i, members=members, i_pos=i_pos):
-            p_i = s_nb[i_pos]
-            interference = sum(
-                s_nb[k] * gains[i, j] for k, j in enumerate(members) if j != i
-            )
-            return math.log(1.0 + p_i * gains[i, i] / (interference + noise[i])) - (
-                price[i] * p_i
-            )
-
-        fns.append(fn)
-    return RewardBundle(fns=fns)
+    return RewardBundle(batch=batch)
 
 
 def build_power_env(
@@ -342,21 +308,20 @@ def build_power_env(
         "noise": [float(x) for x in noise],
         "price": [float(x) for x in price],
     }
-    bundle = _power_reward_bundle(comm, 1, params)
+    bundle = _power_control_rewards(comm, 1, params)
     start = list(start) if start is not None else [0] * n
     return FactoredNmarlModel(
         graph=comm,
         state_labels=[list(range(levels))] * n,
         action_labels=[list(_POWER_ACTIONS)] * n,
         kernels=[kernel] * n,
-        reward_fns=bundle.fns,
+        batch_rewards=bundle.batch,
         rho=InitialDistribution.fixed(start),
         gamma=gamma,
         kappa_r=1,
-        batch_rewards=None,
         reward_ref=("power_control", params),
     )
 
 
-register_reward_family("path_planning", _path_reward_bundle)
-register_reward_family("power_control", _power_reward_bundle)
+register_reward_family("path_planning", _path_planning_rewards)
+register_reward_family("power_control", _power_control_rewards)

@@ -63,11 +63,19 @@ class GradientEstimate:
     bound: float
 
 
-def sample_geometric(p: float, rng: np.random.Generator) -> int:
-    """Draw from ``{0, 1, ...}`` with ``P(k) = p * (1 - p)^k``."""
+def sample_geometric(
+    p: float, rng: np.random.Generator, size: int | None = None
+) -> int | np.ndarray:
+    """Draw from ``{0, 1, ...}`` with ``P(k) = p * (1 - p)^k``.
+
+    With ``size``, an array of ``size`` draws; it holds the values of, and
+    advances ``rng`` like, ``size`` scalar draws.
+    """
     if not 0.0 < p <= 1.0:
         raise InvalidProbability(f"success probability must be in (0, 1], got {p}")
-    return int(rng.geometric(p)) - 1
+    if size is None:
+        return int(rng.geometric(p)) - 1
+    return rng.geometric(p, size=size) - 1
 
 
 def half_discount_weights(gamma: float, length: int) -> np.ndarray:
@@ -90,6 +98,8 @@ def rollout_two_horizon(
     executes with its row ``params[i]``) or an ``(n, d)`` shared parameter.
     Draw order is fixed: ``t1``, ``t2``, the start state, then per step one
     draw per agent for actions followed by one per agent for transitions.
+    The rewards of the visited steps are scored with one batched call after
+    the loop, which draws nothing.
     """
     t1 = sample_geometric(1.0 - m.gamma, rng)
     t2 = sample_geometric(1.0 - math.sqrt(m.gamma), rng)
@@ -124,24 +134,30 @@ def _simulate(
     kern_cum = m.stacked_kernel_cum()
     n_actions = tables.shape[2]
     n_states = kern_cum.shape[-1]
-    rows = []
-    snapshot_state = snapshot_action = None
+    visited_s, visited_a = [], []
     for t in range(t1 + t2 + 1):
         u = rng.random(n)
         acts = np.minimum(
             (pol_cum[idx, state] <= u[:, None]).sum(axis=1), n_actions - 1
         )
-        if t == t1:
-            snapshot_state = tuple(int(s) for s in state)
-            snapshot_action = tuple(int(a) for a in acts)
         if t >= t1:
-            rows.append(m.rewards(state, acts))
+            visited_s.append(state)
+            visited_a.append(acts)
         if t < t1 + t2:
             u2 = rng.random(n)
             state = np.minimum(
                 (kern_cum[idx, state, acts] <= u2[:, None]).sum(axis=1), n_states - 1
             )
-    return snapshot_state, snapshot_action, np.asarray(rows, dtype=float)
+    snapshot_state = tuple(int(s) for s in visited_s[0])
+    snapshot_action = tuple(int(a) for a in visited_a[0])
+    return snapshot_state, snapshot_action, _score_trace(m, visited_s, visited_a)
+
+
+def _score_trace(
+    m: FactoredNmarlModel, states: list[np.ndarray], acts: list[np.ndarray]
+) -> np.ndarray:
+    """Rewards ``(steps, n)`` of the visited rows, in one batched call."""
+    return np.asarray(m.batch_rewards(np.stack(states), np.stack(acts)), dtype=float)
 
 
 def q_estimate(
@@ -248,7 +264,7 @@ def sample_q_conditional(
     n_states = kern_cum.shape[-1]
     state = np.array(snapshot_state, dtype=np.intp)
     acts = np.array(snapshot_action, dtype=np.intp)
-    rows = [m.rewards(state, acts)]
+    visited_s, visited_a = [state], [acts]
     for _ in range(t2):
         u2 = rng.random(n)
         state = np.minimum(
@@ -258,8 +274,9 @@ def sample_q_conditional(
         acts = np.minimum(
             (pol_cum[idx, state] <= u[:, None]).sum(axis=1), n_actions - 1
         )
-        rows.append(m.rewards(state, acts))
-    trace = np.asarray(rows, dtype=float)
+        visited_s.append(state)
+        visited_a.append(acts)
+    trace = _score_trace(m, visited_s, visited_a)
     members = netgraph.khop(m.graph, i, pol.spec.kappa_p + m.kappa_r).members
     weights = half_discount_weights(m.gamma, t2 + 1)
     return float(weights @ trace[:, list(members)].sum(axis=1)) / m.n

@@ -2,10 +2,11 @@
 
 States and actions are handled as 0-based indices internally; label lists
 translate at the boundary. Transition kernels factor per agent, so the
-global transition probability is the product of the local ones. Reward
-functions read only the restriction of the global state-action to the
-``kappa_r``-hop neighborhood of their agent, so each one is also a dense
-table over that restricted domain (``FactoredNmarlModel.reward_tables``).
+global transition probability is the product of the local ones. A model has
+one reward callable, batched over leading axes: integer state and action
+arrays ``(..., n)`` map to float rewards ``(..., n)``, and column ``i`` reads
+only agent ``i``'s ``kappa_r``-hop members. Each column is therefore also a
+dense table over that restricted domain (``FactoredNmarlModel.reward_tables``).
 """
 
 from __future__ import annotations
@@ -27,9 +28,9 @@ from .errors import (
 ROW_SUM_TOL = 1e-12
 MAX_REWARD_DOMAIN = 2_000_000  # restricted reward domains beyond this are not tabulated
 
-# Per-agent reward callable over the neighborhood restriction: the tuples are
-# ordered by the sorted member ids of the agent's kappa_r-hop neighborhood.
-RewardFn = Callable[[tuple[int, ...], tuple[int, ...]], float]
+# Batched reward: integer (..., n) states and actions to float (..., n)
+# rewards; column i reads only agent i's kappa_r-hop members.
+BatchRewards = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 # Registered reward families for model (de)serialization. Environments
 # register themselves at import time.
@@ -40,9 +41,8 @@ REWARD_FACTORIES: dict[str, Callable[..., "RewardBundle"]] = {}
 class RewardBundle:
     """Everything a reward family contributes to a model."""
 
-    fns: list[RewardFn]
+    batch: BatchRewards
     bounds: list[float] | None = None
-    batch: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
 
 def register_reward_family(name: str, factory: Callable[..., RewardBundle]) -> None:
@@ -97,6 +97,12 @@ class ModelDiagnostics:
 class FactoredNmarlModel:
     """Model tuple: graph, spaces, kernels, neighborhood rewards, start, discount.
 
+    The reward contract: ``batch_rewards(states, actions)`` maps integer
+    arrays of shape ``(..., n)`` to float rewards of shape ``(..., n)``, and
+    column ``i`` reads only the entries of agent ``i``'s ``kappa_r``-hop
+    members. It is the model's only reward implementation; the samplers
+    score whole arrays of steps or episodes with one call.
+
     Two derived arrays are built lazily and cached: the kernel row cumsums
     the samplers step with (``stacked_kernel_cum``), and one dense reward
     table per agent over its ``kappa_r``-hop restricted domain
@@ -109,14 +115,12 @@ class FactoredNmarlModel:
         state_labels / action_labels: per-agent label lists.
         kernels: per-agent arrays ``P_i[s, a, s']`` with stochastic rows.
             Deterministic kernels are one-hot rows, not a separate code path.
-        reward_fns: per-agent callables over the ``kappa_r``-hop restriction.
+        batch_rewards: the batched reward callable described above.
         rho: initial state distribution (fixed or per-agent product).
         gamma: discount in (0, 1).
         kappa_r: reward dependency radius, at least 1.
         reward_bounds: optional per-agent analytic caps on ``|r_i|``; when
             absent the bound is the largest ``|r_i|`` in the reward tables.
-        batch_rewards: optional vectorized reward evaluator over arrays of
-            shape ``(..., n)``; must agree with ``reward_fns``.
         reward_ref: ``(family_name, params)`` for JSON round-trips.
     """
 
@@ -126,12 +130,11 @@ class FactoredNmarlModel:
         state_labels: Sequence[Sequence],
         action_labels: Sequence[Sequence],
         kernels: Sequence[np.ndarray],
-        reward_fns: Sequence[RewardFn],
+        batch_rewards: BatchRewards,
         rho: InitialDistribution,
         gamma: float,
         kappa_r: int = 1,
         reward_bounds: Sequence[float] | None = None,
-        batch_rewards: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
         reward_ref: tuple[str, dict] | None = None,
     ) -> None:
         if not 0.0 < gamma < 1.0:
@@ -143,7 +146,6 @@ class FactoredNmarlModel:
         self.state_labels = [list(s) for s in state_labels]
         self.action_labels = [list(a) for a in action_labels]
         self.kernels = [np.asarray(k, dtype=float) for k in kernels]
-        self.reward_fns = list(reward_fns)
         self.rho = rho
         self.gamma = float(gamma)
         self.kappa_r = int(kappa_r)
@@ -189,14 +191,16 @@ class FactoredNmarlModel:
         """Dense per-agent reward tables over the restricted domains (cached).
 
         Table ``i`` is indexed by the member states, then the member actions,
-        members in sorted order: the argument order of ``reward_fns[i]``.
+        members in sorted order. It is column ``i`` of one ``batch_rewards``
+        call on every member point, with state and action 0 in the slots of
+        non-members, which column ``i`` does not read.
 
         Raises:
             SpaceTooLarge: a restricted domain exceeds ``MAX_REWARD_DOMAIN`` points.
         """
         if self._reward_tables is None:
             tables = []
-            for i, (fn, members) in enumerate(zip(self.reward_fns, self.reward_members)):
+            for i, members in enumerate(self.reward_members):
                 s_shape = tuple(self.state_sizes[j] for j in members)
                 a_shape = tuple(self.action_sizes[j] for j in members)
                 size = math.prod(s_shape + a_shape)
@@ -205,12 +209,13 @@ class FactoredNmarlModel:
                         f"reward domain of agent {i} has {size} points, cap is "
                         f"{MAX_REWARD_DOMAIN}; declare reward_bounds instead of enumerating"
                     )
-                values = (
-                    fn(s_nb, a_nb) for s_nb in np.ndindex(*s_shape) for a_nb in np.ndindex(*a_shape)
-                )
-                tables.append(
-                    np.fromiter(values, dtype=float, count=size).reshape(s_shape + a_shape)
-                )
+                grid = np.indices(s_shape + a_shape).reshape(2 * len(members), size)
+                states = np.zeros((size, self.n), dtype=np.intp)
+                acts = np.zeros((size, self.n), dtype=np.intp)
+                states[:, members] = grid[: len(members)].T
+                acts[:, members] = grid[len(members) :].T
+                column = np.asarray(self.batch_rewards(states, acts), dtype=float)[:, i]
+                tables.append(column.reshape(s_shape + a_shape))
             self._reward_tables = tuple(tables)
         return self._reward_tables
 
@@ -229,8 +234,8 @@ class FactoredNmarlModel:
             return self._diagnostics
         if len(self.state_labels) != self.n or len(self.action_labels) != self.n:
             raise DimensionMismatch("need one state and action space per agent")
-        if len(self.kernels) != self.n or len(self.reward_fns) != self.n:
-            raise DimensionMismatch("need one kernel and reward function per agent")
+        if len(self.kernels) != self.n:
+            raise DimensionMismatch("need one kernel per agent")
         for i, (ns, na) in enumerate(zip(self.state_sizes, self.action_sizes)):
             if ns == 0 or na == 0:
                 raise EmptySpace(f"agent {i} has an empty state or action space")
@@ -248,6 +253,12 @@ class FactoredNmarlModel:
                 raise KernelRowNotStochastic(
                     f"kernel {i} rows deviate from 1 by up to {worst:.3e}"
                 )
+        zeros = np.zeros((1, self.n), dtype=np.intp)
+        shape = np.shape(self.batch_rewards(zeros, zeros))
+        if shape != (1, self.n):
+            raise DimensionMismatch(
+                f"rewards of a (1, {self.n}) batch have shape {shape}, expected (1, {self.n})"
+            )
         self._diagnostics = ModelDiagnostics(
             reward_bound=self._compute_reward_bound(),
             state_sizes=self.state_sizes,
@@ -285,17 +296,11 @@ class FactoredNmarlModel:
         return p
 
     def rewards(self, s: Sequence[int], a: Sequence[int]) -> np.ndarray:
-        """Per-agent reward vector; component ``i`` reads only its restriction."""
-        if self.batch_rewards is not None:
-            return np.asarray(
-                self.batch_rewards(np.asarray(s), np.asarray(a)), dtype=float
-            )
-        out = np.empty(self.n)
-        for i, members in enumerate(self.reward_members):
-            s_nb = tuple(s[j] for j in members)
-            a_nb = tuple(a[j] for j in members)
-            out[i] = self.reward_fns[i](s_nb, a_nb)
-        return out
+        """``batch_rewards`` on sequences or arrays of shape ``(..., n)``."""
+        return np.asarray(
+            self.batch_rewards(np.asarray(s, dtype=np.intp), np.asarray(a, dtype=np.intp)),
+            dtype=float,
+        )
 
     # ------------------------------------------------------------------
     # serialization (small instances only)
@@ -328,12 +333,11 @@ class FactoredNmarlModel:
             state_labels=obj["states"],
             action_labels=obj["actions"],
             kernels=[np.asarray(k, dtype=float) for k in obj["kernels"]],
-            reward_fns=bundle.fns,
+            batch_rewards=bundle.batch,
             rho=_rho_from_json(obj["rho"]),
             gamma=float(obj["gamma"]),
             kappa_r=kappa_r,
             reward_bounds=bundle.bounds,
-            batch_rewards=bundle.batch,
             reward_ref=(name, obj["reward"]["params"]),
         )
 
@@ -354,9 +358,8 @@ def _zero_reward_family(
     graph: netgraph.AgentGraph, kappa_r: int, params: dict
 ) -> RewardBundle:
     del params
-    fns: list[RewardFn] = [lambda s, a: 0.0 for _ in range(graph.n)]
     batch = lambda s, a: np.zeros(s.shape, dtype=float)  # noqa: E731
-    return RewardBundle(fns=fns, bounds=[0.0] * graph.n, batch=batch)
+    return RewardBundle(batch=batch, bounds=[0.0] * graph.n)
 
 
 def _table_reward_family(
@@ -368,15 +371,24 @@ def _table_reward_family(
     then member actions, member order sorted.
     """
     tables = [np.asarray(t, dtype=float) for t in params["tables"]]
-    fns: list[RewardFn] = []
-    for i in range(graph.n):
-        table = tables[i]
+    members = [list(netgraph.khop(graph, i, kappa_r).members) for i in range(graph.n)]
+    return RewardBundle(batch=table_rewards(tables, members))
 
-        def fn(s_nb, a_nb, table=table):
-            return float(table[tuple(s_nb) + tuple(a_nb)])
 
-        fns.append(fn)
-    return RewardBundle(fns=fns)
+def table_rewards(
+    tables: Sequence[np.ndarray], members: Sequence[Sequence[int]]
+) -> BatchRewards:
+    """Batched reward reading agent ``i``'s ``tables[i]`` at its ``members``'
+    states, then actions."""
+
+    def batch(states: np.ndarray, acts: np.ndarray) -> np.ndarray:
+        out = np.empty(states.shape, dtype=float)
+        for i, (table, nb) in enumerate(zip(tables, members)):
+            key = tuple(states[..., j] for j in nb) + tuple(acts[..., j] for j in nb)
+            out[..., i] = table[key]
+        return out
+
+    return batch
 
 
 register_reward_family("zero", _zero_reward_family)

@@ -233,6 +233,19 @@ def exact_objective(
     return float(rho @ v)
 
 
+def q_at(chain: RestrictedChain, q: np.ndarray, s: Sequence[int], a: Sequence[int]) -> float:
+    """Entry of a chain's Q table at member-ordered ``(s, a)``."""
+    return float(q[chain.state_space.index(tuple(s)), chain.action_space.index(tuple(a))])
+
+
+def global_q_table(
+    m: FactoredNmarlModel, prob_tables: Sequence[np.ndarray], eps: float = 1e-9
+) -> tuple[RestrictedChain, np.ndarray]:
+    """The full joint chain and the Q table of its per-step average reward."""
+    chain = _full_chain(m, prob_tables)
+    return chain, chain_q_table(chain, m.gamma, eps)
+
+
 def global_q_value(
     m: FactoredNmarlModel,
     prob_tables: Sequence[np.ndarray],
@@ -241,9 +254,15 @@ def global_q_value(
     eps: float = 1e-9,
 ) -> float:
     """Joint action value of the per-step average reward from ``(s, a)``."""
-    chain = _full_chain(m, prob_tables)
-    q = chain_q_table(chain, m.gamma, eps)
-    return float(q[chain.state_space.index(tuple(s)), chain.action_space.index(tuple(a))])
+    return q_at(*global_q_table(m, prob_tables, eps), s, a)
+
+
+def local_q_table(
+    m: FactoredNmarlModel, prob_tables: Sequence[np.ndarray], i: int, eps: float = 1e-9
+) -> tuple[RestrictedChain, np.ndarray]:
+    """Agent ``i``'s reward-neighborhood chain and the Q table of its own reward."""
+    chain = build_restricted_chain(m, m.reward_members[i], prob_tables, (i,))
+    return chain, chain_q_table(chain, m.gamma, eps)
 
 
 def local_q_value(
@@ -259,9 +278,7 @@ def local_q_value(
     ``s_nb`` / ``a_nb`` are ordered by the sorted members of the
     ``kappa_r``-hop neighborhood of ``i``.
     """
-    chain = build_restricted_chain(m, m.reward_members[i], prob_tables, (i,))
-    q = chain_q_table(chain, m.gamma, eps)
-    return float(q[chain.state_space.index(tuple(s_nb)), chain.action_space.index(tuple(a_nb))])
+    return q_at(*local_q_table(m, prob_tables, i, eps), s_nb, a_nb)
 
 
 def neighbors_averaged_chain(
@@ -289,8 +306,7 @@ def neighbors_averaged_q(
 ) -> float:
     """Value of the neighborhood-averaged reward stream at one restriction point."""
     chain = neighbors_averaged_chain(m, prob_tables, i, kappa_p)
-    q = chain_q_table(chain, m.gamma, eps)
-    return float(q[chain.state_space.index(tuple(s_nb)), chain.action_space.index(tuple(a_nb))])
+    return q_at(chain, chain_q_table(chain, m.gamma, eps), s_nb, a_nb)
 
 
 # ----------------------------------------------------------------------

@@ -273,7 +273,7 @@ def _evaluate_tables(
 ) -> tuple[float, float]:
     n = m.n
     if method == "geometric":
-        horizons = rng.geometric(1.0 - m.gamma, size=episodes) - 1
+        horizons = estimator.sample_geometric(1.0 - m.gamma, rng, size=episodes)
         max_t = int(horizons.max())
         step_weight = np.ones(max_t + 1)
     elif method == "fixed_horizon":
@@ -295,7 +295,7 @@ def _evaluate_tables(
         acts = np.minimum(
             (pol_cum[agent_idx, states] <= u[..., None]).sum(axis=-1), n_actions - 1
         )
-        rbar = _batch_mean_reward(m, states, acts)
+        rbar = np.asarray(m.batch_rewards(states, acts), dtype=float).mean(axis=-1)
         totals += step_weight[t] * (t <= horizons) * rbar
         if t < max_t:
             u2 = rng.random((episodes, n))
@@ -321,14 +321,3 @@ def _sample_rho_batch(
             np.searchsorted(cum, draws[:, i], side="right"), len(cum) - 1
         )
     return states
-
-
-def _batch_mean_reward(
-    m: FactoredNmarlModel, states: np.ndarray, acts: np.ndarray
-) -> np.ndarray:
-    if m.batch_rewards is not None:
-        return np.asarray(m.batch_rewards(states, acts), dtype=float).mean(axis=-1)
-    out = np.empty(states.shape[0])
-    for e in range(states.shape[0]):
-        out[e] = m.rewards(states[e], acts[e]).mean()
-    return out

@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from . import estimator, netgraph, oracle, pushsum
-from .model import FactoredNmarlModel, InitialDistribution
+from .model import FactoredNmarlModel, InitialDistribution, table_rewards
 from .policy import CoupledSoftmaxPolicy, MixingSpec
 
 
@@ -30,18 +30,15 @@ def _random_model(
     for _ in range(n):
         k = rng.random((2, 2, 2)) + 0.1
         kernels.append(k / k.sum(axis=-1, keepdims=True))
-    fns = []
-    for i in range(n):
-        members = netgraph.khop(g, i, 1).members
-        table = rng.uniform(-1, 1, size=(2,) * (2 * len(members)))
-        fns.append(lambda s, a, table=table: float(table[tuple(s) + tuple(a)]))
+    members = [list(netgraph.khop(g, i, 1).members) for i in range(n)]
+    tables = [rng.uniform(-1, 1, size=(2,) * (2 * len(nb))) for nb in members]
     rho = (
         InitialDistribution.fixed([0] * n)
         if fixed_start
         else InitialDistribution.product([np.array([0.5, 0.5])] * n)
     )
     return FactoredNmarlModel(
-        g, [[0, 1]] * n, [[0, 1]] * n, kernels, fns, rho, gamma
+        g, [[0, 1]] * n, [[0, 1]] * n, kernels, table_rewards(tables, members), rho, gamma
     )
 
 
@@ -51,18 +48,20 @@ def check_value_decomposition(seed: int = 101) -> tuple[bool, str]:
     m = _random_model(g, rng)
     pol = CoupledSoftmaxPolicy(g, 2, 2, MixingSpec(kappa_p=1))
     tables = pol.prob_tables(rng.uniform(-1, 1, size=(3, 4)))
+    global_q = oracle.global_q_table(m, tables)
+    local_q = [oracle.local_q_table(m, tables, i) for i in range(3)]
     worst = 0.0
     for s in itertools.product(range(2), repeat=3):
         for a in itertools.product(range(2), repeat=3):
             total = sum(
-                oracle.local_q_value(
-                    m, tables, i,
+                oracle.q_at(
+                    *local_q[i],
                     [s[j] for j in m.reward_members[i]],
                     [a[j] for j in m.reward_members[i]],
                 )
                 for i in range(3)
             )
-            worst = max(worst, abs(oracle.global_q_value(m, tables, s, a) - total / 3))
+            worst = max(worst, abs(oracle.q_at(*global_q, s, a) - total / 3))
     return worst <= 1e-6, f"max decomposition gap {worst:.3e} over 64 pairs"
 
 
@@ -125,7 +124,7 @@ def check_pushsum(seed: int = 303, rounds: int = 300) -> tuple[bool, str]:
 def check_geometric_sampler(seed: int = 404, draws: int = 100_000) -> tuple[bool, str]:
     rng = np.random.default_rng(seed)
     p = 0.1
-    samples = np.array([estimator.sample_geometric(p, rng) for _ in range(draws)])
+    samples = estimator.sample_geometric(p, rng, size=draws)
     mean_sigma = math.sqrt((1 - p) / p**2 / draws)
     mean_ok = abs(samples.mean() - (1 - p) / p) < 4 * mean_sigma
     zero_sigma = math.sqrt(p * (1 - p) / draws)

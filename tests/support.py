@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from nmarl import netgraph
 from nmarl.errors import SpaceTooLarge
-from nmarl.model import FactoredNmarlModel, InitialDistribution
+from nmarl.model import FactoredNmarlModel, InitialDistribution, table_rewards
 from nmarl.oracle import (
     MAX_TABLE_ENTRIES,
     RestrictedChain,
@@ -39,29 +41,13 @@ def random_table_model(
     """Random kernels plus dense random reward tables over the restrictions."""
     n = g.n
     kernels = [random_stochastic_kernel(rng, n_states, n_actions) for _ in range(n)]
-    fns = []
     tables = []
     memberships = []
     for i in range(n):
         members = netgraph.khop(g, i, kappa_r).members
         shape = (n_states,) * len(members) + (n_actions,) * len(members)
-        table = rng.uniform(-reward_scale, reward_scale, size=shape)
-        tables.append(table)
-        memberships.append(members)
-
-        def fn(s_nb, a_nb, table=table):
-            return float(table[tuple(s_nb) + tuple(a_nb)])
-
-        fns.append(fn)
-
-    def batch(states, actions):
-        out = np.empty(states.shape, dtype=float)
-        for i, (members, table) in enumerate(zip(memberships, tables)):
-            key = tuple(states[..., j] for j in members) + tuple(
-                actions[..., j] for j in members
-            )
-            out[..., i] = table[key]
-        return out
+        tables.append(rng.uniform(-reward_scale, reward_scale, size=shape))
+        memberships.append(list(members))
     if fixed_start:
         rho = InitialDistribution.fixed([0] * n)
     else:
@@ -75,11 +61,10 @@ def random_table_model(
         state_labels=[list(range(n_states))] * n,
         action_labels=[list(range(n_actions))] * n,
         kernels=kernels,
-        reward_fns=fns,
+        batch_rewards=table_rewards(tables, memberships),
         rho=rho,
         gamma=gamma,
         kappa_r=kappa_r,
-        batch_rewards=batch,
     )
 
 
@@ -94,22 +79,32 @@ def constant_reward_model(
     rng = rng or np.random.default_rng(0)
     n = g.n
     kernels = [random_stochastic_kernel(rng, n_states, n_actions) for _ in range(n)]
-    fns = [lambda s, a, c=c: c for _ in range(n)]
     return FactoredNmarlModel(
         graph=g,
         state_labels=[list(range(n_states))] * n,
         action_labels=[list(range(n_actions))] * n,
         kernels=kernels,
-        reward_fns=fns,
+        batch_rewards=lambda s, a: np.full(s.shape, float(c)),
         rho=InitialDistribution.fixed([0] * n),
         gamma=gamma,
         kappa_r=1,
-        batch_rewards=lambda s, a: np.full(s.shape, float(c)),
     )
 
 
 def zero_reward_model(g: netgraph.AgentGraph, **kw) -> FactoredNmarlModel:
     return constant_reward_model(g, 0.0, **kw)
+
+
+def ref_power_reward(m, gains, noise, price, i, s, a) -> float:
+    """Agent ``i``'s power-control reward at joint ``(s, a)``, term by term.
+
+    Log-throughput under the interference of ``i``'s reward neighbors,
+    summed in member order, less the price of its own power.
+    """
+    del a
+    members = m.reward_members[i]
+    interference = sum(s[j] * gains[i][j] for j in members if j != i)
+    return math.log(1.0 + s[i] * gains[i][i] / (interference + noise[i])) - price[i] * s[i]
 
 
 # ----------------------------------------------------------------------
@@ -152,8 +147,18 @@ def ref_chain_q_table(chain, gamma, eps) -> np.ndarray:
     return q
 
 
+def _padded(m, members, s, a):
+    """Joint point with ``s`` / ``a`` at ``members`` and 0 elsewhere."""
+    s_full = np.zeros(m.n, dtype=np.intp)
+    a_full = np.zeros(m.n, dtype=np.intp)
+    s_full[list(members)] = s
+    a_full[list(members)] = a
+    return s_full, a_full
+
+
 def ref_local_reward_fn(m, l):
-    return lambda s, a: float(m.reward_fns[l](s, a))
+    members = m.reward_members[l]
+    return lambda s, a: float(m.rewards(*_padded(m, members, s, a))[l])
 
 
 def ref_mean_reward_fn(m):
@@ -162,14 +167,11 @@ def ref_mean_reward_fn(m):
 
 def ref_averaged_reward_fn(m, inner, outer):
     """The ``1/N``-scaled reward sum of ``inner`` read off an ``outer`` restriction."""
-    pos = {j: k for k, j in enumerate(outer)}
-    slots = {j: [pos[k] for k in m.reward_members[j]] for j in inner}
-
     def fn(s, a):
+        r = m.rewards(*_padded(m, outer, s, a))
         total = 0.0
         for j in inner:
-            sel = slots[j]
-            total += float(m.reward_fns[j](tuple(s[k] for k in sel), tuple(a[k] for k in sel)))
+            total += float(r[j])
         return total / m.n
 
     return fn

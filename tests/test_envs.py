@@ -1,22 +1,30 @@
 import itertools
 import math
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nmarl import netgraph, trainer
+from nmarl.config import load_config
 from nmarl.envs import (
     PathPlanningSpec,
     PathStructure,
     build_path_env,
     build_power_env,
-    path_reward,
     path_transition,
-    _path_next_table,
 )
 from nmarl.errors import ConfigError, NonPositiveNoise, UnknownLocation
 from nmarl.model import FactoredNmarlModel
 from nmarl.policy import CoupledSoftmaxPolicy, MixingSpec
+
+from support import random_table_model, ref_power_reward
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture
@@ -85,40 +93,83 @@ class TestPathTransition:
 
 
 class TestPathReward:
+    """Agent 0's reward on the default 10-ring; its neighbors are 9 and 1.
+
+    Every agent the case does not place waits at the destination, which
+    never shares an edge with a mover.
+    """
+
     def setup_method(self):
-        self.spec = PathPlanningSpec()
         self.ps = PathStructure()
-        self.table = _path_next_table(self.ps)
         self.dest = self.ps.index("e")
-        self.b2, self.c1, self.c2 = (self.ps.index(x) for x in ("b2", "c1", "c2"))
+        self.b2, self.c1 = self.ps.index("b2"), self.ps.index("c1")
+
+    def reward0(self, placed, spec=None):
+        """``placed`` maps agent -> (state, action)."""
+        m = build_path_env(spec)
+        s = np.full(m.n, self.dest)
+        a = np.zeros(m.n, dtype=int)
+        for j, (s_j, a_j) in placed.items():
+            s[j], a[j] = s_j, a_j
+        return m.rewards(s, a)[0]
 
     def test_staying_costs_flat_penalty(self):
-        r = path_reward(0, (self.b2, self.c1), (0, 1), self.spec, self.table, self.dest)
-        assert r == -0.5
+        assert self.reward0({0: (self.b2, 0), 1: (self.c1, 1)}) == -0.5
 
     def test_move_without_shared_edge(self):
         # agent 0 moves b2->c1; neighbor moves c1->d1: different edges
-        r = path_reward(0, (self.b2, self.c1), (1, 1), self.spec, self.table, self.dest)
-        assert r == -0.5
+        assert self.reward0({0: (self.b2, 1), 1: (self.c1, 1)}) == -0.5
 
     def test_move_with_one_shared_edge(self):
         # both agents at b2 taking the upper edge to c1
-        r = path_reward(0, (self.b2, self.b2), (1, 1), self.spec, self.table, self.dest)
-        assert r == pytest.approx(-0.55)
+        assert self.reward0({0: (self.b2, 1), 1: (self.b2, 1)}) == pytest.approx(-0.55)
 
     def test_stationary_neighbor_never_collides(self):
-        r = path_reward(0, (self.b2, self.b2), (1, 0), self.spec, self.table, self.dest)
-        assert r == -0.5
+        assert self.reward0({0: (self.b2, 1), 1: (self.b2, 0)}) == -0.5
 
     def test_self_is_excluded_from_count(self):
-        # restriction of a single agent: no neighbors, no penalty
-        r = path_reward(0, (self.b2,), (1,), self.spec, self.table, self.dest)
-        assert r == -0.5
+        # a lone mover: its own edge is not a collision
+        assert self.reward0({0: (self.b2, 1)}) == -0.5
 
     def test_terminal_zero_flag(self):
         spec = PathPlanningSpec(terminal_zero_reward=True)
-        r = path_reward(0, (self.dest, self.b2), (0, 1), spec, self.table, self.dest)
-        assert r == 0.0
+        assert self.reward0({0: (self.dest, 0), 1: (self.b2, 1)}, spec) == 0.0
+
+
+def _family_model(family: str, seed: int) -> FactoredNmarlModel:
+    if family == "path":
+        return build_path_env(PathPlanningSpec(terminal_zero_reward=seed % 2 == 1))
+    rng = np.random.default_rng(seed)
+    g = netgraph.build_graph(4, [(1, 2), (2, 3), (3, 4), (1, 3)])
+    if family == "power":
+        return build_power_env(
+            4, 4, rng.uniform(0.0, 1.0, size=(4, 4)), rng.uniform(0.5, 2.0, size=4),
+            rng.uniform(0.0, 0.3, size=4), comm=g,
+        )
+    return random_table_model(g, rng, n_states=3, n_actions=2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    family=st.sampled_from(["path", "power", "table"]),
+    seed=st.integers(0, 2**32 - 1),
+    batch=st.integers(1, 4),
+)
+def test_reward_reads_only_its_members(family, seed, batch):
+    """Perturbing agents outside ``i``'s kappa_r hops leaves ``r_i`` bit-equal."""
+    m = _family_model(family, seed)
+    rng = np.random.default_rng(seed)
+    shape = (batch, m.n)
+    s = rng.integers(0, m.state_sizes[0], size=shape)
+    a = rng.integers(0, m.action_sizes[0], size=shape)
+    base = m.batch_rewards(s, a)
+    assert base.shape == shape
+    for i, members in enumerate(m.reward_members):
+        outside = [j for j in range(m.n) if j not in members]
+        s2, a2 = s.copy(), a.copy()
+        s2[:, outside] = rng.integers(0, m.state_sizes[0], size=(batch, len(outside)))
+        a2[:, outside] = rng.integers(0, m.action_sizes[0], size=(batch, len(outside)))
+        np.testing.assert_array_equal(m.batch_rewards(s2, a2)[:, i], base[:, i])
 
 
 class TestBuildPathEnv:
@@ -132,22 +183,6 @@ class TestBuildPathEnv:
         assert m.rho.state == tuple(
             PathStructure().index(x) for x in PathPlanningSpec().starts
         )
-
-    def test_batch_rewards_match_scalar_path(self):
-        m = build_path_env()
-        rng = np.random.default_rng(0)
-        for _ in range(200):
-            s = tuple(rng.integers(0, 13, size=10))
-            a = tuple(rng.integers(0, 3, size=10))
-            batch = m.batch_rewards(np.array(s), np.array(a))
-            scalar = [
-                m.reward_fns[i](
-                    tuple(s[j] for j in m.reward_members[i]),
-                    tuple(a[j] for j in m.reward_members[i]),
-                )
-                for i in range(10)
-            ]
-            np.testing.assert_allclose(batch, scalar)
 
     def test_reward_locality_perturbation(self):
         m = build_path_env()
@@ -240,6 +275,29 @@ class TestPowerEnv:
                         assert r_high == r_low
                     else:
                         assert r_high < r_low
+
+    def test_shipped_config_matches_reference(self):
+        # every joint point of the shipped 3-agent, 4-level config, batched
+        # and one at a time, against the term-by-term formula
+        m = load_config(ROOT / "configs" / "power_control.json").build_model()
+        ov = json.loads((ROOT / "configs" / "power_control.json").read_text())["env"]["overrides"]
+        points = [
+            (s, a)
+            for s in itertools.product(range(4), repeat=3)
+            for a in itertools.product(range(3), repeat=3)
+        ]
+        batch = m.batch_rewards(np.array([p[0] for p in points]), np.array([p[1] for p in points]))
+        for (s, a), row in zip(points, batch):
+            want = [ref_power_reward(m, ov["gains"], ov["noise"], ov["price"], i, s, a) for i in range(3)]
+            np.testing.assert_allclose(row, want, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(m.rewards(s, a), want, rtol=1e-12, atol=1e-12)
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ConfigError):
+            build_power_env(
+                n=3, levels=3, gains=np.eye(2), noise=[1.0] * 3, price=[0.0] * 3,
+                comm=netgraph.build_graph(3, [(1, 2), (2, 3)]),
+            )
 
     def test_json_round_trip(self):
         m = self.build()

@@ -36,9 +36,8 @@ class TestSampleGeometric:
     def test_mean(self):
         rng = np.random.default_rng(1)
         n = 1_000_000
-        draws = rng.geometric(0.1, size=n) - 1  # same transform as the sampler
-        single = np.array([sample_geometric(0.1, np.random.default_rng(7))])
-        assert single[0] >= 0
+        draws = sample_geometric(0.1, rng, size=n)
+        assert draws.min() >= 0
         sigma = math.sqrt(0.9) / 0.1 / math.sqrt(n)
         assert abs(draws.mean() - 9.0) < 3 * sigma
 
@@ -49,6 +48,16 @@ class TestSampleGeometric:
         zeros = sum(sample_geometric(p, rng) == 0 for _ in range(n))
         sigma = math.sqrt(p * (1 - p) / n)
         assert abs(zeros / n - p) < 3 * sigma
+
+    def test_size_matches_scalar_draws(self):
+        # one array draw: the values and the generator state of scalar draws
+        batch_rng, scalar_rng = np.random.default_rng(404), np.random.default_rng(404)
+        batch = sample_geometric(0.1, batch_rng, size=1000)
+        scalar = [sample_geometric(0.1, scalar_rng) for _ in range(1000)]
+        assert batch.tolist() == scalar
+        assert batch_rng.bit_generator.state == scalar_rng.bit_generator.state
+        with pytest.raises(InvalidProbability):
+            sample_geometric(0.0, batch_rng, size=3)
 
     def test_invalid_probability(self):
         rng = np.random.default_rng(0)
@@ -96,7 +105,7 @@ class TestRollout:
         kernel[1, :, 0] = 1.0  # swap chain regardless of action
         m = FactoredNmarlModel(
             g, [[0, 1]] * 2, [[0, 1]] * 2, [kernel] * 2,
-            [lambda s, a: float(s[0])] * 2,
+            lambda s, a: np.broadcast_to(s[..., :1], s.shape).astype(float),
             InitialDistribution.fixed([0, 1]), 0.9,
         )
         pol = CoupledSoftmaxPolicy(g, 2, 2, MixingSpec(kappa_p=1))

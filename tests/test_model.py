@@ -5,7 +5,8 @@ import pytest
 from scipy import stats
 
 from nmarl import netgraph
-from nmarl.errors import EmptySpace, KernelRowNotStochastic
+from nmarl.errors import DimensionMismatch, EmptySpace, KernelRowNotStochastic
+from nmarl.envs import PathPlanningSpec, build_path_env, build_power_env
 from nmarl.model import FactoredNmarlModel, InitialDistribution
 
 from support import line_graph, random_table_model, zero_reward_model
@@ -29,7 +30,7 @@ class TestValidate:
         kernels[1][0, 0] = [0.49, 0.5]
         m = FactoredNmarlModel(
             g, [[0, 1]] * 2, [[0, 1]] * 2, kernels,
-            [lambda s, a: 0.0] * 2, InitialDistribution.fixed([0, 0]), 0.9,
+            lambda s, a: np.zeros(s.shape), InitialDistribution.fixed([0, 0]), 0.9,
         )
         with pytest.raises(KernelRowNotStochastic):
             m.validate()
@@ -39,20 +40,28 @@ class TestValidate:
         m = FactoredNmarlModel(
             g, [[0, 1], []], [[0, 1]] * 2,
             [np.full((2, 2, 2), 0.5), np.zeros((0, 2, 0))],
-            [lambda s, a: 0.0] * 2, InitialDistribution.fixed([0, 0]), 0.9,
+            lambda s, a: np.zeros(s.shape), InitialDistribution.fixed([0, 0]), 0.9,
         )
         with pytest.raises(EmptySpace):
+            m.validate()
+
+    def test_reward_shape_rejected(self):
+        # one reward per agent and batch entry, or the model is malformed
+        g = line_graph(2)
+        m = FactoredNmarlModel(
+            g, [[0, 1]] * 2, [[0, 1]] * 2, [np.full((2, 2, 2), 0.5)] * 2,
+            lambda s, a: np.zeros(s.shape[:-1]), InitialDistribution.fixed([0, 0]), 0.9,
+        )
+        with pytest.raises(DimensionMismatch):
             m.validate()
 
     def test_enumerated_bound(self, line3_model):
         # brute-force the restricted domains independently
         m = line3_model
         expect = 0.0
-        for i in range(3):
-            members = m.reward_members[i]
-            for s in itertools.product(range(2), repeat=len(members)):
-                for a in itertools.product(range(2), repeat=len(members)):
-                    expect = max(expect, abs(m.reward_fns[i](s, a)))
+        for s in itertools.product(range(2), repeat=3):
+            for a in itertools.product(range(2), repeat=3):
+                expect = max(expect, float(np.max(np.abs(m.rewards(s, a)))))
         assert m.validate().reward_bound == pytest.approx(expect)
 
 
@@ -63,7 +72,7 @@ class TestSampleTransition:
         kernel[:, :, 1] = 1.0  # every row one-hot on state 1
         m = FactoredNmarlModel(
             g, [[0, 1]] * 2, [[0, 1]] * 2, [kernel] * 2,
-            [lambda s, a: 0.0] * 2, InitialDistribution.fixed([0, 0]), 0.9,
+            lambda s, a: np.zeros(s.shape), InitialDistribution.fixed([0, 0]), 0.9,
         )
         a = m.sample_transition((0, 0), (0, 1), np.random.default_rng(1))
         b = m.sample_transition((0, 0), (0, 1), np.random.default_rng(99))
@@ -73,7 +82,7 @@ class TestSampleTransition:
         g = netgraph.build_graph(1, [])
         m = FactoredNmarlModel(
             g, [[0, 1]], [[0]], [np.full((2, 1, 2), 0.5)],
-            [lambda s, a: 0.0], InitialDistribution.fixed([0]), 0.9,
+            lambda s, a: np.zeros(s.shape), InitialDistribution.fixed([0]), 0.9,
         )
         rng = np.random.default_rng(5)
         n = 100_000
@@ -116,7 +125,7 @@ class TestTransitionProb:
         kernel[:, :, 1] = 1.0
         m = FactoredNmarlModel(
             g, [[0, 1]] * 2, [[0, 1]] * 2, [kernel] * 2,
-            [lambda s, a: 0.0] * 2, InitialDistribution.fixed([0, 0]), 0.9,
+            lambda s, a: np.zeros(s.shape), InitialDistribution.fixed([0, 0]), 0.9,
         )
         assert m.transition_prob((0, 0), (0, 0), (1, 1)) == 1.0
         assert m.transition_prob((0, 0), (0, 0), (0, 1)) == 0.0
@@ -225,7 +234,7 @@ class TestSerialization:
 
         bundle = REWARD_FACTORIES["table"](g, 1, {"tables": tables})
         m = FactoredNmarlModel(
-            g, [[0, 1]] * 2, [["x", "y"]] * 2, kernels, bundle.fns,
+            g, [[0, 1]] * 2, [["x", "y"]] * 2, kernels, bundle.batch,
             InitialDistribution.fixed([0, 1]), 0.9,
             reward_ref=("table", {"tables": tables}),
         )
@@ -269,16 +278,30 @@ class TestInitialDistribution:
 
 
 class TestRewardTables:
-    def test_tables_match_reward_fns(self, line3_model):
-        m = line3_model
+    @pytest.mark.parametrize("builder", ["line3", "power", "path"])
+    def test_tables_match_rewards(self, builder, line3_model):
+        # Each table entry is the reward of any joint point that agrees with
+        # it on the members: random full joint points, none of them padded.
+        if builder == "line3":
+            m = line3_model
+        elif builder == "power":
+            gains = [[1.0, 0.3, 0.2, 0.1], [0.2, 1.0, 0.4, 0.3],
+                     [0.1, 0.5, 1.0, 0.2], [0.3, 0.2, 0.1, 1.0]]
+            m = build_power_env(4, 5, gains, [0.5, 1.0, 1.5, 2.0], [0.1, 0.2, 0.05, 0.0])
+        else:
+            m = build_path_env(PathPlanningSpec(terminal_zero_reward=True))
         tables = m.reward_tables()
         assert m.reward_tables() is tables  # built once
-        for i, members in enumerate(m.reward_members):
-            k = len(members)
-            assert tables[i].shape == (2,) * (2 * k)
-            for s in itertools.product(range(2), repeat=k):
-                for a in itertools.product(range(2), repeat=k):
-                    assert tables[i][s + a] == m.reward_fns[i](s, a)
+        rng = np.random.default_rng(12)
+        states = rng.integers(0, m.state_sizes, size=(300, m.n))
+        acts = rng.integers(0, m.action_sizes, size=(300, m.n))
+        for s, a in zip(states, acts):
+            r = m.rewards(s, a)
+            for i, members in enumerate(m.reward_members):
+                assert tables[i].shape == tuple(m.state_sizes[j] for j in members) + tuple(
+                    m.action_sizes[j] for j in members
+                )
+                assert tables[i][tuple(s[list(members)]) + tuple(a[list(members)])] == r[i]
 
     def test_domain_guard(self, monkeypatch):
         from nmarl import model as model_mod

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from nmarl import netgraph, oracle
 from nmarl.errors import SpaceTooLarge
-from nmarl.model import FactoredNmarlModel, InitialDistribution
+from nmarl.model import FactoredNmarlModel, InitialDistribution, table_rewards
 from nmarl.policy import CoupledSoftmaxPolicy, MixingSpec
 
 import support
@@ -84,19 +84,18 @@ def heterogeneous_model(rng: np.random.Generator) -> FactoredNmarlModel:
     """A 3-line whose agents have different state and action counts."""
     g = line_graph(3)
     s_sizes, a_sizes = (2, 3, 2), (3, 2, 2)
-    fns = []
-    for i in range(3):
-        members = netgraph.khop(g, i, 1).members
-        shape = tuple(s_sizes[j] for j in members) + tuple(a_sizes[j] for j in members)
-        table = rng.uniform(-1.0, 1.0, size=shape)
-        fns.append(lambda s, a, table=table: float(table[tuple(s) + tuple(a)]))
+    members = [list(netgraph.khop(g, i, 1).members) for i in range(3)]
+    reward_tables = []
+    for nb in members:
+        shape = tuple(s_sizes[j] for j in nb) + tuple(a_sizes[j] for j in nb)
+        reward_tables.append(rng.uniform(-1.0, 1.0, size=shape))
     dists = [rng.random(k) + 0.2 for k in s_sizes]
     return FactoredNmarlModel(
         g,
         [list(range(k)) for k in s_sizes],
         [list(range(k)) for k in a_sizes],
         [random_stochastic_kernel(rng, s, a) for s, a in zip(s_sizes, a_sizes)],
-        fns,
+        table_rewards(reward_tables, members),
         InitialDistribution.product([d / d.sum() for d in dists]),
         0.9,
     )
