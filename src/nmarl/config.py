@@ -25,7 +25,6 @@ _DSCP_KEYS = {
     "eval_episodes": int,
     "eval_method": str,
     "eval_horizon_eps": float,
-    "eval_executed": bool,
     "direct_params": bool,
     "check_invariants": bool,
     "record_wall_time": bool,

@@ -11,13 +11,17 @@ test pins down.
 The per-agent gradient estimate is ``q * score_sum / (1 - gamma)`` and its
 norm is asserted against the analytic cap on every sample; a violation is an
 implementation bug, never a data error.
+
+Every sample of the chain, here and in the trainer's Monte-Carlo
+evaluation, is stepped by ``simulate``; its docstring states the draw order.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -84,6 +88,61 @@ def half_discount_weights(gamma: float, length: int) -> np.ndarray:
     return np.exp(0.5 * tau * math.log(gamma))
 
 
+def simulate(
+    m: FactoredNmarlModel,
+    tables: np.ndarray,
+    states: np.ndarray,
+    rng: np.random.Generator,
+    steps: int,
+    actions: np.ndarray | None = None,
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Step the chain under the per-agent policy ``tables`` ``(n, S, A)``.
+
+    Yields ``(states, actions)`` for steps ``0..steps``. Both are integer
+    arrays shaped like the start ``states``, ``(..., n)``: one call steps a
+    single trajectory or a batch of episodes. Every sample of the chain in
+    the package is drawn here, in one order: at each step one uniform per
+    entry picks the actions (none at step 0 when the start ``actions`` are
+    given), then one uniform per entry picks the next states, except after
+    the last step. Each uniform is inverted through its row's cumulative
+    probabilities. A step draws when it is taken, so a caller draws nothing
+    else from ``rng`` until it has taken the steps it needs.
+    """
+    pol_cum = np.cumsum(tables, axis=2)
+    kern_cum = m.stacked_kernel_cum()
+    agents = np.arange(m.n)
+    for t in range(steps + 1):
+        if t > 0:
+            u = rng.random(states.shape)
+            states = _inverse_cdf(kern_cum[agents, states, actions], u)
+        if t > 0 or actions is None:
+            actions = _inverse_cdf(pol_cum[agents, states], rng.random(states.shape))
+        yield states, actions
+
+
+def _inverse_cdf(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Per row, the first index whose cumulative probability exceeds ``u``.
+
+    A cumsum can end just below 1; a draw beyond it maps to the last index.
+    """
+    return np.minimum((cum <= u[..., None]).sum(axis=-1), cum.shape[-1] - 1)
+
+
+def _score_trace(
+    m: FactoredNmarlModel, steps: Iterator[tuple[np.ndarray, np.ndarray]]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """States, actions and rewards ``(steps, n)`` of the visited rows; the
+    rewards in one batched call."""
+    # Unpacked as the steps come: holding every yielded pair at once (as
+    # ``zip(*steps)`` does) raised peak RSS on long training runs.
+    visited_s, visited_a = [], []
+    for s, a in steps:
+        visited_s.append(s)
+        visited_a.append(a)
+    states, actions = np.stack(visited_s), np.stack(visited_a)
+    return states, actions, np.asarray(m.batch_rewards(states, actions), dtype=float)
+
+
 def rollout_two_horizon(
     m: FactoredNmarlModel,
     params: np.ndarray,
@@ -96,10 +155,9 @@ def rollout_two_horizon(
 
     ``params`` is either an ``(n, n, d)`` estimate stack (agent ``i``
     executes with its row ``params[i]``) or an ``(n, d)`` shared parameter.
-    Draw order is fixed: ``t1``, ``t2``, the start state, then per step one
-    draw per agent for actions followed by one per agent for transitions.
-    The rewards of the visited steps are scored with one batched call after
-    the loop, which draws nothing.
+    Draw order is fixed: ``t1``, ``t2``, the start state, then the steps in
+    ``simulate``'s order. The rewards of the visited steps are scored with
+    one batched call after the last step, which draws nothing.
     """
     t1 = sample_geometric(1.0 - m.gamma, rng)
     t2 = sample_geometric(1.0 - math.sqrt(m.gamma), rng)
@@ -107,57 +165,15 @@ def rollout_two_horizon(
         raise HorizonOverflow(f"sampled horizon {t1 + t2} exceeds cap {max_horizon}")
     if tables is None:
         tables = pol.prob_tables(params)
-    state = np.array(m.rho.sample(rng), dtype=np.intp)
-    snapshot_state, snapshot_action, trace = _simulate(
-        m, tables, state, rng, t1, t2
-    )
+    steps = simulate(m, tables, m.rho.sample(rng, 1)[0], rng, t1 + t2)
+    states, actions, trace = _score_trace(m, itertools.islice(steps, t1, None))
     return TwoHorizonRollout(
         t1=t1,
         t2=t2,
-        snapshot_state=snapshot_state,
-        snapshot_action=snapshot_action,
+        snapshot_state=tuple(int(s) for s in states[0]),
+        snapshot_action=tuple(int(a) for a in actions[0]),
         reward_trace=trace,
     )
-
-
-def _simulate(
-    m: FactoredNmarlModel,
-    tables: np.ndarray,
-    state: np.ndarray,
-    rng: np.random.Generator,
-    t1: int,
-    t2: int,
-) -> tuple[tuple[int, ...], tuple[int, ...], np.ndarray]:
-    n = m.n
-    idx = np.arange(n)
-    pol_cum = np.cumsum(tables, axis=2)
-    kern_cum = m.stacked_kernel_cum()
-    n_actions = tables.shape[2]
-    n_states = kern_cum.shape[-1]
-    visited_s, visited_a = [], []
-    for t in range(t1 + t2 + 1):
-        u = rng.random(n)
-        acts = np.minimum(
-            (pol_cum[idx, state] <= u[:, None]).sum(axis=1), n_actions - 1
-        )
-        if t >= t1:
-            visited_s.append(state)
-            visited_a.append(acts)
-        if t < t1 + t2:
-            u2 = rng.random(n)
-            state = np.minimum(
-                (kern_cum[idx, state, acts] <= u2[:, None]).sum(axis=1), n_states - 1
-            )
-    snapshot_state = tuple(int(s) for s in visited_s[0])
-    snapshot_action = tuple(int(a) for a in visited_a[0])
-    return snapshot_state, snapshot_action, _score_trace(m, visited_s, visited_a)
-
-
-def _score_trace(
-    m: FactoredNmarlModel, states: list[np.ndarray], acts: list[np.ndarray]
-) -> np.ndarray:
-    """Rewards ``(steps, n)`` of the visited rows, in one batched call."""
-    return np.asarray(m.batch_rewards(np.stack(states), np.stack(acts)), dtype=float)
 
 
 def q_estimate(
@@ -256,27 +272,8 @@ def sample_q_conditional(
     if tables is None:
         tables = pol.prob_tables(params)
     t2 = sample_geometric(1.0 - math.sqrt(m.gamma), rng)
-    n = m.n
-    idx = np.arange(n)
-    pol_cum = np.cumsum(tables, axis=2)
-    kern_cum = m.stacked_kernel_cum()
-    n_actions = tables.shape[2]
-    n_states = kern_cum.shape[-1]
-    state = np.array(snapshot_state, dtype=np.intp)
-    acts = np.array(snapshot_action, dtype=np.intp)
-    visited_s, visited_a = [state], [acts]
-    for _ in range(t2):
-        u2 = rng.random(n)
-        state = np.minimum(
-            (kern_cum[idx, state, acts] <= u2[:, None]).sum(axis=1), n_states - 1
-        )
-        u = rng.random(n)
-        acts = np.minimum(
-            (pol_cum[idx, state] <= u[:, None]).sum(axis=1), n_actions - 1
-        )
-        visited_s.append(state)
-        visited_a.append(acts)
-    trace = _score_trace(m, visited_s, visited_a)
-    members = netgraph.khop(m.graph, i, pol.spec.kappa_p + m.kappa_r).members
-    weights = half_discount_weights(m.gamma, t2 + 1)
-    return float(weights @ trace[:, list(members)].sum(axis=1)) / m.n
+    start = np.array(snapshot_state, dtype=np.intp)
+    steps = simulate(m, tables, start, rng, t2, np.array(snapshot_action, dtype=np.intp))
+    *_, trace = _score_trace(m, steps)
+    roll = TwoHorizonRollout(0, t2, tuple(snapshot_state), tuple(snapshot_action), trace)
+    return q_estimate(roll, i, m, pol.spec.kappa_p)

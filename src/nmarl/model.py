@@ -67,15 +67,22 @@ class InitialDistribution:
             kind="product", dists=tuple(np.asarray(d, dtype=float) for d in dists)
         )
 
-    def sample(self, rng: np.random.Generator) -> tuple[int, ...]:
+    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """``size`` start states ``(size, n)``.
+
+        The product draws ``rng.random((size, n))``, one uniform per agent in
+        agent order per state, so its values and the generator state match
+        ``size`` draws of one state each; the fixed state draws nothing.
+        """
         if self.kind == "fixed":
-            return self.state  # type: ignore[return-value]
-        draws = rng.random(len(self.dists))  # one draw per agent, agent order
+            return np.tile(np.asarray(self.state, dtype=np.intp), (size, 1))
+        draws = rng.random((size, len(self.dists)))
         # A cumsum can end just below 1; clip a draw beyond it to the last state.
-        return tuple(
-            min(int(np.searchsorted(np.cumsum(d), u, side="right")), len(d) - 1)
-            for d, u in zip(self.dists, draws)
-        )
+        columns = [
+            np.minimum(np.searchsorted(np.cumsum(d), u, side="right"), len(d) - 1)
+            for d, u in zip(self.dists, draws.T)
+        ]
+        return np.stack(columns, axis=-1)
 
     def prob(self, state: tuple[int, ...]) -> float:
         if self.kind == "fixed":
@@ -104,11 +111,12 @@ class FactoredNmarlModel:
     score whole arrays of steps or episodes with one call.
 
     Two derived arrays are built lazily and cached: the kernel row cumsums
-    the samplers step with (``stacked_kernel_cum``), and one dense reward
-    table per agent over its ``kappa_r``-hop restricted domain
-    (``reward_tables``). The reward tables feed the reward bound and every
-    reward the exact oracle integrates; rewards do not depend on the policy,
-    so the domain is enumerated once per model.
+    that ``estimator.simulate`` steps with (``stacked_kernel_cum``; its
+    docstring states the draw order), and one dense reward table per agent
+    over its ``kappa_r``-hop restricted domain (``reward_tables``). The
+    reward tables feed the reward bound and every reward the exact oracle
+    integrates; rewards do not depend on the policy, so the domain is
+    enumerated once per model.
 
     Args:
         graph: communication network; also defines reward neighborhoods.
@@ -155,7 +163,6 @@ class FactoredNmarlModel:
         self.reward_members: tuple[tuple[int, ...], ...] = tuple(
             netgraph.khop(graph, i, kappa_r).members for i in range(self.n)
         )
-        self._kernel_cum = [np.cumsum(k, axis=-1) for k in self.kernels]
         self._stacked_cum: np.ndarray | None = None
         self._reward_tables: tuple[np.ndarray, ...] | None = None
         self._diagnostics: ModelDiagnostics | None = None
@@ -184,7 +191,7 @@ class FactoredNmarlModel:
         if self._stacked_cum is None:
             if not self.homogeneous:
                 raise DimensionMismatch("stacked kernels require homogeneous spaces")
-            self._stacked_cum = np.stack(self._kernel_cum)
+            self._stacked_cum = np.cumsum(np.stack(self.kernels), axis=-1)
         return self._stacked_cum
 
     def reward_tables(self) -> tuple[np.ndarray, ...]:
@@ -274,18 +281,6 @@ class FactoredNmarlModel:
 
     # ------------------------------------------------------------------
     # dynamics
-
-    def sample_transition(
-        self, s: Sequence[int], a: Sequence[int], rng: np.random.Generator
-    ) -> tuple[int, ...]:
-        """Sample each component independently; exactly ``n`` draws, agent order."""
-        draws = rng.random(self.n)
-        nxt = []
-        for i in range(self.n):
-            cum = self._kernel_cum[i][s[i], a[i]]
-            k = int(np.searchsorted(cum, draws[i], side="right"))
-            nxt.append(min(k, len(cum) - 1))
-        return tuple(nxt)
 
     def transition_prob(
         self, s: Sequence[int], a: Sequence[int], s_next: Sequence[int]

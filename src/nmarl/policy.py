@@ -156,20 +156,6 @@ class CoupledSoftmaxPolicy:
             tables[i] = _softmax_rows(mixed[i].reshape(self.n_states, self.n_actions))
         return tables
 
-    def sample_joint_action(
-        self, state: Sequence[int], params, rng: np.random.Generator
-    ) -> tuple[int, ...]:
-        """One draw per agent in agent order; agent ``i`` uses its own row
-        when ``params`` is an ``(n, n, d)`` estimate stack."""
-        tables = self.prob_tables(params)
-        draws = rng.random(self.n)
-        action = []
-        for i in range(self.n):
-            cum = np.cumsum(tables[i, state[i]])
-            a = int(np.searchsorted(cum, draws[i], side="right"))
-            action.append(min(a, self.n_actions - 1))
-        return tuple(action)
-
     # ------------------------------------------------------------------
     # scores
 

@@ -50,7 +50,6 @@ class DscpConfig:
     eval_episodes: int = 200
     eval_method: str = "geometric"  # or "fixed_horizon"
     eval_horizon_eps: float = 1e-4
-    eval_executed: bool = False  # evaluate the executed policy instead of the true one
     direct_params: bool = False  # kappa_p == 1 only: neighbors share true parameters
     check_invariants: bool = False
     record_wall_time: bool = False
@@ -186,11 +185,10 @@ def run_dscp(
         if t == 1 or t == cfg.iterations or (
             cfg.eval_every > 0 and t % cfg.eval_every == 0
         ):
-            eval_params = exec_params if cfg.eval_executed else theta
             j_est, j_se = evaluate_policy(
                 m,
                 pol,
-                eval_params,
+                theta,
                 cfg.eval_episodes,
                 _eval_rng(cfg.seed, t),
                 method=cfg.eval_method,
@@ -255,23 +253,12 @@ def evaluate_policy(
     discounted objective without any cutoff. ``fixed_horizon`` sums
     explicitly discounted rewards to the ``horizon_eps``-accuracy horizon;
     its per-episode variance is far lower, at the price of a bias below
-    ``horizon_eps``.
+    ``horizon_eps``. Draw order: the ``geometric`` horizons, the start
+    states, then the steps in ``estimator.simulate``'s order.
     """
     if episodes < 1:
         raise ConfigError(f"episodes must be at least 1, got {episodes}")
     tables = pol.prob_tables(params)
-    return _evaluate_tables(m, tables, episodes, rng, method, horizon_eps)
-
-
-def _evaluate_tables(
-    m: FactoredNmarlModel,
-    tables: np.ndarray,
-    episodes: int,
-    rng: np.random.Generator,
-    method: str = "geometric",
-    horizon_eps: float = 1e-4,
-) -> tuple[float, float]:
-    n = m.n
     if method == "geometric":
         horizons = estimator.sample_geometric(1.0 - m.gamma, rng, size=episodes)
         max_t = int(horizons.max())
@@ -283,41 +270,13 @@ def _evaluate_tables(
     else:
         raise ConfigError(f"unknown eval method {method!r}")
 
-    states = _sample_rho_batch(m, episodes, rng)
-    pol_cum = np.cumsum(tables, axis=2)
-    kern_cum = m.stacked_kernel_cum()
-    n_actions = tables.shape[2]
-    n_states = kern_cum.shape[-1]
-    agent_idx = np.arange(n)[None, :]
+    # Scored one (episodes, n) step at a time: a whole trace of
+    # episodes x steps x n entries would set the peak memory of a run.
+    steps = estimator.simulate(m, tables, m.rho.sample(rng, episodes), rng, max_t)
     totals = np.zeros(episodes)
-    for t in range(max_t + 1):
-        u = rng.random((episodes, n))
-        acts = np.minimum(
-            (pol_cum[agent_idx, states] <= u[..., None]).sum(axis=-1), n_actions - 1
-        )
+    for t, (states, acts) in enumerate(steps):
         rbar = np.asarray(m.batch_rewards(states, acts), dtype=float).mean(axis=-1)
         totals += step_weight[t] * (t <= horizons) * rbar
-        if t < max_t:
-            u2 = rng.random((episodes, n))
-            states = np.minimum(
-                (kern_cum[agent_idx, states, acts] <= u2[..., None]).sum(axis=-1),
-                n_states - 1,
-            )
     j = float(totals.mean())
     se = float(totals.std(ddof=1) / math.sqrt(episodes)) if episodes > 1 else 0.0
     return j, se
-
-
-def _sample_rho_batch(
-    m: FactoredNmarlModel, episodes: int, rng: np.random.Generator
-) -> np.ndarray:
-    if m.rho.kind == "fixed":
-        return np.tile(np.asarray(m.rho.state, dtype=np.intp), (episodes, 1))
-    states = np.empty((episodes, m.n), dtype=np.intp)
-    draws = rng.random((episodes, m.n))
-    for i, dist in enumerate(m.rho.dists):
-        cum = np.cumsum(dist)
-        states[:, i] = np.minimum(
-            np.searchsorted(cum, draws[:, i], side="right"), len(cum) - 1
-        )
-    return states

@@ -8,6 +8,7 @@ import numpy as np
 
 from nmarl import netgraph
 from nmarl.errors import SpaceTooLarge
+from nmarl.estimator import simulate
 from nmarl.model import FactoredNmarlModel, InitialDistribution, table_rewards
 from nmarl.oracle import (
     MAX_TABLE_ENTRIES,
@@ -93,6 +94,17 @@ def constant_reward_model(
 
 def zero_reward_model(g: netgraph.AgentGraph, **kw) -> FactoredNmarlModel:
     return constant_reward_model(g, 0.0, **kw)
+
+
+def next_states(
+    m: FactoredNmarlModel, states, actions, rng: np.random.Generator
+) -> np.ndarray:
+    """Each row's next states: one ``simulate`` step from ``(rows, n)`` states
+    and actions (the actions after it come from uniform tables)."""
+    n_actions = m.action_sizes[0]
+    uniform = np.full((m.n, m.state_sizes[0], n_actions), 1.0 / n_actions)
+    _, (nxt, _) = simulate(m, uniform, np.asarray(states), rng, 1, np.asarray(actions))
+    return nxt
 
 
 def ref_power_reward(m, gains, noise, price, i, s, a) -> float:

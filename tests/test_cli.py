@@ -45,6 +45,12 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             parse_config(obj)
 
+    def test_dropped_eval_executed_key_rejected(self, tmp_path):
+        obj = tiny_path_config(tmp_path)
+        obj["dscp"]["eval_executed"] = True
+        with pytest.raises(ConfigError, match="eval_executed"):
+            parse_config(obj)
+
     def test_missing_env_block(self, tmp_path):
         obj = tiny_path_config(tmp_path)
         del obj["env"]

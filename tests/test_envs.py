@@ -22,7 +22,7 @@ from nmarl.errors import ConfigError, NonPositiveNoise, UnknownLocation
 from nmarl.model import FactoredNmarlModel
 from nmarl.policy import CoupledSoftmaxPolicy, MixingSpec
 
-from support import random_table_model, ref_power_reward
+from support import next_states, random_table_model, ref_power_reward
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -253,8 +253,12 @@ class TestPowerEnv:
 
     def test_increment_clips_at_grid_edges(self):
         m = self.build(levels=4)
-        rng = np.random.default_rng(0)
-        assert m.sample_transition((3, 0, 1), (2, 1, 0), rng) == (3, 0, 1)
+        rows = 1000
+        nxt = next_states(
+            m, np.tile((3, 0, 1), (rows, 1)), np.tile((2, 1, 0), (rows, 1)),
+            np.random.default_rng(0),
+        )
+        assert np.all(nxt == (3, 0, 1))
 
     def test_non_positive_noise_rejected(self):
         with pytest.raises(NonPositiveNoise):

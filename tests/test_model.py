@@ -9,7 +9,7 @@ from nmarl.errors import DimensionMismatch, EmptySpace, KernelRowNotStochastic
 from nmarl.envs import PathPlanningSpec, build_path_env, build_power_env
 from nmarl.model import FactoredNmarlModel, InitialDistribution
 
-from support import line_graph, random_table_model, zero_reward_model
+from support import line_graph, next_states, random_table_model, zero_reward_model
 
 
 @pytest.fixture
@@ -66,6 +66,8 @@ class TestValidate:
 
 
 class TestSampleTransition:
+    # Transitions are drawn by estimator.simulate, each test in one batched call.
+
     def test_deterministic_kernels_ignore_rng(self):
         g = line_graph(2)
         kernel = np.zeros((2, 2, 2))
@@ -74,9 +76,10 @@ class TestSampleTransition:
             g, [[0, 1]] * 2, [[0, 1]] * 2, [kernel] * 2,
             lambda s, a: np.zeros(s.shape), InitialDistribution.fixed([0, 0]), 0.9,
         )
-        a = m.sample_transition((0, 0), (0, 1), np.random.default_rng(1))
-        b = m.sample_transition((0, 0), (0, 1), np.random.default_rng(99))
-        assert a == b == (1, 1)
+        s, a = np.tile((0, 0), (1000, 1)), np.tile((0, 1), (1000, 1))
+        x = next_states(m, s, a, np.random.default_rng(1))
+        y = next_states(m, s, a, np.random.default_rng(99))
+        assert np.all(x == 1) and np.all(y == 1)
 
     def test_uniform_single_agent_frequency(self):
         g = netgraph.build_graph(1, [])
@@ -84,9 +87,9 @@ class TestSampleTransition:
             g, [[0, 1]], [[0]], [np.full((2, 1, 2), 0.5)],
             lambda s, a: np.zeros(s.shape), InitialDistribution.fixed([0]), 0.9,
         )
-        rng = np.random.default_rng(5)
         n = 100_000
-        hits = sum(m.sample_transition((0,), (0,), rng)[0] for _ in range(n))
+        zeros = np.zeros((n, 1), dtype=np.intp)
+        hits = next_states(m, zeros, zeros, np.random.default_rng(5)).sum()
         sigma = np.sqrt(0.25 / n)
         assert abs(hits / n - 0.5) < 3 * sigma
 
@@ -95,12 +98,10 @@ class TestSampleTransition:
         g = line_graph(2)
         rng = np.random.default_rng(3)
         m = random_table_model(g, rng)
-        draws = np.array(
-            [m.sample_transition((0, 1), (1, 0), rng) for _ in range(40_000)]
-        )
+        rows = 40_000
+        draws = next_states(m, np.tile((0, 1), (rows, 1)), np.tile((1, 0), (rows, 1)), rng)
         table = np.zeros((2, 2))
-        for s0, s1 in draws:
-            table[s0, s1] += 1
+        np.add.at(table, (draws[:, 0], draws[:, 1]), 1)
         _, p, _, _ = stats.chi2_contingency(table)
         assert p > 1e-4
 
@@ -108,9 +109,8 @@ class TestSampleTransition:
         g = line_graph(2)
         rng = np.random.default_rng(3)
         m = random_table_model(g, rng)
-        draws = np.array(
-            [m.sample_transition((1, 0), (0, 1), rng) for _ in range(40_000)]
-        )
+        rows = 40_000
+        draws = next_states(m, np.tile((1, 0), (rows, 1)), np.tile((0, 1), (rows, 1)), rng)
         for i in range(2):
             s_i, a_i = (1, 0)[i], (0, 1)[i]
             freq = draws[:, i].mean()
@@ -250,7 +250,7 @@ class TestSerialization:
         dists = [np.array([0.25, 0.75]), np.array([1.0, 0.0])]
         rho = InitialDistribution.product(dists)
         rng = np.random.default_rng(0)
-        draws = np.array([rho.sample(rng) for _ in range(20_000)])
+        draws = rho.sample(rng, 20_000)
         assert abs(draws[:, 0].mean() - 0.75) < 3 * np.sqrt(0.25 * 0.75 / 20_000)
         assert np.all(draws[:, 1] == 0)
 
@@ -267,14 +267,30 @@ class TestInitialDistribution:
 
             def random(self, size):
                 self.sizes.append(size)
-                return self.draws
+                return self.draws.reshape(size)
 
         d = np.array([0.7, 0.2, 0.1])
         top = np.nextafter(1.0, 0.0)
         assert np.cumsum(d)[-1] <= top
         rng = StubRng([top, 0.0])
-        assert InitialDistribution.product([d, d]).sample(rng) == (2, 0)
-        assert rng.sizes == [2]
+        assert InitialDistribution.product([d, d]).sample(rng, 1).tolist() == [[2, 0]]
+        assert rng.sizes == [(1, 2)]
+
+    @pytest.mark.parametrize("kind", ["product", "fixed"])
+    def test_size_matches_single_draws(self, kind):
+        # one (k, n) draw: the values and the generator state of k draws of one
+        dists = [np.array([0.2, 0.3, 0.5]), np.array([0.6, 0.4]), np.array([1.0])]
+        rho = (
+            InitialDistribution.product(dists)
+            if kind == "product"
+            else InitialDistribution.fixed([2, 0, 0])
+        )
+        batch_rng, single_rng = np.random.default_rng(17), np.random.default_rng(17)
+        batch = rho.sample(batch_rng, 500)
+        singles = np.concatenate([rho.sample(single_rng, 1) for _ in range(500)])
+        assert batch.shape == (500, 3)
+        assert np.array_equal(batch, singles)
+        assert batch_rng.bit_generator.state == single_rng.bit_generator.state
 
 
 class TestRewardTables:

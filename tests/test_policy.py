@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 
 from nmarl import netgraph
 from nmarl.errors import DimensionMismatch, MissingNeighborParams
+from nmarl.estimator import simulate
 from nmarl.policy import CoupledSoftmaxPolicy, MixingSpec
 
-from support import line_graph
+from support import line_graph, zero_reward_model
 
 
 def single_agent_policy(n_actions=3):
@@ -206,21 +207,27 @@ class TestScoreSum:
 
 
 class TestSampling:
+    # Joint actions are drawn by estimator.simulate's step 0, each test in
+    # one batched call.
+
     def test_saturated_policy_picks_argmax(self, pair_policy):
         theta = np.zeros((2, 4))
         theta[:, 0] = 60.0  # state-0 rows prefer action 0 by a huge gap
         theta[:, 2] = 60.0
-        rng = np.random.default_rng(0)
-        for _ in range(2000):
-            assert pair_policy.sample_joint_action((0, 1), theta, rng) == (0, 0)
+        m = zero_reward_model(pair_policy.graph)
+        states = np.tile((0, 1), (2000, 1))
+        tables = pair_policy.prob_tables(theta)
+        _, acts = next(simulate(m, tables, states, np.random.default_rng(0), 0))
+        assert np.all(acts == 0)
 
     def test_uniform_frequencies(self):
         pol = single_agent_policy(n_actions=3)
-        rng = np.random.default_rng(8)
+        m = zero_reward_model(pol.graph, n_states=1, n_actions=3)
         n = 100_000
-        counts = np.zeros(3)
-        for _ in range(n):
-            counts[pol.sample_joint_action((0,), np.zeros((1, 3)), rng)[0]] += 1
+        states = np.zeros((n, 1), dtype=np.intp)
+        tables = pol.prob_tables(np.zeros((1, 3)))
+        _, acts = next(simulate(m, tables, states, np.random.default_rng(8), 0))
+        counts = np.bincount(acts[:, 0], minlength=3)
         sigma = math.sqrt((1 / 3) * (2 / 3) / n)
         assert np.max(np.abs(counts / n - 1 / 3)) < 3 * sigma
 
