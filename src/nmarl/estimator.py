@@ -8,12 +8,20 @@ Both geometric draws have support ``{0, 1, 2, ...}`` with ``P(k) = p * (1 -
 p)^k``; support starting at 1 would bias the estimator, which a regression
 test pins down.
 
-The per-agent gradient estimate is ``q * score_sum / (1 - gamma)`` and its
-norm is asserted against the analytic cap on every sample; a violation is an
-implementation bug, never a data error.
+Agent ``i``'s gradient estimate is ``q_i * score_sum_i / (1 - gamma)``,
+computed for the whole network at once: the ``n`` return estimates come
+from one gather of every agent's ``(kappa_p + kappa_r)``-hop reward columns
+and one batched dot with the half-discount weights (``q_estimates``), and
+the ``n`` score sums from one batched softmax over the snapshot
+(``CoupledSoftmaxPolicy.score_sums``). Every norm is asserted against the
+analytic cap on every sample; a violation is an implementation bug, never a
+data error.
 
 Every sample of the chain, here and in the trainer's Monte-Carlo
 evaluation, is stepped by ``simulate``; its docstring states the draw order.
+Each uniform is inverted against cumulative probabilities whose last column
+is ``+inf``, so a draw at or beyond a float cumsum that ends below 1 still
+lands on the last index.
 """
 
 from __future__ import annotations
@@ -21,6 +29,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -84,8 +93,7 @@ def sample_geometric(
 
 def half_discount_weights(gamma: float, length: int) -> np.ndarray:
     """``gamma^(tau/2)`` for ``tau = 0..length-1``, via ``exp`` for accumulated-error control."""
-    tau = np.arange(length)
-    return np.exp(0.5 * tau * math.log(gamma))
+    return np.exp(np.arange(length) * (0.5 * math.log(gamma)))
 
 
 def simulate(
@@ -104,28 +112,42 @@ def simulate(
     the package is drawn here, in one order: at each step one uniform per
     entry picks the actions (none at step 0 when the start ``actions`` are
     given), then one uniform per entry picks the next states, except after
-    the last step. Each uniform is inverted through its row's cumulative
-    probabilities. A step draws when it is taken, so a caller draws nothing
+    the last step. A step draws when it is taken, so a caller draws nothing
     else from ``rng`` until it has taken the steps it needs.
+
+    Each uniform is inverted through its row of cumulative probabilities,
+    gathered with ``take`` from flat ``(n * S, A)`` policy and
+    ``(n * S * A, S)`` kernel views whose last column is ``+inf``
+    (``model.stacked_kernel_cum`` caches the kernel one).
     """
-    pol_cum = np.cumsum(tables, axis=2)
-    kern_cum = m.stacked_kernel_cum()
-    agents = np.arange(m.n)
+    n, n_states, n_actions = tables.shape
+    pol_cum = np.cumsum(tables, axis=-1)
+    pol_cum[..., -1] = np.inf
+    pol_rows = pol_cum.reshape(n * n_states, n_actions)
+    kern_rows = m.stacked_kernel_cum().reshape(n * n_states * n_actions, n_states)
+    agent_rows = np.arange(n) * n_states  # first policy row of each agent
     for t in range(steps + 1):
         if t > 0:
-            u = rng.random(states.shape)
-            states = _inverse_cdf(kern_cum[agents, states, actions], u)
+            # the transition uniforms into step t, then its action uniforms
+            u_next, u_act = rng.random((2,) + states.shape)
+            states = _inverse_cdf(kern_rows.take(rows * n_actions + actions, axis=0), u_next)
+        elif actions is None:
+            u_act = rng.random(states.shape)
+        rows = agent_rows + states  # policy rows; kernel rows are rows * A + a
         if t > 0 or actions is None:
-            actions = _inverse_cdf(pol_cum[agents, states], rng.random(states.shape))
+            actions = _inverse_cdf(pol_rows.take(rows, axis=0), u_act)
         yield states, actions
 
 
 def _inverse_cdf(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Per row, the first index whose cumulative probability exceeds ``u``.
 
-    A cumsum can end just below 1; a draw beyond it maps to the last index.
+    The last column of ``cum`` is ``+inf``, so every row has one: a float
+    cumsum can end just below 1, and a draw beyond it maps to the last
+    index. For a nondecreasing cumsum this is ``min((cum <= u).sum(-1),
+    last)`` of the uncapped rows, index for index.
     """
-    return np.minimum((cum <= u[..., None]).sum(axis=-1), cum.shape[-1] - 1)
+    return (u[..., None] < cum).argmax(axis=-1)
 
 
 def _score_trace(
@@ -176,6 +198,42 @@ def rollout_two_horizon(
     )
 
 
+def q_estimates(
+    roll: TwoHorizonRollout,
+    m: FactoredNmarlModel,
+    kappa_p: int,
+    kappa_r: int | None = None,
+) -> np.ndarray:
+    """Every agent's return estimate ``(n,)``: the half-discounted reward sum
+    over its ``kappa_p + kappa_r``-hop neighbors, divided by ``n``.
+
+    Each agent's member rewards are added one member at a time, in member
+    order, and its step sums are dotted with the weights in a dot of its
+    own, so an estimate's bits do not depend on the rest of the network.
+    """
+    kappa_r = m.kappa_r if kappa_r is None else kappa_r
+    cols = _member_columns(m.graph, kappa_p + kappa_r)
+    trace = roll.reward_trace
+    padded = np.concatenate([trace.T, np.zeros((1, len(trace)))])  # (n + 1, t2 + 1)
+    step_sums = np.add.reduce(padded[cols], axis=0)  # (n, t2 + 1), member by member
+    weights = half_discount_weights(m.gamma, roll.t2 + 1)
+    return (step_sums[:, None, :] @ weights[:, None])[:, 0, 0] / m.n
+
+
+@lru_cache(maxsize=256)
+def _member_columns(g: netgraph.AgentGraph, kappa: int) -> np.ndarray:
+    """``(k, n)``: column ``i`` lists the ``kappa``-hop members of ``i`` in
+    order, padded with ``n``, the zero row ``q_estimates`` appends to the
+    transposed trace; ``k`` is the largest neighborhood size."""
+    mask = netgraph.hop_mask(g, kappa)
+    cols = np.full((int(mask.sum(axis=1).max()), g.n), g.n)
+    for i, row in enumerate(mask):
+        members = np.flatnonzero(row)
+        cols[: len(members), i] = members
+    cols.setflags(write=False)
+    return cols
+
+
 def q_estimate(
     roll: TwoHorizonRollout,
     i: int,
@@ -183,12 +241,8 @@ def q_estimate(
     kappa_p: int,
     kappa_r: int | None = None,
 ) -> float:
-    """Half-discounted reward sum over the ``kappa_p + kappa_r``-hop neighbors."""
-    kappa_r = m.kappa_r if kappa_r is None else kappa_r
-    members = netgraph.khop(m.graph, i, kappa_p + kappa_r).members
-    weights = half_discount_weights(m.gamma, roll.t2 + 1)
-    per_step = roll.reward_trace[:, list(members)].sum(axis=1)
-    return float(weights @ per_step) / m.n
+    """Agent ``i``'s entry of ``q_estimates``."""
+    return float(q_estimates(roll, m, kappa_p, kappa_r)[i])
 
 
 def estimate_bound(
@@ -206,26 +260,6 @@ def estimate_bound(
     )
 
 
-def agent_gradient(
-    roll: TwoHorizonRollout,
-    i: int,
-    m: FactoredNmarlModel,
-    pol: CoupledSoftmaxPolicy,
-    params: np.ndarray,
-) -> tuple[np.ndarray, float]:
-    """Agent ``i``'s gradient estimate and return estimate from one rollout.
-
-    Reads only the snapshot entries within ``kappa_p`` hops, the reward
-    columns within ``kappa_p + kappa_r`` hops, and (for an estimate stack)
-    agent ``i``'s own row.
-    """
-    arr = np.asarray(params, dtype=float)
-    row = arr if arr.ndim == 2 else arr[i]
-    q = q_estimate(roll, i, m, pol.spec.kappa_p)
-    g = pol.score_sum(i, roll.snapshot_state, roll.snapshot_action, row)
-    return q * g / (1.0 - m.gamma), q
-
-
 def gradient_estimate(
     roll: TwoHorizonRollout,
     m: FactoredNmarlModel,
@@ -233,18 +267,19 @@ def gradient_estimate(
     params: np.ndarray,
     bound: float | None = None,
 ) -> GradientEstimate:
-    """Per-agent gradient estimates from one rollout.
+    """Every agent's gradient estimate from one rollout.
 
     Agent ``i`` scores the snapshot with its own estimate row (or the shared
-    parameters when ``params`` is ``(n, d)``).
+    parameters when ``params`` is ``(n, d)``). Its row reads only that view,
+    the snapshot entries within ``kappa_p`` hops and the reward columns
+    within ``kappa_p + kappa_r`` hops.
     """
     if bound is None:
         bound = estimate_bound(m, pol)
-    grads = np.empty((m.n, pol.d))
-    q_values = np.empty(m.n)
-    for i in range(m.n):
-        grads[i], q_values[i] = agent_gradient(roll, i, m, pol, params)
-    norms = np.linalg.norm(grads, axis=1)
+    q_values = q_estimates(roll, m, pol.spec.kappa_p)
+    scores = pol.score_sums(roll.snapshot_state, roll.snapshot_action, params)
+    grads = q_values[:, None] * scores / (1.0 - m.gamma)
+    norms = np.sqrt(np.einsum("ij,ij->i", grads, grads))
     worst = float(norms.max(initial=0.0))
     if worst > bound * (1.0 + 1e-9):
         raise BoundViolated(
@@ -276,4 +311,4 @@ def sample_q_conditional(
     steps = simulate(m, tables, start, rng, t2, np.array(snapshot_action, dtype=np.intp))
     *_, trace = _score_trace(m, steps)
     roll = TwoHorizonRollout(0, t2, tuple(snapshot_state), tuple(snapshot_action), trace)
-    return q_estimate(roll, i, m, pol.spec.kappa_p)
+    return float(q_estimates(roll, m, pol.spec.kappa_p)[i])

@@ -111,12 +111,13 @@ class FactoredNmarlModel:
     score whole arrays of steps or episodes with one call.
 
     Two derived arrays are built lazily and cached: the kernel row cumsums
-    that ``estimator.simulate`` steps with (``stacked_kernel_cum``; its
-    docstring states the draw order), and one dense reward table per agent
-    over its ``kappa_r``-hop restricted domain (``reward_tables``). The
-    reward tables feed the reward bound and every reward the exact oracle
-    integrates; rewards do not depend on the policy, so the domain is
-    enumerated once per model.
+    that ``estimator.simulate`` steps with (``stacked_kernel_cum``, with a
+    ``+inf`` last column so that every uniform inverts to a state;
+    ``simulate``'s docstring states the draw order), and one dense reward
+    table per agent over its ``kappa_r``-hop restricted domain
+    (``reward_tables``). The reward tables feed the reward bound and every
+    reward the exact oracle integrates; rewards do not depend on the policy,
+    so the domain is enumerated once per model.
 
     Args:
         graph: communication network; also defines reward neighborhoods.
@@ -187,11 +188,19 @@ class FactoredNmarlModel:
         return self.validate().reward_bound
 
     def stacked_kernel_cum(self) -> np.ndarray:
-        """Kernel row cumsums stacked to ``(n, S, A, S)``; homogeneous models only."""
+        """Kernel row cumsums stacked to ``(n, S, A, S)``, last column ``+inf``.
+
+        The capped form ``estimator.simulate`` inverts its uniforms with: a
+        float cumsum can end just below 1, and the cap sends a draw beyond it
+        to the last state. Homogeneous models only; read-only.
+        """
         if self._stacked_cum is None:
             if not self.homogeneous:
                 raise DimensionMismatch("stacked kernels require homogeneous spaces")
-            self._stacked_cum = np.cumsum(np.stack(self.kernels), axis=-1)
+            cum = np.cumsum(np.stack(self.kernels), axis=-1)
+            cum[..., -1] = np.inf
+            cum.setflags(write=False)
+            self._stacked_cum = cum
         return self._stacked_cum
 
     def reward_tables(self) -> tuple[np.ndarray, ...]:

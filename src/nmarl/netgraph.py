@@ -148,6 +148,20 @@ def khop(g: AgentGraph, i: int, kappa: int) -> HopNeighborhood:
     return HopNeighborhood(center=i, radius=kappa, members=tuple(sorted(dist)))
 
 
+@lru_cache(maxsize=256)
+def hop_mask(g: AgentGraph, kappa: int) -> np.ndarray:
+    """Read-only ``(n, n)`` 0/1 float array: row ``i`` marks ``khop(g, i, kappa)``.
+
+    Cached per graph and radius: the estimator reads every agent's
+    neighborhood from it once, not through one ``khop`` lookup per sample.
+    """
+    mask = np.zeros((g.n, g.n))
+    for i in range(g.n):
+        mask[i, list(khop(g, i, kappa).members)] = 1.0
+    mask.setflags(write=False)
+    return mask
+
+
 def max_neighborhood_size(g: AgentGraph, kappa: int) -> int:
     """Largest ``kappa``-hop neighborhood size over all agents."""
-    return max(len(khop(g, i, kappa).members) for i in range(g.n))
+    return int(hop_mask(g, kappa).sum(axis=1).max())

@@ -88,6 +88,13 @@ class CoupledSoftmaxPolicy:
             self.coupling[j, j] = self.self_coeff[j]
             for k in self.coupled[j]:
                 self.coupling[j, k] = self.nbr_coeff[j]
+        # Constants of score_sums: agent j's state-s row of a flat (n * S, A)
+        # table is _agent_rows[j] + s; one-hot rows of actions and of states;
+        # _shares[i, j] = coupling[j, i], agent i's share of agent j's score.
+        self._agent_rows = np.arange(self.n) * self.n_states
+        self._action_eye = np.eye(self.n_actions)
+        self._state_eye = np.eye(self.n_states)
+        self._shares = np.ascontiguousarray(self.coupling.T)[:, :, None]
 
     # ------------------------------------------------------------------
     # parameter handling
@@ -133,7 +140,7 @@ class CoupledSoftmaxPolicy:
         """Softmax action distribution of agent ``i`` at its local state."""
         z = self.mixed_logit_vector(i, params)
         row = z[s_i * self.n_actions : (s_i + 1) * self.n_actions]
-        return _softmax(row)
+        return _softmax_rows(row)
 
     def prob_tables(self, params) -> np.ndarray:
         """Per-agent policy tables ``(n, S, A)``.
@@ -151,10 +158,7 @@ class CoupledSoftmaxPolicy:
             raise DimensionMismatch(f"unsupported parameter stack shape {arr.shape}")
         if not np.all(np.isfinite(mixed)):
             raise ValueError("non-finite logits in parameter stack")
-        tables = np.empty((self.n, self.n_states, self.n_actions))
-        for i in range(self.n):
-            tables[i] = _softmax_rows(mixed[i].reshape(self.n_states, self.n_actions))
-        return tables
+        return _softmax_rows(mixed.reshape(self.n, self.n_states, self.n_actions))
 
     # ------------------------------------------------------------------
     # scores
@@ -191,9 +195,8 @@ class CoupledSoftmaxPolicy:
     ) -> np.ndarray:
         """Sum of scores of all policies within ``kappa_p`` hops of agent ``i``.
 
-        ``snapshot_states`` / ``snapshot_actions`` are indexed by agent id and
-        only entries for the hop neighborhood of ``i`` are read. ``params``
-        is the evaluating agent's own view (its estimate row, or the true
+        Row ``i`` of ``score_sums`` with every agent scoring with ``params``,
+        the evaluating agent's own view (its estimate row, or the true
         stack); policies of neighbors ``j`` are themselves mixtures, so the
         row must cover agents up to ``2 * kappa_p`` hops away, which a full
         ``(n, d)`` row always does.
@@ -202,32 +205,42 @@ class CoupledSoftmaxPolicy:
             rows = params
         else:
             rows = self._row(params, range(self.n))
-        total = np.zeros(self.d)
-        na = self.n_actions
-        for j in self.hoods[i]:
-            base = snapshot_states[j] * na
-            z = self.coupling[j] @ rows[:, base : base + na]
-            z = z - z.max()
-            e = np.exp(z)
-            probs = e / e.sum()
-            c = self.self_coeff[j] if i == j else self.nbr_coeff[j]
-            seg = total[base : base + na]
-            seg -= c * probs
-            seg[snapshot_actions[j]] += c
-        return total
+        return self.score_sums(snapshot_states, snapshot_actions, rows)[i]
+
+    def score_sums(
+        self,
+        snapshot_states: Sequence[int],
+        snapshot_actions: Sequence[int],
+        params: np.ndarray,
+    ) -> np.ndarray:
+        """Every agent's score sum ``(n, d)`` at one joint snapshot.
+
+        Row ``i`` sums ``coupling[j, i] * score_j`` over the agents ``j``, that
+        is over the ``kappa_p``-hop neighbors of ``i``. ``params`` is ``(n, d)``
+        (every agent scores with the same parameters) or an ``(n, n, d)`` stack
+        (agent ``i`` scores with its row ``params[i]``). Row ``i`` reads only
+        its parameter view and the snapshot entries of its neighbors.
+        """
+        n, n_states, n_actions = self.n, self.n_states, self.n_actions
+        arr = np.asarray(params, dtype=float)
+        if arr.shape not in ((n, self.d), (n, n, self.d)):
+            raise DimensionMismatch(f"unsupported parameter stack shape {arr.shape}")
+        states, actions = np.array((snapshot_states, snapshot_actions), dtype=np.intp)
+        # logits[v, j]: agent j's logits at its snapshot state under view v
+        mixed = (self.coupling @ arr).reshape(-1, n * n_states, n_actions)
+        logits = mixed.take(self._agent_rows + states, axis=1)
+        # scorer i's share of agent j's score e_{a_j} - pi_j, which lands in
+        # the rows of state s_j
+        weighted = self._shares * (self._action_eye[actions] - _softmax_rows(logits))
+        return (self._state_eye[states].T @ weighted).reshape(n, self.d)
 
     def score_bound(self) -> float:
         """Uniform bound on every single score norm for this policy class."""
         return float(np.max(np.maximum(self.self_coeff, self.nbr_coeff))) * math.sqrt(2.0)
 
 
-def _softmax(row: np.ndarray) -> np.ndarray:
-    z = row - np.max(row)  # overflow guard for |logits| up to ~700
+def _softmax_rows(logits: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis."""
+    z = logits - logits.max(axis=-1, keepdims=True)  # overflow guard for |logits| up to ~700
     e = np.exp(z)
-    return e / e.sum()
-
-
-def _softmax_rows(table: np.ndarray) -> np.ndarray:
-    z = table - table.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)

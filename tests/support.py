@@ -8,7 +8,7 @@ import numpy as np
 
 from nmarl import netgraph
 from nmarl.errors import SpaceTooLarge
-from nmarl.estimator import simulate
+from nmarl.estimator import half_discount_weights, simulate
 from nmarl.model import FactoredNmarlModel, InitialDistribution, table_rewards
 from nmarl.oracle import (
     MAX_TABLE_ENTRIES,
@@ -20,6 +20,15 @@ from nmarl.oracle import (
 
 def line_graph(n: int) -> netgraph.AgentGraph:
     return netgraph.build_graph(n, [(k, k + 1) for k in range(1, n)])
+
+
+def shaped_graph(kind: str, n: int) -> netgraph.AgentGraph:
+    """A ``"ring"`` (three agents or more, else a line), ``"star"`` or line graph."""
+    if kind == "ring" and n >= 3:
+        return netgraph.ring_graph(n)
+    if kind == "star":
+        return netgraph.build_graph(n, [(1, k) for k in range(2, n + 1)])
+    return line_graph(n)
 
 
 def random_stochastic_kernel(
@@ -105,6 +114,31 @@ def next_states(
     uniform = np.full((m.n, m.state_sizes[0], n_actions), 1.0 / n_actions)
     _, (nxt, _) = simulate(m, uniform, np.asarray(states), rng, 1, np.asarray(actions))
     return nxt
+
+
+def ref_gradient_estimate(roll, m, pol, params) -> tuple[np.ndarray, np.ndarray]:
+    """Gradient and return estimates ``(n, d)``, ``(n,)`` one agent at a time.
+
+    Agent ``i`` sums the rewards of its ``kappa_p + kappa_r``-hop members per
+    step, weights the step sums by ``gamma^(tau/2)`` and divides by ``n``; it
+    scores the snapshot of each ``kappa_p``-hop member with its own parameter
+    view through the closed-form ``score``.
+    """
+    arr = np.asarray(params, dtype=float)
+    kappa_p = pol.spec.kappa_p
+    weights = half_discount_weights(m.gamma, roll.t2 + 1)
+    grads = np.empty((m.n, pol.d))
+    q_values = np.empty(m.n)
+    for i in range(m.n):
+        view = arr if arr.ndim == 2 else arr[i]
+        members = netgraph.khop(m.graph, i, kappa_p + m.kappa_r).members
+        q = float(weights @ roll.reward_trace[:, list(members)].sum(axis=1)) / m.n
+        total = np.zeros(pol.d)
+        for j in netgraph.khop(m.graph, i, kappa_p).members:
+            total += pol.score(i, j, roll.snapshot_state[j], roll.snapshot_action[j], view)
+        grads[i] = q * total / (1.0 - m.gamma)
+        q_values[i] = q
+    return grads, q_values
 
 
 def ref_power_reward(m, gains, noise, price, i, s, a) -> float:

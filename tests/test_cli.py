@@ -208,9 +208,9 @@ class TestVerifyCommand:
         # the unbiasedness check flags it
         import nmarl.estimator as est_mod
 
-        original = est_mod.q_estimate
+        original = est_mod.q_estimates
         monkeypatch.setattr(
-            est_mod, "q_estimate", lambda *a, **kw: -original(*a, **kw)
+            est_mod, "q_estimates", lambda *a, **kw: -original(*a, **kw)
         )
         ok, detail = verify.check_estimator_unbiased(samples=20_000)
         assert not ok

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nmarl import estimator, netgraph, oracle
 from nmarl.errors import HorizonOverflow, InvalidProbability
@@ -13,10 +15,12 @@ from nmarl.estimator import (
     q_estimate,
     rollout_two_horizon,
     sample_geometric,
+    simulate,
 )
 from nmarl.model import FactoredNmarlModel, InitialDistribution
 from nmarl.policy import CoupledSoftmaxPolicy, MixingSpec
 
+import support
 from support import line_graph, random_table_model, zero_reward_model
 
 
@@ -237,7 +241,7 @@ class TestGradientEstimate:
         pol = CoupledSoftmaxPolicy(g, 2, 2, MixingSpec(kappa_p=1))
         est_params = np.random.default_rng(8).normal(size=(10, 10, 4))
         roll = rollout_two_horizon(m, est_params, pol, np.random.default_rng(9))
-        base, _ = estimator.agent_gradient(roll, 0, m, pol, est_params)
+        base = gradient_estimate(roll, m, pol, est_params, bound=math.inf).grads[0]
 
         inner = set(netgraph.khop(g, 0, 1).members)
         outer = set(netgraph.khop(g, 0, 2).members)
@@ -258,8 +262,96 @@ class TestGradientEstimate:
             t1=roll.t1, t2=roll.t2, snapshot_state=snap_s,
             snapshot_action=snap_a, reward_trace=trace,
         )
-        poisoned, _ = estimator.agent_gradient(roll_p, 0, m, pol, est_poisoned)
+        poisoned = gradient_estimate(roll_p, m, pol, est_poisoned, bound=math.inf).grads[0]
         assert np.array_equal(base, poisoned)
+
+
+@st.composite
+def rollouts(draw):
+    n = draw(st.integers(1, 5))
+    g = support.shaped_graph(draw(st.sampled_from(["line", "ring", "star"])), n)
+    n_states, n_actions = draw(st.integers(2, 3)), draw(st.integers(2, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = random_table_model(g, rng, n_states, n_actions, gamma=draw(st.sampled_from([0.6, 0.9])))
+    pol = CoupledSoftmaxPolicy(
+        g, n_states, n_actions, MixingSpec(kappa_p=draw(st.integers(0, 2)))
+    )
+    shape = (n, pol.d) if draw(st.booleans()) else (n, n, pol.d)
+    params = rng.uniform(-2.0, 2.0, size=shape)
+    return m, pol, params, rollout_two_horizon(m, params, pol, rng)
+
+
+@given(rollouts())
+@settings(max_examples=60, deadline=None)
+def test_gradient_estimate_matches_per_agent_loop(inst):
+    m, pol, params, roll = inst
+    est = gradient_estimate(roll, m, pol, params)
+    grads, q_values = support.ref_gradient_estimate(roll, m, pol, params)
+    np.testing.assert_array_equal(est.q_values, q_values)  # same float order
+    np.testing.assert_allclose(est.grads, grads, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(est.norms, np.linalg.norm(est.grads, axis=1), rtol=1e-12)
+
+
+class StubRng:
+    """Answers each ``random(shape)`` with ``values`` broadcast to ``shape``."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=float)
+
+    def random(self, shape):
+        return np.broadcast_to(self.values, shape).copy()
+
+
+class TestInverseCdf:
+    # Every policy and kernel row is ``P``: zero-probability bins first and
+    # inside, and a float cumsum that ends below the largest uniform.
+    P = np.array([0.0, 0.3, 0.0, 0.6, 0.1 - 1e-15])
+
+    def uniforms(self):
+        cum = np.cumsum(self.P)
+        assert cum[-1] < np.nextafter(1.0, 0.0)
+        edges = np.concatenate([cum, np.nextafter(cum, 0.0), np.nextafter(cum, 1.0)])
+        top = np.linspace(cum[-1], np.nextafter(1.0, 0.0), 5)
+        u = np.unique(np.concatenate([[0.0], edges, top]))
+        return u[(u >= 0.0) & (u < 1.0)]
+
+    def expected(self, u):
+        """First index whose float cumsum exceeds ``u``; past the end, the last."""
+        above = np.flatnonzero(np.cumsum(self.P) > u)
+        return int(above[0]) if len(above) else len(self.P) - 1
+
+    def model(self):
+        k = len(self.P)
+        kernel = np.broadcast_to(self.P, (k, k, k))
+        g = line_graph(2)
+        labels = [list(range(k))] * 2
+        zero = lambda s, a: np.zeros(s.shape)  # noqa: E731
+        m = FactoredNmarlModel(
+            g, labels, labels, [kernel] * 2, zero, InitialDistribution.fixed([0, 0]), 0.9
+        )
+        return m, np.broadcast_to(self.P, (2, k, k))
+
+    def test_single_trajectory(self):
+        m, tables = self.model()
+        for u in self.uniforms():
+            steps = list(simulate(m, tables, np.array([0, 4]), StubRng(u), 1))
+            want = self.expected(u)
+            assert self.P[want] > 0.0
+            (_, a0), (s1, a1) = steps
+            for drawn in (a0, s1, a1):
+                assert drawn.tolist() == [want, want], u
+
+    def test_batch_of_episodes(self):
+        m, tables = self.model()
+        u = self.uniforms()
+        want = np.array([self.expected(x) for x in u])
+        start = np.tile([4, 0], (len(u), 1))
+        steps = list(simulate(m, tables, start, StubRng(u[:, None]), 1))
+        (_, a0), (s1, a1) = steps
+        for drawn in (a0, s1, a1):
+            np.testing.assert_array_equal(drawn, np.stack([want, want], axis=1))
+        assert np.all(self.P[a0] > 0.0)
+        assert want[-1] == len(self.P) - 1  # the largest uniform lands on the last bin
 
 
 class TestUnbiasednessSmoke:

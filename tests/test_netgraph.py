@@ -148,6 +148,24 @@ class TestKhop:
             netgraph.khop(line_graph(3), 0, -1)
 
 
+class TestHopMask:
+    @given(connected_graphs(), st.integers(0, 6))
+    @settings(max_examples=60, deadline=None)
+    def test_rows_mark_khop_members(self, g, kappa):
+        mask = netgraph.hop_mask(g, kappa)
+        assert mask.shape == (g.n, g.n)
+        for i in range(g.n):
+            assert tuple(np.flatnonzero(mask[i])) == netgraph.khop(g, i, kappa).members
+        assert set(np.unique(mask)) <= {0.0, 1.0}
+
+    def test_cached_and_read_only(self):
+        g = netgraph.ring_graph(10)
+        mask = netgraph.hop_mask(g, 2)
+        assert netgraph.hop_mask(netgraph.ring_graph(10), 2) is mask
+        with pytest.raises(ValueError):
+            mask[0, 5] = 1.0
+
+
 class TestMaxNeighborhoodSize:
     def test_radius_zero_is_one(self):
         assert netgraph.max_neighborhood_size(line_graph(4), 0) == 1

@@ -24,18 +24,10 @@ def close(got, want):
     np.testing.assert_allclose(got, want, rtol=TOL, atol=TOL)
 
 
-def build_graph(kind: str, n: int) -> netgraph.AgentGraph:
-    if kind == "ring" and n >= 3:
-        return netgraph.ring_graph(n)
-    if kind == "star":
-        return netgraph.build_graph(n, [(1, k) for k in range(2, n + 1)])
-    return line_graph(n)
-
-
 @st.composite
 def instances(draw):
     n = draw(st.integers(2, 4))
-    g = build_graph(draw(st.sampled_from(["line", "ring", "star"])), n)
+    g = support.shaped_graph(draw(st.sampled_from(["line", "ring", "star"])), n)
     n_states, n_actions = draw(st.integers(2, 3)), draw(st.integers(2, 3))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     m = random_table_model(
