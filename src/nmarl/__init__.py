@@ -29,7 +29,7 @@ from .netgraph import (
     weight_matrix,
 )
 from .policy import CoupledSoftmaxPolicy, MixingSpec
-from .pushsum import PushSumState, consensus_error, init_state, inject, inject_all, mix_and_estimate
+from .pushsum import PushSumState, consensus_error, init_state, inject_all, mix_and_estimate
 from .trainer import DscpConfig, TrainRecord, evaluate_policy, learning_rate, run_dscp
 
 __version__ = "0.1.0"
@@ -53,7 +53,6 @@ __all__ = [
     "evaluate_policy",
     "gradient_estimate",
     "init_state",
-    "inject",
     "inject_all",
     "khop",
     "learning_rate",

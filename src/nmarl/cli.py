@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import subprocess
 import sys
@@ -18,8 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, netgraph, verify
-from .config import RunConfig, load_config, parse_config
+from . import __version__, verify
+from .config import RunConfig, load_config
 from .errors import (
     BoundViolated,
     ConfigError,
@@ -28,7 +29,7 @@ from .errors import (
     ProtocolInvariantError,
 )
 from .model import FactoredNmarlModel
-from .policy import CoupledSoftmaxPolicy
+from .policy import CoupledSoftmaxPolicy, MixingSpec
 from .trainer import DscpConfig, evaluate_policy, run_dscp
 
 log = logging.getLogger("nmarl")
@@ -67,6 +68,18 @@ def _write_checkpoint(
         "params": theta.tolist(),
     }
     path.write_text(json.dumps(payload))
+
+
+def _checkpoint_mixing(ckpt: dict) -> MixingSpec:
+    """The coupling radius and mixing weights a checkpoint was trained with."""
+    kappa_p = ckpt["kappa_p"]
+    if not isinstance(kappa_p, int) or isinstance(kappa_p, bool):
+        raise TypeError(f"kappa_p {kappa_p!r} is not an integer")
+    self_weight = float(ckpt["mixing"]["self_weight"])
+    neighbor_weight_total = float(ckpt["mixing"]["neighbor_weight_total"])
+    if not (math.isfinite(self_weight) and math.isfinite(neighbor_weight_total)):
+        raise ValueError("mixing weights are not finite")
+    return MixingSpec(self_weight, neighbor_weight_total, kappa_p)
 
 
 def _train_one(run: RunConfig, seed: int, out: Path) -> dict:
@@ -153,20 +166,21 @@ def cmd_eval(args: argparse.Namespace) -> int:
         ckpt = json.loads(Path(args.checkpoint).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read checkpoint {args.checkpoint}: {exc}") from exc
+    try:
+        theta = np.asarray(ckpt["params"], dtype=float)
+        if not np.all(np.isfinite(theta)):
+            raise ValueError("parameters are not finite")
+        mixing = _checkpoint_mixing(ckpt)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed checkpoint {args.checkpoint}: {exc!r}") from exc
     model = run.build_model()
-    theta = np.asarray(ckpt["params"], dtype=float)
     expected = (model.n, model.state_sizes[0] * model.action_sizes[0])
     if theta.shape != expected:
         raise DimensionMismatch(
             f"checkpoint parameters have shape {theta.shape}, "
             f"the configured environment needs {expected}"
         )
-    pol = CoupledSoftmaxPolicy(
-        model.graph,
-        model.state_sizes[0],
-        model.action_sizes[0],
-        replace(run.dscp, kappa_p=int(ckpt.get("kappa_p", run.dscp.kappa_p))).mixing(),
-    )
+    pol = CoupledSoftmaxPolicy(model.graph, model.state_sizes[0], model.action_sizes[0], mixing)
     seed = args.seed if args.seed is not None else run.dscp.seed
     rng = np.random.default_rng(np.random.SeedSequence([seed, 2]))
     j, se = evaluate_policy(

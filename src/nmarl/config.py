@@ -11,7 +11,7 @@ from pathlib import Path
 from typing import Any
 
 from . import netgraph
-from .envs import PathPlanningSpec, PathStructure, _structure_from_params, build_path_env, build_power_env
+from .envs import PATH_LOCATIONS, PathPlanningSpec, PathStructure, build_path_env, build_power_env
 from .errors import ConfigError
 from .model import FactoredNmarlModel
 from .trainer import DscpConfig
@@ -19,7 +19,6 @@ from .trainer import DscpConfig
 _DSCP_KEYS = {
     "iterations": int,
     "kappa_p": int,
-    "kappa_r": int,
     "batch": int,
     "eval_every": int,
     "eval_episodes": int,
@@ -60,8 +59,7 @@ class RunConfig:
                 collision_weight=float(ov.get("collision_weight", 0.5)),
                 terminal_zero_reward=bool(ov.get("terminal_zero_reward", False)),
             )
-            structure = _structure_from_params(ov) if "successors" in ov else PathStructure()
-            return build_path_env(spec, structure, self.graph)
+            return build_path_env(spec, _path_structure(ov), self.graph)
         if self.env_name == "power_control":
             ov = self.env_overrides
             try:
@@ -78,6 +76,16 @@ class RunConfig:
             except KeyError as missing:
                 raise ConfigError(f"power_control override missing {missing}") from None
         raise ConfigError(f"unknown environment {self.env_name!r}")
+
+
+def _path_structure(ov: dict) -> PathStructure:
+    if "successors" not in ov:
+        return PathStructure()
+    return PathStructure(
+        locations=tuple(ov.get("locations", PATH_LOCATIONS)),
+        successors={k: tuple(v) for k, v in ov["successors"].items()},
+        destination=ov.get("destination", "e"),
+    )
 
 
 def _require_keys(obj: dict, allowed: set[str], where: str) -> None:

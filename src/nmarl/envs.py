@@ -17,12 +17,7 @@ import numpy as np
 
 from . import netgraph
 from .errors import ConfigError, NonPositiveNoise, UnknownLocation
-from .model import (
-    FactoredNmarlModel,
-    InitialDistribution,
-    RewardBundle,
-    register_reward_family,
-)
+from .model import BatchRewards, FactoredNmarlModel, InitialDistribution
 
 PATH_LOCATIONS = (
     "b1", "b2", "b3", "b4", "b5",
@@ -30,6 +25,9 @@ PATH_LOCATIONS = (
     "d1", "d2", "d3",
     "e",
 )
+
+# Both environments reward direct-neighbor interactions only.
+_KAPPA_R = 1
 
 
 def _default_successors() -> dict[str, tuple[str, ...]]:
@@ -139,18 +137,9 @@ def _path_next_table(ps: PathStructure) -> np.ndarray:
 
 
 def _path_planning_rewards(
-    graph: netgraph.AgentGraph, kappa_r: int, params: dict
-) -> RewardBundle:
-    spec = PathPlanningSpec(
-        n=graph.n,
-        starts=tuple(params.get("starts", PathPlanningSpec.starts)),
-        gamma=params.get("gamma", 0.9),
-        r_eps=params.get("r_eps", 0.5),
-        collision_weight=params.get("collision_weight", 0.5),
-        terminal_zero_reward=params.get("terminal_zero_reward", False),
-    )
-    ps = _structure_from_params(params)
-    next_table = _path_next_table(ps)
+    spec: PathPlanningSpec, ps: PathStructure, next_table: np.ndarray, graph: netgraph.AgentGraph
+) -> tuple[BatchRewards, list[float]]:
+    """Batched collision reward and its per-agent cap."""
     dest = ps.index(ps.destination)
 
     # Staying costs the flat time penalty; moving additionally costs a share
@@ -159,7 +148,7 @@ def _path_planning_rewards(
     # count into one comparison plus one matmul.
     pair_i, pair_j = [], []
     for i in range(graph.n):
-        for j in netgraph.khop(graph, i, kappa_r).members:
+        for j in netgraph.khop(graph, i, _KAPPA_R).members:
             if j != i:
                 pair_i.append(i)
                 pair_j.append(j)
@@ -187,17 +176,7 @@ def _path_planning_rewards(
 
     # Formula cap: time cost plus the penalty with every agent colliding.
     cap = spec.r_eps + spec.collision_weight * graph.n / spec.n
-    return RewardBundle(batch=batch, bounds=[cap] * graph.n)
-
-
-def _structure_from_params(params: dict) -> PathStructure:
-    if "successors" in params:
-        return PathStructure(
-            locations=tuple(params.get("locations", PATH_LOCATIONS)),
-            successors={k: tuple(v) for k, v in params["successors"].items()},
-            destination=params.get("destination", "e"),
-        )
-    return PathStructure()
+    return batch, [cap] * graph.n
 
 
 def build_path_env(
@@ -218,29 +197,17 @@ def build_path_env(
     for s in range(n_loc):
         for a in range(3):
             kernel[s, a, next_table[s, a]] = 1.0
-
-    params = {
-        "starts": list(spec.starts),
-        "gamma": spec.gamma,
-        "r_eps": spec.r_eps,
-        "collision_weight": spec.collision_weight,
-        "terminal_zero_reward": spec.terminal_zero_reward,
-        "successors": {k: list(v) for k, v in ps.successors.items()},
-        "locations": list(ps.locations),
-        "destination": ps.destination,
-    }
-    bundle = _path_planning_rewards(comm, 1, params)
+    batch, bounds = _path_planning_rewards(spec, ps, next_table, comm)
     return FactoredNmarlModel(
         graph=comm,
         state_labels=[list(ps.locations)] * spec.n,
         action_labels=[[0, 1, 2]] * spec.n,
         kernels=[kernel] * spec.n,
-        batch_rewards=bundle.batch,
+        batch_rewards=batch,
         rho=InitialDistribution.fixed([ps.index(loc) for loc in spec.starts]),
         gamma=spec.gamma,
-        kappa_r=1,
-        reward_bounds=bundle.bounds,
-        reward_ref=("path_planning", params),
+        kappa_r=_KAPPA_R,
+        reward_bounds=bounds,
     )
 
 
@@ -251,11 +218,8 @@ _POWER_ACTIONS = (0, -1, 1)
 
 
 def _power_control_rewards(
-    graph: netgraph.AgentGraph, kappa_r: int, params: dict
-) -> RewardBundle:
-    gains = np.asarray(params["gains"], dtype=float)
-    noise = np.asarray(params["noise"], dtype=float)
-    price = np.asarray(params["price"], dtype=float)
+    graph: netgraph.AgentGraph, gains: np.ndarray, noise: np.ndarray, price: np.ndarray
+) -> BatchRewards:
     if np.any(noise <= 0.0):
         raise NonPositiveNoise("noise powers must be strictly positive")
     if np.any(gains < 0.0):
@@ -268,7 +232,7 @@ def _power_control_rewards(
     # Agent i hears the power of its kappa_r-hop members only.
     cross = np.zeros((n, n))
     for i in range(n):
-        for j in netgraph.khop(graph, i, kappa_r).members:
+        for j in netgraph.khop(graph, i, _KAPPA_R).members:
             if j != i:
                 cross[i, j] = gains[i, j]
     own = np.diag(gains)
@@ -278,7 +242,7 @@ def _power_control_rewards(
         p = states.astype(float)
         return np.log(1.0 + p * own / (p @ cross.T + noise)) - price * p
 
-    return RewardBundle(batch=batch)
+    return batch
 
 
 def build_power_env(
@@ -303,25 +267,20 @@ def build_power_env(
     for s in range(levels):
         for a, delta in enumerate(_POWER_ACTIONS):
             kernel[s, a, min(max(s + delta, 0), levels - 1)] = 1.0
-    params = {
-        "gains": [list(map(float, row)) for row in gains],
-        "noise": [float(x) for x in noise],
-        "price": [float(x) for x in price],
-    }
-    bundle = _power_control_rewards(comm, 1, params)
+    batch = _power_control_rewards(
+        comm,
+        np.asarray(gains, dtype=float),
+        np.asarray(noise, dtype=float),
+        np.asarray(price, dtype=float),
+    )
     start = list(start) if start is not None else [0] * n
     return FactoredNmarlModel(
         graph=comm,
         state_labels=[list(range(levels))] * n,
         action_labels=[list(_POWER_ACTIONS)] * n,
         kernels=[kernel] * n,
-        batch_rewards=bundle.batch,
+        batch_rewards=batch,
         rho=InitialDistribution.fixed(start),
         gamma=gamma,
-        kappa_r=1,
-        reward_ref=("power_control", params),
+        kappa_r=_KAPPA_R,
     )
-
-
-register_reward_family("path_planning", _path_planning_rewards)
-register_reward_family("power_control", _power_control_rewards)

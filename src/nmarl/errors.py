@@ -21,10 +21,6 @@ class EmptySpace(NmarlError, ValueError):
     """A state or action space has no elements."""
 
 
-class MissingNeighborParams(NmarlError, KeyError):
-    """A coupled policy evaluation lacks a required neighbor parameter vector."""
-
-
 class DimensionMismatch(NmarlError, ValueError):
     """Parameter or table shapes are inconsistent."""
 

@@ -32,22 +32,6 @@ MAX_REWARD_DOMAIN = 2_000_000  # restricted reward domains beyond this are not t
 # rewards; column i reads only agent i's kappa_r-hop members.
 BatchRewards = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
-# Registered reward families for model (de)serialization. Environments
-# register themselves at import time.
-REWARD_FACTORIES: dict[str, Callable[..., "RewardBundle"]] = {}
-
-
-@dataclass
-class RewardBundle:
-    """Everything a reward family contributes to a model."""
-
-    batch: BatchRewards
-    bounds: list[float] | None = None
-
-
-def register_reward_family(name: str, factory: Callable[..., RewardBundle]) -> None:
-    REWARD_FACTORIES[name] = factory
-
 
 @dataclass(frozen=True)
 class InitialDistribution:
@@ -83,14 +67,6 @@ class InitialDistribution:
             for d, u in zip(self.dists, draws.T)
         ]
         return np.stack(columns, axis=-1)
-
-    def prob(self, state: tuple[int, ...]) -> float:
-        if self.kind == "fixed":
-            return 1.0 if state == self.state else 0.0
-        p = 1.0
-        for d, s in zip(self.dists, state):
-            p *= float(d[s])
-        return p
 
 
 @dataclass
@@ -130,7 +106,6 @@ class FactoredNmarlModel:
         kappa_r: reward dependency radius, at least 1.
         reward_bounds: optional per-agent analytic caps on ``|r_i|``; when
             absent the bound is the largest ``|r_i|`` in the reward tables.
-        reward_ref: ``(family_name, params)`` for JSON round-trips.
     """
 
     def __init__(
@@ -144,7 +119,6 @@ class FactoredNmarlModel:
         gamma: float,
         kappa_r: int = 1,
         reward_bounds: Sequence[float] | None = None,
-        reward_ref: tuple[str, dict] | None = None,
     ) -> None:
         if not 0.0 < gamma < 1.0:
             raise ValueError(f"gamma must lie in (0, 1), got {gamma}")
@@ -160,7 +134,6 @@ class FactoredNmarlModel:
         self.kappa_r = int(kappa_r)
         self.reward_bounds = list(reward_bounds) if reward_bounds is not None else None
         self.batch_rewards = batch_rewards
-        self.reward_ref = reward_ref
         self.reward_members: tuple[tuple[int, ...], ...] = tuple(
             netgraph.khop(graph, i, kappa_r).members for i in range(self.n)
         )
@@ -289,15 +262,7 @@ class FactoredNmarlModel:
         return max(0.0, *(float(np.max(np.abs(t))) for t in self.reward_tables()))
 
     # ------------------------------------------------------------------
-    # dynamics
-
-    def transition_prob(
-        self, s: Sequence[int], a: Sequence[int], s_next: Sequence[int]
-    ) -> float:
-        p = 1.0
-        for i in range(self.n):
-            p *= float(self.kernels[i][s[i], a[i], s_next[i]])
-        return p
+    # rewards
 
     def rewards(self, s: Sequence[int], a: Sequence[int]) -> np.ndarray:
         """``batch_rewards`` on sequences or arrays of shape ``(..., n)``."""
@@ -305,78 +270,6 @@ class FactoredNmarlModel:
             self.batch_rewards(np.asarray(s, dtype=np.intp), np.asarray(a, dtype=np.intp)),
             dtype=float,
         )
-
-    # ------------------------------------------------------------------
-    # serialization (small instances only)
-
-    def to_json(self) -> dict:
-        if self.reward_ref is None:
-            raise ValueError("model has no registered reward family; cannot serialize")
-        name, params = self.reward_ref
-        return {
-            "graph": self.graph.to_json(),
-            "states": self.state_labels,
-            "actions": self.action_labels,
-            "kernels": [k.tolist() for k in self.kernels],
-            "rho": _rho_to_json(self.rho),
-            "gamma": self.gamma,
-            "kappa_r": self.kappa_r,
-            "reward": {"name": name, "params": params},
-        }
-
-    @staticmethod
-    def from_json(obj: dict) -> "FactoredNmarlModel":
-        graph = netgraph.graph_from_json(obj["graph"])
-        name = obj["reward"]["name"]
-        if name not in REWARD_FACTORIES:
-            raise KeyError(f"unknown reward family {name!r}")
-        kappa_r = int(obj.get("kappa_r", 1))
-        bundle = REWARD_FACTORIES[name](graph, kappa_r, obj["reward"]["params"])
-        return FactoredNmarlModel(
-            graph=graph,
-            state_labels=obj["states"],
-            action_labels=obj["actions"],
-            kernels=[np.asarray(k, dtype=float) for k in obj["kernels"]],
-            batch_rewards=bundle.batch,
-            rho=_rho_from_json(obj["rho"]),
-            gamma=float(obj["gamma"]),
-            kappa_r=kappa_r,
-            reward_bounds=bundle.bounds,
-            reward_ref=(name, obj["reward"]["params"]),
-        )
-
-
-def _rho_to_json(rho: InitialDistribution) -> dict:
-    if rho.kind == "fixed":
-        return {"kind": "fixed", "state": list(rho.state)}
-    return {"kind": "product", "dists": [d.tolist() for d in rho.dists]}
-
-
-def _rho_from_json(obj: dict) -> InitialDistribution:
-    if obj["kind"] == "fixed":
-        return InitialDistribution.fixed(obj["state"])
-    return InitialDistribution.product([np.asarray(d) for d in obj["dists"]])
-
-
-def _zero_reward_family(
-    graph: netgraph.AgentGraph, kappa_r: int, params: dict
-) -> RewardBundle:
-    del params
-    batch = lambda s, a: np.zeros(s.shape, dtype=float)  # noqa: E731
-    return RewardBundle(batch=batch, bounds=[0.0] * graph.n)
-
-
-def _table_reward_family(
-    graph: netgraph.AgentGraph, kappa_r: int, params: dict
-) -> RewardBundle:
-    """Dense per-agent tables over the restricted domain, for test instances.
-
-    ``params["tables"][i]`` is a nested list indexed by the member states
-    then member actions, member order sorted.
-    """
-    tables = [np.asarray(t, dtype=float) for t in params["tables"]]
-    members = [list(netgraph.khop(graph, i, kappa_r).members) for i in range(graph.n)]
-    return RewardBundle(batch=table_rewards(tables, members))
 
 
 def table_rewards(
@@ -393,7 +286,3 @@ def table_rewards(
         return out
 
     return batch
-
-
-register_reward_family("zero", _zero_reward_family)
-register_reward_family("table", _table_reward_family)

@@ -33,14 +33,6 @@ class AgentGraph:
     edges: tuple[tuple[int, int], ...]
     neighbors: tuple[tuple[int, ...], ...] = field(compare=False)
 
-    def degree(self, i: int) -> int:
-        """Size of the direct neighborhood ``N_i`` (self included)."""
-        return len(self.neighbors[i])
-
-    def to_json(self) -> dict:
-        """External form: 1-based ``{"n": ..., "edges": [[i, j], ...]}``."""
-        return {"n": self.n, "edges": [[i + 1, j + 1] for i, j in self.edges]}
-
 
 @dataclass(frozen=True)
 class HopNeighborhood:
@@ -108,18 +100,17 @@ def ring_graph(n: int) -> AgentGraph:
     return build_graph(n, [(k, k % n + 1) for k in range(1, n + 1)])
 
 
-def weight_matrix(g: AgentGraph, self_loops: bool = True) -> np.ndarray:
-    """Column-stochastic mixing matrix ``w[i, j] = 1/|N_j^out|`` for ``i`` in ``N_j^out``.
+def weight_matrix(g: AgentGraph) -> np.ndarray:
+    """Column-stochastic mixing matrix ``w[i, j] = 1/|N_j|`` for ``i`` in ``N_j``.
 
-    Out-neighborhoods equal direct neighborhoods on this undirected graph.
-    ``self_loops=False`` drops the diagonal for experimentation; the default
-    keeps it, which the push-sum protocol relies on.
+    Out-neighborhoods equal direct neighborhoods on this undirected graph,
+    self included, so the diagonal is positive, which push-sum mixing
+    relies on for aperiodicity.
     """
     w = np.zeros((g.n, g.n))
     for j in range(g.n):
-        out = [i for i in g.neighbors[j] if self_loops or i != j]
-        share = 1.0 / len(out)
-        for i in out:
+        share = 1.0 / len(g.neighbors[j])
+        for i in g.neighbors[j]:
             w[i, j] = share
     return w
 

@@ -246,39 +246,12 @@ def global_q_table(
     return chain, chain_q_table(chain, m.gamma, eps)
 
 
-def global_q_value(
-    m: FactoredNmarlModel,
-    prob_tables: Sequence[np.ndarray],
-    s: Sequence[int],
-    a: Sequence[int],
-    eps: float = 1e-9,
-) -> float:
-    """Joint action value of the per-step average reward from ``(s, a)``."""
-    return q_at(*global_q_table(m, prob_tables, eps), s, a)
-
-
 def local_q_table(
     m: FactoredNmarlModel, prob_tables: Sequence[np.ndarray], i: int, eps: float = 1e-9
 ) -> tuple[RestrictedChain, np.ndarray]:
     """Agent ``i``'s reward-neighborhood chain and the Q table of its own reward."""
     chain = build_restricted_chain(m, m.reward_members[i], prob_tables, (i,))
     return chain, chain_q_table(chain, m.gamma, eps)
-
-
-def local_q_value(
-    m: FactoredNmarlModel,
-    prob_tables: Sequence[np.ndarray],
-    i: int,
-    s_nb: Sequence[int],
-    a_nb: Sequence[int],
-    eps: float = 1e-9,
-) -> float:
-    """Action value of agent ``i``'s own reward stream on its reward neighborhood.
-
-    ``s_nb`` / ``a_nb`` are ordered by the sorted members of the
-    ``kappa_r``-hop neighborhood of ``i``.
-    """
-    return q_at(*local_q_table(m, prob_tables, i, eps), s_nb, a_nb)
 
 
 def neighbors_averaged_chain(

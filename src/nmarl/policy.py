@@ -24,12 +24,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import netgraph
-from .errors import DimensionMismatch, MissingNeighborParams
+from .errors import DimensionMismatch
 
 
 @dataclass(frozen=True)
@@ -102,22 +102,8 @@ class CoupledSoftmaxPolicy:
     def zero_params(self) -> np.ndarray:
         return np.zeros((self.n, self.d))
 
-    def _row(self, params, agents_needed: Sequence[int]) -> np.ndarray:
-        """Normalize a parameter source to an ``(n, d)`` array."""
-        if isinstance(params, Mapping):
-            full = np.zeros((self.n, self.d))
-            for j in agents_needed:
-                if j not in params:
-                    raise MissingNeighborParams(
-                        f"parameter vector of agent {j} is required but missing"
-                    )
-                vec = np.asarray(params[j], dtype=float)
-                if vec.shape != (self.d,):
-                    raise DimensionMismatch(
-                        f"agent {j} parameter has shape {vec.shape}, expected ({self.d},)"
-                    )
-                full[j] = vec
-            return full
+    def _row(self, params) -> np.ndarray:
+        """``params`` as an ``(n, d)`` float array, the shape checked."""
         arr = np.asarray(params, dtype=float)
         if arr.shape != (self.n, self.d):
             raise DimensionMismatch(
@@ -127,8 +113,7 @@ class CoupledSoftmaxPolicy:
 
     def mixed_logit_vector(self, j: int, params) -> np.ndarray:
         """Flat ``d``-vector of mixed logits for agent ``j``."""
-        rows = self._row(params, self.hoods[j])
-        z = self.coupling[j] @ rows
+        z = self.coupling[j] @ self._row(params)
         if not np.all(np.isfinite(z)):
             raise ValueError(f"non-finite logits for agent {j}")
         return z
@@ -201,11 +186,7 @@ class CoupledSoftmaxPolicy:
         row must cover agents up to ``2 * kappa_p`` hops away, which a full
         ``(n, d)`` row always does.
         """
-        if isinstance(params, np.ndarray) and params.shape == (self.n, self.d):
-            rows = params
-        else:
-            rows = self._row(params, range(self.n))
-        return self.score_sums(snapshot_states, snapshot_actions, rows)[i]
+        return self.score_sums(snapshot_states, snapshot_actions, self._row(params))[i]
 
     def score_sums(
         self,

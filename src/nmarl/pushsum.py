@@ -15,8 +15,9 @@ count, and are mixed in the same round:
 Because ``W`` is column stochastic, two exact invariants hold at every
 step: the weights sum to ``n``, and the per-target mean of the intermediate
 vectors equals the target's true parameter. Target columns never interact,
-so injecting one column at a time or all in one sweep is the same
-operation.
+so :func:`inject_all` mixes every column in one sweep; it equals injecting
+one column at a time (``tests/support.ref_inject``, the per-column
+reference the tests compare it with).
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ def mix_and_estimate(st: PushSumState, w: np.ndarray) -> PushSumState:
     """One mixing round: advance the weights, refresh the estimates.
 
     The intermediate vectors are left untouched; they advance in
-    :func:`inject`, which shares the same mixing matrix multiplication.
+    :func:`inject_all`, which multiplies by the same mixing matrix.
     """
     n = st.n
     if w.shape != (n, n):
@@ -76,27 +77,12 @@ def mix_and_estimate(st: PushSumState, w: np.ndarray) -> PushSumState:
     return st
 
 
-def inject(st: PushSumState, w: np.ndarray, j: int, delta: np.ndarray) -> PushSumState:
-    """Mix target ``j``'s column and add ``n * delta`` at the owner.
+def inject_all(st: PushSumState, w: np.ndarray, deltas: np.ndarray) -> PushSumState:
+    """Add ``n * deltas[j]`` at each owner ``j`` and mix every target column.
 
-    Restores the per-target mean to the updated true parameter exactly
+    Restores each per-target mean to the updated true parameter exactly
     (column stochasticity moves the whole injected mass once).
     """
-    delta = np.asarray(delta, dtype=float)
-    if delta.shape != st.breve.shape[2:]:
-        raise DimensionMismatch(
-            f"delta has shape {delta.shape}, expected {st.breve.shape[2:]}"
-        )
-    if not np.all(np.isfinite(delta)):
-        raise DimensionMismatch("delta must be finite")
-    column = st.breve[:, j, :].copy()
-    column[j] += st.n * delta
-    st.breve[:, j, :] = w @ column
-    return st
-
-
-def inject_all(st: PushSumState, w: np.ndarray, deltas: np.ndarray) -> PushSumState:
-    """One synchronized sweep of :func:`inject` over every target agent."""
     deltas = np.asarray(deltas, dtype=float)
     n = st.n
     if deltas.shape != st.breve.shape[1:]:

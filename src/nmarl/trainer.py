@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, IO, Sequence
+from typing import Callable, IO
 
 import numpy as np
 
@@ -39,7 +39,6 @@ class DscpConfig:
 
     iterations: int
     kappa_p: int = 1
-    kappa_r: int = 1
     eta0: float = 0.5
     t0: float = 10.0
     self_weight: float = 0.9
@@ -66,12 +65,6 @@ class DscpConfig:
             raise ConfigError(f"iterations must be at least 1, got {self.iterations}")
         if self.kappa_p < 0:
             raise ConfigError(f"kappa_p must be nonnegative, got {self.kappa_p}")
-        if self.kappa_r < 1:
-            raise ConfigError(f"kappa_r must be at least 1, got {self.kappa_r}")
-        if self.kappa_p >= 1 and self.kappa_r > self.kappa_p:
-            raise ConfigError(
-                f"kappa_r={self.kappa_r} must not exceed kappa_p={self.kappa_p}"
-            )
         if self.eta0 <= 0 or self.t0 < 0:
             raise ConfigError("learning-rate schedule needs eta0 > 0 and t0 >= 0")
         if self.batch < 1:

@@ -141,6 +141,14 @@ def ref_gradient_estimate(roll, m, pol, params) -> tuple[np.ndarray, np.ndarray]
     return grads, q_values
 
 
+def ref_inject(st, w, j: int, delta) -> None:
+    """Push-sum injection of one target column: add ``n * delta`` at owner
+    ``j``, then mix column ``j`` (``inject_all`` sweeps every column)."""
+    column = st.breve[:, j, :].copy()
+    column[j] += st.n * np.asarray(delta, dtype=float)
+    st.breve[:, j, :] = w @ column
+
+
 def ref_power_reward(m, gains, noise, price, i, s, a) -> float:
     """Agent ``i``'s power-control reward at joint ``(s, a)``, term by term.
 
@@ -223,13 +231,23 @@ def ref_averaged_reward_fn(m, inner, outer):
     return fn
 
 
+def ref_rho_prob(rho, state) -> float:
+    """Start probability of one joint state, agent by agent."""
+    if rho.kind == "fixed":
+        return 1.0 if tuple(state) == rho.state else 0.0
+    p = 1.0
+    for d, s in zip(rho.dists, state):
+        p *= float(d[s])
+    return p
+
+
 def ref_initial_vector(m, space) -> np.ndarray:
     rho = np.zeros(len(space.points))
     if m.rho.kind == "fixed":
         rho[space.index(m.rho.state)] = 1.0
     else:
         for idx, s in enumerate(space.points):
-            rho[idx] = m.rho.prob(s)
+            rho[idx] = ref_rho_prob(m.rho, s)
     return rho
 
 

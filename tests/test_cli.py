@@ -1,5 +1,4 @@
 import json
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +6,8 @@ import pytest
 from nmarl import cli, verify
 from nmarl.config import load_config, parse_config
 from nmarl.errors import ConfigError
+from nmarl.policy import CoupledSoftmaxPolicy, MixingSpec
+from nmarl.trainer import evaluate_policy
 
 
 def tiny_path_config(out_dir, iterations=40, seeds=(1,)):
@@ -15,7 +16,6 @@ def tiny_path_config(out_dir, iterations=40, seeds=(1,)):
         "dscp": {
             "iterations": iterations,
             "kappa_p": 1,
-            "kappa_r": 1,
             "lr": {"eta0": 5.0, "t0": 100.0, "form": "eta0/(t+t0)"},
             "eval_every": 20,
             "eval_episodes": 20,
@@ -45,10 +45,11 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             parse_config(obj)
 
-    def test_dropped_eval_executed_key_rejected(self, tmp_path):
+    @pytest.mark.parametrize("key", ["eval_executed", "kappa_r"])
+    def test_dropped_eval_executed_key_rejected(self, tmp_path, key):
         obj = tiny_path_config(tmp_path)
-        obj["dscp"]["eval_executed"] = True
-        with pytest.raises(ConfigError, match="eval_executed"):
+        obj["dscp"][key] = 1
+        with pytest.raises(ConfigError, match=f"unknown keys.*{key}"):
             parse_config(obj)
 
     def test_missing_env_block(self, tmp_path):
@@ -139,6 +140,62 @@ class TestEval:
         j_train = summary["results"][0]["final_J"]
         se = max(summary["results"][0]["final_J_se"], result["se"])
         assert abs(result["J"] - j_train) < 4 * (2 * se)
+
+    def test_uses_checkpoint_mixing_weights(self, tmp_path, capsys):
+        # a trained (nonzero) checkpoint, so the mixing weights shape the policy
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, tiny_path_config(out, iterations=60))
+        assert cli.main(
+            ["train", "--config", cfg, "--set", "dscp.mixing.self_weight=0.5"]
+        ) == 0
+        ckpt = out / "checkpoint_seed1.json"
+        capsys.readouterr()
+        rc = cli.main(
+            ["eval", "--config", cfg, "--checkpoint", str(ckpt), "--episodes", "50", "--seed", "3"]
+        )
+        assert rc == 0
+        result = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        run = load_config(cfg)
+        m = run.build_model()
+        pol = CoupledSoftmaxPolicy(
+            m.graph, m.state_sizes[0], m.action_sizes[0],
+            MixingSpec(self_weight=0.5, neighbor_weight_total=0.1, kappa_p=1),
+        )
+        theta = np.asarray(json.loads(ckpt.read_text())["params"])
+        assert np.any(theta != 0.0)
+        j, se = evaluate_policy(
+            m, pol, theta, 50, np.random.default_rng(np.random.SeedSequence([3, 2])),
+            method=run.dscp.eval_method, horizon_eps=run.dscp.eval_horizon_eps,
+        )
+        assert (result["J"], result["se"]) == (j, se)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda c: c.pop("mixing"),
+            lambda c: c.pop("kappa_p"),
+            lambda c: c.update(kappa_p=1.5),
+            lambda c: c["mixing"].update(self_weight="heavy"),
+            lambda c: c["mixing"].update(neighbor_weight_total=-0.1),
+            lambda c: c["params"][0].__setitem__(0, float("nan")),
+        ],
+        ids=[
+            "no_mixing", "no_kappa_p", "float_kappa_p", "text_weight", "negative_weight",
+            "nan_params",
+        ],
+    )
+    def test_malformed_checkpoint_exit_2(self, tmp_path, edit):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, tiny_path_config(out, iterations=1))
+        assert cli.main(["train", "--config", cfg]) == 0
+        ckpt = json.loads((out / "checkpoint_seed1.json").read_text())
+        edit(ckpt)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(ckpt))
+        rc = cli.main(
+            ["eval", "--config", cfg, "--checkpoint", str(bad), "--episodes", "10"]
+        )
+        assert rc == 2
 
     def test_zero_episodes_exit_2(self, tmp_path):
         out = tmp_path / "out"

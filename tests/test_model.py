@@ -118,31 +118,6 @@ class TestSampleTransition:
             assert abs(freq - p) < 3 * np.sqrt(p * (1 - p) / len(draws))
 
 
-class TestTransitionProb:
-    def test_deterministic_image(self):
-        g = line_graph(2)
-        kernel = np.zeros((2, 2, 2))
-        kernel[:, :, 1] = 1.0
-        m = FactoredNmarlModel(
-            g, [[0, 1]] * 2, [[0, 1]] * 2, [kernel] * 2,
-            lambda s, a: np.zeros(s.shape), InitialDistribution.fixed([0, 0]), 0.9,
-        )
-        assert m.transition_prob((0, 0), (0, 0), (1, 1)) == 1.0
-        assert m.transition_prob((0, 0), (0, 0), (0, 1)) == 0.0
-
-    def test_product_form(self, line3_model):
-        m = line3_model
-        s, a = (0, 1, 0), (1, 0, 1)
-        total = 0.0
-        for s2 in itertools.product(range(2), repeat=3):
-            p = m.transition_prob(s, a, s2)
-            assert p == pytest.approx(
-                np.prod([m.kernels[i][s[i], a[i], s2[i]] for i in range(3)])
-            )
-            total += p
-        assert total == pytest.approx(1.0)
-
-
 class TestRewards:
     def test_zero_model_vector(self):
         m = zero_reward_model(line_graph(3))
@@ -225,27 +200,6 @@ class TestMarginalRestriction:
 
 
 class TestSerialization:
-    def test_table_family_round_trip(self):
-        g = line_graph(2)
-        rng = np.random.default_rng(1)
-        kernels = [np.full((2, 2, 2), 0.5)] * 2
-        tables = [rng.uniform(-1, 1, size=(2, 2, 2, 2)).tolist() for _ in range(2)]
-        from nmarl.model import REWARD_FACTORIES
-
-        bundle = REWARD_FACTORIES["table"](g, 1, {"tables": tables})
-        m = FactoredNmarlModel(
-            g, [[0, 1]] * 2, [["x", "y"]] * 2, kernels, bundle.batch,
-            InitialDistribution.fixed([0, 1]), 0.9,
-            reward_ref=("table", {"tables": tables}),
-        )
-        m2 = FactoredNmarlModel.from_json(m.to_json())
-        assert m2.gamma == m.gamma
-        assert m2.state_labels == m.state_labels
-        for s in itertools.product(range(2), repeat=2):
-            for a in itertools.product(range(2), repeat=2):
-                np.testing.assert_allclose(m2.rewards(s, a), m.rewards(s, a))
-                assert m2.transition_prob(s, a, (0, 0)) == m.transition_prob(s, a, (0, 0))
-
     def test_rho_sampling_matches_dists(self):
         dists = [np.array([0.25, 0.75]), np.array([1.0, 0.0])]
         rho = InitialDistribution.product(dists)

@@ -68,8 +68,9 @@ class TestBuildGraph:
         assert netgraph.khop(g, 0, 5).members == tuple(range(10))
 
     def test_json_round_trip(self):
-        g = netgraph.ring_graph(6)
-        assert netgraph.graph_from_json(g.to_json()) == g
+        g = netgraph.graph_from_json({"n": 4, "edges": [[1, 2], [2, 3], [3, 4], [4, 1]]})
+        assert g == netgraph.ring_graph(4)
+        assert g.edges == ((0, 1), (0, 3), (1, 2), (2, 3))
 
 
 class TestWeightMatrix:
@@ -94,11 +95,6 @@ class TestWeightMatrix:
         for j in range(g.n):
             support = tuple(np.flatnonzero(w[:, j] > 0))
             assert support == g.neighbors[j]
-
-    def test_without_self_loops(self):
-        w = netgraph.weight_matrix(line_graph(3), self_loops=False)
-        assert np.all(np.diag(w) == 0.0)
-        np.testing.assert_allclose(w.sum(axis=0), 1.0)
 
     def test_powers_approach_rank_one(self):
         w = netgraph.weight_matrix(netgraph.ring_graph(10))

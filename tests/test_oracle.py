@@ -12,6 +12,7 @@ from support import (
     constant_reward_model,
     line_graph,
     random_table_model,
+    ref_rho_prob,
     zero_reward_model,
 )
 
@@ -62,16 +63,16 @@ class TestDecomposition:
     def test_global_equals_mean_of_local(self, line3):
         m, pol, theta = line3
         tables = pol.prob_tables(theta)
+        global_q = oracle.global_q_table(m, tables)
+        local_q = [oracle.local_q_table(m, tables, i) for i in range(3)]
         worst = 0.0
         for s in itertools.product(range(2), repeat=3):
             for a in itertools.product(range(2), repeat=3):
-                gq = oracle.global_q_value(m, tables, s, a)
+                gq = oracle.q_at(*global_q, s, a)
                 total = 0.0
                 for i in range(3):
                     mem = m.reward_members[i]
-                    total += oracle.local_q_value(
-                        m, tables, i, [s[j] for j in mem], [a[j] for j in mem]
-                    )
+                    total += oracle.q_at(*local_q[i], [s[j] for j in mem], [a[j] for j in mem])
                 worst = max(worst, abs(gq - total / 3))
         assert worst <= 1e-6
 
@@ -79,10 +80,12 @@ class TestDecomposition:
         g = netgraph.build_graph(1, [])
         m = random_table_model(g, np.random.default_rng(2))
         tables = uniform_tables(1, 2, 2)
+        global_q = oracle.global_q_table(m, tables)
+        local_q = oracle.local_q_table(m, tables, 0)
         for s in range(2):
             for a in range(2):
-                assert oracle.local_q_value(m, tables, 0, (s,), (a,)) == pytest.approx(
-                    oracle.global_q_value(m, tables, (s,), (a,)), abs=1e-9
+                assert oracle.q_at(*local_q, (s,), (a,)) == pytest.approx(
+                    oracle.q_at(*global_q, (s,), (a,)), abs=1e-9
                 )
 
     def test_neighbors_averaged_matches_local_sum(self, line3):
@@ -91,14 +94,15 @@ class TestDecomposition:
         i = 0
         outer = netgraph.khop(m.graph, i, 1 + 2 * m.kappa_r).members
         inner = netgraph.khop(m.graph, i, 1 + m.kappa_r).members
+        local_q = {j: oracle.local_q_table(m, tables, j) for j in inner}
         for s in itertools.product(range(2), repeat=3):
             for a in itertools.product(range(2), repeat=3):
                 s_o = [s[j] for j in outer]
                 a_o = [a[j] for j in outer]
                 left = oracle.neighbors_averaged_q(m, tables, i, s_o, a_o, kappa_p=1)
                 right = sum(
-                    oracle.local_q_value(
-                        m, tables, j,
+                    oracle.q_at(
+                        *local_q[j],
                         [s[k] for k in m.reward_members[j]],
                         [a[k] for k in m.reward_members[j]],
                     )
@@ -134,7 +138,7 @@ class TestVisitation:
         g = line_graph(2)
         m = random_table_model(g, np.random.default_rng(3), gamma=1e-6)
         tab, space = oracle.discounted_visitation(m, uniform_tables(2, 2, 2))
-        expect = [m.rho.prob(s) for s in space.points]
+        expect = [ref_rho_prob(m.rho, s) for s in space.points]
         np.testing.assert_allclose(tab, expect, atol=1e-5)
 
     def test_symmetric_chain_uniform(self):

@@ -61,15 +61,17 @@ def compute_case(name: str, kappa_p: int) -> dict:
         "grad_local": [], "grad_averaged": [],
         "grad_local_est": [], "grad_averaged_est": [],
     }
+    global_q = oracle.global_q_table(m, tables)
+    local_q = [oracle.local_q_table(m, tables, i) for i in range(m.n)]
     for _ in range(3):
         s = [int(rng.integers(k)) for k in m.state_sizes]
         a = [int(rng.integers(k)) for k in m.action_sizes]
-        point = {"s": s, "a": a, "global_q": oracle.global_q_value(m, tables, s, a),
+        point = {"s": s, "a": a, "global_q": oracle.q_at(*global_q, s, a),
                  "local_q": [], "averaged_q": []}
         for i in range(m.n):
             mem = m.reward_members[i]
-            point["local_q"].append(oracle.local_q_value(
-                m, tables, i, [s[j] for j in mem], [a[j] for j in mem]))
+            point["local_q"].append(oracle.q_at(
+                *local_q[i], [s[j] for j in mem], [a[j] for j in mem]))
             outer = netgraph.khop(m.graph, i, kappa_p + 2 * m.kappa_r).members
             point["averaged_q"].append(oracle.neighbors_averaged_q(
                 m, tables, i, [s[j] for j in outer], [a[j] for j in outer], kappa_p))

@@ -115,10 +115,11 @@ def test_heterogeneous_spaces_match_reference():
         m, m.reward_members[1], tables, support.ref_local_reward_fn(m, 1)
     )
     q_ref = support.ref_chain_q_table(ref_local, m.gamma, 1e-9)
+    local_q = oracle.local_q_table(m, tables, 1)
     for (si, s), (ai, a) in itertools.product(
         enumerate(ref_local.state_space.points), enumerate(ref_local.action_space.points)
     ):
-        close(oracle.local_q_value(m, tables, 1, s, a), q_ref[si, ai])
+        close(oracle.q_at(*local_q, s, a), q_ref[si, ai])
 
 
 class Untouchable:

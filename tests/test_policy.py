@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nmarl import netgraph
-from nmarl.errors import DimensionMismatch, MissingNeighborParams
+from nmarl.errors import DimensionMismatch
 from nmarl.estimator import simulate
 from nmarl.policy import CoupledSoftmaxPolicy, MixingSpec
 
@@ -85,14 +85,6 @@ class TestActionProbs:
         shifted = theta.copy()
         shifted[2, 3:6] += shift  # constant added to agent 2's state-1 row
         np.testing.assert_allclose(pol.action_probs(2, 1, shifted), base, atol=1e-12)
-
-    def test_mapping_params_and_missing_neighbor(self, pair_policy):
-        by_agent = {0: np.zeros(4), 1: np.zeros(4)}
-        np.testing.assert_allclose(pair_policy.action_probs(0, 0, by_agent), 0.5)
-        with pytest.raises(MissingNeighborParams):
-            pair_policy.action_probs(0, 0, {0: np.zeros(4)})
-        with pytest.raises(DimensionMismatch):
-            pair_policy.action_probs(0, 0, {0: np.zeros(4), 1: np.zeros(3)})
 
     def test_non_finite_rejected(self, pair_policy):
         theta = np.zeros((2, 4))
@@ -252,3 +244,5 @@ class TestSampling:
     def test_bad_stack_shape(self, pair_policy):
         with pytest.raises(DimensionMismatch):
             pair_policy.prob_tables(np.zeros((3, 4)))
+        with pytest.raises(DimensionMismatch):
+            pair_policy.action_probs(0, 0, np.zeros((2, 3)))

@@ -6,7 +6,7 @@ import pytest
 from nmarl import netgraph, pushsum
 from nmarl.errors import DimensionMismatch, NonPositiveWeight, ProtocolInvariantError
 
-from support import line_graph
+from support import line_graph, ref_inject
 
 
 def protocol_round(st, w, theta, deltas):
@@ -68,7 +68,7 @@ class TestInject:
         st = pushsum.init_state(3, 2)
         st.breve = np.random.default_rng(1).normal(size=(3, 3, 2))
         means = st.breve.mean(axis=0).copy()
-        pushsum.inject(st, w, 1, np.zeros(2))
+        pushsum.inject_all(st, w, np.zeros((3, 2)))
         np.testing.assert_allclose(st.breve.mean(axis=0), means, atol=1e-12)
 
     def test_mean_moves_by_exactly_delta(self):
@@ -76,10 +76,9 @@ class TestInject:
         st = pushsum.init_state(3, 2)
         st.breve = np.random.default_rng(2).normal(size=(3, 3, 2))
         means = st.breve.mean(axis=0).copy()
-        delta = np.array([0.3, -1.2])
-        pushsum.inject(st, w, 2, delta)
-        np.testing.assert_allclose(st.breve.mean(axis=0)[2], means[2] + delta, atol=1e-10)
-        np.testing.assert_allclose(st.breve.mean(axis=0)[:2], means[:2], atol=1e-12)
+        deltas = np.array([[0.0, 0.0], [0.7, 0.1], [0.3, -1.2]])
+        pushsum.inject_all(st, w, deltas)
+        np.testing.assert_allclose(st.breve.mean(axis=0), means + deltas, atol=1e-10)
 
     def test_sweep_matches_per_column_injects(self):
         w = netgraph.weight_matrix(line_graph(4))
@@ -92,16 +91,16 @@ class TestInject:
         st_b = pushsum.init_state(4, 3)
         st_b.breve = breve.copy()
         for j in range(4):
-            pushsum.inject(st_b, w, j, deltas[j])
+            ref_inject(st_b, w, j, deltas[j])
         np.testing.assert_allclose(st_a.breve, st_b.breve, atol=1e-14)
 
     def test_delta_shape_and_finiteness(self):
         w = netgraph.weight_matrix(line_graph(3))
         st = pushsum.init_state(3, 2)
         with pytest.raises(DimensionMismatch):
-            pushsum.inject(st, w, 0, np.zeros(3))
+            pushsum.inject_all(st, w, np.zeros((3, 3)))
         with pytest.raises(DimensionMismatch):
-            pushsum.inject(st, w, 0, np.array([np.inf, 0.0]))
+            pushsum.inject_all(st, w, np.array([[np.inf, 0.0], [0.0, 0.0], [0.0, 0.0]]))
 
 
 class TestInvariants:

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from nmarl import netgraph, oracle, trainer
+from nmarl import oracle, trainer
 from nmarl.errors import ConfigError
 from nmarl.policy import CoupledSoftmaxPolicy, MixingSpec
 from nmarl.trainer import DscpConfig, evaluate_policy, learning_rate, run_dscp
@@ -36,13 +36,6 @@ class TestLearningRate:
 
 
 class TestConfigValidation:
-    def test_kappa_r_exceeding_kappa_p(self):
-        with pytest.raises(ConfigError):
-            DscpConfig(iterations=5, kappa_p=1, kappa_r=2).validate()
-
-    def test_kappa_p_zero_allows_kappa_r_one(self):
-        DscpConfig(iterations=5, kappa_p=0, kappa_r=1).validate()
-
     def test_bad_batch_and_iterations(self):
         with pytest.raises(ConfigError):
             DscpConfig(iterations=0).validate()
@@ -51,7 +44,7 @@ class TestConfigValidation:
 
     def test_direct_params_requires_radius_one(self):
         with pytest.raises(ConfigError):
-            DscpConfig(iterations=5, kappa_p=2, kappa_r=1, direct_params=True).validate()
+            DscpConfig(iterations=5, kappa_p=2, direct_params=True).validate()
 
 
 class TestRunDscp:
