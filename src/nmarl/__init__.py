@@ -18,7 +18,7 @@ from .estimator import (
     rollout_two_horizon,
     sample_geometric,
 )
-from .model import FactoredNmarlModel, InitialDistribution, ModelDiagnostics
+from .model import FactoredNmarlModel, InitialDistribution
 from .netgraph import (
     AgentGraph,
     HopNeighborhood,
@@ -43,7 +43,6 @@ __all__ = [
     "HopNeighborhood",
     "InitialDistribution",
     "MixingSpec",
-    "ModelDiagnostics",
     "PushSumState",
     "TrainRecord",
     "TwoHorizonRollout",

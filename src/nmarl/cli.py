@@ -58,8 +58,8 @@ def _write_checkpoint(
     payload = {
         "n": int(theta.shape[0]),
         "d": int(theta.shape[1]),
-        "n_states": int(model.state_sizes[0]),
-        "n_actions": int(model.action_sizes[0]),
+        "n_states": model.n_states,
+        "n_actions": model.n_actions,
         "kappa_p": cfg.kappa_p,
         "mixing": {
             "self_weight": cfg.self_weight,
@@ -171,16 +171,23 @@ def cmd_eval(args: argparse.Namespace) -> int:
         if not np.all(np.isfinite(theta)):
             raise ValueError("parameters are not finite")
         mixing = _checkpoint_mixing(ckpt)
+        space = (ckpt["n_states"], ckpt["n_actions"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed checkpoint {args.checkpoint}: {exc!r}") from exc
     model = run.build_model()
-    expected = (model.n, model.state_sizes[0] * model.action_sizes[0])
+    model.validate()
+    if space != (model.n_states, model.n_actions):
+        raise DimensionMismatch(
+            f"checkpoint space (n_states, n_actions) = {space}, "
+            f"the configured environment has {(model.n_states, model.n_actions)}"
+        )
+    expected = (model.n, model.n_states * model.n_actions)
     if theta.shape != expected:
         raise DimensionMismatch(
             f"checkpoint parameters have shape {theta.shape}, "
             f"the configured environment needs {expected}"
         )
-    pol = CoupledSoftmaxPolicy(model.graph, model.state_sizes[0], model.action_sizes[0], mixing)
+    pol = CoupledSoftmaxPolicy(model.graph, model.n_states, model.n_actions, mixing)
     seed = args.seed if args.seed is not None else run.dscp.seed
     rng = np.random.default_rng(np.random.SeedSequence([seed, 2]))
     j, se = evaluate_policy(

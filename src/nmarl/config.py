@@ -11,7 +11,7 @@ from pathlib import Path
 from typing import Any
 
 from . import netgraph
-from .envs import PATH_LOCATIONS, PathPlanningSpec, PathStructure, build_path_env, build_power_env
+from .envs import PathPlanningSpec, PathStructure, build_path_env, build_power_env
 from .errors import ConfigError
 from .model import FactoredNmarlModel
 from .trainer import DscpConfig
@@ -79,13 +79,16 @@ class RunConfig:
 
 
 def _path_structure(ov: dict) -> PathStructure:
-    if "successors" not in ov:
-        return PathStructure()
-    return PathStructure(
-        locations=tuple(ov.get("locations", PATH_LOCATIONS)),
-        successors={k: tuple(v) for k, v in ov["successors"].items()},
-        destination=ov.get("destination", "e"),
-    )
+    """The path structure from whichever of its three overrides are set,
+    with the defaults for the rest."""
+    kwargs: dict[str, Any] = {}
+    if "locations" in ov:
+        kwargs["locations"] = tuple(ov["locations"])
+    if "successors" in ov:
+        kwargs["successors"] = {k: tuple(v) for k, v in ov["successors"].items()}
+    if "destination" in ov:
+        kwargs["destination"] = ov["destination"]
+    return PathStructure(**kwargs)
 
 
 def _require_keys(obj: dict, allowed: set[str], where: str) -> None:

@@ -1,11 +1,10 @@
 """Concrete environments: layered-DAG robot path planning and wireless power control.
 
 Both builders produce :class:`FactoredNmarlModel` instances with
-deterministic (one-hot) kernels and direct-neighbor reward dependencies.
-Each reward family is one batched callable, the model's reward contract:
-integer state and action arrays ``(..., n)`` map to float rewards
-``(..., n)``, and column ``i`` reads only agent ``i``'s ``kappa_r``-hop
-members.
+deterministic (one-hot) kernels. Each reward family is one batched callable
+that keeps the model's contract: integer state and action arrays ``(..., n)``
+map to float rewards ``(..., n)``, and column ``i`` reads only agent ``i``'s
+direct neighbors.
 """
 
 from __future__ import annotations
@@ -25,9 +24,6 @@ PATH_LOCATIONS = (
     "d1", "d2", "d3",
     "e",
 )
-
-# Both environments reward direct-neighbor interactions only.
-_KAPPA_R = 1
 
 
 def _default_successors() -> dict[str, tuple[str, ...]]:
@@ -148,7 +144,7 @@ def _path_planning_rewards(
     # count into one comparison plus one matmul.
     pair_i, pair_j = [], []
     for i in range(graph.n):
-        for j in netgraph.khop(graph, i, _KAPPA_R).members:
+        for j in graph.neighbors[i]:
             if j != i:
                 pair_i.append(i)
                 pair_j.append(j)
@@ -200,13 +196,12 @@ def build_path_env(
     batch, bounds = _path_planning_rewards(spec, ps, next_table, comm)
     return FactoredNmarlModel(
         graph=comm,
-        state_labels=[list(ps.locations)] * spec.n,
-        action_labels=[[0, 1, 2]] * spec.n,
+        n_states=n_loc,
+        n_actions=3,
         kernels=[kernel] * spec.n,
         batch_rewards=batch,
         rho=InitialDistribution.fixed([ps.index(loc) for loc in spec.starts]),
         gamma=spec.gamma,
-        kappa_r=_KAPPA_R,
         reward_bounds=bounds,
     )
 
@@ -229,10 +224,10 @@ def _power_control_rewards(
         raise ConfigError(
             f"{n} agents need {n}x{n} gains and {n} noise powers and prices"
         )
-    # Agent i hears the power of its kappa_r-hop members only.
+    # Agent i hears the power of its direct neighbors only.
     cross = np.zeros((n, n))
     for i in range(n):
-        for j in netgraph.khop(graph, i, _KAPPA_R).members:
+        for j in graph.neighbors[i]:
             if j != i:
                 cross[i, j] = gains[i, j]
     own = np.diag(gains)
@@ -276,11 +271,10 @@ def build_power_env(
     start = list(start) if start is not None else [0] * n
     return FactoredNmarlModel(
         graph=comm,
-        state_labels=[list(range(levels))] * n,
-        action_labels=[list(_POWER_ACTIONS)] * n,
+        n_states=levels,
+        n_actions=len(_POWER_ACTIONS),
         kernels=[kernel] * n,
         batch_rewards=batch,
         rho=InitialDistribution.fixed(start),
         gamma=gamma,
-        kappa_r=_KAPPA_R,
     )

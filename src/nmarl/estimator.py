@@ -198,12 +198,7 @@ def rollout_two_horizon(
     )
 
 
-def q_estimates(
-    roll: TwoHorizonRollout,
-    m: FactoredNmarlModel,
-    kappa_p: int,
-    kappa_r: int | None = None,
-) -> np.ndarray:
+def q_estimates(roll: TwoHorizonRollout, m: FactoredNmarlModel, kappa_p: int) -> np.ndarray:
     """Every agent's return estimate ``(n,)``: the half-discounted reward sum
     over its ``kappa_p + kappa_r``-hop neighbors, divided by ``n``.
 
@@ -211,8 +206,7 @@ def q_estimates(
     order, and its step sums are dotted with the weights in a dot of its
     own, so an estimate's bits do not depend on the rest of the network.
     """
-    kappa_r = m.kappa_r if kappa_r is None else kappa_r
-    cols = _member_columns(m.graph, kappa_p + kappa_r)
+    cols = _member_columns(m.graph, kappa_p + m.kappa_r)
     trace = roll.reward_trace
     padded = np.concatenate([trace.T, np.zeros((1, len(trace)))])  # (n + 1, t2 + 1)
     step_sums = np.add.reduce(padded[cols], axis=0)  # (n, t2 + 1), member by member
@@ -234,27 +228,18 @@ def _member_columns(g: netgraph.AgentGraph, kappa: int) -> np.ndarray:
     return cols
 
 
-def q_estimate(
-    roll: TwoHorizonRollout,
-    i: int,
-    m: FactoredNmarlModel,
-    kappa_p: int,
-    kappa_r: int | None = None,
-) -> float:
+def q_estimate(roll: TwoHorizonRollout, i: int, m: FactoredNmarlModel, kappa_p: int) -> float:
     """Agent ``i``'s entry of ``q_estimates``."""
-    return float(q_estimates(roll, m, kappa_p, kappa_r)[i])
+    return float(q_estimates(roll, m, kappa_p)[i])
 
 
-def estimate_bound(
-    m: FactoredNmarlModel, pol: CoupledSoftmaxPolicy, kappa_r: int | None = None
-) -> float:
+def estimate_bound(m: FactoredNmarlModel, pol: CoupledSoftmaxPolicy) -> float:
     """Analytic cap on every single-sample gradient-estimate norm."""
-    kappa_r = m.kappa_r if kappa_r is None else kappa_r
     kappa_p = pol.spec.kappa_p
     b = pol.score_bound()
     r = m.reward_bound
     m_p = netgraph.max_neighborhood_size(m.graph, kappa_p)
-    m_pr = netgraph.max_neighborhood_size(m.graph, kappa_p + kappa_r)
+    m_pr = netgraph.max_neighborhood_size(m.graph, kappa_p + m.kappa_r)
     return (
         b * r * m_p * m_pr / ((1.0 - m.gamma) * (1.0 - math.sqrt(m.gamma)) * m.n)
     )

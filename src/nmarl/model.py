@@ -1,12 +1,20 @@
-"""Factored networked MDP: per-agent finite spaces, independent kernels, local rewards.
+"""Factored networked MDP: one shared finite space, independent kernels, local rewards.
 
-States and actions are handled as 0-based indices internally; label lists
-translate at the boundary. Transition kernels factor per agent, so the
-global transition probability is the product of the local ones. A model has
-one reward callable, batched over leading axes: integer state and action
-arrays ``(..., n)`` map to float rewards ``(..., n)``, and column ``i`` reads
-only agent ``i``'s ``kappa_r``-hop members. Each column is therefore also a
-dense table over that restricted domain (``FactoredNmarlModel.reward_tables``).
+The model contract, which the rest of the package relies on:
+
+* every agent has the same ``n_states`` states and ``n_actions`` actions,
+  0-based indices into one shared ``(S, A)`` space, so the coupled softmax
+  can mix ``theta_k[s_j, a]`` across agents;
+* agent ``i``'s reward reads only its direct neighbors' state-action pairs,
+  itself included (``kappa_r = 1``): its reward members are
+  ``graph.neighbors[i]``.
+
+Transition kernels factor per agent, so the global transition probability
+is the product of the local ones. A model has one reward callable, batched
+over leading axes: integer state and action arrays ``(..., n)`` map to float
+rewards ``(..., n)``, and column ``i`` reads only agent ``i``'s reward
+members. Each column is therefore also a dense table over that restricted
+domain (``FactoredNmarlModel.reward_tables``).
 """
 
 from __future__ import annotations
@@ -21,6 +29,7 @@ from . import netgraph
 from .errors import (
     DimensionMismatch,
     EmptySpace,
+    IndexOutOfRange,
     KernelRowNotStochastic,
     SpaceTooLarge,
 )
@@ -29,7 +38,7 @@ ROW_SUM_TOL = 1e-12
 MAX_REWARD_DOMAIN = 2_000_000  # restricted reward domains beyond this are not tabulated
 
 # Batched reward: integer (..., n) states and actions to float (..., n)
-# rewards; column i reads only agent i's kappa_r-hop members.
+# rewards; column i reads only agent i's direct neighbors.
 BatchRewards = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
@@ -69,107 +78,90 @@ class InitialDistribution:
         return np.stack(columns, axis=-1)
 
 
-@dataclass
-class ModelDiagnostics:
-    reward_bound: float
-    state_sizes: tuple[int, ...]
-    action_sizes: tuple[int, ...]
-    n_joint_states: int
-
-
 class FactoredNmarlModel:
-    """Model tuple: graph, spaces, kernels, neighborhood rewards, start, discount.
+    """Model tuple: graph, shared spaces, kernels, neighborhood rewards, start, discount.
 
-    The reward contract: ``batch_rewards(states, actions)`` maps integer
-    arrays of shape ``(..., n)`` to float rewards of shape ``(..., n)``, and
-    column ``i`` reads only the entries of agent ``i``'s ``kappa_r``-hop
-    members. It is the model's only reward implementation; the samplers
-    score whole arrays of steps or episodes with one call.
+    Every agent shares one ``(n_states, n_actions)`` space, and agent ``i``'s
+    reward reads only its direct neighbors (``kappa_r = 1``, a class
+    constant): the contract of the module docstring. ``batch_rewards(states,
+    actions)`` maps integer arrays of shape ``(..., n)`` to float rewards of
+    shape ``(..., n)``. It is the model's only reward implementation; the
+    samplers score whole arrays of steps or episodes with one call.
 
     Two derived arrays are built lazily and cached: the kernel row cumsums
     that ``estimator.simulate`` steps with (``stacked_kernel_cum``, with a
     ``+inf`` last column so that every uniform inverts to a state;
     ``simulate``'s docstring states the draw order), and one dense reward
-    table per agent over its ``kappa_r``-hop restricted domain
+    table per agent over its neighborhood's restricted domain
     (``reward_tables``). The reward tables feed the reward bound and every
     reward the exact oracle integrates; rewards do not depend on the policy,
     so the domain is enumerated once per model.
 
     Args:
         graph: communication network; also defines reward neighborhoods.
-        state_labels / action_labels: per-agent label lists.
+        n_states / n_actions: sizes of the shared state and action spaces.
         kernels: per-agent arrays ``P_i[s, a, s']`` with stochastic rows.
             Deterministic kernels are one-hot rows, not a separate code path.
         batch_rewards: the batched reward callable described above.
         rho: initial state distribution (fixed or per-agent product).
         gamma: discount in (0, 1).
-        kappa_r: reward dependency radius, at least 1.
         reward_bounds: optional per-agent analytic caps on ``|r_i|``; when
             absent the bound is the largest ``|r_i|`` in the reward tables.
     """
 
+    kappa_r = 1  # reward dependency radius: direct neighbors only
+
     def __init__(
         self,
         graph: netgraph.AgentGraph,
-        state_labels: Sequence[Sequence],
-        action_labels: Sequence[Sequence],
+        n_states: int,
+        n_actions: int,
         kernels: Sequence[np.ndarray],
         batch_rewards: BatchRewards,
         rho: InitialDistribution,
         gamma: float,
-        kappa_r: int = 1,
         reward_bounds: Sequence[float] | None = None,
     ) -> None:
         if not 0.0 < gamma < 1.0:
             raise ValueError(f"gamma must lie in (0, 1), got {gamma}")
-        if kappa_r < 1:
-            raise ValueError(f"kappa_r must be at least 1, got {kappa_r}")
         self.graph = graph
         self.n = graph.n
-        self.state_labels = [list(s) for s in state_labels]
-        self.action_labels = [list(a) for a in action_labels]
+        self.n_states = int(n_states)
+        self.n_actions = int(n_actions)
         self.kernels = [np.asarray(k, dtype=float) for k in kernels]
         self.rho = rho
         self.gamma = float(gamma)
-        self.kappa_r = int(kappa_r)
         self.reward_bounds = list(reward_bounds) if reward_bounds is not None else None
         self.batch_rewards = batch_rewards
-        self.reward_members: tuple[tuple[int, ...], ...] = tuple(
-            netgraph.khop(graph, i, kappa_r).members for i in range(self.n)
-        )
+        self.reward_members: tuple[tuple[int, ...], ...] = graph.neighbors
         self._stacked_cum: np.ndarray | None = None
         self._reward_tables: tuple[np.ndarray, ...] | None = None
-        self._diagnostics: ModelDiagnostics | None = None
+        self._reward_bound: float | None = None
 
     # ------------------------------------------------------------------
     # shape helpers
 
     @property
     def state_sizes(self) -> tuple[int, ...]:
-        return tuple(len(s) for s in self.state_labels)
+        return (self.n_states,) * self.n
 
     @property
     def action_sizes(self) -> tuple[int, ...]:
-        return tuple(len(a) for a in self.action_labels)
-
-    @property
-    def homogeneous(self) -> bool:
-        return len(set(self.state_sizes)) == 1 and len(set(self.action_sizes)) == 1
+        return (self.n_actions,) * self.n
 
     @property
     def reward_bound(self) -> float:
-        return self.validate().reward_bound
+        self.validate()
+        return self._reward_bound
 
     def stacked_kernel_cum(self) -> np.ndarray:
         """Kernel row cumsums stacked to ``(n, S, A, S)``, last column ``+inf``.
 
         The capped form ``estimator.simulate`` inverts its uniforms with: a
         float cumsum can end just below 1, and the cap sends a draw beyond it
-        to the last state. Homogeneous models only; read-only.
+        to the last state. Read-only.
         """
         if self._stacked_cum is None:
-            if not self.homogeneous:
-                raise DimensionMismatch("stacked kernels require homogeneous spaces")
             cum = np.cumsum(np.stack(self.kernels), axis=-1)
             cum[..., -1] = np.inf
             cum.setflags(write=False)
@@ -190,50 +182,49 @@ class FactoredNmarlModel:
         if self._reward_tables is None:
             tables = []
             for i, members in enumerate(self.reward_members):
-                s_shape = tuple(self.state_sizes[j] for j in members)
-                a_shape = tuple(self.action_sizes[j] for j in members)
-                size = math.prod(s_shape + a_shape)
+                k = len(members)
+                shape = (self.n_states,) * k + (self.n_actions,) * k
+                size = math.prod(shape)
                 if size > MAX_REWARD_DOMAIN:
                     raise SpaceTooLarge(
                         f"reward domain of agent {i} has {size} points, cap is "
                         f"{MAX_REWARD_DOMAIN}; declare reward_bounds instead of enumerating"
                     )
-                grid = np.indices(s_shape + a_shape).reshape(2 * len(members), size)
+                grid = np.indices(shape).reshape(2 * k, size)
                 states = np.zeros((size, self.n), dtype=np.intp)
                 acts = np.zeros((size, self.n), dtype=np.intp)
-                states[:, members] = grid[: len(members)].T
-                acts[:, members] = grid[len(members) :].T
+                states[:, members] = grid[:k].T
+                acts[:, members] = grid[k:].T
                 column = np.asarray(self.batch_rewards(states, acts), dtype=float)[:, i]
-                tables.append(column.reshape(s_shape + a_shape))
+                tables.append(column.reshape(shape))
             self._reward_tables = tuple(tables)
         return self._reward_tables
 
     # ------------------------------------------------------------------
     # validation
 
-    def validate(self) -> ModelDiagnostics:
-        """Check structural invariants and return diagnostics (cached).
+    def validate(self) -> None:
+        """Check structural invariants, then compute and cache the reward bound.
 
         Raises:
-            EmptySpace: some agent has no states or no actions.
-            DimensionMismatch: a kernel shape disagrees with the spaces.
+            EmptySpace: the shared state or action space is empty.
+            DimensionMismatch: a kernel shape, the fixed start's length or the
+                product start's distributions disagree with the spaces.
+            IndexOutOfRange: a fixed start state lies outside ``0..S-1``.
             KernelRowNotStochastic: some kernel row does not sum to one.
         """
-        if self._diagnostics is not None:
-            return self._diagnostics
-        if len(self.state_labels) != self.n or len(self.action_labels) != self.n:
-            raise DimensionMismatch("need one state and action space per agent")
+        if self._reward_bound is not None:
+            return
+        ns, na = self.n_states, self.n_actions
+        if ns < 1 or na < 1:
+            raise EmptySpace(f"the shared space has {ns} states and {na} actions")
         if len(self.kernels) != self.n:
             raise DimensionMismatch("need one kernel per agent")
-        for i, (ns, na) in enumerate(zip(self.state_sizes, self.action_sizes)):
-            if ns == 0 or na == 0:
-                raise EmptySpace(f"agent {i} has an empty state or action space")
-            if self.kernels[i].shape != (ns, na, ns):
+        for i, rows in enumerate(self.kernels):
+            if rows.shape != (ns, na, ns):
                 raise DimensionMismatch(
-                    f"kernel {i} has shape {self.kernels[i].shape}, "
-                    f"expected {(ns, na, ns)}"
+                    f"kernel {i} has shape {rows.shape}, expected {(ns, na, ns)}"
                 )
-            rows = self.kernels[i]
             if np.any(rows < 0.0):
                 raise KernelRowNotStochastic(f"kernel {i} has negative entries")
             sums = rows.sum(axis=-1)
@@ -242,19 +233,27 @@ class FactoredNmarlModel:
                 raise KernelRowNotStochastic(
                     f"kernel {i} rows deviate from 1 by up to {worst:.3e}"
                 )
+        if self.rho.kind == "fixed":
+            start = self.rho.state
+            if len(start) != self.n:
+                raise DimensionMismatch(
+                    f"the fixed start has {len(start)} states, expected {self.n}"
+                )
+            if not all(0 <= s < ns for s in start):
+                raise IndexOutOfRange(
+                    f"the fixed start {list(start)} has a state outside 0..{ns - 1}"
+                )
+        elif len(self.rho.dists) != self.n or any(len(d) != ns for d in self.rho.dists):
+            raise DimensionMismatch(
+                f"the product start needs {self.n} distributions over {ns} states"
+            )
         zeros = np.zeros((1, self.n), dtype=np.intp)
         shape = np.shape(self.batch_rewards(zeros, zeros))
         if shape != (1, self.n):
             raise DimensionMismatch(
                 f"rewards of a (1, {self.n}) batch have shape {shape}, expected (1, {self.n})"
             )
-        self._diagnostics = ModelDiagnostics(
-            reward_bound=self._compute_reward_bound(),
-            state_sizes=self.state_sizes,
-            action_sizes=self.action_sizes,
-            n_joint_states=int(np.prod([float(s) for s in self.state_sizes])),
-        )
-        return self._diagnostics
+        self._reward_bound = self._compute_reward_bound()
 
     def _compute_reward_bound(self) -> float:
         if self.reward_bounds is not None:

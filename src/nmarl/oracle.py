@@ -131,13 +131,6 @@ def _embed(table: np.ndarray, inner: Sequence[int], outer: Sequence[int]) -> np.
     return table.reshape(shape)
 
 
-def _member_tables(
-    prob_tables: Sequence[np.ndarray], members: Sequence[int], m: FactoredNmarlModel
-) -> list[np.ndarray]:
-    """Each member's policy table cut to its own state and action counts."""
-    return [prob_tables[j][: m.state_sizes[j], : m.action_sizes[j]] for j in members]
-
-
 def build_restricted_chain(
     m: FactoredNmarlModel,
     members: Sequence[int],
@@ -148,15 +141,15 @@ def build_restricted_chain(
     """Assemble the joint tables of the chain restricted to ``members``.
 
     The chain's reward is ``sum_{j in reward_agents} r_j / scale``; every
-    reward agent's ``kappa_r``-hop neighborhood must lie inside ``members``.
+    reward agent's neighborhood must lie inside ``members``.
     """
     members = tuple(sorted(members))
-    sspace = enumerate_space([m.state_sizes[j] for j in members])
-    aspace = enumerate_space([m.action_sizes[j] for j in members])
+    sspace = enumerate_space((m.n_states,) * len(members))
+    aspace = enumerate_space((m.n_actions,) * len(members))
     ns, na = sspace.size, aspace.size
     _check_entries(ns * na * ns, "restricted chain transition table")
 
-    policy = _outer(_member_tables(prob_tables, members, m))
+    policy = _outer([prob_tables[j] for j in members])
     trans = _outer([m.kernels[j] for j in members])
     reward_tables = m.reward_tables()
     reward = np.zeros(policy.shape)
@@ -299,8 +292,7 @@ def discounted_visitation(
     space = enumerate_space(m.state_sizes)
     _check_entries(space.size * space.size, "joint state kernel")
     per_agent = [
-        np.einsum("sa,sat->st", pi_j, m.kernels[j])
-        for j, pi_j in enumerate(_member_tables(prob_tables, range(m.n), m))
+        np.einsum("sa,sat->st", pi_j, m.kernels[j]) for j, pi_j in enumerate(prob_tables)
     ]
     tp = _outer(per_agent).reshape(space.size, space.size)
     dist = _initial_vector(m, space)
@@ -356,14 +348,11 @@ def _score_gradient(
     onto each scored agent's ``(s_j, a_j)`` and contracted with that form.
     """
     n = m.n
-    pi = _outer(_member_tables(tables, range(n), m))
+    pi = _outer(tables)
     weight = visitation.reshape(m.state_sizes + (1,) * n) * pi * value
     grad = np.zeros((pol.n_states, pol.n_actions))
     for j in pol.hoods[i]:
-        marginal = np.zeros_like(grad)
-        marginal[: m.state_sizes[j], : m.action_sizes[j]] = weight.sum(
-            axis=tuple(ax for ax in range(2 * n) if ax not in (j, n + j))
-        )
+        marginal = weight.sum(axis=tuple(ax for ax in range(2 * n) if ax not in (j, n + j)))
         grad += pol.coupling[j, i] * (
             marginal - score_tables[j] * marginal.sum(axis=1, keepdims=True)
         )

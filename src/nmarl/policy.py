@@ -8,8 +8,9 @@ its ``kappa_p``-hop neighbors:
 with ``c_self = self_weight`` and ``c_nbr = neighbor_weight_total /
 |coupled(j)|``. When the coupling set is empty (radius 0, or a single
 agent) the policy degenerates to a plain softmax of the agent's own table,
-``c_self = 1``. Parameters use the flat index ``idx(s, a) = s * A + a``, so
-coupling requires a shared ``(S, A)`` index space across agents.
+``c_self = 1``. Parameters use the flat index ``idx(s, a) = s * A + a`` into
+the one ``(S, A)`` space every agent shares (the contract of
+:mod:`nmarl.model`).
 
 Score functions (gradients of ``log pi_j`` with respect to another agent's
 parameter vector) have the closed form

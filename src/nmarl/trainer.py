@@ -152,8 +152,8 @@ def run_dscp(
     estimate by ``fn(theta, t) -> (n, d)``.
     """
     cfg.validate()
-    diag = m.validate()
-    pol = CoupledSoftmaxPolicy(g, diag.state_sizes[0], diag.action_sizes[0], cfg.mixing())
+    m.validate()
+    pol = CoupledSoftmaxPolicy(g, m.n_states, m.n_actions, cfg.mixing())
     w = netgraph.weight_matrix(g)
     theta = pol.zero_params()
     bound = estimator.estimate_bound(m, pol)

@@ -30,7 +30,7 @@ def _random_model(
     for _ in range(n):
         k = rng.random((2, 2, 2)) + 0.1
         kernels.append(k / k.sum(axis=-1, keepdims=True))
-    members = [list(netgraph.khop(g, i, 1).members) for i in range(n)]
+    members = [list(nb) for nb in g.neighbors]
     tables = [rng.uniform(-1, 1, size=(2,) * (2 * len(nb))) for nb in members]
     rho = (
         InitialDistribution.fixed([0] * n)
@@ -38,7 +38,7 @@ def _random_model(
         else InitialDistribution.product([np.array([0.5, 0.5])] * n)
     )
     return FactoredNmarlModel(
-        g, [[0, 1]] * n, [[0, 1]] * n, kernels, table_rewards(tables, members), rho, gamma
+        g, 2, 2, kernels, table_rewards(tables, members), rho, gamma
     )
 
 

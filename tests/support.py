@@ -44,7 +44,6 @@ def random_table_model(
     n_states: int = 2,
     n_actions: int = 2,
     gamma: float = 0.9,
-    kappa_r: int = 1,
     fixed_start: bool = False,
     reward_scale: float = 1.0,
 ) -> FactoredNmarlModel:
@@ -54,7 +53,7 @@ def random_table_model(
     tables = []
     memberships = []
     for i in range(n):
-        members = netgraph.khop(g, i, kappa_r).members
+        members = g.neighbors[i]
         shape = (n_states,) * len(members) + (n_actions,) * len(members)
         tables.append(rng.uniform(-reward_scale, reward_scale, size=shape))
         memberships.append(list(members))
@@ -68,13 +67,12 @@ def random_table_model(
         rho = InitialDistribution.product(dists)
     return FactoredNmarlModel(
         graph=g,
-        state_labels=[list(range(n_states))] * n,
-        action_labels=[list(range(n_actions))] * n,
+        n_states=n_states,
+        n_actions=n_actions,
         kernels=kernels,
         batch_rewards=table_rewards(tables, memberships),
         rho=rho,
         gamma=gamma,
-        kappa_r=kappa_r,
     )
 
 
@@ -91,13 +89,12 @@ def constant_reward_model(
     kernels = [random_stochastic_kernel(rng, n_states, n_actions) for _ in range(n)]
     return FactoredNmarlModel(
         graph=g,
-        state_labels=[list(range(n_states))] * n,
-        action_labels=[list(range(n_actions))] * n,
+        n_states=n_states,
+        n_actions=n_actions,
         kernels=kernels,
         batch_rewards=lambda s, a: np.full(s.shape, float(c)),
         rho=InitialDistribution.fixed([0] * n),
         gamma=gamma,
-        kappa_r=1,
     )
 
 
@@ -110,8 +107,7 @@ def next_states(
 ) -> np.ndarray:
     """Each row's next states: one ``simulate`` step from ``(rows, n)`` states
     and actions (the actions after it come from uniform tables)."""
-    n_actions = m.action_sizes[0]
-    uniform = np.full((m.n, m.state_sizes[0], n_actions), 1.0 / n_actions)
+    uniform = np.full((m.n, m.n_states, m.n_actions), 1.0 / m.n_actions)
     _, (nxt, _) = simulate(m, uniform, np.asarray(states), rng, 1, np.asarray(actions))
     return nxt
 

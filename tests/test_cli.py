@@ -109,6 +109,29 @@ class TestTrain:
         cfg = write_config(tmp_path, obj)
         assert cli.main(["train", "--config", cfg]) == 2
 
+    def test_path_destination_override_applied(self, tmp_path):
+        # d1 is not reachable from e, so an honoured override fails validation
+        rc = cli.main(
+            ["train", "--config", "configs/path_planning.json", "--out", str(tmp_path),
+             "--set", "env.overrides.destination=d1", "--set", "dscp.iterations=1",
+             "--set", "seeds=[1]"]
+        )
+        assert rc == 2
+
+    @pytest.mark.parametrize(
+        "start", ["[7,0,0]", "[-1,0,0]", "[0,0]"], ids=["above", "negative", "short"]
+    )
+    def test_start_outside_space_exit_2(self, tmp_path, start):
+        cfg = "configs/power_control.json"
+        small = ["--set", "dscp.iterations=1", "--set", "dscp.eval_episodes=10"]
+        bad = ["--set", f"env.overrides.start={start}"]
+        assert cli.main(["train", "--config", cfg, "--out", str(tmp_path), *small, *bad]) == 2
+        assert cli.main(["train", "--config", cfg, "--out", str(tmp_path), *small]) == 0
+        ckpt = str(tmp_path / "checkpoint_seed1.json")
+        assert cli.main(
+            ["eval", "--config", cfg, "--checkpoint", ckpt, "--episodes", "10", *bad]
+        ) == 2
+
     def test_summary_config_revalidates(self, tmp_path):
         out = tmp_path / "out"
         cfg = write_config(tmp_path, tiny_path_config(out))
@@ -158,7 +181,7 @@ class TestEval:
         run = load_config(cfg)
         m = run.build_model()
         pol = CoupledSoftmaxPolicy(
-            m.graph, m.state_sizes[0], m.action_sizes[0],
+            m.graph, m.n_states, m.n_actions,
             MixingSpec(self_weight=0.5, neighbor_weight_total=0.1, kappa_p=1),
         )
         theta = np.asarray(json.loads(ckpt.read_text())["params"])
@@ -178,10 +201,12 @@ class TestEval:
             lambda c: c["mixing"].update(self_weight="heavy"),
             lambda c: c["mixing"].update(neighbor_weight_total=-0.1),
             lambda c: c["params"][0].__setitem__(0, float("nan")),
+            # same S * A, so the parameter shape alone would pass
+            lambda c: c.update(n_states=c["n_actions"], n_actions=c["n_states"]),
         ],
         ids=[
             "no_mixing", "no_kappa_p", "float_kappa_p", "text_weight", "negative_weight",
-            "nan_params",
+            "nan_params", "swapped_space",
         ],
     )
     def test_malformed_checkpoint_exit_2(self, tmp_path, edit):

@@ -160,25 +160,25 @@ def test_reward_reads_only_its_members(family, seed, batch):
     m = _family_model(family, seed)
     rng = np.random.default_rng(seed)
     shape = (batch, m.n)
-    s = rng.integers(0, m.state_sizes[0], size=shape)
-    a = rng.integers(0, m.action_sizes[0], size=shape)
+    s = rng.integers(0, m.n_states, size=shape)
+    a = rng.integers(0, m.n_actions, size=shape)
     base = m.batch_rewards(s, a)
     assert base.shape == shape
     for i, members in enumerate(m.reward_members):
         outside = [j for j in range(m.n) if j not in members]
         s2, a2 = s.copy(), a.copy()
-        s2[:, outside] = rng.integers(0, m.state_sizes[0], size=(batch, len(outside)))
-        a2[:, outside] = rng.integers(0, m.action_sizes[0], size=(batch, len(outside)))
+        s2[:, outside] = rng.integers(0, m.n_states, size=(batch, len(outside)))
+        a2[:, outside] = rng.integers(0, m.n_actions, size=(batch, len(outside)))
         np.testing.assert_array_equal(m.batch_rewards(s2, a2)[:, i], base[:, i])
 
 
 class TestBuildPathEnv:
     def test_default_shapes_and_bound(self):
         m = build_path_env()
-        diag = m.validate()
-        assert diag.state_sizes == (13,) * 10
-        assert diag.action_sizes == (3,) * 10
-        assert diag.reward_bound == pytest.approx(1.0)
+        assert (m.n_states, m.n_actions) == (13, 3)
+        assert m.state_sizes == (13,) * 10
+        assert m.action_sizes == (3,) * 10
+        assert m.reward_bound == pytest.approx(1.0)
         assert m.kappa_r == 1
         assert m.rho.state == tuple(
             PathStructure().index(x) for x in PathPlanningSpec().starts

@@ -108,7 +108,7 @@ class TestRollout:
         kernel[0, :, 1] = 1.0
         kernel[1, :, 0] = 1.0  # swap chain regardless of action
         m = FactoredNmarlModel(
-            g, [[0, 1]] * 2, [[0, 1]] * 2, [kernel] * 2,
+            g, 2, 2, [kernel] * 2,
             lambda s, a: np.broadcast_to(s[..., :1], s.shape).astype(float),
             InitialDistribution.fixed([0, 1]), 0.9,
         )
@@ -324,11 +324,8 @@ class TestInverseCdf:
         k = len(self.P)
         kernel = np.broadcast_to(self.P, (k, k, k))
         g = line_graph(2)
-        labels = [list(range(k))] * 2
         zero = lambda s, a: np.zeros(s.shape)  # noqa: E731
-        m = FactoredNmarlModel(
-            g, labels, labels, [kernel] * 2, zero, InitialDistribution.fixed([0, 0]), 0.9
-        )
+        m = FactoredNmarlModel(g, k, k, [kernel] * 2, zero, InitialDistribution.fixed([0, 0]), 0.9)
         return m, np.broadcast_to(self.P, (2, k, k))
 
     def test_single_trajectory(self):

@@ -19,9 +19,9 @@ def line3_model():
 
 class TestValidate:
     def test_zero_rewards_bound(self):
-        diag = zero_reward_model(line_graph(3)).validate()
-        assert diag.reward_bound == 0.0
-        assert diag.n_joint_states == 8
+        m = zero_reward_model(line_graph(3))
+        assert m.reward_bound == 0.0
+        assert m.state_sizes == (2, 2, 2)
 
     def test_non_stochastic_row_rejected(self):
         g = line_graph(2)
@@ -29,7 +29,7 @@ class TestValidate:
         kernels[1] = kernels[1].copy()
         kernels[1][0, 0] = [0.49, 0.5]
         m = FactoredNmarlModel(
-            g, [[0, 1]] * 2, [[0, 1]] * 2, kernels,
+            g, 2, 2, kernels,
             lambda s, a: np.zeros(s.shape), InitialDistribution.fixed([0, 0]), 0.9,
         )
         with pytest.raises(KernelRowNotStochastic):
@@ -37,19 +37,30 @@ class TestValidate:
 
     def test_empty_space_rejected(self):
         g = line_graph(2)
+        for ns, na in [(0, 2), (2, 0)]:
+            m = FactoredNmarlModel(
+                g, ns, na, [np.zeros((ns, na, ns))] * 2,
+                lambda s, a: np.zeros(s.shape), InitialDistribution.fixed([0, 0]), 0.9,
+            )
+            with pytest.raises(EmptySpace):
+                m.validate()
+
+    @pytest.mark.parametrize("dists", [[[0.5, 0.5]], [[0.2, 0.3, 0.5]] * 2], ids=["one", "wide"])
+    def test_product_start_shape_rejected(self, dists):
+        # two agents need two distributions over the two shared states
+        g = line_graph(2)
         m = FactoredNmarlModel(
-            g, [[0, 1], []], [[0, 1]] * 2,
-            [np.full((2, 2, 2), 0.5), np.zeros((0, 2, 0))],
-            lambda s, a: np.zeros(s.shape), InitialDistribution.fixed([0, 0]), 0.9,
+            g, 2, 2, [np.full((2, 2, 2), 0.5)] * 2, lambda s, a: np.zeros(s.shape),
+            InitialDistribution.product([np.array(d) for d in dists]), 0.9,
         )
-        with pytest.raises(EmptySpace):
+        with pytest.raises(DimensionMismatch):
             m.validate()
 
     def test_reward_shape_rejected(self):
         # one reward per agent and batch entry, or the model is malformed
         g = line_graph(2)
         m = FactoredNmarlModel(
-            g, [[0, 1]] * 2, [[0, 1]] * 2, [np.full((2, 2, 2), 0.5)] * 2,
+            g, 2, 2, [np.full((2, 2, 2), 0.5)] * 2,
             lambda s, a: np.zeros(s.shape[:-1]), InitialDistribution.fixed([0, 0]), 0.9,
         )
         with pytest.raises(DimensionMismatch):
@@ -62,7 +73,7 @@ class TestValidate:
         for s in itertools.product(range(2), repeat=3):
             for a in itertools.product(range(2), repeat=3):
                 expect = max(expect, float(np.max(np.abs(m.rewards(s, a)))))
-        assert m.validate().reward_bound == pytest.approx(expect)
+        assert m.reward_bound == pytest.approx(expect)
 
 
 class TestSampleTransition:
@@ -73,7 +84,7 @@ class TestSampleTransition:
         kernel = np.zeros((2, 2, 2))
         kernel[:, :, 1] = 1.0  # every row one-hot on state 1
         m = FactoredNmarlModel(
-            g, [[0, 1]] * 2, [[0, 1]] * 2, [kernel] * 2,
+            g, 2, 2, [kernel] * 2,
             lambda s, a: np.zeros(s.shape), InitialDistribution.fixed([0, 0]), 0.9,
         )
         s, a = np.tile((0, 0), (1000, 1)), np.tile((0, 1), (1000, 1))
@@ -84,7 +95,7 @@ class TestSampleTransition:
     def test_uniform_single_agent_frequency(self):
         g = netgraph.build_graph(1, [])
         m = FactoredNmarlModel(
-            g, [[0, 1]], [[0]], [np.full((2, 1, 2), 0.5)],
+            g, 2, 1, [np.full((2, 1, 2), 0.5)],
             lambda s, a: np.zeros(s.shape), InitialDistribution.fixed([0]), 0.9,
         )
         n = 100_000

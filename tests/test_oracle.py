@@ -43,7 +43,7 @@ class TestExactObjective:
         kernel[0, 0, 1] = 1.0
         kernel[1, 0, 0] = 1.0
         m = FactoredNmarlModel(
-            g, [[0, 1]], [[0]], [kernel],
+            g, 2, 1, [kernel],
             lambda s, a: (s == 0).astype(float),
             InitialDistribution.fixed([0]), 0.9,
         )
@@ -128,7 +128,7 @@ class TestVisitation:
         kernel = np.zeros((2, 1, 2))
         kernel[:, 0, 0] = 1.0  # everything falls into state 0
         m = FactoredNmarlModel(
-            g, [[0, 1]], [[0]], [kernel], lambda s, a: np.zeros(s.shape),
+            g, 2, 1, [kernel], lambda s, a: np.zeros(s.shape),
             InitialDistribution.fixed([0]), 0.9,
         )
         tab, space = oracle.discounted_visitation(m, uniform_tables(1, 2, 1))
@@ -144,7 +144,7 @@ class TestVisitation:
     def test_symmetric_chain_uniform(self):
         g = netgraph.build_graph(1, [])
         m = FactoredNmarlModel(
-            g, [[0, 1]], [[0]], [np.full((2, 1, 2), 0.5)], lambda s, a: np.zeros(s.shape),
+            g, 2, 1, [np.full((2, 1, 2), 0.5)], lambda s, a: np.zeros(s.shape),
             InitialDistribution.product([np.array([0.5, 0.5])]), 0.9,
         )
         tab, _ = oracle.discounted_visitation(m, uniform_tables(1, 2, 1))

@@ -42,7 +42,7 @@ def build_case(name: str, kappa_p: int):
         graph = line_graph(3)
         m = random_table_model(graph, np.random.default_rng(17))
         spec = MixingSpec(kappa_p=kappa_p)
-    pol = CoupledSoftmaxPolicy(graph, m.state_sizes[0], m.action_sizes[0], spec)
+    pol = CoupledSoftmaxPolicy(graph, m.n_states, m.n_actions, spec)
     return m, pol
 
 

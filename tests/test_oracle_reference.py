@@ -2,20 +2,17 @@
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nmarl import netgraph, oracle
+from nmarl import oracle
 from nmarl.errors import SpaceTooLarge
-from nmarl.model import FactoredNmarlModel, InitialDistribution, table_rewards
 from nmarl.policy import CoupledSoftmaxPolicy, MixingSpec
 
 import support
-from support import line_graph, random_stochastic_kernel, random_table_model
+from support import line_graph, random_table_model
 
 TOL = 1e-12
 
@@ -70,56 +67,6 @@ def test_vectorized_oracle_matches_reference_loops(inst):
         oracle.gradient_via_averaged_q(m, pol, params, i),
         support.ref_gradient_via_averaged_q(m, pol, params, i),
     )
-
-
-def heterogeneous_model(rng: np.random.Generator) -> FactoredNmarlModel:
-    """A 3-line whose agents have different state and action counts."""
-    g = line_graph(3)
-    s_sizes, a_sizes = (2, 3, 2), (3, 2, 2)
-    members = [list(netgraph.khop(g, i, 1).members) for i in range(3)]
-    reward_tables = []
-    for nb in members:
-        shape = tuple(s_sizes[j] for j in nb) + tuple(a_sizes[j] for j in nb)
-        reward_tables.append(rng.uniform(-1.0, 1.0, size=shape))
-    dists = [rng.random(k) + 0.2 for k in s_sizes]
-    return FactoredNmarlModel(
-        g,
-        [list(range(k)) for k in s_sizes],
-        [list(range(k)) for k in a_sizes],
-        [random_stochastic_kernel(rng, s, a) for s, a in zip(s_sizes, a_sizes)],
-        table_rewards(reward_tables, members),
-        InitialDistribution.product([d / d.sum() for d in dists]),
-        0.9,
-    )
-
-
-def test_heterogeneous_spaces_match_reference():
-    rng = np.random.default_rng(8)
-    m = heterogeneous_model(rng)
-    tables = []
-    for s, a in zip(m.state_sizes, m.action_sizes):
-        t = rng.random((s, a)) + 0.1
-        tables.append(t / t.sum(axis=1, keepdims=True))
-
-    for members, agents in [((0, 1, 2), (0, 1, 2)), ((0, 1), (0,)), ((1, 2), (2,))]:
-        chain = oracle.build_restricted_chain(m, members, tables, agents, scale=m.n)
-        ref = support.ref_build_restricted_chain(
-            m, members, tables, support.ref_averaged_reward_fn(m, agents, members)
-        )
-        close(chain.trans, ref.trans)
-        close(chain.policy, ref.policy)
-        close(chain.reward, ref.reward)
-    close(oracle.exact_objective(m, tables), support.ref_exact_objective(m, tables))
-    close(oracle.discounted_visitation(m, tables)[0], support.ref_discounted_visitation(m, tables)[0])
-    ref_local = support.ref_build_restricted_chain(
-        m, m.reward_members[1], tables, support.ref_local_reward_fn(m, 1)
-    )
-    q_ref = support.ref_chain_q_table(ref_local, m.gamma, 1e-9)
-    local_q = oracle.local_q_table(m, tables, 1)
-    for (si, s), (ai, a) in itertools.product(
-        enumerate(ref_local.state_space.points), enumerate(ref_local.action_space.points)
-    ):
-        close(oracle.q_at(*local_q, s, a), q_ref[si, ai])
 
 
 class Untouchable:
