@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import math
 import os
 import subprocess
 import sys
@@ -20,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, verify
-from .config import RunConfig, load_config
+from .config import RunConfig, check_seeds, construct, load_config
 from .errors import (
     BoundViolated,
     ConfigError,
@@ -70,18 +69,6 @@ def _write_checkpoint(
     path.write_text(json.dumps(payload))
 
 
-def _checkpoint_mixing(ckpt: dict) -> MixingSpec:
-    """The coupling radius and mixing weights a checkpoint was trained with."""
-    kappa_p = ckpt["kappa_p"]
-    if not isinstance(kappa_p, int) or isinstance(kappa_p, bool):
-        raise TypeError(f"kappa_p {kappa_p!r} is not an integer")
-    self_weight = float(ckpt["mixing"]["self_weight"])
-    neighbor_weight_total = float(ckpt["mixing"]["neighbor_weight_total"])
-    if not (math.isfinite(self_weight) and math.isfinite(neighbor_weight_total)):
-        raise ValueError("mixing weights are not finite")
-    return MixingSpec(self_weight, neighbor_weight_total, kappa_p)
-
-
 def _train_one(run: RunConfig, seed: int, out: Path) -> dict:
     cfg = replace(run.dscp, seed=seed)
     model = run.build_model()
@@ -109,7 +96,7 @@ def _train_one(run: RunConfig, seed: int, out: Path) -> dict:
 def cmd_train(args: argparse.Namespace) -> int:
     run = load_config(args.config, args.set)
     if args.seed is not None:
-        run.seeds = [args.seed]
+        run.seeds = check_seeds([args.seed])
     out = Path(args.out or run.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     results = [_train_one(run, seed, out) for seed in run.seeds]
@@ -122,17 +109,16 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     run = load_config(args.config, args.set)
     kappas = args.kappa_p
-    if any(k < 0 for k in kappas):
-        raise ConfigError(f"kappa_p values must be nonnegative, got {kappas}")
-    seeds = run.seeds if args.seed is None else [args.seed]
+    seeds = run.seeds if args.seed is None else check_seeds([args.seed])
+    runs = [replace(run, dscp=replace(run.dscp, kappa_p=kappa)) for kappa in kappas]
+    for run_k in runs:
+        run_k.dscp.validate()
     out = Path(args.out or run.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     aggregate = {}
-    for kappa in kappas:
+    for kappa, run_k in zip(kappas, runs):
         sub = out / f"kp{kappa}"
         sub.mkdir(exist_ok=True)
-        run_k = replace(run, dscp=replace(run.dscp, kappa_p=kappa))
-        run_k.dscp.validate()
         per_seed = []
         for seed in seeds:
             per_seed.append(_train_one(run_k, seed, sub))
@@ -162,6 +148,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if args.episodes < 1:
         raise ConfigError(f"episodes must be positive, got {args.episodes}")
     run = load_config(args.config, args.set)
+    seed = run.dscp.seed if args.seed is None else check_seeds([args.seed])[0]
     try:
         ckpt = json.loads(Path(args.checkpoint).read_text())
     except (OSError, json.JSONDecodeError) as exc:
@@ -170,7 +157,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
         theta = np.asarray(ckpt["params"], dtype=float)
         if not np.all(np.isfinite(theta)):
             raise ValueError("parameters are not finite")
-        mixing = _checkpoint_mixing(ckpt)
+        block = {**ckpt["mixing"], "kappa_p": ckpt["kappa_p"]}
+        mixing = construct(MixingSpec, block, "checkpoint mixing")
         space = (ckpt["n_states"], ckpt["n_actions"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed checkpoint {args.checkpoint}: {exc!r}") from exc
@@ -188,7 +176,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
             f"the configured environment needs {expected}"
         )
     pol = CoupledSoftmaxPolicy(model.graph, model.n_states, model.n_actions, mixing)
-    seed = args.seed if args.seed is not None else run.dscp.seed
     rng = np.random.default_rng(np.random.SeedSequence([seed, 2]))
     j, se = evaluate_policy(
         model, pol, theta, args.episodes, rng,

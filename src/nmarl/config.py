@@ -1,14 +1,19 @@
 """Run-configuration schema: strict parsing of the JSON config files.
 
-Unknown keys are rejected everywhere so typos fail fast, before any work.
+The constructors are the schema: each block's keys, scalar types and
+defaults are the parameters of the constructor it feeds (:func:`construct`).
+A rejected value raises :class:`ConfigError`, or the domain error of the
+constructor that refused it, and the CLI exits 2 on either before any run.
 """
 
 from __future__ import annotations
 
+import inspect
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from . import netgraph
 from .envs import PathPlanningSpec, PathStructure, build_path_env, build_power_env
@@ -16,24 +21,11 @@ from .errors import ConfigError
 from .model import FactoredNmarlModel
 from .trainer import DscpConfig
 
-_DSCP_KEYS = {
-    "iterations": int,
-    "kappa_p": int,
-    "batch": int,
-    "eval_every": int,
-    "eval_episodes": int,
-    "eval_method": str,
-    "eval_horizon_eps": float,
-    "direct_params": bool,
-    "check_invariants": bool,
-    "record_wall_time": bool,
-}
-
-_PATH_ENV_KEYS = {
-    "starts", "gamma", "r_eps", "collision_weight", "terminal_zero_reward",
-    "successors", "locations", "destination",
-}
-_POWER_ENV_KEYS = {"n", "levels", "gains", "noise", "price", "gamma", "start"}
+# Parameters with these annotations must hold exactly that JSON scalar type.
+_SCALARS = {"int": int, "float": float, "bool": bool, "str": str}
+# DscpConfig fields that the dscp block holds under "lr" and "mixing" only.
+_NESTED = {"lr": {"eta0", "t0", "form"}, "mixing": {"self_weight", "neighbor_weight_total"}}
+_LR_FORM = "eta0/(t+t0)"
 
 
 @dataclass
@@ -49,46 +41,72 @@ class RunConfig:
     raw: dict = field(default_factory=dict)
 
     def build_model(self) -> FactoredNmarlModel:
+        ov = self.env_overrides
         if self.env_name == "path_planning":
-            ov = self.env_overrides
-            spec = PathPlanningSpec(
-                n=self.graph.n if self.graph else PathPlanningSpec.n,
-                starts=tuple(ov.get("starts", PathPlanningSpec.starts)),
-                gamma=float(ov.get("gamma", 0.9)),
-                r_eps=float(ov.get("r_eps", 0.5)),
-                collision_weight=float(ov.get("collision_weight", 0.5)),
-                terminal_zero_reward=bool(ov.get("terminal_zero_reward", False)),
+            layout = inspect.signature(PathStructure).parameters
+            ps = construct(PathStructure, {k: ov[k] for k in ov if k in layout}, "env.overrides")
+            spec = construct(
+                PathPlanningSpec, {k: ov[k] for k in ov if k not in layout}, "env.overrides",
+                n=self.graph.n,
             )
-            return build_path_env(spec, _path_structure(ov), self.graph)
+            return build_path_env(spec, ps, self.graph)
         if self.env_name == "power_control":
-            ov = self.env_overrides
-            try:
-                return build_power_env(
-                    n=int(ov["n"]),
-                    levels=int(ov["levels"]),
-                    gains=ov["gains"],
-                    noise=ov["noise"],
-                    price=ov["price"],
-                    comm=self.graph,
-                    gamma=float(ov.get("gamma", 0.9)),
-                    start=ov.get("start"),
-                )
-            except KeyError as missing:
-                raise ConfigError(f"power_control override missing {missing}") from None
+            return construct(build_power_env, ov, "env.overrides", comm=self.graph)
         raise ConfigError(f"unknown environment {self.env_name!r}")
 
 
-def _path_structure(ov: dict) -> PathStructure:
-    """The path structure from whichever of its three overrides are set,
-    with the defaults for the rest."""
-    kwargs: dict[str, Any] = {}
-    if "locations" in ov:
-        kwargs["locations"] = tuple(ov["locations"])
-    if "successors" in ov:
-        kwargs["successors"] = {k: tuple(v) for k, v in ov["successors"].items()}
-    if "destination" in ov:
-        kwargs["destination"] = ov["destination"]
-    return PathStructure(**kwargs)
+def construct(target: Callable[..., Any], values: Any, where: str, **given: Any) -> Any:
+    """``target(**values, **given)`` for the JSON object ``values`` of block ``where``.
+
+    The keys are ``target``'s parameters other than the ``given`` ones. A
+    parameter annotated ``int``, ``float``, ``bool`` or ``str`` must hold that
+    JSON type; a bool is not an int, an int for a float becomes a float, and
+    a float must be finite. ``target``'s ``TypeError`` and ``ValueError``
+    become a :class:`ConfigError` naming ``where``.
+    """
+    if not isinstance(values, dict):
+        raise ConfigError(f"{where} must be an object, got {values!r}")
+    params = inspect.signature(target).parameters
+    _require_keys(values, set(params) - set(given), where)
+    for key, value in values.items():
+        kind = _SCALARS.get(params[key].annotation)
+        if kind is not None:
+            accepted = (int, float) if kind is float else kind
+            if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
+                raise ConfigError(f"{where}: {key} must be a JSON {kind.__name__}, got {value!r}")
+            if kind is float and not math.isfinite(value):
+                raise ConfigError(f"{where}: {key} must be finite, got {value!r}")
+        given[key] = value if kind is None else kind(value)
+    try:
+        return target(**given)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
+def check_seeds(seeds: Any) -> list[int]:
+    """``seeds`` if it is a non-empty list of nonnegative integers."""
+    if not isinstance(seeds, list) or not seeds or not all(
+        isinstance(s, int) and not isinstance(s, bool) and s >= 0 for s in seeds
+    ):
+        raise ConfigError(f"seeds must be a non-empty list of nonnegative integers, got {seeds!r}")
+    return seeds
+
+
+def _dscp_values(dscp: Any) -> dict:
+    """The dscp block with its ``lr`` and ``mixing`` objects merged in."""
+    if not isinstance(dscp, dict):
+        raise ConfigError(f"dscp block must be an object, got {dscp!r}")
+    _require_keys(dscp, set(dscp) - set().union(*_NESTED.values()), "dscp block")
+    flat = dict(dscp)
+    for block, keys in _NESTED.items():
+        nested = flat.pop(block, {})
+        if not isinstance(nested, dict):
+            raise ConfigError(f"dscp.{block} must be an object, got {nested!r}")
+        _require_keys(nested, keys, f"dscp.{block}")
+        flat.update(nested)
+    if flat.pop("form", _LR_FORM) != _LR_FORM:
+        raise ConfigError(f"unsupported learning-rate form {dscp['lr']['form']!r}")
+    return flat
 
 
 def _require_keys(obj: dict, allowed: set[str], where: str) -> None:
@@ -114,61 +132,25 @@ def parse_config(obj: dict, overrides: list[str] | None = None) -> RunConfig:
     env_overrides = env.get("overrides", {})
     if not isinstance(env_overrides, dict):
         raise ConfigError("env.overrides must be an object")
-    allowed = _PATH_ENV_KEYS if env_name == "path_planning" else _POWER_ENV_KEYS
-    _require_keys(env_overrides, allowed, "env.overrides")
 
     graph = None
     if "graph" in obj:
-        gobj = obj["graph"]
-        _require_keys(gobj, {"n", "edges"}, "graph block")
-        graph = netgraph.graph_from_json(gobj)
+        graph = construct(netgraph.build_graph, obj["graph"], "graph block")
     elif env_name == "path_planning":
-        graph = netgraph.ring_graph(
-            len(env_overrides.get("starts", PathPlanningSpec.starts))
-        )
+        starts = env_overrides.get("starts", PathPlanningSpec.starts)
+        if not isinstance(starts, list | tuple):
+            raise ConfigError(f"env.overrides: starts must be a list, got {starts!r}")
+        graph = netgraph.ring_graph(len(starts))
 
-    dscp_obj = dict(obj.get("dscp", {}))
-    _require_keys(
-        dscp_obj, set(_DSCP_KEYS) | {"lr", "mixing", "seed"}, "dscp block"
-    )
-    if "iterations" not in dscp_obj:
-        raise ConfigError("dscp block needs an iteration count")
-    lr = dscp_obj.pop("lr", {})
-    _require_keys(lr, {"eta0", "t0", "form"}, "dscp.lr")
-    if lr.get("form", "eta0/(t+t0)") != "eta0/(t+t0)":
-        raise ConfigError(f"unsupported learning-rate form {lr.get('form')!r}")
-    mixing = dscp_obj.pop("mixing", {})
-    _require_keys(mixing, {"self_weight", "neighbor_weight_total"}, "dscp.mixing")
-
-    kwargs: dict[str, Any] = {}
-    for key, typ in _DSCP_KEYS.items():
-        if key in dscp_obj:
-            kwargs[key] = typ(dscp_obj[key])
-    kwargs["seed"] = int(dscp_obj.get("seed", 0))
-    if "eta0" in lr:
-        kwargs["eta0"] = float(lr["eta0"])
-    if "t0" in lr:
-        kwargs["t0"] = float(lr["t0"])
-    if "self_weight" in mixing:
-        kwargs["self_weight"] = float(mixing["self_weight"])
-    if "neighbor_weight_total" in mixing:
-        kwargs["neighbor_weight_total"] = float(mixing["neighbor_weight_total"])
-    try:
-        dscp = DscpConfig(**kwargs)
-        dscp.validate()
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
-
-    seeds = obj.get("seeds", [dscp.seed])
-    if not isinstance(seeds, list) or not all(isinstance(s, int) for s in seeds):
-        raise ConfigError("seeds must be a list of integers")
+    dscp = construct(DscpConfig, _dscp_values(obj.get("dscp", {})), "dscp block")
+    dscp.validate()
 
     return RunConfig(
         env_name=env_name,
         env_overrides=env_overrides,
         graph=graph,
         dscp=dscp,
-        seeds=seeds,
+        seeds=check_seeds(obj.get("seeds", [dscp.seed])),
         out_dir=str(obj.get("out_dir", "runs")),
         raw=obj,
     )

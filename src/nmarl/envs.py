@@ -56,6 +56,8 @@ class PathStructure:
     destination: str = "e"
 
     def __post_init__(self) -> None:
+        if not isinstance(self.successors, Mapping):
+            raise ConfigError(f"successors must be an object, got {self.successors!r}")
         index = {loc: k for k, loc in enumerate(self.locations)}
         if self.destination not in index:
             raise UnknownLocation(f"destination {self.destination!r} not a location")

@@ -27,6 +27,7 @@ import numpy as np
 
 from . import netgraph
 from .errors import (
+    ConfigError,
     DimensionMismatch,
     EmptySpace,
     IndexOutOfRange,
@@ -123,7 +124,7 @@ class FactoredNmarlModel:
         reward_bounds: Sequence[float] | None = None,
     ) -> None:
         if not 0.0 < gamma < 1.0:
-            raise ValueError(f"gamma must lie in (0, 1), got {gamma}")
+            raise ConfigError(f"gamma must lie in (0, 1), got {gamma}")
         self.graph = graph
         self.n = graph.n
         self.n_states = int(n_states)

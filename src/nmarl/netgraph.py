@@ -10,6 +10,7 @@ aperiodic.
 
 from __future__ import annotations
 
+import numbers
 from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -43,30 +44,33 @@ class HopNeighborhood:
     members: tuple[int, ...]
 
 
-def build_graph(n: int, edge_list: Iterable[Sequence[int]]) -> AgentGraph:
+def build_graph(n: int, edges: Iterable[Sequence[int]]) -> AgentGraph:
     """Validate and build an :class:`AgentGraph` from 1-based edge pairs.
 
     Duplicate edges are tolerated silently (set semantics); explicit
     self-loop pairs are rejected because self-loops are implicit.
 
     Raises:
-        IndexOutOfRange: an endpoint is outside ``1..n`` or a pair is ``(i, i)``.
+        IndexOutOfRange: ``n`` or an endpoint is not an integer (bools are
+            not), an endpoint is outside ``1..n`` or a pair is ``(i, i)``.
         DisconnectedGraph: the resulting graph is not connected.
     """
-    if n < 1:
-        raise IndexOutOfRange(f"agent count must be positive, got {n}")
-    edges: set[tuple[int, int]] = set()
-    for pair in edge_list:
+    if not _is_id(n) or n < 1:
+        raise IndexOutOfRange(f"agent count must be a positive integer, got {n!r}")
+    pairs: set[tuple[int, int]] = set()
+    for pair in edges:
+        if len(pair) != 2 or not all(map(_is_id, pair)):
+            raise IndexOutOfRange(f"edge {pair!r} is not a pair of integer agent ids")
         i, j = int(pair[0]), int(pair[1])
         if not (1 <= i <= n and 1 <= j <= n):
             raise IndexOutOfRange(f"edge ({i}, {j}) outside 1..{n}")
         if i == j:
             raise IndexOutOfRange(f"explicit self-loop ({i}, {i}) not allowed")
         a, b = i - 1, j - 1
-        edges.add((min(a, b), max(a, b)))
+        pairs.add((min(a, b), max(a, b)))
 
     adjacency: list[set[int]] = [{i} for i in range(n)]
-    for a, b in edges:
+    for a, b in pairs:
         adjacency[a].add(b)
         adjacency[b].add(a)
 
@@ -86,18 +90,18 @@ def build_graph(n: int, edge_list: Iterable[Sequence[int]]) -> AgentGraph:
 
     return AgentGraph(
         n=n,
-        edges=tuple(sorted(edges)),
+        edges=tuple(sorted(pairs)),
         neighbors=tuple(tuple(sorted(adjacency[i])) for i in range(n)),
     )
 
 
-def graph_from_json(obj: dict) -> AgentGraph:
-    return build_graph(int(obj["n"]), obj["edges"])
+def _is_id(value: object) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def ring_graph(n: int) -> AgentGraph:
-    """Cycle over agents ``1..n``; the default 10-agent topology."""
-    return build_graph(n, [(k, k % n + 1) for k in range(1, n + 1)])
+    """Cycle over agents ``1..n`` (no edges for one); the default 10-agent topology."""
+    return build_graph(n, [(k, k % n + 1) for k in range(1, n + 1) if n > 1])
 
 
 def weight_matrix(g: AgentGraph) -> np.ndarray:

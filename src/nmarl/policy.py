@@ -30,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from . import netgraph
-from .errors import DimensionMismatch
+from .errors import ConfigError, DimensionMismatch
 
 
 @dataclass(frozen=True)
@@ -43,9 +43,9 @@ class MixingSpec:
 
     def __post_init__(self) -> None:
         if self.self_weight < 0 or self.neighbor_weight_total < 0:
-            raise ValueError("mixing weights must be nonnegative")
+            raise ConfigError("mixing weights must be nonnegative")
         if self.kappa_p < 0:
-            raise ValueError(f"kappa_p must be nonnegative, got {self.kappa_p}")
+            raise ConfigError(f"kappa_p must be nonnegative, got {self.kappa_p}")
 
 
 class CoupledSoftmaxPolicy:

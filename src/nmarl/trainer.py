@@ -63,14 +63,17 @@ class DscpConfig:
     def validate(self) -> None:
         if self.iterations < 1:
             raise ConfigError(f"iterations must be at least 1, got {self.iterations}")
-        if self.kappa_p < 0:
-            raise ConfigError(f"kappa_p must be nonnegative, got {self.kappa_p}")
+        self.mixing()  # MixingSpec checks the weights and kappa_p
         if self.eta0 <= 0 or self.t0 < 0:
             raise ConfigError("learning-rate schedule needs eta0 > 0 and t0 >= 0")
         if self.batch < 1:
             raise ConfigError(f"batch must be at least 1, got {self.batch}")
+        if self.eval_every < 0:
+            raise ConfigError(f"eval_every must be nonnegative, got {self.eval_every}")
         if self.eval_episodes < 1:
             raise ConfigError("eval_episodes must be at least 1")
+        if self.eval_horizon_eps <= 0:
+            raise ConfigError(f"eval_horizon_eps must be positive, got {self.eval_horizon_eps}")
         if self.eval_method not in ("geometric", "fixed_horizon"):
             raise ConfigError(f"unknown eval_method {self.eval_method!r}")
         if self.direct_params and self.kappa_p != 1:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nmarl import cli, verify
-from nmarl.config import load_config, parse_config
+from nmarl.config import construct, load_config, parse_config
 from nmarl.errors import ConfigError
 from nmarl.policy import CoupledSoftmaxPolicy, MixingSpec
 from nmarl.trainer import evaluate_policy
@@ -80,6 +80,107 @@ class TestConfigParsing:
         run = load_config("configs/path_planning.json")
         assert run.dscp.iterations == 20000
         assert run.graph.n == 10
+
+
+PC, PP = "configs/power_control.json", "configs/path_planning.json"
+
+# Each input trained (exit 0), wrote a metrics file or raised a traceback
+# before the constructors became the config schema.
+BAD_INPUTS = [
+    (PC, "dscp.iterations=abc"),
+    (PC, "dscp.lr.eta0=abc"),
+    (PC, "dscp.mixing=5"),
+    (PC, "dscp=5"),
+    (PC, "dscp.mixing.self_weight=-1"),
+    (PC, "dscp.mixing.self_weight=NaN"),
+    (PC, "dscp.eval_horizon_eps=0"),
+    (PC, "env.overrides.gamma=1.5"),
+    (PC, "env.overrides.levels=abc"),
+    (PC, 'env.overrides.price=[0.1,0.1,"a"]'),
+    (PC, 'graph.edges=[[1,"x"]]'),
+    (PC, "graph.n=3.7"),
+    (PC, "dscp.iterations=true"),
+    (PC, "dscp.kappa_p=1.7"),
+    (PC, "dscp.lr.t0=Infinity"),
+    (PC, "dscp.eval_every=-5"),
+    (PC, "env.overrides.levels=2.5"),
+    (PC, "seeds=[]"),
+    (PC, "seeds=[true]"),
+    (PC, "seeds=[1,-1]"),
+    (PP, "env.overrides.gamma=0"),
+    (PP, "env.overrides.r_eps=abc"),
+    (PP, 'env.overrides.terminal_zero_reward="no"'),
+    (PP, "env.overrides.starts=5"),
+    (PP, "env.overrides.successors=5"),
+]
+
+
+@pytest.mark.parametrize(
+    "cfg, bad", BAD_INPUTS, ids=[f"{'pc' if c == PC else 'pp'}:{b}" for c, b in BAD_INPUTS]
+)
+def test_bad_input_exits_2_before_training(tmp_path, capsys, cfg, bad):
+    small = ["--set", "dscp.iterations=2", "--set", "dscp.eval_episodes=5", "--set", "seeds=[1]"]
+    rc = cli.main(["train", "--config", cfg, "--out", str(tmp_path), *small, "--set", bad])
+    assert rc == 2
+    assert not list(tmp_path.glob("metrics_seed*.csv"))
+    err = capsys.readouterr().err.splitlines()
+    assert len([line for line in err if line.startswith("error: ")]) == 1
+
+
+def test_block_key_sets():
+    """Every block accepts each key it documents and rejects any other."""
+    pc = {
+        "env": {"name": "power_control", "overrides": {
+            "n": 2, "levels": 3, "gains": [[1, 0.2], [0.2, 1]], "noise": [1, 1],
+            "price": [0.1, 0.1], "gamma": 0.9, "start": [0, 1],
+        }},
+        "graph": {"n": 2, "edges": [[1, 2]]},
+        "dscp": {
+            "iterations": 1, "kappa_p": 1, "batch": 1, "eval_every": 0, "eval_episodes": 5,
+            "eval_method": "geometric", "eval_horizon_eps": 1e-3, "direct_params": True,
+            "check_invariants": True, "record_wall_time": False, "seed": 0,
+            "lr": {"eta0": 1, "t0": 1, "form": "eta0/(t+t0)"},
+            "mixing": {"self_weight": 0.8, "neighbor_weight_total": 0.2},
+        },
+        "seeds": [0],
+        "out_dir": "unused",
+    }
+    pp = {
+        "env": {"name": "path_planning", "overrides": {
+            "starts": ["a", "b"], "gamma": 0.9, "r_eps": 0.5, "collision_weight": 0.5,
+            "terminal_zero_reward": True, "locations": ["a", "b", "z"],
+            "successors": {"a": ["b"], "b": ["z"], "z": []}, "destination": "z",
+        }},
+        "dscp": {"iterations": 1},
+    }
+    blocks = [
+        (pc, [], "config root"), (pc, ["env"], "env block"),
+        (pc, ["env", "overrides"], "env.overrides"), (pc, ["graph"], "graph block"),
+        (pc, ["dscp"], "dscp block"), (pc, ["dscp", "lr"], "dscp.lr"),
+        (pc, ["dscp", "mixing"], "dscp.mixing"), (pp, ["env", "overrides"], "env.overrides"),
+    ]
+    for full in (pc, pp):
+        parse_config(full).build_model().validate()
+    for full, path, where in blocks:
+        obj = json.loads(json.dumps(full))
+        node = obj
+        for key in path:
+            node = node[key]
+        node["bogus"] = 1
+        with pytest.raises(ConfigError, match=rf"unknown keys \['bogus'\] in {where}"):
+            parse_config(obj).build_model()
+    with pytest.raises(ConfigError, match=r"unknown keys \['bogus'\] in checkpoint mixing"):
+        construct(MixingSpec, {"self_weight": 0.9, "kappa_p": 1, "bogus": 1}, "checkpoint mixing")
+
+
+def test_one_agent_path_planning_trains(tmp_path):
+    rc = cli.main(
+        ["train", "--config", PP, "--out", str(tmp_path), "--set", 'env.overrides.starts=["b1"]',
+         "--set", "dscp.iterations=5", "--set", "dscp.eval_every=5",
+         "--set", "dscp.eval_episodes=5", "--set", "seeds=[1]"]
+    )
+    assert rc == 0
+    assert (tmp_path / "metrics_seed1.csv").exists()
 
 
 class TestTrain:
@@ -200,12 +301,14 @@ class TestEval:
             lambda c: c.update(kappa_p=1.5),
             lambda c: c["mixing"].update(self_weight="heavy"),
             lambda c: c["mixing"].update(neighbor_weight_total=-0.1),
+            lambda c: c["mixing"].update(bogus=1),
             lambda c: c["params"][0].__setitem__(0, float("nan")),
             # same S * A, so the parameter shape alone would pass
             lambda c: c.update(n_states=c["n_actions"], n_actions=c["n_states"]),
         ],
         ids=[
             "no_mixing", "no_kappa_p", "float_kappa_p", "text_weight", "negative_weight",
+            "unknown_mixing_key",
             "nan_params", "swapped_space",
         ],
     )
@@ -219,6 +322,16 @@ class TestEval:
         bad.write_text(json.dumps(ckpt))
         rc = cli.main(
             ["eval", "--config", cfg, "--checkpoint", str(bad), "--episodes", "10"]
+        )
+        assert rc == 2
+
+    def test_negative_seed_exit_2(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, tiny_path_config(out, iterations=1))
+        assert cli.main(["train", "--config", cfg]) == 0
+        rc = cli.main(
+            ["eval", "--config", cfg, "--checkpoint", str(out / "checkpoint_seed1.json"),
+             "--episodes", "10", "--seed", "-1"]
         )
         assert rc == 2
 
@@ -268,6 +381,17 @@ class TestSweep:
         assert rc == 0
         agg = json.loads((out / "sweep.json").read_text())
         assert set(agg["mean_final_J_by_kappa"]) == {"0", "1"}
+
+    def test_every_kappa_validated_before_training(self, tmp_path):
+        # direct_params needs kappa_p 1, so kappa_p 0 is invalid
+        out = tmp_path / "sweep"
+        cfg = write_config(tmp_path, tiny_path_config(out, iterations=2))
+        rc = cli.main(
+            ["sweep", "--config", cfg, "--kappa-p", "1", "0", "--out", str(out),
+             "--set", "dscp.direct_params=true"]
+        )
+        assert rc == 2
+        assert not list(out.glob("**/metrics_seed*.csv"))
 
     def test_negative_kappa_exit_2(self, tmp_path):
         cfg = write_config(tmp_path, tiny_path_config(tmp_path / "x"))

@@ -57,6 +57,21 @@ class TestBuildGraph:
         with pytest.raises(IndexOutOfRange):
             netgraph.build_graph(3, [(2, 2)])
 
+    @pytest.mark.parametrize(
+        "n, edges",
+        [(3, [(1, "x"), (2, 3)]), (3, [(1.5, 2), (2, 3)]), (3, [(True, 2), (2, 3)]),
+         (3.7, [(1, 2), (2, 3)]), (True, [])],
+        ids=["text_id", "float_id", "bool_id", "float_n", "bool_n"],
+    )
+    def test_non_integer_ids_rejected(self, n, edges):
+        with pytest.raises(IndexOutOfRange, match="integer"):
+            netgraph.build_graph(n, edges)
+
+    def test_one_agent_ring_has_no_edges(self):
+        g = netgraph.ring_graph(1)
+        assert g.edges == ()
+        assert g.neighbors == ((0,),)
+
     def test_duplicate_edges_tolerated(self):
         g = netgraph.build_graph(3, [(1, 2), (2, 1), (2, 3), (2, 3)])
         assert g.edges == ((0, 1), (1, 2))
@@ -68,7 +83,7 @@ class TestBuildGraph:
         assert netgraph.khop(g, 0, 5).members == tuple(range(10))
 
     def test_json_round_trip(self):
-        g = netgraph.graph_from_json({"n": 4, "edges": [[1, 2], [2, 3], [3, 4], [4, 1]]})
+        g = netgraph.build_graph(**{"n": 4, "edges": [[1, 2], [2, 3], [3, 4], [4, 1]]})
         assert g == netgraph.ring_graph(4)
         assert g.edges == ((0, 1), (0, 3), (1, 2), (2, 3))
 
