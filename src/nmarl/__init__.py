@@ -21,7 +21,6 @@ from .estimator import (
 from .model import FactoredNmarlModel, InitialDistribution
 from .netgraph import (
     AgentGraph,
-    HopNeighborhood,
     build_graph,
     khop,
     max_neighborhood_size,
@@ -40,7 +39,6 @@ __all__ = [
     "DscpConfig",
     "FactoredNmarlModel",
     "GradientEstimate",
-    "HopNeighborhood",
     "InitialDistribution",
     "MixingSpec",
     "PushSumState",

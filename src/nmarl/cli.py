@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, verify
-from .config import RunConfig, check_seeds, construct, load_config
+from .config import check_seeds, construct, load_config
 from .errors import (
     BoundViolated,
     ConfigError,
@@ -69,21 +69,18 @@ def _write_checkpoint(
     path.write_text(json.dumps(payload))
 
 
-def _train_one(run: RunConfig, seed: int, out: Path) -> dict:
-    cfg = replace(run.dscp, seed=seed)
-    model = run.build_model()
-    graph = run.graph or model.graph
+def _train_one(model: FactoredNmarlModel, cfg: DscpConfig, out: Path) -> dict:
     started = time.perf_counter()
-    theta, record = run_dscp(model, graph, cfg)
+    theta, record = run_dscp(model, model.graph, cfg)
     wall_s = time.perf_counter() - started
-    csv_path = out / f"metrics_seed{seed}.csv"
+    csv_path = out / f"metrics_seed{cfg.seed}.csv"
     with open(csv_path, "w") as fp:
         record.write_csv(fp, include_wall_time=cfg.record_wall_time)
-    _write_checkpoint(out / f"checkpoint_seed{seed}.json", theta, cfg, model)
+    _write_checkpoint(out / f"checkpoint_seed{cfg.seed}.json", theta, cfg, model)
     final = record.final_eval()
     last = record.rows[-1]
     return {
-        "seed": seed,
+        "seed": cfg.seed,
         "iterations": cfg.iterations,
         "final_J": None if final is None else final.j_est,
         "final_J_se": None if final is None else final.j_se,
@@ -97,9 +94,11 @@ def cmd_train(args: argparse.Namespace) -> int:
     run = load_config(args.config, args.set)
     if args.seed is not None:
         run.seeds = check_seeds([args.seed])
+    model = run.build_model()
+    model.validate()
     out = Path(args.out or run.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    results = [_train_one(run, seed, out) for seed in run.seeds]
+    results = [_train_one(model, replace(run.dscp, seed=seed), out) for seed in run.seeds]
     summary = {"config": run.raw, "build": build_identifier(), "results": results}
     (out / "summary.json").write_text(json.dumps(summary, indent=1))
     log.info("wrote %s", out / "summary.json")
@@ -110,18 +109,18 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     run = load_config(args.config, args.set)
     kappas = args.kappa_p
     seeds = run.seeds if args.seed is None else check_seeds([args.seed])
-    runs = [replace(run, dscp=replace(run.dscp, kappa_p=kappa)) for kappa in kappas]
-    for run_k in runs:
-        run_k.dscp.validate()
+    configs = [replace(run.dscp, kappa_p=kappa) for kappa in kappas]
+    for cfg in configs:
+        cfg.validate()
+    model = run.build_model()
+    model.validate()
     out = Path(args.out or run.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     aggregate = {}
-    for kappa, run_k in zip(kappas, runs):
+    for kappa, cfg in zip(kappas, configs):
         sub = out / f"kp{kappa}"
         sub.mkdir(exist_ok=True)
-        per_seed = []
-        for seed in seeds:
-            per_seed.append(_train_one(run_k, seed, sub))
+        per_seed = [_train_one(model, replace(cfg, seed=seed), sub) for seed in seeds]
         finals = [r["final_J"] for r in per_seed if r["final_J"] is not None]
         aggregate[str(kappa)] = {
             "mean_final_J": None if not finals else float(np.mean(finals)),

@@ -144,16 +144,9 @@ def _path_planning_rewards(
     # per neighbor that traverses the same (from, to) edge this step. Ordered
     # neighbor pairs and an incidence matrix turn the per-agent shared-edge
     # count into one comparison plus one matmul.
-    pair_i, pair_j = [], []
-    for i in range(graph.n):
-        for j in graph.neighbors[i]:
-            if j != i:
-                pair_i.append(i)
-                pair_j.append(j)
-    pair_i_arr = np.asarray(pair_i, dtype=np.intp)
-    pair_j_arr = np.asarray(pair_j, dtype=np.intp)
+    pair_i, pair_j = np.nonzero(netgraph.hop_mask(graph, 1) - np.eye(graph.n))
     incidence = np.zeros((len(pair_i), graph.n))
-    incidence[np.arange(len(pair_i)), pair_i_arr] = 1.0
+    incidence[np.arange(len(pair_i)), pair_i] = 1.0
 
     def batch(states: np.ndarray, acts: np.ndarray) -> np.ndarray:
         nxt = next_table[states, acts]
@@ -161,7 +154,7 @@ def _path_planning_rewards(
         code = states * len(ps.locations) + nxt
         # Stationary agents take the flat-cost branch, so their spurious
         # code matches never surface; a mover can't match a stayer's code.
-        matches = (code[..., pair_i_arr] == code[..., pair_j_arr]).astype(float)
+        matches = (code[..., pair_i] == code[..., pair_j]).astype(float)
         counts = matches @ incidence
         r = np.where(
             stay,
@@ -217,6 +210,8 @@ _POWER_ACTIONS = (0, -1, 1)
 def _power_control_rewards(
     graph: netgraph.AgentGraph, gains: np.ndarray, noise: np.ndarray, price: np.ndarray
 ) -> BatchRewards:
+    if not all(np.all(np.isfinite(x)) for x in (gains, noise, price)):
+        raise ConfigError("channel gains, noise powers and prices must be finite")
     if np.any(noise <= 0.0):
         raise NonPositiveNoise("noise powers must be strictly positive")
     if np.any(gains < 0.0):
@@ -227,11 +222,7 @@ def _power_control_rewards(
             f"{n} agents need {n}x{n} gains and {n} noise powers and prices"
         )
     # Agent i hears the power of its direct neighbors only.
-    cross = np.zeros((n, n))
-    for i in range(n):
-        for j in graph.neighbors[i]:
-            if j != i:
-                cross[i, j] = gains[i, j]
+    cross = gains * (netgraph.hop_mask(graph, 1) - np.eye(n))
     own = np.diag(gains)
 
     def batch(states: np.ndarray, acts: np.ndarray) -> np.ndarray:

@@ -20,6 +20,7 @@ domain (``FactoredNmarlModel.reward_tables``).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -53,6 +54,8 @@ class InitialDistribution:
 
     @staticmethod
     def fixed(state: Sequence[int]) -> "InitialDistribution":
+        if not all(isinstance(s, numbers.Integral) and not isinstance(s, bool) for s in state):
+            raise IndexOutOfRange(f"start states must be integers, got {list(state)!r}")
         return InitialDistribution(kind="fixed", state=tuple(int(s) for s in state))
 
     @staticmethod

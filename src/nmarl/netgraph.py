@@ -6,6 +6,10 @@ undirected, connected, and carry an implicit self-loop on every agent, so
 each agent belongs to its own direct neighborhood. The implicit self-loop
 gives the mixing matrix a positive diagonal, which keeps push-sum mixing
 aperiodic.
+
+:func:`hop_mask` is the one k-hop relation: the policy's coupling, the return
+estimate's reach, :func:`khop`, :func:`weight_matrix` and the environments'
+neighbor pairs all read it.
 """
 
 from __future__ import annotations
@@ -33,15 +37,6 @@ class AgentGraph:
     n: int
     edges: tuple[tuple[int, int], ...]
     neighbors: tuple[tuple[int, ...], ...] = field(compare=False)
-
-
-@dataclass(frozen=True)
-class HopNeighborhood:
-    """All agents within graph distance ``radius`` of ``center``."""
-
-    center: int
-    radius: int
-    members: tuple[int, ...]
 
 
 def build_graph(n: int, edges: Iterable[Sequence[int]]) -> AgentGraph:
@@ -111,48 +106,37 @@ def weight_matrix(g: AgentGraph) -> np.ndarray:
     self included, so the diagonal is positive, which push-sum mixing
     relies on for aperiodicity.
     """
-    w = np.zeros((g.n, g.n))
-    for j in range(g.n):
-        share = 1.0 / len(g.neighbors[j])
-        for i in g.neighbors[j]:
-            w[i, j] = share
-    return w
+    direct = hop_mask(g, 1)
+    return direct / direct.sum(axis=0)
 
 
-@lru_cache(maxsize=4096)
-def khop(g: AgentGraph, i: int, kappa: int) -> HopNeighborhood:
-    """Breadth-first closure of radius ``kappa`` around agent ``i`` (0-based).
+def khop(g: AgentGraph, i: int, kappa: int) -> tuple[int, ...]:
+    """Sorted agents within graph distance ``kappa`` of agent ``i`` (0-based).
 
-    ``kappa = 0`` yields exactly ``{i}``; any radius at or beyond the
+    ``kappa = 0`` yields exactly ``(i,)``; any radius at or beyond the
     diameter yields all agents.
     """
     if not 0 <= i < g.n:
         raise IndexOutOfRange(f"agent {i} outside 0..{g.n - 1}")
-    if kappa < 0:
-        raise IndexOutOfRange(f"radius must be nonnegative, got {kappa}")
-    dist = {i: 0}
-    frontier = deque([i])
-    while frontier:
-        v = frontier.popleft()
-        if dist[v] == kappa:
-            continue
-        for u in g.neighbors[v]:
-            if u not in dist:
-                dist[u] = dist[v] + 1
-                frontier.append(u)
-    return HopNeighborhood(center=i, radius=kappa, members=tuple(sorted(dist)))
+    return tuple(np.flatnonzero(hop_mask(g, kappa)[i]).tolist())
 
 
 @lru_cache(maxsize=256)
 def hop_mask(g: AgentGraph, kappa: int) -> np.ndarray:
-    """Read-only ``(n, n)`` 0/1 float array: row ``i`` marks ``khop(g, i, kappa)``.
+    """Read-only ``(n, n)`` 0/1 float array, 1 where agents are at most ``kappa`` hops apart.
 
-    Cached per graph and radius: the estimator reads every agent's
-    neighborhood from it once, not through one ``khop`` lookup per sample.
+    The identity times ``min(kappa, n - 1)`` direct-neighbor matrices, clipped
+    at 1 after each product, which keeps every product exact. Cached per
+    graph and radius.
     """
-    mask = np.zeros((g.n, g.n))
-    for i in range(g.n):
-        mask[i, list(khop(g, i, kappa).members)] = 1.0
+    if kappa < 0:
+        raise IndexOutOfRange(f"radius must be nonnegative, got {kappa}")
+    direct = np.zeros((g.n, g.n))
+    for i, hood in enumerate(g.neighbors):
+        direct[i, hood] = 1.0
+    mask = np.eye(g.n)
+    for _ in range(min(kappa, g.n - 1)):
+        mask = np.minimum(mask @ direct, 1.0)
     mask.setflags(write=False)
     return mask
 

@@ -256,8 +256,8 @@ def neighbors_averaged_chain(
     """Chain whose reward is the ``1/N``-scaled sum of the rewards of all
     agents within ``kappa_p + kappa_r`` hops of ``i``, defined over the
     ``kappa_p + 2 * kappa_r``-hop state-action restriction."""
-    inner = netgraph.khop(m.graph, i, kappa_p + m.kappa_r).members
-    outer = netgraph.khop(m.graph, i, kappa_p + 2 * m.kappa_r).members
+    inner = netgraph.khop(m.graph, i, kappa_p + m.kappa_r)
+    outer = netgraph.khop(m.graph, i, kappa_p + 2 * m.kappa_r)
     return build_restricted_chain(m, outer, prob_tables, inner, scale=m.n)
 
 
@@ -351,7 +351,7 @@ def _score_gradient(
     pi = _outer(tables)
     weight = visitation.reshape(m.state_sizes + (1,) * n) * pi * value
     grad = np.zeros((pol.n_states, pol.n_actions))
-    for j in pol.hoods[i]:
+    for j in netgraph.khop(m.graph, i, pol.spec.kappa_p):
         marginal = weight.sum(axis=tuple(ax for ax in range(2 * n) if ax not in (j, n + j)))
         grad += pol.coupling[j, i] * (
             marginal - score_tables[j] * marginal.sum(axis=1, keepdims=True)
@@ -379,7 +379,7 @@ def gradient_via_local_q(
     targets = (
         tuple(range(m.n))
         if full_sum
-        else netgraph.khop(m.graph, i, pol.spec.kappa_p + m.kappa_r).members
+        else netgraph.khop(m.graph, i, pol.spec.kappa_p + m.kappa_r)
     )
     everyone = tuple(range(m.n))
     qsum = 0.0

@@ -5,12 +5,13 @@ its ``kappa_p``-hop neighbors:
 
     z_j(a) = c_self * theta_j[s_j, a] + c_nbr * sum_{k in coupled(j)} theta_k[s_j, a]
 
-with ``c_self = self_weight`` and ``c_nbr = neighbor_weight_total /
-|coupled(j)|``. When the coupling set is empty (radius 0, or a single
-agent) the policy degenerates to a plain softmax of the agent's own table,
-``c_self = 1``. Parameters use the flat index ``idx(s, a) = s * A + a`` into
-the one ``(S, A)`` space every agent shares (the contract of
-:mod:`nmarl.model`).
+with ``c_self = self_weight``, ``c_nbr = neighbor_weight_total /
+|coupled(j)|`` and ``coupled(j)`` the other agents within ``kappa_p`` hops
+(a row of :func:`nmarl.netgraph.hop_mask`). When the coupling set is empty
+(radius 0, or a single agent) the policy degenerates to a plain softmax of
+the agent's own table, ``c_self = 1``. Parameters use the flat index
+``idx(s, a) = s * A + a`` into the one ``(S, A)`` space every agent shares
+(the contract of :mod:`nmarl.model`).
 
 Score functions (gradients of ``log pi_j`` with respect to another agent's
 parameter vector) have the closed form
@@ -64,31 +65,18 @@ class CoupledSoftmaxPolicy:
         self.n_actions = int(n_actions)
         self.d = self.n_states * self.n_actions
         self.spec = spec
-        self.hoods: tuple[tuple[int, ...], ...] = tuple(
-            netgraph.khop(graph, i, spec.kappa_p).members for i in range(self.n)
-        )
-        self.coupled: tuple[tuple[int, ...], ...] = tuple(
-            tuple(j for j in hood if j != i) for i, hood in enumerate(self.hoods)
-        )
-        # Empty coupling set degenerates to a pure softmax of the own table.
-        self.self_coeff = np.array(
-            [spec.self_weight if self.coupled[i] else 1.0 for i in range(self.n)]
-        )
-        self.nbr_coeff = np.array(
-            [
-                spec.neighbor_weight_total / len(self.coupled[i])
-                if self.coupled[i]
-                else 0.0
-                for i in range(self.n)
-            ]
-        )
         # coupling[j, k] is the weight of agent k's table inside agent j's
-        # logits; zero outside the hop neighborhood.
-        self.coupling = np.zeros((self.n, self.n))
-        for j in range(self.n):
-            self.coupling[j, j] = self.self_coeff[j]
-            for k in self.coupled[j]:
-                self.coupling[j, k] = self.nbr_coeff[j]
+        # logits: zero beyond kappa_p hops, and weight 1 on itself for an
+        # agent with no other agent in reach (a plain softmax).
+        eye = np.eye(self.n)
+        others = netgraph.hop_mask(graph, spec.kappa_p) - eye
+        reach = others.sum(axis=1, keepdims=True)
+        self.coupling = np.where(
+            reach > 0,
+            spec.self_weight * eye
+            + spec.neighbor_weight_total * others / np.maximum(reach, 1.0),
+            eye,
+        )
         # Constants of score_sums: agent j's state-s row of a flat (n * S, A)
         # table is _agent_rows[j] + s; one-hot rows of actions and of states;
         # _shares[i, j] = coupling[j, i], agent i's share of agent j's score.
@@ -149,21 +137,13 @@ class CoupledSoftmaxPolicy:
     # ------------------------------------------------------------------
     # scores
 
-    def coeff(self, i: int, j: int) -> float:
-        """Mixing coefficient of agent ``i``'s parameters inside agent ``j``'s logits."""
-        if i == j:
-            return float(self.self_coeff[j])
-        if i in self.coupled[j]:
-            return float(self.nbr_coeff[j])
-        return 0.0
-
     def score(self, i: int, j: int, s_j: int, a_j: int, params) -> np.ndarray:
         """Gradient of ``log pi_j(a_j | s_j)`` with respect to ``theta_i``.
 
         Identically zero when ``i`` is not within ``kappa_p`` hops of ``j``.
         """
         out = np.zeros(self.d)
-        c = self.coeff(i, j)
+        c = float(self.coupling[j, i])
         if c == 0.0:
             return out
         probs = self.action_probs(j, s_j, params)
@@ -218,7 +198,7 @@ class CoupledSoftmaxPolicy:
 
     def score_bound(self) -> float:
         """Uniform bound on every single score norm for this policy class."""
-        return float(np.max(np.maximum(self.self_coeff, self.nbr_coeff))) * math.sqrt(2.0)
+        return math.sqrt(2.0) * float(self.coupling.max())
 
 
 def _softmax_rows(logits: np.ndarray) -> np.ndarray:

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import math
+from collections import deque
 
 import numpy as np
+from hypothesis import strategies as st
 
 from nmarl import netgraph
 from nmarl.errors import SpaceTooLarge
@@ -20,6 +22,34 @@ from nmarl.oracle import (
 
 def line_graph(n: int) -> netgraph.AgentGraph:
     return netgraph.build_graph(n, [(k, k + 1) for k in range(1, n)])
+
+
+def bfs_distances(g: netgraph.AgentGraph, source: int) -> dict[int, int]:
+    """Independent BFS reference for every neighborhood read from ``hop_mask``."""
+    dist = {source: 0}
+    frontier = deque([source])
+    while frontier:
+        v = frontier.popleft()
+        for u in g.neighbors[v]:
+            if u not in dist:
+                dist[u] = dist[v] + 1
+                frontier.append(u)
+    return dist
+
+
+@st.composite
+def connected_graphs(draw, min_agents: int = 2):
+    n = draw(st.integers(min_value=min_agents, max_value=8))
+    # random spanning tree keeps it connected, then optional extra edges
+    edges = set()
+    for v in range(2, n + 1):
+        u = draw(st.integers(min_value=1, max_value=v - 1))
+        edges.add((u, v))
+    extras = draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, n)), max_size=6))
+    for a, b in extras:
+        if a != b:
+            edges.add((min(a, b), max(a, b)))
+    return netgraph.build_graph(n, sorted(edges))
 
 
 def shaped_graph(kind: str, n: int) -> netgraph.AgentGraph:
@@ -127,10 +157,10 @@ def ref_gradient_estimate(roll, m, pol, params) -> tuple[np.ndarray, np.ndarray]
     q_values = np.empty(m.n)
     for i in range(m.n):
         view = arr if arr.ndim == 2 else arr[i]
-        members = netgraph.khop(m.graph, i, kappa_p + m.kappa_r).members
+        members = netgraph.khop(m.graph, i, kappa_p + m.kappa_r)
         q = float(weights @ roll.reward_trace[:, list(members)].sum(axis=1)) / m.n
         total = np.zeros(pol.d)
-        for j in netgraph.khop(m.graph, i, kappa_p).members:
+        for j in netgraph.khop(m.graph, i, kappa_p):
             total += pol.score(i, j, roll.snapshot_state[j], roll.snapshot_action[j], view)
         grads[i] = q * total / (1.0 - m.gamma)
         q_values[i] = q
@@ -300,7 +330,7 @@ def ref_gradient_via_local_q(m, pol, params, i, full_sum=False, eps=1e-9) -> np.
     targets = (
         tuple(range(m.n))
         if full_sum
-        else netgraph.khop(m.graph, i, pol.spec.kappa_p + m.kappa_r).members
+        else netgraph.khop(m.graph, i, pol.spec.kappa_p + m.kappa_r)
     )
     q_tabs = []
     for l in targets:
@@ -320,8 +350,8 @@ def ref_gradient_via_local_q(m, pol, params, i, full_sum=False, eps=1e-9) -> np.
 
 def ref_gradient_via_averaged_q(m, pol, params, i, eps=1e-9) -> np.ndarray:
     tables = pol.prob_tables(np.asarray(params, dtype=float))
-    inner = netgraph.khop(m.graph, i, pol.spec.kappa_p + m.kappa_r).members
-    outer = netgraph.khop(m.graph, i, pol.spec.kappa_p + 2 * m.kappa_r).members
+    inner = netgraph.khop(m.graph, i, pol.spec.kappa_p + m.kappa_r)
+    outer = netgraph.khop(m.graph, i, pol.spec.kappa_p + 2 * m.kappa_r)
     chain = ref_build_restricted_chain(
         m, outer, tables, ref_averaged_reward_fn(m, inner, outer)
     )

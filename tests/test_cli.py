@@ -84,8 +84,9 @@ class TestConfigParsing:
 
 PC, PP = "configs/power_control.json", "configs/path_planning.json"
 
-# Each input trained (exit 0), wrote a metrics file or raised a traceback
-# before the constructors became the config schema.
+# Each input trained (exit 0), wrote a metrics file, raised a traceback or
+# failed only inside the first run until the constructors became the config
+# schema and the model was built before any run.
 BAD_INPUTS = [
     (PC, "dscp.iterations=abc"),
     (PC, "dscp.lr.eta0=abc"),
@@ -107,6 +108,11 @@ BAD_INPUTS = [
     (PC, "seeds=[]"),
     (PC, "seeds=[true]"),
     (PC, "seeds=[1,-1]"),
+    (PC, "env.overrides.start=[0.5,0,0]"),
+    (PC, "env.overrides.start=[true,0,0]"),
+    (PC, "env.overrides.noise=[1,1,NaN]"),
+    (PC, "env.overrides.price=[1,1,Infinity]"),
+    (PC, "env.overrides.gains=[[1,0.2,NaN],[0.2,1,0.2],[0,0.2,1]]"),
     (PP, "env.overrides.gamma=0"),
     (PP, "env.overrides.r_eps=abc"),
     (PP, 'env.overrides.terminal_zero_reward="no"'),
@@ -118,7 +124,8 @@ BAD_INPUTS = [
 @pytest.mark.parametrize(
     "cfg, bad", BAD_INPUTS, ids=[f"{'pc' if c == PC else 'pp'}:{b}" for c, b in BAD_INPUTS]
 )
-def test_bad_input_exits_2_before_training(tmp_path, capsys, cfg, bad):
+def test_bad_input_exits_2_before_training(tmp_path, capsys, monkeypatch, cfg, bad):
+    monkeypatch.setattr(cli, "run_dscp", lambda *a, **kw: pytest.fail("training started"))
     small = ["--set", "dscp.iterations=2", "--set", "dscp.eval_episodes=5", "--set", "seeds=[1]"]
     rc = cli.main(["train", "--config", cfg, "--out", str(tmp_path), *small, "--set", bad])
     assert rc == 2
@@ -392,6 +399,15 @@ class TestSweep:
         )
         assert rc == 2
         assert not list(out.glob("**/metrics_seed*.csv"))
+
+    def test_bad_override_leaves_no_run_directory(self, tmp_path):
+        out = tmp_path / "sweep"
+        rc = cli.main(
+            ["sweep", "--config", PC, "--kappa-p", "0", "1", "--out", str(out),
+             "--set", "env.overrides.levels=2.5"]
+        )
+        assert rc == 2
+        assert not list(tmp_path.glob("**/kp*"))
 
     def test_negative_kappa_exit_2(self, tmp_path):
         cfg = write_config(tmp_path, tiny_path_config(tmp_path / "x"))

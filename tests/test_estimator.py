@@ -243,8 +243,8 @@ class TestGradientEstimate:
         roll = rollout_two_horizon(m, est_params, pol, np.random.default_rng(9))
         base = gradient_estimate(roll, m, pol, est_params, bound=math.inf).grads[0]
 
-        inner = set(netgraph.khop(g, 0, 1).members)
-        outer = set(netgraph.khop(g, 0, 2).members)
+        inner = set(netgraph.khop(g, 0, 1))
+        outer = set(netgraph.khop(g, 0, 2))
         snap_s = tuple(
             s if j in inner else 1 for j, s in enumerate(roll.snapshot_state)
         )

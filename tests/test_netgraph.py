@@ -1,5 +1,3 @@
-from collections import deque
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,35 +6,7 @@ from hypothesis import strategies as st
 from nmarl import netgraph
 from nmarl.errors import DisconnectedGraph, IndexOutOfRange
 
-from support import line_graph
-
-
-def bfs_distances(g: netgraph.AgentGraph, source: int) -> dict[int, int]:
-    """Independent BFS oracle used to cross-check khop."""
-    dist = {source: 0}
-    frontier = deque([source])
-    while frontier:
-        v = frontier.popleft()
-        for u in g.neighbors[v]:
-            if u not in dist:
-                dist[u] = dist[v] + 1
-                frontier.append(u)
-    return dist
-
-
-@st.composite
-def connected_graphs(draw):
-    n = draw(st.integers(min_value=2, max_value=8))
-    # random spanning tree keeps it connected, then optional extra edges
-    edges = set()
-    for v in range(2, n + 1):
-        u = draw(st.integers(min_value=1, max_value=v - 1))
-        edges.add((u, v))
-    extras = draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, n)), max_size=6))
-    for a, b in extras:
-        if a != b:
-            edges.add((min(a, b), max(a, b)))
-    return netgraph.build_graph(n, sorted(edges))
+from support import bfs_distances, connected_graphs, line_graph
 
 
 class TestBuildGraph:
@@ -79,8 +49,8 @@ class TestBuildGraph:
     def test_ring_diameter_five(self):
         g = netgraph.ring_graph(10)
         assert max(bfs_distances(g, 0).values()) == 5
-        assert len(netgraph.khop(g, 0, 4).members) < 10
-        assert netgraph.khop(g, 0, 5).members == tuple(range(10))
+        assert len(netgraph.khop(g, 0, 4)) < 10
+        assert netgraph.khop(g, 0, 5) == tuple(range(10))
 
     def test_json_round_trip(self):
         g = netgraph.build_graph(**{"n": 4, "edges": [[1, 2], [2, 3], [3, 4], [4, 1]]})
@@ -127,30 +97,30 @@ class TestWeightMatrix:
 class TestKhop:
     def test_path_center_radius_one(self):
         g = line_graph(3)
-        assert netgraph.khop(g, 1, 1).members == (0, 1, 2)
+        assert netgraph.khop(g, 1, 1) == (0, 1, 2)
 
     @given(connected_graphs(), st.integers(0, 8))
     @settings(max_examples=60, deadline=None)
     def test_radius_zero_and_bfs_agreement(self, g, kappa):
         for i in range(g.n):
-            assert netgraph.khop(g, i, 0).members == (i,)
+            assert netgraph.khop(g, i, 0) == (i,)
             dist = bfs_distances(g, i)
             expected = tuple(sorted(j for j, dd in dist.items() if dd <= kappa))
-            assert netgraph.khop(g, i, kappa).members == expected
+            assert netgraph.khop(g, i, kappa) == expected
 
     def test_ring_center_radius_two(self):
         g = netgraph.ring_graph(10)
-        assert netgraph.khop(g, 0, 2).members == (0, 1, 2, 8, 9)
+        assert netgraph.khop(g, 0, 2) == (0, 1, 2, 8, 9)
 
     @given(connected_graphs(), st.integers(0, 6))
     @settings(max_examples=60, deadline=None)
     def test_monotone_nesting_and_symmetry(self, g, kappa):
         for i in range(g.n):
-            inner = set(netgraph.khop(g, i, kappa).members)
-            outer = set(netgraph.khop(g, i, kappa + 1).members)
+            inner = set(netgraph.khop(g, i, kappa))
+            outer = set(netgraph.khop(g, i, kappa + 1))
             assert inner <= outer
             for j in range(g.n):
-                assert (j in inner) == (i in set(netgraph.khop(g, j, kappa).members))
+                assert (j in inner) == (i in set(netgraph.khop(g, j, kappa)))
 
     def test_bad_center(self):
         with pytest.raises(IndexOutOfRange):
@@ -166,7 +136,8 @@ class TestHopMask:
         mask = netgraph.hop_mask(g, kappa)
         assert mask.shape == (g.n, g.n)
         for i in range(g.n):
-            assert tuple(np.flatnonzero(mask[i])) == netgraph.khop(g, i, kappa).members
+            expected = tuple(sorted(j for j, d in bfs_distances(g, i).items() if d <= kappa))
+            assert tuple(np.flatnonzero(mask[i])) == expected
         assert set(np.unique(mask)) <= {0.0, 1.0}
 
     def test_cached_and_read_only(self):

@@ -92,8 +92,8 @@ class TestDecomposition:
         m, pol, theta = line3
         tables = pol.prob_tables(theta)
         i = 0
-        outer = netgraph.khop(m.graph, i, 1 + 2 * m.kappa_r).members
-        inner = netgraph.khop(m.graph, i, 1 + m.kappa_r).members
+        outer = netgraph.khop(m.graph, i, 1 + 2 * m.kappa_r)
+        inner = netgraph.khop(m.graph, i, 1 + m.kappa_r)
         local_q = {j: oracle.local_q_table(m, tables, j) for j in inner}
         for s in itertools.product(range(2), repeat=3):
             for a in itertools.product(range(2), repeat=3):
@@ -116,7 +116,7 @@ class TestDecomposition:
         g = line_graph(5)
         m = random_table_model(g, np.random.default_rng(31))
         tables = uniform_tables(5, 2, 2)
-        outer = netgraph.khop(g, 0, 3).members
+        outer = netgraph.khop(g, 0, 3)
         assert outer == (0, 1, 2, 3)
         val = oracle.neighbors_averaged_q(m, tables, 0, (0, 1, 0, 1), (1, 0, 1, 0), 1)
         assert np.isfinite(val)

@@ -72,7 +72,7 @@ def compute_case(name: str, kappa_p: int) -> dict:
             mem = m.reward_members[i]
             point["local_q"].append(oracle.q_at(
                 *local_q[i], [s[j] for j in mem], [a[j] for j in mem]))
-            outer = netgraph.khop(m.graph, i, kappa_p + 2 * m.kappa_r).members
+            outer = netgraph.khop(m.graph, i, kappa_p + 2 * m.kappa_r)
             point["averaged_q"].append(oracle.neighbors_averaged_q(
                 m, tables, i, [s[j] for j in outer], [a[j] for j in outer], kappa_p))
         out["points"].append(point)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nmarl import netgraph
@@ -10,7 +10,7 @@ from nmarl.errors import DimensionMismatch
 from nmarl.estimator import simulate
 from nmarl.policy import CoupledSoftmaxPolicy, MixingSpec
 
-from support import line_graph, zero_reward_model
+from support import bfs_distances, connected_graphs, line_graph, zero_reward_model
 
 
 def single_agent_policy(n_actions=3):
@@ -45,6 +45,29 @@ class TestMixingSpec:
             MixingSpec(self_weight=-0.1)
         with pytest.raises(ValueError):
             MixingSpec(kappa_p=-1)
+
+
+@given(
+    connected_graphs(min_agents=1),
+    st.integers(0, 3),
+    st.sampled_from([(0.9, 0.1), (0.0, 0.3), (0.5, 0.0), (0.0, 0.0)]),
+)
+@example(netgraph.ring_graph(1), 1, (0.9, 0.1))
+@settings(max_examples=60, deadline=None)
+def test_coupling_and_mixing_match_bfs_reference(g, kappa, weights):
+    self_weight, neighbor_total = weights
+    pol = CoupledSoftmaxPolicy(g, 2, 2, MixingSpec(self_weight, neighbor_total, kappa))
+    coupling = np.zeros((g.n, g.n))
+    mixing = np.zeros((g.n, g.n))
+    for j in range(g.n):
+        others = [k for k, d in bfs_distances(g, j).items() if 0 < d <= kappa]
+        coupling[j, j] = self_weight if others else 1.0
+        for k in others:
+            coupling[j, k] = neighbor_total / len(others)
+        for i in g.neighbors[j]:
+            mixing[i, j] = 1.0 / len(g.neighbors[j])
+    np.testing.assert_array_equal(pol.coupling, coupling)
+    np.testing.assert_array_equal(netgraph.weight_matrix(g), mixing)
 
 
 class TestActionProbs:
@@ -178,7 +201,7 @@ class TestScoreSum:
         def log_sum(params):
             return sum(
                 math.log(line5_policy.action_probs(j, s[j], params)[a[j]])
-                for j in line5_policy.hoods[i]
+                for j in netgraph.khop(line5_policy.graph, i, 1)
             )
 
         h = 1e-6
