@@ -13,8 +13,10 @@ import os
 import subprocess
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
+from typing import IO, Iterator
 
 import numpy as np
 
@@ -51,6 +53,29 @@ def build_identifier() -> str:
     return f"nmarl-{__version__}"
 
 
+@contextmanager
+def atomic_write(path: Path) -> Iterator[IO[str]]:
+    """A text file that replaces ``path`` only once it is fully written.
+
+    Writes a temporary file next to ``path``, then renames it over ``path``
+    with ``os.replace``; if the write fails, the temporary file is removed
+    and ``path`` keeps its previous content.
+    """
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w") as fp:
+            yield fp
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _write_text(path: Path, text: str) -> None:
+    with atomic_write(path) as fp:
+        fp.write(text)
+
+
 def _write_checkpoint(
     path: Path, theta: np.ndarray, cfg: DscpConfig, model: FactoredNmarlModel
 ) -> None:
@@ -66,7 +91,7 @@ def _write_checkpoint(
         },
         "params": theta.tolist(),
     }
-    path.write_text(json.dumps(payload))
+    _write_text(path, json.dumps(payload))
 
 
 def _train_one(model: FactoredNmarlModel, cfg: DscpConfig, out: Path) -> dict:
@@ -74,7 +99,7 @@ def _train_one(model: FactoredNmarlModel, cfg: DscpConfig, out: Path) -> dict:
     theta, record = run_dscp(model, model.graph, cfg)
     wall_s = time.perf_counter() - started
     csv_path = out / f"metrics_seed{cfg.seed}.csv"
-    with open(csv_path, "w") as fp:
+    with atomic_write(csv_path) as fp:
         record.write_csv(fp, include_wall_time=cfg.record_wall_time)
     _write_checkpoint(out / f"checkpoint_seed{cfg.seed}.json", theta, cfg, model)
     final = record.final_eval()
@@ -100,7 +125,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     out.mkdir(parents=True, exist_ok=True)
     results = [_train_one(model, replace(run.dscp, seed=seed), out) for seed in run.seeds]
     summary = {"config": run.raw, "build": build_identifier(), "results": results}
-    (out / "summary.json").write_text(json.dumps(summary, indent=1))
+    _write_text(out / "summary.json", json.dumps(summary, indent=1))
     log.info("wrote %s", out / "summary.json")
     return 0
 
@@ -108,6 +133,11 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     run = load_config(args.config, args.set)
     kappas = args.kappa_p
+    repeated = sorted({k for k in kappas if kappas.count(k) > 1})
+    if repeated:
+        raise ConfigError(
+            f"--kappa-p lists {repeated} more than once; each value trains into its own kp<k>/"
+        )
     seeds = run.seeds if args.seed is None else check_seeds([args.seed])
     configs = [replace(run.dscp, kappa_p=kappa) for kappa in kappas]
     for cfg in configs:
@@ -138,7 +168,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         "kappa_p": aggregate,
         "mean_final_J_by_kappa": order,
     }
-    (out / "sweep.json").write_text(json.dumps(payload, indent=1))
+    _write_text(out / "sweep.json", json.dumps(payload, indent=1))
     log.info("wrote %s", out / "sweep.json")
     return 0
 
@@ -189,7 +219,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     text = json.dumps(report, indent=1)
     if args.out:
         Path(args.out).mkdir(parents=True, exist_ok=True)
-        (Path(args.out) / "verify.json").write_text(text)
+        _write_text(Path(args.out) / "verify.json", text)
     print(text)
     return 0 if report["pass"] else 1
 

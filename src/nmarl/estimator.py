@@ -18,10 +18,10 @@ analytic cap on every sample; a violation is an implementation bug, never a
 data error.
 
 Every sample of the chain, here and in the trainer's Monte-Carlo
-evaluation, is stepped by ``simulate``; its docstring states the draw order.
-Each uniform is inverted against cumulative probabilities whose last column
-is ``+inf``, so a draw at or beyond a float cumsum that ends below 1 still
-lands on the last index.
+evaluation, is stepped by ``simulate``; its docstring states the draw order
+and its two inversion forms, which pick the same index for every uniform: a
+draw at or beyond a float cumsum that ends below 1 still lands on the last
+index.
 """
 
 from __future__ import annotations
@@ -40,28 +40,35 @@ from .model import FactoredNmarlModel
 from .policy import CoupledSoftmaxPolicy
 
 MAX_HORIZON = 10**7
+# simulate inputs of at least this many entries count thresholds: on both
+# shipped models the count form overtakes the row argmax between ~80 and ~100
+# entries (measured on a 2-vCPU x86 machine)
+BATCH_ENTRIES = 96
+DRAW_BLOCK = 2**14  # most uniforms simulate draws per rng.random call
 
 
 @dataclass
 class TwoHorizonRollout:
     """One sampled episode: snapshot at ``t1``, rewards over ``[t1, t1 + t2]``.
 
-    ``reward_trace`` has shape ``(t2 + 1, n)`` and holds every agent's reward
-    even though each consumer only reads its own neighborhood columns.
+    The snapshot is the integer ``(n,)`` state and action arrays of step
+    ``t1``, as ``simulate`` drew them; ``reward_trace`` has shape ``(t2 + 1,
+    n)`` and holds every agent's reward even though each consumer only reads
+    its own neighborhood columns.
     """
 
     t1: int
     t2: int
-    snapshot_state: tuple[int, ...]
-    snapshot_action: tuple[int, ...]
+    snapshot_state: np.ndarray
+    snapshot_action: np.ndarray
     reward_trace: np.ndarray
 
     def to_json(self) -> dict:
         return {
             "t1": self.t1,
             "t2": self.t2,
-            "snapshot_state": list(self.snapshot_state),
-            "snapshot_action": list(self.snapshot_action),
+            "snapshot_state": self.snapshot_state.tolist(),
+            "snapshot_action": self.snapshot_action.tolist(),
             "reward_trace": self.reward_trace.tolist(),
         }
 
@@ -92,8 +99,20 @@ def sample_geometric(
 
 
 def half_discount_weights(gamma: float, length: int) -> np.ndarray:
-    """``gamma^(tau/2)`` for ``tau = 0..length-1``, via ``exp`` for accumulated-error control."""
-    return np.exp(np.arange(length) * (0.5 * math.log(gamma)))
+    """``gamma^(tau/2)`` for ``tau = 0..length-1``, via ``exp`` for accumulated-error control.
+
+    A read-only prefix of one cached array per ``gamma``, whose length is the
+    next power of two: ``exp`` acts element by element, so the prefix holds
+    the bits a fresh array of ``length`` weights would.
+    """
+    return _half_discount_prefix(gamma, max(64, 1 << (length - 1).bit_length()))[:length]
+
+
+@lru_cache(maxsize=64)
+def _half_discount_prefix(gamma: float, size: int) -> np.ndarray:
+    weights = np.exp(np.arange(size) * (0.5 * math.log(gamma)))
+    weights.setflags(write=False)
+    return weights
 
 
 def simulate(
@@ -112,30 +131,72 @@ def simulate(
     the package is drawn here, in one order: at each step one uniform per
     entry picks the actions (none at step 0 when the start ``actions`` are
     given), then one uniform per entry picks the next states, except after
-    the last step. A step draws when it is taken, so a caller draws nothing
-    else from ``rng`` until it has taken the steps it needs.
+    the last step.
 
-    Each uniform is inverted through its row of cumulative probabilities,
-    gathered with ``take`` from flat ``(n * S, A)`` policy and
+    The uniforms after step 0 are drawn in blocks of whole steps, at most
+    ``DRAW_BLOCK`` per ``rng.random`` call (one step per call when a step
+    alone needs more), each block when its first step is taken. The values
+    and the final generator state are those of one draw per step, provided
+    the caller takes every step: a caller draws nothing else from ``rng``
+    until it has taken all ``steps + 1``, and every caller in the package
+    does.
+
+    Each uniform ``u`` inverts to the first index whose cumulative
+    probability exceeds ``u``, or the last index when none does (a float
+    cumsum can end just below 1). Two forms give that index, value for
+    value. Inputs of fewer than ``BATCH_ENTRIES`` entries, such as a
+    training rollout's ``(n,)`` trajectory, take each row's ``argmax`` of
+    ``u < cum``, gathered with ``take`` from flat ``(n * S, A)`` policy and
     ``(n * S * A, S)`` kernel views whose last column is ``+inf``
-    (``model.stacked_kernel_cum`` caches the kernel one).
+    (``model.stacked_kernel_cum`` caches the kernel one). Larger inputs
+    count the cumsum columns at or below ``u``, which on a nondecreasing
+    cumsum is the same index: the policy's first ``A - 1`` columns, and the
+    kernel's rising columns only (``model.kernel_support``), whose count
+    then picks the successor state.
     """
     n, n_states, n_actions = tables.shape
     pol_cum = np.cumsum(tables, axis=-1)
-    pol_cum[..., -1] = np.inf
-    pol_rows = pol_cum.reshape(n * n_states, n_actions)
-    kern_rows = m.stacked_kernel_cum().reshape(n * n_states * n_actions, n_states)
     agent_rows = np.arange(n) * n_states  # first policy row of each agent
+    if states.size >= BATCH_ENTRIES:
+        pol_thresholds = np.ascontiguousarray(
+            pol_cum[..., :-1].reshape(n * n_states, n_actions - 1).T
+        )
+        kern_thresholds, successors = m.kernel_support()
+        width = successors.shape[1]
+        flat_successors = successors.ravel()
+
+        def pick_actions(rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+            return _count_at_or_below(pol_thresholds, rows, u)
+
+        def pick_states(rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+            counts = _count_at_or_below(kern_thresholds, rows, u)
+            return flat_successors.take(rows * width + counts)
+
+    else:
+        pol_cum[..., -1] = np.inf
+        pol_rows = pol_cum.reshape(n * n_states, n_actions)
+        kern_rows = m.stacked_kernel_cum().reshape(n * n_states * n_actions, n_states)
+
+        def pick_actions(rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+            return _inverse_cdf(pol_rows.take(rows, axis=0), u)
+
+        def pick_states(rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+            return _inverse_cdf(kern_rows.take(rows, axis=0), u)
+
+    block = max(1, DRAW_BLOCK // max(1, 2 * states.size))  # whole steps per draw
     for t in range(steps + 1):
         if t > 0:
+            k = (t - 1) % block
+            if k == 0:
+                draws = rng.random((min(block, steps + 1 - t), 2) + states.shape)
             # the transition uniforms into step t, then its action uniforms
-            u_next, u_act = rng.random((2,) + states.shape)
-            states = _inverse_cdf(kern_rows.take(rows * n_actions + actions, axis=0), u_next)
+            u_next, u_act = draws[k]
+            states = pick_states(rows * n_actions + actions, u_next)
         elif actions is None:
             u_act = rng.random(states.shape)
         rows = agent_rows + states  # policy rows; kernel rows are rows * A + a
         if t > 0 or actions is None:
-            actions = _inverse_cdf(pol_rows.take(rows, axis=0), u_act)
+            actions = pick_actions(rows, u_act)
         yield states, actions
 
 
@@ -144,10 +205,16 @@ def _inverse_cdf(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
 
     The last column of ``cum`` is ``+inf``, so every row has one: a float
     cumsum can end just below 1, and a draw beyond it maps to the last
-    index. For a nondecreasing cumsum this is ``min((cum <= u).sum(-1),
-    last)`` of the uncapped rows, index for index.
+    index.
     """
     return (u[..., None] < cum).argmax(axis=-1)
+
+
+def _count_at_or_below(thresholds: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Per entry, how many of its row's ``thresholds`` ``(k, rows)`` are at
+    or below ``u``: on a nondecreasing row, the index of the first column
+    above ``u``, or ``k`` when none is."""
+    return (thresholds.take(rows, axis=1) <= u).sum(axis=0)
 
 
 def _score_trace(
@@ -190,11 +257,7 @@ def rollout_two_horizon(
     steps = simulate(m, tables, m.rho.sample(rng, 1)[0], rng, t1 + t2)
     states, actions, trace = _score_trace(m, itertools.islice(steps, t1, None))
     return TwoHorizonRollout(
-        t1=t1,
-        t2=t2,
-        snapshot_state=tuple(int(s) for s in states[0]),
-        snapshot_action=tuple(int(a) for a in actions[0]),
-        reward_trace=trace,
+        t1=t1, t2=t2, snapshot_state=states[0], snapshot_action=actions[0], reward_trace=trace
     )
 
 
@@ -293,7 +356,7 @@ def sample_q_conditional(
         tables = pol.prob_tables(params)
     t2 = sample_geometric(1.0 - math.sqrt(m.gamma), rng)
     start = np.array(snapshot_state, dtype=np.intp)
-    steps = simulate(m, tables, start, rng, t2, np.array(snapshot_action, dtype=np.intp))
-    *_, trace = _score_trace(m, steps)
-    roll = TwoHorizonRollout(0, t2, tuple(snapshot_state), tuple(snapshot_action), trace)
+    start_actions = np.array(snapshot_action, dtype=np.intp)
+    *_, trace = _score_trace(m, simulate(m, tables, start, rng, t2, start_actions))
+    roll = TwoHorizonRollout(0, t2, start, start_actions, trace)
     return float(q_estimates(roll, m, pol.spec.kappa_p)[i])

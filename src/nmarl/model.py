@@ -92,14 +92,16 @@ class FactoredNmarlModel:
     shape ``(..., n)``. It is the model's only reward implementation; the
     samplers score whole arrays of steps or episodes with one call.
 
-    Two derived arrays are built lazily and cached: the kernel row cumsums
-    that ``estimator.simulate`` steps with (``stacked_kernel_cum``, with a
-    ``+inf`` last column so that every uniform inverts to a state;
-    ``simulate``'s docstring states the draw order), and one dense reward
-    table per agent over its neighborhood's restricted domain
-    (``reward_tables``). The reward tables feed the reward bound and every
-    reward the exact oracle integrates; rewards do not depend on the policy,
-    so the domain is enumerated once per model.
+    Three derived forms are built lazily and cached. ``estimator.simulate``
+    steps with two forms of the kernel row cumsums: ``stacked_kernel_cum``,
+    every column with a ``+inf`` last one so that every uniform inverts to a
+    state, for a single trajectory; and ``kernel_support``, only the columns
+    where a row's cumsum rises, for batches of episodes (``simulate``'s
+    docstring states the draw order and when each form is used). The third
+    is one dense reward table per agent over its neighborhood's restricted
+    domain (``reward_tables``). The reward tables feed the reward bound and
+    every reward the exact oracle integrates; rewards do not depend on the
+    policy, so the domain is enumerated once per model.
 
     Args:
         graph: communication network; also defines reward neighborhoods.
@@ -139,6 +141,7 @@ class FactoredNmarlModel:
         self.batch_rewards = batch_rewards
         self.reward_members: tuple[tuple[int, ...], ...] = graph.neighbors
         self._stacked_cum: np.ndarray | None = None
+        self._kernel_support: tuple[np.ndarray, np.ndarray] | None = None
         self._reward_tables: tuple[np.ndarray, ...] | None = None
         self._reward_bound: float | None = None
 
@@ -171,6 +174,38 @@ class FactoredNmarlModel:
             cum.setflags(write=False)
             self._stacked_cum = cum
         return self._stacked_cum
+
+    def kernel_support(self) -> tuple[np.ndarray, np.ndarray]:
+        """The kernel rows compressed to where their cumsums rise (cached).
+
+        Returns ``(thresholds, successors)`` over the ``n * S * A`` flat rows
+        of ``stacked_kernel_cum``. Row ``r`` keeps its columns ``j < S - 1``
+        whose float cumsum strictly rises (exceeds the column before it, or 0
+        for ``j = 0``): ``thresholds[k, r]`` is the cumsum at the ``k``-th such
+        column, ``successors[r, k]`` that column, and both are padded (with
+        ``+inf`` and ``S - 1``) to ``K - 1`` thresholds and ``K`` successors,
+        ``K - 1`` the most any row keeps. The count of a row's thresholds at
+        or below a uniform ``u`` indexes its successor, which is the first
+        column whose cumsum exceeds ``u``, or ``S - 1``: the state the capped
+        cumsum inverts ``u`` to. A one-hot kernel row keeps at most one
+        column. Read-only.
+        """
+        if self._kernel_support is None:
+            ns, rows_total = self.n_states, self.n * self.n_states * self.n_actions
+            cum = self.stacked_kernel_cum()[..., :-1].reshape(rows_total, ns - 1)
+            before = np.concatenate([np.zeros((rows_total, 1)), cum], axis=1)[:, :-1]
+            rises = cum > before
+            rows, cols = np.nonzero(rises)
+            slots = (np.cumsum(rises, axis=1) - 1)[rows, cols]  # rank among the row's rises
+            width = int(rises.sum(axis=1).max(initial=0))
+            thresholds = np.full((width, rows_total), np.inf)
+            thresholds[slots, rows] = cum[rows, cols]
+            successors = np.full((rows_total, width + 1), ns - 1, dtype=np.intp)
+            successors[rows, slots] = cols
+            thresholds.setflags(write=False)
+            successors.setflags(write=False)
+            self._kernel_support = thresholds, successors
+        return self._kernel_support
 
     def reward_tables(self) -> tuple[np.ndarray, ...]:
         """Dense per-agent reward tables over the restricted domains (cached).

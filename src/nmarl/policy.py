@@ -187,7 +187,8 @@ class CoupledSoftmaxPolicy:
         arr = np.asarray(params, dtype=float)
         if arr.shape not in ((n, self.d), (n, n, self.d)):
             raise DimensionMismatch(f"unsupported parameter stack shape {arr.shape}")
-        states, actions = np.array((snapshot_states, snapshot_actions), dtype=np.intp)
+        states = np.asarray(snapshot_states, dtype=np.intp)
+        actions = np.asarray(snapshot_actions, dtype=np.intp)
         # logits[v, j]: agent j's logits at its snapshot state under view v
         mixed = (self.coupling @ arr).reshape(-1, n * n_states, n_actions)
         logits = mixed.take(self._agent_rows + states, axis=1)

@@ -142,6 +142,50 @@ def next_states(
     return nxt
 
 
+def ref_simulate(m, tables, states, rng, steps, actions=None):
+    """The chain stepper ``simulate`` replaced, kept as its reference: one
+    ``rng.random`` call per step, and every uniform inverted by the ``argmax``
+    of ``u < cum`` over its full cumsum row, last column ``+inf``."""
+    n, n_states, n_actions = tables.shape
+    pol_cum = np.cumsum(tables, axis=-1)
+    pol_cum[..., -1] = np.inf
+    pol_rows = pol_cum.reshape(n * n_states, n_actions)
+    kern_rows = m.stacked_kernel_cum().reshape(n * n_states * n_actions, n_states)
+    agent_rows = np.arange(n) * n_states
+    for t in range(steps + 1):
+        if t > 0:
+            u_next, u_act = rng.random((2,) + states.shape)
+            cum = kern_rows.take(rows * n_actions + actions, axis=0)
+            states = (u_next[..., None] < cum).argmax(axis=-1)
+        elif actions is None:
+            u_act = rng.random(states.shape)
+        rows = agent_rows + states
+        if t > 0 or actions is None:
+            actions = (u_act[..., None] < pol_rows.take(rows, axis=0)).argmax(axis=-1)
+        yield states, actions
+
+
+class EdgeRng:
+    """A generator whose uniforms land on ``edges`` half the time.
+
+    Each uniform ``x`` of the wrapped generator below 1/2 is replaced by an
+    entry of ``edges`` picked by its value, the others pass unchanged: the
+    map acts value by value, so two consumers that draw the same stream in
+    different call shapes see the same uniforms. ``bit_generator`` is the
+    wrapped one's.
+    """
+
+    def __init__(self, seed: int, edges) -> None:
+        self.rng = np.random.default_rng(seed)
+        self.bit_generator = self.rng.bit_generator
+        self.edges = np.asarray(edges, dtype=float)
+
+    def random(self, shape):
+        x = self.rng.random(shape)
+        pick = np.minimum((x * 2 * len(self.edges)).astype(np.intp), len(self.edges) - 1)
+        return np.where(x < 0.5, self.edges[pick], x)
+
+
 def ref_gradient_estimate(roll, m, pol, params) -> tuple[np.ndarray, np.ndarray]:
     """Gradient and return estimates ``(n, d)``, ``(n,)`` one agent at a time.
 

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from nmarl import cli, verify
+from nmarl import cli, trainer, verify
 from nmarl.config import construct, load_config, parse_config
 from nmarl.errors import ConfigError
 from nmarl.policy import CoupledSoftmaxPolicy, MixingSpec
@@ -121,15 +121,22 @@ BAD_INPUTS = [
 ]
 
 
-@pytest.mark.parametrize(
-    "cfg, bad", BAD_INPUTS, ids=[f"{'pc' if c == PC else 'pp'}:{b}" for c, b in BAD_INPUTS]
-)
+# Each row is a config and the arguments after it: a bad ``--set`` override of
+# ``train``, or a whole bad command. A sweep listing a kappa_p twice trained
+# both into one kp<k>/ and kept one entry in sweep.json.
+BAD_RUNS = [(c, ["train", "--set", b], f"{'pc' if c == PC else 'pp'}:{b}") for c, b in BAD_INPUTS]
+BAD_RUNS.append((PC, ["sweep", "--kappa-p", "1", "1"], "pc:sweep --kappa-p 1 1"))
+
+
+@pytest.mark.parametrize("cfg, bad", [r[:2] for r in BAD_RUNS], ids=[r[2] for r in BAD_RUNS])
 def test_bad_input_exits_2_before_training(tmp_path, capsys, monkeypatch, cfg, bad):
     monkeypatch.setattr(cli, "run_dscp", lambda *a, **kw: pytest.fail("training started"))
     small = ["--set", "dscp.iterations=2", "--set", "dscp.eval_episodes=5", "--set", "seeds=[1]"]
-    rc = cli.main(["train", "--config", cfg, "--out", str(tmp_path), *small, "--set", bad])
+    command, *rest = bad
+    rc = cli.main([command, "--config", cfg, "--out", str(tmp_path), *small, *rest])
     assert rc == 2
-    assert not list(tmp_path.glob("metrics_seed*.csv"))
+    assert not list(tmp_path.glob("**/metrics_seed*.csv"))
+    assert not list(tmp_path.glob("kp*"))
     err = capsys.readouterr().err.splitlines()
     assert len([line for line in err if line.startswith("error: ")]) == 1
 
@@ -364,6 +371,43 @@ class TestEval:
             ["eval", "--config", cfg, "--checkpoint", str(bad), "--episodes", "10"]
         )
         assert rc == 2
+
+
+class TestAtomicOutputs:
+    def test_failed_write_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "out.json"
+        path.write_text("previous")
+        with pytest.raises(RuntimeError):
+            with cli.atomic_write(path) as fp:
+                fp.write("half of the new")
+                fp.flush()
+                raise RuntimeError("disk gone")
+        assert path.read_text() == "previous"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+
+    def test_completed_write_replaces_file(self, tmp_path):
+        path = tmp_path / "out.json"
+        path.write_text("previous")
+        with cli.atomic_write(path) as fp:
+            fp.write("new")
+        assert path.read_text() == "new"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+
+    def test_interrupted_rerun_keeps_metrics(self, tmp_path, monkeypatch):
+        # A rerun whose CSV write dies midway leaves the first run's CSV whole.
+        out = tmp_path / "run"
+        cfg = write_config(tmp_path, tiny_path_config(out, iterations=3))
+        assert cli.main(["train", "--config", cfg]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+
+        def broken(record, fp, include_wall_time=False):
+            fp.write("t,J_est\n1,")
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(trainer.TrainRecord, "write_csv", broken)
+        with pytest.raises(OSError):
+            cli.main(["train", "--config", cfg, "--set", "dscp.iterations=4"])
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 class TestSweep:

@@ -1,4 +1,5 @@
 import math
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -97,7 +98,7 @@ class TestRollout:
             roll = rollout_two_horizon(m, theta, pol, rng)
             if roll.t1 == 0:
                 zero_t1 += 1
-                assert roll.snapshot_state == (0, 0)
+                assert roll.snapshot_state.tolist() == [0, 0]
         assert zero_t1 / n > 0.97
 
     def test_deterministic_chain_content_fixed_by_horizons(self):
@@ -118,8 +119,8 @@ class TestRollout:
         traj = [(0, 1), (1, 0)]
         for seed in range(5):
             roll = rollout_two_horizon(m, theta, pol, np.random.default_rng(seed))
-            assert roll.snapshot_state == traj[roll.t1 % 2]
-            assert roll.snapshot_action == (0, 0)
+            assert tuple(roll.snapshot_state) == traj[roll.t1 % 2]
+            assert roll.snapshot_action.tolist() == [0, 0]
 
     def test_rewards_bounded(self, pair):
         m, pol = pair
@@ -137,8 +138,8 @@ class TestRollout:
         r1 = rollout_two_horizon(m, est, pol, np.random.default_rng(42))
         r2 = rollout_two_horizon(m, est, pol, np.random.default_rng(42))
         assert (r1.t1, r1.t2) == (r2.t1, r2.t2)
-        assert r1.snapshot_state == r2.snapshot_state
-        assert r1.snapshot_action == r2.snapshot_action
+        assert np.array_equal(r1.snapshot_state, r2.snapshot_state)
+        assert np.array_equal(r1.snapshot_action, r2.snapshot_action)
         assert np.array_equal(r1.reward_trace, r2.reward_trace)
         g1 = gradient_estimate(r1, m, pol, est)
         g2 = gradient_estimate(r2, m, pol, est)
@@ -198,6 +199,14 @@ class TestQEstimate:
     def test_half_discount_weights_match_power(self):
         w = half_discount_weights(0.9, 130)
         np.testing.assert_allclose(w, 0.9 ** (np.arange(130) / 2), rtol=1e-12)
+
+    def test_half_discount_weights_are_fresh_bits(self):
+        # served from a cached prefix, yet bit for bit a fresh exp of each length
+        for gamma in (0.6, 0.9, 0.99):
+            for length in (0, 1, 63, 64, 65, 130, 1000, 5000):
+                fresh = np.exp(np.arange(length) * (0.5 * math.log(gamma)))
+                np.testing.assert_array_equal(half_discount_weights(gamma, length), fresh)
+        assert not half_discount_weights(0.9, 3).flags.writeable
 
 
 class TestGradientEstimate:
@@ -341,14 +350,83 @@ class TestInverseCdf:
     def test_batch_of_episodes(self):
         m, tables = self.model()
         u = self.uniforms()
-        want = np.array([self.expected(x) for x in u])
-        start = np.tile([4, 0], (len(u), 1))
-        steps = list(simulate(m, tables, start, StubRng(u[:, None]), 1))
-        (_, a0), (s1, a1) = steps
-        for drawn in (a0, s1, a1):
-            np.testing.assert_array_equal(drawn, np.stack([want, want], axis=1))
-        assert np.all(self.P[a0] > 0.0)
-        assert want[-1] == len(self.P) - 1  # the largest uniform lands on the last bin
+        # below the cutoff the rows take an argmax, repeated above it they count thresholds
+        for reps in (1, -(-estimator.BATCH_ENTRIES // (2 * len(u)))):
+            batch = np.tile(u, reps)
+            want = np.array([self.expected(x) for x in batch])
+            start = np.tile([4, 0], (len(batch), 1))
+            assert (start.size >= estimator.BATCH_ENTRIES) == (reps > 1)
+            steps = list(simulate(m, tables, start, StubRng(batch[:, None]), 1))
+            (_, a0), (s1, a1) = steps
+            for drawn in (a0, s1, a1):
+                np.testing.assert_array_equal(drawn, np.stack([want, want], axis=1))
+            assert np.all(self.P[a0] > 0.0)
+            assert want[-1] == len(self.P) - 1  # the largest uniform lands on the last bin
+
+
+def _stochastic_rows(rng: np.random.Generator, shape: tuple, kind: str) -> np.ndarray:
+    """Rows over the last axis: ``dense``, ``sparse`` (zero-probability bins),
+    ``onehot`` (deterministic) or ``short`` (sparse, and a float cumsum that
+    ends below 1)."""
+    if kind == "onehot":
+        return np.eye(shape[-1])[rng.integers(shape[-1], size=shape[:-1])]
+    p = rng.random(shape)
+    if kind != "dense":
+        p[rng.random(shape) < 0.5] = 0.0
+        p[..., rng.integers(shape[-1])] += 0.1  # one positive bin per row at least
+    p /= p.sum(axis=-1, keepdims=True)
+    return p * (1.0 - 2.0**-50) if kind == "short" else p
+
+
+@st.composite
+def chains(draw):
+    """A model, policy tables, a start ``(n,)`` or ``(E, n)`` on either side of
+    ``BATCH_ENTRIES``, optional start actions, and the uniforms' edge values."""
+    n, n_states, n_actions = (draw(st.integers(1, 4)) for _ in range(3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = st.sampled_from(["dense", "sparse", "onehot", "short"])
+    shape = (n_states, n_actions, n_states)
+    kernels = [_stochastic_rows(rng, shape, draw(kinds)) for _ in range(n)]
+    tables = _stochastic_rows(rng, (n, n_states, n_actions), draw(kinds))
+    if draw(st.booleans()):
+        rho = InitialDistribution.fixed(rng.integers(n_states, size=n).tolist())
+    else:
+        rho = InitialDistribution.product(_stochastic_rows(rng, (n, n_states), "sparse"))
+    zero = lambda s, a: np.zeros(s.shape)  # noqa: E731
+    m = FactoredNmarlModel(line_graph(n), n_states, n_actions, kernels, zero, rho, 0.9)
+    cutoff = -(-estimator.BATCH_ENTRIES // n)  # the fewest episodes that count thresholds
+    episodes = draw(st.sampled_from([None, 1, cutoff - 1, cutoff, 3 * cutoff]))
+    start = rho.sample(rng, 1)[0] if episodes is None else rho.sample(rng, episodes)
+    actions = rng.integers(n_actions, size=start.shape) if draw(st.booleans()) else None
+    cums = [np.cumsum(k, axis=-1).ravel() for k in kernels] + [np.cumsum(tables, axis=-1).ravel()]
+    cum = np.concatenate(cums)
+    edges = np.concatenate(
+        [[0.0, np.nextafter(1.0, 0.0)], cum, np.nextafter(cum, 0.0), np.nextafter(cum, 1.0)]
+    )
+    return m, tables, start, actions, edges[(edges >= 0.0) & (edges < 1.0)]
+
+
+@given(
+    chains(),
+    st.integers(0, 30),
+    st.sampled_from([estimator.DRAW_BLOCK, 64, 1]),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=150, deadline=None)
+def test_simulate_matches_reference(chain, steps, draw_block, seed):
+    # Both inversion forms and block draws of any size step the chain the
+    # reference steps, uniform for uniform, and leave the generator where it does.
+    m, tables, start, actions, edges = chain
+    got_rng, want_rng = support.EdgeRng(seed, edges), support.EdgeRng(seed, edges)
+    with patch.object(estimator, "DRAW_BLOCK", draw_block):
+        got = list(simulate(m, tables, start, got_rng, steps, actions))
+    want = list(support.ref_simulate(m, tables, start, want_rng, steps, actions))
+    assert len(got) == len(want) == steps + 1
+    for t, ((s, a), (s_ref, a_ref)) in enumerate(zip(got, want)):
+        np.testing.assert_array_equal(s, s_ref, err_msg=f"states at step {t}")
+        np.testing.assert_array_equal(a, a_ref, err_msg=f"actions at step {t}")
+        assert s.shape == a.shape == start.shape
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 class TestUnbiasednessSmoke:

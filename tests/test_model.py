@@ -292,3 +292,35 @@ class TestRewardTables:
         monkeypatch.setattr(model_mod, "MAX_REWARD_DOMAIN", 15)
         with pytest.raises(SpaceTooLarge):
             m.reward_tables()
+
+
+class TestKernelSupport:
+    def test_rising_columns_and_successors(self):
+        # one agent, two actions over four states: a row with zero bins and
+        # one that is one-hot on the last state, which keeps no column
+        kernel = np.zeros((1, 2, 4))
+        kernel[0, 0] = [0.0, 0.25, 0.0, 0.75]
+        kernel[0, 1, 3] = 1.0
+        m = FactoredNmarlModel(
+            netgraph.build_graph(1, []), 4, 2, [np.tile(kernel, (4, 1, 1))],
+            lambda s, a: np.zeros(s.shape), InitialDistribution.fixed([0]), 0.9,
+        )
+        thresholds, successors = m.kernel_support()
+        assert thresholds.shape == (1, 8) and successors.shape == (8, 2)
+        np.testing.assert_array_equal(thresholds[0, :2], [0.25, np.inf])
+        np.testing.assert_array_equal(successors[:2], [[1, 3], [3, 3]])
+        assert m.kernel_support() is m.kernel_support()  # built once
+        assert not thresholds.flags.writeable and not successors.flags.writeable
+
+    @pytest.mark.parametrize("builder", ["power", "path"])
+    def test_shipped_one_hot_kernels_keep_one_threshold(self, builder):
+        if builder == "power":
+            m = build_power_env(3, 4, np.eye(3), [1.0] * 3, [0.1] * 3)
+        else:
+            m = build_path_env(PathPlanningSpec())
+        thresholds, successors = m.kernel_support()
+        rows = m.n * m.n_states * m.n_actions
+        assert thresholds.shape == (1, rows) and successors.shape == (rows, 2)
+        # every row's successor is the state its one-hot kernel row names
+        first = np.stack(m.kernels).reshape(rows, m.n_states).argmax(axis=1)
+        np.testing.assert_array_equal(successors[:, 0], first)
