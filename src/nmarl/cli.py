@@ -1,7 +1,8 @@
 """Config-driven command line: train, verify, sweep, eval.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error,
-3 runtime invariant violation.
+3 runtime invariant violation (an analytic bound, a push-sum invariant, or
+a training state that turned non-finite).
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .errors import (
     ConfigError,
     DimensionMismatch,
     NmarlError,
+    NonFiniteState,
     ProtocolInvariantError,
 )
 from .model import FactoredNmarlModel
@@ -268,7 +270,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (BoundViolated, ProtocolInvariantError) as exc:
+    except (BoundViolated, NonFiniteState, ProtocolInvariantError) as exc:
         log.error("runtime invariant violated: %s", exc)
         return 3
     except (ConfigError, DimensionMismatch) as exc:

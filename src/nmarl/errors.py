@@ -33,6 +33,11 @@ class HorizonOverflow(NmarlError, RuntimeError):
     """A sampled rollout horizon exceeded the hard cap."""
 
 
+class NonFiniteState(NmarlError, ArithmeticError):
+    """Training state (parameters, push-sum estimates or their consensus
+    error) became infinite or NaN, e.g. under a step size that diverges."""
+
+
 class BoundViolated(NmarlError, AssertionError):
     """A quantity exceeded its analytic bound; indicates an implementation bug."""
 

@@ -19,15 +19,16 @@ data error.
 
 Every sample of the chain, here and in the trainer's Monte-Carlo
 evaluation, is stepped by ``simulate``; its docstring states the draw order
-and its two inversion forms, which pick the same index for every uniform: a
-draw at or beyond a float cumsum that ends below 1 still lands on the last
-index.
+and its one inversion rule, counted in two forms (Python scalars for a
+single trajectory, whole arrays for batches of episodes) that pick the same
+index for every uniform: a draw at or beyond a float cumsum that ends below
+1 still lands on the last index.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Sequence
@@ -40,10 +41,10 @@ from .model import FactoredNmarlModel
 from .policy import CoupledSoftmaxPolicy
 
 MAX_HORIZON = 10**7
-# simulate inputs of at least this many entries count thresholds: on both
-# shipped models the count form overtakes the row argmax between ~80 and ~100
-# entries (measured on a 2-vCPU x86 machine)
-BATCH_ENTRIES = 96
+# simulate inputs of at least this many entries count whole threshold arrays:
+# on both shipped models the array count overtakes the scalar bisect form
+# between ~40 and ~55 entries (measured on a 2-vCPU x86 machine)
+BATCH_ENTRIES = 48
 DRAW_BLOCK = 2**14  # most uniforms simulate draws per rng.random call
 
 
@@ -143,71 +144,132 @@ def simulate(
 
     Each uniform ``u`` inverts to the first index whose cumulative
     probability exceeds ``u``, or the last index when none does (a float
-    cumsum can end just below 1). Two forms give that index, value for
-    value. Inputs of fewer than ``BATCH_ENTRIES`` entries, such as a
-    training rollout's ``(n,)`` trajectory, take each row's ``argmax`` of
-    ``u < cum``, gathered with ``take`` from flat ``(n * S, A)`` policy and
-    ``(n * S * A, S)`` kernel views whose last column is ``+inf``
-    (``model.stacked_kernel_cum`` caches the kernel one). Larger inputs
-    count the cumsum columns at or below ``u``, which on a nondecreasing
-    cumsum is the same index: the policy's first ``A - 1`` columns, and the
-    kernel's rising columns only (``model.kernel_support``), whose count
-    then picks the successor state.
+    cumsum can end just below 1). On a nondecreasing cumsum that index is
+    the count of the row's thresholds at or below ``u``: the policy's first
+    ``A - 1`` cumsum columns, and the kernel's rising columns only
+    (``model.kernel_support``), whose count then picks the successor state.
+    Two forms take that count, value for value:
+
+    * inputs of fewer than ``BATCH_ENTRIES`` entries, such as a training
+      rollout's ``(n,)`` trajectory, step on Python floats: ``bisect_right``
+      over each row's thresholds as a list (the policy's built per call, the
+      kernel's cached by ``model.kernel_support_lists``), which returns the
+      number of thresholds at or below ``u``. A drawn block's steps are
+      computed together, entry by entry, when its first step is taken;
+    * larger inputs compare whole threshold arrays with ``u``, one step at a
+      time.
+
+    Precondition: ``tables`` is finite. On a NaN threshold the two counts
+    disagree (``bisect_right`` assumes a sorted list); ``trainer.run_dscp``
+    stops a run whose parameters or push-sum estimates turn non-finite
+    before it steps them.
     """
+    for states_block, actions_block in _step_blocks(m, tables, states, rng, steps, actions):
+        yield from zip(states_block, actions_block)
+
+
+def _step_blocks(
+    m: FactoredNmarlModel,
+    tables: np.ndarray,
+    states: np.ndarray,
+    rng: np.random.Generator,
+    steps: int,
+    actions: np.ndarray | None,
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """``simulate``'s steps, as states and actions ``(k, ...)`` of ``k``
+    consecutive steps at a time: step 0 alone, then the steps of one drawn
+    block (scalar form) or of one step (count form)."""
     n, n_states, n_actions = tables.shape
-    pol_cum = np.cumsum(tables, axis=-1)
-    agent_rows = np.arange(n) * n_states  # first policy row of each agent
-    if states.size >= BATCH_ENTRIES:
-        pol_thresholds = np.ascontiguousarray(
-            pol_cum[..., :-1].reshape(n * n_states, n_actions - 1).T
-        )
-        kern_thresholds, successors = m.kernel_support()
-        width = successors.shape[1]
-        flat_successors = successors.ravel()
-
-        def pick_actions(rows: np.ndarray, u: np.ndarray) -> np.ndarray:
-            return _count_at_or_below(pol_thresholds, rows, u)
-
-        def pick_states(rows: np.ndarray, u: np.ndarray) -> np.ndarray:
-            counts = _count_at_or_below(kern_thresholds, rows, u)
-            return flat_successors.take(rows * width + counts)
-
-    else:
-        pol_cum[..., -1] = np.inf
-        pol_rows = pol_cum.reshape(n * n_states, n_actions)
-        kern_rows = m.stacked_kernel_cum().reshape(n * n_states * n_actions, n_states)
-
-        def pick_actions(rows: np.ndarray, u: np.ndarray) -> np.ndarray:
-            return _inverse_cdf(pol_rows.take(rows, axis=0), u)
-
-        def pick_states(rows: np.ndarray, u: np.ndarray) -> np.ndarray:
-            return _inverse_cdf(kern_rows.take(rows, axis=0), u)
-
+    # each flat policy row's thresholds: its first A - 1 cumsum columns
+    pol_thresholds = np.cumsum(tables, axis=-1)[..., :-1].reshape(n * n_states, n_actions - 1)
+    shape = states.shape
     block = max(1, DRAW_BLOCK // max(1, 2 * states.size))  # whole steps per draw
-    for t in range(steps + 1):
-        if t > 0:
-            k = (t - 1) % block
-            if k == 0:
-                draws = rng.random((min(block, steps + 1 - t), 2) + states.shape)
-            # the transition uniforms into step t, then its action uniforms
-            u_next, u_act = draws[k]
-            states = pick_states(rows * n_actions + actions, u_next)
-        elif actions is None:
-            u_act = rng.random(states.shape)
-        rows = agent_rows + states  # policy rows; kernel rows are rows * A + a
-        if t > 0 or actions is None:
-            actions = pick_actions(rows, u_act)
-        yield states, actions
+    u_start = rng.random(shape) if actions is None else None
+    # the transition uniforms into each step of a block, then its action uniforms
+    draws = (
+        rng.random((min(block, steps + 1 - t), 2) + shape) for t in range(1, steps + 1, block)
+    )
+    form = _scalar_steps if states.size < BATCH_ENTRIES else _count_steps
+    yield from form(m, pol_thresholds, states, actions, u_start, draws)
 
 
-def _inverse_cdf(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Per row, the first index whose cumulative probability exceeds ``u``.
+def _scalar_steps(
+    m: FactoredNmarlModel,
+    pol_thresholds: np.ndarray,
+    states: np.ndarray,
+    actions: np.ndarray | None,
+    u_start: np.ndarray | None,
+    draws: Iterator[np.ndarray],
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """``_step_blocks`` on Python scalars: ``bisect_right`` over threshold lists.
 
-    The last column of ``cum`` is ``+inf``, so every row has one: a float
-    cumsum can end just below 1, and a draw beyond it maps to the last
-    index.
+    The entries' chains are independent (each agent's policy row reads its
+    own state, each kernel is its own), so a drawn block is stepped entry by
+    entry, each entry through all of the block's steps.
     """
-    return (u[..., None] < cum).argmax(axis=-1)
+    n_actions = m.n_actions
+    shape, size = states.shape, states.size
+    pol = pol_thresholds.tolist()
+    thresholds, successors = m.kernel_support_lists()
+    first_rows = (np.arange(size) % m.n * m.n_states).tolist()  # policy row 0 of each entry
+    last_s = states.ravel().tolist()  # each entry's latest state and action
+    if u_start is not None:
+        last_a = [
+            bisect_right(pol[row + s], u)
+            for row, s, u in zip(first_rows, last_s, u_start.ravel().tolist())
+        ]
+        actions = np.array(last_a, dtype=np.intp).reshape(shape)
+    last_a = actions.ravel().tolist()
+    yield states[None], actions[None]
+    for block in draws:
+        k = len(block)
+        visited_s, visited_a = [], []  # (size, k): each entry's states and actions
+        per_entry = block.reshape(k, 2, size).transpose(2, 1, 0).tolist()
+        for j, (u_next, u_act) in enumerate(per_entry):
+            row, s, a = first_rows[j], last_s[j], last_a[j]
+            entry_s, entry_a = [], []
+            for un, ua in zip(u_next, u_act):
+                r = (row + s) * n_actions + a  # kernel row
+                s = successors[r][bisect_right(thresholds[r], un)]
+                a = bisect_right(pol[row + s], ua)
+                entry_s.append(s)
+                entry_a.append(a)
+            last_s[j], last_a[j] = s, a
+            visited_s.append(entry_s)
+            visited_a.append(entry_a)
+        yield (
+            np.array(visited_s, dtype=np.intp).T.reshape((k,) + shape),
+            np.array(visited_a, dtype=np.intp).T.reshape((k,) + shape),
+        )
+
+
+def _count_steps(
+    m: FactoredNmarlModel,
+    pol_thresholds: np.ndarray,
+    states: np.ndarray,
+    actions: np.ndarray | None,
+    u_start: np.ndarray | None,
+    draws: Iterator[np.ndarray],
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """``_step_blocks`` on arrays: each step counts whole threshold arrays."""
+    n_actions = m.n_actions
+    pol_columns = np.ascontiguousarray(pol_thresholds.T)
+    kern_thresholds, successors = m.kernel_support()
+    width = successors.shape[1]
+    flat_successors = successors.ravel()
+    agent_rows = np.arange(m.n) * m.n_states  # first policy row of each agent
+    rows = agent_rows + states  # policy rows; kernel rows are rows * A + a
+    if u_start is not None:
+        actions = _count_at_or_below(pol_columns, rows, u_start)
+    yield states[None], actions[None]
+    for block in draws:
+        for u_next, u_act in block:
+            kern_rows = rows * n_actions + actions
+            counts = _count_at_or_below(kern_thresholds, kern_rows, u_next)
+            states = flat_successors.take(kern_rows * width + counts)
+            rows = agent_rows + states
+            actions = _count_at_or_below(pol_columns, rows, u_act)
+            yield states[None], actions[None]
 
 
 def _count_at_or_below(thresholds: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -218,17 +280,19 @@ def _count_at_or_below(thresholds: np.ndarray, rows: np.ndarray, u: np.ndarray) 
 
 
 def _score_trace(
-    m: FactoredNmarlModel, steps: Iterator[tuple[np.ndarray, np.ndarray]]
+    m: FactoredNmarlModel, blocks: Iterator[tuple[np.ndarray, np.ndarray]], start: int = 0
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """States, actions and rewards ``(steps, n)`` of the visited rows; the
-    rewards in one batched call."""
-    # Unpacked as the steps come: holding every yielded pair at once (as
-    # ``zip(*steps)`` does) raised peak RSS on long training runs.
+    """States, actions and rewards ``(steps, n)`` of the steps from ``start``
+    on, from ``_step_blocks``; the rewards in one batched call."""
+    # Blocks before ``start`` are dropped as they come, so a long first
+    # horizon holds at most one block it does not score.
     visited_s, visited_a = [], []
-    for s, a in steps:
-        visited_s.append(s)
-        visited_a.append(a)
-    states, actions = np.stack(visited_s), np.stack(visited_a)
+    for s, a in blocks:
+        if start < len(s):
+            visited_s.append(s[start:])
+            visited_a.append(a[start:])
+        start = max(0, start - len(s))
+    states, actions = np.concatenate(visited_s), np.concatenate(visited_a)
     return states, actions, np.asarray(m.batch_rewards(states, actions), dtype=float)
 
 
@@ -254,8 +318,8 @@ def rollout_two_horizon(
         raise HorizonOverflow(f"sampled horizon {t1 + t2} exceeds cap {max_horizon}")
     if tables is None:
         tables = pol.prob_tables(params)
-    steps = simulate(m, tables, m.rho.sample(rng, 1)[0], rng, t1 + t2)
-    states, actions, trace = _score_trace(m, itertools.islice(steps, t1, None))
+    blocks = _step_blocks(m, tables, m.rho.sample(rng, 1)[0], rng, t1 + t2, None)
+    states, actions, trace = _score_trace(m, blocks, t1)
     return TwoHorizonRollout(
         t1=t1, t2=t2, snapshot_state=states[0], snapshot_action=actions[0], reward_trace=trace
     )
@@ -357,6 +421,6 @@ def sample_q_conditional(
     t2 = sample_geometric(1.0 - math.sqrt(m.gamma), rng)
     start = np.array(snapshot_state, dtype=np.intp)
     start_actions = np.array(snapshot_action, dtype=np.intp)
-    *_, trace = _score_trace(m, simulate(m, tables, start, rng, t2, start_actions))
+    *_, trace = _score_trace(m, _step_blocks(m, tables, start, rng, t2, start_actions))
     roll = TwoHorizonRollout(0, t2, start, start_actions, trace)
     return float(q_estimates(roll, m, pol.spec.kappa_p)[i])

@@ -92,16 +92,17 @@ class FactoredNmarlModel:
     shape ``(..., n)``. It is the model's only reward implementation; the
     samplers score whole arrays of steps or episodes with one call.
 
-    Three derived forms are built lazily and cached. ``estimator.simulate``
-    steps with two forms of the kernel row cumsums: ``stacked_kernel_cum``,
-    every column with a ``+inf`` last one so that every uniform inverts to a
-    state, for a single trajectory; and ``kernel_support``, only the columns
-    where a row's cumsum rises, for batches of episodes (``simulate``'s
-    docstring states the draw order and when each form is used). The third
-    is one dense reward table per agent over its neighborhood's restricted
-    domain (``reward_tables``). The reward tables feed the reward bound and
-    every reward the exact oracle integrates; rewards do not depend on the
-    policy, so the domain is enumerated once per model.
+    Derived forms are built lazily and cached. ``stacked_kernel_cum`` holds
+    the kernel row cumsums, every row capped with a ``+inf`` last column.
+    ``estimator.simulate`` steps with their compressed form,
+    ``kernel_support``: only the columns where a row's cumsum rises, as
+    arrays for batches of episodes and, through ``kernel_support_lists``, as
+    per-row Python tuples for a single trajectory (``simulate``'s docstring
+    states the draw order and when each form is used). The last is one dense
+    reward table per agent over its neighborhood's restricted domain
+    (``reward_tables``). The reward tables feed the reward bound and every
+    reward the exact oracle integrates; rewards do not depend on the policy,
+    so the domain is enumerated once per model.
 
     Args:
         graph: communication network; also defines reward neighborhoods.
@@ -142,6 +143,7 @@ class FactoredNmarlModel:
         self.reward_members: tuple[tuple[int, ...], ...] = graph.neighbors
         self._stacked_cum: np.ndarray | None = None
         self._kernel_support: tuple[np.ndarray, np.ndarray] | None = None
+        self._support_lists: tuple[tuple, tuple] | None = None
         self._reward_tables: tuple[np.ndarray, ...] | None = None
         self._reward_bound: float | None = None
 
@@ -164,9 +166,12 @@ class FactoredNmarlModel:
     def stacked_kernel_cum(self) -> np.ndarray:
         """Kernel row cumsums stacked to ``(n, S, A, S)``, last column ``+inf``.
 
-        The capped form ``estimator.simulate`` inverts its uniforms with: a
-        float cumsum can end just below 1, and the cap sends a draw beyond it
-        to the last state. Read-only.
+        A uniform inverts to the first state whose capped cumsum exceeds it:
+        a float cumsum can end just below 1, and the cap sends a draw beyond
+        it to the last state. ``kernel_support`` compresses these rows, and
+        ``estimator.simulate`` steps with that compressed form only; besides
+        ``kernel_support``, the benchmark's set-up and the tests' reference
+        stepper read this one. Read-only.
         """
         if self._stacked_cum is None:
             cum = np.cumsum(np.stack(self.kernels), axis=-1)
@@ -206,6 +211,25 @@ class FactoredNmarlModel:
             successors.setflags(write=False)
             self._kernel_support = thresholds, successors
         return self._kernel_support
+
+    def kernel_support_lists(
+        self,
+    ) -> tuple[tuple[tuple[float, ...], ...], tuple[tuple[int, ...], ...]]:
+        """``kernel_support`` per flat row as Python scalars (cached).
+
+        Returns ``(thresholds, successors)``: ``thresholds[r]`` is row ``r``'s
+        column of ``kernel_support()[0]`` (``+inf`` padding included) and
+        ``successors[r]`` its row of ``kernel_support()[1]``, so that
+        ``successors[r][bisect_right(thresholds[r], u)]`` is the state the
+        array count picks. Tuples, so read-only like the arrays.
+        """
+        if self._support_lists is None:
+            thresholds, successors = self.kernel_support()
+            self._support_lists = (
+                tuple(map(tuple, thresholds.T.tolist())),
+                tuple(map(tuple, successors.tolist())),
+            )
+        return self._support_lists
 
     def reward_tables(self) -> tuple[np.ndarray, ...]:
         """Dense per-agent reward tables over the restricted domains (cached).

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonPositiveWeight, ProtocolInvariantError
+from .errors import DimensionMismatch, NonFiniteState, NonPositiveWeight, ProtocolInvariantError
 
 MASS_TOL = 1e-10
 
@@ -90,7 +90,7 @@ def inject_all(st: PushSumState, w: np.ndarray, deltas: np.ndarray) -> PushSumSt
             f"deltas have shape {deltas.shape}, expected {st.breve.shape[1:]}"
         )
     if not np.all(np.isfinite(deltas)):
-        raise DimensionMismatch("deltas must be finite")
+        raise NonFiniteState("push-sum deltas must be finite")
     augmented = st.breve.copy()
     idx = np.arange(n)
     augmented[idx, idx, :] += n * deltas

@@ -21,7 +21,7 @@ from typing import Callable, IO
 import numpy as np
 
 from . import estimator, netgraph, pushsum
-from .errors import ConfigError
+from .errors import ConfigError, NonFiniteState
 from .model import FactoredNmarlModel
 from .oracle import truncation_horizon
 from .policy import CoupledSoftmaxPolicy, MixingSpec
@@ -153,6 +153,12 @@ def run_dscp(
     Returns the final true parameters ``(n, d)`` and the metric record.
     ``gradient_override``, a test hook, replaces the sampled gradient
     estimate by ``fn(theta, t) -> (n, d)``.
+
+    Raises:
+        NonFiniteState: the true parameters after an update, or the
+            consensus error after a mixing round (which reads every push-sum
+            estimate), are not finite. The run stops before it evaluates or
+            samples with such parameters.
     """
     cfg.validate()
     m.validate()
@@ -172,6 +178,8 @@ def run_dscp(
             if cfg.check_invariants:
                 pushsum.check_invariants(ps, theta)
             consensus = pushsum.consensus_error(ps, theta)
+            if not math.isfinite(consensus):
+                raise NonFiniteState(f"push-sum consensus error is {consensus} at iteration {t}")
             exec_params: np.ndarray = ps.estimates
         else:
             consensus = 0.0
@@ -209,6 +217,8 @@ def run_dscp(
             grad_norm = float(np.linalg.norm(grads))
             deltas = lr * grads
             theta = theta + deltas
+            if not np.all(np.isfinite(theta)):
+                raise NonFiniteState(f"parameters are not finite after iteration {t}'s update")
             if use_pushsum:
                 pushsum.inject_all(ps, w, deltas)
                 if cfg.check_invariants:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from nmarl import netgraph
 from nmarl.errors import SpaceTooLarge
-from nmarl.estimator import half_discount_weights, simulate
+from nmarl.estimator import half_discount_weights, sample_geometric, simulate
 from nmarl.model import FactoredNmarlModel, InitialDistribution, table_rewards
 from nmarl.oracle import (
     MAX_TABLE_ENTRIES,
@@ -163,6 +163,35 @@ def ref_simulate(m, tables, states, rng, steps, actions=None):
         if t > 0 or actions is None:
             actions = (u_act[..., None] < pol_rows.take(rows, axis=0)).argmax(axis=-1)
         yield states, actions
+
+
+def ref_score_trace(m, steps):
+    """States, actions and rewards ``(steps, n)`` of a list of ``(states,
+    actions)`` steps."""
+    states = np.stack([s for s, _ in steps])
+    actions = np.stack([a for _, a in steps])
+    return states, actions, np.asarray(m.batch_rewards(states, actions), dtype=float)
+
+
+def ref_rollout_two_horizon(m, tables, rng):
+    """``t1``, ``t2``, snapshot states and actions and the reward trace of
+    one two-horizon episode, drawn in ``rollout_two_horizon``'s order and
+    stepped by ``ref_simulate``."""
+    t1 = sample_geometric(1.0 - m.gamma, rng)
+    t2 = sample_geometric(1.0 - math.sqrt(m.gamma), rng)
+    steps = list(ref_simulate(m, tables, m.rho.sample(rng, 1)[0], rng, t1 + t2))
+    states, actions, trace = ref_score_trace(m, steps[t1:])
+    return t1, t2, states[0], actions[0], trace
+
+
+def ref_conditional_trace(m, tables, snapshot_state, snapshot_action, rng):
+    """``t2`` and the reward trace of one conditional resample from a fixed
+    snapshot, drawn in ``sample_q_conditional``'s order by ``ref_simulate``."""
+    t2 = sample_geometric(1.0 - math.sqrt(m.gamma), rng)
+    start = np.array(snapshot_state, dtype=np.intp)
+    start_actions = np.array(snapshot_action, dtype=np.intp)
+    steps = list(ref_simulate(m, tables, start, rng, t2, start_actions))
+    return t2, ref_score_trace(m, steps)[2]
 
 
 class EdgeRng:

@@ -257,6 +257,20 @@ class TestTrain:
         assert summary["results"][0]["final_J"] is not None
 
 
+    @pytest.mark.parametrize(
+        "cfg, kappa_p", [(PP, 2), (PC, 1)], ids=["pp-kappa2", "pc-kappa1"]
+    )
+    def test_diverging_step_size_exits_3(self, tmp_path, cfg, kappa_p):
+        # exited 0 with inf in consensus_err (and numpy overflow warnings)
+        # before a non-finite training state stopped the run
+        args = ["--set", "dscp.iterations=4", "--set", f"dscp.kappa_p={kappa_p}",
+                "--set", "dscp.lr.eta0=1e308", "--set", "seeds=[1]"]
+        with np.errstate(over="ignore"):
+            rc = cli.main(["train", "--config", cfg, "--out", str(tmp_path), *args])
+        assert rc == 3
+        assert not (tmp_path / "metrics_seed1.csv").exists()
+
+
 class TestEval:
     def test_zero_checkpoint_matches_fresh_eval(self, tmp_path, capsys):
         out = tmp_path / "out"

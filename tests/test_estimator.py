@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nmarl import estimator, netgraph, oracle
+from nmarl.config import load_config
 from nmarl.errors import HorizonOverflow, InvalidProbability
 from nmarl.estimator import (
     TwoHorizonRollout,
@@ -16,6 +17,7 @@ from nmarl.estimator import (
     q_estimate,
     rollout_two_horizon,
     sample_geometric,
+    sample_q_conditional,
     simulate,
 )
 from nmarl.model import FactoredNmarlModel, InitialDistribution
@@ -350,7 +352,8 @@ class TestInverseCdf:
     def test_batch_of_episodes(self):
         m, tables = self.model()
         u = self.uniforms()
-        # below the cutoff the rows take an argmax, repeated above it they count thresholds
+        # below the cutoff each entry bisects its threshold lists, repeated
+        # above it whole threshold arrays are counted
         for reps in (1, -(-estimator.BATCH_ENTRIES // (2 * len(u)))):
             batch = np.tile(u, reps)
             want = np.array([self.expected(x) for x in batch])
@@ -427,6 +430,73 @@ def test_simulate_matches_reference(chain, steps, draw_block, seed):
         np.testing.assert_array_equal(a, a_ref, err_msg=f"actions at step {t}")
         assert s.shape == a.shape == start.shape
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("n_states, n_actions", [(1, 3), (3, 1), (1, 1)])
+@pytest.mark.parametrize("episodes", [None, 40])
+def test_empty_threshold_lists(n_states, n_actions, episodes):
+    # one state or one action: every kernel or policy row has no threshold,
+    # so every uniform inverts to index 0 in both forms
+    rng = np.random.default_rng(n_states * 10 + n_actions)
+    kernels = [_stochastic_rows(rng, (n_states, n_actions, n_states), "dense") for _ in range(3)]
+    tables = _stochastic_rows(rng, (3, n_states, n_actions), "dense")
+    zero = lambda s, a: np.zeros(s.shape)  # noqa: E731
+    rho = InitialDistribution.fixed([n_states - 1] * 3)
+    m = FactoredNmarlModel(line_graph(3), n_states, n_actions, kernels, zero, rho, 0.9)
+    start = rho.sample(rng, 1)[0] if episodes is None else rho.sample(rng, episodes)
+    assert (start.size >= estimator.BATCH_ENTRIES) == (episodes is not None)
+    got_rng, want_rng = np.random.default_rng(5), np.random.default_rng(5)
+    got = list(simulate(m, tables, start, got_rng, 12))
+    want = list(support.ref_simulate(m, tables, start, want_rng, 12))
+    for (s, a), (s_ref, a_ref) in zip(got, want):
+        np.testing.assert_array_equal(s, s_ref)
+        np.testing.assert_array_equal(a, a_ref)
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    if n_states == 1:
+        assert all(row == () for row in m.kernel_support_lists()[0])
+
+
+SHIPPED_CONFIGS = {"path_planning": "configs/path_planning.json",
+                   "power_control": "configs/power_control.json"}
+
+
+@pytest.mark.parametrize("kappa_p", [0, 1, 2])
+@pytest.mark.parametrize("config", sorted(SHIPPED_CONFIGS))
+def test_shipped_rollouts_match_reference(monkeypatch, config, kappa_p):
+    # The training rollout and the conditional resample on the shipped
+    # models step the chain the reference steps: horizons, snapshot, reward
+    # trace and the generator state after each call, seed for seed.
+    m = load_config(SHIPPED_CONFIGS[config]).build_model()
+    pol = CoupledSoftmaxPolicy(m.graph, m.n_states, m.n_actions, MixingSpec(kappa_p=kappa_p))
+    resampled = []
+    real_q_estimates = estimator.q_estimates
+    monkeypatch.setattr(
+        estimator, "q_estimates",
+        lambda roll, *args: resampled.append(roll) or real_q_estimates(roll, *args),
+    )
+    shape = (m.n, pol.d) if kappa_p == 0 else (m.n, m.n, pol.d)  # as training executes
+    for seed in range(200):
+        params = np.random.default_rng([seed, 1]).normal(scale=2.0, size=shape)
+        tables = pol.prob_tables(params)
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+
+        roll = rollout_two_horizon(m, params, pol, got_rng, tables=tables)
+        t1, t2, snap_s, snap_a, trace = support.ref_rollout_two_horizon(m, tables, want_rng)
+        assert (roll.t1, roll.t2) == (t1, t2), seed
+        np.testing.assert_array_equal(roll.snapshot_state, snap_s)
+        np.testing.assert_array_equal(roll.snapshot_action, snap_a)
+        np.testing.assert_array_equal(roll.reward_trace, trace)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state, seed
+
+        i = seed % m.n
+        q = sample_q_conditional(m, pol, params, snap_s, snap_a, i, got_rng, tables=tables)
+        t2, trace = support.ref_conditional_trace(m, tables, snap_s, snap_a, want_rng)
+        resample = resampled.pop()
+        assert resample.t2 == t2, seed
+        np.testing.assert_array_equal(resample.reward_trace, trace)
+        want = TwoHorizonRollout(0, t2, snap_s, snap_a, trace)
+        assert q == real_q_estimates(want, m, kappa_p)[i]
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state, seed
 
 
 class TestUnbiasednessSmoke:

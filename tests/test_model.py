@@ -312,6 +312,15 @@ class TestKernelSupport:
         assert m.kernel_support() is m.kernel_support()  # built once
         assert not thresholds.flags.writeable and not successors.flags.writeable
 
+    def test_lists_mirror_the_arrays(self):
+        m = random_table_model(line_graph(2), np.random.default_rng(9), 3, 2)
+        thresholds, successors = m.kernel_support()
+        threshold_lists, successor_lists = m.kernel_support_lists()
+        assert threshold_lists == tuple(map(tuple, thresholds.T.tolist()))
+        assert successor_lists == tuple(map(tuple, successors.tolist()))
+        assert all(type(x) is float for row in threshold_lists for x in row)
+        assert m.kernel_support_lists() is m.kernel_support_lists()  # built once
+
     @pytest.mark.parametrize("builder", ["power", "path"])
     def test_shipped_one_hot_kernels_keep_one_threshold(self, builder):
         if builder == "power":

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from nmarl import netgraph, pushsum
-from nmarl.errors import DimensionMismatch, NonPositiveWeight, ProtocolInvariantError
+from nmarl.errors import (
+    DimensionMismatch,
+    NonFiniteState,
+    NonPositiveWeight,
+    ProtocolInvariantError,
+)
 
 from support import line_graph, ref_inject
 
@@ -99,7 +104,7 @@ class TestInject:
         st = pushsum.init_state(3, 2)
         with pytest.raises(DimensionMismatch):
             pushsum.inject_all(st, w, np.zeros((3, 3)))
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(NonFiniteState):
             pushsum.inject_all(st, w, np.array([[np.inf, 0.0], [0.0, 0.0], [0.0, 0.0]]))
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from nmarl import oracle, trainer
-from nmarl.errors import ConfigError
+from nmarl.errors import ConfigError, NonFiniteState
 from nmarl.policy import CoupledSoftmaxPolicy, MixingSpec
 from nmarl.trainer import DscpConfig, evaluate_policy, learning_rate, run_dscp
 
@@ -108,6 +108,28 @@ class TestRunDscp:
         cfg = DscpConfig(iterations=20, kappa_p=1, direct_params=True, seed=1)
         _, rec = run_dscp(m, g, cfg)
         assert all(r.consensus_err == 0.0 for r in rec.rows)
+
+    @pytest.mark.parametrize("kappa_p", [0, 1, 2])
+    def test_non_finite_parameters_stop_the_run(self, kappa_p):
+        g = line_graph(3)
+        m = random_table_model(g, np.random.default_rng(6), fixed_start=True)
+        cfg = DscpConfig(iterations=5, kappa_p=kappa_p, seed=1)
+
+        def nan_at_2(theta, t):
+            return np.full(theta.shape, np.nan if t == 2 else 0.1)
+
+        with pytest.raises(NonFiniteState, match="after iteration 2"):
+            run_dscp(m, g, cfg, gradient_override=nan_at_2)
+
+    @pytest.mark.parametrize("kappa_p", [1, 2])
+    def test_overflowing_estimates_stop_the_run(self, kappa_p):
+        # finite parameters whose push-sum estimates are so far off that the
+        # consensus error overflows: the run stops before it samples with them
+        g = line_graph(3)
+        m = random_table_model(g, np.random.default_rng(6), fixed_start=True)
+        cfg = DscpConfig(iterations=5, kappa_p=kappa_p, seed=1)
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteState, match="iteration 2"):
+            run_dscp(m, g, cfg, gradient_override=lambda theta, t: np.full(theta.shape, 1e306))
 
     def test_batch_averaging_changes_estimates_not_bias(self):
         g = line_graph(2)
