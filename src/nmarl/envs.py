@@ -64,6 +64,10 @@ class PathStructure:
         for loc, succ in self.successors.items():
             if loc not in index:
                 raise UnknownLocation(f"successor map names unknown location {loc!r}")
+            if not isinstance(succ, (list, tuple)) or not all(isinstance(s, str) for s in succ):
+                raise ConfigError(
+                    f"successors of {loc!r} must be a list of location names, got {succ!r}"
+                )
             if len(succ) > 2:
                 raise ConfigError(f"location {loc!r} has out-degree {len(succ)} > 2")
             for s in succ:

@@ -44,6 +44,24 @@ MAX_REWARD_DOMAIN = 2_000_000  # restricted reward domains beyond this are not t
 BatchRewards = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
+def tensor_product(tables: Sequence[np.ndarray]) -> np.ndarray:
+    """Tensor product of per-member tables that share their axis groups.
+
+    Member ``p``'s table has one axis per group (state, action, ...). The
+    result has axes ``(group 0 of every member, group 1 of every member,
+    ...)`` and multiplies the members in order, left to right.
+    """
+    k = len(tables)
+    groups = tables[0].ndim
+    out = np.ones([t.shape[g] for g in range(groups) for t in tables])
+    for p, t in enumerate(tables):
+        shape = [1] * (k * groups)
+        for g in range(groups):
+            shape[g * k + p] = t.shape[g]
+        out *= t.reshape(shape)
+    return out
+
+
 @dataclass(frozen=True)
 class InitialDistribution:
     """Start-state distribution: a fixed state or a per-agent product."""
@@ -102,7 +120,9 @@ class FactoredNmarlModel:
     reward table per agent over its neighborhood's restricted domain
     (``reward_tables``). The reward tables feed the reward bound and every
     reward the exact oracle integrates; rewards do not depend on the policy,
-    so the domain is enumerated once per model.
+    so the domain is enumerated once per model. For the same reason the
+    exact oracle's joint transition table of an agent subset
+    (``joint_kernel``) is built once per model and member tuple.
 
     Args:
         graph: communication network; also defines reward neighborhoods.
@@ -146,6 +166,7 @@ class FactoredNmarlModel:
         self._support_lists: tuple[tuple, tuple] | None = None
         self._reward_tables: tuple[np.ndarray, ...] | None = None
         self._reward_bound: float | None = None
+        self._joint_kernels: dict[tuple[int, ...], np.ndarray] = {}
 
     # ------------------------------------------------------------------
     # shape helpers
@@ -230,6 +251,25 @@ class FactoredNmarlModel:
                 tuple(map(tuple, successors.tolist())),
             )
         return self._support_lists
+
+    def joint_kernel(self, members: tuple[int, ...]) -> np.ndarray:
+        """The sorted ``members``' kernels as one joint table (cached per tuple).
+
+        ``tensor_product`` of their kernels, flattened row-major to
+        ``(S^k, A^k, S^k)``: member states, member actions, next member
+        states, each group in ``members`` order. The cache keeps one table
+        per member tuple asked for, so callers check its size first.
+        Read-only.
+        """
+        table = self._joint_kernels.get(members)
+        if table is None:
+            k = len(members)
+            table = tensor_product([self.kernels[j] for j in members]).reshape(
+                self.n_states**k, self.n_actions**k, self.n_states**k
+            )
+            table.setflags(write=False)
+            self._joint_kernels[members] = table
+        return table
 
     def reward_tables(self) -> tuple[np.ndarray, ...]:
         """Dense per-agent reward tables over the restricted domains (cached).

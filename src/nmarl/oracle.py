@@ -10,19 +10,29 @@ only the agent's own state), and so do the transition kernels. A chain
 restricted to an agent subset is therefore a tensor product: its joint
 policy is ``prod_j pi_j[s_j, a_j]`` and its transition table
 ``prod_j K_j[s_j, a_j, s'_j]``, both built by broadcasting the members'
-tables in sorted member order. Joint tensors keep one axis per member and
-group (all member states, then all member actions, then all next states),
-so flattening them row-major gives the ``EnumeratedSpace`` order. A chain's
-reward is the broadcast sum of the chosen agents' cached reward tables
-(``FactoredNmarlModel.reward_tables``) divided by a scale. The restriction is
-exact as long as the subset covers the reward dependencies being evaluated,
-so it is an optimization, never an approximation.
+tables in sorted member order. The transition table does not depend on
+the policy, so the model builds it once per member tuple
+(``FactoredNmarlModel.joint_kernel``). Joint tensors keep one axis per
+member and group (all member states, then all member actions, then all next
+states), so flattening them row-major gives the ``EnumeratedSpace`` order.
+A chain's reward is the broadcast sum of the chosen agents' cached reward
+tables (``FactoredNmarlModel.reward_tables``) divided by a scale. The
+restriction is exact as long as the subset covers the reward dependencies
+being evaluated, so it is an optimization, never an approximation.
 
 The gradient forms weight every joint pair by ``d(s) pi(a|s) Q(s, a)``,
 marginalize that weight onto each scored agent's own ``(s_j, a_j)`` and
 contract it with the closed-form score. No Python loop here runs over joint
-states or joint actions: loops run over agents and over the value-iteration
-horizon. Every size guard fires before the tensor it protects is allocated.
+states or joint actions: loops run over agents and, for the truncated value
+and occupancy series, either over the bits of the horizon or over the
+horizon itself. A chain of at most ``DOUBLING_STATES`` states sums its series
+``sum_{k < N} M^k x`` by binary doubling (``sum_series``): about
+``2 log2 N`` small matrix products instead of ``N`` mat-vecs, each of which
+costs microseconds of call overhead on these small chains. That sums the
+terms in another order, so results differ from the term-by-term loop in the
+last digits (far inside ``eps``). Larger chains, where a dense matrix
+product costs more than the horizon's mat-vecs, keep the term-by-term loop.
+Every size guard fires before the tensor it protects is allocated.
 """
 
 from __future__ import annotations
@@ -37,11 +47,17 @@ import numpy as np
 
 from . import netgraph
 from .errors import SpaceTooLarge
-from .model import FactoredNmarlModel
+from .model import FactoredNmarlModel, tensor_product
 from .policy import CoupledSoftmaxPolicy
 
 MAX_JOINT_STATES = 100_000
 MAX_TABLE_ENTRIES = 50_000_000  # dense DP arrays beyond this are refused
+# Chains of at most this many states sum their truncated series by doubling.
+# With one BLAS thread and ~220 terms (gamma 0.9, eps 1e-9), doubling takes
+# 0.05 / 0.12 / 0.8 ms at 8 / 64 / 128 states against the loop's 0.8 / 0.9 /
+# 1.3 ms; the two meet between 144 and 152 states, and at 256 states the
+# loop is twice as fast (3.3 against 6.7 ms; 2-vCPU x86 machine).
+DOUBLING_STATES = 144
 
 
 @dataclass(frozen=True)
@@ -97,24 +113,6 @@ class RestrictedChain:
     reward: np.ndarray
 
 
-def _outer(tables: Sequence[np.ndarray]) -> np.ndarray:
-    """Tensor product of per-member tables that share their axis groups.
-
-    Member ``p``'s table has one axis per group (state, action, ...). The
-    result has axes ``(group 0 of every member, group 1 of every member,
-    ...)`` and multiplies the members in order, left to right.
-    """
-    k = len(tables)
-    groups = tables[0].ndim
-    out = np.ones([t.shape[g] for g in range(groups) for t in tables])
-    for p, t in enumerate(tables):
-        shape = [1] * (k * groups)
-        for g in range(groups):
-            shape[g * k + p] = t.shape[g]
-        out *= t.reshape(shape)
-    return out
-
-
 def _embed(table: np.ndarray, inner: Sequence[int], outer: Sequence[int]) -> np.ndarray:
     """``table`` over ``inner`` as a view that broadcasts over ``outer``.
 
@@ -149,8 +147,7 @@ def build_restricted_chain(
     ns, na = sspace.size, aspace.size
     _check_entries(ns * na * ns, "restricted chain transition table")
 
-    policy = _outer([prob_tables[j] for j in members])
-    trans = _outer([m.kernels[j] for j in members])
+    policy = tensor_product([prob_tables[j] for j in members])
     reward_tables = m.reward_tables()
     reward = np.zeros(policy.shape)
     for j in reward_agents:
@@ -160,7 +157,7 @@ def build_restricted_chain(
         members=members,
         state_space=sspace,
         action_space=aspace,
-        trans=trans.reshape(ns, na, ns),
+        trans=m.joint_kernel(members),
         policy=policy.reshape(ns, na),
         reward=reward.reshape(ns, na),
     )
@@ -173,19 +170,48 @@ def truncation_horizon(gamma: float, eps: float, reward_bound: float) -> int:
     return max(1, math.ceil(math.log(eps * (1.0 - gamma) / reward_bound) / math.log(gamma)))
 
 
+def sum_series(mat: np.ndarray, x: np.ndarray, terms: int) -> np.ndarray:
+    """``sum_{k < terms} mat^k @ x`` by binary doubling.
+
+    Walks the bits of ``terms`` from the lowest, holding ``power = mat^(2^j)``
+    and ``block = sum_{k < 2^j} mat^k @ x``. With ``acc`` the sum of the
+    first ``c = terms mod 2^j`` terms, a set bit ``j`` extends it to
+    ``c + 2^j`` terms as ``block + power @ acc``. That is about
+    ``2 log2(terms)`` square matrix products instead of ``terms`` mat-vecs;
+    ``terms = 0`` gives zeros. The terms are summed in another order than a
+    term-by-term loop, so the result differs from the loop's in the last
+    digits.
+    """
+    acc = np.zeros_like(x)
+    block, power = x, mat
+    while terms:
+        if terms & 1:
+            acc = block + power @ acc
+        terms >>= 1
+        if terms:
+            block = block + power @ block
+            power = power @ power
+    return acc
+
+
 def chain_q_table(chain: RestrictedChain, gamma: float, eps: float) -> np.ndarray:
     """Action-value table of the chain's reward, truncated at accuracy ``eps``.
 
-    Iterates ``v <- r_pi + gamma P_pi v`` on the state space for ``T - 1``
-    steps, then forms ``q = r + gamma T v`` once: the ``T``-step truncation.
+    Forms ``v = sum_{k < T - 1} (gamma P_pi)^k r_pi`` on the state space,
+    then ``q = r + gamma T v`` once: the ``T``-step truncation. Chains of at
+    most ``DOUBLING_STATES`` states sum the series with ``sum_series``; larger
+    ones iterate ``v <- r_pi + gamma P_pi v`` for ``T - 1`` steps.
     """
     bound = float(np.max(np.abs(chain.reward)))
     horizon = truncation_horizon(gamma, eps, bound)
     r_pi = (chain.policy * chain.reward).sum(axis=1)
     p_pi = np.einsum("sa,sat->st", chain.policy, chain.trans)
-    v = np.zeros(len(r_pi))
-    for _ in range(horizon - 1):
-        v = r_pi + gamma * (p_pi @ v)
+    if len(r_pi) <= DOUBLING_STATES:
+        v = sum_series(gamma * p_pi, r_pi, horizon - 1)
+    else:
+        v = np.zeros(len(r_pi))
+        for _ in range(horizon - 1):
+            v = r_pi + gamma * (p_pi @ v)
     return chain.reward + gamma * (chain.trans @ v)
 
 
@@ -207,7 +233,7 @@ def _full_chain(
 
 def _initial_vector(m: FactoredNmarlModel, space: EnumeratedSpace) -> np.ndarray:
     if m.rho.kind == "product":
-        return _outer(m.rho.dists).ravel()
+        return tensor_product(m.rho.dists).ravel()
     rho = np.zeros(space.size)
     rho[space.index(m.rho.state)] = 1.0
     return rho
@@ -288,21 +314,28 @@ def discounted_visitation(
 
     The joint state kernel under the policy is the tensor product of the
     per-agent ones, ``P_j[s_j, s'_j] = sum_a pi_j(a | s_j) K_j[s_j, a, s'_j]``.
+    The occupancy is ``sum_{k <= T} gamma^k rho P^k`` at the unit reward
+    bound's horizon ``T``. Joint spaces of at most ``DOUBLING_STATES`` states
+    sum it with ``sum_series`` over ``gamma P^T``; larger ones step
+    ``rho P^k`` and the weight ``gamma^k`` term by term.
     """
     space = enumerate_space(m.state_sizes)
     _check_entries(space.size * space.size, "joint state kernel")
     per_agent = [
         np.einsum("sa,sat->st", pi_j, m.kernels[j]) for j, pi_j in enumerate(prob_tables)
     ]
-    tp = _outer(per_agent).reshape(space.size, space.size)
+    tp = tensor_product(per_agent).reshape(space.size, space.size)
     dist = _initial_vector(m, space)
     horizon = truncation_horizon(m.gamma, eps, 1.0)
-    tab = np.zeros_like(dist)
-    weight = 1.0
-    for _ in range(horizon + 1):
-        tab += weight * dist
-        dist = dist @ tp
-        weight *= m.gamma
+    if space.size <= DOUBLING_STATES:
+        tab = sum_series(m.gamma * tp.T, dist, horizon + 1)
+    else:
+        tab = np.zeros_like(dist)
+        weight = 1.0
+        for _ in range(horizon + 1):
+            tab += weight * dist
+            dist = dist @ tp
+            weight *= m.gamma
     return (1.0 - m.gamma) * tab, space
 
 
@@ -348,7 +381,7 @@ def _score_gradient(
     onto each scored agent's ``(s_j, a_j)`` and contracted with that form.
     """
     n = m.n
-    pi = _outer(tables)
+    pi = tensor_product(tables)
     weight = visitation.reshape(m.state_sizes + (1,) * n) * pi * value
     grad = np.zeros((pol.n_states, pol.n_actions))
     for j in netgraph.khop(m.graph, i, pol.spec.kappa_p):

@@ -22,6 +22,7 @@ reference the tests compare it with).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,9 +100,17 @@ def inject_all(st: PushSumState, w: np.ndarray, deltas: np.ndarray) -> PushSumSt
 
 
 def consensus_error(st: PushSumState, theta: np.ndarray) -> float:
-    """Worst-case estimate error ``max_{i,j} ||estimates[i, j] - theta[j]||``."""
+    """Worst-case estimate error ``max_{i,j} ||estimates[i, j] - theta[j]||``.
+
+    Errors beyond ~1e154 overflow when squared; the result is then ``inf``,
+    without a warning, and the caller decides what a non-finite error means.
+    The square root is taken of the largest squared norm only: it is
+    monotone and correctly rounded, so that is the largest norm, bit for bit.
+    """
     diff = st.estimates - theta[None, :, :]
-    return float(np.sqrt((diff**2).sum(axis=2)).max())
+    with np.errstate(over="ignore"):
+        np.square(diff, out=diff)
+    return math.sqrt(diff.sum(axis=2).max())
 
 
 def check_invariants(st: PushSumState, theta: np.ndarray, tol: float = MASS_TOL) -> None:

@@ -73,15 +73,14 @@ def check_gradient_forms(seed: int = 202, draws: int = 3) -> tuple[bool, str]:
     worst_pair = worst_fd = 0.0
     for _ in range(draws):
         theta = rng.uniform(-1, 1, size=(3, 4))
+        local = [oracle.gradient_via_local_q(m, pol, theta, i) for i in range(3)]
         for i in range(3):
-            g1 = oracle.gradient_via_local_q(m, pol, theta, i)
             g2 = oracle.gradient_via_averaged_q(m, pol, theta, i)
-            worst_pair = max(worst_pair, float(np.max(np.abs(g1 - g2))))
+            worst_pair = max(worst_pair, float(np.max(np.abs(local[i] - g2))))
         fd = oracle.finite_difference_gradient(m, pol, theta, 0, h=1e-5)
-        g1 = oracle.gradient_via_local_q(m, pol, theta, 0)
         worst_fd = max(
             worst_fd,
-            float(np.max(np.abs(fd - g1) / np.maximum(np.abs(g1), 1e-4))),
+            float(np.max(np.abs(fd - local[0]) / np.maximum(np.abs(local[0]), 1e-4))),
         )
     ok = worst_pair <= 1e-6 and worst_fd <= 1e-4
     return ok, f"form gap {worst_pair:.3e}, fd relative gap {worst_fd:.3e}"

@@ -118,6 +118,7 @@ BAD_INPUTS = [
     (PP, 'env.overrides.terminal_zero_reward="no"'),
     (PP, "env.overrides.starts=5"),
     (PP, "env.overrides.successors=5"),
+    (PP, 'env.overrides.successors={"b1":"c1"}'),
 ]
 
 

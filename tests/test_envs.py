@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import json
 from pathlib import Path
@@ -63,6 +64,13 @@ class TestPathStructure:
         succ = dict(PathStructure().successors)
         succ["d2"] = ()
         with pytest.raises(ConfigError):
+            PathStructure(successors=succ)
+
+    @pytest.mark.parametrize("entry", ["c1", 3, [["c1"]]], ids=["string", "number", "nested"])
+    def test_successor_entry_must_be_a_list_of_names(self, entry):
+        succ = dict(PathStructure().successors)
+        succ["b1"] = entry
+        with pytest.raises(ConfigError, match=rf"'b1'.*{re.escape(repr(entry))}"):
             PathStructure(successors=succ)
 
     def test_unknown_location_rejected(self):

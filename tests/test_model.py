@@ -321,6 +321,15 @@ class TestKernelSupport:
         assert all(type(x) is float for row in threshold_lists for x in row)
         assert m.kernel_support_lists() is m.kernel_support_lists()  # built once
 
+    def test_joint_kernel_is_the_members_product(self, line3_model):
+        m = line3_model
+        k0, k2 = m.kernels[0], m.kernels[2]
+        want = np.einsum("iak,jbl->ijabkl", k0, k2).reshape(4, 4, 4)
+        joint = m.joint_kernel((0, 2))
+        np.testing.assert_array_equal(joint, want)
+        assert m.joint_kernel((0, 2)) is joint  # built once per member tuple
+        assert not joint.flags.writeable
+
     @pytest.mark.parametrize("builder", ["power", "path"])
     def test_shipped_one_hot_kernels_keep_one_threshold(self, builder):
         if builder == "power":

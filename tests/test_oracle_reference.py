@@ -40,9 +40,17 @@ def instances(draw):
     return m, pol, params, draw(st.integers(0, n - 1)), draw(st.booleans())
 
 
+def test_vectorized_oracle_matches_reference_loops(monkeypatch):
+    # The drawn chains have at most 3^4 states: a doubling cutoff of 0 sends
+    # every series through the term-by-term loop, one of 3^4 through doubling.
+    for doubling_states in (0, 3**4):
+        monkeypatch.setattr(oracle, "DOUBLING_STATES", doubling_states)
+        _matches_reference_loops()
+
+
 @given(instances())
 @settings(max_examples=25, deadline=None)
-def test_vectorized_oracle_matches_reference_loops(inst):
+def _matches_reference_loops(inst):
     m, pol, params, i, full_sum = inst
     tables = pol.prob_tables(params)
 
@@ -67,6 +75,19 @@ def test_vectorized_oracle_matches_reference_loops(inst):
         oracle.gradient_via_averaged_q(m, pol, params, i),
         support.ref_gradient_via_averaged_q(m, pol, params, i),
     )
+
+
+@pytest.mark.parametrize("terms", [0, 1, 2, 7, 8, 218])
+def test_sum_series_matches_term_by_term_loop(terms):
+    rng = np.random.default_rng(terms)
+    kernel = rng.uniform(size=(6, 6))
+    mat = 0.9 * kernel / kernel.sum(axis=1, keepdims=True)
+    x = rng.uniform(-1.0, 1.0, size=6)
+    want, term = np.zeros(6), x
+    for _ in range(terms):
+        want += term
+        term = mat @ term
+    close(oracle.sum_series(mat, x, terms), want)
 
 
 class Untouchable:

@@ -191,3 +191,10 @@ class TestConsensusError:
         st = pushsum.init_state(3, 2)
         theta = np.array([[3.0, 4.0], [0.0, 1.0], [0.0, 0.0]])
         assert pushsum.consensus_error(st, theta) == pytest.approx(5.0)
+
+    def test_overflowing_square_is_inf_without_warning(self):
+        # finite errors of ~1e200 overflow when squared; the project's
+        # pytest settings turn a RuntimeWarning into an error
+        st = pushsum.init_state(3, 2)
+        st.estimates[0, 1] = [1e200, 0.0]
+        assert pushsum.consensus_error(st, np.zeros((3, 2))) == math.inf
