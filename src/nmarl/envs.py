@@ -4,7 +4,11 @@ Both builders produce :class:`FactoredNmarlModel` instances with
 deterministic (one-hot) kernels. Each reward family is one batched callable
 that keeps the model's contract: integer state and action arrays ``(..., n)``
 map to float rewards ``(..., n)``, and column ``i`` reads only agent ``i``'s
-direct neighbors.
+direct neighbors. The path-planning reward reads three tables over the flat
+state-action index ``s * A + a``, built once per model: the code of the edge
+the agent takes, its base reward (the time cost, or 0 at the destination
+when ``terminal_zero_reward`` is set) and whether it moves (0 or 1). A
+mover then pays a share per neighbor with the same edge code.
 """
 
 from __future__ import annotations
@@ -126,6 +130,9 @@ class PathPlanningSpec:
             raise ConfigError(
                 f"{self.n} agents need {self.n} start locations, got {len(self.starts)}"
             )
+        for i, loc in enumerate(self.starts):
+            if not isinstance(loc, str):
+                raise ConfigError(f"starts: agent {i}'s start must be a location name, got {loc!r}")
         if self.r_eps <= 0:
             raise ConfigError("the per-step time cost must be positive")
 
@@ -142,32 +149,33 @@ def _path_planning_rewards(
     spec: PathPlanningSpec, ps: PathStructure, next_table: np.ndarray, graph: netgraph.AgentGraph
 ) -> tuple[BatchRewards, list[float]]:
     """Batched collision reward and its per-agent cap."""
-    dest = ps.index(ps.destination)
-
+    n_loc, n_act = next_table.shape
     # Staying costs the flat time penalty; moving additionally costs a share
-    # per neighbor that traverses the same (from, to) edge this step. Ordered
-    # neighbor pairs and an incidence matrix turn the per-agent shared-edge
-    # count into one comparison plus one matmul.
+    # per neighbor that traverses the same (from, to) edge this step. Per
+    # flat pair s * A + a: the edge code, the base reward and whether the
+    # agent moves (0 or 1, so base - mover * share is exact either way).
+    stay = next_table == np.arange(n_loc)[:, None]
+    code = (np.arange(n_loc)[:, None] * n_loc + next_table).ravel()
+    base = np.full((n_loc, n_act), -spec.r_eps)
+    mover = (~stay).astype(float)
+    if spec.terminal_zero_reward:
+        dest = ps.index(ps.destination)
+        base[dest] = mover[dest] = 0.0
+    base, mover = base.ravel(), mover.ravel()
+    # Ordered neighbor pairs and an incidence matrix turn the per-agent
+    # shared-edge count into one comparison plus one matmul.
     pair_i, pair_j = np.nonzero(netgraph.hop_mask(graph, 1) - np.eye(graph.n))
     incidence = np.zeros((len(pair_i), graph.n))
     incidence[np.arange(len(pair_i)), pair_i] = 1.0
 
     def batch(states: np.ndarray, acts: np.ndarray) -> np.ndarray:
-        nxt = next_table[states, acts]
-        stay = nxt == states
-        code = states * len(ps.locations) + nxt
-        # Stationary agents take the flat-cost branch, so their spurious
-        # code matches never surface; a mover can't match a stayer's code.
-        matches = (code[..., pair_i] == code[..., pair_j]).astype(float)
+        flat = states * n_act + acts
+        codes = code.take(flat)
+        # Stationary agents' mover entry is 0, so their spurious code matches
+        # never surface; a mover can't match a stayer's code.
+        matches = (codes[..., pair_i] == codes[..., pair_j]).astype(float)
         counts = matches @ incidence
-        r = np.where(
-            stay,
-            -spec.r_eps,
-            -spec.r_eps - spec.collision_weight * counts / spec.n,
-        )
-        if spec.terminal_zero_reward:
-            r = np.where(states == dest, 0.0, r)
-        return r
+        return base.take(flat) - mover.take(flat) * (spec.collision_weight * counts / spec.n)
 
     # Formula cap: time cost plus the penalty with every agent colliding.
     cap = spec.r_eps + spec.collision_weight * graph.n / spec.n

@@ -57,6 +57,8 @@ class NonPositiveNoise(NmarlError, ValueError):
 class UnknownLocation(NmarlError, KeyError):
     """A location label is not part of the path structure."""
 
+    __str__ = Exception.__str__  # the message as given, without KeyError's quotes
+
 
 class ProtocolInvariantError(NmarlError, AssertionError):
     """A push-sum protocol invariant failed an enabled runtime check."""

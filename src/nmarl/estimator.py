@@ -22,7 +22,10 @@ evaluation, is stepped by ``simulate``; its docstring states the draw order
 and its one inversion rule, counted in two forms (Python scalars for a
 single trajectory, whole arrays for batches of episodes) that pick the same
 index for every uniform: a draw at or beyond a float cumsum that ends below
-1 still lands on the last index.
+1 still lands on the last index. Uniforms lie in ``[0, 1)``, so a kernel
+threshold at or above 1 is never reached and ``model.kernel_support`` drops
+it; on one-hot kernels none is left and a step is two table lookups of the
+entry's flat kernel row.
 """
 
 from __future__ import annotations
@@ -146,18 +149,25 @@ def simulate(
     probability exceeds ``u``, or the last index when none does (a float
     cumsum can end just below 1). On a nondecreasing cumsum that index is
     the count of the row's thresholds at or below ``u``: the policy's first
-    ``A - 1`` cumsum columns, and the kernel's rising columns only
+    ``A - 1`` cumsum columns, and the kernel's rising columns below 1 only
     (``model.kernel_support``), whose count then picks the successor state.
-    Two forms take that count, value for value:
+    ``rng.random`` draws lie in ``[0, 1)``, so no uniform reaches a kernel
+    threshold at or above 1, and the support drops those: its counts hold
+    for uniforms in ``[0, 1)`` only. Two forms take that count, value for
+    value:
 
     * inputs of fewer than ``BATCH_ENTRIES`` entries, such as a training
-      rollout's ``(n,)`` trajectory, step on Python floats: ``bisect_right``
-      over each row's thresholds as a list (the policy's built per call, the
-      kernel's cached by ``model.kernel_support_lists``), which returns the
-      number of thresholds at or below ``u``. A drawn block's steps are
-      computed together, entry by entry, when its first step is taken;
+      rollout's ``(n,)`` trajectory, step on Python floats. Each entry
+      carries its flat kernel row ``r = p * A + a``, ``p = agent * S + s``
+      its flat policy row, and walks ``p = successor_rows[r][bisect_right(
+      thresholds[r], u)]`` (just ``only_rows[r]`` when no kernel row keeps a
+      threshold), then ``r = p * A + bisect_right(policy[p], u')``: the
+      policy's thresholds as lists built per call, the kernel's cached by
+      ``model.kernel_support_lists``. A drawn block's steps are computed
+      together, entry by entry, when its first step is taken, and the rows
+      kept are decoded into states and actions with one ``divmod``;
     * larger inputs compare whole threshold arrays with ``u``, one step at a
-      time.
+      time, and skip the kernel count when no kernel row keeps a threshold.
 
     Precondition: ``tables`` is finite. On a NaN threshold the two counts
     disagree (``bisect_right`` assumes a sorted list); ``trainer.run_dscp``
@@ -175,10 +185,12 @@ def _step_blocks(
     rng: np.random.Generator,
     steps: int,
     actions: np.ndarray | None,
+    start: int = 0,
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """``simulate``'s steps, as states and actions ``(k, ...)`` of ``k``
-    consecutive steps at a time: step 0 alone, then the steps of one drawn
-    block (scalar form) or of one step (count form)."""
+    """``simulate``'s steps from ``start`` on, as states and actions ``(k,
+    ...)`` of ``k`` consecutive steps at a time: step 0 alone, then the steps
+    of one drawn block (scalar form) or of one step (count form). Steps
+    before ``start`` are taken, drawing what they draw, but not returned."""
     n, n_states, n_actions = tables.shape
     # each flat policy row's thresholds: its first A - 1 cumsum columns
     pol_thresholds = np.cumsum(tables, axis=-1)[..., :-1].reshape(n * n_states, n_actions - 1)
@@ -190,7 +202,7 @@ def _step_blocks(
         rng.random((min(block, steps + 1 - t), 2) + shape) for t in range(1, steps + 1, block)
     )
     form = _scalar_steps if states.size < BATCH_ENTRIES else _count_steps
-    yield from form(m, pol_thresholds, states, actions, u_start, draws)
+    yield from form(m, pol_thresholds, states, actions, u_start, draws, start)
 
 
 def _scalar_steps(
@@ -200,47 +212,57 @@ def _scalar_steps(
     actions: np.ndarray | None,
     u_start: np.ndarray | None,
     draws: Iterator[np.ndarray],
+    start: int,
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """``_step_blocks`` on Python scalars: ``bisect_right`` over threshold lists.
 
-    The entries' chains are independent (each agent's policy row reads its
-    own state, each kernel is its own), so a drawn block is stepped entry by
-    entry, each entry through all of the block's steps.
+    Each entry carries its flat kernel row ``r = p * A + a``, where ``p =
+    agent * S + s`` is its flat policy row: the successor lists hold policy
+    rows, so a step is two lookups and no agent offset. The entries' chains
+    are independent (each agent's policy row reads its own state, each
+    kernel is its own), so a drawn block is stepped entry by entry, each
+    entry through all of the block's steps; the kept rows are decoded into
+    states and actions once per block.
     """
     n_actions = m.n_actions
     shape, size = states.shape, states.size
     pol = pol_thresholds.tolist()
-    thresholds, successors = m.kernel_support_lists()
-    first_rows = (np.arange(size) % m.n * m.n_states).tolist()  # policy row 0 of each entry
-    last_s = states.ravel().tolist()  # each entry's latest state and action
+    thresholds, successors, only_rows = m.kernel_support_lists()
+    offsets = np.arange(m.n) * m.n_states  # each agent's first policy row
+    pol_rows = offsets + states
     if u_start is not None:
-        last_a = [
-            bisect_right(pol[row + s], u)
-            for row, s, u in zip(first_rows, last_s, u_start.ravel().tolist())
-        ]
-        actions = np.array(last_a, dtype=np.intp).reshape(shape)
-    last_a = actions.ravel().tolist()
-    yield states[None], actions[None]
+        firsts = zip(pol_rows.ravel().tolist(), u_start.ravel().tolist())
+        actions = np.array([bisect_right(pol[p], u) for p, u in firsts], dtype=np.intp)
+        actions = actions.reshape(shape)
+    if start == 0:
+        yield states[None], actions[None]
+    last = (pol_rows * n_actions + actions).ravel().tolist()  # each entry's kernel row
+    t = 1  # the first step of the next block
     for block in draws:
         k = len(block)
-        visited_s, visited_a = [], []  # (size, k): each entry's states and actions
+        skip = min(k, max(0, start - t))  # the block's steps before ``start``
+        t += k
+        visited = []  # (size, k - skip): each entry's kept kernel rows
         per_entry = block.reshape(k, 2, size).transpose(2, 1, 0).tolist()
         for j, (u_next, u_act) in enumerate(per_entry):
-            row, s, a = first_rows[j], last_s[j], last_a[j]
-            entry_s, entry_a = [], []
-            for un, ua in zip(u_next, u_act):
-                r = (row + s) * n_actions + a  # kernel row
-                s = successors[r][bisect_right(thresholds[r], un)]
-                a = bisect_right(pol[row + s], ua)
-                entry_s.append(s)
-                entry_a.append(a)
-            last_s[j], last_a[j] = s, a
-            visited_s.append(entry_s)
-            visited_a.append(entry_a)
-        yield (
-            np.array(visited_s, dtype=np.intp).T.reshape((k,) + shape),
-            np.array(visited_a, dtype=np.intp).T.reshape((k,) + shape),
-        )
+            r = last[j]
+            entry = []
+            if only_rows is not None:  # no kernel uniform to invert
+                for ua in u_act:
+                    p = only_rows[r]
+                    r = p * n_actions + bisect_right(pol[p], ua)
+                    entry.append(r)
+            else:
+                for un, ua in zip(u_next, u_act):
+                    p = successors[r][bisect_right(thresholds[r], un)]
+                    r = p * n_actions + bisect_right(pol[p], ua)
+                    entry.append(r)
+            last[j] = r
+            visited.append(entry[skip:])
+        if skip < k:
+            rows = np.array(visited, dtype=np.intp).T.reshape((k - skip,) + shape)
+            pol_rows, actions = np.divmod(rows, n_actions)
+            yield pol_rows - offsets, actions
 
 
 def _count_steps(
@@ -250,26 +272,36 @@ def _count_steps(
     actions: np.ndarray | None,
     u_start: np.ndarray | None,
     draws: Iterator[np.ndarray],
+    start: int,
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """``_step_blocks`` on arrays: each step counts whole threshold arrays."""
+    """``_step_blocks`` on arrays: each step counts whole threshold arrays.
+
+    Each entry's kernel row indexes its successor directly when no kernel
+    row keeps a threshold (``kernel_support``'s ``K = 1``).
+    """
     n_actions = m.n_actions
     pol_columns = np.ascontiguousarray(pol_thresholds.T)
     kern_thresholds, successors = m.kernel_support()
     width = successors.shape[1]
     flat_successors = successors.ravel()
-    agent_rows = np.arange(m.n) * m.n_states  # first policy row of each agent
-    rows = agent_rows + states  # policy rows; kernel rows are rows * A + a
+    offsets = np.arange(m.n) * m.n_states  # each agent's first policy row
+    pol_rows = offsets + states
     if u_start is not None:
-        actions = _count_at_or_below(pol_columns, rows, u_start)
-    yield states[None], actions[None]
+        actions = _count_at_or_below(pol_columns, pol_rows, u_start)
+    if start == 0:
+        yield states[None], actions[None]
+    t = 1
     for block in draws:
         for u_next, u_act in block:
-            kern_rows = rows * n_actions + actions
-            counts = _count_at_or_below(kern_thresholds, kern_rows, u_next)
-            states = flat_successors.take(kern_rows * width + counts)
-            rows = agent_rows + states
-            actions = _count_at_or_below(pol_columns, rows, u_act)
-            yield states[None], actions[None]
+            rows = pol_rows * n_actions + actions  # kernel rows
+            if width > 1:
+                rows = rows * width + _count_at_or_below(kern_thresholds, rows, u_next)
+            states = flat_successors.take(rows)
+            pol_rows = offsets + states
+            actions = _count_at_or_below(pol_columns, pol_rows, u_act)
+            if t >= start:
+                yield states[None], actions[None]
+            t += 1
 
 
 def _count_at_or_below(thresholds: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -280,19 +312,13 @@ def _count_at_or_below(thresholds: np.ndarray, rows: np.ndarray, u: np.ndarray) 
 
 
 def _score_trace(
-    m: FactoredNmarlModel, blocks: Iterator[tuple[np.ndarray, np.ndarray]], start: int = 0
+    m: FactoredNmarlModel, blocks: Iterator[tuple[np.ndarray, np.ndarray]]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """States, actions and rewards ``(steps, n)`` of the steps from ``start``
-    on, from ``_step_blocks``; the rewards in one batched call."""
-    # Blocks before ``start`` are dropped as they come, so a long first
-    # horizon holds at most one block it does not score.
-    visited_s, visited_a = [], []
-    for s, a in blocks:
-        if start < len(s):
-            visited_s.append(s[start:])
-            visited_a.append(a[start:])
-        start = max(0, start - len(s))
-    states, actions = np.concatenate(visited_s), np.concatenate(visited_a)
+    """States, actions and rewards ``(steps, n)`` of the steps ``blocks``
+    returns; the rewards in one batched call."""
+    visited = list(blocks)
+    states = np.concatenate([s for s, _ in visited])
+    actions = np.concatenate([a for _, a in visited])
     return states, actions, np.asarray(m.batch_rewards(states, actions), dtype=float)
 
 
@@ -318,8 +344,8 @@ def rollout_two_horizon(
         raise HorizonOverflow(f"sampled horizon {t1 + t2} exceeds cap {max_horizon}")
     if tables is None:
         tables = pol.prob_tables(params)
-    blocks = _step_blocks(m, tables, m.rho.sample(rng, 1)[0], rng, t1 + t2, None)
-    states, actions, trace = _score_trace(m, blocks, t1)
+    blocks = _step_blocks(m, tables, m.rho.sample(rng, 1)[0], rng, t1 + t2, None, t1)
+    states, actions, trace = _score_trace(m, blocks)
     return TwoHorizonRollout(
         t1=t1, t2=t2, snapshot_state=states[0], snapshot_action=actions[0], reward_trace=trace
     )

@@ -113,16 +113,17 @@ class FactoredNmarlModel:
     Derived forms are built lazily and cached. ``stacked_kernel_cum`` holds
     the kernel row cumsums, every row capped with a ``+inf`` last column.
     ``estimator.simulate`` steps with their compressed form,
-    ``kernel_support``: only the columns where a row's cumsum rises, as
-    arrays for batches of episodes and, through ``kernel_support_lists``, as
-    per-row Python tuples for a single trajectory (``simulate``'s docstring
-    states the draw order and when each form is used). The last is one dense
-    reward table per agent over its neighborhood's restricted domain
-    (``reward_tables``). The reward tables feed the reward bound and every
-    reward the exact oracle integrates; rewards do not depend on the policy,
-    so the domain is enumerated once per model. For the same reason the
-    exact oracle's joint transition table of an agent subset
-    (``joint_kernel``) is built once per model and member tuple.
+    ``kernel_support``: only the columns where a row's cumsum rises and
+    stays below 1, as arrays for batches of episodes and, through
+    ``kernel_support_lists``, as per-row Python tuples for a single
+    trajectory (``simulate``'s docstring states the draw order and when each
+    form is used). The last is one dense reward table per agent over its
+    neighborhood's restricted domain (``reward_tables``). The reward tables
+    feed the reward bound and every reward the exact oracle integrates;
+    rewards do not depend on the policy, so the domain is enumerated once
+    per model. For the same reason the exact oracle's joint transition table
+    of an agent subset (``joint_kernel``) is built once per model and member
+    tuple.
 
     Args:
         graph: communication network; also defines reward neighborhoods.
@@ -163,7 +164,7 @@ class FactoredNmarlModel:
         self.reward_members: tuple[tuple[int, ...], ...] = graph.neighbors
         self._stacked_cum: np.ndarray | None = None
         self._kernel_support: tuple[np.ndarray, np.ndarray] | None = None
-        self._support_lists: tuple[tuple, tuple] | None = None
+        self._support_lists: tuple | None = None
         self._reward_tables: tuple[np.ndarray, ...] | None = None
         self._reward_bound: float | None = None
         self._joint_kernels: dict[tuple[int, ...], np.ndarray] = {}
@@ -202,31 +203,40 @@ class FactoredNmarlModel:
         return self._stacked_cum
 
     def kernel_support(self) -> tuple[np.ndarray, np.ndarray]:
-        """The kernel rows compressed to where their cumsums rise (cached).
+        """The kernel rows compressed to where their cumsums rise below 1 (cached).
 
         Returns ``(thresholds, successors)`` over the ``n * S * A`` flat rows
-        of ``stacked_kernel_cum``. Row ``r`` keeps its columns ``j < S - 1``
-        whose float cumsum strictly rises (exceeds the column before it, or 0
-        for ``j = 0``): ``thresholds[k, r]`` is the cumsum at the ``k``-th such
-        column, ``successors[r, k]`` that column, and both are padded (with
-        ``+inf`` and ``S - 1``) to ``K - 1`` thresholds and ``K`` successors,
-        ``K - 1`` the most any row keeps. The count of a row's thresholds at
-        or below a uniform ``u`` indexes its successor, which is the first
-        column whose cumsum exceeds ``u``, or ``S - 1``: the state the capped
-        cumsum inverts ``u`` to. A one-hot kernel row keeps at most one
-        column. Read-only.
+        of ``stacked_kernel_cum``, row ``r = (agent * S + s) * A + a``. Row
+        ``r`` keeps its columns ``j < S - 1`` whose float cumsum strictly
+        rises (exceeds the column before it, or 0 for ``j = 0``) and stays
+        below 1: ``thresholds[k, r]`` is the cumsum at the ``k``-th such
+        column and ``successors[r, k]`` that column. ``successors[r, K_r]``,
+        past row ``r``'s ``K_r`` kept columns, is its first column whose
+        capped cumsum reaches 1 (``S - 1`` when only the cap does). Both are
+        padded, with ``+inf`` and that last successor, to ``K - 1`` thresholds
+        and ``K`` successors, ``K - 1`` the most any row keeps.
+
+        The count of a row's thresholds at or below a uniform ``u`` in
+        ``[0, 1)`` indexes its successor, which is the first column whose
+        capped cumsum exceeds ``u``: the state the capped cumsum inverts
+        ``u`` to. A dropped threshold is at least 1, so no such ``u``
+        reaches it, and a row that reaches 1 at a column keeps no column
+        after it. A one-hot kernel row keeps none, so on one-hot kernels
+        ``K = 1`` and every successor is a plain lookup. Read-only.
         """
         if self._kernel_support is None:
             ns, rows_total = self.n_states, self.n * self.n_states * self.n_actions
-            cum = self.stacked_kernel_cum()[..., :-1].reshape(rows_total, ns - 1)
+            capped = self.stacked_kernel_cum().reshape(rows_total, ns)
+            cum = capped[:, :-1]
             before = np.concatenate([np.zeros((rows_total, 1)), cum], axis=1)[:, :-1]
-            rises = cum > before
-            rows, cols = np.nonzero(rises)
-            slots = (np.cumsum(rises, axis=1) - 1)[rows, cols]  # rank among the row's rises
-            width = int(rises.sum(axis=1).max(initial=0))
+            kept = (cum > before) & (cum < 1.0)
+            rows, cols = np.nonzero(kept)
+            slots = (np.cumsum(kept, axis=1) - 1)[rows, cols]  # rank among the row's kept columns
+            width = int(kept.sum(axis=1).max(initial=0))
             thresholds = np.full((width, rows_total), np.inf)
             thresholds[slots, rows] = cum[rows, cols]
-            successors = np.full((rows_total, width + 1), ns - 1, dtype=np.intp)
+            last = (capped >= 1.0).argmax(axis=1)  # the cap is +inf, so every row has one
+            successors = np.repeat(last[:, None], width + 1, axis=1)
             successors[rows, slots] = cols
             thresholds.setflags(write=False)
             successors.setflags(write=False)
@@ -235,20 +245,27 @@ class FactoredNmarlModel:
 
     def kernel_support_lists(
         self,
-    ) -> tuple[tuple[tuple[float, ...], ...], tuple[tuple[int, ...], ...]]:
+    ) -> tuple[tuple[tuple[float, ...], ...], tuple[tuple[int, ...], ...], tuple[int, ...] | None]:
         """``kernel_support`` per flat row as Python scalars (cached).
 
-        Returns ``(thresholds, successors)``: ``thresholds[r]`` is row ``r``'s
-        column of ``kernel_support()[0]`` (``+inf`` padding included) and
-        ``successors[r]`` its row of ``kernel_support()[1]``, so that
-        ``successors[r][bisect_right(thresholds[r], u)]`` is the state the
-        array count picks. Tuples, so read-only like the arrays.
+        Returns ``(thresholds, successor_rows, only_rows)``: ``thresholds[r]``
+        is row ``r``'s column of ``kernel_support()[0]`` (``+inf`` padding
+        included) and ``successor_rows[r]`` its row of ``kernel_support()[1]``
+        as flat policy rows ``agent * S + s'``, so that
+        ``successor_rows[r][bisect_right(thresholds[r], u)]`` is the policy
+        row of the state the array count picks. When no row keeps a
+        threshold (``K = 1``, as on one-hot kernels), ``only_rows[r]`` is row
+        ``r``'s one successor row, else ``only_rows`` is ``None``. Tuples, so
+        read-only like the arrays.
         """
         if self._support_lists is None:
             thresholds, successors = self.kernel_support()
+            agents = np.arange(len(successors)) // (self.n_states * self.n_actions)
+            rows = successors + (agents * self.n_states)[:, None]
             self._support_lists = (
                 tuple(map(tuple, thresholds.T.tolist())),
-                tuple(map(tuple, successors.tolist())),
+                tuple(map(tuple, rows.tolist())),
+                tuple(rows[:, 0].tolist()) if len(thresholds) == 0 else None,
             )
         return self._support_lists
 

@@ -68,7 +68,7 @@ def mix_and_estimate(st: PushSumState, w: np.ndarray) -> PushSumState:
     if w.shape != (n, n):
         raise DimensionMismatch(f"weight matrix shape {w.shape}, expected {(n, n)}")
     new_weights = w @ st.weights
-    if np.any(new_weights <= 0.0):
+    if new_weights.min() <= 0.0:
         raise NonPositiveWeight(
             "push-sum weight became non-positive; mixing matrix lacks support"
         )
@@ -90,11 +90,10 @@ def inject_all(st: PushSumState, w: np.ndarray, deltas: np.ndarray) -> PushSumSt
         raise DimensionMismatch(
             f"deltas have shape {deltas.shape}, expected {st.breve.shape[1:]}"
         )
-    if not np.all(np.isfinite(deltas)):
+    if not np.isfinite(deltas).all():
         raise NonFiniteState("push-sum deltas must be finite")
     augmented = st.breve.copy()
-    idx = np.arange(n)
-    augmented[idx, idx, :] += n * deltas
+    augmented.reshape(n * n, -1)[:: n + 1] += n * deltas  # the (j, j) rows
     st.breve = (w @ augmented.reshape(n, -1)).reshape(st.breve.shape)
     return st
 

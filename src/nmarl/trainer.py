@@ -268,11 +268,10 @@ def evaluate_policy(
     if method == "geometric":
         horizons = estimator.sample_geometric(1.0 - m.gamma, rng, size=episodes)
         max_t = int(horizons.max())
-        step_weight = np.ones(max_t + 1)
+        discounts = None
     elif method == "fixed_horizon":
         max_t = truncation_horizon(m.gamma, horizon_eps, max(m.reward_bound, 1e-12))
-        horizons = np.full(episodes, max_t)
-        step_weight = m.gamma ** np.arange(max_t + 1)
+        discounts = m.gamma ** np.arange(max_t + 1)
     else:
         raise ConfigError(f"unknown eval method {method!r}")
 
@@ -282,7 +281,8 @@ def evaluate_policy(
     totals = np.zeros(episodes)
     for t, (states, acts) in enumerate(steps):
         rbar = np.asarray(m.batch_rewards(states, acts), dtype=float).mean(axis=-1)
-        totals += step_weight[t] * (t <= horizons) * rbar
+        # an episode past its geometric horizon adds 0; every fixed one runs on
+        totals += ((t <= horizons) if discounts is None else discounts[t]) * rbar
     j = float(totals.mean())
     se = float(totals.std(ddof=1) / math.sqrt(episodes)) if episodes > 1 else 0.0
     return j, se

@@ -9,6 +9,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from nmarl import netgraph
+from nmarl.envs import path_transition
 from nmarl.errors import SpaceTooLarge
 from nmarl.estimator import half_discount_weights, sample_geometric, simulate
 from nmarl.model import FactoredNmarlModel, InitialDistribution, table_rewards
@@ -246,6 +247,27 @@ def ref_inject(st, w, j: int, delta) -> None:
     column = st.breve[:, j, :].copy()
     column[j] += st.n * np.asarray(delta, dtype=float)
     st.breve[:, j, :] = w @ column
+
+
+def ref_path_reward(spec, ps, graph, i, s, a) -> float:
+    """Agent ``i``'s path-planning reward at joint ``(s, a)``, from the movement rule.
+
+    Zero at the destination when ``terminal_zero_reward`` is set; else the
+    time cost, plus, for a mover, a share per neighbor that moves along the
+    same edge, counted one neighbor at a time.
+    """
+    here = ps.locations[s[i]]
+    there = path_transition(here, a[i], ps)
+    if spec.terminal_zero_reward and here == ps.destination:
+        return 0.0
+    if there == here:
+        return -spec.r_eps
+    shared = 0
+    for j in graph.neighbors[i]:
+        loc = ps.locations[s[j]]
+        if j != i and loc == here and path_transition(loc, a[j], ps) == there:
+            shared += 1
+    return -spec.r_eps - spec.collision_weight * shared / spec.n
 
 
 def ref_power_reward(m, gains, noise, price, i, s, a) -> float:

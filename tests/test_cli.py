@@ -117,6 +117,7 @@ BAD_INPUTS = [
     (PP, "env.overrides.r_eps=abc"),
     (PP, 'env.overrides.terminal_zero_reward="no"'),
     (PP, "env.overrides.starts=5"),
+    (PP, 'env.overrides.starts=[["b1"],"b2","b3","b4","b5","b1","b2","b3","b4","b5"]'),
     (PP, "env.overrides.successors=5"),
     (PP, 'env.overrides.successors={"b1":"c1"}'),
 ]

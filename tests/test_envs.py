@@ -23,7 +23,13 @@ from nmarl.errors import ConfigError, NonPositiveNoise, UnknownLocation
 from nmarl.model import FactoredNmarlModel
 from nmarl.policy import CoupledSoftmaxPolicy, MixingSpec
 
-from support import next_states, random_table_model, ref_power_reward
+from support import (
+    connected_graphs,
+    next_states,
+    random_table_model,
+    ref_path_reward,
+    ref_power_reward,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -144,6 +150,35 @@ class TestPathReward:
         assert self.reward0({0: (self.dest, 0), 1: (self.b2, 1)}, spec) == 0.0
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    graph=connected_graphs(min_agents=1),
+    episodes=st.integers(1, 5),
+    crowded=st.booleans(),
+    terminal_zero=st.booleans(),
+    weight=st.sampled_from([0.5, 0.7, 0.1]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_path_reward_matches_reference(graph, episodes, crowded, terminal_zero, weight, seed):
+    """The batched path-planning reward is the per-agent formula, bit for bit."""
+    ps = PathStructure()
+    spec = PathPlanningSpec(
+        n=graph.n, starts=("b1",) * graph.n, collision_weight=weight,
+        terminal_zero_reward=terminal_zero,
+    )
+    m = build_path_env(spec, ps, graph)
+    rng = np.random.default_rng(seed)
+    # crowded points share two locations, one the destination, so that most
+    # movers share an edge and many agents wait at the destination
+    pool = [ps.index("b2"), ps.index("e")] if crowded else range(len(ps.locations))
+    s = rng.choice(pool, size=(episodes, graph.n))
+    a = rng.integers(0, 3, size=(episodes, graph.n))
+    got = m.batch_rewards(s, a)
+    for e in range(episodes):
+        want = [ref_path_reward(spec, ps, graph, i, s[e], a[e]) for i in range(graph.n)]
+        np.testing.assert_array_equal(got[e], want)
+
+
 def _family_model(family: str, seed: int) -> FactoredNmarlModel:
     if family == "path":
         return build_path_env(PathPlanningSpec(terminal_zero_reward=seed % 2 == 1))
@@ -221,6 +256,16 @@ class TestBuildPathEnv:
     def test_start_count_mismatch(self):
         with pytest.raises(ConfigError):
             PathPlanningSpec(starts=("b1", "b2"))
+
+    def test_non_string_start_names_agent_and_value(self):
+        starts = ("b1", "b2", ["b3"]) + ("b1",) * 7
+        with pytest.raises(ConfigError, match=r"agent 2's start .*\['b3'\]"):
+            PathPlanningSpec(starts=starts)
+
+    def test_unknown_location_message_is_unquoted(self):
+        with pytest.raises(UnknownLocation) as info:
+            PathStructure().index("z9")
+        assert str(info.value) == "unknown location 'z9'"
 
     def test_comm_graph_size_mismatch(self):
         with pytest.raises(ConfigError):

@@ -369,14 +369,20 @@ class TestInverseCdf:
 
 def _stochastic_rows(rng: np.random.Generator, shape: tuple, kind: str) -> np.ndarray:
     """Rows over the last axis: ``dense``, ``sparse`` (zero-probability bins),
-    ``onehot`` (deterministic) or ``short`` (sparse, and a float cumsum that
-    ends below 1)."""
+    ``onehot`` (deterministic), ``short`` (sparse, and a float cumsum that
+    ends below 1) or ``overshoot`` (sparse, and a float cumsum that reaches 1
+    before the last column, whose tiny mass no uniform in [0, 1) reaches)."""
     if kind == "onehot":
         return np.eye(shape[-1])[rng.integers(shape[-1], size=shape[:-1])]
     p = rng.random(shape)
     if kind != "dense":
         p[rng.random(shape) < 0.5] = 0.0
         p[..., rng.integers(shape[-1])] += 0.1  # one positive bin per row at least
+    if kind == "overshoot" and shape[-1] > 1:
+        p[..., 0] += 0.1
+        p[..., :-1] *= (1.0 + 2.0**-45) / p[..., :-1].sum(axis=-1, keepdims=True)
+        p[..., -1] = 2.0**-60
+        return p
     p /= p.sum(axis=-1, keepdims=True)
     return p * (1.0 - 2.0**-50) if kind == "short" else p
 
@@ -387,7 +393,7 @@ def chains(draw):
     ``BATCH_ENTRIES``, optional start actions, and the uniforms' edge values."""
     n, n_states, n_actions = (draw(st.integers(1, 4)) for _ in range(3))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    kinds = st.sampled_from(["dense", "sparse", "onehot", "short"])
+    kinds = st.sampled_from(["dense", "sparse", "onehot", "short", "overshoot"])
     shape = (n_states, n_actions, n_states)
     kernels = [_stochastic_rows(rng, shape, draw(kinds)) for _ in range(n)]
     tables = _stochastic_rows(rng, (n, n_states, n_actions), draw(kinds))

@@ -315,9 +315,13 @@ class TestKernelSupport:
     def test_lists_mirror_the_arrays(self):
         m = random_table_model(line_graph(2), np.random.default_rng(9), 3, 2)
         thresholds, successors = m.kernel_support()
-        threshold_lists, successor_lists = m.kernel_support_lists()
+        threshold_lists, successor_lists, only_rows = m.kernel_support_lists()
         assert threshold_lists == tuple(map(tuple, thresholds.T.tolist()))
-        assert successor_lists == tuple(map(tuple, successors.tolist()))
+        # successors as flat policy rows: agent * S + state
+        agents = np.arange(len(successors)) // (m.n_states * m.n_actions)
+        rows = successors + (agents * m.n_states)[:, None]
+        assert successor_lists == tuple(map(tuple, rows.tolist()))
+        assert only_rows is None  # random kernels keep thresholds
         assert all(type(x) is float for row in threshold_lists for x in row)
         assert m.kernel_support_lists() is m.kernel_support_lists()  # built once
 
@@ -330,15 +334,32 @@ class TestKernelSupport:
         assert m.joint_kernel((0, 2)) is joint  # built once per member tuple
         assert not joint.flags.writeable
 
+    def test_thresholds_at_or_above_one_are_dropped(self):
+        # every row's cumsum reaches 1 at column 1, then rises by a float
+        # excess before a zero bin: only 0.5 stays, and past it comes column 1
+        row = [0.5, 0.5, 2.0**-52, 0.0]
+        m = FactoredNmarlModel(
+            netgraph.build_graph(1, []), 4, 1, [np.tile(row, (4, 1, 1))],
+            lambda s, a: np.zeros(s.shape), InitialDistribution.fixed([0]), 0.9,
+        )
+        assert np.cumsum(row)[2] > 1.0
+        thresholds, successors = m.kernel_support()
+        np.testing.assert_array_equal(thresholds, [[0.5] * 4])
+        np.testing.assert_array_equal(successors, [[0, 1]] * 4)
+
     @pytest.mark.parametrize("builder", ["power", "path"])
-    def test_shipped_one_hot_kernels_keep_one_threshold(self, builder):
+    def test_shipped_one_hot_kernels_keep_no_threshold(self, builder):
         if builder == "power":
             m = build_power_env(3, 4, np.eye(3), [1.0] * 3, [0.1] * 3)
         else:
             m = build_path_env(PathPlanningSpec())
         thresholds, successors = m.kernel_support()
         rows = m.n * m.n_states * m.n_actions
-        assert thresholds.shape == (1, rows) and successors.shape == (rows, 2)
+        # every one-hot cumsum reaches 1 at its hot column: nothing to count
+        assert thresholds.shape == (0, rows) and successors.shape == (rows, 1)
+        threshold_lists, successor_lists, only_rows = m.kernel_support_lists()
+        assert all(row == () for row in threshold_lists)
+        assert only_rows == tuple(row[0] for row in successor_lists)
         # every row's successor is the state its one-hot kernel row names
         first = np.stack(m.kernels).reshape(rows, m.n_states).argmax(axis=1)
         np.testing.assert_array_equal(successors[:, 0], first)
