@@ -84,11 +84,18 @@ def construct(target: Callable[..., Any], values: Any, where: str, **given: Any)
 
 
 def check_seeds(seeds: Any) -> list[int]:
-    """``seeds`` if it is a non-empty list of nonnegative integers."""
+    """``seeds`` if it is a non-empty list of distinct nonnegative integers.
+
+    A repeated seed would train the same run twice into one output file and
+    count it twice in a sweep's mean.
+    """
     if not isinstance(seeds, list) or not seeds or not all(
         isinstance(s, int) and not isinstance(s, bool) and s >= 0 for s in seeds
     ):
         raise ConfigError(f"seeds must be a non-empty list of nonnegative integers, got {seeds!r}")
+    repeated = sorted({s for s in seeds if seeds.count(s) > 1})
+    if repeated:
+        raise ConfigError(f"seeds must be distinct, got {seeds!r} (repeated: {repeated})")
     return seeds
 
 

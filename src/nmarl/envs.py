@@ -135,6 +135,11 @@ class PathPlanningSpec:
                 raise ConfigError(f"starts: agent {i}'s start must be a location name, got {loc!r}")
         if self.r_eps <= 0:
             raise ConfigError("the per-step time cost must be positive")
+        if self.collision_weight < 0:
+            # the declared reward cap (time cost plus full penalty) needs it
+            raise ConfigError(
+                f"collision_weight must be nonnegative, got {self.collision_weight}"
+            )
 
 
 def _path_next_table(ps: PathStructure) -> np.ndarray:

@@ -48,7 +48,14 @@ MAX_HORIZON = 10**7
 # on both shipped models the array count overtakes the scalar bisect form
 # between ~40 and ~55 entries (measured on a 2-vCPU x86 machine)
 BATCH_ENTRIES = 48
-DRAW_BLOCK = 2**14  # most uniforms simulate draws per rng.random call
+# Most uniforms simulate draws per rng.random call. At 2**13 a block's uniforms
+# and the reward temporaries of scoring it stay at or below 64 KB. On a 2-vCPU
+# x86 machine, numpy temporaries of ~128 KB page-fault on every call: the
+# path-planning reward takes ~70 us with 0 minor faults at 4 000 entries, but
+# ~1 ms with 343 faults at 16 000; a 400-episode path-planning evaluation takes
+# 177-996 minor faults at 2**14 and 0-86 at 2**13 (the count depends on the
+# heap's state).
+DRAW_BLOCK = 2**13
 
 
 @dataclass
@@ -168,6 +175,13 @@ def simulate(
       kept are decoded into states and actions with one ``divmod``;
     * larger inputs compare whole threshold arrays with ``u``, one step at a
       time, and skip the kernel count when no kernel row keeps a threshold.
+      A drawn block's steps are written into one ``(k, ...)`` array each for
+      states and actions.
+
+    Both forms compute a drawn block's steps together, and this generator
+    yields them one step at a time. ``_step_blocks`` yields the whole drawn
+    blocks, so that a caller such as ``trainer.evaluate_policy`` can score a
+    block's steps with one reward call.
 
     Precondition: ``tables`` is finite. On a NaN threshold the two counts
     disagree (``bisect_right`` assumes a sorted list); ``trainer.run_dscp``
@@ -189,8 +203,8 @@ def _step_blocks(
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """``simulate``'s steps from ``start`` on, as states and actions ``(k,
     ...)`` of ``k`` consecutive steps at a time: step 0 alone, then the steps
-    of one drawn block (scalar form) or of one step (count form). Steps
-    before ``start`` are taken, drawing what they draw, but not returned."""
+    of each drawn block, in both forms. Steps before ``start`` are taken,
+    drawing what they draw, but not returned."""
     n, n_states, n_actions = tables.shape
     # each flat policy row's thresholds: its first A - 1 cumsum columns
     pol_thresholds = np.cumsum(tables, axis=-1)[..., :-1].reshape(n * n_states, n_actions - 1)
@@ -230,30 +244,35 @@ def _scalar_steps(
     thresholds, successors, only_rows = m.kernel_support_lists()
     offsets = np.arange(m.n) * m.n_states  # each agent's first policy row
     pol_rows = offsets + states
-    if u_start is not None:
+    if u_start is None:
+        last = (pol_rows * n_actions + actions).ravel().tolist()  # each entry's kernel row
+    else:
         firsts = zip(pol_rows.ravel().tolist(), u_start.ravel().tolist())
-        actions = np.array([bisect_right(pol[p], u) for p, u in firsts], dtype=np.intp)
-        actions = actions.reshape(shape)
+        last = [p * n_actions + bisect_right(pol[p], u) for p, u in firsts]
+        if start == 0:
+            actions = (np.array(last, dtype=np.intp) % n_actions).reshape(shape)
     if start == 0:
         yield states[None], actions[None]
-    last = (pol_rows * n_actions + actions).ravel().tolist()  # each entry's kernel row
     t = 1  # the first step of the next block
     for block in draws:
         k = len(block)
         skip = min(k, max(0, start - t))  # the block's steps before ``start``
         t += k
         visited = []  # (size, k - skip): each entry's kept kernel rows
-        per_entry = block.reshape(k, 2, size).transpose(2, 1, 0).tolist()
-        for j, (u_next, u_act) in enumerate(per_entry):
+        if only_rows is not None:  # no kernel uniform to invert: list the action ones
+            per_entry = block[:, 1].reshape(k, size).T.tolist()
+        else:
+            per_entry = block.reshape(k, 2, size).transpose(2, 1, 0).tolist()
+        for j, uniforms in enumerate(per_entry):
             r = last[j]
             entry = []
-            if only_rows is not None:  # no kernel uniform to invert
-                for ua in u_act:
+            if only_rows is not None:
+                for ua in uniforms:
                     p = only_rows[r]
                     r = p * n_actions + bisect_right(pol[p], ua)
                     entry.append(r)
             else:
-                for un, ua in zip(u_next, u_act):
+                for un, ua in zip(*uniforms):
                     p = successors[r][bisect_right(thresholds[r], un)]
                     r = p * n_actions + bisect_right(pol[p], ua)
                     entry.append(r)
@@ -277,7 +296,9 @@ def _count_steps(
     """``_step_blocks`` on arrays: each step counts whole threshold arrays.
 
     Each entry's kernel row indexes its successor directly when no kernel
-    row keeps a threshold (``kernel_support``'s ``K = 1``).
+    row keeps a threshold (``kernel_support``'s ``K = 1``). The steps of a
+    drawn block fill one ``(k, ...)`` states and one actions array, which are
+    yielded together.
     """
     n_actions = m.n_actions
     pol_columns = np.ascontiguousarray(pol_thresholds.T)
@@ -290,25 +311,33 @@ def _count_steps(
         actions = _count_at_or_below(pol_columns, pol_rows, u_start)
     if start == 0:
         yield states[None], actions[None]
-    t = 1
+    t = 1  # the first step of the next block
     for block in draws:
-        for u_next, u_act in block:
+        k = len(block)
+        skip = min(k, max(0, start - t))  # the block's steps before ``start``
+        t += k
+        states_block = np.empty((k,) + states.shape, dtype=np.intp)
+        actions_block = np.empty_like(states_block)
+        for j, (u_next, u_act) in enumerate(block):
             rows = pol_rows * n_actions + actions  # kernel rows
             if width > 1:
                 rows = rows * width + _count_at_or_below(kern_thresholds, rows, u_next)
-            states = flat_successors.take(rows)
+            # rows are always in range; "clip" lets take write into ``out``
+            # without the buffered copy of the default "raise"
+            states = flat_successors.take(rows, out=states_block[j], mode="clip")
             pol_rows = offsets + states
-            actions = _count_at_or_below(pol_columns, pol_rows, u_act)
-            if t >= start:
-                yield states[None], actions[None]
-            t += 1
+            actions = _count_at_or_below(pol_columns, pol_rows, u_act, actions_block[j])
+        if skip < k:
+            yield states_block[skip:], actions_block[skip:]
 
 
-def _count_at_or_below(thresholds: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+def _count_at_or_below(
+    thresholds: np.ndarray, rows: np.ndarray, u: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """Per entry, how many of its row's ``thresholds`` ``(k, rows)`` are at
     or below ``u``: on a nondecreasing row, the index of the first column
-    above ``u``, or ``k`` when none is."""
-    return (thresholds.take(rows, axis=1) <= u).sum(axis=0)
+    above ``u``, or ``k`` when none is. Written into ``out`` when given."""
+    return (thresholds.take(rows, axis=1) <= u).sum(axis=0, out=out)
 
 
 def _score_trace(
@@ -317,8 +346,11 @@ def _score_trace(
     """States, actions and rewards ``(steps, n)`` of the steps ``blocks``
     returns; the rewards in one batched call."""
     visited = list(blocks)
-    states = np.concatenate([s for s, _ in visited])
-    actions = np.concatenate([a for _, a in visited])
+    if len(visited) == 1:
+        states, actions = visited[0]
+    else:
+        states = np.concatenate([s for s, _ in visited])
+        actions = np.concatenate([a for _, a in visited])
     return states, actions, np.asarray(m.batch_rewards(states, actions), dtype=float)
 
 
@@ -418,7 +450,7 @@ def gradient_estimate(
     scores = pol.score_sums(roll.snapshot_state, roll.snapshot_action, params)
     grads = q_values[:, None] * scores / (1.0 - m.gamma)
     norms = np.sqrt(np.einsum("ij,ij->i", grads, grads))
-    worst = float(norms.max(initial=0.0))
+    worst = float(np.maximum.reduce(norms, initial=0.0))
     if worst > bound * (1.0 + 1e-9):
         raise BoundViolated(
             f"gradient-estimate norm {worst:.6g} exceeds analytic cap {bound:.6g}"

@@ -130,7 +130,7 @@ class CoupledSoftmaxPolicy:
             mixed = np.einsum("ik,ikd->id", self.coupling, arr)
         else:
             raise DimensionMismatch(f"unsupported parameter stack shape {arr.shape}")
-        if not np.all(np.isfinite(mixed)):
+        if not np.isfinite(mixed).all():
             raise ValueError("non-finite logits in parameter stack")
         return _softmax_rows(mixed.reshape(self.n, self.n_states, self.n_actions))
 
@@ -204,6 +204,8 @@ class CoupledSoftmaxPolicy:
 
 def _softmax_rows(logits: np.ndarray) -> np.ndarray:
     """Softmax over the last axis."""
-    z = logits - logits.max(axis=-1, keepdims=True)  # overflow guard for |logits| up to ~700
+    # overflow guard for |logits| up to ~700; the ufunc reductions skip the
+    # wrappers of ``max`` and ``sum``, with the same bits
+    z = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    return e / np.add.reduce(e, axis=-1, keepdims=True)

@@ -206,18 +206,20 @@ def run_dscp(
                 grads = gradient_override(theta, t)
             else:
                 tables = pol.prob_tables(exec_params)
-                grads = np.zeros((m.n, pol.d))
+                grads = None
                 for _ in range(cfg.batch):
                     roll = estimator.rollout_two_horizon(
                         m, exec_params, pol, rng, tables=tables
                     )
                     est = estimator.gradient_estimate(roll, m, pol, exec_params, bound)
-                    grads += est.grads
-                grads /= cfg.batch
-            grad_norm = float(np.linalg.norm(grads))
+                    grads = est.grads if grads is None else grads + est.grads
+                if cfg.batch > 1:
+                    grads /= cfg.batch
+            flat = grads.ravel()
+            grad_norm = math.sqrt(flat @ flat)  # np.linalg.norm's sum of squares
             deltas = lr * grads
             theta = theta + deltas
-            if not np.all(np.isfinite(theta)):
+            if not np.isfinite(theta).all():
                 raise NonFiniteState(f"parameters are not finite after iteration {t}'s update")
             if use_pushsum:
                 pushsum.inject_all(ps, w, deltas)
@@ -261,6 +263,13 @@ def evaluate_policy(
     its per-episode variance is far lower, at the price of a bias below
     ``horizon_eps``. Draw order: the ``geometric`` horizons, the start
     states, then the steps in ``estimator.simulate``'s order.
+
+    The steps are scored one drawn block of ``(steps, episodes, n)`` at a
+    time, with one ``batch_rewards`` call per block: ``estimator.DRAW_BLOCK``
+    keeps a block's uniforms and its reward temporaries at or below 64 KB, so
+    the peak memory does not grow with the horizon. Each step's agent mean is
+    ``sum / n`` (the bits of ``mean``), and the episode totals add the steps
+    one at a time, in order.
     """
     if episodes < 1:
         raise ConfigError(f"episodes must be at least 1, got {episodes}")
@@ -275,14 +284,20 @@ def evaluate_policy(
     else:
         raise ConfigError(f"unknown eval method {method!r}")
 
-    # Scored one (episodes, n) step at a time: a whole trace of
-    # episodes x steps x n entries would set the peak memory of a run.
-    steps = estimator.simulate(m, tables, m.rho.sample(rng, episodes), rng, max_t)
+    blocks = estimator._step_blocks(m, tables, m.rho.sample(rng, episodes), rng, max_t, None)
     totals = np.zeros(episodes)
-    for t, (states, acts) in enumerate(steps):
-        rbar = np.asarray(m.batch_rewards(states, acts), dtype=float).mean(axis=-1)
+    t = 0  # the block's first step
+    for states, acts in blocks:
+        rbar = np.asarray(m.batch_rewards(states, acts), dtype=float).sum(axis=-1) / m.n
+        k = len(rbar)
         # an episode past its geometric horizon adds 0; every fixed one runs on
-        totals += ((t <= horizons) if discounts is None else discounts[t]) * rbar
+        if discounts is None:
+            weights = np.arange(t, t + k)[:, None] <= horizons
+        else:
+            weights = discounts[t : t + k, None]
+        for step in weights * rbar:
+            totals += step
+        t += k
     j = float(totals.mean())
     se = float(totals.std(ddof=1) / math.sqrt(episodes)) if episodes > 1 else 0.0
     return j, se

@@ -195,6 +195,28 @@ def ref_conditional_trace(m, tables, snapshot_state, snapshot_action, rng):
     return t2, ref_score_trace(m, steps)[2]
 
 
+def ref_evaluate(m, pol, params, episodes, rng, method="geometric", horizon_eps=1e-4):
+    """``evaluate_policy`` as it was before it scored whole drawn blocks, kept
+    as its reference: one ``batch_rewards`` call per ``(episodes, n)`` step
+    of ``ref_simulate``, reduced over the agents with ``mean``."""
+    tables = pol.prob_tables(params)
+    if method == "geometric":
+        horizons = sample_geometric(1.0 - m.gamma, rng, size=episodes)
+        max_t = int(horizons.max())
+        discounts = None
+    else:
+        max_t = truncation_horizon(m.gamma, horizon_eps, max(m.reward_bound, 1e-12))
+        discounts = m.gamma ** np.arange(max_t + 1)
+    steps = ref_simulate(m, tables, m.rho.sample(rng, episodes), rng, max_t)
+    totals = np.zeros(episodes)
+    for t, (states, acts) in enumerate(steps):
+        rbar = np.asarray(m.batch_rewards(states, acts), dtype=float).mean(axis=-1)
+        totals += ((t <= horizons) if discounts is None else discounts[t]) * rbar
+    j = float(totals.mean())
+    se = float(totals.std(ddof=1) / math.sqrt(episodes)) if episodes > 1 else 0.0
+    return j, se
+
+
 class EdgeRng:
     """A generator whose uniforms land on ``edges`` half the time.
 

@@ -58,6 +58,14 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             parse_config(obj)
 
+    def test_repeated_seeds_named(self, tmp_path):
+        obj = tiny_path_config(tmp_path)
+        obj["seeds"] = [3, 1, 3, 2, 1]
+        with pytest.raises(ConfigError, match=r"seeds must be distinct.*repeated: \[1, 3\]"):
+            parse_config(obj)
+        obj["seeds"] = [3, 1, 2]
+        assert parse_config(obj).seeds == [3, 1, 2]
+
     def test_unsupported_lr_form(self, tmp_path):
         obj = tiny_path_config(tmp_path)
         obj["dscp"]["lr"]["form"] = "constant"
@@ -108,6 +116,7 @@ BAD_INPUTS = [
     (PC, "seeds=[]"),
     (PC, "seeds=[true]"),
     (PC, "seeds=[1,-1]"),
+    (PC, "seeds=[1,1,2]"),
     (PC, "env.overrides.start=[0.5,0,0]"),
     (PC, "env.overrides.start=[true,0,0]"),
     (PC, "env.overrides.noise=[1,1,NaN]"),
@@ -120,14 +129,19 @@ BAD_INPUTS = [
     (PP, 'env.overrides.starts=[["b1"],"b2","b3","b4","b5","b1","b2","b3","b4","b5"]'),
     (PP, "env.overrides.successors=5"),
     (PP, 'env.overrides.successors={"b1":"c1"}'),
+    (PP, "env.overrides.collision_weight=-1"),
 ]
 
 
 # Each row is a config and the arguments after it: a bad ``--set`` override of
 # ``train``, or a whole bad command. A sweep listing a kappa_p twice trained
-# both into one kp<k>/ and kept one entry in sweep.json.
+# both into one kp<k>/ and kept one entry in sweep.json; one listing a seed
+# twice trained it twice into one metrics file and counted it twice.
 BAD_RUNS = [(c, ["train", "--set", b], f"{'pc' if c == PC else 'pp'}:{b}") for c, b in BAD_INPUTS]
 BAD_RUNS.append((PC, ["sweep", "--kappa-p", "1", "1"], "pc:sweep --kappa-p 1 1"))
+BAD_RUNS.append(
+    (PC, ["sweep", "--kappa-p", "0", "--set", "seeds=[1,1,2]"], "pc:sweep seeds=[1,1,2]")
+)
 
 
 @pytest.mark.parametrize("cfg, bad", [r[:2] for r in BAD_RUNS], ids=[r[2] for r in BAD_RUNS])

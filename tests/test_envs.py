@@ -262,6 +262,12 @@ class TestBuildPathEnv:
         with pytest.raises(ConfigError, match=r"agent 2's start .*\['b3'\]"):
             PathPlanningSpec(starts=starts)
 
+    def test_negative_collision_weight_rejected(self):
+        # a negative weight would declare a reward cap below the true max |r|
+        with pytest.raises(ConfigError, match="collision_weight"):
+            PathPlanningSpec(collision_weight=-0.2)
+        assert build_path_env(PathPlanningSpec(collision_weight=0.0)).reward_bound == 0.5
+
     def test_unknown_location_message_is_unquoted(self):
         with pytest.raises(UnknownLocation) as info:
             PathStructure().index("z9")

@@ -1,11 +1,16 @@
 import io
 import math
+from unittest.mock import patch
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nmarl import oracle, trainer
+from nmarl import estimator, oracle, trainer
+from nmarl.config import load_config
 from nmarl.errors import ConfigError, NonFiniteState
+from nmarl.model import FactoredNmarlModel
 from nmarl.policy import CoupledSoftmaxPolicy, MixingSpec
 from nmarl.trainer import DscpConfig, evaluate_policy, learning_rate, run_dscp
 
@@ -13,8 +18,13 @@ from support import (
     constant_reward_model,
     line_graph,
     random_table_model,
+    ref_evaluate,
+    shaped_graph,
     zero_reward_model,
 )
+
+# one step per drawn block, the default, and every step in one block
+DRAW_BLOCKS = [1, estimator.DRAW_BLOCK, 2**20]
 
 
 class TestLearningRate:
@@ -216,3 +226,60 @@ class TestEvaluatePolicy:
         pol = CoupledSoftmaxPolicy(g, 2, 2, MixingSpec(kappa_p=1))
         with pytest.raises(ConfigError):
             evaluate_policy(m, pol, pol.zero_params(), 0, np.random.default_rng(0))
+
+
+@st.composite
+def eval_cases(draw):
+    """A random model with one-hot or multi-threshold kernels and a fixed or
+    product start, a policy and its parameters, and an episode count on
+    either side of ``estimator.BATCH_ENTRIES``."""
+    n, n_states, n_actions = (draw(st.integers(1, 3)) for _ in range(3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = shaped_graph(draw(st.sampled_from(["line", "ring", "star"])), n)
+    gamma = draw(st.sampled_from([0.5, 0.9]))
+    m = random_table_model(
+        g, rng, n_states, n_actions, gamma=gamma, fixed_start=draw(st.booleans())
+    )
+    if draw(st.booleans()):  # one-hot kernels keep no threshold
+        eye = np.eye(n_states)
+        kernels = [eye[rng.integers(n_states, size=(n_states, n_actions))] for _ in range(n)]
+        m = FactoredNmarlModel(g, n_states, n_actions, kernels, m.batch_rewards, m.rho, gamma)
+    pol = CoupledSoftmaxPolicy(g, n_states, n_actions, MixingSpec(kappa_p=draw(st.integers(0, 2))))
+    shape = (n, pol.d) if draw(st.booleans()) else (n, n, pol.d)
+    params = rng.normal(size=shape)
+    cutoff = -(-estimator.BATCH_ENTRIES // n)  # the fewest episodes that count thresholds
+    episodes = draw(st.sampled_from([1, 2, cutoff - 1, cutoff, 3 * cutoff]))
+    return m, pol, params, episodes
+
+
+@given(
+    eval_cases(),
+    st.sampled_from(["geometric", "fixed_horizon"]),
+    st.sampled_from(DRAW_BLOCKS),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=120, deadline=None)
+def test_evaluate_policy_matches_reference(case, method, draw_block, seed):
+    # Scoring whole drawn blocks of any size gives the per-step loop's J and
+    # SE bit for bit, and leaves the generator where it leaves it.
+    m, pol, params, episodes = case
+    got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    with patch.object(estimator, "DRAW_BLOCK", draw_block):
+        got = evaluate_policy(m, pol, params, episodes, got_rng, method, horizon_eps=1e-3)
+    want = ref_evaluate(m, pol, params, episodes, want_rng, method, horizon_eps=1e-3)
+    assert got == want
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("draw_block", DRAW_BLOCKS)
+@pytest.mark.parametrize("config", ["path_planning", "power_control"])
+def test_shipped_evaluation_matches_reference(config, draw_block):
+    # the shipped rewards (a matmul per call) on stacked blocks of steps
+    run = load_config(f"configs/{config}.json")
+    m = run.build_model()
+    pol = CoupledSoftmaxPolicy(run.graph, m.n_states, m.n_actions, run.dscp.mixing())
+    theta = np.random.default_rng(4).uniform(-1, 1, size=(m.n, pol.d))
+    for method in ("geometric", "fixed_horizon"):
+        with patch.object(estimator, "DRAW_BLOCK", draw_block):
+            got = evaluate_policy(m, pol, theta, 60, np.random.default_rng(5), method)
+        assert got == ref_evaluate(m, pol, theta, 60, np.random.default_rng(5), method)
