@@ -4,11 +4,18 @@ Both builders produce :class:`FactoredNmarlModel` instances with
 deterministic (one-hot) kernels. Each reward family is one batched callable
 that keeps the model's contract: integer state and action arrays ``(..., n)``
 map to float rewards ``(..., n)``, and column ``i`` reads only agent ``i``'s
-direct neighbors. The path-planning reward reads three tables over the flat
-state-action index ``s * A + a``, built once per model: the code of the edge
-the agent takes, its base reward (the time cost, or 0 at the destination
-when ``terminal_zero_reward`` is set) and whether it moves (0 or 1). A
-mover then pays a share per neighbor with the same edge code.
+direct neighbors.
+
+The path-planning reward is one lookup per entry in a table built once per
+model. Row ``s * A + a`` holds ``base - mover * (w * c / n)`` for every
+shared-edge count ``c`` from 0 to the largest degree, computed in that
+operation order: ``base`` is the time cost (0 at the destination when
+``terminal_zero_reward`` is set), ``mover`` is 1 when the pair leaves its
+state (0 at such a destination) and ``w`` is ``collision_weight``. An
+entry's key is the row of the first action from its state to the same next
+state, so equal keys mean the same edge. Each unordered neighbor edge
+compares its ends' keys once, and an incidence matmul adds the match to
+both ends' counts ``c``; a stayer's row is ``base`` whatever its count.
 """
 
 from __future__ import annotations
@@ -157,30 +164,41 @@ def _path_planning_rewards(
     n_loc, n_act = next_table.shape
     # Staying costs the flat time penalty; moving additionally costs a share
     # per neighbor that traverses the same (from, to) edge this step. Per
-    # flat pair s * A + a: the edge code, the base reward and whether the
-    # agent moves (0 or 1, so base - mover * share is exact either way).
+    # flat pair s * A + a: the base reward and whether the agent moves (0 or
+    # 1, so base - mover * share is exact either way).
     stay = next_table == np.arange(n_loc)[:, None]
-    code = (np.arange(n_loc)[:, None] * n_loc + next_table).ravel()
     base = np.full((n_loc, n_act), -spec.r_eps)
     mover = (~stay).astype(float)
     if spec.terminal_zero_reward:
         dest = ps.index(ps.destination)
         base[dest] = mover[dest] = 0.0
-    base, mover = base.ravel(), mover.ravel()
-    # Ordered neighbor pairs and an incidence matrix turn the per-agent
-    # shared-edge count into one comparison plus one matmul.
-    pair_i, pair_j = np.nonzero(netgraph.hop_mask(graph, 1) - np.eye(graph.n))
-    incidence = np.zeros((len(pair_i), graph.n))
-    incidence[np.arange(len(pair_i)), pair_i] = 1.0
+    # Unordered neighbor edges and an incidence matrix that adds each
+    # edge's match to both its ends: one comparison per edge, one matmul.
+    edge_i, edge_j = np.nonzero(np.triu(netgraph.hop_mask(graph, 1), 1))
+    incidence = np.zeros((len(edge_i), graph.n))
+    incidence[np.arange(len(edge_i)), edge_i] = 1.0
+    incidence[np.arange(len(edge_j)), edge_j] = 1.0
+    # Row s * A + a of the table, from key (s * A + a) * width on, holds the
+    # reward at every shared-edge count, in the operation order of the
+    # formula. An entry overflows only under a cap that is not finite, which
+    # FactoredNmarlModel.validate refuses.
+    counts = np.arange(float(netgraph.max_neighborhood_size(graph, 1)))  # 0..max degree
+    width = len(counts)
+    with np.errstate(over="ignore", invalid="ignore"):
+        share = spec.collision_weight * counts / spec.n
+        table = (base.reshape(-1, 1) - mover.reshape(-1, 1) * share).ravel()
+    # A flat pair's key is that of the first action from its state to the
+    # same next state, so two agents share an edge when their keys are equal.
+    # A stayer's row ignores its count (its mover entry is 0), and a mover's
+    # key never equals a stayer's.
+    first = (next_table[:, :, None] == next_table[:, None, :]).argmax(axis=-1)
+    key = ((np.arange(n_loc)[:, None] * n_act + first) * width).ravel()
 
     def batch(states: np.ndarray, acts: np.ndarray) -> np.ndarray:
-        flat = states * n_act + acts
-        codes = code.take(flat)
-        # Stationary agents' mover entry is 0, so their spurious code matches
-        # never surface; a mover can't match a stayer's code.
-        matches = (codes[..., pair_i] == codes[..., pair_j]).astype(float)
-        counts = matches @ incidence
-        return base.take(flat) - mover.take(flat) * (spec.collision_weight * counts / spec.n)
+        keys = key.take(states * n_act + acts)
+        shared = (keys[..., edge_i] == keys[..., edge_j]).astype(float) @ incidence
+        keys += shared.astype(np.intp)
+        return table.take(keys)
 
     # Formula cap: time cost plus the penalty with every agent colliding.
     cap = spec.r_eps + spec.collision_weight * graph.n / spec.n

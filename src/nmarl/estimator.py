@@ -146,11 +146,12 @@ def simulate(
 
     The uniforms after step 0 are drawn in blocks of whole steps, at most
     ``DRAW_BLOCK`` per ``rng.random`` call (one step per call when a step
-    alone needs more), each block when its first step is taken. The values
-    and the final generator state are those of one draw per step, provided
-    the caller takes every step: a caller draws nothing else from ``rng``
-    until it has taken all ``steps + 1``, and every caller in the package
-    does.
+    alone needs more), each block when its first step is taken. The start
+    actions' uniforms, when drawn, are drawn in the first block's call, at
+    step 0, one uniform per entry beyond ``DRAW_BLOCK``. The values and the
+    final generator state are those of one draw per step, provided the
+    caller takes every step: a caller draws nothing else from ``rng`` until
+    it has taken all ``steps + 1``, and every caller in the package does.
 
     Each uniform ``u`` inverts to the first index whose cumulative
     probability exceeds ``u``, or the last index when none does (a float
@@ -172,7 +173,7 @@ def simulate(
       policy's thresholds as lists built per call, the kernel's cached by
       ``model.kernel_support_lists``. A drawn block's steps are computed
       together, entry by entry, when its first step is taken, and the rows
-      kept are decoded into states and actions with one ``divmod``;
+      kept are decoded into states and actions by two table lookups;
     * larger inputs compare whole threshold arrays with ``u``, one step at a
       time, and skip the kernel count when no kernel row keeps a threshold.
       A drawn block's steps are written into one ``(k, ...)`` array each for
@@ -202,31 +203,70 @@ def _step_blocks(
     start: int = 0,
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """``simulate``'s steps from ``start`` on, as states and actions ``(k,
-    ...)`` of ``k`` consecutive steps at a time: step 0 alone, then the steps
-    of each drawn block, in both forms. Steps before ``start`` are taken,
-    drawing what they draw, but not returned."""
+    ...)`` of ``k`` consecutive steps at a time: one array pair per drawn
+    block, step 0 in the first pair of the scalar form and alone in the count
+    form. Steps before ``start`` are taken, drawing what they draw, but not
+    returned.
+
+    The policy thresholds are built once per call as running column sums:
+    ``columns[c]`` ``(A - 1, n * S)`` is the sum of every flat policy row's
+    first ``c + 1`` probabilities, added in column order as ``np.cumsum``
+    adds them, so it holds the bits of the cumsum's first ``A - 1`` columns.
+    The count form compares whole rows of ``columns``; the scalar form
+    bisects each flat policy row's thresholds, ``columns.T`` as Python
+    lists.
+
+    The uniforms come as one ``(rows, ...)`` array per drawn block: when the
+    start actions are drawn, their uniforms are the first row of the first
+    block; then each step of the block has a row of transition and a row of
+    action uniforms. One ``rng.random`` call draws the values and leaves the
+    generator state of one call per part.
+    """
     n, n_states, n_actions = tables.shape
-    # each flat policy row's thresholds: its first A - 1 cumsum columns
-    pol_thresholds = np.cumsum(tables, axis=-1)[..., :-1].reshape(n * n_states, n_actions - 1)
-    shape = states.shape
-    block = max(1, DRAW_BLOCK // max(1, 2 * states.size))  # whole steps per draw
-    u_start = rng.random(shape) if actions is None else None
-    # the transition uniforms into each step of a block, then its action uniforms
-    draws = (
-        rng.random((min(block, steps + 1 - t), 2) + shape) for t in range(1, steps + 1, block)
-    )
-    form = _scalar_steps if states.size < BATCH_ENTRIES else _count_steps
-    yield from form(m, pol_thresholds, states, actions, u_start, draws, start)
+    flat = tables.reshape(n * n_states, n_actions)
+    columns = np.empty((n_actions - 1, n * n_states))
+    if n_actions > 1:
+        columns[0] = flat[:, 0]
+    for c in range(1, n_actions - 1):
+        np.add(columns[c - 1], flat[:, c], out=columns[c])
+    size = states.size
+    block = max(1, DRAW_BLOCK // max(1, 2 * size))  # whole steps per draw
+    lead = actions is None  # a first row of start-action uniforms
+    # at least one draw, so that step 0 is taken inside the loop of a form
+    draw_rows = [2 * min(block, steps + 1 - t) for t in range(1, steps + 1, block)] or [0]
+    draw_rows[0] += lead
+    draws = (rng.random((k,) + states.shape) for k in draw_rows)
+    form = _scalar_steps if size < BATCH_ENTRIES else _count_steps
+    yield from form(m, columns, states, actions, draws, start, lead)
+
+
+@lru_cache(maxsize=64)
+def _agent_rows(n: int, n_states: int) -> np.ndarray:
+    """Each agent's first flat policy row ``agent * S``. Read-only."""
+    rows = np.arange(n) * n_states
+    rows.setflags(write=False)
+    return rows
+
+
+@lru_cache(maxsize=64)
+def _row_decoding(n: int, n_states: int, n_actions: int) -> tuple[np.ndarray, np.ndarray]:
+    """The state and the action of each flat kernel row ``(agent * S + s) * A
+    + a``. Read-only."""
+    state_of, action_of = np.divmod(np.arange(n * n_states * n_actions), n_actions)
+    state_of %= n_states
+    state_of.setflags(write=False)
+    action_of.setflags(write=False)
+    return state_of, action_of
 
 
 def _scalar_steps(
     m: FactoredNmarlModel,
-    pol_thresholds: np.ndarray,
+    columns: np.ndarray,
     states: np.ndarray,
     actions: np.ndarray | None,
-    u_start: np.ndarray | None,
     draws: Iterator[np.ndarray],
     start: int,
+    lead: bool,
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """``_step_blocks`` on Python scalars: ``bisect_right`` over threshold lists.
 
@@ -235,63 +275,63 @@ def _scalar_steps(
     rows, so a step is two lookups and no agent offset. The entries' chains
     are independent (each agent's policy row reads its own state, each
     kernel is its own), so a drawn block is stepped entry by entry, each
-    entry through all of the block's steps; the kept rows are decoded into
-    states and actions once per block.
+    entry through all of the block's steps, its start action picked first
+    when it is drawn. The rows go into one flat list, entry by entry; one
+    ``reshape`` turns it into steps, and the kept steps' rows are decoded
+    into states and actions by two lookups in ``_row_decoding``'s tables.
     """
     n_actions = m.n_actions
     shape, size = states.shape, states.size
-    pol = pol_thresholds.tolist()
+    pol = columns.T.tolist()
     thresholds, successors, only_rows = m.kernel_support_lists()
-    offsets = np.arange(m.n) * m.n_states  # each agent's first policy row
-    pol_rows = offsets + states
-    if u_start is None:
-        last = (pol_rows * n_actions + actions).ravel().tolist()  # each entry's kernel row
-    else:
-        firsts = zip(pol_rows.ravel().tolist(), u_start.ravel().tolist())
-        last = [p * n_actions + bisect_right(pol[p], u) for p, u in firsts]
-        if start == 0:
-            actions = (np.array(last, dtype=np.intp) % n_actions).reshape(shape)
-    if start == 0:
-        yield states[None], actions[None]
-    t = 1  # the first step of the next block
+    state_of, action_of = _row_decoding(m.n, m.n_states, n_actions)
+    pol_rows = _agent_rows(m.n, m.n_states) + states
+    # each entry's flat kernel row, or its policy row until its start action is picked
+    last = (pol_rows if lead else pol_rows * n_actions + actions).ravel().tolist()
+    first = 0  # the block's first row: step 0 in the first block
     for block in draws:
-        k = len(block)
-        skip = min(k, max(0, start - t))  # the block's steps before ``start``
-        t += k
-        visited = []  # (size, k - skip): each entry's kept kernel rows
+        taken = len(block) // 2 + (first == 0)  # the block's rows per entry
+        skip = min(taken, max(0, start - first))  # those before ``start``
         if only_rows is not None:  # no kernel uniform to invert: list the action ones
-            per_entry = block[:, 1].reshape(k, size).T.tolist()
+            u, stride, to_action = block[1 - lead :: 2].ravel().tolist(), size, 0
         else:
-            per_entry = block.reshape(k, 2, size).transpose(2, 1, 0).tolist()
-        for j, uniforms in enumerate(per_entry):
+            u, stride, to_action = block.ravel().tolist(), 2 * size, size
+        ahead = size if lead else 0  # the start-action uniforms, ahead of the steps'
+        rows = []
+        for j in range(size):
             r = last[j]
-            entry = []
+            if lead:
+                r = r * n_actions + bisect_right(pol[r], u[j])
+            if first == 0:
+                rows.append(r)
+            u_act = u[ahead + to_action + j :: stride]
             if only_rows is not None:
-                for ua in uniforms:
+                for ua in u_act:
                     p = only_rows[r]
                     r = p * n_actions + bisect_right(pol[p], ua)
-                    entry.append(r)
+                    rows.append(r)
             else:
-                for un, ua in zip(*uniforms):
+                for un, ua in zip(u[ahead + j :: stride], u_act):
                     p = successors[r][bisect_right(thresholds[r], un)]
                     r = p * n_actions + bisect_right(pol[p], ua)
-                    entry.append(r)
+                    rows.append(r)
             last[j] = r
-            visited.append(entry[skip:])
-        if skip < k:
-            rows = np.array(visited, dtype=np.intp).T.reshape((k - skip,) + shape)
-            pol_rows, actions = np.divmod(rows, n_actions)
-            yield pol_rows - offsets, actions
+        first += taken
+        lead = False
+        if skip < taken:
+            kept = np.array(rows, dtype=np.intp).reshape(size, taken)[:, skip:].T
+            kept = kept.reshape((taken - skip,) + shape)
+            yield state_of.take(kept), action_of.take(kept)
 
 
 def _count_steps(
     m: FactoredNmarlModel,
-    pol_thresholds: np.ndarray,
+    columns: np.ndarray,
     states: np.ndarray,
     actions: np.ndarray | None,
-    u_start: np.ndarray | None,
     draws: Iterator[np.ndarray],
     start: int,
+    lead: bool,
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """``_step_blocks`` on arrays: each step counts whole threshold arrays.
 
@@ -301,22 +341,24 @@ def _count_steps(
     yielded together.
     """
     n_actions = m.n_actions
-    pol_columns = np.ascontiguousarray(pol_thresholds.T)
+    shape = states.shape
     kern_thresholds, successors = m.kernel_support()
     width = successors.shape[1]
     flat_successors = successors.ravel()
-    offsets = np.arange(m.n) * m.n_states  # each agent's first policy row
+    offsets = _agent_rows(m.n, m.n_states)
     pol_rows = offsets + states
-    if u_start is not None:
-        actions = _count_at_or_below(pol_columns, pol_rows, u_start)
-    if start == 0:
-        yield states[None], actions[None]
     t = 1  # the first step of the next block
-    for block in draws:
+    for u in draws:
+        if lead:
+            actions = _count_at_or_below(columns, pol_rows, u[0])
+            u, lead = u[1:], False
+        if t == 1 and start == 0:
+            yield states[None], actions[None]
+        block = u.reshape((-1, 2) + shape)
         k = len(block)
         skip = min(k, max(0, start - t))  # the block's steps before ``start``
         t += k
-        states_block = np.empty((k,) + states.shape, dtype=np.intp)
+        states_block = np.empty((k,) + shape, dtype=np.intp)
         actions_block = np.empty_like(states_block)
         for j, (u_next, u_act) in enumerate(block):
             rows = pol_rows * n_actions + actions  # kernel rows
@@ -326,7 +368,7 @@ def _count_steps(
             # without the buffered copy of the default "raise"
             states = flat_successors.take(rows, out=states_block[j], mode="clip")
             pol_rows = offsets + states
-            actions = _count_at_or_below(pol_columns, pol_rows, u_act, actions_block[j])
+            actions = _count_at_or_below(columns, pol_rows, u_act, actions_block[j])
         if skip < k:
             yield states_block[skip:], actions_block[skip:]
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -87,10 +88,12 @@ class InitialDistribution:
 
         The product draws ``rng.random((size, n))``, one uniform per agent in
         agent order per state, so its values and the generator state match
-        ``size`` draws of one state each; the fixed state draws nothing.
+        ``size`` draws of one state each; the fixed state draws nothing. One
+        fixed state is the same read-only ``(1, n)`` array on every call;
+        more are a fresh copy.
         """
         if self.kind == "fixed":
-            return np.tile(np.asarray(self.state, dtype=np.intp), (size, 1))
+            return self._fixed_row if size == 1 else np.repeat(self._fixed_row, size, axis=0)
         draws = rng.random((size, len(self.dists)))
         # A cumsum can end just below 1; clip a draw beyond it to the last state.
         columns = [
@@ -98,6 +101,13 @@ class InitialDistribution:
             for d, u in zip(self.dists, draws.T)
         ]
         return np.stack(columns, axis=-1)
+
+    @cached_property
+    def _fixed_row(self) -> np.ndarray:
+        # built on first use, so that validate reports a bad state before any array
+        row = np.array([self.state], dtype=np.intp)
+        row.setflags(write=False)
+        return row
 
 
 class FactoredNmarlModel:
@@ -315,7 +325,9 @@ class FactoredNmarlModel:
                 acts = np.zeros((size, self.n), dtype=np.intp)
                 states[:, members] = grid[:k].T
                 acts[:, members] = grid[k:].T
-                column = np.asarray(self.batch_rewards(states, acts), dtype=float)[:, i]
+                # a non-finite reward is validate's error, not a numpy warning
+                with np.errstate(all="ignore"):
+                    column = np.asarray(self.batch_rewards(states, acts), dtype=float)[:, i]
                 tables.append(column.reshape(shape))
             self._reward_tables = tuple(tables)
         return self._reward_tables
@@ -332,6 +344,8 @@ class FactoredNmarlModel:
                 product start's distributions disagree with the spaces.
             IndexOutOfRange: a fixed start state lies outside ``0..S-1``.
             KernelRowNotStochastic: some kernel row does not sum to one.
+            ConfigError: a declared reward bound, or a tabulated reward, is
+                not finite.
         """
         if self._reward_bound is not None:
             return
@@ -376,9 +390,22 @@ class FactoredNmarlModel:
         self._reward_bound = self._compute_reward_bound()
 
     def _compute_reward_bound(self) -> float:
+        # ``max`` drops a NaN that is not its first argument, so every value is
+        # checked first: a bound that is not finite would reach the oracle's
+        # horizon formula or train on non-finite rewards
         if self.reward_bounds is not None:
-            return max(0.0, *(float(b) for b in self.reward_bounds))
-        return max(0.0, *(float(np.max(np.abs(t))) for t in self.reward_tables()))
+            bounds = [float(b) for b in self.reward_bounds]
+            if not all(math.isfinite(b) for b in bounds):
+                raise ConfigError(f"the declared reward bounds must be finite, got {bounds}")
+            return max(0.0, *bounds)
+        tables = self.reward_tables()
+        for i, table in enumerate(tables):
+            if not np.isfinite(table).all():
+                raise ConfigError(
+                    f"agent {i}'s reward is not finite at {int(np.sum(~np.isfinite(table)))} "
+                    "points of its neighborhood"
+                )
+        return max(0.0, *(float(np.max(np.abs(t))) for t in tables))
 
     # ------------------------------------------------------------------
     # rewards

@@ -21,7 +21,7 @@ from typing import Callable, IO
 import numpy as np
 
 from . import estimator, netgraph, pushsum
-from .errors import ConfigError, NonFiniteState
+from .errors import ConfigError, HorizonOverflow, NonFiniteState
 from .model import FactoredNmarlModel
 from .oracle import truncation_horizon
 from .policy import CoupledSoftmaxPolicy, MixingSpec
@@ -264,6 +264,10 @@ def evaluate_policy(
     ``horizon_eps``. Draw order: the ``geometric`` horizons, the start
     states, then the steps in ``estimator.simulate``'s order.
 
+    Raises ``HorizonOverflow`` before any step when the horizon exceeds
+    ``estimator.MAX_HORIZON``, the cap rollouts enforce: a fixed horizon
+    before any draw, a geometric run on its largest drawn horizon.
+
     The steps are scored one drawn block of ``(steps, episodes, n)`` at a
     time, with one ``batch_rewards`` call per block: ``estimator.DRAW_BLOCK``
     keeps a block's uniforms and its reward temporaries at or below 64 KB, so
@@ -277,12 +281,15 @@ def evaluate_policy(
     if method == "geometric":
         horizons = estimator.sample_geometric(1.0 - m.gamma, rng, size=episodes)
         max_t = int(horizons.max())
-        discounts = None
     elif method == "fixed_horizon":
         max_t = truncation_horizon(m.gamma, horizon_eps, max(m.reward_bound, 1e-12))
-        discounts = m.gamma ** np.arange(max_t + 1)
     else:
         raise ConfigError(f"unknown eval method {method!r}")
+    if max_t > estimator.MAX_HORIZON:
+        raise HorizonOverflow(
+            f"{method} evaluation horizon {max_t} exceeds cap {estimator.MAX_HORIZON}"
+        )
+    discounts = None if method == "geometric" else m.gamma ** np.arange(max_t + 1)
 
     blocks = estimator._step_blocks(m, tables, m.rho.sample(rng, episodes), rng, max_t, None)
     totals = np.zeros(episodes)

@@ -142,6 +142,17 @@ BAD_RUNS.append((PC, ["sweep", "--kappa-p", "1", "1"], "pc:sweep --kappa-p 1 1")
 BAD_RUNS.append(
     (PC, ["sweep", "--kappa-p", "0", "--set", "seeds=[1,1,2]"], "pc:sweep seeds=[1,1,2]")
 )
+# Rewards or a reward bound that are not finite: the first exited 1 with a math
+# domain error at the first evaluation, the second trained on NaN rewards
+# until exit 3, and the third declared an infinite bound.
+HUGE_GAIN = "env.overrides.gains=[[1,0.2,0],[0.2,1,0.2],[0,0.2,1e308]]"
+HUGE_PRICE = "env.overrides.price=[0.1,0.1,1e308]"
+HUGE_COSTS = ["env.overrides.r_eps=1e308", "env.overrides.collision_weight=1e308"]
+BAD_RUNS += [
+    (PC, ["train", "--set", HUGE_GAIN], "pc:gains 1e308"),
+    (PC, ["train", "--set", HUGE_GAIN, "--set", HUGE_PRICE], "pc:gains and price 1e308"),
+    (PP, ["train", "--set", HUGE_COSTS[0], "--set", HUGE_COSTS[1]], "pp:costs 1e308"),
+]
 
 
 @pytest.mark.parametrize("cfg, bad", [r[:2] for r in BAD_RUNS], ids=[r[2] for r in BAD_RUNS])
@@ -155,6 +166,17 @@ def test_bad_input_exits_2_before_training(tmp_path, capsys, monkeypatch, cfg, b
     assert not list(tmp_path.glob("kp*"))
     err = capsys.readouterr().err.splitlines()
     assert len([line for line in err if line.startswith("error: ")]) == 1
+
+
+def test_evaluation_horizon_over_the_cap_exits_2(tmp_path, capsys):
+    # the t = 1 evaluation would step 253 284 348 steps x 400 episodes
+    rc = cli.main([
+        "train", "--config", PP, "--out", str(tmp_path), "--set", "seeds=[1]",
+        "--set", "dscp.iterations=2", "--set", "env.overrides.gamma=0.9999999",
+    ])
+    assert rc == 2
+    assert "horizon 253284348 exceeds cap" in capsys.readouterr().err
+    assert not (tmp_path / "metrics_seed1.csv").exists()
 
 
 def test_block_key_sets():

@@ -257,6 +257,18 @@ class TestInitialDistribution:
         assert np.array_equal(batch, singles)
         assert batch_rng.bit_generator.state == single_rng.bit_generator.state
 
+    def test_fixed_start_is_not_written_through(self):
+        # one fixed state is a cached read-only array; more are a fresh copy
+        rho = InitialDistribution.fixed([2, 0, 1])
+        rng = np.random.default_rng(3)
+        one = rho.sample(rng, 1)
+        with pytest.raises(ValueError, match="read-only"):
+            one[0, 0] = 7
+        many = rho.sample(rng, 4)
+        many[:] = 7
+        assert rho.sample(rng, 1).tolist() == [[2, 0, 1]]
+        assert rho.sample(rng, 4).tolist() == [[2, 0, 1]] * 4
+
 
 class TestRewardTables:
     @pytest.mark.parametrize("builder", ["line3", "power", "path"])

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from nmarl import estimator, oracle, trainer
 from nmarl.config import load_config
-from nmarl.errors import ConfigError, NonFiniteState
+from nmarl.errors import ConfigError, HorizonOverflow, NonFiniteState
 from nmarl.model import FactoredNmarlModel
 from nmarl.policy import CoupledSoftmaxPolicy, MixingSpec
 from nmarl.trainer import DscpConfig, evaluate_policy, learning_rate, run_dscp
@@ -219,6 +219,32 @@ class TestEvaluatePolicy:
         exact = oracle.exact_objective(m, pol.prob_tables(est))
         j, se = evaluate_policy(m, pol, est, 20_000, np.random.default_rng(12))
         assert abs(j - exact) < 4 * se
+
+    def test_fixed_horizon_over_the_cap_raises_before_drawing(self, monkeypatch):
+        # a product start, so that stepping would draw from the first call on
+        m = random_table_model(line_graph(2), np.random.default_rng(0), fixed_start=False)
+        pol = CoupledSoftmaxPolicy(m.graph, m.n_states, m.n_actions, MixingSpec(kappa_p=1))
+        horizon = oracle.truncation_horizon(m.gamma, 1e-4, m.reward_bound)
+        monkeypatch.setattr(estimator, "MAX_HORIZON", horizon - 1)
+        rng = np.random.default_rng(5)
+        state = rng.bit_generator.state
+        with pytest.raises(HorizonOverflow, match=f"horizon {horizon} exceeds cap {horizon - 1}"):
+            evaluate_policy(m, pol, pol.zero_params(), 400, rng, method="fixed_horizon")
+        assert rng.bit_generator.state == state
+        monkeypatch.setattr(estimator, "MAX_HORIZON", horizon)  # the cap itself is allowed
+        evaluate_policy(m, pol, pol.zero_params(), 400, rng, method="fixed_horizon")
+
+    def test_geometric_over_the_cap_raises_before_stepping(self, monkeypatch):
+        m = random_table_model(line_graph(2), np.random.default_rng(0))
+        pol = CoupledSoftmaxPolicy(m.graph, m.n_states, m.n_actions, MixingSpec(kappa_p=1))
+        monkeypatch.setattr(estimator, "MAX_HORIZON", 3)
+        rng, horizons_only = np.random.default_rng(5), np.random.default_rng(5)
+        horizons = estimator.sample_geometric(1.0 - m.gamma, horizons_only, size=50)
+        assert horizons.max() > 3
+        with pytest.raises(HorizonOverflow, match="exceeds cap 3"):
+            evaluate_policy(m, pol, pol.zero_params(), 50, rng, method="geometric")
+        # only the horizons were drawn
+        assert rng.bit_generator.state == horizons_only.bit_generator.state
 
     def test_bad_episode_count(self):
         g = line_graph(2)
