@@ -84,20 +84,22 @@ class PathStructure:
             for s in succ:
                 if s not in index:
                     raise UnknownLocation(f"{loc!r} points at unknown location {s!r}")
-        # acyclicity + destination reachability by depth-first walk
-        reaches: dict[str, bool] = {self.destination: True}
-        state: dict[str, int] = {}
+        # acyclicity + destination reachability by depth-first walk; every
+        # successor is walked, the destination's too, so that no cycle hides
+        # behind a successor that already reaches the destination
+        reaches: dict[str, bool] = {}
+        on_path: set[str] = set()
 
         def visit(loc: str) -> bool:
             if loc in reaches:
                 return reaches[loc]
-            if state.get(loc) == 1:
+            if loc in on_path:
                 raise ConfigError(f"path structure has a cycle through {loc!r}")
-            state[loc] = 1
-            ok = any(visit(s) for s in self.successors.get(loc, ()))
-            state[loc] = 2
-            reaches[loc] = ok
-            return ok
+            on_path.add(loc)
+            found = [visit(s) for s in self.successors.get(loc, ())]
+            on_path.discard(loc)
+            reaches[loc] = loc == self.destination or any(found)
+            return reaches[loc]
 
         for loc in self.locations:
             if not visit(loc):

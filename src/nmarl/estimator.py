@@ -30,6 +30,7 @@ entry's flat kernel row.
 
 from __future__ import annotations
 
+import itertools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -201,12 +202,23 @@ def _step_blocks(
     steps: int,
     actions: np.ndarray | None,
     start: int = 0,
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    last_steps: np.ndarray | None = None,
+) -> Iterator[tuple[np.ndarray, ...]]:
     """``simulate``'s steps from ``start`` on, as states and actions ``(k,
     ...)`` of ``k`` consecutive steps at a time: one array pair per drawn
     block, step 0 in the first pair of the scalar form and alone in the count
     form. Steps before ``start`` are taken, drawing what they draw, but not
     returned.
+
+    With ``last_steps`` ``(E,)``, each episode's last step that counts, the
+    start ``states`` are ``(E, n)`` episodes whose start actions are drawn,
+    ``start`` is 0, and each block comes as a triple: its states and
+    actions, and the indices ``(L,)`` of the ``L`` episodes it covers, in
+    order. The count form drops finished episodes (``_live_count_steps``);
+    the scalar form covers every episode in every block. Dropping keeps the
+    draw order: every block is drawn whole, as above, and a dropped
+    episode's uniforms are drawn and left unused; once no episode is left,
+    the remaining blocks are drawn and nothing is stepped.
 
     The policy thresholds are built once per call as running column sums:
     ``columns[c]`` ``(A - 1, n * S)`` is the sum of every flat policy row's
@@ -236,8 +248,15 @@ def _step_blocks(
     draw_rows = [2 * min(block, steps + 1 - t) for t in range(1, steps + 1, block)] or [0]
     draw_rows[0] += lead
     draws = (rng.random((k,) + states.shape) for k in draw_rows)
-    form = _scalar_steps if size < BATCH_ENTRIES else _count_steps
-    yield from form(m, columns, states, actions, draws, start, lead)
+    if last_steps is None:
+        form = _scalar_steps if size < BATCH_ENTRIES else _count_steps
+        yield from form(m, columns, states, actions, draws, start, lead)
+    elif size < BATCH_ENTRIES:
+        every = np.arange(len(states))
+        for states_block, actions_block in _scalar_steps(m, columns, states, None, draws, 0, True):
+            yield states_block, actions_block, every
+    else:
+        yield from _live_count_steps(m, columns, states, draws, last_steps)
 
 
 @lru_cache(maxsize=64)
@@ -340,13 +359,8 @@ def _count_steps(
     drawn block fill one ``(k, ...)`` states and one actions array, which are
     yielded together.
     """
-    n_actions = m.n_actions
-    shape = states.shape
-    kern_thresholds, successors = m.kernel_support()
-    width = successors.shape[1]
-    flat_successors = successors.ravel()
-    offsets = _agent_rows(m.n, m.n_states)
-    pol_rows = offsets + states
+    step = _count_stepper(m, columns)
+    pol_rows = _agent_rows(m.n, m.n_states) + states
     t = 1  # the first step of the next block
     for u in draws:
         if lead:
@@ -354,11 +368,90 @@ def _count_steps(
             u, lead = u[1:], False
         if t == 1 and start == 0:
             yield states[None], actions[None]
-        block = u.reshape((-1, 2) + shape)
-        k = len(block)
+        states_block, actions_block, pol_rows, actions = step(pol_rows, actions, u)
+        k = len(states_block)
         skip = min(k, max(0, start - t))  # the block's steps before ``start``
         t += k
-        states_block = np.empty((k,) + shape, dtype=np.intp)
+        if skip < k:
+            yield states_block[skip:], actions_block[skip:]
+
+
+def _live_count_steps(
+    m: FactoredNmarlModel,
+    columns: np.ndarray,
+    states: np.ndarray,
+    draws: Iterator[np.ndarray],
+    last_steps: np.ndarray,
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """``_count_steps`` from step 0 for ``(E, n)`` episodes, dropping the
+    finished ones; each block comes with the indices of the episodes it
+    covers.
+
+    After each yielded block, an episode is finished when the block's last
+    step is at or past its ``last_steps`` entry, or when every one of its
+    agents sits on a parked row (``model.parked_rows``): it stays there and
+    earns ``+0.0`` at every later step. A read of the parked rows costs
+    about as much as a step, so they are read after step 0 and then after
+    the first block that ends at or past ``t + 1 + t // 4``, ``t`` the last
+    read (steps 0, 1, 2, 3, 4, 6, 8, 11, 14, 18, ... at one step per block);
+    agents stay parked, so a later read misses no episode. Once at least
+    half of the stepped episodes are finished, the carried policy rows and
+    actions keep only the others, and every later block takes their columns
+    of the drawn uniforms (``take`` along the episode axis). Until then the
+    finished episodes are stepped and yielded with the others.
+    """
+    step = _count_stepper(m, columns)
+    parked = m.parked_rows()
+    parked = parked if parked.any() else None
+    episodes = len(states)
+    live = np.arange(episodes)  # the stepped episodes
+    pol_rows = _agent_rows(m.n, m.n_states) + states
+    first = next(draws)
+    actions = _count_at_or_below(columns, pol_rows, first[0])
+    blocks = itertools.chain([first[1:]] if len(first) > 1 else [], draws)
+    states_block, actions_block = states[None], actions[None]
+    t = 0  # the last step taken
+    check = 0  # the first step after which the parked rows are read again
+    for u in blocks:
+        yield states_block, actions_block, live
+        done = last_steps <= t
+        if parked is not None and t >= check:
+            done |= parked.take(pol_rows).all(axis=-1)
+            check = t + 1 + t // 4
+        if 2 * np.count_nonzero(done) >= len(live):
+            keep = np.flatnonzero(~done)
+            if not len(keep):
+                for _ in blocks:  # draw the rest; nothing is left to step
+                    pass
+                return
+            live, last_steps = live.take(keep), last_steps.take(keep)
+            pol_rows, actions = pol_rows.take(keep, axis=0), actions.take(keep, axis=0)
+        if len(live) < episodes:
+            u = u.take(live, axis=1)
+        states_block, actions_block, pol_rows, actions = step(pol_rows, actions, u)
+        t += len(states_block)
+    yield states_block, actions_block, live
+
+
+def _count_stepper(m: FactoredNmarlModel, columns: np.ndarray):
+    """The count form's step through one drawn block.
+
+    ``step(pol_rows, actions, u)`` takes the entries' flat policy rows and
+    actions at the step before the block and its uniforms ``(2 * k, ...)``,
+    and returns the block's states and actions ``(k, ...)``, then the policy
+    rows and actions at its last step (those it was given when ``k = 0``).
+    """
+    n_actions = m.n_actions
+    kern_thresholds, successors = m.kernel_support()
+    width = successors.shape[1]
+    flat_successors = successors.ravel()
+    offsets = _agent_rows(m.n, m.n_states)
+
+    def step(
+        pol_rows: np.ndarray, actions: np.ndarray, u: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        block = u.reshape((-1, 2) + actions.shape)
+        states_block = np.empty((len(block),) + actions.shape, dtype=np.intp)
         actions_block = np.empty_like(states_block)
         for j, (u_next, u_act) in enumerate(block):
             rows = pol_rows * n_actions + actions  # kernel rows
@@ -369,8 +462,9 @@ def _count_steps(
             states = flat_successors.take(rows, out=states_block[j], mode="clip")
             pol_rows = offsets + states
             actions = _count_at_or_below(columns, pol_rows, u_act, actions_block[j])
-        if skip < k:
-            yield states_block[skip:], actions_block[skip:]
+        return states_block, actions_block, pol_rows, actions
+
+    return step
 
 
 def _count_at_or_below(

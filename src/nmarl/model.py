@@ -127,13 +127,16 @@ class FactoredNmarlModel:
     stays below 1, as arrays for batches of episodes and, through
     ``kernel_support_lists``, as per-row Python tuples for a single
     trajectory (``simulate``'s docstring states the draw order and when each
-    form is used). The last is one dense reward table per agent over its
-    neighborhood's restricted domain (``reward_tables``). The reward tables
-    feed the reward bound and every reward the exact oracle integrates;
-    rewards do not depend on the policy, so the domain is enumerated once
-    per model. For the same reason the exact oracle's joint transition table
-    of an agent subset (``joint_kernel``) is built once per model and member
-    tuple.
+    form is used). ``parked_rows`` marks the flat policy rows ``agent * S +
+    s`` whose kernel row stays on ``s`` under every action and where every
+    reward is ``+0.0``, so that ``trainer.evaluate_policy`` stops stepping
+    an episode once all its agents sit on such rows. Another is one dense
+    reward table per agent over its neighborhood's restricted domain
+    (``reward_tables``). The reward tables feed the reward bound and every
+    reward the exact oracle integrates; rewards do not depend on the policy,
+    so the domain is enumerated once per model. For the same reason the
+    exact oracle's joint transition table of an agent subset
+    (``joint_kernel``) is built once per model and member tuple.
 
     Args:
         graph: communication network; also defines reward neighborhoods.
@@ -175,6 +178,7 @@ class FactoredNmarlModel:
         self._stacked_cum: np.ndarray | None = None
         self._kernel_support: tuple[np.ndarray, np.ndarray] | None = None
         self._support_lists: tuple | None = None
+        self._parked_rows: np.ndarray | None = None
         self._reward_tables: tuple[np.ndarray, ...] | None = None
         self._reward_bound: float | None = None
         self._joint_kernels: dict[tuple[int, ...], np.ndarray] = {}
@@ -278,6 +282,56 @@ class FactoredNmarlModel:
                 tuple(rows[:, 0].tolist()) if len(thresholds) == 0 else None,
             )
         return self._support_lists
+
+    def parked_rows(self) -> np.ndarray:
+        """Which flat policy rows ``agent * S + s`` are parked, ``(n * S,)`` bool (cached).
+
+        A row is parked when its kernel row is one-hot on ``s`` for every
+        action, so that an agent there stays there. The mask is kept only
+        when every agent's reward is exactly ``+0.0`` at every mix of parked
+        member states and member actions: then an episode whose agents all
+        sit on parked rows earns ``+0.0`` at every later step. One
+        ``batch_rewards`` call checks that, over each agent's members' parked
+        states and actions, with state and action 0 in the slots of
+        non-members. When some agent has no parked row, when that call would
+        exceed ``MAX_REWARD_DOMAIN`` points, or when one of its rewards is
+        anything but ``+0.0`` (``-0.0`` and NaN included), no row is parked.
+        Read-only.
+        """
+        if self._parked_rows is None:
+            one_hot = np.stack(self.kernels) == np.eye(self.n_states)[:, None, :]  # (n, S, A, S)
+            parked = one_hot.all(axis=(2, 3))
+            if not self._parked_rewards_vanish(parked):
+                parked[:] = False
+            parked = parked.ravel()
+            parked.setflags(write=False)
+            self._parked_rows = parked
+        return self._parked_rows
+
+    def _parked_rewards_vanish(self, parked: np.ndarray) -> bool:
+        places = [np.flatnonzero(row) for row in parked]  # each agent's parked states
+        if not all(len(p) for p in places):
+            return False
+        grids = [[len(places[j]) for j in members] + [self.n_actions] * len(members)
+                 for members in self.reward_members]
+        sizes = [math.prod(shape) for shape in grids]
+        total = sum(sizes)
+        if total > MAX_REWARD_DOMAIN:
+            return False
+        states = np.zeros((total, self.n), dtype=np.intp)
+        acts = np.zeros((total, self.n), dtype=np.intp)
+        offset = 0
+        for members, shape, size in zip(self.reward_members, grids, sizes):
+            grid = np.indices(shape).reshape(len(shape), size)
+            rows = slice(offset, offset + size)
+            for p, j in enumerate(members):
+                states[rows, j] = places[j][grid[p]]
+                acts[rows, j] = grid[len(members) + p]
+            offset += size
+        with np.errstate(all="ignore"):
+            rewards = np.asarray(self.batch_rewards(states, acts), dtype=float)
+        got = rewards[np.arange(total), np.repeat(np.arange(self.n), sizes)]
+        return bool(np.all((got == 0.0) & ~np.signbit(got)))
 
     def joint_kernel(self, members: tuple[int, ...]) -> np.ndarray:
         """The sorted ``members``' kernels as one joint table (cached per tuple).

@@ -274,15 +274,25 @@ def evaluate_policy(
     the peak memory does not grow with the horizon. Each step's agent mean is
     ``sum / n`` (the bits of ``mean``), and the episode totals add the steps
     one at a time, in order.
+
+    A block covers only the episodes not yet finished, and each adds its
+    step sums to its own total. An episode is finished once it is past its
+    geometric horizon, where its weight is 0 on a finite reward, or once
+    every agent sits on a parked row (``FactoredNmarlModel.parked_rows``),
+    where every reward is ``+0.0``. Its remaining additions would all be
+    zeros, which leave a total unchanged (a total is never ``-0.0``), so J,
+    SE and the generator state are those of stepping every episode to the
+    end.
     """
     if episodes < 1:
         raise ConfigError(f"episodes must be at least 1, got {episodes}")
     tables = pol.prob_tables(params)
     if method == "geometric":
-        horizons = estimator.sample_geometric(1.0 - m.gamma, rng, size=episodes)
-        max_t = int(horizons.max())
+        last_steps = estimator.sample_geometric(1.0 - m.gamma, rng, size=episodes)
+        max_t = int(last_steps.max())
     elif method == "fixed_horizon":
         max_t = truncation_horizon(m.gamma, horizon_eps, max(m.reward_bound, 1e-12))
+        last_steps = np.full(episodes, max_t)
     else:
         raise ConfigError(f"unknown eval method {method!r}")
     if max_t > estimator.MAX_HORIZON:
@@ -291,19 +301,23 @@ def evaluate_policy(
         )
     discounts = None if method == "geometric" else m.gamma ** np.arange(max_t + 1)
 
-    blocks = estimator._step_blocks(m, tables, m.rho.sample(rng, episodes), rng, max_t, None)
+    blocks = estimator._step_blocks(
+        m, tables, m.rho.sample(rng, episodes), rng, max_t, None, last_steps=last_steps
+    )
     totals = np.zeros(episodes)
     t = 0  # the block's first step
-    for states, acts in blocks:
+    for states, acts, live in blocks:
         rbar = np.asarray(m.batch_rewards(states, acts), dtype=float).sum(axis=-1) / m.n
         k = len(rbar)
         # an episode past its geometric horizon adds 0; every fixed one runs on
         if discounts is None:
-            weights = np.arange(t, t + k)[:, None] <= horizons
+            weights = np.arange(t, t + k)[:, None] <= last_steps.take(live)
         else:
             weights = discounts[t : t + k, None]
+        part = totals.take(live)
         for step in weights * rbar:
-            totals += step
+            part += step
+        totals[live] = part
         t += k
     j = float(totals.mean())
     se = float(totals.std(ddof=1) / math.sqrt(episodes)) if episodes > 1 else 0.0

@@ -153,6 +153,23 @@ BAD_RUNS += [
     (PC, ["train", "--set", HUGE_GAIN, "--set", HUGE_PRICE], "pc:gains and price 1e308"),
     (PP, ["train", "--set", HUGE_COSTS[0], "--set", HUGE_COSTS[1]], "pp:costs 1e308"),
 ]
+# Two cycles the path structure's walk used to accept, each as a whole
+# successor map: one through the destination, whose successors the walk did
+# not visit, and one behind a successor that already reaches the destination.
+DEFAULT_SUCCESSORS = {
+    "b1": ["c1"], "b2": ["c1", "c2"], "b3": ["c2", "c3"], "b4": ["c3", "c4"], "b5": ["c4"],
+    "c1": ["d1"], "c2": ["d1", "d2"], "c3": ["d2", "d3"], "c4": ["d3"],
+    "d1": ["e"], "d2": ["e"], "d3": ["e"], "e": [],
+}
+CYCLES = {
+    "pp:cycle through the destination": {"e": ["b1"]},
+    "pp:cycle behind a reaching successor": {"b1": ["c1", "c2"], "c2": ["b1"]},
+}
+BAD_RUNS += [
+    (PP, ["train", "--set", "env.overrides.successors="
+          + json.dumps({**DEFAULT_SUCCESSORS, **change}, separators=(",", ":"))], name)
+    for name, change in CYCLES.items()
+]
 
 
 @pytest.mark.parametrize("cfg, bad", [r[:2] for r in BAD_RUNS], ids=[r[2] for r in BAD_RUNS])

@@ -66,6 +66,16 @@ class TestPathStructure:
         with pytest.raises(ConfigError):
             PathStructure(successors=succ)
 
+    @pytest.mark.parametrize(
+        "change",
+        [{"e": ("b1",)}, {"b1": ("c1", "c2"), "c2": ("b1",)}],
+        ids=["through the destination", "behind a reaching successor"],
+    )
+    def test_hidden_cycle_rejected(self, change):
+        succ = {**PathStructure().successors, **change}
+        with pytest.raises(ConfigError, match="cycle"):
+            PathStructure(successors=succ)
+
     def test_unreachable_rejected(self):
         succ = dict(PathStructure().successors)
         succ["d2"] = ()

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from nmarl import model as model_module
 from nmarl import netgraph
+from nmarl.config import load_config
 from nmarl.errors import DimensionMismatch, EmptySpace, KernelRowNotStochastic
-from nmarl.envs import PathPlanningSpec, build_path_env, build_power_env
+from nmarl.envs import PathPlanningSpec, PathStructure, build_path_env, build_power_env
 from nmarl.model import FactoredNmarlModel, InitialDistribution
 
 from support import line_graph, next_states, random_table_model, zero_reward_model
@@ -375,3 +377,51 @@ class TestKernelSupport:
         # every row's successor is the state its one-hot kernel row names
         first = np.stack(m.kernels).reshape(rows, m.n_states).argmax(axis=1)
         np.testing.assert_array_equal(successors[:, 0], first)
+
+
+class TestParkedRows:
+    """Rows ``agent * S + s`` whose kernel stays on ``s`` and whose rewards vanish there."""
+
+    @staticmethod
+    def absorbing(value: float) -> FactoredNmarlModel:
+        # two agents, state 1 absorbs; each pays ``value`` when both sit there
+        kernel = np.array([[[0.5, 0.5], [0.2, 0.8]], [[0.0, 1.0], [0.0, 1.0]]])
+
+        def rewards(s, a):
+            return np.where((s == 1).all(axis=-1, keepdims=True), value, -1.0) * np.ones(s.shape)
+
+        return FactoredNmarlModel(
+            line_graph(2), 2, 2, [kernel] * 2, rewards, InitialDistribution.fixed([0, 0]), 0.9
+        )
+
+    def test_shipped_path_planning_parks_every_agent_at_the_destination(self):
+        m = load_config("configs/path_planning.json").build_model()
+        parked = m.parked_rows()
+        want = np.zeros((m.n, m.n_states), dtype=bool)
+        want[:, PathStructure().index("e")] = True
+        np.testing.assert_array_equal(parked, want.ravel())
+        assert not parked.flags.writeable
+
+    def test_destination_with_a_time_cost_parks_nothing(self):
+        m = build_path_env(PathPlanningSpec(terminal_zero_reward=False))
+        assert not m.parked_rows().any()
+
+    def test_shipped_power_control_parks_nothing(self):
+        m = load_config("configs/power_control.json").build_model()
+        assert m.parked_rows().shape == (m.n * m.n_states,)
+        assert not m.parked_rows().any()
+
+    def test_plus_zero_rewards_park(self):
+        np.testing.assert_array_equal(self.absorbing(0.0).parked_rows(), [False, True] * 2)
+
+    @pytest.mark.parametrize("value", [-0.0, 1e-300], ids=["minus zero", "tiny"])
+    def test_any_other_parked_reward_parks_nothing(self, value):
+        assert not self.absorbing(value).parked_rows().any()
+
+    def test_enumeration_over_the_cap_parks_nothing(self, monkeypatch):
+        # the shipped ring: 10 agents, each with 3 members at 1 parked state
+        # and 3 actions, 10 * 27 = 270 points in all
+        for cap, parks in [(269, False), (270, True)]:
+            monkeypatch.setattr(model_module, "MAX_REWARD_DOMAIN", cap)
+            m = load_config("configs/path_planning.json").build_model()
+            assert m.parked_rows().any() == parks

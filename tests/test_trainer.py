@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nmarl import estimator, oracle, trainer
+from nmarl import estimator, netgraph, oracle, trainer
 from nmarl.config import load_config
 from nmarl.errors import ConfigError, HorizonOverflow, NonFiniteState
 from nmarl.model import FactoredNmarlModel
@@ -254,11 +254,25 @@ class TestEvaluatePolicy:
             evaluate_policy(m, pol, pol.zero_params(), 0, np.random.default_rng(0))
 
 
+def absorbing_zero_rewards(rewards, g, z):
+    """``rewards`` with every agent's reward ``+0.0`` wherever all its reward
+    members sit on state ``z``."""
+    members = netgraph.hop_mask(g, 1) > 0
+
+    def batch(states, acts):
+        away = ((states != z)[..., None, :] & members).any(axis=-1)
+        return np.where(away, rewards(states, acts), 0.0)
+
+    return batch
+
+
 @st.composite
 def eval_cases(draw):
-    """A random model with one-hot or multi-threshold kernels and a fixed or
-    product start, a policy and its parameters, and an episode count on
-    either side of ``estimator.BATCH_ENTRIES``."""
+    """A random model with one-hot or multi-threshold kernels, a fixed or
+    product start and, in some, a last state that absorbs and pays ``+0.0``
+    once every reward member sits there (a parked row of every agent), a
+    policy and its parameters, and an episode count on either side of
+    ``estimator.BATCH_ENTRIES``."""
     n, n_states, n_actions = (draw(st.integers(1, 3)) for _ in range(3))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     g = shaped_graph(draw(st.sampled_from(["line", "ring", "star"])), n)
@@ -266,10 +280,17 @@ def eval_cases(draw):
     m = random_table_model(
         g, rng, n_states, n_actions, gamma=gamma, fixed_start=draw(st.booleans())
     )
+    kernels, rewards = m.kernels, m.batch_rewards
+    eye = np.eye(n_states)
     if draw(st.booleans()):  # one-hot kernels keep no threshold
-        eye = np.eye(n_states)
         kernels = [eye[rng.integers(n_states, size=(n_states, n_actions))] for _ in range(n)]
-        m = FactoredNmarlModel(g, n_states, n_actions, kernels, m.batch_rewards, m.rho, gamma)
+    if draw(st.booleans()):
+        z = n_states - 1
+        kernels = [k.copy() for k in kernels]
+        for k in kernels:
+            k[z] = eye[z]
+        rewards = absorbing_zero_rewards(rewards, g, z)
+    m = FactoredNmarlModel(g, n_states, n_actions, kernels, rewards, m.rho, gamma)
     pol = CoupledSoftmaxPolicy(g, n_states, n_actions, MixingSpec(kappa_p=draw(st.integers(0, 2))))
     shape = (n, pol.d) if draw(st.booleans()) else (n, n, pol.d)
     params = rng.normal(size=shape)
@@ -286,8 +307,9 @@ def eval_cases(draw):
 )
 @settings(max_examples=120, deadline=None)
 def test_evaluate_policy_matches_reference(case, method, draw_block, seed):
-    # Scoring whole drawn blocks of any size gives the per-step loop's J and
-    # SE bit for bit, and leaves the generator where it leaves it.
+    # Scoring whole drawn blocks of any size, and only the episodes not yet
+    # finished, gives the per-step loop's J and SE bit for bit, and leaves the
+    # generator where it leaves it.
     m, pol, params, episodes = case
     got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     with patch.object(estimator, "DRAW_BLOCK", draw_block):
@@ -309,3 +331,24 @@ def test_shipped_evaluation_matches_reference(config, draw_block):
         with patch.object(estimator, "DRAW_BLOCK", draw_block):
             got = evaluate_policy(m, pol, theta, 60, np.random.default_rng(5), method)
         assert got == ref_evaluate(m, pol, theta, 60, np.random.default_rng(5), method)
+
+
+def test_shipped_path_evaluation_scores_fewer_than_half_the_entries():
+    # at theta = 0 most robots reach the parked destination early, and the
+    # evaluation stops scoring an episode once all of its robots are there
+    run = load_config("configs/path_planning.json")
+    m = run.build_model()
+    pol = CoupledSoftmaxPolicy(run.graph, m.n_states, m.n_actions, run.dscp.mixing())
+    episodes, eps = run.dscp.eval_episodes, run.dscp.eval_horizon_eps
+    horizon = oracle.truncation_horizon(m.gamma, eps, m.reward_bound)
+    rewards, seen = m.batch_rewards, []
+
+    def counted(states, acts):
+        seen.append(states.size)
+        return rewards(states, acts)
+
+    m.batch_rewards = counted
+    evaluate_policy(
+        m, pol, pol.zero_params(), episodes, np.random.default_rng(1), "fixed_horizon", eps
+    )
+    assert sum(seen) < episodes * m.n * (horizon + 1) / 2
