@@ -18,8 +18,8 @@ analytic cap on every sample; a violation is an implementation bug, never a
 data error.
 
 Every sample of the chain, here and in the trainer's Monte-Carlo
-evaluation, is stepped by ``simulate``; its docstring states the draw order
-and its one inversion rule, counted in two forms (Python scalars for a
+evaluation, is stepped by ``_step_blocks``; its docstring states the draw
+order and its one inversion rule, counted in two forms (Python scalars for a
 single trajectory, whole arrays for batches of episodes) that pick the same
 index for every uniform: a draw at or beyond a float cumsum that ends below
 1 still lands on the last index. Uniforms lie in ``[0, 1)``, so a kernel
@@ -45,17 +45,17 @@ from .model import FactoredNmarlModel
 from .policy import CoupledSoftmaxPolicy
 
 MAX_HORIZON = 10**7
-# simulate inputs of at least this many entries count whole threshold arrays:
-# on both shipped models the array count overtakes the scalar bisect form
-# between ~40 and ~55 entries (measured on a 2-vCPU x86 machine)
+# _step_blocks inputs of at least this many entries count whole threshold
+# arrays: on both shipped models the array count overtakes the scalar bisect
+# form between ~40 and ~55 entries (measured on a 2-vCPU x86 machine)
 BATCH_ENTRIES = 48
-# Most uniforms simulate draws per rng.random call. At 2**13 a block's uniforms
-# and the reward temporaries of scoring it stay at or below 64 KB. On a 2-vCPU
-# x86 machine, numpy temporaries of ~128 KB page-fault on every call: the
-# path-planning reward takes ~70 us with 0 minor faults at 4 000 entries, but
-# ~1 ms with 343 faults at 16 000; a 400-episode path-planning evaluation takes
-# 177-996 minor faults at 2**14 and 0-86 at 2**13 (the count depends on the
-# heap's state).
+# Most uniforms _step_blocks draws per rng.random call. At 2**13 a block's
+# uniforms and the reward temporaries of scoring it stay at or below 64 KB. On
+# a 2-vCPU x86 machine, numpy temporaries of ~128 KB page-fault on every call:
+# the path-planning reward takes ~70 us with 0 minor faults at 4 000 entries,
+# but ~1 ms with 343 faults at 16 000; a 400-episode path-planning evaluation
+# takes 177-996 minor faults at 2**14 and 0-86 at 2**13 (the count depends on
+# the heap's state).
 DRAW_BLOCK = 2**13
 
 
@@ -64,9 +64,9 @@ class TwoHorizonRollout:
     """One sampled episode: snapshot at ``t1``, rewards over ``[t1, t1 + t2]``.
 
     The snapshot is the integer ``(n,)`` state and action arrays of step
-    ``t1``, as ``simulate`` drew them; ``reward_trace`` has shape ``(t2 + 1,
-    n)`` and holds every agent's reward even though each consumer only reads
-    its own neighborhood columns.
+    ``t1``, as ``_step_blocks`` drew them; ``reward_trace`` has shape ``(t2
+    + 1, n)`` and holds every agent's reward even though each consumer only
+    reads its own neighborhood columns.
     """
 
     t1: int
@@ -74,15 +74,6 @@ class TwoHorizonRollout:
     snapshot_state: np.ndarray
     snapshot_action: np.ndarray
     reward_trace: np.ndarray
-
-    def to_json(self) -> dict:
-        return {
-            "t1": self.t1,
-            "t2": self.t2,
-            "snapshot_state": self.snapshot_state.tolist(),
-            "snapshot_action": self.snapshot_action.tolist(),
-            "reward_trace": self.reward_trace.tolist(),
-        }
 
 
 @dataclass
@@ -127,73 +118,6 @@ def _half_discount_prefix(gamma: float, size: int) -> np.ndarray:
     return weights
 
 
-def simulate(
-    m: FactoredNmarlModel,
-    tables: np.ndarray,
-    states: np.ndarray,
-    rng: np.random.Generator,
-    steps: int,
-    actions: np.ndarray | None = None,
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Step the chain under the per-agent policy ``tables`` ``(n, S, A)``.
-
-    Yields ``(states, actions)`` for steps ``0..steps``. Both are integer
-    arrays shaped like the start ``states``, ``(..., n)``: one call steps a
-    single trajectory or a batch of episodes. Every sample of the chain in
-    the package is drawn here, in one order: at each step one uniform per
-    entry picks the actions (none at step 0 when the start ``actions`` are
-    given), then one uniform per entry picks the next states, except after
-    the last step.
-
-    The uniforms after step 0 are drawn in blocks of whole steps, at most
-    ``DRAW_BLOCK`` per ``rng.random`` call (one step per call when a step
-    alone needs more), each block when its first step is taken. The start
-    actions' uniforms, when drawn, are drawn in the first block's call, at
-    step 0, one uniform per entry beyond ``DRAW_BLOCK``. The values and the
-    final generator state are those of one draw per step, provided the
-    caller takes every step: a caller draws nothing else from ``rng`` until
-    it has taken all ``steps + 1``, and every caller in the package does.
-
-    Each uniform ``u`` inverts to the first index whose cumulative
-    probability exceeds ``u``, or the last index when none does (a float
-    cumsum can end just below 1). On a nondecreasing cumsum that index is
-    the count of the row's thresholds at or below ``u``: the policy's first
-    ``A - 1`` cumsum columns, and the kernel's rising columns below 1 only
-    (``model.kernel_support``), whose count then picks the successor state.
-    ``rng.random`` draws lie in ``[0, 1)``, so no uniform reaches a kernel
-    threshold at or above 1, and the support drops those: its counts hold
-    for uniforms in ``[0, 1)`` only. Two forms take that count, value for
-    value:
-
-    * inputs of fewer than ``BATCH_ENTRIES`` entries, such as a training
-      rollout's ``(n,)`` trajectory, step on Python floats. Each entry
-      carries its flat kernel row ``r = p * A + a``, ``p = agent * S + s``
-      its flat policy row, and walks ``p = successor_rows[r][bisect_right(
-      thresholds[r], u)]`` (just ``only_rows[r]`` when no kernel row keeps a
-      threshold), then ``r = p * A + bisect_right(policy[p], u')``: the
-      policy's thresholds as lists built per call, the kernel's cached by
-      ``model.kernel_support_lists``. A drawn block's steps are computed
-      together, entry by entry, when its first step is taken, and the rows
-      kept are decoded into states and actions by two table lookups;
-    * larger inputs compare whole threshold arrays with ``u``, one step at a
-      time, and skip the kernel count when no kernel row keeps a threshold.
-      A drawn block's steps are written into one ``(k, ...)`` array each for
-      states and actions.
-
-    Both forms compute a drawn block's steps together, and this generator
-    yields them one step at a time. ``_step_blocks`` yields the whole drawn
-    blocks, so that a caller such as ``trainer.evaluate_policy`` can score a
-    block's steps with one reward call.
-
-    Precondition: ``tables`` is finite. On a NaN threshold the two counts
-    disagree (``bisect_right`` assumes a sorted list); ``trainer.run_dscp``
-    stops a run whose parameters or push-sum estimates turn non-finite
-    before it steps them.
-    """
-    for states_block, actions_block in _step_blocks(m, tables, states, rng, steps, actions):
-        yield from zip(states_block, actions_block)
-
-
 def _step_blocks(
     m: FactoredNmarlModel,
     tables: np.ndarray,
@@ -204,11 +128,29 @@ def _step_blocks(
     start: int = 0,
     last_steps: np.ndarray | None = None,
 ) -> Iterator[tuple[np.ndarray, ...]]:
-    """``simulate``'s steps from ``start`` on, as states and actions ``(k,
-    ...)`` of ``k`` consecutive steps at a time: one array pair per drawn
-    block, step 0 in the first pair of the scalar form and alone in the count
-    form. Steps before ``start`` are taken, drawing what they draw, but not
-    returned.
+    """Step the chain under the per-agent policy ``tables`` ``(n, S, A)``.
+
+    Takes steps ``0..steps`` from the start ``states`` ``(..., n)``: one call
+    steps a single trajectory or a batch of episodes. Yields the steps from
+    ``start`` on as integer states and actions ``(k, ...)`` of ``k``
+    consecutive steps at a time, one array pair per drawn block: step 0 in
+    the first pair of the scalar form and alone in the count form. Steps
+    before ``start`` are taken, drawing what they draw, but not returned.
+
+    Every sample of the chain in the package is drawn here, in one order: at
+    each step one uniform per entry picks the actions (none at step 0 when
+    the start ``actions`` are given), then one uniform per entry picks the
+    next states, except after the last step. The uniforms after step 0 are
+    drawn in blocks of whole steps, at most ``DRAW_BLOCK`` per ``rng.random``
+    call (one step per call when a step alone needs more), each block when
+    its first step is taken. The uniforms come as one ``(rows, ...)`` array
+    per drawn block: when the start actions are drawn, their uniforms are the
+    first row of the first block (one uniform per entry beyond
+    ``DRAW_BLOCK``); then each step of the block has a row of transition and
+    a row of action uniforms. The values and the final generator state are
+    those of one ``rng.random`` call per step, provided the caller runs this
+    generator to its end and draws nothing else from ``rng`` until then, as
+    every caller in the package does.
 
     With ``last_steps`` ``(E,)``, each episode's last step that counts, the
     start ``states`` are ``(E, n)`` episodes whose start actions are drawn,
@@ -216,23 +158,49 @@ def _step_blocks(
     actions, and the indices ``(L,)`` of the ``L`` episodes it covers, in
     order. The count form drops finished episodes (``_live_count_steps``);
     the scalar form covers every episode in every block. Dropping keeps the
-    draw order: every block is drawn whole, as above, and a dropped
-    episode's uniforms are drawn and left unused; once no episode is left,
-    the remaining blocks are drawn and nothing is stepped.
+    draw order: every block is drawn whole, and a dropped episode's uniforms
+    are drawn and left unused; once no episode is left, the remaining blocks
+    are drawn and nothing is stepped.
 
-    The policy thresholds are built once per call as running column sums:
-    ``columns[c]`` ``(A - 1, n * S)`` is the sum of every flat policy row's
-    first ``c + 1`` probabilities, added in column order as ``np.cumsum``
-    adds them, so it holds the bits of the cumsum's first ``A - 1`` columns.
-    The count form compares whole rows of ``columns``; the scalar form
-    bisects each flat policy row's thresholds, ``columns.T`` as Python
-    lists.
+    Each uniform ``u`` inverts to the first index whose cumulative
+    probability exceeds ``u``, or the last index when none does (a float
+    cumsum can end just below 1). On a nondecreasing cumsum that index is
+    the count of the row's thresholds at or below ``u``: the policy's first
+    ``A - 1`` cumsum columns, and the kernel's rising columns below 1 only
+    (``model.kernel_support``), whose count then picks the successor state.
+    ``rng.random`` draws lie in ``[0, 1)``, so no uniform reaches a kernel
+    threshold at or above 1, and the support drops those: its counts hold
+    for uniforms in ``[0, 1)`` only. The policy thresholds are built once
+    per call as running column sums: ``columns[c]`` ``(A - 1, n * S)`` is
+    the sum of every flat policy row's first ``c + 1`` probabilities, added
+    in column order as ``np.cumsum`` adds them, so it holds the bits of the
+    cumsum's first ``A - 1`` columns. Two forms take the count, value for
+    value:
 
-    The uniforms come as one ``(rows, ...)`` array per drawn block: when the
-    start actions are drawn, their uniforms are the first row of the first
-    block; then each step of the block has a row of transition and a row of
-    action uniforms. One ``rng.random`` call draws the values and leaves the
-    generator state of one call per part.
+    * inputs of fewer than ``BATCH_ENTRIES`` entries, such as a training
+      rollout's ``(n,)`` trajectory, step on Python floats
+      (``_scalar_steps``). Each entry carries its flat kernel row ``r = p *
+      A + a``, ``p = agent * S + s`` its flat policy row, and walks ``p =
+      successor_rows[r][bisect_right(thresholds[r], u)]`` (just
+      ``only_rows[r]`` when no kernel row keeps a threshold), then ``r = p *
+      A + bisect_right(policy[p], u')``: the policy's thresholds as the
+      Python lists ``columns.T``, the kernel's cached by
+      ``model.kernel_support_lists``. A drawn block's steps are computed
+      together, entry by entry, when its first step is taken, and the rows
+      kept are decoded into states and actions by two table lookups;
+    * larger inputs compare whole rows of ``columns`` and of the kernel
+      thresholds with ``u``, one step at a time, and skip the kernel count
+      when no kernel row keeps a threshold (``_count_steps``). A drawn
+      block's steps are written into one ``(k, ...)`` array each for states
+      and actions.
+
+    Yielding whole drawn blocks lets a caller such as
+    ``trainer.evaluate_policy`` score a block's steps with one reward call.
+
+    Precondition: ``tables`` is finite. On a NaN threshold the two counts
+    disagree (``bisect_right`` assumes a sorted list); ``trainer.run_dscp``
+    stops a run whose parameters or push-sum estimates turn non-finite
+    before it steps them.
     """
     n, n_states, n_actions = tables.shape
     flat = tables.reshape(n * n_states, n_actions)
@@ -503,8 +471,8 @@ def rollout_two_horizon(
     ``params`` is either an ``(n, n, d)`` estimate stack (agent ``i``
     executes with its row ``params[i]``) or an ``(n, d)`` shared parameter.
     Draw order is fixed: ``t1``, ``t2``, the start state, then the steps in
-    ``simulate``'s order. The rewards of the visited steps are scored with
-    one batched call after the last step, which draws nothing.
+    ``_step_blocks``' order. The rewards of the visited steps are scored
+    with one batched call after the last step, which draws nothing.
     """
     t1 = sample_geometric(1.0 - m.gamma, rng)
     t2 = sample_geometric(1.0 - math.sqrt(m.gamma), rng)

@@ -122,16 +122,16 @@ class FactoredNmarlModel:
 
     Derived forms are built lazily and cached. ``stacked_kernel_cum`` holds
     the kernel row cumsums, every row capped with a ``+inf`` last column.
-    ``estimator.simulate`` steps with their compressed form,
+    ``estimator._step_blocks`` steps with their compressed form,
     ``kernel_support``: only the columns where a row's cumsum rises and
     stays below 1, as arrays for batches of episodes and, through
     ``kernel_support_lists``, as per-row Python tuples for a single
-    trajectory (``simulate``'s docstring states the draw order and when each
-    form is used). ``parked_rows`` marks the flat policy rows ``agent * S +
-    s`` whose kernel row stays on ``s`` under every action and where every
-    reward is ``+0.0``, so that ``trainer.evaluate_policy`` stops stepping
-    an episode once all its agents sit on such rows. Another is one dense
-    reward table per agent over its neighborhood's restricted domain
+    trajectory (``_step_blocks``' docstring states the draw order and when
+    each form is used). ``parked_rows`` marks the flat policy rows ``agent *
+    S + s`` whose kernel row stays on ``s`` under every action and where
+    every reward is ``+0.0``, so that ``trainer.evaluate_policy`` stops
+    stepping an episode once all its agents sit on such rows. Another is one
+    dense reward table per agent over its neighborhood's restricted domain
     (``reward_tables``). The reward tables feed the reward bound and every
     reward the exact oracle integrates; rewards do not depend on the policy,
     so the domain is enumerated once per model. For the same reason the
@@ -205,9 +205,9 @@ class FactoredNmarlModel:
         A uniform inverts to the first state whose capped cumsum exceeds it:
         a float cumsum can end just below 1, and the cap sends a draw beyond
         it to the last state. ``kernel_support`` compresses these rows, and
-        ``estimator.simulate`` steps with that compressed form only; besides
-        ``kernel_support``, the benchmark's set-up and the tests' reference
-        stepper read this one. Read-only.
+        ``estimator._step_blocks`` steps with that compressed form only;
+        besides ``kernel_support``, the benchmark's set-up and the tests'
+        reference stepper read this one. Read-only.
         """
         if self._stacked_cum is None:
             cum = np.cumsum(np.stack(self.kernels), axis=-1)
@@ -399,7 +399,8 @@ class FactoredNmarlModel:
             IndexOutOfRange: a fixed start state lies outside ``0..S-1``.
             KernelRowNotStochastic: some kernel row does not sum to one.
             ConfigError: a declared reward bound, or a tabulated reward, is
-                not finite.
+                not finite, or the bound is so large that a gradient-estimate
+                norm could overflow when squared.
         """
         if self._reward_bound is not None:
             return
@@ -441,7 +442,17 @@ class FactoredNmarlModel:
             raise DimensionMismatch(
                 f"rewards of a (1, {self.n}) batch have shape {shape}, expected (1, {self.n})"
             )
-        self._reward_bound = self._compute_reward_bound()
+        bound = self._compute_reward_bound()
+        # every gradient-estimate norm is at most ``estimate_bound`` at m_p =
+        # m_pr = n, and training adds up rewards over the agents and squares
+        # the norms; ``x * x``, since float ``**`` raises on overflow
+        x = math.sqrt(2.0) * self.n * bound / ((1.0 - self.gamma) * (1.0 - math.sqrt(self.gamma)))
+        if not math.isfinite(x * x):
+            raise ConfigError(
+                f"the reward bound {bound:.3g} is too large: the gradient-estimate cap "
+                f"{x:.3g} for {self.n} agents at gamma {self.gamma} overflows when squared"
+            )
+        self._reward_bound = bound
 
     def _compute_reward_bound(self) -> float:
         # ``max`` drops a NaN that is not its first argument, so every value is

@@ -19,7 +19,8 @@ parameter vector) have the closed form
     score[s, a] = c * 1{s == s_j} * (1{a == a_j} - pi_j(a | s_j))
 
 where ``c`` is the mixing coefficient tying the two agents, and are zero
-whenever the agents are more than ``kappa_p`` hops apart.
+whenever the agents are more than ``kappa_p`` hops apart. ``score_sums``
+adds them up for every agent at once.
 """
 
 from __future__ import annotations
@@ -91,30 +92,8 @@ class CoupledSoftmaxPolicy:
     def zero_params(self) -> np.ndarray:
         return np.zeros((self.n, self.d))
 
-    def _row(self, params) -> np.ndarray:
-        """``params`` as an ``(n, d)`` float array, the shape checked."""
-        arr = np.asarray(params, dtype=float)
-        if arr.shape != (self.n, self.d):
-            raise DimensionMismatch(
-                f"parameter stack has shape {arr.shape}, expected {(self.n, self.d)}"
-            )
-        return arr
-
-    def mixed_logit_vector(self, j: int, params) -> np.ndarray:
-        """Flat ``d``-vector of mixed logits for agent ``j``."""
-        z = self.coupling[j] @ self._row(params)
-        if not np.all(np.isfinite(z)):
-            raise ValueError(f"non-finite logits for agent {j}")
-        return z
-
     # ------------------------------------------------------------------
     # distributions
-
-    def action_probs(self, i: int, s_i: int, params) -> np.ndarray:
-        """Softmax action distribution of agent ``i`` at its local state."""
-        z = self.mixed_logit_vector(i, params)
-        row = z[s_i * self.n_actions : (s_i + 1) * self.n_actions]
-        return _softmax_rows(row)
 
     def prob_tables(self, params) -> np.ndarray:
         """Per-agent policy tables ``(n, S, A)``.
@@ -137,21 +116,6 @@ class CoupledSoftmaxPolicy:
     # ------------------------------------------------------------------
     # scores
 
-    def score(self, i: int, j: int, s_j: int, a_j: int, params) -> np.ndarray:
-        """Gradient of ``log pi_j(a_j | s_j)`` with respect to ``theta_i``.
-
-        Identically zero when ``i`` is not within ``kappa_p`` hops of ``j``.
-        """
-        out = np.zeros(self.d)
-        c = float(self.coupling[j, i])
-        if c == 0.0:
-            return out
-        probs = self.action_probs(j, s_j, params)
-        base = s_j * self.n_actions
-        out[base : base + self.n_actions] = -c * probs
-        out[base + a_j] += c
-        return out
-
     def score_sum(
         self,
         i: int,
@@ -167,7 +131,12 @@ class CoupledSoftmaxPolicy:
         row must cover agents up to ``2 * kappa_p`` hops away, which a full
         ``(n, d)`` row always does.
         """
-        return self.score_sums(snapshot_states, snapshot_actions, self._row(params))[i]
+        arr = np.asarray(params, dtype=float)
+        if arr.shape != (self.n, self.d):
+            raise DimensionMismatch(
+                f"parameter stack has shape {arr.shape}, expected {(self.n, self.d)}"
+            )
+        return self.score_sums(snapshot_states, snapshot_actions, arr)[i]
 
     def score_sums(
         self,

@@ -262,7 +262,7 @@ def evaluate_policy(
     explicitly discounted rewards to the ``horizon_eps``-accuracy horizon;
     its per-episode variance is far lower, at the price of a bias below
     ``horizon_eps``. Draw order: the ``geometric`` horizons, the start
-    states, then the steps in ``estimator.simulate``'s order.
+    states, then the steps in ``estimator._step_blocks``' order.
 
     Raises ``HorizonOverflow`` before any step when the horizon exceeds
     ``estimator.MAX_HORIZON``, the cap rollouts enforce: a fixed horizon

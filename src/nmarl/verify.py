@@ -143,19 +143,57 @@ def check_geometric_sampler(seed: int = 404, draws: int = 100_000) -> tuple[bool
     )
 
 
-def check_policy_scores(seed: int = 505, draws: int = 200) -> tuple[bool, str]:
+def check_policy_scores(seed: int = 505, draws: int = 2) -> tuple[bool, str]:
+    """The score identity of the policy paths that training runs, exactly.
+
+    On a 5-agent line at ``kappa_p`` 1, for ``draws`` random ``(n, d)``
+    parameters and as many ``(n, n, d)`` stacks, each with a random
+    snapshot: every ``prob_tables`` row sums to one, and row ``i`` of
+    ``score_sums`` has mean zero over the joint actions of the agents ``j``
+    with ``coupling[j, i] != 0`` (9 or 27), each ``a_j`` weighted by ``pi_j``
+    at its snapshot state under row ``i``'s view (the parameters, or row
+    ``i`` of the stack); the other agents' actions stay fixed. A row that
+    weighs agent ``j``'s score wrongly still has mean zero, so the mean of
+    the row times ``1{a_j = b}`` must also be ``coupling[j, i] * pi_j(b) *
+    (e_b - pi_j)`` in the entries of state ``s_j`` and zero elsewhere, for
+    every coupled ``j`` and action ``b``.
+    """
     g = netgraph.build_graph(5, [(k, k + 1) for k in range(1, 5)])
     pol = CoupledSoftmaxPolicy(g, 2, 3, MixingSpec(kappa_p=1))
     rng = np.random.default_rng(seed)
-    worst_norm = worst_mean = 0.0
+    eye = np.eye(3)
+    worst_norm = worst_mean = worst_term = 0.0
     for _ in range(draws):
-        theta = rng.uniform(-5, 5, size=(5, 6))
-        probs = pol.action_probs(2, 1, theta)
-        worst_norm = max(worst_norm, abs(float(probs.sum()) - 1.0))
-        mean = sum(probs[a] * pol.score(1, 2, 1, a, theta) for a in range(3))
-        worst_mean = max(worst_mean, float(np.max(np.abs(mean))))
-    ok = worst_norm <= 1e-12 and worst_mean <= 1e-12
-    return ok, f"normalization gap {worst_norm:.2e}, score mean {worst_mean:.2e}"
+        for shape in ((5, 6), (5, 5, 6)):
+            params = rng.uniform(-5, 5, size=shape)
+            states, actions = rng.integers(2, size=5), rng.integers(3, size=5)
+            executed = pol.prob_tables(params)
+            views = [executed] * 5 if len(shape) == 2 else [pol.prob_tables(v) for v in params]
+            for tables in (executed, *views):
+                worst_norm = max(worst_norm, float(np.max(np.abs(tables.sum(axis=-1) - 1.0))))
+            for i, tables in enumerate(views):
+                coupled = np.flatnonzero(pol.coupling[:, i])
+                k = len(coupled)
+                probs = tables[coupled, states[coupled]]  # (k, A)
+                joint = np.array(list(itertools.product(range(3), repeat=k)))
+                snapshots = np.tile(actions, (len(joint), 1))
+                snapshots[:, coupled] = joint
+                rows = np.array([pol.score_sums(states, a, params)[i] for a in snapshots])
+                weighted = np.prod(probs[np.arange(k), joint], axis=1)[:, None] * rows
+                worst_mean = max(worst_mean, float(np.max(np.abs(weighted.sum(axis=0)))))
+                # [p, b]: the mean of the row times 1{a_j = b}, j = coupled[p]
+                got = np.einsum("rpb,rd->pbd", eye[joint], weighted)
+                want = np.zeros((k, 3, 2, 3))
+                want[np.arange(k), :, states[coupled]] = (
+                    pol.coupling[coupled, i][:, None, None] * probs[:, :, None]
+                    * (eye - probs[:, None, :])
+                )
+                worst_term = max(worst_term, float(np.max(np.abs(got - want.reshape(k, 3, 6)))))
+    ok = max(worst_norm, worst_mean, worst_term) <= 1e-12
+    return ok, (
+        f"normalization gap {worst_norm:.2e}, score mean {worst_mean:.2e}, "
+        f"coupled term gap {worst_term:.2e} over {draws} draws per parameter shape"
+    )
 
 
 def check_estimator_unbiased(

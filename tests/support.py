@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from nmarl import netgraph
 from nmarl.envs import path_transition
-from nmarl.errors import SpaceTooLarge
-from nmarl.estimator import half_discount_weights, sample_geometric, simulate
+from nmarl.errors import DimensionMismatch, SpaceTooLarge
+from nmarl.estimator import _step_blocks, half_discount_weights, sample_geometric
 from nmarl.model import FactoredNmarlModel, InitialDistribution, table_rewards
 from nmarl.oracle import (
     MAX_TABLE_ENTRIES,
@@ -133,18 +133,25 @@ def zero_reward_model(g: netgraph.AgentGraph, **kw) -> FactoredNmarlModel:
     return constant_reward_model(g, 0.0, **kw)
 
 
+def flat_steps(m, tables, states, rng, steps, actions=None):
+    """``estimator._step_blocks``' steps ``0..steps``, one ``(states, actions)``
+    pair per step."""
+    for states_block, actions_block in _step_blocks(m, tables, states, rng, steps, actions):
+        yield from zip(states_block, actions_block)
+
+
 def next_states(
     m: FactoredNmarlModel, states, actions, rng: np.random.Generator
 ) -> np.ndarray:
-    """Each row's next states: one ``simulate`` step from ``(rows, n)`` states
-    and actions (the actions after it come from uniform tables)."""
+    """Each row's next states: one ``_step_blocks`` step from ``(rows, n)``
+    states and actions (the actions after it come from uniform tables)."""
     uniform = np.full((m.n, m.n_states, m.n_actions), 1.0 / m.n_actions)
-    _, (nxt, _) = simulate(m, uniform, np.asarray(states), rng, 1, np.asarray(actions))
+    _, (nxt, _) = flat_steps(m, uniform, np.asarray(states), rng, 1, np.asarray(actions))
     return nxt
 
 
 def ref_simulate(m, tables, states, rng, steps, actions=None):
-    """The chain stepper ``simulate`` replaced, kept as its reference: one
+    """The chain stepper ``_step_blocks`` replaced, kept as its reference: one
     ``rng.random`` call per step, and every uniform inverted by the ``argmax``
     of ``u < cum`` over its full cumsum row, last column ``+inf``."""
     n, n_states, n_actions = tables.shape
@@ -238,6 +245,50 @@ class EdgeRng:
         return np.where(x < 0.5, self.edges[pick], x)
 
 
+def rollout_json(roll) -> dict:
+    """A ``TwoHorizonRollout`` as plain JSON values."""
+    return {
+        "t1": roll.t1,
+        "t2": roll.t2,
+        "snapshot_state": roll.snapshot_state.tolist(),
+        "snapshot_action": roll.snapshot_action.tolist(),
+        "reward_trace": roll.reward_trace.tolist(),
+    }
+
+
+def mixed_logit_vector(pol, j: int, params) -> np.ndarray:
+    """Agent ``j``'s flat ``d``-vector of mixed logits under ``(n, d)`` ``params``."""
+    arr = np.asarray(params, dtype=float)
+    if arr.shape != (pol.n, pol.d):
+        raise DimensionMismatch(f"parameter stack has shape {arr.shape}")
+    z = pol.coupling[j] @ arr
+    if not np.all(np.isfinite(z)):
+        raise ValueError(f"non-finite logits for agent {j}")
+    return z
+
+
+def action_probs(pol, i: int, s_i: int, params) -> np.ndarray:
+    """Agent ``i``'s softmax action distribution at its state ``s_i``, one
+    agent at a time: the reference of a ``prob_tables`` row."""
+    row = mixed_logit_vector(pol, i, params)[s_i * pol.n_actions : (s_i + 1) * pol.n_actions]
+    e = np.exp(row - row.max())
+    return e / e.sum()
+
+
+def score(pol, i: int, j: int, s_j: int, a_j: int, params) -> np.ndarray:
+    """Gradient of ``log pi_j(a_j | s_j)`` with respect to ``theta_i`` in
+    closed form, ``coupling[j, i] * (e_{a_j} - pi_j(. | s_j))`` in the entries
+    of state ``s_j``: the reference of one term of a ``score_sums`` row."""
+    out = np.zeros(pol.d)
+    c = float(pol.coupling[j, i])
+    if c == 0.0:
+        return out
+    base = s_j * pol.n_actions
+    out[base : base + pol.n_actions] = -c * action_probs(pol, j, s_j, params)
+    out[base + a_j] += c
+    return out
+
+
 def ref_gradient_estimate(roll, m, pol, params) -> tuple[np.ndarray, np.ndarray]:
     """Gradient and return estimates ``(n, d)``, ``(n,)`` one agent at a time.
 
@@ -257,7 +308,7 @@ def ref_gradient_estimate(roll, m, pol, params) -> tuple[np.ndarray, np.ndarray]
         q = float(weights @ roll.reward_trace[:, list(members)].sum(axis=1)) / m.n
         total = np.zeros(pol.d)
         for j in netgraph.khop(m.graph, i, kappa_p):
-            total += pol.score(i, j, roll.snapshot_state[j], roll.snapshot_action[j], view)
+            total += score(pol, i, j, roll.snapshot_state[j], roll.snapshot_action[j], view)
         grads[i] = q * total / (1.0 - m.gamma)
         q_values[i] = q
     return grads, q_values

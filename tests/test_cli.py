@@ -153,6 +153,13 @@ BAD_RUNS += [
     (PC, ["train", "--set", HUGE_GAIN, "--set", HUGE_PRICE], "pc:gains and price 1e308"),
     (PP, ["train", "--set", HUGE_COSTS[0], "--set", HUGE_COSTS[1]], "pp:costs 1e308"),
 ]
+# Finite reward bounds too large for training: at 5e307 the agent sum of the
+# rewards overflows, at 1e160 the squared gradient-estimate norm; both exited
+# 3 with a RuntimeWarning after the output directory existed.
+BAD_RUNS += [
+    (PC, ["train", "--set", f"env.overrides.price=[{p},{p},{p}]"], f"pc:price {p}")
+    for p in ("5e307", "1e160")
+]
 # Two cycles the path structure's walk used to accept, each as a whole
 # successor map: one through the destination, whose successors the walk did
 # not visit, and one behind a successor that already reaches the destination.
@@ -549,6 +556,31 @@ class TestVerifyCommand:
         )
         ok, detail = verify.check_estimator_unbiased(samples=20_000)
         assert not ok
+
+    def test_mutated_score_sums_break_policy_scores_check(self, monkeypatch):
+        # each row still has mean zero when it weighs agent j's score by
+        # coupling[i, j] in place of coupling[j, i] (the line's coupling is
+        # not symmetric), but not when a stack row is scored with the true
+        # parameters, each agent's own row of the stack; the check fails both
+        original_init = CoupledSoftmaxPolicy.__init__
+
+        def transposed(self, *args, **kwargs):
+            original_init(self, *args, **kwargs)
+            self._shares = self.coupling[:, :, None]
+
+        monkeypatch.setattr(CoupledSoftmaxPolicy, "__init__", transposed)
+        assert not verify.check_policy_scores()[0]
+        monkeypatch.undo()
+        original = CoupledSoftmaxPolicy.score_sums
+
+        def true_view(self, states, actions, params):
+            arr = np.asarray(params, dtype=float)
+            if arr.ndim == 3:
+                arr = arr[np.arange(self.n), np.arange(self.n)]
+            return original(self, states, actions, arr)
+
+        monkeypatch.setattr(CoupledSoftmaxPolicy, "score_sums", true_view)
+        assert not verify.check_policy_scores()[0]
 
     def test_mutated_weights_break_pushsum_check(self, monkeypatch):
         import nmarl.pushsum as ps_mod

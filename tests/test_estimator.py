@@ -18,7 +18,6 @@ from nmarl.estimator import (
     rollout_two_horizon,
     sample_geometric,
     sample_q_conditional,
-    simulate,
 )
 from nmarl.model import FactoredNmarlModel, InitialDistribution
 from nmarl.policy import CoupledSoftmaxPolicy, MixingSpec
@@ -157,7 +156,7 @@ class TestRollout:
     def test_json_dump_round_trip_fields(self, pair):
         m, pol = pair
         roll = rollout_two_horizon(m, pol.zero_params(), pol, np.random.default_rng(3))
-        obj = roll.to_json()
+        obj = support.rollout_json(roll)
         assert obj["t1"] == roll.t1 and obj["t2"] == roll.t2
         assert len(obj["reward_trace"]) == roll.t2 + 1
 
@@ -228,8 +227,8 @@ class TestGradientEstimate:
         roll = rollout_two_horizon(m, theta, pol, np.random.default_rng(5))
         est = gradient_estimate(roll, m, pol, theta)
         q = q_estimate(roll, 0, m, kappa_p=0)
-        score = pol.score(
-            0, 0, roll.snapshot_state[0], roll.snapshot_action[0], theta
+        score = support.score(
+            pol, 0, 0, roll.snapshot_state[0], roll.snapshot_action[0], theta
         )
         np.testing.assert_allclose(est.grads[0], q * score / (1 - m.gamma))
 
@@ -342,7 +341,7 @@ class TestInverseCdf:
     def test_single_trajectory(self):
         m, tables = self.model()
         for u in self.uniforms():
-            steps = list(simulate(m, tables, np.array([0, 4]), StubRng(u), 1))
+            steps = list(support.flat_steps(m, tables, np.array([0, 4]), StubRng(u), 1))
             want = self.expected(u)
             assert self.P[want] > 0.0
             (_, a0), (s1, a1) = steps
@@ -359,7 +358,7 @@ class TestInverseCdf:
             want = np.array([self.expected(x) for x in batch])
             start = np.tile([4, 0], (len(batch), 1))
             assert (start.size >= estimator.BATCH_ENTRIES) == (reps > 1)
-            steps = list(simulate(m, tables, start, StubRng(batch[:, None]), 1))
+            steps = list(support.flat_steps(m, tables, start, StubRng(batch[:, None]), 1))
             (_, a0), (s1, a1) = steps
             for drawn in (a0, s1, a1):
                 np.testing.assert_array_equal(drawn, np.stack([want, want], axis=1))
@@ -428,7 +427,7 @@ def test_simulate_matches_reference(chain, steps, draw_block, seed):
     m, tables, start, actions, edges = chain
     got_rng, want_rng = support.EdgeRng(seed, edges), support.EdgeRng(seed, edges)
     with patch.object(estimator, "DRAW_BLOCK", draw_block):
-        got = list(simulate(m, tables, start, got_rng, steps, actions))
+        got = list(support.flat_steps(m, tables, start, got_rng, steps, actions))
     want = list(support.ref_simulate(m, tables, start, want_rng, steps, actions))
     assert len(got) == len(want) == steps + 1
     for t, ((s, a), (s_ref, a_ref)) in enumerate(zip(got, want)):
@@ -452,7 +451,7 @@ def test_empty_threshold_lists(n_states, n_actions, episodes):
     start = rho.sample(rng, 1)[0] if episodes is None else rho.sample(rng, episodes)
     assert (start.size >= estimator.BATCH_ENTRIES) == (episodes is not None)
     got_rng, want_rng = np.random.default_rng(5), np.random.default_rng(5)
-    got = list(simulate(m, tables, start, got_rng, 12))
+    got = list(support.flat_steps(m, tables, start, got_rng, 12))
     want = list(support.ref_simulate(m, tables, start, want_rng, 12))
     for (s, a), (s_ref, a_ref) in zip(got, want):
         np.testing.assert_array_equal(s, s_ref)

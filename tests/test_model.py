@@ -7,7 +7,7 @@ from scipy import stats
 from nmarl import model as model_module
 from nmarl import netgraph
 from nmarl.config import load_config
-from nmarl.errors import DimensionMismatch, EmptySpace, KernelRowNotStochastic
+from nmarl.errors import ConfigError, DimensionMismatch, EmptySpace, KernelRowNotStochastic
 from nmarl.envs import PathPlanningSpec, PathStructure, build_path_env, build_power_env
 from nmarl.model import FactoredNmarlModel, InitialDistribution
 
@@ -68,6 +68,15 @@ class TestValidate:
         with pytest.raises(DimensionMismatch):
             m.validate()
 
+    def test_reward_bound_whose_estimate_cap_overflows_rejected(self):
+        # every gradient-estimate norm is at most sqrt(2) n R / ((1 - gamma)
+        # (1 - sqrt(gamma))), and training squares the norms
+        gains = [[1.0, 0.2, 0.0], [0.2, 1.0, 0.2], [0.0, 0.2, 1.0]]
+        build_power_env(3, 4, gains, [1.0] * 3, [1e150] * 3).validate()
+        for price in (1e160, 5e307):
+            with pytest.raises(ConfigError, match="reward"):
+                build_power_env(3, 4, gains, [1.0] * 3, [price] * 3).validate()
+
     def test_enumerated_bound(self, line3_model):
         # brute-force the restricted domains independently
         m = line3_model
@@ -79,7 +88,7 @@ class TestValidate:
 
 
 class TestSampleTransition:
-    # Transitions are drawn by estimator.simulate, each test in one batched call.
+    # Transitions are drawn by estimator._step_blocks, each test in one batched call.
 
     def test_deterministic_kernels_ignore_rng(self):
         g = line_graph(2)

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nmarl import netgraph
+from nmarl import netgraph, verify
 from nmarl.errors import DimensionMismatch
-from nmarl.estimator import simulate
 from nmarl.policy import CoupledSoftmaxPolicy, MixingSpec
 
-from support import bfs_distances, connected_graphs, line_graph, zero_reward_model
+import support
+from support import bfs_distances, connected_graphs, flat_steps, line_graph, zero_reward_model
 
 
 def single_agent_policy(n_actions=3):
@@ -71,13 +71,14 @@ def test_coupling_and_mixing_match_bfs_reference(g, kappa, weights):
 
 
 class TestActionProbs:
+    # the rows of prob_tables, the action distributions every path samples from
+
     def test_zero_params_uniform(self, line5_policy):
-        probs = line5_policy.action_probs(2, 1, np.zeros((5, 6)))
-        np.testing.assert_allclose(probs, 1 / 3)
+        np.testing.assert_allclose(line5_policy.prob_tables(np.zeros((5, 6))), 1 / 3)
 
     def test_radius_zero_pure_softmax(self):
         pol = single_agent_policy()
-        probs = pol.action_probs(0, 0, np.array([[1.0, 0.0, 0.0]]))
+        probs = pol.prob_tables(np.array([[1.0, 0.0, 0.0]]))[0, 0]
         e = math.e
         np.testing.assert_allclose(probs, [e / (e + 2), 1 / (e + 2), 1 / (e + 2)])
 
@@ -85,7 +86,7 @@ class TestActionProbs:
         theta = np.zeros((2, 4))
         theta[0, 0:2] = [10.0, 0.0]  # state 0 row of agent 0
         theta[1, 0:2] = [0.0, 10.0]
-        probs = pair_policy.action_probs(0, 0, theta)
+        probs = pair_policy.prob_tables(theta)[0, 0]
         z = np.array([9.0, 1.0])
         expect = np.exp(z - z.max())
         np.testing.assert_allclose(probs, expect / expect.sum(), atol=1e-12)
@@ -94,84 +95,130 @@ class TestActionProbs:
     @settings(max_examples=1000, deadline=None)
     def test_normalized_and_positive(self, theta):
         pol = CoupledSoftmaxPolicy(line_graph(5), 2, 3, MixingSpec(kappa_p=1))
-        for i in range(5):
-            for s in range(2):
-                probs = pol.action_probs(i, s, theta)
-                assert abs(probs.sum() - 1.0) <= 1e-12
-                assert np.all(probs > 0)
+        for params in (theta, np.stack([theta, -theta, theta, 2 * theta, theta / 3])):
+            tables = pol.prob_tables(params)
+            assert np.max(np.abs(tables.sum(axis=-1) - 1.0)) <= 1e-12
+            assert np.all(tables > 0)
 
     @given(params_arrays, st.floats(-50, 50))
     @settings(max_examples=100, deadline=None)
     def test_shift_invariance(self, theta, shift):
         pol = CoupledSoftmaxPolicy(line_graph(5), 2, 3, MixingSpec(kappa_p=1))
-        base = pol.action_probs(2, 1, theta)
+        base = pol.prob_tables(theta)[2, 1]
         shifted = theta.copy()
         shifted[2, 3:6] += shift  # constant added to agent 2's state-1 row
-        np.testing.assert_allclose(pol.action_probs(2, 1, shifted), base, atol=1e-12)
+        np.testing.assert_allclose(pol.prob_tables(shifted)[2, 1], base, atol=1e-12)
 
     def test_non_finite_rejected(self, pair_policy):
         theta = np.zeros((2, 4))
         theta[1, 0] = np.nan
         with pytest.raises(ValueError):
-            pair_policy.action_probs(0, 0, theta)
+            pair_policy.prob_tables(theta)
+        with pytest.raises(ValueError):
+            pair_policy.prob_tables(np.stack([np.zeros((2, 4)), theta]))
 
     def test_extreme_logits_stable(self, pair_policy):
         theta = np.full((2, 4), 700.0)
-        probs = pair_policy.action_probs(0, 0, theta)
+        probs = pair_policy.prob_tables(theta)
         assert np.all(np.isfinite(probs))
-        np.testing.assert_allclose(probs.sum(), 1.0)
+        np.testing.assert_allclose(probs.sum(axis=-1), 1.0)
+
+
+def _views(params):
+    """Each row's parameter view: the ``(n, d)`` parameters, or its stack row."""
+    return list(params) if params.ndim == 3 else [params] * len(params)
+
+
+def _log_probs(pol, view, members, s, a) -> float:
+    """``sum_j log pi_j(a_j | s_j)`` over ``members`` under the ``(n, d)`` ``view``."""
+    tables = pol.prob_tables(view)
+    return float(np.log(tables[members, np.take(s, members), np.take(a, members)]).sum())
 
 
 class TestScore:
+    # the coupled score terms, read off score_sums rows
+
     def test_uniform_closed_form(self, line5_policy):
-        theta = np.zeros((5, 6))
-        vec = line5_policy.score(2, 2, s_j=1, a_j=0, params=theta)
-        expect = np.zeros(6)
-        expect[3:6] = 0.9 * np.array([2 / 3, -1 / 3, -1 / 3])
-        np.testing.assert_allclose(vec, expect, atol=1e-12)
+        # at theta = 0 every pi_j is uniform. Row i adds coupling[j, i] * (e_{a_j}
+        # - 1/3) in the entries of s_j over the agents j within one hop; agent
+        # 0 has one other agent in reach, so its weight in row 1 is 0.1, while
+        # agent 1's in row 0 is 0.05.
+        s, a = (0, 0, 1, 0, 1), (2, 1, 0, 2, 0)
+        rows = line5_policy.score_sums(s, a, np.zeros((5, 6)))
+        e, third = np.eye(3), np.full(3, 1 / 3)
+        expect = {
+            0: [0.9 * (e[2] - third) + 0.05 * (e[1] - third), np.zeros(3)],
+            1: [0.1 * (e[2] - third) + 0.9 * (e[1] - third), 0.05 * (e[0] - third)],
+            2: [0.05 * (e[1] + e[2] - 2 * third), 0.9 * (e[0] - third)],
+        }
+        for i, blocks in expect.items():
+            np.testing.assert_allclose(rows[i], np.concatenate(blocks), atol=1e-12)
 
     def test_zero_outside_radius(self, line5_policy):
-        theta = np.random.default_rng(0).normal(size=(5, 6))
-        assert np.all(line5_policy.score(0, 3, 0, 1, theta) == 0.0)
-        assert np.all(line5_policy.score(4, 0, 1, 2, theta) == 0.0)
+        # row 0 reads no entry of agents 3 and 4, nor row 4 of agents 0 and 1
+        rng = np.random.default_rng(0)
+        s, a = np.array([0, 1, 0, 1, 1]), np.array([2, 0, 1, 2, 0])
+        for params in (rng.normal(size=(5, 6)), rng.normal(size=(5, 5, 6))):
+            base = line5_policy.score_sums(s, a, params)
+            for row, far in ((0, slice(3, 5)), (4, slice(0, 2))):
+                s2, a2 = s.copy(), a.copy()
+                s2[far], a2[far] = 1 - s[far], (a[far] + 1) % 3
+                got = line5_policy.score_sums(s2, a2, params)
+                np.testing.assert_array_equal(got[row], base[row])
+                assert not np.array_equal(got[2], base[2])  # row 2 reads them
 
-    @given(params_arrays)
-    @settings(max_examples=200, deadline=None)
-    def test_zero_mean_under_policy(self, theta):
-        pol = CoupledSoftmaxPolicy(line_graph(5), 2, 3, MixingSpec(kappa_p=1))
-        for (i, j) in [(2, 2), (1, 2), (3, 2)]:
-            probs = pol.action_probs(j, 1, theta)
-            mean = sum(
-                probs[a] * pol.score(i, j, 1, a, theta) for a in range(3)
-            )
-            assert np.max(np.abs(mean)) <= 1e-12
+    @given(st.integers(0, 2**31 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_zero_mean_under_policy(self, seed):
+        # the verify check on fresh draws: exact mean zero of every row over
+        # its coupled agents' joint actions, and every coupled agent's term
+        ok, detail = verify.check_policy_scores(seed=seed, draws=1)
+        assert ok, detail
 
-    @given(params_arrays)
+    @given(params_arrays, st.booleans(), st.integers(0, 2**31 - 1))
     @settings(max_examples=100, deadline=None)
-    def test_norm_bound(self, theta):
+    def test_norm_bound(self, theta, stack, seed):
         pol = CoupledSoftmaxPolicy(line_graph(5), 2, 3, MixingSpec(kappa_p=1))
         b = pol.score_bound()
         assert b == pytest.approx(0.9 * math.sqrt(2))
-        for (i, j) in [(2, 2), (1, 2), (0, 1)]:
-            for a in range(3):
-                assert np.linalg.norm(pol.score(i, j, 1, a, theta)) <= b + 1e-12
+        params = np.stack([theta, -theta, theta, 2 * theta, theta / 3]) if stack else theta
+        m_kp = netgraph.max_neighborhood_size(pol.graph, 1)
+        rng = np.random.default_rng(seed)
+        for _ in range(3):
+            s, a = rng.integers(2, size=5), rng.integers(3, size=5)
+            norms = np.linalg.norm(pol.score_sums(s, a, params), axis=1)
+            # one term per coupled agent j, each of norm at most sqrt(2) * coupling[j, i]
+            assert np.all(norms <= math.sqrt(2) * pol.coupling.sum(axis=0) + 1e-12)
+            assert np.all(norms <= b * m_kp + 1e-12)
 
     def test_matches_finite_differences(self, line5_policy):
+        # each (i, j, s_j, a_j) with agent j alone in state s_j among row i's
+        # agents, so that row i's entries of state s_j hold only j's term: the
+        # gradient of log pi_j(a_j | s_j) with respect to theta_i, in row i's view
         rng = np.random.default_rng(4)
-        theta = rng.uniform(-1, 1, size=(5, 6))
         h = 1e-6
-        for (i, j, s_j, a_j) in [(2, 2, 0, 1), (1, 2, 1, 0), (3, 2, 0, 2)]:
-            vec = line5_policy.score(i, j, s_j, a_j, theta)
-            for k in range(6):
-                plus = theta.copy()
-                plus[i, k] += h
-                minus = theta.copy()
-                minus[i, k] -= h
-                fd = (
-                    math.log(line5_policy.action_probs(j, s_j, plus)[a_j])
-                    - math.log(line5_policy.action_probs(j, s_j, minus)[a_j])
-                ) / (2 * h)
-                assert fd == pytest.approx(vec[k], rel=1e-4, abs=1e-9)
+        cases = [
+            (2, 2, 0, 1, (1, 1, 0, 1, 0)),
+            (1, 2, 1, 0, (0, 0, 1, 0, 0)),
+            (3, 2, 0, 2, (1, 1, 0, 1, 1)),
+        ]
+        for params in (rng.uniform(-1, 1, size=(5, 6)), rng.uniform(-1, 1, size=(5, 5, 6))):
+            for i, j, s_j, a_j, s in cases:
+                a = (0, 1, a_j, 2, 0)
+                row = line5_policy.score_sums(s, a, params)[i]
+                view = _views(params)[i]
+                for k in range(6):
+                    plus, minus = view.copy(), view.copy()
+                    plus[i, k] += h
+                    minus[i, k] -= h
+                    fd = (
+                        _log_probs(line5_policy, plus, [j], s, a)
+                        - _log_probs(line5_policy, minus, [j], s, a)
+                    ) / (2 * h)
+                    if k // 3 == s_j:
+                        assert fd == pytest.approx(row[k], rel=1e-4, abs=1e-9)
+                    else:
+                        assert abs(fd) <= 1e-9
 
 
 class TestScoreSum:
@@ -180,38 +227,44 @@ class TestScoreSum:
         pol = CoupledSoftmaxPolicy(g, 2, 2, MixingSpec(kappa_p=0))
         theta = np.random.default_rng(1).normal(size=(3, 4))
         s, a = (0, 1, 0), (1, 0, 1)
-        total = pol.score_sum(1, s, a, theta)
-        np.testing.assert_allclose(total, pol.score(1, 1, s[1], a[1], theta))
+        expect = np.zeros(4)
+        expect[2:4] = np.eye(2)[0] - pol.prob_tables(theta)[1, 1]  # agent 1's own score
+        np.testing.assert_allclose(pol.score_sum(1, s, a, theta), expect)
 
     def test_matches_sum_of_scores(self, line5_policy):
-        theta = np.random.default_rng(2).normal(size=(5, 6))
+        rng = np.random.default_rng(2)
         s, a = (0, 1, 0, 1, 1), (2, 0, 1, 2, 0)
-        total = line5_policy.score_sum(2, s, a, theta)
-        manual = sum(line5_policy.score(2, j, s[j], a[j], theta) for j in (1, 2, 3))
-        np.testing.assert_allclose(total, manual, atol=1e-13)
+        for params in (rng.normal(size=(5, 6)), rng.normal(size=(5, 5, 6))):
+            rows = line5_policy.score_sums(s, a, params)
+            for i, view in enumerate(_views(params)):
+                manual = sum(
+                    support.score(line5_policy, i, j, s[j], a[j], view)
+                    for j in netgraph.khop(line5_policy.graph, i, 1)
+                )
+                np.testing.assert_allclose(rows[i], manual, atol=1e-13)
+                np.testing.assert_array_equal(
+                    line5_policy.score_sum(i, s, a, view), line5_policy.score_sums(s, a, view)[i]
+                )
 
     def test_directional_derivative(self, line5_policy):
-        # sum over neighbors of log pi_j, differentiated along theta_i coords
+        # row i is the gradient of sum_j log pi_j(a_j | s_j), over the agents
+        # j within kappa_p hops, with respect to theta_i in row i's view
         rng = np.random.default_rng(9)
-        theta = rng.uniform(-1, 1, size=(5, 6))
-        s, a = (1, 0, 1, 0, 1), (0, 2, 1, 0, 2)
-        i = 2
-        total = line5_policy.score_sum(i, s, a, theta)
-
-        def log_sum(params):
-            return sum(
-                math.log(line5_policy.action_probs(j, s[j], params)[a[j]])
-                for j in netgraph.khop(line5_policy.graph, i, 1)
-            )
-
         h = 1e-6
-        for k in range(6):
-            plus = theta.copy()
-            plus[i, k] += h
-            minus = theta.copy()
-            minus[i, k] -= h
-            fd = (log_sum(plus) - log_sum(minus)) / (2 * h)
-            assert fd == pytest.approx(total[k], rel=1e-4, abs=1e-9)
+        s, a = (1, 0, 1, 0, 1), (0, 2, 1, 0, 2)
+        for params in (rng.uniform(-1, 1, size=(5, 6)), rng.uniform(-1, 1, size=(5, 5, 6))):
+            rows = line5_policy.score_sums(s, a, params)
+            for i, view in enumerate(_views(params)):
+                members = list(netgraph.khop(line5_policy.graph, i, 1))
+                for k in range(6):
+                    plus, minus = view.copy(), view.copy()
+                    plus[i, k] += h
+                    minus[i, k] -= h
+                    fd = (
+                        _log_probs(line5_policy, plus, members, s, a)
+                        - _log_probs(line5_policy, minus, members, s, a)
+                    ) / (2 * h)
+                    assert fd == pytest.approx(rows[i, k], rel=1e-4, abs=1e-9)
 
     def test_norm_bound_diagnostic(self, line5_policy):
         theta = np.zeros((5, 6))
@@ -222,8 +275,8 @@ class TestScoreSum:
 
 
 class TestSampling:
-    # Joint actions are drawn by estimator.simulate's step 0, each test in
-    # one batched call.
+    # Joint actions are drawn by step 0 of estimator._step_blocks, each test
+    # in one batched call.
 
     def test_saturated_policy_picks_argmax(self, pair_policy):
         theta = np.zeros((2, 4))
@@ -232,7 +285,7 @@ class TestSampling:
         m = zero_reward_model(pair_policy.graph)
         states = np.tile((0, 1), (2000, 1))
         tables = pair_policy.prob_tables(theta)
-        _, acts = next(simulate(m, tables, states, np.random.default_rng(0), 0))
+        _, acts = next(flat_steps(m, tables, states, np.random.default_rng(0), 0))
         assert np.all(acts == 0)
 
     def test_uniform_frequencies(self):
@@ -241,7 +294,7 @@ class TestSampling:
         n = 100_000
         states = np.zeros((n, 1), dtype=np.intp)
         tables = pol.prob_tables(np.zeros((1, 3)))
-        _, acts = next(simulate(m, tables, states, np.random.default_rng(8), 0))
+        _, acts = next(flat_steps(m, tables, states, np.random.default_rng(8), 0))
         counts = np.bincount(acts[:, 0], minlength=3)
         sigma = math.sqrt((1 / 3) * (2 / 3) / n)
         assert np.max(np.abs(counts / n - 1 / 3)) < 3 * sigma
@@ -261,11 +314,13 @@ class TestSampling:
         for i in range(5):
             for s in range(2):
                 np.testing.assert_allclose(
-                    tables[i, s], line5_policy.action_probs(i, s, est[i]), atol=1e-14
+                    tables[i, s], support.action_probs(line5_policy, i, s, est[i]), atol=1e-14
                 )
 
     def test_bad_stack_shape(self, pair_policy):
         with pytest.raises(DimensionMismatch):
             pair_policy.prob_tables(np.zeros((3, 4)))
         with pytest.raises(DimensionMismatch):
-            pair_policy.action_probs(0, 0, np.zeros((2, 3)))
+            pair_policy.score_sums((0, 0), (0, 0), np.zeros((2, 3)))
+        with pytest.raises(DimensionMismatch):
+            pair_policy.score_sum(0, (0, 0), (0, 0), np.zeros((2, 2, 4)))

@@ -27,6 +27,8 @@ from nmarl import estimator, netgraph, verify
 from nmarl.policy import CoupledSoftmaxPolicy, MixingSpec
 from nmarl.trainer import evaluate_policy
 
+import support
+
 GOLDEN = Path(__file__).resolve().parent / "data" / "sampler_golden.json"
 STARTS = ("product", "fixed")
 SEED, ROLLOUTS, EPISODES = 2024, 200, 100
@@ -41,7 +43,7 @@ def compute_case(start: str) -> dict:
     est = rng.uniform(-1, 1, size=(3, 3, 4))  # per-agent estimate stack
     tables = pol.prob_tables(est)
     rollouts = [
-        estimator.rollout_two_horizon(m, est, pol, rng, tables=tables).to_json()
+        support.rollout_json(estimator.rollout_two_horizon(m, est, pol, rng, tables=tables))
         for _ in range(ROLLOUTS)
     ]
     q_values = [
