@@ -17,6 +17,15 @@ the ``n`` score sums from one batched softmax over the snapshot
 analytic cap on every sample; a violation is an implementation bug, never a
 data error.
 
+``rollouts_two_horizon`` draws ``E`` episodes side by side, for ``verify``'s
+statistical checks and training with ``batch > 1``: every ``t1``, then every
+``t2``, then the ``(E, n)`` start states, then the steps of all episodes
+together, each up to its own ``t1 + t2``. For one episode these are the
+draws of ``rollout_two_horizon``; ``sample_q_conditional`` is the same
+episode with ``t1 = 0`` and the snapshot as its start. ``q_estimates``,
+``gradient_estimate`` and ``CoupledSoftmaxPolicy.score_sums`` take the
+episode axis in front.
+
 Every sample of the chain, here and in the trainer's Monte-Carlo
 evaluation, is stepped by ``_step_blocks``; its docstring states the draw
 order and its one inversion rule, counted in two forms (Python scalars for a
@@ -61,16 +70,20 @@ DRAW_BLOCK = 2**13
 
 @dataclass
 class TwoHorizonRollout:
-    """One sampled episode: snapshot at ``t1``, rewards over ``[t1, t1 + t2]``.
+    """Sampled episodes: snapshot at ``t1``, rewards over ``[t1, t1 + t2]``.
 
-    The snapshot is the integer ``(n,)`` state and action arrays of step
-    ``t1``, as ``_step_blocks`` drew them; ``reward_trace`` has shape ``(t2
-    + 1, n)`` and holds every agent's reward even though each consumer only
-    reads its own neighborhood columns.
+    One episode (``rollout_two_horizon``) has integer ``t1`` and ``t2``, the
+    integer ``(n,)`` state and action arrays of step ``t1`` as
+    ``_step_blocks`` drew them, and a ``reward_trace`` of shape ``(t2 + 1,
+    n)`` that holds every agent's reward even though each consumer only
+    reads its own neighborhood columns. ``E`` episodes side by side
+    (``rollouts_two_horizon``) have ``(E,)`` horizons and ``(E, n)``
+    snapshots, and their ``reward_trace`` ``(sum(t2 + 1), n)`` holds the
+    episodes' windows one after another, in episode order.
     """
 
-    t1: int
-    t2: int
+    t1: int | np.ndarray
+    t2: int | np.ndarray
     snapshot_state: np.ndarray
     snapshot_action: np.ndarray
     reward_trace: np.ndarray
@@ -78,11 +91,12 @@ class TwoHorizonRollout:
 
 @dataclass
 class GradientEstimate:
-    """Per-agent gradient estimates with their scalar return estimates."""
+    """Per-agent gradient estimates with their scalar return estimates, with
+    the rollout's episode axis in front when it has one."""
 
-    grads: np.ndarray  # (n, d)
-    q_values: np.ndarray  # (n,)
-    norms: np.ndarray  # (n,)
+    grads: np.ndarray  # (..., n, d)
+    q_values: np.ndarray  # (..., n)
+    norms: np.ndarray  # (..., n)
     bound: float
 
 
@@ -153,14 +167,17 @@ def _step_blocks(
     every caller in the package does.
 
     With ``last_steps`` ``(E,)``, each episode's last step that counts, the
-    start ``states`` are ``(E, n)`` episodes whose start actions are drawn,
-    ``start`` is 0, and each block comes as a triple: its states and
-    actions, and the indices ``(L,)`` of the ``L`` episodes it covers, in
-    order. The count form drops finished episodes (``_live_count_steps``);
-    the scalar form covers every episode in every block. Dropping keeps the
-    draw order: every block is drawn whole, and a dropped episode's uniforms
-    are drawn and left unused; once no episode is left, the remaining blocks
-    are drawn and nothing is stepped.
+    start ``states`` (and the start ``actions``, when given) are ``(E, n)``
+    episodes, ``start`` is 0, and each block comes as a triple: its states
+    and actions, and the indices ``(L,)`` of the ``L`` episodes it covers,
+    in order. The count form drops finished episodes
+    (``_live_count_steps``); the scalar form covers every episode in every
+    block. Dropping keeps the draw order: every block is drawn whole while
+    an episode is left, and a dropped episode's uniforms are drawn and left
+    unused. Once no episode is left, nothing is stepped and the generator
+    skips the blocks not drawn yet (``_skip_uniforms``): a ``PCG64`` one
+    advances past their uniforms, any other draws them, and either way it
+    ends in the state that drawing them leaves.
 
     Each uniform ``u`` inverts to the first index whose cumulative
     probability exceeds ``u``, or the last index when none does (a float
@@ -221,10 +238,11 @@ def _step_blocks(
         yield from form(m, columns, states, actions, draws, start, lead)
     elif size < BATCH_ENTRIES:
         every = np.arange(len(states))
-        for states_block, actions_block in _scalar_steps(m, columns, states, None, draws, 0, True):
+        scalar = _scalar_steps(m, columns, states, actions, draws, 0, lead)
+        for states_block, actions_block in scalar:
             yield states_block, actions_block, every
     else:
-        yield from _live_count_steps(m, columns, states, draws, last_steps)
+        yield from _live_count_steps(m, columns, states, actions, draws, last_steps, rng, draw_rows)
 
 
 @lru_cache(maxsize=64)
@@ -348,8 +366,11 @@ def _live_count_steps(
     m: FactoredNmarlModel,
     columns: np.ndarray,
     states: np.ndarray,
+    actions: np.ndarray | None,
     draws: Iterator[np.ndarray],
     last_steps: np.ndarray,
+    rng: np.random.Generator,
+    draw_rows: list[int],
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """``_count_steps`` from step 0 for ``(E, n)`` episodes, dropping the
     finished ones; each block comes with the indices of the episodes it
@@ -366,7 +387,9 @@ def _live_count_steps(
     half of the stepped episodes are finished, the carried policy rows and
     actions keep only the others, and every later block takes their columns
     of the drawn uniforms (``take`` along the episode axis). Until then the
-    finished episodes are stepped and yielded with the others.
+    finished episodes are stepped and yielded with the others. Once none is
+    left, ``rng`` skips the blocks not drawn yet (``_skip_uniforms``), which
+    are ``draw_rows``' entries after the ones ``draws`` has given.
     """
     step = _count_stepper(m, columns)
     parked = m.parked_rows()
@@ -374,13 +397,16 @@ def _live_count_steps(
     episodes = len(states)
     live = np.arange(episodes)  # the stepped episodes
     pol_rows = _agent_rows(m.n, m.n_states) + states
-    first = next(draws)
-    actions = _count_at_or_below(columns, pol_rows, first[0])
-    blocks = itertools.chain([first[1:]] if len(first) > 1 else [], draws)
+    if actions is None:
+        first = next(draws)
+        actions = _count_at_or_below(columns, pol_rows, first[0])
+        draws = itertools.chain([first[1:]], draws)
     states_block, actions_block = states[None], actions[None]
     t = 0  # the last step taken
     check = 0  # the first step after which the parked rows are read again
-    for u in blocks:
+    for drawn, u in enumerate(draws, 1):  # ``drawn`` blocks of ``draw_rows`` so far
+        if not len(u):  # step 0 alone: its block holds no step
+            break
         yield states_block, actions_block, live
         done = last_steps <= t
         if parked is not None and t >= check:
@@ -389,8 +415,7 @@ def _live_count_steps(
         if 2 * np.count_nonzero(done) >= len(live):
             keep = np.flatnonzero(~done)
             if not len(keep):
-                for _ in blocks:  # draw the rest; nothing is left to step
-                    pass
+                _skip_uniforms(rng, draw_rows[drawn:], states.shape)
                 return
             live, last_steps = live.take(keep), last_steps.take(keep)
             pol_rows, actions = pol_rows.take(keep, axis=0), actions.take(keep, axis=0)
@@ -399,6 +424,28 @@ def _live_count_steps(
         states_block, actions_block, pol_rows, actions = step(pol_rows, actions, u)
         t += len(states_block)
     yield states_block, actions_block, live
+
+
+def _skip_uniforms(rng: np.random.Generator, draw_rows: list[int], shape: tuple) -> None:
+    """Leave ``rng`` where ``rng.random((k,) + shape)`` for each ``k`` of
+    ``draw_rows`` would leave it.
+
+    ``PCG64`` (``np.random.default_rng``'s) turns one 64-bit output into one
+    double, so it advances by the uniforms' count; ``advance`` drops a
+    buffered 32-bit half, which is put back. Other bit generators draw the
+    blocks.
+    """
+    bit_gen = rng.bit_generator
+    if type(bit_gen) is not np.random.PCG64:
+        for k in draw_rows:
+            rng.random((k,) + shape)
+        return
+    state = bit_gen.state
+    bit_gen.advance(sum(draw_rows) * math.prod(shape))
+    if state["has_uint32"]:
+        advanced = bit_gen.state
+        advanced.update(has_uint32=state["has_uint32"], uinteger=state["uinteger"])
+        bit_gen.state = advanced
 
 
 def _count_stepper(m: FactoredNmarlModel, columns: np.ndarray):
@@ -444,18 +491,25 @@ def _count_at_or_below(
     return (thresholds.take(rows, axis=1) <= u).sum(axis=0, out=out)
 
 
-def _score_trace(
-    m: FactoredNmarlModel, blocks: Iterator[tuple[np.ndarray, np.ndarray]]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """States, actions and rewards ``(steps, n)`` of the steps ``blocks``
-    returns; the rewards in one batched call."""
-    visited = list(blocks)
+def _episode(
+    m: FactoredNmarlModel,
+    tables: np.ndarray,
+    rng: np.random.Generator,
+    start: np.ndarray,
+    start_actions: np.ndarray | None,
+    t1: int,
+    t2: int,
+) -> TwoHorizonRollout:
+    """One episode from the ``(n,)`` ``start``: the steps before ``t1`` are
+    taken but not decoded, and the window's rewards come from one call."""
+    visited = list(_step_blocks(m, tables, start, rng, t1 + t2, start_actions, t1))
     if len(visited) == 1:
         states, actions = visited[0]
     else:
         states = np.concatenate([s for s, _ in visited])
         actions = np.concatenate([a for _, a in visited])
-    return states, actions, np.asarray(m.batch_rewards(states, actions), dtype=float)
+    trace = np.asarray(m.batch_rewards(states, actions), dtype=float)
+    return TwoHorizonRollout(t1, t2, states[0], actions[0], trace)
 
 
 def rollout_two_horizon(
@@ -472,7 +526,9 @@ def rollout_two_horizon(
     executes with its row ``params[i]``) or an ``(n, d)`` shared parameter.
     Draw order is fixed: ``t1``, ``t2``, the start state, then the steps in
     ``_step_blocks``' order. The rewards of the visited steps are scored
-    with one batched call after the last step, which draws nothing.
+    with one batched call after the last step, which draws nothing. This is
+    ``rollouts_two_horizon`` for one episode, with integer horizons and no
+    episode axis.
     """
     t1 = sample_geometric(1.0 - m.gamma, rng)
     t2 = sample_geometric(1.0 - math.sqrt(m.gamma), rng)
@@ -480,27 +536,104 @@ def rollout_two_horizon(
         raise HorizonOverflow(f"sampled horizon {t1 + t2} exceeds cap {max_horizon}")
     if tables is None:
         tables = pol.prob_tables(params)
-    blocks = _step_blocks(m, tables, m.rho.sample(rng, 1)[0], rng, t1 + t2, None, t1)
-    states, actions, trace = _score_trace(m, blocks)
-    return TwoHorizonRollout(
-        t1=t1, t2=t2, snapshot_state=states[0], snapshot_action=actions[0], reward_trace=trace
+    return _episode(m, tables, rng, m.rho.sample(rng, 1)[0], None, t1, t2)
+
+
+def rollouts_two_horizon(
+    m: FactoredNmarlModel,
+    tables: np.ndarray,
+    rng: np.random.Generator,
+    episodes: int,
+) -> TwoHorizonRollout:
+    """Sample ``episodes`` two-horizon episodes side by side under the
+    policy ``tables``.
+
+    Draw order: every ``t1``, then every ``t2``, then the ``(E, n)`` start
+    states, then the steps of all episodes together in ``_step_blocks``'
+    order, each episode up to its own ``t1 + t2``. For one episode these are
+    the draws of ``rollout_two_horizon``, whose values it returns with an
+    episode axis in front. A longest ``t1 + t2`` above ``MAX_HORIZON``
+    raises ``HorizonOverflow`` before any step.
+    """
+    t1 = sample_geometric(1.0 - m.gamma, rng, size=episodes)
+    t2 = sample_geometric(1.0 - math.sqrt(m.gamma), rng, size=episodes)
+    longest = int((t1 + t2).max())
+    if longest > MAX_HORIZON:
+        raise HorizonOverflow(f"sampled horizon {longest} exceeds cap {MAX_HORIZON}")
+    return _episodes(m, tables, rng, m.rho.sample(rng, episodes), None, t1, t2)
+
+
+def _episodes(
+    m: FactoredNmarlModel,
+    tables: np.ndarray,
+    rng: np.random.Generator,
+    starts: np.ndarray,
+    start_actions: np.ndarray | None,
+    t1: np.ndarray,
+    t2: np.ndarray,
+) -> TwoHorizonRollout:
+    """``E`` episodes from the ``(E, n)`` ``starts``, each with its own
+    ``t1`` and ``t2``.
+
+    The episodes are stepped together by ``_step_blocks`` with ``last_steps
+    = t1 + t2``; of each yielded block, the entries inside their episode's
+    window are scored with one reward call and written to the window's rows
+    of the trace, and the entries at ``t1`` are the snapshots.
+    """
+    last = t1 + t2
+    ends = np.cumsum(t2 + 1)
+    firsts = ends - (t2 + 1)  # each window's first row of the trace
+    trace = np.empty((int(ends[-1]), m.n))
+    snapshot_state = np.empty(starts.shape, dtype=np.intp)
+    snapshot_action = np.empty_like(snapshot_state)
+    blocks = _step_blocks(
+        m, tables, starts, rng, int(last.max()), start_actions, last_steps=last
     )
+    t = 0  # the block's first step
+    for states, actions, live in blocks:
+        k = len(states)
+        taus = np.arange(t, t + k)[:, None] - t1.take(live)  # (k, L): steps after t1
+        steps, cols = np.nonzero((taus >= 0) & (taus <= t2.take(live)))
+        if len(steps):
+            covered, taus = live.take(cols), taus[steps, cols]
+            states, actions = states[steps, cols], actions[steps, cols]
+            trace[firsts.take(covered) + taus] = m.batch_rewards(states, actions)
+            at_t1 = taus == 0
+            snapshot_state[covered[at_t1]] = states[at_t1]
+            snapshot_action[covered[at_t1]] = actions[at_t1]
+        t += k
+    return TwoHorizonRollout(t1, t2, snapshot_state, snapshot_action, trace)
 
 
 def q_estimates(roll: TwoHorizonRollout, m: FactoredNmarlModel, kappa_p: int) -> np.ndarray:
     """Every agent's return estimate ``(n,)``: the half-discounted reward sum
-    over its ``kappa_p + kappa_r``-hop neighbors, divided by ``n``.
+    over its ``kappa_p + kappa_r``-hop neighbors, divided by ``n``; ``(E,
+    n)`` for a rollout with an episode axis.
 
-    Each agent's member rewards are added one member at a time, in member
-    order, and its step sums are dotted with the weights in a dot of its
-    own, so an estimate's bits do not depend on the rest of the network.
+    For one episode, with or without an episode axis, each agent's member
+    rewards are added one member at a time, in member order, and its step
+    sums are dotted with the weights in a dot of its own, so an estimate's
+    bits do not depend on the rest of the network. For more, the step sums
+    of all windows come from one product with the hop mask, and each
+    window's weighted step sums are added by ``np.add.reduceat``; these may
+    round differently from the one-episode sums.
     """
-    cols = _member_columns(m.graph, kappa_p + m.kappa_r)
     trace = roll.reward_trace
-    padded = np.concatenate([trace.T, np.zeros((1, len(trace)))])  # (n + 1, t2 + 1)
-    step_sums = np.add.reduce(padded[cols], axis=0)  # (n, t2 + 1), member by member
-    weights = half_discount_weights(m.gamma, roll.t2 + 1)
-    return (step_sums[:, None, :] @ weights[:, None])[:, 0, 0] / m.n
+    one = not isinstance(roll.t2, np.ndarray)
+    if one or len(roll.t2) == 1:  # one window: the trace's t2 + 1 rows
+        cols = _member_columns(m.graph, kappa_p + m.kappa_r)
+        padded = np.concatenate([trace.T, np.zeros((1, len(trace)))])  # (n + 1, t2 + 1)
+        step_sums = np.add.reduce(padded[cols], axis=0)  # (n, t2 + 1), member by member
+        weights = half_discount_weights(m.gamma, len(trace))
+        q_values = (step_sums[:, None, :] @ weights[:, None])[:, 0, 0] / m.n
+        return q_values if one else q_values[None]
+    lengths = roll.t2 + 1
+    firsts = np.cumsum(lengths) - lengths  # each window's first row
+    taus = np.arange(len(trace)) - np.repeat(firsts, lengths)
+    weights = half_discount_weights(m.gamma, int(lengths.max())).take(taus)
+    step_sums = trace @ netgraph.hop_mask(m.graph, kappa_p + m.kappa_r).T  # (rows, n)
+    step_sums *= weights[:, None]
+    return np.add.reduceat(step_sums, firsts) / m.n
 
 
 @lru_cache(maxsize=256)
@@ -541,20 +674,22 @@ def gradient_estimate(
     params: np.ndarray,
     bound: float | None = None,
 ) -> GradientEstimate:
-    """Every agent's gradient estimate from one rollout.
+    """Every agent's gradient estimate from one rollout, or from each
+    episode of a rollout with an episode axis.
 
     Agent ``i`` scores the snapshot with its own estimate row (or the shared
     parameters when ``params`` is ``(n, d)``). Its row reads only that view,
     the snapshot entries within ``kappa_p`` hops and the reward columns
-    within ``kappa_p + kappa_r`` hops.
+    within ``kappa_p + kappa_r`` hops. Every episode's norms are held to
+    ``bound``.
     """
     if bound is None:
         bound = estimate_bound(m, pol)
     q_values = q_estimates(roll, m, pol.spec.kappa_p)
     scores = pol.score_sums(roll.snapshot_state, roll.snapshot_action, params)
-    grads = q_values[:, None] * scores / (1.0 - m.gamma)
-    norms = np.sqrt(np.einsum("ij,ij->i", grads, grads))
-    worst = float(np.maximum.reduce(norms, initial=0.0))
+    grads = q_values[..., None] * scores / (1.0 - m.gamma)
+    norms = np.sqrt(np.einsum("...ij,...ij->...i", grads, grads))
+    worst = float(np.maximum.reduce(norms, axis=None, initial=0.0))
     if worst > bound * (1.0 + 1e-9):
         raise BoundViolated(
             f"gradient-estimate norm {worst:.6g} exceeds analytic cap {bound:.6g}"
@@ -571,18 +706,30 @@ def sample_q_conditional(
     i: int,
     rng: np.random.Generator,
     tables: np.ndarray | None = None,
-) -> float:
+    size: int | None = None,
+) -> float | np.ndarray:
     """One conditional resample of the return estimate from a fixed snapshot.
 
     Draws a fresh ``t2`` and continues the trajectory from the given
     state-action pair; the mean over many such draws is the exact
-    neighbors-averaged action value at the snapshot.
+    neighbors-averaged action value at the snapshot. This is the two-horizon
+    episode with ``t1 = 0``, the snapshot as its start states and start
+    actions. With ``size``, an array of ``size`` resamples: every ``t2`` is
+    drawn first, then the episodes are stepped side by side as in
+    ``rollouts_two_horizon``; one resample draws as a call without ``size``.
     """
     if tables is None:
         tables = pol.prob_tables(params)
-    t2 = sample_geometric(1.0 - math.sqrt(m.gamma), rng)
     start = np.array(snapshot_state, dtype=np.intp)
     start_actions = np.array(snapshot_action, dtype=np.intp)
-    *_, trace = _score_trace(m, _step_blocks(m, tables, start, rng, t2, start_actions))
-    roll = TwoHorizonRollout(0, t2, start, start_actions, trace)
-    return float(q_estimates(roll, m, pol.spec.kappa_p)[i])
+    if size is None:
+        t2 = sample_geometric(1.0 - math.sqrt(m.gamma), rng)
+        roll = _episode(m, tables, rng, start, start_actions, 0, t2)
+        return float(q_estimates(roll, m, pol.spec.kappa_p)[i])
+    t2 = sample_geometric(1.0 - math.sqrt(m.gamma), rng, size=size)
+    shape = (size, len(start))
+    roll = _episodes(
+        m, tables, rng, np.broadcast_to(start, shape), np.broadcast_to(start_actions, shape),
+        np.zeros(size, dtype=np.intp), t2,
+    )
+    return q_estimates(roll, m, pol.spec.kappa_p)[:, i]

@@ -144,13 +144,15 @@ class CoupledSoftmaxPolicy:
         snapshot_actions: Sequence[int],
         params: np.ndarray,
     ) -> np.ndarray:
-        """Every agent's score sum ``(n, d)`` at one joint snapshot.
+        """Every agent's score sum ``(..., n, d)`` at joint snapshots ``(..., n)``.
 
         Row ``i`` sums ``coupling[j, i] * score_j`` over the agents ``j``, that
         is over the ``kappa_p``-hop neighbors of ``i``. ``params`` is ``(n, d)``
         (every agent scores with the same parameters) or an ``(n, n, d)`` stack
         (agent ``i`` scores with its row ``params[i]``). Row ``i`` reads only
-        its parameter view and the snapshot entries of its neighbors.
+        its parameter view and the snapshot entries of its neighbors. Leading
+        snapshot axes, such as an episode axis ``(E, n)``, are scored side by
+        side: each snapshot's rows hold the bits of a call with it alone.
         """
         n, n_states, n_actions = self.n, self.n_states, self.n_actions
         arr = np.asarray(params, dtype=float)
@@ -158,13 +160,21 @@ class CoupledSoftmaxPolicy:
             raise DimensionMismatch(f"unsupported parameter stack shape {arr.shape}")
         states = np.asarray(snapshot_states, dtype=np.intp)
         actions = np.asarray(snapshot_actions, dtype=np.intp)
-        # logits[v, j]: agent j's logits at its snapshot state under view v
+        # logits[..., v, j]: agent j's logits at its snapshot state under view v
         mixed = (self.coupling @ arr).reshape(-1, n * n_states, n_actions)
         logits = mixed.take(self._agent_rows + states, axis=1)
+        # placed[..., s, j] = 1{s_j == s}: the one-hot states, transposed
+        placed = self._state_eye[states]
+        if states.ndim > 1:  # snapshot axes ahead of the view and scorer axes
+            logits = np.moveaxis(logits, 0, -3)
+            actions = actions[..., None, :]
+            placed = np.swapaxes(placed, -1, -2)[..., None, :, :]
+        else:
+            placed = placed.T
         # scorer i's share of agent j's score e_{a_j} - pi_j, which lands in
         # the rows of state s_j
         weighted = self._shares * (self._action_eye[actions] - _softmax_rows(logits))
-        return (self._state_eye[states].T @ weighted).reshape(n, self.d)
+        return (placed @ weighted).reshape(states.shape + (self.d,))
 
     def score_bound(self) -> float:
         """Uniform bound on every single score norm for this policy class."""

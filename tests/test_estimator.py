@@ -16,6 +16,7 @@ from nmarl.estimator import (
     half_discount_weights,
     q_estimate,
     rollout_two_horizon,
+    rollouts_two_horizon,
     sample_geometric,
     sample_q_conditional,
 )
@@ -502,6 +503,162 @@ def test_shipped_rollouts_match_reference(monkeypatch, config, kappa_p):
         want = TwoHorizonRollout(0, t2, snap_s, snap_a, trace)
         assert q == real_q_estimates(want, m, kappa_p)[i]
         assert got_rng.bit_generator.state == want_rng.bit_generator.state, seed
+
+
+def _windows(roll):
+    """A rollout with an episode axis as one ``TwoHorizonRollout`` per episode."""
+    ends = np.cumsum(roll.t2 + 1)
+    return [
+        TwoHorizonRollout(
+            int(roll.t1[e]), int(roll.t2[e]), roll.snapshot_state[e], roll.snapshot_action[e],
+            roll.reward_trace[ends[e] - roll.t2[e] - 1 : ends[e]],
+        )
+        for e in range(len(ends))
+    ]
+
+
+class TestBatchedRollouts:
+    @pytest.mark.parametrize("start", ["product", "fixed"])
+    def test_one_episode_is_rollout_two_horizon(self, start):
+        # the same draws, values and generator state, and the same estimates
+        g = line_graph(3)
+        m = random_table_model(g, np.random.default_rng(4), fixed_start=start == "fixed")
+        pol = CoupledSoftmaxPolicy(g, 2, 2, MixingSpec(kappa_p=1))
+        est = np.random.default_rng(5).uniform(-1, 1, size=(3, 3, 4))
+        tables = pol.prob_tables(est)
+        for seed in range(100):
+            got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = rollouts_two_horizon(m, tables, got_rng, 1)
+            want = rollout_two_horizon(m, est, pol, want_rng, tables=tables)
+            assert got.t1.tolist() == [want.t1] and got.t2.tolist() == [want.t2]
+            np.testing.assert_array_equal(got.snapshot_state, want.snapshot_state[None])
+            np.testing.assert_array_equal(got.snapshot_action, want.snapshot_action[None])
+            np.testing.assert_array_equal(got.reward_trace, want.reward_trace)
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
+            got_est = gradient_estimate(got, m, pol, est)
+            want_est = gradient_estimate(want, m, pol, est)
+            np.testing.assert_array_equal(got_est.grads, want_est.grads[None])
+            np.testing.assert_array_equal(got_est.norms, want_est.norms[None])
+            snap = (want.snapshot_state, want.snapshot_action)
+            i = seed % 3
+            q = sample_q_conditional(m, pol, est, *snap, i, got_rng, tables=tables, size=1)
+            want_q = sample_q_conditional(m, pol, est, *snap, i, want_rng, tables=tables)
+            assert q.tolist() == [want_q]
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+    @pytest.mark.parametrize("episodes", [3, 64])  # the scalar and the count form
+    def test_deterministic_chain_windows(self, episodes):
+        # every agent's state climbs by one per step, whatever the action, and
+        # pays its state: each episode's snapshot and window are fixed by its
+        # own t1 and t2
+        g = line_graph(2)
+        kernel = np.roll(np.eye(7), 1, axis=1)[:, None, :].repeat(2, axis=1)  # s -> s + 1 mod 7
+        m = FactoredNmarlModel(
+            g, 7, 2, [kernel] * 2, lambda s, a: s.astype(float),
+            InitialDistribution.fixed([0, 3]), 0.9,
+        )
+        tables = np.full((2, 7, 2), 0.5)
+        rng = np.random.default_rng(episodes)
+        roll = rollouts_two_horizon(m, tables, rng, episodes)
+        horizons = np.random.default_rng(episodes)
+        np.testing.assert_array_equal(roll.t1, sample_geometric(0.1, horizons, size=episodes))
+        np.testing.assert_array_equal(
+            roll.t2, sample_geometric(1.0 - math.sqrt(0.9), horizons, size=episodes)
+        )
+        assert len(roll.reward_trace) == int(np.sum(roll.t2 + 1))
+        for e, one in enumerate(_windows(roll)):
+            np.testing.assert_array_equal(roll.snapshot_state[e], (np.array([0, 3]) + one.t1) % 7)
+            steps = one.t1 + np.arange(one.t2 + 1)[:, None]
+            np.testing.assert_array_equal(one.reward_trace, (np.array([0, 3]) + steps) % 7)
+
+    @pytest.mark.parametrize("n, episodes", [(2, 40), (3, 5), (5, 12)])
+    def test_episodes_match_reference(self, n, episodes):
+        # horizons, snapshots, windows and the generator state of one
+        # reference trajectory of all episodes, stepped to the longest
+        g = line_graph(n)
+        m = random_table_model(g, np.random.default_rng(n))
+        pol = CoupledSoftmaxPolicy(g, 2, 2, MixingSpec(kappa_p=1))
+        tables = pol.prob_tables(np.random.default_rng(n + 1).uniform(-1, 1, size=(n, n, 4)))
+        got_rng, want_rng = np.random.default_rng(episodes), np.random.default_rng(episodes)
+        roll = rollouts_two_horizon(m, tables, got_rng, episodes)
+        t1 = sample_geometric(1.0 - m.gamma, want_rng, size=episodes)
+        t2 = sample_geometric(1.0 - math.sqrt(m.gamma), want_rng, size=episodes)
+        starts = m.rho.sample(want_rng, episodes)
+        steps = list(support.ref_simulate(m, tables, starts, want_rng, int((t1 + t2).max())))
+        states, actions, rewards = support.ref_score_trace(m, steps)
+        for e, one in enumerate(_windows(roll)):
+            assert (one.t1, one.t2) == (t1[e], t2[e])
+            np.testing.assert_array_equal(one.snapshot_state, states[t1[e], e])
+            np.testing.assert_array_equal(one.snapshot_action, actions[t1[e], e])
+            np.testing.assert_array_equal(one.reward_trace, rewards[t1[e] : t1[e] + t2[e] + 1, e])
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+    def test_conditional_resamples_match_reference(self, pair):
+        m, pol = pair
+        est = np.random.default_rng(31).uniform(-0.5, 0.5, size=(2, 2, 4))
+        tables = pol.prob_tables(est)
+        snap_s, snap_a = np.array([0, 1]), np.array([1, 0])
+        got_rng, want_rng = np.random.default_rng(8), np.random.default_rng(8)
+        got = sample_q_conditional(m, pol, est, snap_s, snap_a, 1, got_rng, tables=tables, size=30)
+        t2 = sample_geometric(1.0 - math.sqrt(m.gamma), want_rng, size=30)
+        starts, start_actions = np.tile(snap_s, (30, 1)), np.tile(snap_a, (30, 1))
+        steps = support.ref_simulate(m, tables, starts, want_rng, int(t2.max()), start_actions)
+        rewards = support.ref_score_trace(m, list(steps))[2]
+        windows = [rewards[: t2[e] + 1, e] for e in range(30)]
+        want = [
+            q_estimate(TwoHorizonRollout(0, len(w) - 1, snap_s, snap_a, w), 1, m, 1)
+            for w in windows
+        ]
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-15)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+    @given(rollouts(), st.sampled_from([2, 7, 40]))
+    @settings(max_examples=40, deadline=None)
+    def test_estimates_match_per_episode(self, inst, episodes):
+        # the episode axis changes the order of the return sums only
+        m, pol, params, _ = inst
+        rng = np.random.default_rng(episodes)
+        roll = rollouts_two_horizon(m, pol.prob_tables(params), rng, episodes)
+        est = gradient_estimate(roll, m, pol, params)
+        assert est.grads.shape == (episodes, m.n, pol.d)
+        for e, one in enumerate(_windows(roll)):
+            want = gradient_estimate(one, m, pol, params)
+            np.testing.assert_allclose(est.q_values[e], want.q_values, rtol=1e-13, atol=1e-15)
+            np.testing.assert_allclose(est.grads[e], want.grads, rtol=1e-13, atol=1e-15)
+            np.testing.assert_allclose(est.norms[e], want.norms, rtol=1e-13, atol=1e-15)
+
+    def test_horizon_overflow(self, pair, monkeypatch):
+        m, pol = pair
+        monkeypatch.setattr(estimator, "MAX_HORIZON", 0)
+        tables = pol.prob_tables(pol.zero_params())
+        with pytest.raises(HorizonOverflow):
+            rollouts_two_horizon(m, tables, np.random.default_rng(0), 50)
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937])
+def test_finished_episodes_leave_the_generator_where_drawing_would(bit_generator):
+    # once every episode is past its last step the remaining blocks are
+    # skipped (PCG64 advances, others draw), and the generator ends where
+    # drawing every block leaves it, a buffered 32-bit half included
+    g = line_graph(5)
+    m = random_table_model(g, np.random.default_rng(6))
+    tables = CoupledSoftmaxPolicy(g, 2, 2, MixingSpec(kappa_p=1)).prob_tables(np.zeros((5, 4)))
+    for last in (0, 3, 40):
+        got_rng, want_rng = (np.random.Generator(bit_generator(last)) for _ in range(2))
+        for rng in (got_rng, want_rng):
+            rng.integers(0, 10)  # leaves a 32-bit half buffered
+        starts = m.rho.sample(got_rng, 30)
+        want_starts = m.rho.sample(want_rng, 30)
+        last_steps = np.full(30, last)
+        with patch.object(estimator, "DRAW_BLOCK", 256):  # several blocks
+            got = list(
+                estimator._step_blocks(m, tables, starts, got_rng, 200, None, last_steps=last_steps)
+            )
+            want = list(estimator._step_blocks(m, tables, want_starts, want_rng, 200, None))
+        assert sum(len(s) for s, *_ in got) <= last + 3
+        assert sum(len(s) for s, _ in want) == 201
+        np.testing.assert_equal(got_rng.bit_generator.state, want_rng.bit_generator.state)
+        assert got_rng.integers(0, 2**32) == want_rng.integers(0, 2**32)
 
 
 class TestUnbiasednessSmoke:

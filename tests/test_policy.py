@@ -274,6 +274,24 @@ class TestScoreSum:
         assert np.linalg.norm(total) <= line5_policy.score_bound() * m_kp
 
 
+@pytest.mark.parametrize("kappa_p", [0, 1, 2])
+@pytest.mark.parametrize("stack", [False, True])
+@pytest.mark.parametrize("kind", ["line", "ring", "star"])
+def test_score_sums_episode_axis_matches_single_calls(kind, stack, kappa_p):
+    # leading snapshot axes score each snapshot as a call with it alone, bit for bit
+    g = support.shaped_graph(kind, 6)
+    pol = CoupledSoftmaxPolicy(g, 3, 2, MixingSpec(kappa_p=kappa_p))
+    rng = np.random.default_rng([kappa_p, stack])
+    params = rng.uniform(-5, 5, size=(6, 6, pol.d) if stack else (6, pol.d))
+    states, actions = rng.integers(3, size=(40, 6)), rng.integers(2, size=(40, 6))
+    batched = pol.score_sums(states, actions, params)
+    assert batched.shape == (40, 6, pol.d)
+    for e in range(40):
+        np.testing.assert_array_equal(batched[e], pol.score_sums(states[e], actions[e], params))
+    nested = pol.score_sums(states.reshape(8, 5, 6), actions.reshape(8, 5, 6), params)
+    np.testing.assert_array_equal(nested, batched.reshape(8, 5, 6, pol.d))
+
+
 class TestSampling:
     # Joint actions are drawn by step 0 of estimator._step_blocks, each test
     # in one batched call.
