@@ -18,13 +18,13 @@ analytic cap on every sample; a violation is an implementation bug, never a
 data error.
 
 ``rollouts_two_horizon`` draws ``E`` episodes side by side, for ``verify``'s
-statistical checks and training with ``batch > 1``: every ``t1``, then every
-``t2``, then the ``(E, n)`` start states, then the steps of all episodes
-together, each up to its own ``t1 + t2``. For one episode these are the
-draws of ``rollout_two_horizon``; ``sample_q_conditional`` is the same
-episode with ``t1 = 0`` and the snapshot as its start. ``q_estimates``,
-``gradient_estimate`` and ``CoupledSoftmaxPolicy.score_sums`` take the
-episode axis in front.
+statistical checks: every ``t1``, then every ``t2``, then the ``(E, n)``
+start states, then the steps of all episodes together, each up to its own
+``t1 + t2``. For one episode these are the draws of ``rollout_two_horizon``,
+which steps its one trajectory without the batch's bookkeeping;
+``sample_q_conditional`` is the batch with ``t1 = 0`` and the snapshot as
+its start. ``q_estimates``, ``gradient_estimate`` and
+``CoupledSoftmaxPolicy.score_sums`` take the episode axis in front.
 
 Every sample of the chain, here and in the trainer's Monte-Carlo
 evaluation, is stepped by ``_step_blocks``; its docstring states the draw
@@ -139,7 +139,7 @@ def _step_blocks(
     rng: np.random.Generator,
     steps: int,
     actions: np.ndarray | None,
-    start: int = 0,
+    start: int | np.ndarray = 0,
     last_steps: np.ndarray | None = None,
 ) -> Iterator[tuple[np.ndarray, ...]]:
     """Step the chain under the per-agent policy ``tables`` ``(n, S, A)``.
@@ -168,9 +168,11 @@ def _step_blocks(
 
     With ``last_steps`` ``(E,)``, each episode's last step that counts, the
     start ``states`` (and the start ``actions``, when given) are ``(E, n)``
-    episodes, ``start`` is 0, and each block comes as a triple: its states
-    and actions, and the indices ``(L,)`` of the ``L`` episodes it covers,
-    in order. The count form drops finished episodes
+    episodes, ``start`` is each episode's first step that counts (one for
+    all or ``(E,)``, the blocks start at the earliest), and each block comes
+    as a triple: its states and actions, and the indices ``(L,)`` of the
+    ``L`` episodes it covers, in order. The count form drops finished
+    episodes, a parked one only once its first step is yielded
     (``_live_count_steps``); the scalar form covers every episode in every
     block. Dropping keeps the draw order: every block is drawn whole while
     an episode is left, and a dropped episode's uniforms are drawn and left
@@ -238,11 +240,13 @@ def _step_blocks(
         yield from form(m, columns, states, actions, draws, start, lead)
     elif size < BATCH_ENTRIES:
         every = np.arange(len(states))
-        scalar = _scalar_steps(m, columns, states, actions, draws, 0, lead)
+        scalar = _scalar_steps(m, columns, states, actions, draws, int(np.min(start)), lead)
         for states_block, actions_block in scalar:
             yield states_block, actions_block, every
     else:
-        yield from _live_count_steps(m, columns, states, actions, draws, last_steps, rng, draw_rows)
+        yield from _live_count_steps(
+            m, columns, states, actions, draws, start, last_steps, rng, draw_rows
+        )
 
 
 @lru_cache(maxsize=64)
@@ -368,34 +372,39 @@ def _live_count_steps(
     states: np.ndarray,
     actions: np.ndarray | None,
     draws: Iterator[np.ndarray],
+    start: int | np.ndarray,
     last_steps: np.ndarray,
     rng: np.random.Generator,
     draw_rows: list[int],
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """``_count_steps`` from step 0 for ``(E, n)`` episodes, dropping the
-    finished ones; each block comes with the indices of the episodes it
-    covers.
+    """``_count_steps`` for ``(E, n)`` episodes, dropping the finished ones;
+    each block comes with the indices of the episodes it covers.
 
-    After each yielded block, an episode is finished when the block's last
-    step is at or past its ``last_steps`` entry, or when every one of its
-    agents sits on a parked row (``model.parked_rows``): it stays there and
-    earns ``+0.0`` at every later step. A read of the parked rows costs
-    about as much as a step, so they are read after step 0 and then after
-    the first block that ends at or past ``t + 1 + t // 4``, ``t`` the last
-    read (steps 0, 1, 2, 3, 4, 6, 8, 11, 14, 18, ... at one step per block);
-    agents stay parked, so a later read misses no episode. Once at least
-    half of the stepped episodes are finished, the carried policy rows and
-    actions keep only the others, and every later block takes their columns
-    of the drawn uniforms (``take`` along the episode axis). Until then the
-    finished episodes are stepped and yielded with the others. Once none is
-    left, ``rng`` skips the blocks not drawn yet (``_skip_uniforms``), which
-    are ``draw_rows``' entries after the ones ``draws`` has given.
+    ``start`` is every episode's first step that counts, one for all or
+    ``(E,)``: the steps before the earliest are taken but not yielded. After
+    each yielded block, an episode is finished when the block's last step is
+    at or past its ``last_steps`` entry, or when it is at or past its
+    ``start`` and every one of its agents sits on a parked row
+    (``model.parked_rows``): it stays there and earns ``+0.0`` at every later
+    step. A read of the parked rows costs about as much as a step, so they
+    are read after step 0 and then after the first block that ends at or
+    past ``t + 1 + t // 4``, ``t`` the last read (steps 0, 1, 2, 3, 4, 6, 8,
+    11, 14, 18, ... at one step per block); agents stay parked, so a later
+    read misses no episode. Once at least half of the stepped episodes are
+    finished, the carried policy rows and actions keep only the others, and
+    every later block takes their columns of the drawn uniforms (``take``
+    along the episode axis). Until then the finished episodes are stepped
+    and yielded with the others. Once none is left, ``rng`` skips the blocks
+    not drawn yet (``_skip_uniforms``), which are ``draw_rows``' entries
+    after the ones ``draws`` has given.
     """
     step = _count_stepper(m, columns)
     parked = m.parked_rows()
     parked = parked if parked.any() else None
     episodes = len(states)
     live = np.arange(episodes)  # the stepped episodes
+    firsts = np.full(last_steps.shape, start)
+    kept_from = int(firsts.min())  # the first step yielded
     pol_rows = _agent_rows(m.n, m.n_states) + states
     if actions is None:
         first = next(draws)
@@ -404,26 +413,30 @@ def _live_count_steps(
     states_block, actions_block = states[None], actions[None]
     t = 0  # the last step taken
     check = 0  # the first step after which the parked rows are read again
-    for drawn, u in enumerate(draws, 1):  # ``drawn`` blocks of ``draw_rows`` so far
-        if not len(u):  # step 0 alone: its block holds no step
-            break
-        yield states_block, actions_block, live
+    # ``drawn`` blocks of ``draw_rows`` so far; None once every one is stepped
+    for drawn, u in enumerate(itertools.chain(draws, [None]), 1):
+        if t >= kept_from:  # the block ends at or past kept_from
+            skip = kept_from + len(states_block) - 1 - t  # its steps before kept_from
+            if skip > 0:
+                states_block, actions_block = states_block[skip:], actions_block[skip:]
+            yield states_block, actions_block, live
+        if u is None or not len(u):  # no block left, or step 0 alone
+            return
         done = last_steps <= t
         if parked is not None and t >= check:
-            done |= parked.take(pol_rows).all(axis=-1)
+            done |= parked.take(pol_rows).all(axis=-1) & (firsts <= t)
             check = t + 1 + t // 4
         if 2 * np.count_nonzero(done) >= len(live):
             keep = np.flatnonzero(~done)
             if not len(keep):
                 _skip_uniforms(rng, draw_rows[drawn:], states.shape)
                 return
-            live, last_steps = live.take(keep), last_steps.take(keep)
+            live, last_steps, firsts = live.take(keep), last_steps.take(keep), firsts.take(keep)
             pol_rows, actions = pol_rows.take(keep, axis=0), actions.take(keep, axis=0)
         if len(live) < episodes:
             u = u.take(live, axis=1)
         states_block, actions_block, pol_rows, actions = step(pol_rows, actions, u)
         t += len(states_block)
-    yield states_block, actions_block, live
 
 
 def _skip_uniforms(rng: np.random.Generator, draw_rows: list[int], shape: tuple) -> None:
@@ -491,25 +504,18 @@ def _count_at_or_below(
     return (thresholds.take(rows, axis=1) <= u).sum(axis=0, out=out)
 
 
-def _episode(
-    m: FactoredNmarlModel,
-    tables: np.ndarray,
-    rng: np.random.Generator,
-    start: np.ndarray,
-    start_actions: np.ndarray | None,
-    t1: int,
-    t2: int,
-) -> TwoHorizonRollout:
-    """One episode from the ``(n,)`` ``start``: the steps before ``t1`` are
-    taken but not decoded, and the window's rewards come from one call."""
-    visited = list(_step_blocks(m, tables, start, rng, t1 + t2, start_actions, t1))
+def _score_trace(
+    m: FactoredNmarlModel, blocks: Iterator[tuple[np.ndarray, np.ndarray]]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """States, actions and rewards ``(steps, n)`` of the steps ``blocks``
+    returns; the rewards in one batched call."""
+    visited = list(blocks)
     if len(visited) == 1:
         states, actions = visited[0]
     else:
         states = np.concatenate([s for s, _ in visited])
         actions = np.concatenate([a for _, a in visited])
-    trace = np.asarray(m.batch_rewards(states, actions), dtype=float)
-    return TwoHorizonRollout(t1, t2, states[0], actions[0], trace)
+    return states, actions, np.asarray(m.batch_rewards(states, actions), dtype=float)
 
 
 def rollout_two_horizon(
@@ -526,9 +532,12 @@ def rollout_two_horizon(
     executes with its row ``params[i]``) or an ``(n, d)`` shared parameter.
     Draw order is fixed: ``t1``, ``t2``, the start state, then the steps in
     ``_step_blocks``' order. The rewards of the visited steps are scored
-    with one batched call after the last step, which draws nothing. This is
-    ``rollouts_two_horizon`` for one episode, with integer horizons and no
-    episode axis.
+    with one batched call after the last step, which draws nothing.
+
+    This is ``rollouts_two_horizon`` for one episode (the same draws, values
+    and generator state), with integer horizons and no episode axis, minus
+    the window bookkeeping of ``_episodes``, which made one episode of the
+    shipped models 1.5-2 times slower.
     """
     t1 = sample_geometric(1.0 - m.gamma, rng)
     t2 = sample_geometric(1.0 - math.sqrt(m.gamma), rng)
@@ -536,7 +545,11 @@ def rollout_two_horizon(
         raise HorizonOverflow(f"sampled horizon {t1 + t2} exceeds cap {max_horizon}")
     if tables is None:
         tables = pol.prob_tables(params)
-    return _episode(m, tables, rng, m.rho.sample(rng, 1)[0], None, t1, t2)
+    blocks = _step_blocks(m, tables, m.rho.sample(rng, 1)[0], rng, t1 + t2, None, t1)
+    states, actions, trace = _score_trace(m, blocks)
+    return TwoHorizonRollout(
+        t1=t1, t2=t2, snapshot_state=states[0], snapshot_action=actions[0], reward_trace=trace
+    )
 
 
 def rollouts_two_horizon(
@@ -550,10 +563,8 @@ def rollouts_two_horizon(
 
     Draw order: every ``t1``, then every ``t2``, then the ``(E, n)`` start
     states, then the steps of all episodes together in ``_step_blocks``'
-    order, each episode up to its own ``t1 + t2``. For one episode these are
-    the draws of ``rollout_two_horizon``, whose values it returns with an
-    episode axis in front. A longest ``t1 + t2`` above ``MAX_HORIZON``
-    raises ``HorizonOverflow`` before any step.
+    order, each episode up to its own ``t1 + t2``. A longest ``t1 + t2``
+    above ``MAX_HORIZON`` raises ``HorizonOverflow`` before any step.
     """
     t1 = sample_geometric(1.0 - m.gamma, rng, size=episodes)
     t2 = sample_geometric(1.0 - math.sqrt(m.gamma), rng, size=episodes)
@@ -575,33 +586,34 @@ def _episodes(
     """``E`` episodes from the ``(E, n)`` ``starts``, each with its own
     ``t1`` and ``t2``.
 
-    The episodes are stepped together by ``_step_blocks`` with ``last_steps
-    = t1 + t2``; of each yielded block, the entries inside their episode's
-    window are scored with one reward call and written to the window's rows
-    of the trace, and the entries at ``t1`` are the snapshots.
+    The episodes are stepped together by ``_step_blocks`` from ``start =
+    t1`` to ``last_steps = t1 + t2``, so the steps before an episode's
+    window are taken but, before the earliest ``t1``, not decoded. Of each
+    yielded block, the entries inside their episode's window are scored
+    with one reward call and written to the window's rows of the trace, and
+    the entries at ``t1`` are the snapshots. An episode the count form drops
+    as parked after its ``t1`` earns ``+0.0`` at every later step, which the
+    trace's zeros hold.
     """
     last = t1 + t2
     ends = np.cumsum(t2 + 1)
-    firsts = ends - (t2 + 1)  # each window's first row of the trace
-    trace = np.empty((int(ends[-1]), m.n))
+    rows = ends - (t2 + 1) - t1  # each episode's trace row of step 0
+    trace = np.zeros((int(ends[-1]), m.n))
     snapshot_state = np.empty(starts.shape, dtype=np.intp)
     snapshot_action = np.empty_like(snapshot_state)
-    blocks = _step_blocks(
-        m, tables, starts, rng, int(last.max()), start_actions, last_steps=last
-    )
-    t = 0  # the block's first step
+    blocks = _step_blocks(m, tables, starts, rng, int(last.max()), start_actions, t1, last)
+    t = int(t1.min())  # the block's first step
     for states, actions, live in blocks:
-        k = len(states)
-        taus = np.arange(t, t + k)[:, None] - t1.take(live)  # (k, L): steps after t1
-        steps, cols = np.nonzero((taus >= 0) & (taus <= t2.take(live)))
-        if len(steps):
-            covered, taus = live.take(cols), taus[steps, cols]
-            states, actions = states[steps, cols], actions[steps, cols]
-            trace[firsts.take(covered) + taus] = m.batch_rewards(states, actions)
-            at_t1 = taus == 0
+        steps = np.arange(t, t + len(states))[:, None]
+        at, cols = np.nonzero((steps >= t1.take(live)) & (steps <= last.take(live)))
+        if len(at):
+            states, actions = states[at, cols], actions[at, cols]
+            covered, at = live.take(cols), at + t  # the entries' episodes and steps
+            trace[rows.take(covered) + at] = m.batch_rewards(states, actions)
+            at_t1 = at == t1.take(covered)
             snapshot_state[covered[at_t1]] = states[at_t1]
             snapshot_action[covered[at_t1]] = actions[at_t1]
-        t += k
+        t += len(steps)
     return TwoHorizonRollout(t1, t2, snapshot_state, snapshot_action, trace)
 
 
@@ -708,28 +720,26 @@ def sample_q_conditional(
     tables: np.ndarray | None = None,
     size: int | None = None,
 ) -> float | np.ndarray:
-    """One conditional resample of the return estimate from a fixed snapshot.
+    """Conditional resamples of the return estimate from a fixed snapshot.
 
     Draws a fresh ``t2`` and continues the trajectory from the given
     state-action pair; the mean over many such draws is the exact
     neighbors-averaged action value at the snapshot. This is the two-horizon
     episode with ``t1 = 0``, the snapshot as its start states and start
-    actions. With ``size``, an array of ``size`` resamples: every ``t2`` is
-    drawn first, then the episodes are stepped side by side as in
-    ``rollouts_two_horizon``; one resample draws as a call without ``size``.
+    actions: every ``t2`` is drawn first, then the episodes are stepped side
+    by side as in ``rollouts_two_horizon``. Returns an array of ``size``
+    resamples, or one resample as a float without ``size``, which draws as
+    ``size = 1`` does.
     """
     if tables is None:
         tables = pol.prob_tables(params)
-    start = np.array(snapshot_state, dtype=np.intp)
-    start_actions = np.array(snapshot_action, dtype=np.intp)
-    if size is None:
-        t2 = sample_geometric(1.0 - math.sqrt(m.gamma), rng)
-        roll = _episode(m, tables, rng, start, start_actions, 0, t2)
-        return float(q_estimates(roll, m, pol.spec.kappa_p)[i])
-    t2 = sample_geometric(1.0 - math.sqrt(m.gamma), rng, size=size)
-    shape = (size, len(start))
+    t2 = sample_geometric(1.0 - math.sqrt(m.gamma), rng, size=size or 1)
+    shape = (len(t2), len(snapshot_state))
     roll = _episodes(
-        m, tables, rng, np.broadcast_to(start, shape), np.broadcast_to(start_actions, shape),
-        np.zeros(size, dtype=np.intp), t2,
+        m, tables, rng,
+        np.broadcast_to(np.asarray(snapshot_state, dtype=np.intp), shape),
+        np.broadcast_to(np.asarray(snapshot_action, dtype=np.intp), shape),
+        np.zeros(len(t2), dtype=np.intp), t2,
     )
-    return q_estimates(roll, m, pol.spec.kappa_p)[:, i]
+    q_values = q_estimates(roll, m, pol.spec.kappa_p)[:, i]
+    return q_values if size is not None else float(q_values[0])

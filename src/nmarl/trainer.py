@@ -2,14 +2,13 @@
 
 Per iteration ``t = 1..T``: a push-sum mixing round refreshes every agent's
 parameter estimates, a two-horizon rollout under the executed policy yields
-per-agent gradient estimates (with ``batch > 1``, the mean over that many
-episodes, drawn side by side by ``estimator.rollouts_two_horizon``), the
-true parameters take a diminishing gradient step, and the parameter changes
-are injected back into the protocol. Iteration ``T`` records final metrics
-without updating, so a run with ``T`` iterations performs ``T - 1`` updates
-and emits ``T`` record rows. Runs are deterministic per seed; per-purpose
-rng streams are derived from the master seed by fixed labels so that
-changing the evaluation load never perturbs the training trajectory.
+per-agent gradient estimates, the true parameters take a diminishing
+gradient step, and the parameter changes are injected back into the
+protocol. Iteration ``T`` records final metrics without updating, so a run
+with ``T`` iterations performs ``T - 1`` updates and emits ``T`` record
+rows. Runs are deterministic per seed; per-purpose rng streams are derived
+from the master seed by fixed labels so that changing the evaluation load
+never perturbs the training trajectory.
 """
 
 from __future__ import annotations
@@ -207,15 +206,15 @@ def run_dscp(
                 grads = gradient_override(theta, t)
             else:
                 tables = pol.prob_tables(exec_params)
-                if cfg.batch == 1:
+                grads = None
+                for _ in range(cfg.batch):
                     roll = estimator.rollout_two_horizon(
                         m, exec_params, pol, rng, tables=tables
                     )
-                    grads = estimator.gradient_estimate(roll, m, pol, exec_params, bound).grads
-                else:  # the batch's episodes side by side, then their mean
-                    rolls = estimator.rollouts_two_horizon(m, tables, rng, cfg.batch)
-                    est = estimator.gradient_estimate(rolls, m, pol, exec_params, bound)
-                    grads = est.grads.sum(axis=0) / cfg.batch
+                    est = estimator.gradient_estimate(roll, m, pol, exec_params, bound)
+                    grads = est.grads if grads is None else grads + est.grads
+                if cfg.batch > 1:
+                    grads /= cfg.batch
             flat = grads.ravel()
             grad_norm = math.sqrt(flat @ flat)  # np.linalg.norm's sum of squares
             deltas = lr * grads

@@ -565,11 +565,16 @@ class TestBatchedRollouts:
         np.testing.assert_array_equal(
             roll.t2, sample_geometric(1.0 - math.sqrt(0.9), horizons, size=episodes)
         )
-        assert len(roll.reward_trace) == int(np.sum(roll.t2 + 1))
-        for e, one in enumerate(_windows(roll)):
-            np.testing.assert_array_equal(roll.snapshot_state[e], (np.array([0, 3]) + one.t1) % 7)
-            steps = one.t1 + np.arange(one.t2 + 1)[:, None]
-            np.testing.assert_array_equal(one.reward_trace, (np.array([0, 3]) + steps) % 7)
+        # and with every t1 at least 2, so that no block holds a window's step 0
+        late = estimator._episodes(
+            m, tables, rng, np.tile([0, 3], (episodes, 1)), None, roll.t1 + 2, roll.t2
+        )
+        for batch in (roll, late):
+            assert len(batch.reward_trace) == int(np.sum(batch.t2 + 1))
+            for e, one in enumerate(_windows(batch)):
+                np.testing.assert_array_equal(one.snapshot_state, (np.array([0, 3]) + one.t1) % 7)
+                steps = one.t1 + np.arange(one.t2 + 1)[:, None]
+                np.testing.assert_array_equal(one.reward_trace, (np.array([0, 3]) + steps) % 7)
 
     @pytest.mark.parametrize("n, episodes", [(2, 40), (3, 5), (5, 12)])
     def test_episodes_match_reference(self, n, episodes):
@@ -591,6 +596,40 @@ class TestBatchedRollouts:
             np.testing.assert_array_equal(one.snapshot_state, states[t1[e], e])
             np.testing.assert_array_equal(one.snapshot_action, actions[t1[e], e])
             np.testing.assert_array_equal(one.reward_trace, rewards[t1[e] : t1[e] + t2[e] + 1, e])
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+    @pytest.mark.parametrize("episodes", [8, 40])  # the count form: 80 and 400 entries
+    def test_parked_episodes_match_reference(self, episodes):
+        # shipped path planning parks every robot at its destination; an
+        # episode dropped as parked keeps its snapshot at t1 and the +0.0
+        # rewards of the rest of its window
+        run = load_config("configs/path_planning.json")
+        m = run.build_model()
+        pol = CoupledSoftmaxPolicy(run.graph, m.n_states, m.n_actions, MixingSpec(kappa_p=1))
+        tables = pol.prob_tables(pol.zero_params())
+        parked_rows = m.parked_rows()  # its own reward call comes first
+        rewards, scored = m.batch_rewards, []
+
+        def counted(states, acts):
+            scored.append(len(states))
+            return rewards(states, acts)
+
+        m.batch_rewards = counted
+        got_rng, want_rng = np.random.default_rng(3), np.random.default_rng(3)
+        roll = rollouts_two_horizon(m, tables, got_rng, episodes)
+        m.batch_rewards = rewards
+        t1 = sample_geometric(1.0 - m.gamma, want_rng, size=episodes)
+        t2 = sample_geometric(1.0 - math.sqrt(m.gamma), want_rng, size=episodes)
+        starts = m.rho.sample(want_rng, episodes)
+        steps = list(support.ref_simulate(m, tables, starts, want_rng, int((t1 + t2).max())))
+        states, actions, want = support.ref_score_trace(m, steps)
+        parked = parked_rows.take(np.arange(m.n) * m.n_states + states).all(axis=-1)
+        assert (parked & (np.arange(len(parked))[:, None] < t1)).any()  # some before its t1
+        assert sum(scored) < np.sum(t2 + 1)  # and some before its window ends
+        for e, one in enumerate(_windows(roll)):
+            np.testing.assert_array_equal(one.snapshot_state, states[t1[e], e])
+            np.testing.assert_array_equal(one.snapshot_action, actions[t1[e], e])
+            np.testing.assert_array_equal(one.reward_trace, want[t1[e] : t1[e] + t2[e] + 1, e])
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
     def test_conditional_resamples_match_reference(self, pair):

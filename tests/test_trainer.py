@@ -148,18 +148,6 @@ class TestRunDscp:
         theta_b3, _ = run_dscp(m, g, DscpConfig(iterations=10, seed=9, batch=3))
         assert not np.array_equal(theta_b1, theta_b3)
 
-    def test_batch_update_is_the_mean_of_side_by_side_estimates(self):
-        # batch > 1 draws its episodes with one rollouts_two_horizon call
-        g = line_graph(3)
-        m = random_table_model(g, np.random.default_rng(5), fixed_start=True)
-        cfg = DscpConfig(iterations=2, kappa_p=0, seed=9, batch=4)
-        theta, _ = run_dscp(m, g, cfg)
-        pol = CoupledSoftmaxPolicy(g, 2, 2, cfg.mixing())
-        zero = pol.zero_params()
-        rolls = estimator.rollouts_two_horizon(m, pol.prob_tables(zero), trainer._train_rng(9), 4)
-        grads = estimator.gradient_estimate(rolls, m, pol, zero).grads
-        np.testing.assert_array_equal(theta, learning_rate(cfg, 1) * (grads.sum(axis=0) / 4))
-
     def test_oracle_gradient_steps_increase_objective(self):
         # the ascent sanity check: substitute the exact gradient for the
         # sampled one and watch the exact objective increase monotonically
