@@ -141,9 +141,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             f"--kappa-p lists {repeated} more than once; each value trains into its own kp<k>/"
         )
     seeds = run.seeds if args.seed is None else check_seeds([args.seed])
-    configs = [replace(run.dscp, kappa_p=kappa) for kappa in kappas]
-    for cfg in configs:
-        cfg.validate()
+    configs = [replace(run.dscp, kappa_p=kappa) for kappa in kappas]  # each validated
     model = run.build_model()
     model.validate()
     out = Path(args.out or run.out_dir)

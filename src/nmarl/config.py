@@ -150,7 +150,6 @@ def parse_config(obj: dict, overrides: list[str] | None = None) -> RunConfig:
         graph = netgraph.ring_graph(len(starts))
 
     dscp = construct(DscpConfig, _dscp_values(obj.get("dscp", {})), "dscp block")
-    dscp.validate()
 
     return RunConfig(
         env_name=env_name,

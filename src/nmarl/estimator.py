@@ -23,18 +23,21 @@ start states, then the steps of all episodes together, each up to its own
 ``t1 + t2``. For one episode these are the draws of ``rollout_two_horizon``,
 which steps its one trajectory without the batch's bookkeeping;
 ``sample_q_conditional`` is the batch with ``t1 = 0`` and the snapshot as
-its start. ``q_estimates``, ``gradient_estimate`` and
+its start. All three take the policy as its ``(n, S, A)`` probability
+tables. ``q_estimates``, ``gradient_estimate`` and
 ``CoupledSoftmaxPolicy.score_sums`` take the episode axis in front.
 
 Every sample of the chain, here and in the trainer's Monte-Carlo
-evaluation, is stepped by ``_step_blocks``; its docstring states the draw
-order and its one inversion rule, counted in two forms (Python scalars for a
-single trajectory, whole arrays for batches of episodes) that pick the same
-index for every uniform: a draw at or beyond a float cumsum that ends below
-1 still lands on the last index. Uniforms lie in ``[0, 1)``, so a kernel
-threshold at or above 1 is never reached and ``model.kernel_support`` drops
-it; on one-hot kernels none is left and a step is two table lookups of the
-entry's flat kernel row.
+evaluation, is stepped by ``_step_blocks`` under one inversion rule: a draw
+at or beyond a float cumsum that ends below 1 still lands on the last index.
+It counts that index in one of two forms, which pick the same index for
+every uniform: a single trajectory, and an episode batch of fewer than
+``BATCH_ENTRIES`` entries, walk on Python scalars; an episode batch of at
+least ``BATCH_ENTRIES`` entries counts whole arrays, drops its parked and
+finished episodes and skips the uniforms after the last one. Uniforms lie in
+``[0, 1)``, so a kernel threshold at or above 1 is never reached and
+``model.kernel_support`` drops it; on one-hot kernels none is left and a
+step is two table lookups of the entry's flat kernel row.
 """
 
 from __future__ import annotations
@@ -49,14 +52,15 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import netgraph
-from .errors import BoundViolated, HorizonOverflow, InvalidProbability
+from .errors import BoundViolated, ConfigError, HorizonOverflow, InvalidProbability
 from .model import FactoredNmarlModel
 from .policy import CoupledSoftmaxPolicy
 
 MAX_HORIZON = 10**7
-# _step_blocks inputs of at least this many entries count whole threshold
-# arrays: on both shipped models the array count overtakes the scalar bisect
-# form between ~40 and ~55 entries (measured on a 2-vCPU x86 machine)
+# _step_blocks episode batches of at least this many entries count whole
+# threshold arrays: on both shipped models the array count overtakes the
+# scalar bisect form between ~40 and ~55 entries (measured on a 2-vCPU x86
+# machine)
 BATCH_ENTRIES = 48
 # Most uniforms _step_blocks draws per rng.random call. At 2**13 a block's
 # uniforms and the reward temporaries of scoring it stay at or below 64 KB. On
@@ -148,7 +152,7 @@ def _step_blocks(
     steps a single trajectory or a batch of episodes. Yields the steps from
     ``start`` on as integer states and actions ``(k, ...)`` of ``k``
     consecutive steps at a time, one array pair per drawn block: step 0 in
-    the first pair of the scalar form and alone in the count form. Steps
+    the first pair of the scalar walk and alone in the count form. Steps
     before ``start`` are taken, drawing what they draw, but not returned.
 
     Every sample of the chain in the package is drawn here, in one order: at
@@ -173,7 +177,7 @@ def _step_blocks(
     as a triple: its states and actions, and the indices ``(L,)`` of the
     ``L`` episodes it covers, in order. The count form drops finished
     episodes, a parked one only once its first step is yielded
-    (``_live_count_steps``); the scalar form covers every episode in every
+    (``_live_count_steps``); the scalar walk covers every episode in every
     block. Dropping keeps the draw order: every block is drawn whole while
     an episode is left, and a dropped episode's uniforms are drawn and left
     unused. Once no episode is left, nothing is stepped and the generator
@@ -194,24 +198,24 @@ def _step_blocks(
     the sum of every flat policy row's first ``c + 1`` probabilities, added
     in column order as ``np.cumsum`` adds them, so it holds the bits of the
     cumsum's first ``A - 1`` columns. Two forms take the count, value for
-    value:
+    value, by one rule:
 
-    * inputs of fewer than ``BATCH_ENTRIES`` entries, such as a training
-      rollout's ``(n,)`` trajectory, step on Python floats
-      (``_scalar_steps``). Each entry carries its flat kernel row ``r = p *
-      A + a``, ``p = agent * S + s`` its flat policy row, and walks ``p =
-      successor_rows[r][bisect_right(thresholds[r], u)]`` (just
-      ``only_rows[r]`` when no kernel row keeps a threshold), then ``r = p *
-      A + bisect_right(policy[p], u')``: the policy's thresholds as the
-      Python lists ``columns.T``, the kernel's cached by
+    * a single trajectory (no ``last_steps``), such as a training rollout's
+      ``(n,)`` one, and an episode batch of fewer than ``BATCH_ENTRIES``
+      entries step on Python floats (``_scalar_steps``). Each entry carries
+      its flat kernel row ``r = p * A + a``, ``p = agent * S + s`` its flat
+      policy row, and walks ``p = successor_rows[r][bisect_right(thresholds[r],
+      u)]`` (just ``only_rows[r]`` when no kernel row keeps a threshold),
+      then ``r = p * A + bisect_right(policy[p], u')``: the policy's
+      thresholds as the Python lists ``columns.T``, the kernel's cached by
       ``model.kernel_support_lists``. A drawn block's steps are computed
       together, entry by entry, when its first step is taken, and the rows
       kept are decoded into states and actions by two table lookups;
-    * larger inputs compare whole rows of ``columns`` and of the kernel
-      thresholds with ``u``, one step at a time, and skip the kernel count
-      when no kernel row keeps a threshold (``_count_steps``). A drawn
-      block's steps are written into one ``(k, ...)`` array each for states
-      and actions.
+    * an episode batch of at least ``BATCH_ENTRIES`` entries compares whole
+      rows of ``columns`` and of the kernel thresholds with ``u``, one step
+      at a time, and skips the kernel count when no kernel row keeps a
+      threshold (``_live_count_steps``). A drawn block's steps are written
+      into one ``(k, L, n)`` array each for states and actions.
 
     Yielding whole drawn blocks lets a caller such as
     ``trainer.evaluate_policy`` score a block's steps with one reward call.
@@ -236,8 +240,7 @@ def _step_blocks(
     draw_rows[0] += lead
     draws = (rng.random((k,) + states.shape) for k in draw_rows)
     if last_steps is None:
-        form = _scalar_steps if size < BATCH_ENTRIES else _count_steps
-        yield from form(m, columns, states, actions, draws, start, lead)
+        yield from _scalar_steps(m, columns, states, actions, draws, start, lead)
     elif size < BATCH_ENTRIES:
         every = np.arange(len(states))
         scalar = _scalar_steps(m, columns, states, actions, draws, int(np.min(start)), lead)
@@ -333,39 +336,6 @@ def _scalar_steps(
             yield state_of.take(kept), action_of.take(kept)
 
 
-def _count_steps(
-    m: FactoredNmarlModel,
-    columns: np.ndarray,
-    states: np.ndarray,
-    actions: np.ndarray | None,
-    draws: Iterator[np.ndarray],
-    start: int,
-    lead: bool,
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """``_step_blocks`` on arrays: each step counts whole threshold arrays.
-
-    Each entry's kernel row indexes its successor directly when no kernel
-    row keeps a threshold (``kernel_support``'s ``K = 1``). The steps of a
-    drawn block fill one ``(k, ...)`` states and one actions array, which are
-    yielded together.
-    """
-    step = _count_stepper(m, columns)
-    pol_rows = _agent_rows(m.n, m.n_states) + states
-    t = 1  # the first step of the next block
-    for u in draws:
-        if lead:
-            actions = _count_at_or_below(columns, pol_rows, u[0])
-            u, lead = u[1:], False
-        if t == 1 and start == 0:
-            yield states[None], actions[None]
-        states_block, actions_block, pol_rows, actions = step(pol_rows, actions, u)
-        k = len(states_block)
-        skip = min(k, max(0, start - t))  # the block's steps before ``start``
-        t += k
-        if skip < k:
-            yield states_block[skip:], actions_block[skip:]
-
-
 def _live_count_steps(
     m: FactoredNmarlModel,
     columns: np.ndarray,
@@ -377,8 +347,8 @@ def _live_count_steps(
     rng: np.random.Generator,
     draw_rows: list[int],
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """``_count_steps`` for ``(E, n)`` episodes, dropping the finished ones;
-    each block comes with the indices of the episodes it covers.
+    """``_step_blocks``' count form for ``(E, n)`` episodes, dropping the
+    finished ones; each block comes with the indices of the episodes it covers.
 
     ``start`` is every episode's first step that counts, one for all or
     ``(E,)``: the steps before the earliest are taken but not yielded. After
@@ -519,20 +489,15 @@ def _score_trace(
 
 
 def rollout_two_horizon(
-    m: FactoredNmarlModel,
-    params: np.ndarray,
-    pol: CoupledSoftmaxPolicy,
-    rng: np.random.Generator,
-    tables: np.ndarray | None = None,
-    max_horizon: int = MAX_HORIZON,
+    m: FactoredNmarlModel, tables: np.ndarray, rng: np.random.Generator
 ) -> TwoHorizonRollout:
-    """Sample one two-horizon episode under the executed policy.
+    """Sample one two-horizon episode under the policy ``tables``.
 
-    ``params`` is either an ``(n, n, d)`` estimate stack (agent ``i``
-    executes with its row ``params[i]``) or an ``(n, d)`` shared parameter.
     Draw order is fixed: ``t1``, ``t2``, the start state, then the steps in
-    ``_step_blocks``' order. The rewards of the visited steps are scored
-    with one batched call after the last step, which draws nothing.
+    ``_step_blocks``' order. A ``t1 + t2`` above ``MAX_HORIZON`` raises
+    ``HorizonOverflow`` before the start state is drawn. The rewards of the
+    visited steps are scored with one batched call after the last step,
+    which draws nothing.
 
     This is ``rollouts_two_horizon`` for one episode (the same draws, values
     and generator state), with integer horizons and no episode axis, minus
@@ -541,10 +506,8 @@ def rollout_two_horizon(
     """
     t1 = sample_geometric(1.0 - m.gamma, rng)
     t2 = sample_geometric(1.0 - math.sqrt(m.gamma), rng)
-    if t1 + t2 > max_horizon:
-        raise HorizonOverflow(f"sampled horizon {t1 + t2} exceeds cap {max_horizon}")
-    if tables is None:
-        tables = pol.prob_tables(params)
+    if t1 + t2 > MAX_HORIZON:
+        raise HorizonOverflow(f"sampled horizon {t1 + t2} exceeds cap {MAX_HORIZON}")
     blocks = _step_blocks(m, tables, m.rho.sample(rng, 1)[0], rng, t1 + t2, None, t1)
     states, actions, trace = _score_trace(m, blocks)
     return TwoHorizonRollout(
@@ -563,9 +526,12 @@ def rollouts_two_horizon(
 
     Draw order: every ``t1``, then every ``t2``, then the ``(E, n)`` start
     states, then the steps of all episodes together in ``_step_blocks``'
-    order, each episode up to its own ``t1 + t2``. A longest ``t1 + t2``
-    above ``MAX_HORIZON`` raises ``HorizonOverflow`` before any step.
+    order, each episode up to its own ``t1 + t2``. Fewer than one episode
+    raises ``ConfigError`` before any draw; a longest ``t1 + t2`` above
+    ``MAX_HORIZON`` raises ``HorizonOverflow`` before any step.
     """
+    if episodes < 1:
+        raise ConfigError(f"episodes must be at least 1, got {episodes}")
     t1 = sample_geometric(1.0 - m.gamma, rng, size=episodes)
     t2 = sample_geometric(1.0 - math.sqrt(m.gamma), rng, size=episodes)
     longest = int((t1 + t2).max())
@@ -711,35 +677,32 @@ def gradient_estimate(
 
 def sample_q_conditional(
     m: FactoredNmarlModel,
-    pol: CoupledSoftmaxPolicy,
-    params: np.ndarray,
+    tables: np.ndarray,
+    kappa_p: int,
     snapshot_state: Sequence[int],
     snapshot_action: Sequence[int],
-    i: int,
     rng: np.random.Generator,
-    tables: np.ndarray | None = None,
-    size: int | None = None,
-) -> float | np.ndarray:
-    """Conditional resamples of the return estimate from a fixed snapshot.
+    size: int,
+) -> np.ndarray:
+    """``size`` conditional resamples ``(size, n)`` of every agent's return
+    estimate from a fixed snapshot, under the policy ``tables``.
 
-    Draws a fresh ``t2`` and continues the trajectory from the given
-    state-action pair; the mean over many such draws is the exact
+    Each draws a fresh ``t2`` and continues the trajectory from the given
+    state-action pair; agent ``i``'s mean over many such draws is its exact
     neighbors-averaged action value at the snapshot. This is the two-horizon
     episode with ``t1 = 0``, the snapshot as its start states and start
     actions: every ``t2`` is drawn first, then the episodes are stepped side
-    by side as in ``rollouts_two_horizon``. Returns an array of ``size``
-    resamples, or one resample as a float without ``size``, which draws as
-    ``size = 1`` does.
+    by side as in ``rollouts_two_horizon``. A ``size`` below 1 raises
+    ``ConfigError`` before any draw.
     """
-    if tables is None:
-        tables = pol.prob_tables(params)
-    t2 = sample_geometric(1.0 - math.sqrt(m.gamma), rng, size=size or 1)
-    shape = (len(t2), len(snapshot_state))
+    if size < 1:
+        raise ConfigError(f"size must be at least 1, got {size}")
+    t2 = sample_geometric(1.0 - math.sqrt(m.gamma), rng, size=size)
+    shape = (size, len(snapshot_state))
     roll = _episodes(
         m, tables, rng,
         np.broadcast_to(np.asarray(snapshot_state, dtype=np.intp), shape),
         np.broadcast_to(np.asarray(snapshot_action, dtype=np.intp), shape),
-        np.zeros(len(t2), dtype=np.intp), t2,
+        np.zeros(size, dtype=np.intp), t2,
     )
-    q_values = q_estimates(roll, m, pol.spec.kappa_p)[:, i]
-    return q_values if size is not None else float(q_values[0])
+    return q_estimates(roll, m, kappa_p)

@@ -124,10 +124,10 @@ class FactoredNmarlModel:
     the kernel row cumsums, every row capped with a ``+inf`` last column.
     ``estimator._step_blocks`` steps with their compressed form,
     ``kernel_support``: only the columns where a row's cumsum rises and
-    stays below 1, as arrays for batches of episodes and, through
-    ``kernel_support_lists``, as per-row Python tuples for a single
-    trajectory (``_step_blocks``' docstring states the draw order and when
-    each form is used). ``parked_rows`` marks the flat policy rows ``agent *
+    stays below 1, as arrays for the count form and, through
+    ``kernel_support_lists``, as per-row Python tuples for the scalar walk
+    (``_step_blocks``' docstring states the draw order and when each form
+    is used). ``parked_rows`` marks the flat policy rows ``agent *
     S + s`` whose kernel row stays on ``s`` under every action and where
     every reward is ``+0.0``, so that ``trainer.evaluate_policy`` stops
     stepping an episode once all its agents sit on such rows. Another is one

@@ -33,9 +33,10 @@ _STREAM_TRAIN = 0
 _STREAM_EVAL = 1
 
 
-@dataclass
+@dataclass(frozen=True)
 class DscpConfig:
-    """Run configuration with frozen defaults for the path-planning setup."""
+    """Run configuration with frozen defaults for the path-planning setup,
+    validated on construction (``replace`` included)."""
 
     iterations: int
     kappa_p: int = 1
@@ -52,6 +53,9 @@ class DscpConfig:
     direct_params: bool = False  # kappa_p == 1 only: neighbors share true parameters
     check_invariants: bool = False
     record_wall_time: bool = False
+
+    def __post_init__(self) -> None:
+        self.validate()
 
     def mixing(self) -> MixingSpec:
         return MixingSpec(
@@ -160,7 +164,6 @@ def run_dscp(
             estimate), are not finite. The run stops before it evaluates or
             samples with such parameters.
     """
-    cfg.validate()
     m.validate()
     pol = CoupledSoftmaxPolicy(g, m.n_states, m.n_actions, cfg.mixing())
     w = netgraph.weight_matrix(g)
@@ -208,9 +211,7 @@ def run_dscp(
                 tables = pol.prob_tables(exec_params)
                 grads = None
                 for _ in range(cfg.batch):
-                    roll = estimator.rollout_two_horizon(
-                        m, exec_params, pol, rng, tables=tables
-                    )
+                    roll = estimator.rollout_two_horizon(m, tables, rng)
                     est = estimator.gradient_estimate(roll, m, pol, exec_params, bound)
                     grads = est.grads if grads is None else grads + est.grads
                 if cfg.batch > 1:

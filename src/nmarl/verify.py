@@ -251,9 +251,8 @@ def check_conditional_q_mean(
     srng = np.random.default_rng(seed + 1)
     vals = np.concatenate([
         estimator.sample_q_conditional(
-            m, pol, est_params, snap_s, snap_a, 0, srng, tables=tables,
-            size=min(SAMPLE_CHUNK, samples - done),
-        )
+            m, tables, 1, snap_s, snap_a, srng, min(SAMPLE_CHUNK, samples - done)
+        )[:, 0]
         for done in range(0, samples, SAMPLE_CHUNK)
     ])
     se = vals.std(ddof=1) / math.sqrt(samples)

@@ -140,6 +140,18 @@ def flat_steps(m, tables, states, rng, steps, actions=None):
         yield from zip(states_block, actions_block)
 
 
+def episode_steps(m, tables, states, rng, steps, actions=None):
+    """``estimator._step_blocks``' steps ``0..steps`` of the ``(E, n)`` episodes
+    ``states``, each run to ``last_steps = steps``: one ``(states, actions)``
+    pair per step. Every block must cover every episode, as it does on a model
+    without parked rows (``FactoredNmarlModel.parked_rows``)."""
+    every, last_steps = np.arange(len(states)), np.full(len(states), steps)
+    blocks = _step_blocks(m, tables, states, rng, steps, actions, last_steps=last_steps)
+    for states_block, actions_block, live in blocks:
+        np.testing.assert_array_equal(live, every)
+        yield from zip(states_block, actions_block)
+
+
 def next_states(
     m: FactoredNmarlModel, states, actions, rng: np.random.Generator
 ) -> np.ndarray:

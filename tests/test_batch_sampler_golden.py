@@ -68,11 +68,7 @@ def _resample(m, tables, kappa_p, snap_s, snap_a, rng, size):
         return q_estimates(roll, *args)
 
     with patch.object(estimator, "q_estimates", kept):
-        estimator.sample_q_conditional(
-            m, CoupledSoftmaxPolicy(m.graph, m.n_states, m.n_actions, MixingSpec(kappa_p=kappa_p)),
-            None, snap_s, snap_a, 0, rng, tables=tables, size=size,
-        )
-    q_values = q_estimates(rolls[0], m, kappa_p)
+        q_values = estimator.sample_q_conditional(m, tables, kappa_p, snap_s, snap_a, rng, size)
     return rolls[0], q_values
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 from unittest.mock import patch
 
@@ -8,13 +9,14 @@ from hypothesis import strategies as st
 
 from nmarl import estimator, netgraph, oracle
 from nmarl.config import load_config
-from nmarl.errors import HorizonOverflow, InvalidProbability
+from nmarl.errors import ConfigError, HorizonOverflow, InvalidProbability
 from nmarl.estimator import (
     TwoHorizonRollout,
     estimate_bound,
     gradient_estimate,
     half_discount_weights,
     q_estimate,
+    q_estimates,
     rollout_two_horizon,
     rollouts_two_horizon,
     sample_geometric,
@@ -92,12 +94,12 @@ class TestRollout:
         g = line_graph(2)
         m = random_table_model(g, np.random.default_rng(5), gamma=0.01, fixed_start=True)
         pol = CoupledSoftmaxPolicy(g, 2, 2, MixingSpec(kappa_p=1))
-        theta = pol.zero_params()
+        tables = pol.prob_tables(pol.zero_params())
         rng = np.random.default_rng(0)
         zero_t1 = 0
         n = 2000
         for _ in range(n):
-            roll = rollout_two_horizon(m, theta, pol, rng)
+            roll = rollout_two_horizon(m, tables, rng)
             if roll.t1 == 0:
                 zero_t1 += 1
                 assert roll.snapshot_state.tolist() == [0, 0]
@@ -119,8 +121,9 @@ class TestRollout:
         theta = np.zeros((2, 4))
         theta[:, [0, 2]] = 50.0  # both agents always pick action 0
         traj = [(0, 1), (1, 0)]
+        tables = pol.prob_tables(theta)
         for seed in range(5):
-            roll = rollout_two_horizon(m, theta, pol, np.random.default_rng(seed))
+            roll = rollout_two_horizon(m, tables, np.random.default_rng(seed))
             assert tuple(roll.snapshot_state) == traj[roll.t1 % 2]
             assert roll.snapshot_action.tolist() == [0, 0]
 
@@ -128,17 +131,17 @@ class TestRollout:
         m, pol = pair
         bound = m.reward_bound
         rng = np.random.default_rng(11)
-        theta = pol.zero_params()
+        tables = pol.prob_tables(pol.zero_params())
         for _ in range(50):
-            roll = rollout_two_horizon(m, theta, pol, rng)
+            roll = rollout_two_horizon(m, tables, rng)
             assert roll.reward_trace.shape == (roll.t2 + 1, 2)
             assert np.max(np.abs(roll.reward_trace)) <= bound + 1e-12
 
     def test_bitwise_determinism(self, pair):
         m, pol = pair
         est = np.random.default_rng(1).normal(size=(2, 2, 4))
-        r1 = rollout_two_horizon(m, est, pol, np.random.default_rng(42))
-        r2 = rollout_two_horizon(m, est, pol, np.random.default_rng(42))
+        r1 = rollout_two_horizon(m, pol.prob_tables(est), np.random.default_rng(42))
+        r2 = rollout_two_horizon(m, pol.prob_tables(est), np.random.default_rng(42))
         assert (r1.t1, r1.t2) == (r2.t1, r2.t2)
         assert np.array_equal(r1.snapshot_state, r2.snapshot_state)
         assert np.array_equal(r1.snapshot_action, r2.snapshot_action)
@@ -147,16 +150,18 @@ class TestRollout:
         g2 = gradient_estimate(r2, m, pol, est)
         assert np.array_equal(g1.grads, g2.grads)
 
-    def test_horizon_overflow(self, pair):
+    def test_horizon_overflow(self, pair, monkeypatch):
         m, pol = pair
+        monkeypatch.setattr(estimator, "MAX_HORIZON", 0)
+        tables = pol.prob_tables(pol.zero_params())
         rng = np.random.default_rng(0)
         with pytest.raises(HorizonOverflow):
             for _ in range(100):
-                rollout_two_horizon(m, pol.zero_params(), pol, rng, max_horizon=0)
+                rollout_two_horizon(m, tables, rng)
 
     def test_json_dump_round_trip_fields(self, pair):
         m, pol = pair
-        roll = rollout_two_horizon(m, pol.zero_params(), pol, np.random.default_rng(3))
+        roll = rollout_two_horizon(m, pol.prob_tables(pol.zero_params()), np.random.default_rng(3))
         obj = support.rollout_json(roll)
         assert obj["t1"] == roll.t1 and obj["t2"] == roll.t2
         assert len(obj["reward_trace"]) == roll.t2 + 1
@@ -216,7 +221,7 @@ class TestGradientEstimate:
         g = line_graph(3)
         m = zero_reward_model(g)
         pol = CoupledSoftmaxPolicy(g, 2, 2, MixingSpec(kappa_p=1))
-        roll = rollout_two_horizon(m, pol.zero_params(), pol, np.random.default_rng(0))
+        roll = rollout_two_horizon(m, pol.prob_tables(pol.zero_params()), np.random.default_rng(0))
         est = gradient_estimate(roll, m, pol, pol.zero_params())
         assert np.all(est.grads == 0.0)
 
@@ -225,7 +230,7 @@ class TestGradientEstimate:
         m = random_table_model(g, np.random.default_rng(21), fixed_start=True)
         pol = CoupledSoftmaxPolicy(g, 2, 2, MixingSpec(kappa_p=0))
         theta = np.random.default_rng(22).normal(size=(1, 4))
-        roll = rollout_two_horizon(m, theta, pol, np.random.default_rng(5))
+        roll = rollout_two_horizon(m, pol.prob_tables(theta), np.random.default_rng(5))
         est = gradient_estimate(roll, m, pol, theta)
         q = q_estimate(roll, 0, m, kappa_p=0)
         score = support.score(
@@ -240,7 +245,7 @@ class TestGradientEstimate:
         rng = np.random.default_rng(3)
         tables = pol.prob_tables(est_params)
         for _ in range(500):
-            roll = rollout_two_horizon(m, est_params, pol, rng, tables=tables)
+            roll = rollout_two_horizon(m, tables, rng)
             ge = gradient_estimate(roll, m, pol, est_params)
             assert np.all(ge.norms <= cap * (1 + 1e-9))
 
@@ -251,7 +256,7 @@ class TestGradientEstimate:
         m = random_table_model(g, np.random.default_rng(7), fixed_start=True)
         pol = CoupledSoftmaxPolicy(g, 2, 2, MixingSpec(kappa_p=1))
         est_params = np.random.default_rng(8).normal(size=(10, 10, 4))
-        roll = rollout_two_horizon(m, est_params, pol, np.random.default_rng(9))
+        roll = rollout_two_horizon(m, pol.prob_tables(est_params), np.random.default_rng(9))
         base = gradient_estimate(roll, m, pol, est_params, bound=math.inf).grads[0]
 
         inner = set(netgraph.khop(g, 0, 1))
@@ -289,7 +294,7 @@ def rollouts(draw):
     )
     shape = (n, pol.d) if draw(st.booleans()) else (n, n, pol.d)
     params = rng.uniform(-2.0, 2.0, size=shape)
-    return m, pol, params, rollout_two_horizon(m, params, pol, rng)
+    return m, pol, params, rollout_two_horizon(m, pol.prob_tables(params), rng)
 
 
 @given(rollouts())
@@ -335,8 +340,8 @@ class TestInverseCdf:
         k = len(self.P)
         kernel = np.broadcast_to(self.P, (k, k, k))
         g = line_graph(2)
-        zero = lambda s, a: np.zeros(s.shape)  # noqa: E731
-        m = FactoredNmarlModel(g, k, k, [kernel] * 2, zero, InitialDistribution.fixed([0, 0]), 0.9)
+        one = lambda s, a: np.ones(s.shape)  # noqa: E731  (no parked row)
+        m = FactoredNmarlModel(g, k, k, [kernel] * 2, one, InitialDistribution.fixed([0, 0]), 0.9)
         return m, np.broadcast_to(self.P, (2, k, k))
 
     def test_single_trajectory(self):
@@ -359,7 +364,7 @@ class TestInverseCdf:
             want = np.array([self.expected(x) for x in batch])
             start = np.tile([4, 0], (len(batch), 1))
             assert (start.size >= estimator.BATCH_ENTRIES) == (reps > 1)
-            steps = list(support.flat_steps(m, tables, start, StubRng(batch[:, None]), 1))
+            steps = list(support.episode_steps(m, tables, start, StubRng(batch[:, None]), 1))
             (_, a0), (s1, a1) = steps
             for drawn in (a0, s1, a1):
                 np.testing.assert_array_equal(drawn, np.stack([want, want], axis=1))
@@ -401,8 +406,8 @@ def chains(draw):
         rho = InitialDistribution.fixed(rng.integers(n_states, size=n).tolist())
     else:
         rho = InitialDistribution.product(_stochastic_rows(rng, (n, n_states), "sparse"))
-    zero = lambda s, a: np.zeros(s.shape)  # noqa: E731
-    m = FactoredNmarlModel(line_graph(n), n_states, n_actions, kernels, zero, rho, 0.9)
+    one = lambda s, a: np.ones(s.shape)  # noqa: E731  (no parked row)
+    m = FactoredNmarlModel(line_graph(n), n_states, n_actions, kernels, one, rho, 0.9)
     cutoff = -(-estimator.BATCH_ENTRIES // n)  # the fewest episodes that count thresholds
     episodes = draw(st.sampled_from([None, 1, cutoff - 1, cutoff, 3 * cutoff]))
     start = rho.sample(rng, 1)[0] if episodes is None else rho.sample(rng, episodes)
@@ -424,11 +429,13 @@ def chains(draw):
 @settings(max_examples=150, deadline=None)
 def test_simulate_matches_reference(chain, steps, draw_block, seed):
     # Both inversion forms and block draws of any size step the chain the
-    # reference steps, uniform for uniform, and leave the generator where it does.
+    # reference steps, uniform for uniform, and leave the generator where it
+    # does: a single trajectory, and episodes on either side of the cutoff.
     m, tables, start, actions, edges = chain
     got_rng, want_rng = support.EdgeRng(seed, edges), support.EdgeRng(seed, edges)
+    walk = support.flat_steps if start.ndim == 1 else support.episode_steps
     with patch.object(estimator, "DRAW_BLOCK", draw_block):
-        got = list(support.flat_steps(m, tables, start, got_rng, steps, actions))
+        got = list(walk(m, tables, start, got_rng, steps, actions))
     want = list(support.ref_simulate(m, tables, start, want_rng, steps, actions))
     assert len(got) == len(want) == steps + 1
     for t, ((s, a), (s_ref, a_ref)) in enumerate(zip(got, want)):
@@ -446,13 +453,14 @@ def test_empty_threshold_lists(n_states, n_actions, episodes):
     rng = np.random.default_rng(n_states * 10 + n_actions)
     kernels = [_stochastic_rows(rng, (n_states, n_actions, n_states), "dense") for _ in range(3)]
     tables = _stochastic_rows(rng, (3, n_states, n_actions), "dense")
-    zero = lambda s, a: np.zeros(s.shape)  # noqa: E731
+    one = lambda s, a: np.ones(s.shape)  # noqa: E731  (no parked row)
     rho = InitialDistribution.fixed([n_states - 1] * 3)
-    m = FactoredNmarlModel(line_graph(3), n_states, n_actions, kernels, zero, rho, 0.9)
+    m = FactoredNmarlModel(line_graph(3), n_states, n_actions, kernels, one, rho, 0.9)
     start = rho.sample(rng, 1)[0] if episodes is None else rho.sample(rng, episodes)
     assert (start.size >= estimator.BATCH_ENTRIES) == (episodes is not None)
     got_rng, want_rng = np.random.default_rng(5), np.random.default_rng(5)
-    got = list(support.flat_steps(m, tables, start, got_rng, 12))
+    walk = support.flat_steps if episodes is None else support.episode_steps
+    got = list(walk(m, tables, start, got_rng, 12))
     want = list(support.ref_simulate(m, tables, start, want_rng, 12))
     for (s, a), (s_ref, a_ref) in zip(got, want):
         np.testing.assert_array_equal(s, s_ref)
@@ -460,6 +468,28 @@ def test_empty_threshold_lists(n_states, n_actions, episodes):
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
     if n_states == 1:
         assert all(row == () for row in m.kernel_support_lists()[0])
+
+
+def test_long_single_trajectory_matches_reference():
+    # a single trajectory of BATCH_ENTRIES agents walks on scalars too
+    n = estimator.BATCH_ENTRIES
+    rng = np.random.default_rng(n)
+    kinds = itertools.cycle(["dense", "sparse", "onehot", "short", "overshoot"])
+    kernels = [_stochastic_rows(rng, (3, 2, 3), next(kinds)) for _ in range(n)]
+    tables = _stochastic_rows(rng, (n, 3, 2), "sparse")
+    one = lambda s, a: np.ones(s.shape)  # noqa: E731
+    rho = InitialDistribution.product(_stochastic_rows(rng, (n, 3), "sparse"))
+    m = FactoredNmarlModel(line_graph(n), 3, 2, kernels, one, rho, 0.9)
+    start = rho.sample(rng, 1)[0]
+    got_rng, want_rng = np.random.default_rng(7), np.random.default_rng(7)
+    with patch.object(estimator, "DRAW_BLOCK", 2 * n * 5):  # five steps per block
+        got = list(support.flat_steps(m, tables, start, got_rng, 23))
+    want = list(support.ref_simulate(m, tables, start, want_rng, 23))
+    assert len(got) == len(want) == 24
+    for t, ((s, a), (s_ref, a_ref)) in enumerate(zip(got, want)):
+        np.testing.assert_array_equal(s, s_ref, err_msg=f"states at step {t}")
+        np.testing.assert_array_equal(a, a_ref, err_msg=f"actions at step {t}")
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 SHIPPED_CONFIGS = {"path_planning": "configs/path_planning.json",
@@ -486,7 +516,7 @@ def test_shipped_rollouts_match_reference(monkeypatch, config, kappa_p):
         tables = pol.prob_tables(params)
         got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
 
-        roll = rollout_two_horizon(m, params, pol, got_rng, tables=tables)
+        roll = rollout_two_horizon(m, tables, got_rng)
         t1, t2, snap_s, snap_a, trace = support.ref_rollout_two_horizon(m, tables, want_rng)
         assert (roll.t1, roll.t2) == (t1, t2), seed
         np.testing.assert_array_equal(roll.snapshot_state, snap_s)
@@ -495,7 +525,7 @@ def test_shipped_rollouts_match_reference(monkeypatch, config, kappa_p):
         assert got_rng.bit_generator.state == want_rng.bit_generator.state, seed
 
         i = seed % m.n
-        q = sample_q_conditional(m, pol, params, snap_s, snap_a, i, got_rng, tables=tables)
+        q = sample_q_conditional(m, tables, kappa_p, snap_s, snap_a, got_rng, 1)[0, i]
         t2, trace = support.ref_conditional_trace(m, tables, snap_s, snap_a, want_rng)
         resample = resampled.pop()
         assert resample.t2 == t2, seed
@@ -529,7 +559,7 @@ class TestBatchedRollouts:
         for seed in range(100):
             got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
             got = rollouts_two_horizon(m, tables, got_rng, 1)
-            want = rollout_two_horizon(m, est, pol, want_rng, tables=tables)
+            want = rollout_two_horizon(m, tables, want_rng)
             assert got.t1.tolist() == [want.t1] and got.t2.tolist() == [want.t2]
             np.testing.assert_array_equal(got.snapshot_state, want.snapshot_state[None])
             np.testing.assert_array_equal(got.snapshot_action, want.snapshot_action[None])
@@ -540,10 +570,10 @@ class TestBatchedRollouts:
             np.testing.assert_array_equal(got_est.grads, want_est.grads[None])
             np.testing.assert_array_equal(got_est.norms, want_est.norms[None])
             snap = (want.snapshot_state, want.snapshot_action)
-            i = seed % 3
-            q = sample_q_conditional(m, pol, est, *snap, i, got_rng, tables=tables, size=1)
-            want_q = sample_q_conditional(m, pol, est, *snap, i, want_rng, tables=tables)
-            assert q.tolist() == [want_q]
+            q = sample_q_conditional(m, tables, 1, *snap, got_rng, 1)
+            t2, trace = support.ref_conditional_trace(m, tables, *snap, want_rng)
+            want_q = q_estimates(TwoHorizonRollout(0, t2, *snap, trace), m, 1)
+            np.testing.assert_array_equal(q, want_q[None])
             assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
     @pytest.mark.parametrize("episodes", [3, 64])  # the scalar and the count form
@@ -638,7 +668,7 @@ class TestBatchedRollouts:
         tables = pol.prob_tables(est)
         snap_s, snap_a = np.array([0, 1]), np.array([1, 0])
         got_rng, want_rng = np.random.default_rng(8), np.random.default_rng(8)
-        got = sample_q_conditional(m, pol, est, snap_s, snap_a, 1, got_rng, tables=tables, size=30)
+        got = sample_q_conditional(m, tables, 1, snap_s, snap_a, got_rng, 30)[:, 1]
         t2 = sample_geometric(1.0 - math.sqrt(m.gamma), want_rng, size=30)
         starts, start_actions = np.tile(snap_s, (30, 1)), np.tile(snap_a, (30, 1))
         steps = support.ref_simulate(m, tables, starts, want_rng, int(t2.max()), start_actions)
@@ -672,6 +702,24 @@ class TestBatchedRollouts:
         tables = pol.prob_tables(pol.zero_params())
         with pytest.raises(HorizonOverflow):
             rollouts_two_horizon(m, tables, np.random.default_rng(0), 50)
+
+    def test_no_episode_is_refused_before_any_draw(self, pair):
+        m, pol = pair
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ConfigError, match="episodes must be at least 1, got 0"):
+            rollouts_two_horizon(m, pol.prob_tables(pol.zero_params()), rng, 0)
+        assert rng.bit_generator.state == state
+
+    def test_no_resample_is_refused_before_any_draw(self, pair):
+        m, pol = pair
+        tables = pol.prob_tables(pol.zero_params())
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        for size in (0, -3):
+            with pytest.raises(ConfigError, match=f"size must be at least 1, got {size}"):
+                sample_q_conditional(m, tables, 1, (0, 1), (1, 0), rng, size)
+        assert rng.bit_generator.state == state
 
 
 @pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937])
@@ -710,9 +758,7 @@ class TestUnbiasednessSmoke:
         rng = np.random.default_rng(32)
         vals = np.array(
             [
-                estimator.sample_q_conditional(
-                    m, pol, est_params, snap_s, snap_a, 0, rng, tables=tables
-                )
+                estimator.sample_q_conditional(m, tables, 1, snap_s, snap_a, rng, 1)[0, 0]
                 for _ in range(20_000)
             ]
         )

@@ -43,14 +43,13 @@ def compute_case(start: str) -> dict:
     est = rng.uniform(-1, 1, size=(3, 3, 4))  # per-agent estimate stack
     tables = pol.prob_tables(est)
     rollouts = [
-        support.rollout_json(estimator.rollout_two_horizon(m, est, pol, rng, tables=tables))
+        support.rollout_json(estimator.rollout_two_horizon(m, tables, rng))
         for _ in range(ROLLOUTS)
     ]
     q_values = [
-        estimator.sample_q_conditional(
-            m, pol, est, r["snapshot_state"], r["snapshot_action"], k % 3, rng,
-            tables=tables,
-        )
+        float(estimator.sample_q_conditional(
+            m, tables, 1, r["snapshot_state"], r["snapshot_action"], rng, 1
+        )[0, k % 3])
         for k, r in enumerate(rollouts)
     ]
     evals = {
