@@ -659,7 +659,7 @@ def gradient_estimate(
     parameters when ``params`` is ``(n, d)``). Its row reads only that view,
     the snapshot entries within ``kappa_p`` hops and the reward columns
     within ``kappa_p + kappa_r`` hops. Every episode's norms are held to
-    ``bound``.
+    ``bound``; a NaN norm fails too.
     """
     if bound is None:
         bound = estimate_bound(m, pol)
@@ -668,7 +668,7 @@ def gradient_estimate(
     grads = q_values[..., None] * scores / (1.0 - m.gamma)
     norms = np.sqrt(np.einsum("...ij,...ij->...i", grads, grads))
     worst = float(np.maximum.reduce(norms, axis=None, initial=0.0))
-    if worst > bound * (1.0 + 1e-9):
+    if not worst <= bound * (1.0 + 1e-9):
         raise BoundViolated(
             f"gradient-estimate norm {worst:.6g} exceeds analytic cap {bound:.6g}"
         )

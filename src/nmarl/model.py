@@ -45,22 +45,41 @@ MAX_REWARD_DOMAIN = 2_000_000  # restricted reward domains beyond this are not t
 BatchRewards = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
-def tensor_product(tables: Sequence[np.ndarray]) -> np.ndarray:
+def tensor_product(tables: Sequence[np.ndarray], lead: int = 0) -> np.ndarray:
     """Tensor product of per-member tables that share their axis groups.
 
-    Member ``p``'s table has one axis per group (state, action, ...). The
-    result has axes ``(group 0 of every member, group 1 of every member,
-    ...)`` and multiplies the members in order, left to right.
+    Member ``p``'s table has ``lead`` shared leading axes (a stack of
+    policies, say), then one axis per group (state, action, ...). The result
+    keeps the leading axes in front, then has axes ``(group 0 of every
+    member, group 1 of every member, ...)``, and multiplies the members in
+    order, left to right.
     """
     k = len(tables)
-    groups = tables[0].ndim
-    out = np.ones([t.shape[g] for g in range(groups) for t in tables])
+    front = list(tables[0].shape[:lead])
+    groups = tables[0].ndim - lead
+    out = np.ones(front + [t.shape[lead + g] for g in range(groups) for t in tables])
     for p, t in enumerate(tables):
-        shape = [1] * (k * groups)
+        shape = front + [1] * (k * groups)
         for g in range(groups):
-            shape[g * k + p] = t.shape[g]
+            shape[lead + g * k + p] = t.shape[lead + g]
         out *= t.reshape(shape)
     return out
+
+
+def embed(table: np.ndarray, inner: Sequence[int], outer: Sequence[int]) -> np.ndarray:
+    """``table`` over ``inner`` as a view that broadcasts over ``outer``.
+
+    ``table`` has ``inner``'s state axes, then its action axes; both member
+    tuples are sorted and ``inner`` is a subset of ``outer``. The view has
+    ``outer``'s axis layout, with size 1 on non-member axes.
+    """
+    k, m = len(outer), len(inner)
+    shape = [1] * (2 * k)
+    for q, j in enumerate(inner):
+        p = outer.index(j)
+        shape[p] = table.shape[q]
+        shape[k + p] = table.shape[m + q]
+    return table.reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -136,7 +155,8 @@ class FactoredNmarlModel:
     reward the exact oracle integrates; rewards do not depend on the policy,
     so the domain is enumerated once per model. For the same reason the
     exact oracle's joint transition table of an agent subset
-    (``joint_kernel``) is built once per model and member tuple.
+    (``joint_kernel``), and the reward table of a restricted chain with its
+    bound (``chain_reward``), are built once per model and key.
 
     Args:
         graph: communication network; also defines reward neighborhoods.
@@ -182,6 +202,7 @@ class FactoredNmarlModel:
         self._reward_tables: tuple[np.ndarray, ...] | None = None
         self._reward_bound: float | None = None
         self._joint_kernels: dict[tuple[int, ...], np.ndarray] = {}
+        self._chain_rewards: dict[tuple, tuple[np.ndarray, float]] = {}
 
     # ------------------------------------------------------------------
     # shape helpers
@@ -351,6 +372,23 @@ class FactoredNmarlModel:
             table.setflags(write=False)
             self._joint_kernels[members] = table
         return table
+
+    def chain_reward(
+        self, members: tuple[int, ...], agents: tuple[int, ...], scale: float
+    ) -> tuple[np.ndarray, float]:
+        """``sum_{j in agents} r_j / scale``, flat ``(S^k, A^k)`` over the sorted
+        ``members`` that hold every agent's neighborhood, and its largest
+        magnitude (cached per key). Read-only."""
+        key = (members, agents, scale)
+        if key not in self._chain_rewards:
+            k = len(members)
+            reward = np.zeros((self.n_states,) * k + (self.n_actions,) * k)
+            for j in agents:
+                reward += embed(self.reward_tables()[j], self.reward_members[j], members)
+            reward = (reward / scale).reshape(self.n_states**k, self.n_actions**k)
+            reward.setflags(write=False)
+            self._chain_rewards[key] = (reward, float(np.max(np.abs(reward))))
+        return self._chain_rewards[key]
 
     def reward_tables(self) -> tuple[np.ndarray, ...]:
         """Dense per-agent reward tables over the restricted domains (cached).

@@ -10,11 +10,12 @@ only the agent's own state), and so do the transition kernels. A chain
 restricted to an agent subset is therefore a tensor product: its joint
 policy is ``prod_j pi_j[s_j, a_j]`` and its transition table
 ``prod_j K_j[s_j, a_j, s'_j]``, both built by broadcasting the members'
-tables in sorted member order. The transition table does not depend on
-the policy, so the model builds it once per member tuple
-(``FactoredNmarlModel.joint_kernel``). Joint tensors keep one axis per
-member and group (all member states, then all member actions, then all next
-states), so flattening them row-major gives the ``EnumeratedSpace`` order.
+tables in sorted member order. Neither the transition table nor a chain's
+reward table and its bound depends on the policy, so the model builds each
+once per key (``FactoredNmarlModel.joint_kernel`` and ``chain_reward``).
+Joint tensors keep one axis per member and group (all member states, then all
+member actions, then all next states), so flattening them row-major gives the
+``EnumeratedSpace`` order.
 A chain's reward is the broadcast sum of the chosen agents' cached reward
 tables (``FactoredNmarlModel.reward_tables``) divided by a scale. The
 restriction is exact as long as the subset covers the reward dependencies
@@ -33,21 +34,30 @@ terms in another order, so results differ from the term-by-term loop in the
 last digits (far inside ``eps``). Larger chains, where a dense matrix
 product costs more than the horizon's mat-vecs, keep the term-by-term loop.
 Every size guard fires before the tensor it protects is allocated.
+
+``build_restricted_chain``, ``chain_q_table``, ``sum_series`` and
+``exact_objective`` take a stack of policies on leading axes, and
+``finite_difference_gradient`` evaluates its ``2d`` objectives as one stack.
+That stack runs in chunks of ``STACK_BYTES``: larger chunks raise the peak RSS
+and then take minor page faults on every call (measured beside the constant).
+The gradient forms take one agent or a sequence of agents, and build the
+executed tables, the visitation and each local Q table once per call.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from . import netgraph
 from .errors import SpaceTooLarge
-from .model import FactoredNmarlModel, tensor_product
+from .model import FactoredNmarlModel, embed, tensor_product
 from .policy import CoupledSoftmaxPolicy
 
 MAX_JOINT_STATES = 100_000
@@ -58,6 +68,13 @@ MAX_TABLE_ENTRIES = 50_000_000  # dense DP arrays beyond this are refused
 # 1.3 ms; the two meet between 144 and 152 states, and at 256 states the
 # loop is twice as fast (3.3 against 6.7 ms; 2-vCPU x86 machine).
 DOUBLING_STATES = 144
+# Bytes of DP tables (``pi`` and ``P_pi``, ``S * (A + S)`` entries a policy)
+# one chunk of an objective stack may hold: 4 policies of the 64-state
+# power-control chain. One BLAS thread, 2-vCPU x86 machine: that finite
+# difference's 24 objectives take 1.96 / 1.24 / 1.14 ms in chunks of 1 / 4 /
+# 8. At 4 the benchmark's peak RSS stays at the unstacked oracle's 42.6 MB; at
+# 8 it rises by 0.4 MB; at 12 each call takes 550-700 minor page faults.
+STACK_BYTES = 3 * 2**16
 
 
 @dataclass(frozen=True)
@@ -100,9 +117,10 @@ def _check_entries(entries: int, what: str) -> None:
 class RestrictedChain:
     """Markov chain over an agent subset, with a scalar per-step reward.
 
-    ``trans[s, a, s']`` and ``policy[s, a]`` are joint tables over the
-    subset's product spaces; ``reward[s, a]`` is whatever quantity the DP
-    integrates (one agent's reward, a neighborhood average, ...).
+    ``trans[s, a, s']`` and ``policy[..., s, a]`` (leading axes: a policy
+    stack) are joint tables over the subset's product spaces; ``reward[s, a]``
+    is whatever quantity the DP integrates (one agent's reward, a neighborhood
+    average, ...), ``reward_bound`` its largest magnitude.
     """
 
     members: tuple[int, ...]
@@ -111,55 +129,36 @@ class RestrictedChain:
     trans: np.ndarray
     policy: np.ndarray
     reward: np.ndarray
-
-
-def _embed(table: np.ndarray, inner: Sequence[int], outer: Sequence[int]) -> np.ndarray:
-    """``table`` over ``inner`` as a view that broadcasts over ``outer``.
-
-    ``table`` has ``inner``'s state axes, then its action axes; both member
-    tuples are sorted and ``inner`` is a subset of ``outer``. The view has
-    ``outer``'s axis layout, with size 1 on non-member axes.
-    """
-    k, m = len(outer), len(inner)
-    shape = [1] * (2 * k)
-    for q, j in enumerate(inner):
-        p = outer.index(j)
-        shape[p] = table.shape[q]
-        shape[k + p] = table.shape[m + q]
-    return table.reshape(shape)
+    reward_bound: float
 
 
 def build_restricted_chain(
     m: FactoredNmarlModel,
     members: Sequence[int],
-    prob_tables: Sequence[np.ndarray],
+    prob_tables: np.ndarray,
     reward_agents: Sequence[int],
     scale: float = 1.0,
 ) -> RestrictedChain:
     """Assemble the joint tables of the chain restricted to ``members``.
 
-    The chain's reward is ``sum_{j in reward_agents} r_j / scale``; every
-    reward agent's neighborhood must lie inside ``members``.
+    ``prob_tables`` is one policy ``(n, S, A)`` or a stack ``(..., n, S,
+    A)``, whose leading axes the chain's policy keeps. The chain's reward is
+    ``sum_{j in reward_agents} r_j / scale``; every reward agent's
+    neighborhood must lie inside ``members``.
     """
     members = tuple(sorted(members))
     sspace = enumerate_space((m.n_states,) * len(members))
     aspace = enumerate_space((m.n_actions,) * len(members))
     ns, na = sspace.size, aspace.size
     _check_entries(ns * na * ns, "restricted chain transition table")
-
-    policy = tensor_product([prob_tables[j] for j in members])
-    reward_tables = m.reward_tables()
-    reward = np.zeros(policy.shape)
-    for j in reward_agents:
-        reward += _embed(reward_tables[j], m.reward_members[j], members)
-    reward /= scale
+    stack = np.asarray(prob_tables, dtype=float)
+    lead = stack.shape[:-3]
+    _check_entries(math.prod(lead) * ns * (na + ns), "restricted chain policy stack")
+    policy = tensor_product([stack[..., j, :, :] for j in members], len(lead))
+    reward, bound = m.chain_reward(members, tuple(reward_agents), scale)
     return RestrictedChain(
-        members=members,
-        state_space=sspace,
-        action_space=aspace,
-        trans=m.joint_kernel(members),
-        policy=policy.reshape(ns, na),
-        reward=reward.reshape(ns, na),
+        members, sspace, aspace, m.joint_kernel(members), policy.reshape(lead + (ns, na)),
+        reward, bound,
     )
 
 
@@ -171,19 +170,25 @@ def truncation_horizon(gamma: float, eps: float, reward_bound: float) -> int:
 
 
 def sum_series(mat: np.ndarray, x: np.ndarray, terms: int) -> np.ndarray:
-    """``sum_{k < terms} mat^k @ x`` by binary doubling.
+    """``sum_{k < terms} mat^k @ x`` over any leading axes of ``mat (..., N,
+    N)`` and ``x (..., N)``: by binary doubling when ``N`` is at most
+    ``DOUBLING_STATES``, else term by term as ``acc <- x + mat @ acc``.
 
-    Walks the bits of ``terms`` from the lowest, holding ``power = mat^(2^j)``
-    and ``block = sum_{k < 2^j} mat^k @ x``. With ``acc`` the sum of the
-    first ``c = terms mod 2^j`` terms, a set bit ``j`` extends it to
+    Doubling walks the bits of ``terms`` from the lowest, holding ``power =
+    mat^(2^j)`` and ``block = sum_{k < 2^j} mat^k @ x``. With ``acc`` the sum
+    of the first ``c = terms mod 2^j`` terms, a set bit ``j`` extends it to
     ``c + 2^j`` terms as ``block + power @ acc``. That is about
     ``2 log2(terms)`` square matrix products instead of ``terms`` mat-vecs;
     ``terms = 0`` gives zeros. The terms are summed in another order than a
     term-by-term loop, so the result differs from the loop's in the last
-    digits.
+    digits. A stack's entries take the matrix-vector products of lone calls.
     """
-    acc = np.zeros_like(x)
-    block, power = x, mat
+    block = x[..., None]
+    acc, power = np.zeros_like(block), mat
+    if x.shape[-1] > DOUBLING_STATES:
+        for _ in range(terms):
+            acc = block + mat @ acc
+        return acc[..., 0]
     while terms:
         if terms & 1:
             acc = block + power @ acc
@@ -191,42 +196,41 @@ def sum_series(mat: np.ndarray, x: np.ndarray, terms: int) -> np.ndarray:
         if terms:
             block = block + power @ block
             power = power @ power
-    return acc
+    return acc[..., 0]
+
+
+def _state_values(chain: RestrictedChain, gamma: float, terms: int) -> np.ndarray:
+    """``sum_{k < terms} (gamma P_pi)^k r_pi`` ``(..., S)`` per policy of the
+    chain's stack; ``P_pi`` is one batched product over the states."""
+    r_pi = (chain.policy * chain.reward).sum(axis=-1)
+    p_pi = (chain.policy[..., None, :] @ chain.trans)[..., 0, :]
+    return sum_series(gamma * p_pi, r_pi, terms)
 
 
 def chain_q_table(chain: RestrictedChain, gamma: float, eps: float) -> np.ndarray:
-    """Action-value table of the chain's reward, truncated at accuracy ``eps``.
+    """Action-value table ``(..., S, A)`` of the chain's reward, truncated at
+    accuracy ``eps``, for each policy of the chain's stack.
 
-    Forms ``v = sum_{k < T - 1} (gamma P_pi)^k r_pi`` on the state space,
-    then ``q = r + gamma T v`` once: the ``T``-step truncation. Chains of at
-    most ``DOUBLING_STATES`` states sum the series with ``sum_series``; larger
-    ones iterate ``v <- r_pi + gamma P_pi v`` for ``T - 1`` steps.
+    Forms ``v`` over ``T - 1`` terms (``_state_values``), then ``q = r +
+    gamma T v`` once: the ``T``-step truncation.
     """
-    bound = float(np.max(np.abs(chain.reward)))
-    horizon = truncation_horizon(gamma, eps, bound)
-    r_pi = (chain.policy * chain.reward).sum(axis=1)
-    p_pi = np.einsum("sa,sat->st", chain.policy, chain.trans)
-    if len(r_pi) <= DOUBLING_STATES:
-        v = sum_series(gamma * p_pi, r_pi, horizon - 1)
-    else:
-        v = np.zeros(len(r_pi))
-        for _ in range(horizon - 1):
-            v = r_pi + gamma * (p_pi @ v)
-    return chain.reward + gamma * (chain.trans @ v)
+    v = _state_values(chain, gamma, truncation_horizon(gamma, eps, chain.reward_bound) - 1)
+    flat = chain.trans.reshape(-1, chain.trans.shape[-1])  # (S * A, S)
+    return chain.reward + gamma * (flat @ v[..., None]).reshape(chain.policy.shape)
 
 
-def _q_tensor(chain: RestrictedChain, q: np.ndarray) -> np.ndarray:
-    """A chain's flat ``(s, a)`` table with one axis per member and group."""
-    return q.reshape(chain.state_space.sizes + chain.action_space.sizes)
+def _joint_q(m: FactoredNmarlModel, chain: RestrictedChain, eps: float) -> np.ndarray:
+    """A chain's Q table as a view over every agent's joint axes (``embed``)."""
+    q = chain_q_table(chain, m.gamma, eps)
+    q = q.reshape(chain.state_space.sizes + chain.action_space.sizes)
+    return embed(q, chain.members, tuple(range(m.n)))
 
 
 # ----------------------------------------------------------------------
 # full-joint quantities
 
 
-def _full_chain(
-    m: FactoredNmarlModel, prob_tables: Sequence[np.ndarray]
-) -> RestrictedChain:
+def _full_chain(m: FactoredNmarlModel, prob_tables: np.ndarray) -> RestrictedChain:
     everyone = range(m.n)
     return build_restricted_chain(m, everyone, prob_tables, everyone, scale=m.n)
 
@@ -241,15 +245,28 @@ def _initial_vector(m: FactoredNmarlModel, space: EnumeratedSpace) -> np.ndarray
 
 def exact_objective(
     m: FactoredNmarlModel,
-    prob_tables: Sequence[np.ndarray],
+    prob_tables: np.ndarray,
     eps: float = 1e-9,
-) -> float:
-    """Discounted average cumulative reward of the joint policy, within ``eps``."""
-    chain = _full_chain(m, prob_tables)
-    q = chain_q_table(chain, m.gamma, eps)
-    v = (chain.policy * q).sum(axis=1)
-    rho = _initial_vector(m, chain.state_space)
-    return float(rho @ v)
+) -> float | np.ndarray:
+    """Discounted average cumulative reward of the joint policy, within ``eps``:
+    ``rho v`` with ``v`` over the ``T`` terms of the truncation.
+
+    One policy ``(n, S, A)`` gives a float, a stack ``(B, n, S, A)`` its
+    ``(B,)`` values, in equal chunks of at most ``STACK_BYTES`` each.
+    """
+    ns, na = m.n_states**m.n, m.n_actions**m.n
+    _check_entries(ns * na * ns, "restricted chain transition table")  # before any read
+    stack = np.asarray(prob_tables, dtype=float)
+    one = stack.ndim == 3
+    stack = stack[None] if one else stack
+    most = max(1, STACK_BYTES // (8 * ns * (na + ns)))
+    values = []
+    for part in np.array_split(stack, max(1, -(-len(stack) // most))):  # fewest equal chunks
+        chain = _full_chain(m, part)
+        v = _state_values(chain, m.gamma, truncation_horizon(m.gamma, eps, chain.reward_bound))
+        values.append((v[:, None, :] @ _initial_vector(m, chain.state_space))[:, 0])
+    out = np.concatenate(values)
+    return float(out[0]) if one else out
 
 
 def q_at(chain: RestrictedChain, q: np.ndarray, s: Sequence[int], a: Sequence[int]) -> float:
@@ -315,9 +332,7 @@ def discounted_visitation(
     The joint state kernel under the policy is the tensor product of the
     per-agent ones, ``P_j[s_j, s'_j] = sum_a pi_j(a | s_j) K_j[s_j, a, s'_j]``.
     The occupancy is ``sum_{k <= T} gamma^k rho P^k`` at the unit reward
-    bound's horizon ``T``. Joint spaces of at most ``DOUBLING_STATES`` states
-    sum it with ``sum_series`` over ``gamma P^T``; larger ones step
-    ``rho P^k`` and the weight ``gamma^k`` term by term.
+    bound's horizon ``T``, summed by ``sum_series`` over ``gamma P^T``.
     """
     space = enumerate_space(m.state_sizes)
     _check_entries(space.size * space.size, "joint state kernel")
@@ -325,51 +340,46 @@ def discounted_visitation(
         np.einsum("sa,sat->st", pi_j, m.kernels[j]) for j, pi_j in enumerate(prob_tables)
     ]
     tp = tensor_product(per_agent).reshape(space.size, space.size)
-    dist = _initial_vector(m, space)
     horizon = truncation_horizon(m.gamma, eps, 1.0)
-    if space.size <= DOUBLING_STATES:
-        tab = sum_series(m.gamma * tp.T, dist, horizon + 1)
-    else:
-        tab = np.zeros_like(dist)
-        weight = 1.0
-        for _ in range(horizon + 1):
-            tab += weight * dist
-            dist = dist @ tp
-            weight *= m.gamma
+    tab = sum_series(m.gamma * tp.T, _initial_vector(m, space), horizon + 1)
     return (1.0 - m.gamma) * tab, space
 
 
-def _gradient_inputs(
+def _gradient_rows(
     m: FactoredNmarlModel,
     pol: CoupledSoftmaxPolicy,
     params: np.ndarray,
-    i: int,
+    i: int | Sequence[int],
     eps: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Dynamics tables, the tables agent ``i`` scores with, and the visitation.
+    value_of: Callable[[np.ndarray, int], np.ndarray],
+) -> np.ndarray:
+    """``_score_gradient`` ``(d,)`` of agent ``i``, or ``(k, d)`` of each of a
+    sequence, with value ``value_of(tables, agent)``; the executed tables and
+    the occupancy ``d(s) pi(a|s)`` are built once, after the size guard.
 
     ``params`` with shape ``(n, d)`` means consistent true parameters; an
     ``(n, n, d)`` stack means each agent executes its own estimate row while
-    agent ``i`` scores with row ``i``. The joint weight tensor's size is
-    checked before anything joint is built.
+    agent ``i`` scores with row ``i``.
     """
-    _check_entries(
-        math.prod(m.state_sizes) * math.prod(m.action_sizes), "joint weight tensor"
-    )
+    _check_entries(math.prod(m.state_sizes) * math.prod(m.action_sizes), "joint weight tensor")
+    one = isinstance(i, numbers.Integral)
     arr = np.asarray(params, dtype=float)
     tables = pol.prob_tables(arr)
-    score_tables = tables if arr.ndim == 2 else pol.prob_tables(arr[i])
     visitation, _ = discounted_visitation(m, tables, eps)
-    return tables, score_tables, visitation
+    occupancy = visitation.reshape(m.state_sizes + (1,) * m.n) * tensor_product(tables)
+    rows = []
+    for a in (i,) if one else i:
+        scored = tables if arr.ndim == 2 else pol.prob_tables(arr[a])
+        rows.append(_score_gradient(m, pol, a, scored, occupancy, value_of(tables, a)))
+    return rows[0] if one else np.array(rows).reshape(len(rows), pol.d)
 
 
 def _score_gradient(
     m: FactoredNmarlModel,
     pol: CoupledSoftmaxPolicy,
     i: int,
-    tables: np.ndarray,
     score_tables: np.ndarray,
-    visitation: np.ndarray,
+    occupancy: np.ndarray,
     value: np.ndarray,
 ) -> np.ndarray:
     """``sum_{s, a} d(s) pi(a|s) value(s, a) score_sum_i(s, a) / (1 - gamma)``.
@@ -381,8 +391,7 @@ def _score_gradient(
     onto each scored agent's ``(s_j, a_j)`` and contracted with that form.
     """
     n = m.n
-    pi = tensor_product(tables)
-    weight = visitation.reshape(m.state_sizes + (1,) * n) * pi * value
+    weight = occupancy * value
     grad = np.zeros((pol.n_states, pol.n_actions))
     for j in netgraph.khop(m.graph, i, pol.spec.kappa_p):
         marginal = weight.sum(axis=tuple(ax for ax in range(2 * n) if ax not in (j, n + j)))
@@ -396,63 +405,63 @@ def gradient_via_local_q(
     m: FactoredNmarlModel,
     pol: CoupledSoftmaxPolicy,
     params: np.ndarray,
-    i: int,
+    i: int | Sequence[int],
     full_sum: bool = False,
     eps: float = 1e-9,
 ) -> np.ndarray:
     """Policy gradient for agent ``i`` as a visitation-weighted sum of local
-    action values times the neighborhood score sum.
+    action values times the neighborhood score sum; ``(d,)`` for an int
+    ``i``, ``(k, d)`` for a sequence of ``k`` agents.
 
     The local-value sum runs over agents within ``kappa_p + kappa_r`` hops;
     ``full_sum=True`` sums over every agent instead (the two agree for
     consistent parameters because out-of-range score terms integrate to
-    zero).
+    zero). Each target's local Q table is built once for the whole set.
     """
-    tables, score_tables, visitation = _gradient_inputs(m, pol, params, i, eps)
-    targets = (
-        tuple(range(m.n))
-        if full_sum
-        else netgraph.khop(m.graph, i, pol.spec.kappa_p + m.kappa_r)
-    )
-    everyone = tuple(range(m.n))
-    qsum = 0.0
-    for l in targets:
-        chain = build_restricted_chain(m, m.reward_members[l], tables, (l,))
-        q = chain_q_table(chain, m.gamma, eps)
-        qsum = qsum + _embed(_q_tensor(chain, q), chain.members, everyone)
-    return _score_gradient(m, pol, i, tables, score_tables, visitation, qsum / m.n)
+    local: dict[int, np.ndarray] = {}
+
+    def value_of(tables: np.ndarray, a: int) -> np.ndarray:
+        qsum = 0.0
+        radius = pol.spec.kappa_p + m.kappa_r
+        for l in range(m.n) if full_sum else netgraph.khop(m.graph, a, radius):
+            if l not in local:
+                chain = build_restricted_chain(m, m.reward_members[l], tables, (l,))
+                local[l] = _joint_q(m, chain, eps)
+            qsum = qsum + local[l]
+        return qsum / m.n
+
+    return _gradient_rows(m, pol, params, i, eps, value_of)
 
 
 def gradient_via_averaged_q(
     m: FactoredNmarlModel,
     pol: CoupledSoftmaxPolicy,
     params: np.ndarray,
-    i: int,
+    i: int | Sequence[int],
     eps: float = 1e-9,
 ) -> np.ndarray:
-    """Policy gradient for agent ``i`` using the neighbors-averaged action value."""
-    tables, score_tables, visitation = _gradient_inputs(m, pol, params, i, eps)
-    chain = neighbors_averaged_chain(m, tables, i, pol.spec.kappa_p)
-    q = chain_q_table(chain, m.gamma, eps)
-    value = _embed(_q_tensor(chain, q), chain.members, tuple(range(m.n)))
-    return _score_gradient(m, pol, i, tables, score_tables, visitation, value)
+    """Policy gradient for agent ``i`` using the neighbors-averaged action
+    value; ``(d,)`` for an int ``i``, ``(k, d)`` for a sequence of ``k``
+    agents."""
+    def value_of(tables: np.ndarray, a: int) -> np.ndarray:
+        return _joint_q(m, neighbors_averaged_chain(m, tables, a, pol.spec.kappa_p), eps)
+
+    return _gradient_rows(m, pol, params, i, eps, value_of)
 
 
-def central_difference(fn, x: np.ndarray, h: float) -> np.ndarray:
-    """Central-difference gradient of a scalar function of a flat vector."""
+def central_difference(fn: Callable, x: np.ndarray, h: float) -> np.ndarray:
+    """Central-difference gradient of a scalar function of a flat vector.
+
+    ``fn`` maps a ``(2k, k)`` stack of points to their ``(2k,)`` values, and
+    is called once: ``x + h e_j`` for every coordinate ``j``, then every
+    ``x - h e_j``.
+    """
     if h <= 0:
         raise ValueError(f"step must be positive, got {h}")
-    x = np.array(x, dtype=float)
-    grad = np.zeros_like(x)
-    for k in range(x.size):
-        orig = x[k]
-        x[k] = orig + h
-        f_plus = fn(x)
-        x[k] = orig - h
-        f_minus = fn(x)
-        x[k] = orig
-        grad[k] = (f_plus - f_minus) / (2.0 * h)
-    return grad
+    x = np.asarray(x, dtype=float).ravel()
+    steps = np.diag(np.full(x.size, h))
+    values = np.asarray(fn(np.concatenate([x + steps, x - steps])))
+    return (values[: x.size] - values[x.size :]) / (2.0 * h)
 
 
 def finite_difference_gradient(
@@ -463,11 +472,13 @@ def finite_difference_gradient(
     h: float = 1e-5,
     eps: float = 1e-9,
 ) -> np.ndarray:
-    """Central differences of the exact objective along agent ``i``'s coordinates."""
-    work = np.array(theta, dtype=float)
+    """Central differences of the exact objective along agent ``i``'s
+    coordinates, every perturbed objective in one stacked call."""
+    theta = np.array(theta, dtype=float)
 
-    def objective_of_row(row: np.ndarray) -> float:
-        work[i] = row
-        return exact_objective(m, pol.prob_tables(work), eps)
+    def objective_of_rows(rows: np.ndarray) -> np.ndarray:
+        work = np.repeat(theta[None], len(rows), axis=0)
+        work[:, i] = rows
+        return exact_objective(m, np.array([pol.prob_tables(w) for w in work]), eps)
 
-    return central_difference(objective_of_row, np.array(theta[i], dtype=float), h)
+    return central_difference(objective_of_rows, theta[i], h)

@@ -113,15 +113,15 @@ def consensus_error(st: PushSumState, theta: np.ndarray) -> float:
 
 
 def check_invariants(st: PushSumState, theta: np.ndarray, tol: float = MASS_TOL) -> None:
-    """Assert mass conservation and the per-target averaged property."""
+    """Assert mass conservation and the per-target averaged property (NaN fails)."""
     n = st.n
     # the ufunc reductions skip the wrappers of ``sum``, ``mean`` and ``max``,
     # with the same bits: ``mean`` is ``add.reduce`` divided by the count
     mass_err = abs(float(np.add.reduce(st.weights)) - n)
-    if mass_err > tol:
+    if not mass_err <= tol:
         raise ProtocolInvariantError(f"weight mass deviates from {n} by {mass_err:.3e}")
     mean_err = float(np.maximum.reduce(np.abs(np.add.reduce(st.breve) / n - theta), axis=None))
-    if mean_err > tol:
+    if not mean_err <= tol:
         raise ProtocolInvariantError(
             f"intermediate-vector means deviate from true parameters by {mean_err:.3e}"
         )

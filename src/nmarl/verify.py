@@ -83,10 +83,9 @@ def check_gradient_forms(seed: int = 202, draws: int = 3) -> tuple[bool, str]:
     worst_pair = worst_fd = 0.0
     for _ in range(draws):
         theta = rng.uniform(-1, 1, size=(3, 4))
-        local = [oracle.gradient_via_local_q(m, pol, theta, i) for i in range(3)]
-        for i in range(3):
-            g2 = oracle.gradient_via_averaged_q(m, pol, theta, i)
-            worst_pair = max(worst_pair, float(np.max(np.abs(local[i] - g2))))
+        local = oracle.gradient_via_local_q(m, pol, theta, range(3))
+        averaged = oracle.gradient_via_averaged_q(m, pol, theta, range(3))
+        worst_pair = max(worst_pair, float(np.max(np.abs(local - averaged))))
         fd = oracle.finite_difference_gradient(m, pol, theta, 0, h=1e-5)
         worst_fd = max(
             worst_fd,
@@ -101,14 +100,15 @@ def check_pushsum(seed: int = 303, rounds: int = 300) -> tuple[bool, str]:
     w = netgraph.weight_matrix(g)
     rng = np.random.default_rng(seed)
     st = pushsum.init_state(10, 4)
+    # the values and generator state of one draw per round
+    deltas = rng.normal(size=(rounds, 10, 4)) / (np.arange(1, rounds + 1) + 10)[:, None, None]
     theta = np.zeros((10, 4))
-    for t in range(1, rounds + 1):
+    for delta, after in zip(deltas, np.cumsum(deltas, axis=0)):
         pushsum.mix_and_estimate(st, w)
         pushsum.check_invariants(st, theta)
-        deltas = rng.normal(size=(10, 4)) / (t + 10)
-        theta = theta + deltas
-        pushsum.inject_all(st, w, deltas)
-        pushsum.check_invariants(st, theta)
+        pushsum.inject_all(st, w, delta)
+        pushsum.check_invariants(st, after)
+        theta = after
 
     st = pushsum.init_state(10, 4)
     theta = np.zeros((10, 4))

@@ -372,6 +372,15 @@ def ref_power_reward(m, gains, noise, price, i, s, a) -> float:
 # replaced. Slow, and kept only to test the oracle against.
 
 
+class Untouchable:
+    """Stands in for tables that a size guard must not read or build."""
+
+    def _fail(self, *_):
+        raise AssertionError("table read before the size guard fired")
+
+    __getitem__ = __iter__ = __call__ = _fail
+
+
 def ref_build_restricted_chain(m, members, prob_tables, reward_fn) -> RestrictedChain:
     """Chain tables filled point by point; ``reward_fn`` takes member-ordered tuples."""
     members = tuple(sorted(members))
@@ -394,7 +403,8 @@ def ref_build_restricted_chain(m, members, prob_tables, reward_fn) -> Restricted
                 row = np.multiply.outer(row, m.kernels[j][s[pos], a[pos]]).ravel()
             policy_tab[si, ai] = pol
             trans[si, ai] = row
-    return RestrictedChain(members, sspace, aspace, trans, policy_tab, reward)
+    bound = float(np.max(np.abs(reward)))
+    return RestrictedChain(members, sspace, aspace, trans, policy_tab, reward, bound)
 
 
 def ref_chain_q_table(chain, gamma, eps) -> np.ndarray:

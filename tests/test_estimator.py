@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 from unittest.mock import patch
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from nmarl import estimator, netgraph, oracle
 from nmarl.config import load_config
-from nmarl.errors import ConfigError, HorizonOverflow, InvalidProbability
+from nmarl.errors import BoundViolated, ConfigError, HorizonOverflow, InvalidProbability
 from nmarl.estimator import (
     TwoHorizonRollout,
     estimate_bound,
@@ -248,6 +249,17 @@ class TestGradientEstimate:
             roll = rollout_two_horizon(m, tables, rng)
             ge = gradient_estimate(roll, m, pol, est_params)
             assert np.all(ge.norms <= cap * (1 + 1e-9))
+
+    def test_nan_parameter_row_violates_the_bound(self):
+        # one agent's NaN row makes every norm NaN, which no cap admits
+        m = load_config(SHIPPED_CONFIGS["power_control"]).build_model()
+        pol = CoupledSoftmaxPolicy(m.graph, m.n_states, m.n_actions, MixingSpec(kappa_p=1))
+        tables = pol.prob_tables(pol.zero_params())
+        roll = rollout_two_horizon(m, tables, np.random.default_rng(0))
+        params = pol.zero_params()
+        params[1] = np.nan
+        with pytest.raises(BoundViolated, match="norm nan exceeds"):
+            gradient_estimate(roll, m, pol, params)
 
     def test_locality_poisoning(self):
         # poisoned out-of-neighborhood snapshot entries, rewards, and foreign
@@ -535,6 +547,12 @@ def test_shipped_rollouts_match_reference(monkeypatch, config, kappa_p):
         assert got_rng.bit_generator.state == want_rng.bit_generator.state, seed
 
 
+def _assert_within(got, want, atol, rtol=1e-13):
+    """``|got - want| <= atol + rtol * |want|`` with an array ``atol``."""
+    gap = np.abs(got - want)
+    assert np.all(gap <= atol + rtol * np.abs(want)), f"gaps {gap} over bounds {atol}"
+
+
 def _windows(roll):
     """A rollout with an episode axis as one ``TwoHorizonRollout`` per episode."""
     ends = np.cumsum(roll.t2 + 1)
@@ -684,17 +702,29 @@ class TestBatchedRollouts:
     @given(rollouts(), st.sampled_from([2, 7, 40]))
     @settings(max_examples=40, deadline=None)
     def test_estimates_match_per_episode(self, inst, episodes):
-        # the episode axis changes the order of the return sums only
+        # the episode axis changes the order of the return sums only. A sum's
+        # rounding in any order is at most (terms - 1) ulps of the sum of its
+        # absolute terms. Each form of an agent's return adds at most n member
+        # rewards per step, then t2 + 1 weighted steps, then scales: so the
+        # two differ by at most (n + t2 + 3) ulps of the same sum over the
+        # absolute rewards (the weights are positive), and the gradients and
+        # norms by that times the score's size / (1 - gamma)
         m, pol, params, _ = inst
+        kappa_p = pol.spec.kappa_p
         rng = np.random.default_rng(episodes)
         roll = rollouts_two_horizon(m, pol.prob_tables(params), rng, episodes)
         est = gradient_estimate(roll, m, pol, params)
         assert est.grads.shape == (episodes, m.n, pol.d)
         for e, one in enumerate(_windows(roll)):
             want = gradient_estimate(one, m, pol, params)
-            np.testing.assert_allclose(est.q_values[e], want.q_values, rtol=1e-13, atol=1e-15)
-            np.testing.assert_allclose(est.grads[e], want.grads, rtol=1e-13, atol=1e-15)
-            np.testing.assert_allclose(est.norms[e], want.norms, rtol=1e-13, atol=1e-15)
+            absolute = replace(one, reward_trace=np.abs(one.reward_trace))
+            q_tol = (m.n + one.t2 + 3) * np.finfo(float).eps * q_estimates(absolute, m, kappa_p)
+            scores = pol.score_sums(one.snapshot_state, one.snapshot_action, params)
+            _assert_within(est.q_values[e], want.q_values, q_tol)
+            _assert_within(est.grads[e], want.grads, q_tol[:, None] * np.abs(scores) / (1 - m.gamma))
+            _assert_within(
+                est.norms[e], want.norms, q_tol * np.linalg.norm(scores, axis=1) / (1 - m.gamma)
+            )
 
     def test_horizon_overflow(self, pair, monkeypatch):
         m, pol = pair

@@ -9,12 +9,14 @@ from nmarl.model import FactoredNmarlModel, InitialDistribution
 from nmarl.policy import CoupledSoftmaxPolicy, MixingSpec
 
 from support import (
+    Untouchable,
     constant_reward_model,
     line_graph,
     random_table_model,
     ref_rho_prob,
     zero_reward_model,
 )
+from test_oracle_golden import build_case
 
 
 @pytest.fixture
@@ -206,9 +208,109 @@ class TestGradients:
 class TestCentralDifference:
     def test_quadratic_sanity(self):
         x = np.array([1.0, -2.0, 0.5])
-        grad = oracle.central_difference(lambda v: float(v @ v), x, h=1e-5)
+        grad = oracle.central_difference(lambda pts: (pts * pts).sum(axis=1), x, h=1e-5)
         np.testing.assert_allclose(grad, 2 * x, atol=1e-9)
 
     def test_bad_step(self):
         with pytest.raises(ValueError):
             oracle.central_difference(lambda v: 0.0, np.zeros(2), h=0.0)
+
+
+def _with_start(m, kind):
+    """``m`` with a fixed start at state 0 or a uniform product start."""
+    rho = (
+        InitialDistribution.fixed([0] * m.n)
+        if kind == "fixed"
+        else InitialDistribution.product([np.full(m.n_states, 1.0 / m.n_states)] * m.n)
+    )
+    return FactoredNmarlModel(
+        m.graph, m.n_states, m.n_actions, m.kernels, m.batch_rewards, rho, m.gamma
+    )
+
+
+class TestPolicyStacks:
+    @pytest.mark.parametrize("start", ["fixed", "product"])
+    @pytest.mark.parametrize("kappa_p", [1, 2])
+    @pytest.mark.parametrize("name", ["power_control", "line3"])
+    def test_stack_composition_keeps_each_objective(self, monkeypatch, name, kappa_p, start):
+        m, pol = build_case(name, kappa_p)
+        m = _with_start(m, start)
+        params = np.random.default_rng(kappa_p).uniform(-1.0, 1.0, size=(24, m.n, pol.d))
+        tables = np.array([pol.prob_tables(p) for p in params])
+        alone = np.array([oracle.exact_objective(m, t) for t in tables])
+        whole = oracle.exact_objective(m, tables)
+        assert whole.shape == (24,)
+        np.testing.assert_allclose(whole, alone, rtol=1e-14, atol=0.0)
+        ns, na = m.n_states**m.n, m.n_actions**m.n
+        monkeypatch.setattr(oracle, "STACK_BYTES", 8 * 8 * ns * (ns + na))
+        np.testing.assert_allclose(oracle.exact_objective(m, tables), whole, rtol=1e-14, atol=0.0)
+        # the chain and its Q table carry the stack axis too
+        _, stacked = oracle.local_q_table(m, tables[:3], 1)
+        singles = [oracle.local_q_table(m, t, 1)[1] for t in tables[:3]]
+        np.testing.assert_allclose(stacked, singles, rtol=1e-14, atol=1e-15)
+
+    def test_chunk_guard_fires_before_the_chunk_is_built(self, monkeypatch, line3):
+        # the transition table (8 * 8 * 8 entries) fits, five policies' DP
+        # tables (5 * 8 * (8 + 8)) do not
+        m, pol, theta = line3
+        tables = np.stack([pol.prob_tables(theta)] * 5)
+        real = oracle.tensor_product
+
+        def no_stack(tables, lead=0):
+            assert lead == 0, "a policy stack was built before the size guard fired"
+            return real(tables, lead)
+
+        monkeypatch.setattr(oracle, "MAX_TABLE_ENTRIES", 600)
+        monkeypatch.setattr(oracle, "tensor_product", no_stack)
+        monkeypatch.setattr(oracle, "_state_values", Untouchable())
+        with pytest.raises(SpaceTooLarge, match="policy stack needs 640 entries"):
+            oracle.exact_objective(m, tables)
+
+    def test_finite_difference_evaluates_one_stack(self, monkeypatch, line3):
+        m, pol, theta = line3
+        calls = []
+        real = oracle.exact_objective
+        monkeypatch.setattr(
+            oracle, "exact_objective",
+            lambda m, tables, eps: calls.append(np.shape(tables)) or real(m, tables, eps),
+        )
+        oracle.finite_difference_gradient(m, pol, theta, 1)
+        assert calls == [(2 * pol.d, 3, 2, 2)]
+
+
+class TestAgentSets:
+    @pytest.mark.parametrize("shape", ["true", "estimates"])
+    @pytest.mark.parametrize("kappa_p", [1, 2])
+    @pytest.mark.parametrize("name", ["power_control", "line3"])
+    def test_set_rows_are_the_int_calls(self, name, kappa_p, shape):
+        m, pol = build_case(name, kappa_p)
+        size = (m.n, pol.d) if shape == "true" else (m.n, m.n, pol.d)
+        params = np.random.default_rng(kappa_p).uniform(-1.0, 1.0, size=size)
+        agents = (2, 0, 1, 0)
+        for full_sum in (False, True):
+            rows = oracle.gradient_via_local_q(m, pol, params, agents, full_sum=full_sum)
+            assert rows.shape == (4, pol.d)
+            for row, i in zip(rows, agents):
+                want = oracle.gradient_via_local_q(m, pol, params, i, full_sum=full_sum)
+                np.testing.assert_array_equal(row, want)
+        rows = oracle.gradient_via_averaged_q(m, pol, params, range(m.n))
+        for i in range(m.n):
+            np.testing.assert_array_equal(rows[i], oracle.gradient_via_averaged_q(m, pol, params, i))
+
+    def test_one_visitation_and_one_chain_per_target(self, monkeypatch, line3):
+        m, pol, theta = line3
+        counts = {"visitation": 0, "chains": 0}
+        real_visitation, real_build = oracle.discounted_visitation, oracle.build_restricted_chain
+
+        def visitation(*args):
+            counts["visitation"] += 1
+            return real_visitation(*args)
+
+        def build(*args, **kwargs):
+            counts["chains"] += 1
+            return real_build(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "discounted_visitation", visitation)
+        monkeypatch.setattr(oracle, "build_restricted_chain", build)
+        oracle.gradient_via_local_q(m, pol, theta, range(3))
+        assert counts == {"visitation": 1, "chains": 3}

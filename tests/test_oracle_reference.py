@@ -12,7 +12,7 @@ from nmarl.errors import SpaceTooLarge
 from nmarl.policy import CoupledSoftmaxPolicy, MixingSpec
 
 import support
-from support import line_graph, random_table_model
+from support import Untouchable, line_graph, random_table_model
 
 TOL = 1e-12
 
@@ -88,15 +88,6 @@ def test_sum_series_matches_term_by_term_loop(terms):
         want += term
         term = mat @ term
     close(oracle.sum_series(mat, x, terms), want)
-
-
-class Untouchable:
-    """Stands in for tables that a size guard must not read or build."""
-
-    def _fail(self, *_):
-        raise AssertionError("table read before the size guard fired")
-
-    __getitem__ = __iter__ = __call__ = _fail
 
 
 @pytest.mark.parametrize(

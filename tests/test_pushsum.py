@@ -129,6 +129,17 @@ class TestInvariants:
         with pytest.raises(ProtocolInvariantError):
             pushsum.check_invariants(st, np.zeros((3, 2)))
 
+    @pytest.mark.parametrize("where", ["weight", "vector"])
+    def test_check_invariants_detects_nan(self, where):
+        # a NaN error compares false with the tolerance either way round
+        st = pushsum.init_state(3, 2)
+        if where == "weight":
+            st.weights[1] = np.nan
+        else:
+            st.breve[0, 2, 1] = np.nan
+        with pytest.raises(ProtocolInvariantError):
+            pushsum.check_invariants(st, np.zeros((3, 2)))
+
     def test_static_parameter_consensus_is_geometric(self):
         # one injection, then rounds with zero deltas: the estimate error
         # decays like C * lambda^t with lambda < 1
