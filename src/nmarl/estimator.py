@@ -221,7 +221,7 @@ def _step_blocks(
     ``trainer.evaluate_policy`` score a block's steps with one reward call.
 
     Precondition: ``tables`` is finite. On a NaN threshold the two counts
-    disagree (``bisect_right`` assumes a sorted list); ``trainer.run_dscp``
+    disagree (``bisect_right`` assumes a sorted list); ``trainer.step``
     stops a run whose parameters or push-sum estimates turn non-finite
     before it steps them.
     """

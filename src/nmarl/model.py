@@ -452,11 +452,10 @@ class FactoredNmarlModel:
                 raise DimensionMismatch(
                     f"kernel {i} has shape {rows.shape}, expected {(ns, na, ns)}"
                 )
-            if np.any(rows < 0.0):
-                raise KernelRowNotStochastic(f"kernel {i} has negative entries")
-            sums = rows.sum(axis=-1)
-            if np.max(np.abs(sums - 1.0)) > ROW_SUM_TOL:
-                worst = float(np.max(np.abs(sums - 1.0)))
+            if not np.all(rows >= 0.0):  # NaN fails the comparison too
+                raise KernelRowNotStochastic(f"kernel {i} has negative or NaN entries")
+            worst = float(np.max(np.abs(rows.sum(axis=-1) - 1.0)))
+            if not worst <= ROW_SUM_TOL:
                 raise KernelRowNotStochastic(
                     f"kernel {i} rows deviate from 1 by up to {worst:.3e}"
                 )

@@ -44,8 +44,9 @@ class MixingSpec:
     kappa_p: int = 1
 
     def __post_init__(self) -> None:
-        if self.self_weight < 0 or self.neighbor_weight_total < 0:
-            raise ConfigError("mixing weights must be nonnegative")
+        weights = (self.self_weight, self.neighbor_weight_total)
+        if not all(0 <= w < math.inf for w in weights):  # NaN fails too
+            raise ConfigError(f"mixing weights must be finite and nonnegative, got {weights}")
         if self.kappa_p < 0:
             raise ConfigError(f"kappa_p must be nonnegative, got {self.kappa_p}")
 

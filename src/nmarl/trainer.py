@@ -1,14 +1,17 @@
 """Outer training loop: mixing, two-horizon rollouts, gradient steps, metrics.
 
-Per iteration ``t = 1..T``: a push-sum mixing round refreshes every agent's
-parameter estimates, a two-horizon rollout under the executed policy yields
-per-agent gradient estimates, the true parameters take a diminishing
-gradient step, and the parameter changes are injected back into the
-protocol. Iteration ``T`` records final metrics without updating, so a run
-with ``T`` iterations performs ``T - 1`` updates and emits ``T`` record
-rows. Runs are deterministic per seed; per-purpose rng streams are derived
-from the master seed by fixed labels so that changing the evaluation load
-never perturbs the training trajectory.
+``start_run`` builds a ``RunState`` (``t``, the true parameters, the push-sum
+state or ``None`` at ``kappa_p`` 0, the training generator) and ``step``
+advances it by one iteration ``t = 1..T``: a push-sum mixing round refreshes
+every agent's estimates, which are the executed parameters; ``step``'s
+``gradient(run, executed)`` argument gives per-agent gradient estimates (by
+default a two-horizon rollout under the executed policy); the true
+parameters take a diminishing gradient step, and the changes are injected
+back into the protocol. Iteration ``T`` records final metrics without
+updating, so ``T`` iterations perform ``T - 1`` updates and emit ``T`` rows.
+Runs are deterministic per seed; per-purpose rng streams are derived from
+the master seed by fixed labels so that changing the evaluation load never
+perturbs the training trajectory.
 """
 
 from __future__ import annotations
@@ -50,7 +53,6 @@ class DscpConfig:
     eval_episodes: int = 200
     eval_method: str = "geometric"  # or "fixed_horizon"
     eval_horizon_eps: float = 1e-4
-    direct_params: bool = False  # kappa_p == 1 only: neighbors share true parameters
     check_invariants: bool = False
     record_wall_time: bool = False
 
@@ -58,30 +60,24 @@ class DscpConfig:
         self.validate()
 
     def mixing(self) -> MixingSpec:
-        return MixingSpec(
-            self_weight=self.self_weight,
-            neighbor_weight_total=self.neighbor_weight_total,
-            kappa_p=self.kappa_p,
-        )
+        return MixingSpec(self.self_weight, self.neighbor_weight_total, self.kappa_p)
 
     def validate(self) -> None:
         if self.iterations < 1:
             raise ConfigError(f"iterations must be at least 1, got {self.iterations}")
         self.mixing()  # MixingSpec checks the weights and kappa_p
-        if self.eta0 <= 0 or self.t0 < 0:
-            raise ConfigError("learning-rate schedule needs eta0 > 0 and t0 >= 0")
+        if not (0 < self.eta0 < math.inf and 0 <= self.t0 < math.inf):  # NaN fails too
+            raise ConfigError("learning-rate schedule needs finite eta0 > 0 and t0 >= 0")
         if self.batch < 1:
             raise ConfigError(f"batch must be at least 1, got {self.batch}")
         if self.eval_every < 0:
             raise ConfigError(f"eval_every must be nonnegative, got {self.eval_every}")
         if self.eval_episodes < 1:
             raise ConfigError("eval_episodes must be at least 1")
-        if self.eval_horizon_eps <= 0:
-            raise ConfigError(f"eval_horizon_eps must be positive, got {self.eval_horizon_eps}")
+        if not 0 < self.eval_horizon_eps < math.inf:
+            raise ConfigError(f"eval_horizon_eps must be in (0, inf), got {self.eval_horizon_eps}")
         if self.eval_method not in ("geometric", "fixed_horizon"):
             raise ConfigError(f"unknown eval_method {self.eval_method!r}")
-        if self.direct_params and self.kappa_p != 1:
-            raise ConfigError("direct_params is only meaningful for kappa_p == 1")
         if self.seed < 0:
             raise ConfigError("seed must be nonnegative")
 
@@ -116,15 +112,8 @@ class TrainRecord:
         fp.write(CSV_HEADER + "\n")
         for r in self.rows:
             wall = "" if (not include_wall_time or r.wall_ms is None) else str(r.wall_ms)
-            cells = (
-                str(r.t),
-                _fmt(r.j_est),
-                _fmt(r.j_se),
-                _fmt(r.grad_norm_est),
-                _fmt(r.consensus_err),
-                _fmt(r.lr),
-                wall,
-            )
+            metrics = (r.j_est, r.j_se, r.grad_norm_est, r.consensus_err, r.lr)
+            cells = (str(r.t), *map(_fmt, metrics), wall)
             fp.write(",".join(cells) + "\n")
 
     def final_eval(self) -> IterationRow | None:
@@ -146,17 +135,54 @@ def _eval_rng(seed: int, t: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, _STREAM_EVAL, t]))
 
 
-def run_dscp(
-    m: FactoredNmarlModel,
-    g: netgraph.AgentGraph,
-    cfg: DscpConfig,
-    gradient_override: Callable[[np.ndarray, int], np.ndarray] | None = None,
-) -> tuple[np.ndarray, TrainRecord]:
-    """Train coupled softmax policies on ``m`` over graph ``g``.
+@dataclass
+class RunState:
+    """What an iteration hands to the next, beside what stays fixed."""
 
-    Returns the final true parameters ``(n, d)`` and the metric record.
-    ``gradient_override``, a test hook, replaces the sampled gradient
-    estimate by ``fn(theta, t) -> (n, d)``.
+    m: FactoredNmarlModel
+    cfg: DscpConfig
+    pol: CoupledSoftmaxPolicy
+    w: np.ndarray  # push-sum mixing matrix
+    bound: float  # estimator.estimate_bound
+    t: int  # iterations done
+    theta: np.ndarray  # true parameters (n, d)
+    ps: pushsum.PushSumState | None  # None at kappa_p 0
+    rng: np.random.Generator  # the training stream
+
+
+def start_run(m: FactoredNmarlModel, g: netgraph.AgentGraph, cfg: DscpConfig) -> RunState:
+    """The state of a run on ``m`` over graph ``g`` before iteration 1."""
+    m.validate()
+    pol = CoupledSoftmaxPolicy(g, m.n_states, m.n_actions, cfg.mixing())
+    ps = pushsum.init_state(m.n, pol.d) if cfg.kappa_p >= 1 else None
+    w, bound = netgraph.weight_matrix(g), estimator.estimate_bound(m, pol)
+    return RunState(m, cfg, pol, w, bound, 0, pol.zero_params(), ps, _train_rng(cfg.seed))
+
+
+Gradient = Callable[[RunState, np.ndarray], np.ndarray]
+
+
+def sampled_gradient(run: RunState, executed: np.ndarray) -> np.ndarray:
+    """Mean of ``cfg.batch`` two-horizon estimates, each from one rollout
+    under the ``executed`` parameters ``(n, n, d)`` or ``(n, d)``."""
+    tables = run.pol.prob_tables(executed)
+    grads = None
+    for _ in range(run.cfg.batch):
+        roll = estimator.rollout_two_horizon(run.m, tables, run.rng)
+        est = estimator.gradient_estimate(roll, run.m, run.pol, executed, run.bound)
+        grads = est.grads if grads is None else grads + est.grads
+    if run.cfg.batch > 1:
+        grads /= run.cfg.batch
+    return grads
+
+
+def step(run: RunState, gradient: Gradient = sampled_gradient) -> IterationRow:
+    """Advance ``run`` by one iteration and return its metric row.
+
+    ``gradient(run, executed)`` gives the ``(n, d)`` ascent direction from
+    the executed parameters: the push-sum estimates, or ``run.theta`` at
+    ``kappa_p`` 0. ``lambda run, _: sampled_gradient(run, run.theta)``
+    samples on the true parameters at every ``kappa_p``.
 
     Raises:
         NonFiniteState: the true parameters after an update, or the
@@ -164,82 +190,55 @@ def run_dscp(
             estimate), are not finite. The run stops before it evaluates or
             samples with such parameters.
     """
-    m.validate()
-    pol = CoupledSoftmaxPolicy(g, m.n_states, m.n_actions, cfg.mixing())
-    w = netgraph.weight_matrix(g)
-    theta = pol.zero_params()
-    bound = estimator.estimate_bound(m, pol)
-    use_pushsum = cfg.kappa_p >= 1 and not cfg.direct_params
-    ps = pushsum.init_state(m.n, pol.d) if use_pushsum else None
-    rng = _train_rng(cfg.seed)
-    record = TrainRecord()
+    cfg, ps = run.cfg, run.ps
+    started = time.perf_counter()
+    t = run.t = run.t + 1
+    executed, consensus = run.theta, 0.0
+    if ps is not None:
+        pushsum.mix_and_estimate(ps, run.w)
+        if cfg.check_invariants:
+            pushsum.check_invariants(ps, run.theta)
+        consensus = pushsum.consensus_error(ps, run.theta)
+        if not math.isfinite(consensus):
+            raise NonFiniteState(f"push-sum consensus error is {consensus} at iteration {t}")
+        executed = ps.estimates
 
-    for t in range(1, cfg.iterations + 1):
-        started = time.perf_counter()
-        if use_pushsum:
-            pushsum.mix_and_estimate(ps, w)
+    j_est = j_se = None
+    if t == 1 or t == cfg.iterations or (cfg.eval_every > 0 and t % cfg.eval_every == 0):
+        j_est, j_se = evaluate_policy(
+            run.m, run.pol, run.theta, cfg.eval_episodes, _eval_rng(cfg.seed, t),
+            method=cfg.eval_method, horizon_eps=cfg.eval_horizon_eps,
+        )
+
+    grad_norm = None
+    lr = learning_rate(cfg, t)
+    if t < cfg.iterations:
+        grads = gradient(run, executed)
+        flat = grads.ravel()
+        grad_norm = math.sqrt(flat @ flat)  # np.linalg.norm's sum of squares
+        deltas = lr * grads
+        theta = run.theta + deltas
+        if not np.isfinite(theta).all():
+            raise NonFiniteState(f"parameters are not finite after iteration {t}'s update")
+        run.theta = theta
+        if ps is not None:
+            pushsum.inject_all(ps, run.w, deltas)
             if cfg.check_invariants:
                 pushsum.check_invariants(ps, theta)
-            consensus = pushsum.consensus_error(ps, theta)
-            if not math.isfinite(consensus):
-                raise NonFiniteState(f"push-sum consensus error is {consensus} at iteration {t}")
-            exec_params: np.ndarray = ps.estimates
-        else:
-            consensus = 0.0
-            exec_params = theta
 
-        j_est = j_se = None
-        if t == 1 or t == cfg.iterations or (
-            cfg.eval_every > 0 and t % cfg.eval_every == 0
-        ):
-            j_est, j_se = evaluate_policy(
-                m,
-                pol,
-                theta,
-                cfg.eval_episodes,
-                _eval_rng(cfg.seed, t),
-                method=cfg.eval_method,
-                horizon_eps=cfg.eval_horizon_eps,
-            )
+    wall = int(round((time.perf_counter() - started) * 1000.0))
+    return IterationRow(t, j_est, j_se, grad_norm, consensus, lr, wall)
 
-        grad_norm = None
-        lr = learning_rate(cfg, t)
-        if t < cfg.iterations:
-            if gradient_override is not None:
-                grads = gradient_override(theta, t)
-            else:
-                tables = pol.prob_tables(exec_params)
-                grads = None
-                for _ in range(cfg.batch):
-                    roll = estimator.rollout_two_horizon(m, tables, rng)
-                    est = estimator.gradient_estimate(roll, m, pol, exec_params, bound)
-                    grads = est.grads if grads is None else grads + est.grads
-                if cfg.batch > 1:
-                    grads /= cfg.batch
-            flat = grads.ravel()
-            grad_norm = math.sqrt(flat @ flat)  # np.linalg.norm's sum of squares
-            deltas = lr * grads
-            theta = theta + deltas
-            if not np.isfinite(theta).all():
-                raise NonFiniteState(f"parameters are not finite after iteration {t}'s update")
-            if use_pushsum:
-                pushsum.inject_all(ps, w, deltas)
-                if cfg.check_invariants:
-                    pushsum.check_invariants(ps, theta)
 
-        wall = int(round((time.perf_counter() - started) * 1000.0))
-        record.rows.append(
-            IterationRow(
-                t=t,
-                j_est=j_est,
-                j_se=j_se,
-                grad_norm_est=grad_norm,
-                consensus_err=consensus,
-                lr=lr,
-                wall_ms=wall,
-            )
-        )
-    return theta, record
+def run_dscp(
+    m: FactoredNmarlModel, g: netgraph.AgentGraph, cfg: DscpConfig
+) -> tuple[np.ndarray, TrainRecord]:
+    """Train coupled softmax policies on ``m`` over graph ``g``: ``start_run``,
+    then ``cfg.iterations`` sampled ``step``s. Returns the final true
+    parameters ``(n, d)`` and the metric record; raises as ``step`` does."""
+    run = start_run(m, g, cfg)
+    record = TrainRecord([step(run) for _ in range(cfg.iterations)])
+    return run.theta, record
 
 
 # ----------------------------------------------------------------------

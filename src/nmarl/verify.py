@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from . import estimator, netgraph, oracle, pushsum
-from .model import FactoredNmarlModel, InitialDistribution, table_rewards
+from .model import FactoredNmarlModel, InitialDistribution, embed, table_rewards
 from .policy import CoupledSoftmaxPolicy, MixingSpec
 
 
@@ -58,20 +58,13 @@ def check_value_decomposition(seed: int = 101) -> tuple[bool, str]:
     m = _random_model(g, rng)
     pol = CoupledSoftmaxPolicy(g, 2, 2, MixingSpec(kappa_p=1))
     tables = pol.prob_tables(rng.uniform(-1, 1, size=(3, 4)))
-    global_q = oracle.global_q_table(m, tables)
-    local_q = [oracle.local_q_table(m, tables, i) for i in range(3)]
-    worst = 0.0
-    for s in itertools.product(range(2), repeat=3):
-        for a in itertools.product(range(2), repeat=3):
-            total = sum(
-                oracle.q_at(
-                    *local_q[i],
-                    [s[j] for j in m.reward_members[i]],
-                    [a[j] for j in m.reward_members[i]],
-                )
-                for i in range(3)
-            )
-            worst = max(worst, abs(oracle.q_at(*global_q, s, a) - total / 3))
+    chain, global_q = oracle.global_q_table(m, tables)
+    total = 0.0  # the local tables over every agent's axes, added in agent order
+    for local, q in (oracle.local_q_table(m, tables, i) for i in range(3)):
+        sizes = local.state_space.sizes + local.action_space.sizes
+        total = total + embed(q.reshape(sizes), local.members, (0, 1, 2))
+    sizes = chain.state_space.sizes + chain.action_space.sizes
+    worst = float(np.max(np.abs(global_q.reshape(sizes) - total / 3)))
     return worst <= 1e-6, f"max decomposition gap {worst:.3e} over 64 pairs"
 
 

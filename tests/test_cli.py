@@ -213,7 +213,7 @@ def test_block_key_sets():
         "graph": {"n": 2, "edges": [[1, 2]]},
         "dscp": {
             "iterations": 1, "kappa_p": 1, "batch": 1, "eval_every": 0, "eval_episodes": 5,
-            "eval_method": "geometric", "eval_horizon_eps": 1e-3, "direct_params": True,
+            "eval_method": "geometric", "eval_horizon_eps": 1e-3,
             "check_invariants": True, "record_wall_time": False, "seed": 0,
             "lr": {"eta0": 1, "t0": 1, "form": "eta0/(t+t0)"},
             "mixing": {"self_weight": 0.8, "neighbor_weight_total": 0.2},
@@ -510,13 +510,11 @@ class TestSweep:
         assert set(agg["mean_final_J_by_kappa"]) == {"0", "1"}
 
     def test_every_kappa_validated_before_training(self, tmp_path):
-        # direct_params needs kappa_p 1, so kappa_p 0 is invalid
+        # kappa_p 1 is valid and -1 is not: the sweep must refuse before
+        # it trains the first
         out = tmp_path / "sweep"
         cfg = write_config(tmp_path, tiny_path_config(out, iterations=2))
-        rc = cli.main(
-            ["sweep", "--config", cfg, "--kappa-p", "1", "0", "--out", str(out),
-             "--set", "dscp.direct_params=true"]
-        )
+        rc = cli.main(["sweep", "--config", cfg, "--kappa-p", "1", "-1", "--out", str(out)])
         assert rc == 2
         assert not list(out.glob("**/metrics_seed*.csv"))
 

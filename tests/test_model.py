@@ -37,6 +37,19 @@ class TestValidate:
         with pytest.raises(KernelRowNotStochastic):
             m.validate()
 
+    @pytest.mark.parametrize("row", [[np.nan, np.nan], [np.nan, 1.0], [np.inf, 0.0]])
+    def test_non_finite_row_rejected(self, row):
+        # NaN < 0 and NaN > tolerance are both false: the checks must fail on NaN
+        g = line_graph(2)
+        kernels = [np.full((2, 2, 2), 0.5) for _ in range(2)]
+        kernels[0][1, 0] = row
+        m = FactoredNmarlModel(
+            g, 2, 2, kernels,
+            lambda s, a: np.zeros(s.shape), InitialDistribution.fixed([0, 0]), 0.9,
+        )
+        with pytest.raises(KernelRowNotStochastic, match="kernel 0"):
+            m.validate()
+
     def test_empty_space_rejected(self):
         g = line_graph(2)
         for ns, na in [(0, 2), (2, 0)]:

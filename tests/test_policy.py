@@ -46,6 +46,12 @@ class TestMixingSpec:
         with pytest.raises(ValueError):
             MixingSpec(kappa_p=-1)
 
+    @pytest.mark.parametrize("field", ["self_weight", "neighbor_weight_total"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_weight_rejected(self, field, value):
+        with pytest.raises(ValueError, match="finite"):
+            MixingSpec(**{field: value})
+
 
 @given(
     connected_graphs(min_agents=1),

@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import io
 import math
 from unittest.mock import patch
@@ -52,9 +54,31 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             DscpConfig(iterations=5, batch=0).validate()
 
-    def test_direct_params_requires_radius_one(self):
+    @pytest.mark.parametrize(
+        "field", ["eta0", "t0", "self_weight", "neighbor_weight_total", "eval_horizon_eps"]
+    )
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_values_rejected(self, field, value):
+        # NaN fails every ordered comparison, so each check must be written
+        # to fail on it rather than to pass
         with pytest.raises(ConfigError):
-            DscpConfig(iterations=5, kappa_p=2, direct_params=True).validate()
+            DscpConfig(iterations=3, **{field: value})
+
+
+def _steps(m, g, cfg, gradient=trainer.sampled_gradient):
+    """A run of ``cfg.iterations`` steps with ``gradient``, and its rows."""
+    run = trainer.start_run(m, g, cfg)
+    return run, [trainer.step(run, gradient) for _ in range(cfg.iterations)]
+
+
+def _csv(rows) -> str:
+    buf = io.StringIO()
+    trainer.TrainRecord(rows).write_csv(buf)
+    return buf.getvalue()
+
+
+def _sha(values) -> str:
+    return hashlib.sha256(np.asarray(values, dtype=float).tobytes()).hexdigest()
 
 
 class TestRunDscp:
@@ -112,12 +136,68 @@ class TestRunDscp:
         _, rec = run_dscp(m, g, DscpConfig(iterations=20, kappa_p=0, seed=1))
         assert all(r.consensus_err == 0.0 for r in rec.rows)
 
-    def test_direct_params_skips_estimates(self):
+    @pytest.mark.parametrize(
+        "seed, theta_sha, columns_sha",
+        [
+            (1, "503f15c0cea13675ef8c10cb7e1bc0b19df0b0ba57194f4e374124c054e5737d",
+             "2d65403450b148930cb337ddee75206b305a597d5ecdb9da813ac5f66ce1b96e"),
+            (2, "9ef97da6f397176f120990a41919cc512382304c15dc3b4d0d319195f422dffc",
+             "8e44043465e9624a28fb28711b90c4b30520ba69b339e80ca6a4e1a05d899154"),
+        ],
+        ids=["seed1", "seed2"],
+    )
+    def test_true_parameter_sampling_is_pinned(self, seed, theta_sha, columns_sha):
+        # the digests of runs at commit 360cd8c whose neighbors shared their
+        # true parameters (the removed direct_params key, which skipped
+        # push-sum); push-sum now runs beside them and only fills
+        # consensus_err, which the digest leaves out
         g = line_graph(3)
         m = random_table_model(g, np.random.default_rng(4), fixed_start=True)
-        cfg = DscpConfig(iterations=20, kappa_p=1, direct_params=True, seed=1)
-        _, rec = run_dscp(m, g, cfg)
-        assert all(r.consensus_err == 0.0 for r in rec.rows)
+        cfg = DscpConfig(iterations=20, kappa_p=1, seed=seed, eval_every=10, eval_episodes=20)
+        run, rows = _steps(m, g, cfg, lambda run, _: trainer.sampled_gradient(run, run.theta))
+        columns = [
+            [math.nan if getattr(r, key) is None else getattr(r, key) for r in rows]
+            for key in ("j_est", "j_se", "grad_norm_est", "lr")
+        ]
+        assert _sha(run.theta) == theta_sha
+        assert _sha(columns) == columns_sha
+
+    @pytest.mark.parametrize("kappa_p", [0, 1, 2])
+    def test_gradient_receives_the_executed_parameters(self, kappa_p):
+        g = line_graph(3)
+        m = random_table_model(g, np.random.default_rng(4), fixed_start=True)
+        cfg = DscpConfig(iterations=8, kappa_p=kappa_p, seed=1)
+        seen = []
+
+        def spy(run, executed):
+            seen.append(executed is (run.theta if run.ps is None else run.ps.estimates))
+            return trainer.sampled_gradient(run, executed)
+
+        run, _ = _steps(m, g, cfg, spy)
+        assert seen == [True] * 7
+        assert (run.ps is None) == (kappa_p == 0)
+        # the default gradient is the same sampled one
+        assert run.theta.tobytes() == run_dscp(m, g, cfg)[0].tobytes()
+
+    @pytest.mark.parametrize("kappa_p", [0, 1, 2])
+    def test_state_is_complete(self, kappa_p):
+        # a fresh state given a run's t, theta, push-sum arrays and generator
+        # state continues it byte for byte
+        g = line_graph(3)
+        m = random_table_model(g, np.random.default_rng(7), fixed_start=True)
+        cfg = DscpConfig(iterations=30, kappa_p=kappa_p, seed=4, eval_every=10, eval_episodes=20)
+        run = trainer.start_run(m, g, cfg)
+        for _ in range(12):
+            trainer.step(run)
+        fresh = trainer.start_run(m, g, cfg)
+        fresh.t, fresh.theta = run.t, run.theta.copy()
+        if run.ps is not None:
+            for f in dataclasses.fields(run.ps):
+                setattr(fresh.ps, f.name, getattr(run.ps, f.name).copy())
+        fresh.rng.bit_generator.state = run.rng.bit_generator.state
+        tails = [[trainer.step(r) for _ in range(12, 30)] for r in (run, fresh)]
+        assert _csv(tails[0]) == _csv(tails[1])
+        assert run.theta.tobytes() == fresh.theta.tobytes()
 
     @pytest.mark.parametrize("kappa_p", [0, 1, 2])
     def test_non_finite_parameters_stop_the_run(self, kappa_p):
@@ -125,11 +205,11 @@ class TestRunDscp:
         m = random_table_model(g, np.random.default_rng(6), fixed_start=True)
         cfg = DscpConfig(iterations=5, kappa_p=kappa_p, seed=1)
 
-        def nan_at_2(theta, t):
-            return np.full(theta.shape, np.nan if t == 2 else 0.1)
+        def nan_at_2(run, _):
+            return np.full(run.theta.shape, np.nan if run.t == 2 else 0.1)
 
         with pytest.raises(NonFiniteState, match="after iteration 2"):
-            run_dscp(m, g, cfg, gradient_override=nan_at_2)
+            _steps(m, g, cfg, nan_at_2)
 
     @pytest.mark.parametrize("kappa_p", [1, 2])
     def test_overflowing_estimates_stop_the_run(self, kappa_p):
@@ -139,7 +219,7 @@ class TestRunDscp:
         m = random_table_model(g, np.random.default_rng(6), fixed_start=True)
         cfg = DscpConfig(iterations=5, kappa_p=kappa_p, seed=1)
         with np.errstate(over="ignore"), pytest.raises(NonFiniteState, match="iteration 2"):
-            run_dscp(m, g, cfg, gradient_override=lambda theta, t: np.full(theta.shape, 1e306))
+            _steps(m, g, cfg, lambda run, _: np.full(run.theta.shape, 1e306))
 
     def test_batch_averaging_changes_estimates_not_bias(self):
         g = line_graph(2)
@@ -153,17 +233,14 @@ class TestRunDscp:
         # sampled one and watch the exact objective increase monotonically
         g = line_graph(2)
         m = random_table_model(g, np.random.default_rng(6), fixed_start=True)
-        pol = CoupledSoftmaxPolicy(g, 2, 2, MixingSpec(kappa_p=1))
         values = []
 
-        def exact_grad(theta, t):
-            values.append(oracle.exact_objective(m, pol.prob_tables(theta)))
-            return np.stack(
-                [oracle.gradient_via_local_q(m, pol, theta, i) for i in range(2)]
-            )
+        def exact_grad(run, _):
+            values.append(oracle.exact_objective(m, run.pol.prob_tables(run.theta)))
+            return oracle.gradient_via_local_q(m, run.pol, run.theta, range(2))
 
         cfg = DscpConfig(iterations=51, seed=0, eta0=1e-3, t0=0.0)
-        run_dscp(m, g, cfg, gradient_override=exact_grad)
+        _steps(m, g, cfg, exact_grad)
         assert len(values) == 50
         assert all(b > a for a, b in zip(values, values[1:]))
 
