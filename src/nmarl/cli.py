@@ -122,7 +122,6 @@ def cmd_train(args: argparse.Namespace) -> int:
     if args.seed is not None:
         run.seeds = check_seeds([args.seed])
     model = run.build_model()
-    model.validate()
     out = Path(args.out or run.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     results = [_train_one(model, replace(run.dscp, seed=seed), out) for seed in run.seeds]
@@ -143,7 +142,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     seeds = run.seeds if args.seed is None else check_seeds([args.seed])
     configs = [replace(run.dscp, kappa_p=kappa) for kappa in kappas]  # each validated
     model = run.build_model()
-    model.validate()
     out = Path(args.out or run.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     aggregate = {}
@@ -192,7 +190,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed checkpoint {args.checkpoint}: {exc!r}") from exc
     model = run.build_model()
-    model.validate()
     if space != (model.n_states, model.n_actions):
         raise DimensionMismatch(
             f"checkpoint space (n_states, n_actions) = {space}, "

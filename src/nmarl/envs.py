@@ -115,9 +115,9 @@ class PathStructure:
 def path_transition(loc: str, act: int, ps: PathStructure) -> str:
     """Movement rule: 0 stays put, 1/2 follow the upper/lower edge, and any
     action beyond the out-degree stays put."""
-    if loc not in ps.successors:
+    if loc not in ps.locations:
         raise UnknownLocation(f"unknown location {loc!r}")
-    succ = ps.successors[loc]
+    succ = ps.successors.get(loc, ())  # a location the map leaves out has none
     if act == 0 or act > len(succ):
         return loc
     return succ[act - 1]
@@ -183,7 +183,7 @@ def _path_planning_rewards(
     # Row s * A + a of the table, from key (s * A + a) * width on, holds the
     # reward at every shared-edge count, in the operation order of the
     # formula. An entry overflows only under a cap that is not finite, which
-    # FactoredNmarlModel.validate refuses.
+    # the FactoredNmarlModel constructor refuses.
     counts = np.arange(float(netgraph.max_neighborhood_size(graph, 1)))  # 0..max degree
     width = len(counts)
     with np.errstate(over="ignore", invalid="ignore"):

@@ -15,6 +15,9 @@ over leading axes: integer state and action arrays ``(..., n)`` map to float
 rewards ``(..., n)``, and column ``i`` reads only agent ``i``'s reward
 members. Each column is therefore also a dense table over that restricted
 domain (``FactoredNmarlModel.reward_tables``).
+
+The constructor checks the model against this contract, so a model that
+exists is valid: no sampler, oracle or trainer receives an unchecked one.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from .errors import (
     DimensionMismatch,
     EmptySpace,
     IndexOutOfRange,
+    InvalidProbability,
     KernelRowNotStochastic,
     SpaceTooLarge,
 )
@@ -96,6 +100,16 @@ class InitialDistribution:
             raise IndexOutOfRange(f"start states must be integers, got {list(state)!r}")
         return InitialDistribution(kind="fixed", state=tuple(int(s) for s in state))
 
+    def __post_init__(self) -> None:
+        for i, d in enumerate(self.dists or ()):
+            d = np.asarray(d, dtype=float)
+            # NaN fails the comparison, and an infinite entry the sum
+            if not (np.all(d >= 0.0) and abs(d.sum() - 1.0) <= ROW_SUM_TOL):
+                raise InvalidProbability(
+                    f"agent {i}'s start distribution must be finite, nonnegative and sum "
+                    f"to 1, got {d.tolist()}"
+                )
+
     @staticmethod
     def product(dists: Sequence[np.ndarray]) -> "InitialDistribution":
         return InitialDistribution(
@@ -123,7 +137,7 @@ class InitialDistribution:
 
     @cached_property
     def _fixed_row(self) -> np.ndarray:
-        # built on first use, so that validate reports a bad state before any array
+        # built on first use, so that the model reports a bad state before any array
         row = np.array([self.state], dtype=np.intp)
         row.setflags(write=False)
         return row
@@ -139,7 +153,11 @@ class FactoredNmarlModel:
     shape ``(..., n)``. It is the model's only reward implementation; the
     samplers score whole arrays of steps or episodes with one call.
 
-    Derived forms are built lazily and cached. ``stacked_kernel_cum`` holds
+    The constructor runs ``validate``, which raises on an invalid model and
+    sets ``reward_bound``; without declared ``reward_bounds`` it builds the
+    reward tables to find the bound.
+
+    Other derived forms are built lazily and cached. ``stacked_kernel_cum`` holds
     the kernel row cumsums, every row capped with a ``+inf`` last column.
     ``estimator._step_blocks`` steps with their compressed form,
     ``kernel_support``: only the columns where a row's cumsum rises and
@@ -171,6 +189,7 @@ class FactoredNmarlModel:
     """
 
     kappa_r = 1  # reward dependency radius: direct neighbors only
+    reward_bound: float  # set by validate
 
     def __init__(
         self,
@@ -200,9 +219,9 @@ class FactoredNmarlModel:
         self._support_lists: tuple | None = None
         self._parked_rows: np.ndarray | None = None
         self._reward_tables: tuple[np.ndarray, ...] | None = None
-        self._reward_bound: float | None = None
         self._joint_kernels: dict[tuple[int, ...], np.ndarray] = {}
         self._chain_rewards: dict[tuple, tuple[np.ndarray, float]] = {}
+        self.validate()
 
     # ------------------------------------------------------------------
     # shape helpers
@@ -214,11 +233,6 @@ class FactoredNmarlModel:
     @property
     def action_sizes(self) -> tuple[int, ...]:
         return (self.n_actions,) * self.n
-
-    @property
-    def reward_bound(self) -> float:
-        self.validate()
-        return self._reward_bound
 
     def stacked_kernel_cum(self) -> np.ndarray:
         """Kernel row cumsums stacked to ``(n, S, A, S)``, last column ``+inf``.
@@ -428,7 +442,9 @@ class FactoredNmarlModel:
     # validation
 
     def validate(self) -> None:
-        """Check structural invariants, then compute and cache the reward bound.
+        """Check structural invariants, then set ``reward_bound``.
+
+        The constructor runs this; a later call returns at once.
 
         Raises:
             EmptySpace: the shared state or action space is empty.
@@ -440,7 +456,7 @@ class FactoredNmarlModel:
                 not finite, or the bound is so large that a gradient-estimate
                 norm could overflow when squared.
         """
-        if self._reward_bound is not None:
+        if hasattr(self, "reward_bound"):
             return
         ns, na = self.n_states, self.n_actions
         if ns < 1 or na < 1:
@@ -489,7 +505,7 @@ class FactoredNmarlModel:
                 f"the reward bound {bound:.3g} is too large: the gradient-estimate cap "
                 f"{x:.3g} for {self.n} agents at gamma {self.gamma} overflows when squared"
             )
-        self._reward_bound = bound
+        self.reward_bound = bound
 
     def _compute_reward_bound(self) -> float:
         # ``max`` drops a NaN that is not its first argument, so every value is

@@ -26,6 +26,7 @@ adds them up for every agent at once.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -47,8 +48,9 @@ class MixingSpec:
         weights = (self.self_weight, self.neighbor_weight_total)
         if not all(0 <= w < math.inf for w in weights):  # NaN fails too
             raise ConfigError(f"mixing weights must be finite and nonnegative, got {weights}")
-        if self.kappa_p < 0:
-            raise ConfigError(f"kappa_p must be nonnegative, got {self.kappa_p}")
+        k = self.kappa_p
+        if not isinstance(k, numbers.Integral) or isinstance(k, bool) or k < 0:
+            raise ConfigError(f"kappa_p must be a nonnegative integer, got {k!r}")
 
 
 class CoupledSoftmaxPolicy:

@@ -1,9 +1,10 @@
 """Outer training loop: mixing, two-horizon rollouts, gradient steps, metrics.
 
-``start_run`` builds a ``RunState`` (``t``, the true parameters, the push-sum
-state or ``None`` at ``kappa_p`` 0, the training generator) and ``step``
-advances it by one iteration ``t = 1..T``: a push-sum mixing round refreshes
-every agent's estimates, which are the executed parameters; ``step``'s
+``start_run(m, cfg)`` builds a ``RunState`` on the model's own graph (``t``,
+the true parameters, the push-sum state or ``None`` at ``kappa_p`` 0, the
+training generator) and ``step`` advances it by one iteration ``t = 1..T``:
+a push-sum mixing round refreshes every agent's estimates, which are the
+executed parameters; ``step``'s
 ``gradient(run, executed)`` argument gives per-agent gradient estimates (by
 default a two-horizon rollout under the executed policy); the true
 parameters take a diminishing gradient step, and the changes are injected
@@ -17,6 +18,7 @@ perturbs the training trajectory.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 from typing import Callable, IO
@@ -63,6 +65,10 @@ class DscpConfig:
         return MixingSpec(self.self_weight, self.neighbor_weight_total, self.kappa_p)
 
     def validate(self) -> None:
+        for name in ("iterations", "batch", "eval_every", "eval_episodes", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.iterations < 1:
             raise ConfigError(f"iterations must be at least 1, got {self.iterations}")
         self.mixing()  # MixingSpec checks the weights and kappa_p
@@ -150,12 +156,11 @@ class RunState:
     rng: np.random.Generator  # the training stream
 
 
-def start_run(m: FactoredNmarlModel, g: netgraph.AgentGraph, cfg: DscpConfig) -> RunState:
-    """The state of a run on ``m`` over graph ``g`` before iteration 1."""
-    m.validate()
-    pol = CoupledSoftmaxPolicy(g, m.n_states, m.n_actions, cfg.mixing())
+def start_run(m: FactoredNmarlModel, cfg: DscpConfig) -> RunState:
+    """The state of a run on ``m`` over its graph ``m.graph`` before iteration 1."""
+    pol = CoupledSoftmaxPolicy(m.graph, m.n_states, m.n_actions, cfg.mixing())
     ps = pushsum.init_state(m.n, pol.d) if cfg.kappa_p >= 1 else None
-    w, bound = netgraph.weight_matrix(g), estimator.estimate_bound(m, pol)
+    w, bound = netgraph.weight_matrix(m.graph), estimator.estimate_bound(m, pol)
     return RunState(m, cfg, pol, w, bound, 0, pol.zero_params(), ps, _train_rng(cfg.seed))
 
 
@@ -233,10 +238,13 @@ def step(run: RunState, gradient: Gradient = sampled_gradient) -> IterationRow:
 def run_dscp(
     m: FactoredNmarlModel, g: netgraph.AgentGraph, cfg: DscpConfig
 ) -> tuple[np.ndarray, TrainRecord]:
-    """Train coupled softmax policies on ``m`` over graph ``g``: ``start_run``,
+    """Train coupled softmax policies on ``m`` over its graph ``g``: ``start_run``,
     then ``cfg.iterations`` sampled ``step``s. Returns the final true
-    parameters ``(n, d)`` and the metric record; raises as ``step`` does."""
-    run = start_run(m, g, cfg)
+    parameters ``(n, d)`` and the metric record; raises ``ConfigError`` when
+    ``g`` is not ``m.graph``, and otherwise as ``step`` does."""
+    if g != m.graph:
+        raise ConfigError(f"the run's graph {g.edges} is not the model's graph {m.graph.edges}")
+    run = start_run(m, cfg)
     record = TrainRecord([step(run) for _ in range(cfg.iterations)])
     return run.theta, record
 

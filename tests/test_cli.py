@@ -236,7 +236,7 @@ def test_block_key_sets():
         (pc, ["dscp", "mixing"], "dscp.mixing"), (pp, ["env", "overrides"], "env.overrides"),
     ]
     for full in (pc, pp):
-        parse_config(full).build_model().validate()
+        parse_config(full).build_model()  # the model validates itself
     for full, path, where in blocks:
         obj = json.loads(json.dumps(full))
         node = obj

@@ -115,6 +115,16 @@ class TestPathTransition:
         with pytest.raises(UnknownLocation):
             path_transition("q7", 0, structure)
 
+    def test_location_left_out_of_the_map_has_no_successors(self):
+        # the structure reads a missing entry as "no successors"; so do the
+        # moves and the kernels built from them
+        succ = {k: v for k, v in PathStructure().successors.items() if k != "e"}
+        short = PathStructure(successors=succ)
+        assert [path_transition("e", a, short) for a in range(3)] == ["e"] * 3
+        kernels = build_path_env(ps=short).kernels
+        for got, want in zip(kernels, build_path_env().kernels):
+            np.testing.assert_array_equal(got, want)
+
 
 class TestPathReward:
     """Agent 0's reward on the default 10-ring; its neighbors are 9 and 1.

@@ -7,7 +7,14 @@ from scipy import stats
 from nmarl import model as model_module
 from nmarl import netgraph
 from nmarl.config import load_config
-from nmarl.errors import ConfigError, DimensionMismatch, EmptySpace, KernelRowNotStochastic
+from nmarl.errors import (
+    ConfigError,
+    DimensionMismatch,
+    EmptySpace,
+    IndexOutOfRange,
+    InvalidProbability,
+    KernelRowNotStochastic,
+)
 from nmarl.envs import PathPlanningSpec, PathStructure, build_path_env, build_power_env
 from nmarl.model import FactoredNmarlModel, InitialDistribution
 
@@ -30,12 +37,11 @@ class TestValidate:
         kernels = [np.full((2, 2, 2), 0.5) for _ in range(2)]
         kernels[1] = kernels[1].copy()
         kernels[1][0, 0] = [0.49, 0.5]
-        m = FactoredNmarlModel(
-            g, 2, 2, kernels,
-            lambda s, a: np.zeros(s.shape), InitialDistribution.fixed([0, 0]), 0.9,
-        )
         with pytest.raises(KernelRowNotStochastic):
-            m.validate()
+            FactoredNmarlModel(
+                g, 2, 2, kernels,
+                lambda s, a: np.zeros(s.shape), InitialDistribution.fixed([0, 0]), 0.9,
+            )
 
     @pytest.mark.parametrize("row", [[np.nan, np.nan], [np.nan, 1.0], [np.inf, 0.0]])
     def test_non_finite_row_rejected(self, row):
@@ -43,52 +49,67 @@ class TestValidate:
         g = line_graph(2)
         kernels = [np.full((2, 2, 2), 0.5) for _ in range(2)]
         kernels[0][1, 0] = row
-        m = FactoredNmarlModel(
-            g, 2, 2, kernels,
-            lambda s, a: np.zeros(s.shape), InitialDistribution.fixed([0, 0]), 0.9,
-        )
         with pytest.raises(KernelRowNotStochastic, match="kernel 0"):
-            m.validate()
+            FactoredNmarlModel(
+                g, 2, 2, kernels,
+                lambda s, a: np.zeros(s.shape), InitialDistribution.fixed([0, 0]), 0.9,
+            )
+
+    def test_short_rows_rejected_when_built(self):
+        # rows that sum to 0.6 would give the oracle and the samplers a
+        # defective chain; no model with them exists to reach either
+        g = line_graph(2)
+        kernels = [np.full((2, 2, 2), 0.3)] * 2
+        with pytest.raises(KernelRowNotStochastic, match="kernel 0"):
+            FactoredNmarlModel(
+                g, 2, 2, kernels,
+                lambda s, a: np.ones(s.shape), InitialDistribution.fixed([0, 0]), 0.9,
+            )
+
+    def test_fixed_start_outside_space_rejected_when_built(self):
+        g = line_graph(2)
+        with pytest.raises(IndexOutOfRange, match=r"\[0, 5\]"):
+            FactoredNmarlModel(
+                g, 2, 2, [np.full((2, 2, 2), 0.5)] * 2,
+                lambda s, a: np.zeros(s.shape), InitialDistribution.fixed([0, 5]), 0.9,
+            )
 
     def test_empty_space_rejected(self):
         g = line_graph(2)
         for ns, na in [(0, 2), (2, 0)]:
-            m = FactoredNmarlModel(
-                g, ns, na, [np.zeros((ns, na, ns))] * 2,
-                lambda s, a: np.zeros(s.shape), InitialDistribution.fixed([0, 0]), 0.9,
-            )
             with pytest.raises(EmptySpace):
-                m.validate()
+                FactoredNmarlModel(
+                    g, ns, na, [np.zeros((ns, na, ns))] * 2,
+                    lambda s, a: np.zeros(s.shape), InitialDistribution.fixed([0, 0]), 0.9,
+                )
 
     @pytest.mark.parametrize("dists", [[[0.5, 0.5]], [[0.2, 0.3, 0.5]] * 2], ids=["one", "wide"])
     def test_product_start_shape_rejected(self, dists):
         # two agents need two distributions over the two shared states
         g = line_graph(2)
-        m = FactoredNmarlModel(
-            g, 2, 2, [np.full((2, 2, 2), 0.5)] * 2, lambda s, a: np.zeros(s.shape),
-            InitialDistribution.product([np.array(d) for d in dists]), 0.9,
-        )
         with pytest.raises(DimensionMismatch):
-            m.validate()
+            FactoredNmarlModel(
+                g, 2, 2, [np.full((2, 2, 2), 0.5)] * 2, lambda s, a: np.zeros(s.shape),
+                InitialDistribution.product([np.array(d) for d in dists]), 0.9,
+            )
 
     def test_reward_shape_rejected(self):
         # one reward per agent and batch entry, or the model is malformed
         g = line_graph(2)
-        m = FactoredNmarlModel(
-            g, 2, 2, [np.full((2, 2, 2), 0.5)] * 2,
-            lambda s, a: np.zeros(s.shape[:-1]), InitialDistribution.fixed([0, 0]), 0.9,
-        )
         with pytest.raises(DimensionMismatch):
-            m.validate()
+            FactoredNmarlModel(
+                g, 2, 2, [np.full((2, 2, 2), 0.5)] * 2,
+                lambda s, a: np.zeros(s.shape[:-1]), InitialDistribution.fixed([0, 0]), 0.9,
+            )
 
     def test_reward_bound_whose_estimate_cap_overflows_rejected(self):
         # every gradient-estimate norm is at most sqrt(2) n R / ((1 - gamma)
         # (1 - sqrt(gamma))), and training squares the norms
         gains = [[1.0, 0.2, 0.0], [0.2, 1.0, 0.2], [0.0, 0.2, 1.0]]
-        build_power_env(3, 4, gains, [1.0] * 3, [1e150] * 3).validate()
+        build_power_env(3, 4, gains, [1.0] * 3, [1e150] * 3)
         for price in (1e160, 5e307):
             with pytest.raises(ConfigError, match="reward"):
-                build_power_env(3, 4, gains, [1.0] * 3, [price] * 3).validate()
+                build_power_env(3, 4, gains, [1.0] * 3, [price] * 3)
 
     def test_enumerated_bound(self, line3_model):
         # brute-force the restricted domains independently
@@ -245,6 +266,17 @@ class TestSerialization:
 
 
 class TestInitialDistribution:
+    @pytest.mark.parametrize(
+        "dist", [[0.2, 0.2], [-0.5, 1.5], [np.nan, 1.0], [np.inf, 0.0]],
+        ids=["short", "negative", "nan", "inf"],
+    )
+    def test_product_refuses_non_distributions(self, dist):
+        dists = [np.array([0.5, 0.5]), np.array(dist)]
+        with pytest.raises(InvalidProbability, match="agent 1"):
+            InitialDistribution.product(dists)
+        with pytest.raises(InvalidProbability, match="agent 1"):
+            InitialDistribution(kind="product", dists=tuple(dists))
+
     def test_rho_sample_clips_draw_above_cumsum(self):
         # cumsum([0.7, 0.2, 0.1]) ends at 0.9999999999999999, the largest draw
         # below 1, so a right-sided search puts that draw past the last
@@ -324,10 +356,9 @@ class TestRewardTables:
         from nmarl import model as model_mod
         from nmarl.errors import SpaceTooLarge
 
-        m = random_table_model(line_graph(3), np.random.default_rng(4))
         monkeypatch.setattr(model_mod, "MAX_REWARD_DOMAIN", 15)
         with pytest.raises(SpaceTooLarge):
-            m.reward_tables()
+            random_table_model(line_graph(3), np.random.default_rng(4))
 
 
 class TestKernelSupport:

@@ -55,19 +55,32 @@ class TestConfigValidation:
             DscpConfig(iterations=5, batch=0).validate()
 
     @pytest.mark.parametrize(
-        "field", ["eta0", "t0", "self_weight", "neighbor_weight_total", "eval_horizon_eps"]
+        "field",
+        [
+            "eta0", "t0", "self_weight", "neighbor_weight_total", "eval_horizon_eps",
+            "iterations", "batch", "eval_every", "seed", "eval_episodes", "kappa_p",
+        ],
     )
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_values_rejected(self, field, value):
         # NaN fails every ordered comparison, so each check must be written
         # to fail on it rather than to pass
         with pytest.raises(ConfigError):
-            DscpConfig(iterations=3, **{field: value})
+            DscpConfig(**{"iterations": 3, field: value})
+        if field == "kappa_p":
+            with pytest.raises(ConfigError):
+                MixingSpec(kappa_p=value)
+
+    @pytest.mark.parametrize("field", ["iterations", "batch", "eval_every", "seed", "kappa_p"])
+    @pytest.mark.parametrize("value", [2.0, True])
+    def test_integer_fields_need_integers(self, field, value):
+        with pytest.raises(ConfigError, match="integer"):
+            DscpConfig(**{"iterations": 3, field: value})
 
 
-def _steps(m, g, cfg, gradient=trainer.sampled_gradient):
+def _steps(m, cfg, gradient=trainer.sampled_gradient):
     """A run of ``cfg.iterations`` steps with ``gradient``, and its rows."""
-    run = trainer.start_run(m, g, cfg)
+    run = trainer.start_run(m, cfg)
     return run, [trainer.step(run, gradient) for _ in range(cfg.iterations)]
 
 
@@ -130,6 +143,16 @@ class TestRunDscp:
         cfg = DscpConfig(iterations=60, seed=7, check_invariants=True)
         run_dscp(m, g, cfg)
 
+    def test_graph_other_than_the_models_rejected(self):
+        # the policy would couple on one graph while the return estimate and
+        # the estimate cap read the model's
+        m = random_table_model(line_graph(3), np.random.default_rng(3), fixed_start=True)
+        other = netgraph.build_graph(3, [(1, 3), (2, 3)])
+        with pytest.raises(ConfigError, match="graph"):
+            run_dscp(m, other, DscpConfig(iterations=50, seed=1))
+        # an equal graph built apart is the model's graph
+        run_dscp(m, line_graph(3), DscpConfig(iterations=2, seed=1))
+
     def test_kappa_zero_disables_pushsum(self):
         g = line_graph(3)
         m = random_table_model(g, np.random.default_rng(3), fixed_start=True)
@@ -154,7 +177,7 @@ class TestRunDscp:
         g = line_graph(3)
         m = random_table_model(g, np.random.default_rng(4), fixed_start=True)
         cfg = DscpConfig(iterations=20, kappa_p=1, seed=seed, eval_every=10, eval_episodes=20)
-        run, rows = _steps(m, g, cfg, lambda run, _: trainer.sampled_gradient(run, run.theta))
+        run, rows = _steps(m, cfg, lambda run, _: trainer.sampled_gradient(run, run.theta))
         columns = [
             [math.nan if getattr(r, key) is None else getattr(r, key) for r in rows]
             for key in ("j_est", "j_se", "grad_norm_est", "lr")
@@ -173,7 +196,7 @@ class TestRunDscp:
             seen.append(executed is (run.theta if run.ps is None else run.ps.estimates))
             return trainer.sampled_gradient(run, executed)
 
-        run, _ = _steps(m, g, cfg, spy)
+        run, _ = _steps(m, cfg, spy)
         assert seen == [True] * 7
         assert (run.ps is None) == (kappa_p == 0)
         # the default gradient is the same sampled one
@@ -186,10 +209,10 @@ class TestRunDscp:
         g = line_graph(3)
         m = random_table_model(g, np.random.default_rng(7), fixed_start=True)
         cfg = DscpConfig(iterations=30, kappa_p=kappa_p, seed=4, eval_every=10, eval_episodes=20)
-        run = trainer.start_run(m, g, cfg)
+        run = trainer.start_run(m, cfg)
         for _ in range(12):
             trainer.step(run)
-        fresh = trainer.start_run(m, g, cfg)
+        fresh = trainer.start_run(m, cfg)
         fresh.t, fresh.theta = run.t, run.theta.copy()
         if run.ps is not None:
             for f in dataclasses.fields(run.ps):
@@ -209,7 +232,7 @@ class TestRunDscp:
             return np.full(run.theta.shape, np.nan if run.t == 2 else 0.1)
 
         with pytest.raises(NonFiniteState, match="after iteration 2"):
-            _steps(m, g, cfg, nan_at_2)
+            _steps(m, cfg, nan_at_2)
 
     @pytest.mark.parametrize("kappa_p", [1, 2])
     def test_overflowing_estimates_stop_the_run(self, kappa_p):
@@ -219,7 +242,7 @@ class TestRunDscp:
         m = random_table_model(g, np.random.default_rng(6), fixed_start=True)
         cfg = DscpConfig(iterations=5, kappa_p=kappa_p, seed=1)
         with np.errstate(over="ignore"), pytest.raises(NonFiniteState, match="iteration 2"):
-            _steps(m, g, cfg, lambda run, _: np.full(run.theta.shape, 1e306))
+            _steps(m, cfg, lambda run, _: np.full(run.theta.shape, 1e306))
 
     def test_batch_averaging_changes_estimates_not_bias(self):
         g = line_graph(2)
@@ -240,7 +263,7 @@ class TestRunDscp:
             return oracle.gradient_via_local_q(m, run.pol, run.theta, range(2))
 
         cfg = DscpConfig(iterations=51, seed=0, eta0=1e-3, t0=0.0)
-        _steps(m, g, cfg, exact_grad)
+        _steps(m, cfg, exact_grad)
         assert len(values) == 50
         assert all(b > a for a, b in zip(values, values[1:]))
 
