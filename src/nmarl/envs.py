@@ -16,6 +16,11 @@ entry's key is the row of the first action from its state to the same next
 state, so equal keys mean the same edge. Each unordered neighbor edge
 compares its ends' keys once, and an incidence matmul adds the match to
 both ends' counts ``c``; a stayer's row is ``base`` whatever its count.
+
+The power-control reward reads power levels only, so it is one state-only
+table per agent over its members' levels, read by ``model.table_rewards``.
+``build_power_env`` fills the tables from the closed form once: a call
+looks the rewards up, and the formula does not run per call.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ import numpy as np
 
 from . import netgraph
 from .errors import ConfigError, NonPositiveNoise, UnknownLocation
-from .model import BatchRewards, FactoredNmarlModel, InitialDistribution
+from .model import BatchRewards, FactoredNmarlModel, InitialDistribution, table_rewards, tabulate
 
 PATH_LOCATIONS = (
     "b1", "b2", "b3", "b4", "b5",
@@ -245,7 +250,7 @@ _POWER_ACTIONS = (0, -1, 1)
 
 
 def _power_control_rewards(
-    graph: netgraph.AgentGraph, gains: np.ndarray, noise: np.ndarray, price: np.ndarray
+    graph: netgraph.AgentGraph, levels: int, gains: np.ndarray, noise: np.ndarray, price: np.ndarray
 ) -> BatchRewards:
     if not all(np.all(np.isfinite(x)) for x in (gains, noise, price)):
         raise ConfigError("channel gains, noise powers and prices must be finite")
@@ -262,12 +267,13 @@ def _power_control_rewards(
     cross = gains * (netgraph.hop_mask(graph, 1) - np.eye(n))
     own = np.diag(gains)
 
-    def batch(states: np.ndarray, acts: np.ndarray) -> np.ndarray:
+    def closed_form(states: np.ndarray, acts: np.ndarray) -> np.ndarray:
         del acts  # the reward reads power levels only
         p = states.astype(float)
         return np.log(1.0 + p * own / (p @ cross.T + noise)) - price * p
 
-    return batch
+    tables = tabulate(closed_form, graph.neighbors, (levels,))
+    return table_rewards(tables, graph.neighbors)
 
 
 def build_power_env(
@@ -282,7 +288,14 @@ def build_power_env(
 ) -> FactoredNmarlModel:
     """Power-control model: states are discrete power levels ``0..levels-1``,
     actions hold/decrease/increase clipped at the grid edges, rewards trade
-    log-throughput under neighbor interference against a power price."""
+    log-throughput under neighbor interference against a power price.
+
+    Agent ``i``'s reward ``log(1 + p_i g_ii / (sum_j p_j g_ij + noise_i)) -
+    price_i p_i``, ``j`` over its other direct neighbors, is filled here
+    into its state-only table by one closed-form call on the grid of its
+    members' levels (``model.tabulate``, which ignores numpy's warnings, so
+    an overflowing entry reaches the model's ``ConfigError``).
+    """
     if levels < 2:
         raise ConfigError(f"need at least 2 power levels, got {levels}")
     comm = comm or netgraph.ring_graph(n)
@@ -294,6 +307,7 @@ def build_power_env(
             kernel[s, a, min(max(s + delta, 0), levels - 1)] = 1.0
     batch = _power_control_rewards(
         comm,
+        levels,
         np.asarray(gains, dtype=float),
         np.asarray(noise, dtype=float),
         np.asarray(price, dtype=float),

@@ -14,7 +14,11 @@ is the product of the local ones. A model has one reward callable, batched
 over leading axes: integer state and action arrays ``(..., n)`` map to float
 rewards ``(..., n)``, and column ``i`` reads only agent ``i``'s reward
 members. Each column is therefore also a dense table over that restricted
-domain (``FactoredNmarlModel.reward_tables``).
+domain (``FactoredNmarlModel.reward_tables``), and a reward given by such
+tables is one flat lookup (``table_rewards``): every agent's table is
+concatenated once, and a call computes each entry's key and reads it with
+one ``take``. A table may hold only its members' state axes, as power
+control's do, since its reward ignores the actions.
 
 The constructor checks the model against this contract, so a model that
 exists is valid: no sampler, oracle or trainer receives an unchecked one.
@@ -96,12 +100,22 @@ class InitialDistribution:
 
     @staticmethod
     def fixed(state: Sequence[int]) -> "InitialDistribution":
-        if not all(isinstance(s, numbers.Integral) and not isinstance(s, bool) for s in state):
-            raise IndexOutOfRange(f"start states must be integers, got {list(state)!r}")
-        return InitialDistribution(kind="fixed", state=tuple(int(s) for s in state))
+        return InitialDistribution(kind="fixed", state=tuple(state))
 
     def __post_init__(self) -> None:
-        for i, d in enumerate(self.dists or ()):
+        if self.kind not in ("fixed", "product"):
+            raise ConfigError(f"a start distribution is 'fixed' or 'product', got {self.kind!r}")
+        if self.kind == "fixed":
+            if self.state is None:
+                raise ConfigError("a fixed start needs its state")
+            if not all(isinstance(s, numbers.Integral) and not isinstance(s, bool)
+                       for s in self.state):
+                raise IndexOutOfRange(f"start states must be integers, got {list(self.state)!r}")
+            object.__setattr__(self, "state", tuple(int(s) for s in self.state))
+            return
+        if self.dists is None:
+            raise ConfigError("a product start needs its distributions")
+        for i, d in enumerate(self.dists):
             d = np.asarray(d, dtype=float)
             # NaN fails the comparison, and an infinite entry the sum
             if not (np.all(d >= 0.0) and abs(d.sum() - 1.0) <= ROW_SUM_TOL):
@@ -408,34 +422,16 @@ class FactoredNmarlModel:
         """Dense per-agent reward tables over the restricted domains (cached).
 
         Table ``i`` is indexed by the member states, then the member actions,
-        members in sorted order. It is column ``i`` of one ``batch_rewards``
-        call on every member point, with state and action 0 in the slots of
-        non-members, which column ``i`` does not read.
+        members in sorted order: ``tabulate`` over ``(S, A)``, one
+        ``batch_rewards`` call per agent.
 
         Raises:
             SpaceTooLarge: a restricted domain exceeds ``MAX_REWARD_DOMAIN`` points.
         """
         if self._reward_tables is None:
-            tables = []
-            for i, members in enumerate(self.reward_members):
-                k = len(members)
-                shape = (self.n_states,) * k + (self.n_actions,) * k
-                size = math.prod(shape)
-                if size > MAX_REWARD_DOMAIN:
-                    raise SpaceTooLarge(
-                        f"reward domain of agent {i} has {size} points, cap is "
-                        f"{MAX_REWARD_DOMAIN}; declare reward_bounds instead of enumerating"
-                    )
-                grid = np.indices(shape).reshape(2 * k, size)
-                states = np.zeros((size, self.n), dtype=np.intp)
-                acts = np.zeros((size, self.n), dtype=np.intp)
-                states[:, members] = grid[:k].T
-                acts[:, members] = grid[k:].T
-                # a non-finite reward is validate's error, not a numpy warning
-                with np.errstate(all="ignore"):
-                    column = np.asarray(self.batch_rewards(states, acts), dtype=float)[:, i]
-                tables.append(column.reshape(shape))
-            self._reward_tables = tuple(tables)
+            self._reward_tables = tabulate(
+                self.batch_rewards, self.reward_members, (self.n_states, self.n_actions)
+            )
         return self._reward_tables
 
     # ------------------------------------------------------------------
@@ -536,17 +532,97 @@ class FactoredNmarlModel:
         )
 
 
+def tabulate(
+    batch_rewards: BatchRewards, members: Sequence[Sequence[int]], sizes: tuple[int, ...]
+) -> tuple[np.ndarray, ...]:
+    """Agent ``i``'s column of ``batch_rewards`` at every point of its members' axes.
+
+    ``sizes`` is ``(S,)``, for one state axis per member, or ``(S, A)``, for
+    the member states' axes and then the member actions' axes; a state-only
+    table is read at action 0. Table ``i`` is column ``i`` of one call on
+    the grid of its members' points, with state and action 0 in the slots
+    of non-members, which column ``i`` does not read. The calls run under
+    ``np.errstate(all="ignore")``: a non-finite reward is the model's
+    ``ConfigError``, not a numpy warning.
+
+    Raises:
+        SpaceTooLarge: a table has more than ``MAX_REWARD_DOMAIN`` points.
+    """
+    tables = []
+    for i, nb in enumerate(members):
+        k = len(nb)
+        shape = tuple(size for size in sizes for _ in nb)
+        count = math.prod(shape)
+        if count > MAX_REWARD_DOMAIN:
+            raise SpaceTooLarge(
+                f"reward domain of agent {i} has {count} points, cap is "
+                f"{MAX_REWARD_DOMAIN}; declare reward_bounds instead of enumerating"
+            )
+        grid = np.indices(shape).reshape(len(shape), count)
+        states = np.zeros((count, len(members)), dtype=np.intp)
+        acts = np.zeros_like(states)
+        states[:, nb] = grid[:k].T
+        if len(sizes) > 1:
+            acts[:, nb] = grid[k:].T
+        with np.errstate(all="ignore"):
+            column = np.asarray(batch_rewards(states, acts), dtype=float)[:, i]
+        tables.append(column.reshape(shape))
+    return tuple(tables)
+
+
 def table_rewards(
     tables: Sequence[np.ndarray], members: Sequence[Sequence[int]]
 ) -> BatchRewards:
     """Batched reward reading agent ``i``'s ``tables[i]`` at its ``members``'
-    states, then actions."""
+    states, then actions.
+
+    Table ``i`` has one axis per member state, in ``members[i]``'s order,
+    then one axis per member action or none: a state-only table does not
+    read the actions. Every state axis has one size, every action axis
+    another. The tables are concatenated once, and a call is one lookup:
+    the keys are the float product ``states @ W_s``, plus ``acts @ W_a``
+    only when some table has action axes (column ``i`` of each holds table
+    ``i``'s strides in its members' rows; exact below 2**53 entries), then
+    one ``astype``, the agents' table offsets and one ``take``. An index
+    outside its axis is not caught: its key reads another entry.
+
+    Raises:
+        DimensionMismatch: a table's axis count is neither its member count
+            k nor 2k, or its state or action axes disagree in size.
+    """
+    tables = [np.asarray(t, dtype=float) for t in tables]
+    n = len(tables)
+    w_s, w_a = np.zeros((n, n)), np.zeros((n, n))
+    state_sizes, action_sizes = set(), set()
+    for i, (table, nb) in enumerate(zip(tables, members)):
+        k = len(nb)
+        if table.ndim not in (k, 2 * k):
+            raise DimensionMismatch(
+                f"agent {i}'s table has {table.ndim} axes, expected {k} or {2 * k} "
+                f"for its {k} members"
+            )
+        state_sizes.update(table.shape[:k])
+        action_sizes.update(table.shape[k:])
+        strides = [math.prod(table.shape[q + 1:]) for q in range(table.ndim)]
+        for p, j in enumerate(nb):
+            w_s[j, i] += strides[p]
+            if table.ndim > k:
+                w_a[j, i] += strides[k + p]
+    if len(state_sizes) > 1 or len(action_sizes) > 1:
+        raise DimensionMismatch(
+            f"the tables' state axes have sizes {sorted(state_sizes)} and their action "
+            f"axes {sorted(action_sizes)}; each needs one size"
+        )
+    flat = np.concatenate([t.ravel() for t in tables])
+    offsets = np.cumsum([0] + [t.size for t in tables[:-1]])
+    reads_actions = bool(action_sizes)
 
     def batch(states: np.ndarray, acts: np.ndarray) -> np.ndarray:
-        out = np.empty(states.shape, dtype=float)
-        for i, (table, nb) in enumerate(zip(tables, members)):
-            key = tuple(states[..., j] for j in nb) + tuple(acts[..., j] for j in nb)
-            out[..., i] = table[key]
-        return out
+        keys = states @ w_s
+        if reads_actions:
+            keys += acts @ w_a
+        keys = keys.astype(np.intp)
+        keys += offsets
+        return flat.take(keys)
 
     return batch

@@ -253,6 +253,25 @@ def run_dscp(
 # Monte-Carlo policy evaluation
 
 
+PAIRWISE_AGENTS = 8  # numpy's float sum adds 8 partial sums from this many terms on
+
+
+def _agent_sums(rewards: np.ndarray) -> np.ndarray:
+    """``np.add.reduce(rewards, axis=-1)``, bit for bit; below
+    ``PAIRWISE_AGENTS`` agents as column adds from ``+0.0``.
+
+    A single row runs the reduction: numpy adds one-element arrays with
+    their operands swapped, which keeps the other NaN where two meet.
+    """
+    n = rewards.shape[-1]
+    if n >= PAIRWISE_AGENTS or rewards.size <= n:
+        return np.add.reduce(rewards, axis=-1)
+    total = np.zeros(rewards.shape[:-1])
+    for j in range(n):
+        total += rewards[..., j]
+    return total
+
+
 def evaluate_policy(
     m: FactoredNmarlModel,
     pol: CoupledSoftmaxPolicy,
@@ -282,6 +301,14 @@ def evaluate_policy(
     the peak memory does not grow with the horizon. Each step's agent mean is
     ``sum / n`` (the bits of ``mean``), and the episode totals add the steps
     one at a time, in order.
+
+    The agent sum is bit for bit ``np.add.reduce`` over the agents
+    (``_agent_sums``). Below 8 agents numpy adds a row's terms in order from
+    ``+0.0`` but runs its reduction loop once per row, which costs more
+    than the adds on a 3-agent row; the same adds run as one whole-array
+    add per agent column. From 8 agents on numpy adds 8 partial sums
+    pairwise, an order column adds do not copy, so the reduction runs
+    itself, as it does on a single row.
 
     A block covers only the episodes not yet finished, and each adds its
     step sums to its own total. An episode is finished once it is past its
@@ -315,7 +342,7 @@ def evaluate_policy(
     totals = np.zeros(episodes)
     t = 0  # the block's first step
     for states, acts, live in blocks:
-        rbar = np.asarray(m.batch_rewards(states, acts), dtype=float).sum(axis=-1) / m.n
+        rbar = _agent_sums(np.asarray(m.batch_rewards(states, acts), dtype=float)) / m.n
         k = len(rbar)
         # an episode past its geometric horizon adds 0; every fixed one runs on
         if discounts is None:

@@ -355,6 +355,38 @@ def ref_path_reward(spec, ps, graph, i, s, a) -> float:
     return -spec.r_eps - spec.collision_weight * shared / spec.n
 
 
+def ref_table_rewards(tables, members):
+    """The per-agent fancy-index loop ``model.table_rewards`` replaced, kept
+    as its reference; a state-only table is read at the states alone."""
+
+    def batch(states, acts):
+        out = np.empty(states.shape, dtype=float)
+        for i, (table, nb) in enumerate(zip(tables, members)):
+            key = tuple(states[..., j] for j in nb)
+            if np.ndim(table) > len(nb):
+                key += tuple(acts[..., j] for j in nb)
+            out[..., i] = table[key]
+        return out
+
+    return batch
+
+
+def ref_power_rewards(graph, gains, noise, price):
+    """The batched power-control closed form that the build-time tables
+    replaced, kept as their reference: it runs on every call."""
+    gains, noise, price = (np.asarray(x, dtype=float) for x in (gains, noise, price))
+    n = graph.n
+    cross = gains * (netgraph.hop_mask(graph, 1) - np.eye(n))
+    own = np.diag(gains)
+
+    def batch(states, acts):
+        del acts
+        p = states.astype(float)
+        return np.log(1.0 + p * own / (p @ cross.T + noise)) - price * p
+
+    return batch
+
+
 def ref_power_reward(m, gains, noise, price, i, s, a) -> float:
     """Agent ``i``'s power-control reward at joint ``(s, a)``, term by term.
 

@@ -29,6 +29,8 @@ from support import (
     random_table_model,
     ref_path_reward,
     ref_power_reward,
+    ref_power_rewards,
+    shaped_graph,
 )
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -352,7 +354,8 @@ class TestPowerEnv:
 
     def test_shipped_config_matches_reference(self):
         # every joint point of the shipped 3-agent, 4-level config, batched
-        # and one at a time, against the term-by-term formula
+        # and one at a time, against the batched closed form and the
+        # term-by-term formula, bit for bit
         m = load_config(ROOT / "configs" / "power_control.json").build_model()
         ov = json.loads((ROOT / "configs" / "power_control.json").read_text())["env"]["overrides"]
         points = [
@@ -360,11 +363,41 @@ class TestPowerEnv:
             for s in itertools.product(range(4), repeat=3)
             for a in itertools.product(range(3), repeat=3)
         ]
-        batch = m.batch_rewards(np.array([p[0] for p in points]), np.array([p[1] for p in points]))
+        states = np.array([p[0] for p in points])
+        acts = np.array([p[1] for p in points])
+        batch = m.batch_rewards(states, acts)
+        closed_form = ref_power_rewards(m.graph, ov["gains"], ov["noise"], ov["price"])
+        np.testing.assert_array_equal(batch, closed_form(states, acts))
         for (s, a), row in zip(points, batch):
             want = [ref_power_reward(m, ov["gains"], ov["noise"], ov["price"], i, s, a) for i in range(3)]
-            np.testing.assert_allclose(row, want, rtol=1e-12, atol=1e-12)
-            np.testing.assert_allclose(m.rewards(s, a), want, rtol=1e-12, atol=1e-12)
+            np.testing.assert_array_equal(row, want)
+            np.testing.assert_array_equal(m.rewards(s, a), want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(["line", "ring", "star"]),
+        n=st.integers(1, 5),
+        levels=st.integers(2, 4),
+        lead=st.sampled_from([(), (7,), (3, 5)]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_tables_match_closed_form(self, kind, n, levels, lead, seed):
+        # The build-time tables read the closed form's bits at every batch
+        # shape. The off-diagonal gains are multiples of 1/16, so that the
+        # closed form's interference matmul is exact: with rounding gains
+        # its own bits differ between a single row and a batch, which BLAS
+        # sums in different orders.
+        g = shaped_graph(kind, n)
+        rng = np.random.default_rng(seed)
+        gains = rng.integers(0, 33, size=(n, n)) / 16.0
+        np.fill_diagonal(gains, rng.uniform(0.1, 2.0, size=n))
+        noise, price = rng.uniform(0.1, 2.0, size=n), rng.uniform(0.0, 0.5, size=n)
+        m = build_power_env(n, levels, gains, noise, price, comm=g)
+        states = rng.integers(0, levels, size=lead + (n,))
+        acts = rng.integers(0, 3, size=lead + (n,))
+        got = m.batch_rewards(states, acts)
+        want = ref_power_rewards(g, gains, noise, price)(states, acts)
+        assert got.shape == want.shape and np.array_equal(got, want)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ConfigError):

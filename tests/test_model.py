@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from nmarl import model as model_module
@@ -16,9 +18,16 @@ from nmarl.errors import (
     KernelRowNotStochastic,
 )
 from nmarl.envs import PathPlanningSpec, PathStructure, build_path_env, build_power_env
-from nmarl.model import FactoredNmarlModel, InitialDistribution
+from nmarl.model import FactoredNmarlModel, InitialDistribution, table_rewards
 
-from support import line_graph, next_states, random_table_model, zero_reward_model
+from support import (
+    line_graph,
+    next_states,
+    random_table_model,
+    ref_table_rewards,
+    shaped_graph,
+    zero_reward_model,
+)
 
 
 @pytest.fixture
@@ -277,6 +286,27 @@ class TestInitialDistribution:
         with pytest.raises(InvalidProbability, match="agent 1"):
             InitialDistribution(kind="product", dists=tuple(dists))
 
+    @pytest.mark.parametrize("state", [(0.5, 1.7), (True, 0)], ids=["floats", "bool"])
+    def test_fixed_refuses_non_integer_states(self, state):
+        # the dataclass constructor checks what fixed() used to: a truncating
+        # cast would otherwise start (0.5, 1.7) from [0, 1]
+        with pytest.raises(IndexOutOfRange, match="must be integers"):
+            InitialDistribution(kind="fixed", state=state)
+        with pytest.raises(IndexOutOfRange, match="must be integers"):
+            InitialDistribution.fixed(state)
+
+    def test_fixed_state_becomes_python_ints(self):
+        rho = InitialDistribution(kind="fixed", state=[np.int64(1), 0])
+        assert rho.state == (1, 0) and all(type(s) is int for s in rho.state)
+
+    @pytest.mark.parametrize(
+        "fields", [{"kind": "bogus", "state": (0, 0)}, {"kind": "fixed"}, {"kind": "product"}],
+        ids=["unknown kind", "fixed without state", "product without dists"],
+    )
+    def test_malformed_kind_rejected(self, fields):
+        with pytest.raises(ConfigError):
+            InitialDistribution(**fields)
+
     def test_rho_sample_clips_draw_above_cumsum(self):
         # cumsum([0.7, 0.2, 0.1]) ends at 0.9999999999999999, the largest draw
         # below 1, so a right-sided search puts that draw past the last
@@ -359,6 +389,53 @@ class TestRewardTables:
         monkeypatch.setattr(model_mod, "MAX_REWARD_DOMAIN", 15)
         with pytest.raises(SpaceTooLarge):
             random_table_model(line_graph(3), np.random.default_rng(4))
+
+
+class TestTableRewards:
+    """``table_rewards``: one flat lookup over every agent's table."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        kind=st.sampled_from(["line", "ring", "star"]),
+        n=st.integers(1, 5),
+        ns=st.integers(1, 3),
+        na=st.integers(1, 3),
+        actions=st.sampled_from(["all", "none", "mixed"]),
+        shuffled=st.booleans(),
+        lead=st.sampled_from([(), (7,), (3, 5)]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_reference_loop(self, kind, n, ns, na, actions, shuffled, lead, seed):
+        rng = np.random.default_rng(seed)
+        members = [
+            tuple(rng.permutation(nb).tolist()) if shuffled else nb
+            for nb in shaped_graph(kind, n).neighbors
+        ]
+        reads = {"all": [True] * n, "none": [False] * n, "mixed": rng.random(n) < 0.5}[actions]
+        tables = [
+            rng.uniform(-1.0, 1.0, size=(ns,) * len(nb) + ((na,) * len(nb) if r else ()))
+            for nb, r in zip(members, reads)
+        ]
+        states = rng.integers(0, ns, size=lead + (n,))
+        acts = rng.integers(0, na, size=lead + (n,))
+        got = table_rewards(tables, members)(states, acts)
+        want = ref_table_rewards(tables, members)(states, acts)
+        assert got.shape == want.shape and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("axes", [1, 3], ids=["too few", "between k and 2k"])
+    def test_axis_count_rejected_when_built(self, axes):
+        # agent 0 of a 3-agent line has 2 members: 2 or 4 axes
+        members = line_graph(3).neighbors
+        tables = [np.zeros((2,) * (2 * len(nb))) for nb in members]
+        tables[0] = np.zeros((2,) * axes)
+        with pytest.raises(DimensionMismatch, match=f"agent 0's table has {axes} axes"):
+            table_rewards(tables, members)
+
+    @pytest.mark.parametrize("shape", [(2, 3, 2, 2), (2, 2, 2, 3)], ids=["states", "actions"])
+    def test_axis_sizes_rejected_when_built(self, shape):
+        members = line_graph(2).neighbors
+        with pytest.raises(DimensionMismatch, match="each needs one size"):
+            table_rewards([np.zeros((2, 2, 2, 2)), np.zeros(shape)], members)
 
 
 class TestKernelSupport:

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import io
+import itertools
 import math
 from unittest.mock import patch
 
@@ -422,7 +423,7 @@ def test_evaluate_policy_matches_reference(case, method, draw_block, seed):
 @pytest.mark.parametrize("draw_block", DRAW_BLOCKS)
 @pytest.mark.parametrize("config", ["path_planning", "power_control"])
 def test_shipped_evaluation_matches_reference(config, draw_block):
-    # the shipped rewards (a matmul per call) on stacked blocks of steps
+    # the shipped rewards (table lookups) on stacked blocks of steps
     run = load_config(f"configs/{config}.json")
     m = run.build_model()
     pol = CoupledSoftmaxPolicy(run.graph, m.n_states, m.n_actions, run.dscp.mixing())
@@ -431,6 +432,45 @@ def test_shipped_evaluation_matches_reference(config, draw_block):
         with patch.object(estimator, "DRAW_BLOCK", draw_block):
             got = evaluate_policy(m, pol, theta, 60, np.random.default_rng(5), method)
         assert got == ref_evaluate(m, pol, theta, 60, np.random.default_rng(5), method)
+
+
+# signed zeros, infinities, NaN, and finite values that round when added
+SUM_TERMS = [0.0, -0.0, np.inf, -np.inf, np.nan, 1.0, -1.0, 0.1, 1e16, -1e-300, 1e308]
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+@given(
+    lead=st.sampled_from([(), (1,), (9,), (2, 1), (3, 40)]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=25, deadline=None)
+def test_agent_sums_are_numpy_reduce_bit_for_bit(n, lead, seed):
+    # both forms, below and from trainer.PAIRWISE_AGENTS agents on
+    rng = np.random.default_rng(seed)
+    with np.errstate(all="ignore"):
+        rewards = rng.choice(SUM_TERMS, size=lead + (n,)) * rng.choice([1.0, 0.3, 3.7], size=n)
+        got = trainer._agent_sums(rewards)
+        want = np.add.reduce(rewards, axis=-1)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+@pytest.mark.parametrize("lead", [(), (1, 1), (4,), (2, 3)])
+def test_agent_sums_keep_numpy_signs_and_nans(n, lead):
+    # every mix of infinities, NaNs of both signs and signed zeros in the
+    # first three agents, on a single row and on batches
+    terms = [np.inf, -np.inf, np.nan, -np.nan, -0.0, 1.0]
+    for mix in itertools.product(terms, repeat=min(n, 3)):
+        row = np.array(mix + (-0.0,) * (n - len(mix)))
+        rewards = np.broadcast_to(row, lead + (n,)).copy()
+        with np.errstate(all="ignore"):
+            got = trainer._agent_sums(rewards)
+            want = np.add.reduce(rewards, axis=-1)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), mix
+    # a row of -0.0 sums to +0.0
+    zeros = trainer._agent_sums(np.full(lead + (n,), -0.0))
+    assert np.array_equal(zeros.view(np.int64), np.zeros(lead, dtype=np.int64))
 
 
 def test_shipped_path_evaluation_scores_fewer_than_half_the_entries():
