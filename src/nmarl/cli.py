@@ -185,6 +185,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
         if not np.all(np.isfinite(theta)):
             raise ValueError("parameters are not finite")
         block = {**ckpt["mixing"], "kappa_p": ckpt["kappa_p"]}
+        # MixingSpec's defaults would fill a missing weight and evaluate another policy
+        missing = sorted({"self_weight", "neighbor_weight_total"} - block.keys())
+        if missing:
+            raise ValueError(f"mixing block lacks {', '.join(missing)}")
         mixing = construct(MixingSpec, block, "checkpoint mixing")
         space = (ckpt["n_states"], ckpt["n_actions"])
     except (KeyError, TypeError, ValueError) as exc:

@@ -75,6 +75,9 @@ class PathStructure:
         if not isinstance(self.successors, Mapping):
             raise ConfigError(f"successors must be an object, got {self.successors!r}")
         index = {loc: k for k, loc in enumerate(self.locations)}
+        if len(index) < len(self.locations):
+            repeated = sorted({loc for loc in self.locations if self.locations.count(loc) > 1})
+            raise ConfigError(f"locations must be distinct (repeated: {repeated})")
         if self.destination not in index:
             raise UnknownLocation(f"destination {self.destination!r} not a location")
         for loc, succ in self.successors.items():

@@ -31,10 +31,9 @@ Every sample of the chain, here and in the trainer's Monte-Carlo
 evaluation, is stepped by ``_step_blocks`` under one inversion rule: a draw
 at or beyond a float cumsum that ends below 1 still lands on the last index.
 It counts that index in one of two forms, which pick the same index for
-every uniform: a single trajectory, and an episode batch of fewer than
-``BATCH_ENTRIES`` entries, walk on Python scalars; an episode batch of at
-least ``BATCH_ENTRIES`` entries counts whole arrays, drops its parked and
-finished episodes and skips the uniforms after the last one. Uniforms lie in
+every uniform: a single trajectory walks on Python scalars; an episode batch,
+one episode included, counts whole arrays, drops its parked and finished
+episodes and skips the uniforms after the last one. Uniforms lie in
 ``[0, 1)``, so a kernel threshold at or above 1 is never reached and
 ``model.kernel_support`` drops it; on one-hot kernels none is left and a
 step is two table lookups of the entry's flat kernel row.
@@ -57,11 +56,6 @@ from .model import FactoredNmarlModel
 from .policy import CoupledSoftmaxPolicy
 
 MAX_HORIZON = 10**7
-# _step_blocks episode batches of at least this many entries count whole
-# threshold arrays: on both shipped models the array count overtakes the
-# scalar bisect form between ~40 and ~55 entries (measured on a 2-vCPU x86
-# machine)
-BATCH_ENTRIES = 48
 # Most uniforms _step_blocks draws per rng.random call. At 2**13 a block's
 # uniforms and the reward temporaries of scoring it stay at or below 64 KB. On
 # a 2-vCPU x86 machine, numpy temporaries of ~128 KB page-fault on every call:
@@ -175,11 +169,10 @@ def _step_blocks(
     episodes, ``start`` is each episode's first step that counts (one for
     all or ``(E,)``, the blocks start at the earliest), and each block comes
     as a triple: its states and actions, and the indices ``(L,)`` of the
-    ``L`` episodes it covers, in order. The count form drops finished
-    episodes, a parked one only once its first step is yielded
-    (``_live_count_steps``); the scalar walk covers every episode in every
-    block. Dropping keeps the draw order: every block is drawn whole while
-    an episode is left, and a dropped episode's uniforms are drawn and left
+    ``L`` episodes it covers, in order. It drops finished episodes, a parked
+    one only once its first step is yielded (``_live_count_steps``).
+    Dropping keeps the draw order: every block is drawn whole while an
+    episode is left, and a dropped episode's uniforms are drawn and left
     unused. Once no episode is left, nothing is stepped and the generator
     skips the blocks not drawn yet (``_skip_uniforms``): a ``PCG64`` one
     advances past their uniforms, any other draws them, and either way it
@@ -200,22 +193,23 @@ def _step_blocks(
     cumsum's first ``A - 1`` columns. Two forms take the count, value for
     value, by one rule:
 
-    * a single trajectory (no ``last_steps``), such as a training rollout's
-      ``(n,)`` one, and an episode batch of fewer than ``BATCH_ENTRIES``
-      entries step on Python floats (``_scalar_steps``). Each entry carries
-      its flat kernel row ``r = p * A + a``, ``p = agent * S + s`` its flat
-      policy row, and walks ``p = successor_rows[r][bisect_right(thresholds[r],
-      u)]`` (just ``only_rows[r]`` when no kernel row keeps a threshold),
-      then ``r = p * A + bisect_right(policy[p], u')``: the policy's
-      thresholds as the Python lists ``columns.T``, the kernel's cached by
+    * without ``last_steps``, as for a training rollout's ``(n,)``
+      trajectory, the entries step on Python floats (``_scalar_steps``).
+      Each entry carries its flat kernel row ``r = p * A + a``, ``p = agent
+      * S + s`` its flat policy row, and walks ``p =
+      successor_rows[r][bisect_right(thresholds[r], u)]`` (just
+      ``only_rows[r]`` when no kernel row keeps a threshold), then ``r = p *
+      A + bisect_right(policy[p], u')``: the policy's thresholds as the
+      Python lists ``columns.T``, the kernel's cached by
       ``model.kernel_support_lists``. A drawn block's steps are computed
       together, entry by entry, when its first step is taken, and the rows
       kept are decoded into states and actions by two table lookups;
-    * an episode batch of at least ``BATCH_ENTRIES`` entries compares whole
-      rows of ``columns`` and of the kernel thresholds with ``u``, one step
-      at a time, and skips the kernel count when no kernel row keeps a
-      threshold (``_live_count_steps``). A drawn block's steps are written
-      into one ``(k, L, n)`` array each for states and actions.
+    * with ``last_steps``, for an episode batch of any size, one episode
+      included, whole rows of ``columns`` and of the kernel thresholds are
+      compared with ``u``, one step at a time, and the kernel count is
+      skipped when no kernel row keeps a threshold (``_live_count_steps``).
+      A drawn block's steps are written into one ``(k, L, n)`` array each
+      for states and actions.
 
     Yielding whole drawn blocks lets a caller such as
     ``trainer.evaluate_policy`` score a block's steps with one reward call.
@@ -241,11 +235,6 @@ def _step_blocks(
     draws = (rng.random((k,) + states.shape) for k in draw_rows)
     if last_steps is None:
         yield from _scalar_steps(m, columns, states, actions, draws, start, lead)
-    elif size < BATCH_ENTRIES:
-        every = np.arange(len(states))
-        scalar = _scalar_steps(m, columns, states, actions, draws, int(np.min(start)), lead)
-        for states_block, actions_block in scalar:
-            yield states_block, actions_block, every
     else:
         yield from _live_count_steps(
             m, columns, states, actions, draws, start, last_steps, rng, draw_rows

@@ -406,24 +406,21 @@ def gradient_via_local_q(
     pol: CoupledSoftmaxPolicy,
     params: np.ndarray,
     i: int | Sequence[int],
-    full_sum: bool = False,
     eps: float = 1e-9,
 ) -> np.ndarray:
     """Policy gradient for agent ``i`` as a visitation-weighted sum of local
     action values times the neighborhood score sum; ``(d,)`` for an int
     ``i``, ``(k, d)`` for a sequence of ``k`` agents.
 
-    The local-value sum runs over agents within ``kappa_p + kappa_r`` hops;
-    ``full_sum=True`` sums over every agent instead (the two agree for
-    consistent parameters because out-of-range score terms integrate to
-    zero). Each target's local Q table is built once for the whole set.
+    The local-value sum runs over agents within ``kappa_p + kappa_r`` hops:
+    for consistent parameters the farther agents' terms integrate to zero.
+    Each target's local Q table is built once for the whole set.
     """
     local: dict[int, np.ndarray] = {}
 
     def value_of(tables: np.ndarray, a: int) -> np.ndarray:
         qsum = 0.0
-        radius = pol.spec.kappa_p + m.kappa_r
-        for l in range(m.n) if full_sum else netgraph.khop(m.graph, a, radius):
+        for l in netgraph.khop(m.graph, a, pol.spec.kappa_p + m.kappa_r):
             if l not in local:
                 chain = build_restricted_chain(m, m.reward_members[l], tables, (l,))
                 local[l] = _joint_q(m, chain, eps)

@@ -5,8 +5,8 @@ the episode batches drew at commit cb91524, from seeded generators:
 
 * on ``verify.check_estimator_unbiased``'s model and seeds, chunks of 256,
   256 and 37 episodes of ``rollouts_two_horizon``, then two chunks of
-  ``sample_q_conditional`` (256 and 20 resamples: the count form and the
-  scalar walk of an episode batch) from a fixed snapshot;
+  ``sample_q_conditional`` (256 and 20 resamples, both in the count form)
+  from a fixed snapshot;
 * one 40-episode ``rollouts_two_horizon`` batch on shipped path planning at
   theta = 0, which runs the count form, parks episodes and skips the
   uniforms after the last one.
@@ -127,7 +127,7 @@ def test_unbiased_chunks_match_golden(golden):
 
 def test_parked_batch_matches_golden(golden):
     m = load_config(CONFIGS / "path_planning.json").build_model()
-    assert PARKED_EPISODES * m.n >= estimator.BATCH_ENTRIES and m.parked_rows().any()
+    assert m.parked_rows().any()
     chunk, skips = parked_batch()
     assert skips == 1  # every episode finished before the last block was drawn
     assert json.loads(json.dumps(chunk)) == golden["parked_batch"]

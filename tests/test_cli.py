@@ -172,6 +172,12 @@ CYCLES = {
     "pp:cycle through the destination": {"e": ["b1"]},
     "pp:cycle behind a reaching successor": {"b1": ["c1", "c2"], "c2": ["b1"]},
 }
+# A location named twice built a model with an unreachable copy of it.
+REPEATED_LOCATIONS = ["b1", "b1", "b2", "b3", "b4", "b5", "c1", "c2", "c3", "c4", "d1", "d2", "d3"]
+BAD_RUNS.append((
+    PP, ["train", "--set", "env.overrides.locations=" + json.dumps(REPEATED_LOCATIONS + ["e"])],
+    "pp:repeated location",
+))
 BAD_RUNS += [
     (PP, ["train", "--set", "env.overrides.successors="
           + json.dumps({**DEFAULT_SUCCESSORS, **change}, separators=(",", ":"))], name)
@@ -387,6 +393,9 @@ class TestEval:
         "edit",
         [
             lambda c: c.pop("mixing"),
+            # MixingSpec's default for a missing weight would evaluate another policy
+            lambda c: c["mixing"].pop("self_weight"),
+            lambda c: c["mixing"].pop("neighbor_weight_total"),
             lambda c: c.pop("kappa_p"),
             lambda c: c.update(kappa_p=1.5),
             lambda c: c["mixing"].update(self_weight="heavy"),
@@ -397,23 +406,25 @@ class TestEval:
             lambda c: c.update(n_states=c["n_actions"], n_actions=c["n_states"]),
         ],
         ids=[
-            "no_mixing", "no_kappa_p", "float_kappa_p", "text_weight", "negative_weight",
-            "unknown_mixing_key",
+            "no_mixing", "no_self_weight", "no_neighbor_weight", "no_kappa_p", "float_kappa_p",
+            "text_weight", "negative_weight", "unknown_mixing_key",
             "nan_params", "swapped_space",
         ],
     )
-    def test_malformed_checkpoint_exit_2(self, tmp_path, edit):
+    def test_malformed_checkpoint_exit_2(self, tmp_path, capsys, edit):
         out = tmp_path / "out"
         cfg = write_config(tmp_path, tiny_path_config(out, iterations=1))
-        assert cli.main(["train", "--config", cfg]) == 0
+        assert cli.main(["train", "--config", cfg, "--set", "dscp.mixing.self_weight=0.5"]) == 0
         ckpt = json.loads((out / "checkpoint_seed1.json").read_text())
         edit(ckpt)
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(ckpt))
+        capsys.readouterr()
         rc = cli.main(
             ["eval", "--config", cfg, "--checkpoint", str(bad), "--episodes", "10"]
         )
         assert rc == 2
+        assert capsys.readouterr().out == ""  # no result printed
 
     def test_negative_seed_exit_2(self, tmp_path):
         out = tmp_path / "out"

@@ -78,6 +78,12 @@ class TestPathStructure:
         with pytest.raises(ConfigError, match="cycle"):
             PathStructure(successors=succ)
 
+    def test_repeated_location_rejected(self):
+        # a second "b1" was an extra state no start or successor could reach
+        locations = ("b1",) + PathStructure().locations
+        with pytest.raises(ConfigError, match=r"repeated: \['b1'\]"):
+            PathStructure(locations=locations)
+
     def test_unreachable_rejected(self):
         succ = dict(PathStructure().successors)
         succ["d2"] = ()

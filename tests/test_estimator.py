@@ -369,13 +369,11 @@ class TestInverseCdf:
     def test_batch_of_episodes(self):
         m, tables = self.model()
         u = self.uniforms()
-        # below the cutoff each entry bisects its threshold lists, repeated
-        # above it whole threshold arrays are counted
-        for reps in (1, -(-estimator.BATCH_ENTRIES // (2 * len(u)))):
+        # untiled and tiled, every episode batch counts whole threshold arrays
+        for reps in (1, 3):
             batch = np.tile(u, reps)
             want = np.array([self.expected(x) for x in batch])
             start = np.tile([4, 0], (len(batch), 1))
-            assert (start.size >= estimator.BATCH_ENTRIES) == (reps > 1)
             steps = list(support.episode_steps(m, tables, start, StubRng(batch[:, None]), 1))
             (_, a0), (s1, a1) = steps
             for drawn in (a0, s1, a1):
@@ -406,8 +404,8 @@ def _stochastic_rows(rng: np.random.Generator, shape: tuple, kind: str) -> np.nd
 
 @st.composite
 def chains(draw):
-    """A model, policy tables, a start ``(n,)`` or ``(E, n)`` on either side of
-    ``BATCH_ENTRIES``, optional start actions, and the uniforms' edge values."""
+    """A model, policy tables, a start ``(n,)`` or ``(E, n)`` of 1 to ``150 //
+    n`` episodes, optional start actions, and the uniforms' edge values."""
     n, n_states, n_actions = (draw(st.integers(1, 4)) for _ in range(3))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     kinds = st.sampled_from(["dense", "sparse", "onehot", "short", "overshoot"])
@@ -420,8 +418,7 @@ def chains(draw):
         rho = InitialDistribution.product(_stochastic_rows(rng, (n, n_states), "sparse"))
     one = lambda s, a: np.ones(s.shape)  # noqa: E731  (no parked row)
     m = FactoredNmarlModel(line_graph(n), n_states, n_actions, kernels, one, rho, 0.9)
-    cutoff = -(-estimator.BATCH_ENTRIES // n)  # the fewest episodes that count thresholds
-    episodes = draw(st.sampled_from([None, 1, cutoff - 1, cutoff, 3 * cutoff]))
+    episodes = draw(st.sampled_from([None, 1]) | st.integers(2, 150 // n))
     start = rho.sample(rng, 1)[0] if episodes is None else rho.sample(rng, episodes)
     actions = rng.integers(n_actions, size=start.shape) if draw(st.booleans()) else None
     cums = [np.cumsum(k, axis=-1).ravel() for k in kernels] + [np.cumsum(tables, axis=-1).ravel()]
@@ -442,7 +439,7 @@ def chains(draw):
 def test_simulate_matches_reference(chain, steps, draw_block, seed):
     # Both inversion forms and block draws of any size step the chain the
     # reference steps, uniform for uniform, and leave the generator where it
-    # does: a single trajectory, and episodes on either side of the cutoff.
+    # does: a single trajectory on scalars, and episode batches of any size.
     m, tables, start, actions, edges = chain
     got_rng, want_rng = support.EdgeRng(seed, edges), support.EdgeRng(seed, edges)
     walk = support.flat_steps if start.ndim == 1 else support.episode_steps
@@ -469,7 +466,6 @@ def test_empty_threshold_lists(n_states, n_actions, episodes):
     rho = InitialDistribution.fixed([n_states - 1] * 3)
     m = FactoredNmarlModel(line_graph(3), n_states, n_actions, kernels, one, rho, 0.9)
     start = rho.sample(rng, 1)[0] if episodes is None else rho.sample(rng, episodes)
-    assert (start.size >= estimator.BATCH_ENTRIES) == (episodes is not None)
     got_rng, want_rng = np.random.default_rng(5), np.random.default_rng(5)
     walk = support.flat_steps if episodes is None else support.episode_steps
     got = list(walk(m, tables, start, got_rng, 12))
@@ -483,8 +479,8 @@ def test_empty_threshold_lists(n_states, n_actions, episodes):
 
 
 def test_long_single_trajectory_matches_reference():
-    # a single trajectory of BATCH_ENTRIES agents walks on scalars too
-    n = estimator.BATCH_ENTRIES
+    # a single trajectory of 48 agents walks on scalars too
+    n = 48
     rng = np.random.default_rng(n)
     kinds = itertools.cycle(["dense", "sparse", "onehot", "short", "overshoot"])
     kernels = [_stochastic_rows(rng, (3, 2, 3), next(kinds)) for _ in range(n)]

@@ -13,6 +13,7 @@ from support import (
     constant_reward_model,
     line_graph,
     random_table_model,
+    ref_gradient_via_local_q,
     ref_rho_prob,
     zero_reward_model,
 )
@@ -201,7 +202,7 @@ class TestGradients:
         pol = CoupledSoftmaxPolicy(g, 2, 2, MixingSpec(kappa_p=1))
         theta = np.random.default_rng(42).uniform(-1, 1, size=(5, 4))
         truncated = oracle.gradient_via_local_q(m, pol, theta, 0)
-        full = oracle.gradient_via_local_q(m, pol, theta, 0, full_sum=True)
+        full = ref_gradient_via_local_q(m, pol, theta, 0, full_sum=True)
         np.testing.assert_allclose(truncated, full, atol=1e-6)
 
 
@@ -287,12 +288,10 @@ class TestAgentSets:
         size = (m.n, pol.d) if shape == "true" else (m.n, m.n, pol.d)
         params = np.random.default_rng(kappa_p).uniform(-1.0, 1.0, size=size)
         agents = (2, 0, 1, 0)
-        for full_sum in (False, True):
-            rows = oracle.gradient_via_local_q(m, pol, params, agents, full_sum=full_sum)
-            assert rows.shape == (4, pol.d)
-            for row, i in zip(rows, agents):
-                want = oracle.gradient_via_local_q(m, pol, params, i, full_sum=full_sum)
-                np.testing.assert_array_equal(row, want)
+        rows = oracle.gradient_via_local_q(m, pol, params, agents)
+        assert rows.shape == (4, pol.d)
+        for row, i in zip(rows, agents):
+            np.testing.assert_array_equal(row, oracle.gradient_via_local_q(m, pol, params, i))
         rows = oracle.gradient_via_averaged_q(m, pol, params, range(m.n))
         for i in range(m.n):
             np.testing.assert_array_equal(rows[i], oracle.gradient_via_averaged_q(m, pol, params, i))

@@ -22,7 +22,7 @@ from nmarl import netgraph, oracle
 from nmarl.config import load_config
 from nmarl.policy import CoupledSoftmaxPolicy, MixingSpec
 
-from support import line_graph, random_table_model
+from support import line_graph, random_table_model, ref_gradient_via_local_q
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).resolve().parent / "data" / "oracle_golden.json"
@@ -81,8 +81,9 @@ def compute_case(name: str, kappa_p: int) -> dict:
         out["grad_averaged"].append(oracle.gradient_via_averaged_q(m, pol, theta, i).tolist())
         out["grad_local_est"].append(oracle.gradient_via_local_q(m, pol, est, i).tolist())
         out["grad_averaged_est"].append(oracle.gradient_via_averaged_q(m, pol, est, i).tolist())
-    out["grad_full_sum"] = oracle.gradient_via_local_q(m, pol, theta, 0, full_sum=True).tolist()
-    out["grad_full_sum_est"] = oracle.gradient_via_local_q(m, pol, est, 0, full_sum=True).tolist()
+    # the sum over every agent's local values, which the oracle restricts
+    out["grad_full_sum"] = ref_gradient_via_local_q(m, pol, theta, 0, full_sum=True).tolist()
+    out["grad_full_sum_est"] = ref_gradient_via_local_q(m, pol, est, 0, full_sum=True).tolist()
     out["fd"] = oracle.finite_difference_gradient(m, pol, theta, 0).tolist()
     return out
 

@@ -37,7 +37,7 @@ def instances(draw):
     )
     shape = (n, pol.d) if draw(st.booleans()) else (n, n, pol.d)
     params = rng.uniform(-1.0, 1.0, size=shape)
-    return m, pol, params, draw(st.integers(0, n - 1)), draw(st.booleans())
+    return m, pol, params, draw(st.integers(0, n - 1))
 
 
 def test_vectorized_oracle_matches_reference_loops(monkeypatch):
@@ -51,7 +51,7 @@ def test_vectorized_oracle_matches_reference_loops(monkeypatch):
 @given(instances())
 @settings(max_examples=25, deadline=None)
 def _matches_reference_loops(inst):
-    m, pol, params, i, full_sum = inst
+    m, pol, params, i = inst
     tables = pol.prob_tables(params)
 
     chain = oracle.build_restricted_chain(m, range(m.n), tables, range(m.n), scale=m.n)
@@ -68,8 +68,8 @@ def _matches_reference_loops(inst):
     close(oracle.exact_objective(m, tables), support.ref_exact_objective(m, tables))
     close(oracle.discounted_visitation(m, tables)[0], support.ref_discounted_visitation(m, tables)[0])
     close(
-        oracle.gradient_via_local_q(m, pol, params, i, full_sum=full_sum),
-        support.ref_gradient_via_local_q(m, pol, params, i, full_sum=full_sum),
+        oracle.gradient_via_local_q(m, pol, params, i),
+        support.ref_gradient_via_local_q(m, pol, params, i),
     )
     close(
         oracle.gradient_via_averaged_q(m, pol, params, i),

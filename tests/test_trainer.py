@@ -372,8 +372,7 @@ def eval_cases(draw):
     """A random model with one-hot or multi-threshold kernels, a fixed or
     product start and, in some, a last state that absorbs and pays ``+0.0``
     once every reward member sits there (a parked row of every agent), a
-    policy and its parameters, and an episode count on either side of
-    ``estimator.BATCH_ENTRIES``."""
+    policy and its parameters, and an episode count from 1 to ``150 // n``."""
     n, n_states, n_actions = (draw(st.integers(1, 3)) for _ in range(3))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     g = shaped_graph(draw(st.sampled_from(["line", "ring", "star"])), n)
@@ -395,8 +394,7 @@ def eval_cases(draw):
     pol = CoupledSoftmaxPolicy(g, n_states, n_actions, MixingSpec(kappa_p=draw(st.integers(0, 2))))
     shape = (n, pol.d) if draw(st.booleans()) else (n, n, pol.d)
     params = rng.normal(size=shape)
-    cutoff = -(-estimator.BATCH_ENTRIES // n)  # the fewest episodes that count thresholds
-    episodes = draw(st.sampled_from([1, 2, cutoff - 1, cutoff, 3 * cutoff]))
+    episodes = draw(st.sampled_from([1, 2]) | st.integers(3, 150 // n))
     return m, pol, params, episodes
 
 
