@@ -17,26 +17,17 @@ the ``n`` score sums from one batched softmax over the snapshot
 analytic cap on every sample; a violation is an implementation bug, never a
 data error.
 
-``rollouts_two_horizon`` draws ``E`` episodes side by side, for ``verify``'s
-statistical checks: every ``t1``, then every ``t2``, then the ``(E, n)``
-start states, then the steps of all episodes together, each up to its own
-``t1 + t2``. For one episode these are the draws of ``rollout_two_horizon``,
-which steps its one trajectory without the batch's bookkeeping;
-``sample_q_conditional`` is the batch with ``t1 = 0`` and the snapshot as
-its start. All three take the policy as its ``(n, S, A)`` probability
-tables. ``q_estimates``, ``gradient_estimate`` and
+``rollouts_two_horizon`` draws ``E`` episodes side by side, for
+``verify``'s statistical checks; one episode of it draws what
+``rollout_two_horizon`` draws, which steps its one trajectory without the
+batch's bookkeeping. ``sample_q_conditional`` is the batch with ``t1 = 0``
+and the snapshot as its start. All three take the policy as its ``(n, S,
+A)`` probability tables. ``q_estimates``, ``gradient_estimate`` and
 ``CoupledSoftmaxPolicy.score_sums`` take the episode axis in front.
 
 Every sample of the chain, here and in the trainer's Monte-Carlo
-evaluation, is stepped by ``_step_blocks`` under one inversion rule: a draw
-at or beyond a float cumsum that ends below 1 still lands on the last index.
-It counts that index in one of two forms, which pick the same index for
-every uniform: a single trajectory walks on Python scalars; an episode batch,
-one episode included, counts whole arrays, drops its parked and finished
-episodes and skips the uniforms after the last one. Uniforms lie in
-``[0, 1)``, so a kernel threshold at or above 1 is never reached and
-``model.kernel_support`` drops it; on one-hot kernels none is left and a
-step is two table lookups of the entry's flat kernel row.
+evaluation, is drawn in the order ``_step_blocks`` states and stepped by
+its one inversion rule.
 """
 
 from __future__ import annotations
@@ -51,7 +42,8 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import netgraph
-from .errors import BoundViolated, ConfigError, HorizonOverflow, InvalidProbability
+from .errors import (BoundViolated, ConfigError, DimensionMismatch, HorizonOverflow,
+                     IndexOutOfRange, InvalidProbability)
 from .model import FactoredNmarlModel
 from .policy import CoupledSoftmaxPolicy
 
@@ -136,47 +128,54 @@ def _step_blocks(
     states: np.ndarray,
     rng: np.random.Generator,
     steps: int,
-    actions: np.ndarray | None,
+    actions: np.ndarray | None = None,
     start: int | np.ndarray = 0,
     last_steps: np.ndarray | None = None,
 ) -> Iterator[tuple[np.ndarray, ...]]:
     """Step the chain under the per-agent policy ``tables`` ``(n, S, A)``.
 
-    Takes steps ``0..steps`` from the start ``states`` ``(..., n)``: one call
-    steps a single trajectory or a batch of episodes. Yields the steps from
-    ``start`` on as integer states and actions ``(k, ...)`` of ``k``
-    consecutive steps at a time, one array pair per drawn block: step 0 in
-    the first pair of the scalar walk and alone in the count form. Steps
-    before ``start`` are taken, drawing what they draw, but not returned.
+    Takes steps ``0..steps`` from the start ``states``: one ``(n,)``
+    trajectory whose start actions are drawn, or, with ``last_steps``, a
+    batch of ``(E, n)`` episodes. Yields the steps from ``start`` on as
+    integer states and actions ``(k, ...)`` of ``k`` consecutive steps at a
+    time, one array pair per drawn block: step 0 in the first pair of the
+    scalar walk and alone in the count form. Steps before ``start`` are
+    taken, drawing what they draw, but not returned.
 
-    Every sample of the chain in the package is drawn here, in one order: at
-    each step one uniform per entry picks the actions (none at step 0 when
-    the start ``actions`` are given), then one uniform per entry picks the
-    next states, except after the last step. The uniforms after step 0 are
-    drawn in blocks of whole steps, at most ``DRAW_BLOCK`` per ``rng.random``
-    call (one step per call when a step alone needs more), each block when
-    its first step is taken. The uniforms come as one ``(rows, ...)`` array
-    per drawn block: when the start actions are drawn, their uniforms are the
-    first row of the first block (one uniform per entry beyond
-    ``DRAW_BLOCK``); then each step of the block has a row of transition and
-    a row of action uniforms. The values and the final generator state are
-    those of one ``rng.random`` call per step, provided the caller runs this
-    generator to its end and draws nothing else from ``rng`` until then, as
-    every caller in the package does.
+    The draw order of every sample of the chain in the package, stated here
+    once. A sampler first draws its horizons, one array per kind for a
+    batch: ``t1`` then ``t2`` for a two-horizon rollout, ``t2`` alone for a
+    conditional resample, the geometric horizons of an evaluation. Then it
+    draws its start states (``InitialDistribution.sample``), except a
+    conditional resample, which starts from the snapshot. Then this
+    generator draws: at each step one uniform per entry picks the actions
+    (none at step 0 when the start ``actions`` are given), then one uniform
+    per entry picks the next states, except after the last step. The
+    uniforms after step 0 are drawn in blocks of whole steps, at most
+    ``DRAW_BLOCK`` per ``rng.random`` call (one step per call when a step
+    alone needs more), each block when its first step is taken. The
+    uniforms come as one ``(rows, ...)`` array per drawn block: when the
+    start actions are drawn, their uniforms are the first row of the first
+    block (one uniform per entry beyond ``DRAW_BLOCK``); then each step of
+    the block has a row of transition and a row of action uniforms. The
+    values and the final generator state are those of one ``rng.random``
+    call per step, provided the caller runs this generator to its end and
+    draws nothing else from ``rng`` until then, as every caller in the
+    package does.
 
     With ``last_steps`` ``(E,)``, each episode's last step that counts, the
-    start ``states`` (and the start ``actions``, when given) are ``(E, n)``
-    episodes, ``start`` is each episode's first step that counts (one for
-    all or ``(E,)``, the blocks start at the earliest), and each block comes
-    as a triple: its states and actions, and the indices ``(L,)`` of the
-    ``L`` episodes it covers, in order. It drops finished episodes, a parked
-    one only once its first step is yielded (``_live_count_steps``).
-    Dropping keeps the draw order: every block is drawn whole while an
-    episode is left, and a dropped episode's uniforms are drawn and left
-    unused. Once no episode is left, nothing is stepped and the generator
-    skips the blocks not drawn yet (``_skip_uniforms``): a ``PCG64`` one
-    advances past their uniforms, any other draws them, and either way it
-    ends in the state that drawing them leaves.
+    start ``actions``, when given, are ``(E, n)`` too, ``start`` is each
+    episode's first step that counts (one for all or ``(E,)``, the blocks
+    start at the earliest), and each block comes as a triple: its states and
+    actions, and the indices ``(L,)`` of the ``L`` episodes it covers, in
+    order. It drops finished episodes, a parked one only once its first step
+    is yielded (``_live_count_steps``). Dropping keeps the draw order: every
+    block is drawn whole while an episode is left, and a dropped episode's
+    uniforms are drawn and left unused. Once no episode is left, nothing is
+    stepped and the generator skips the blocks not drawn yet
+    (``_skip_uniforms``): a ``PCG64`` one advances past their uniforms, any
+    other draws them, and either way it ends in the state that drawing them
+    leaves.
 
     Each uniform ``u`` inverts to the first index whose cumulative
     probability exceeds ``u``, or the last index when none does (a float
@@ -193,17 +192,11 @@ def _step_blocks(
     cumsum's first ``A - 1`` columns. Two forms take the count, value for
     value, by one rule:
 
-    * without ``last_steps``, as for a training rollout's ``(n,)``
-      trajectory, the entries step on Python floats (``_scalar_steps``).
-      Each entry carries its flat kernel row ``r = p * A + a``, ``p = agent
-      * S + s`` its flat policy row, and walks ``p =
-      successor_rows[r][bisect_right(thresholds[r], u)]`` (just
-      ``only_rows[r]`` when no kernel row keeps a threshold), then ``r = p *
-      A + bisect_right(policy[p], u')``: the policy's thresholds as the
-      Python lists ``columns.T``, the kernel's cached by
-      ``model.kernel_support_lists``. A drawn block's steps are computed
-      together, entry by entry, when its first step is taken, and the rows
-      kept are decoded into states and actions by two table lookups;
+    * without ``last_steps``, for the training rollout's trajectory, the
+      agents step on Python floats (``_scalar_steps``): ``bisect_right``
+      over the policy's thresholds as the Python lists ``columns.T`` and
+      the kernel's as ``model.kernel_support_lists`` caches them. A drawn
+      block's steps are computed together when its first step is taken;
     * with ``last_steps``, for an episode batch of any size, one episode
       included, whole rows of ``columns`` and of the kernel thresholds are
       compared with ``u``, one step at a time, and the kernel count is
@@ -228,13 +221,12 @@ def _step_blocks(
         np.add(columns[c - 1], flat[:, c], out=columns[c])
     size = states.size
     block = max(1, DRAW_BLOCK // max(1, 2 * size))  # whole steps per draw
-    lead = actions is None  # a first row of start-action uniforms
     # at least one draw, so that step 0 is taken inside the loop of a form
     draw_rows = [2 * min(block, steps + 1 - t) for t in range(1, steps + 1, block)] or [0]
-    draw_rows[0] += lead
+    draw_rows[0] += actions is None  # a first row of start-action uniforms
     draws = (rng.random((k,) + states.shape) for k in draw_rows)
     if last_steps is None:
-        yield from _scalar_steps(m, columns, states, actions, draws, start, lead)
+        yield from _scalar_steps(m, columns, states, draws, start)
     else:
         yield from _live_count_steps(
             m, columns, states, actions, draws, start, last_steps, rng, draw_rows
@@ -264,46 +256,44 @@ def _scalar_steps(
     m: FactoredNmarlModel,
     columns: np.ndarray,
     states: np.ndarray,
-    actions: np.ndarray | None,
     draws: Iterator[np.ndarray],
     start: int,
-    lead: bool,
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """``_step_blocks`` on Python scalars: ``bisect_right`` over threshold lists.
+    """``_step_blocks`` on Python scalars for one ``(n,)`` trajectory, whose
+    start actions it draws.
 
-    Each entry carries its flat kernel row ``r = p * A + a``, where ``p =
-    agent * S + s`` is its flat policy row: the successor lists hold policy
-    rows, so a step is two lookups and no agent offset. The entries' chains
-    are independent (each agent's policy row reads its own state, each
-    kernel is its own), so a drawn block is stepped entry by entry, each
-    entry through all of the block's steps, its start action picked first
-    when it is drawn. The rows go into one flat list, entry by entry; one
-    ``reshape`` turns it into steps, and the kept steps' rows are decoded
-    into states and actions by two lookups in ``_row_decoding``'s tables.
+    Each agent carries its flat kernel row ``r = p * A + a``, where ``p =
+    agent * S + s`` is its flat policy row, and walks ``p =
+    successors[r][bisect_right(thresholds[r], u)]`` (just ``only_rows[r]``
+    when no kernel row keeps a threshold), then ``r = p * A +
+    bisect_right(policy[p], u')``: the successor lists hold policy rows, so
+    a step is two lookups and no agent offset. The agents' chains are
+    independent (each policy row reads its own state, each kernel is its
+    own), so a drawn block is stepped agent by agent, each through all of
+    the block's steps. The rows go into one flat list, agent by agent; the
+    kept steps' rows are decoded into states and actions by two lookups in
+    ``_row_decoding``'s tables.
     """
-    n_actions = m.n_actions
-    shape, size = states.shape, states.size
+    n, n_actions = len(states), m.n_actions
     pol = columns.T.tolist()
     thresholds, successors, only_rows = m.kernel_support_lists()
     state_of, action_of = _row_decoding(m.n, m.n_states, n_actions)
-    pol_rows = _agent_rows(m.n, m.n_states) + states
-    # each entry's flat kernel row, or its policy row until its start action is picked
-    last = (pol_rows if lead else pol_rows * n_actions + actions).ravel().tolist()
-    first = 0  # the block's first row: step 0 in the first block
+    last = (_agent_rows(m.n, m.n_states) + states).tolist()  # policy rows until step 0
+    first = 0  # the block's first step
     for block in draws:
-        taken = len(block) // 2 + (first == 0)  # the block's rows per entry
+        lead = first == 0  # the first block: start-action uniforms and step 0
+        taken = len(block) // 2 + lead  # the block's steps
         skip = min(taken, max(0, start - first))  # those before ``start``
         if only_rows is not None:  # no kernel uniform to invert: list the action ones
-            u, stride, to_action = block[1 - lead :: 2].ravel().tolist(), size, 0
+            u, stride, to_action = block[1 - lead :: 2].ravel().tolist(), n, 0
         else:
-            u, stride, to_action = block.ravel().tolist(), 2 * size, size
-        ahead = size if lead else 0  # the start-action uniforms, ahead of the steps'
+            u, stride, to_action = block.ravel().tolist(), 2 * n, n
+        ahead = n if lead else 0  # the start-action uniforms, ahead of the steps'
         rows = []
-        for j in range(size):
+        for j in range(n):
             r = last[j]
             if lead:
                 r = r * n_actions + bisect_right(pol[r], u[j])
-            if first == 0:
                 rows.append(r)
             u_act = u[ahead + to_action + j :: stride]
             if only_rows is not None:
@@ -318,10 +308,8 @@ def _scalar_steps(
                     rows.append(r)
             last[j] = r
         first += taken
-        lead = False
         if skip < taken:
-            kept = np.array(rows, dtype=np.intp).reshape(size, taken)[:, skip:].T
-            kept = kept.reshape((taken - skip,) + shape)
+            kept = np.array(rows, dtype=np.intp).reshape(n, taken)[:, skip:].T
             yield state_of.take(kept), action_of.take(kept)
 
 
@@ -339,23 +327,21 @@ def _live_count_steps(
     """``_step_blocks``' count form for ``(E, n)`` episodes, dropping the
     finished ones; each block comes with the indices of the episodes it covers.
 
-    ``start`` is every episode's first step that counts, one for all or
-    ``(E,)``: the steps before the earliest are taken but not yielded. After
-    each yielded block, an episode is finished when the block's last step is
-    at or past its ``last_steps`` entry, or when it is at or past its
-    ``start`` and every one of its agents sits on a parked row
-    (``model.parked_rows``): it stays there and earns ``+0.0`` at every later
-    step. A read of the parked rows costs about as much as a step, so they
-    are read after step 0 and then after the first block that ends at or
-    past ``t + 1 + t // 4``, ``t`` the last read (steps 0, 1, 2, 3, 4, 6, 8,
-    11, 14, 18, ... at one step per block); agents stay parked, so a later
-    read misses no episode. Once at least half of the stepped episodes are
-    finished, the carried policy rows and actions keep only the others, and
-    every later block takes their columns of the drawn uniforms (``take``
-    along the episode axis). Until then the finished episodes are stepped
-    and yielded with the others. Once none is left, ``rng`` skips the blocks
-    not drawn yet (``_skip_uniforms``), which are ``draw_rows``' entries
-    after the ones ``draws`` has given.
+    After each yielded block, an episode is finished when the block's last
+    step is at or past its ``last_steps`` entry, or when it is at or past
+    its ``start`` and every one of its agents sits on a parked row
+    (``model.parked_rows``): it stays there and earns ``+0.0`` at every
+    later step. A read of the parked rows costs about as much as a step, so
+    they are read after step 0 and then after the first block that ends at
+    or past ``t + 1 + t // 4``, ``t`` the last read (steps 0, 1, 2, 3, 4, 6,
+    8, 11, 14, 18, ... at one step per block); agents stay parked, so a
+    later read misses no episode. Once at least half of the stepped episodes
+    are finished, the carried policy rows and actions keep only the others,
+    and every later block takes their columns of the drawn uniforms
+    (``take`` along the episode axis). Until then the finished episodes are
+    stepped and yielded with the others. Once none is left, ``rng`` skips
+    the blocks not drawn yet (``_skip_uniforms``), which are ``draw_rows``'
+    entries after the ones ``draws`` has given.
     """
     step = _count_stepper(m, columns)
     parked = m.parked_rows()
@@ -480,24 +466,22 @@ def _score_trace(
 def rollout_two_horizon(
     m: FactoredNmarlModel, tables: np.ndarray, rng: np.random.Generator
 ) -> TwoHorizonRollout:
-    """Sample one two-horizon episode under the policy ``tables``.
+    """Sample one two-horizon episode under the policy ``tables``, in
+    ``_step_blocks``' draw order.
 
-    Draw order is fixed: ``t1``, ``t2``, the start state, then the steps in
-    ``_step_blocks``' order. A ``t1 + t2`` above ``MAX_HORIZON`` raises
-    ``HorizonOverflow`` before the start state is drawn. The rewards of the
-    visited steps are scored with one batched call after the last step,
-    which draws nothing.
-
-    This is ``rollouts_two_horizon`` for one episode (the same draws, values
-    and generator state), with integer horizons and no episode axis, minus
-    the window bookkeeping of ``_episodes``, which made one episode of the
-    shipped models 1.5-2 times slower.
+    A ``t1 + t2`` above ``MAX_HORIZON`` raises ``HorizonOverflow`` before
+    the start state is drawn. The visited steps are scored with one batched
+    reward call after the last step. This is ``rollouts_two_horizon`` for
+    one episode (the same draws, values and generator state), with integer
+    horizons and no episode axis, minus the window bookkeeping of
+    ``_episodes``, which made one episode of the shipped models 1.5-2 times
+    slower.
     """
     t1 = sample_geometric(1.0 - m.gamma, rng)
     t2 = sample_geometric(1.0 - math.sqrt(m.gamma), rng)
     if t1 + t2 > MAX_HORIZON:
         raise HorizonOverflow(f"sampled horizon {t1 + t2} exceeds cap {MAX_HORIZON}")
-    blocks = _step_blocks(m, tables, m.rho.sample(rng, 1)[0], rng, t1 + t2, None, t1)
+    blocks = _step_blocks(m, tables, m.rho.sample(rng, 1)[0], rng, t1 + t2, start=t1)
     states, actions, trace = _score_trace(m, blocks)
     return TwoHorizonRollout(
         t1=t1, t2=t2, snapshot_state=states[0], snapshot_action=actions[0], reward_trace=trace
@@ -511,13 +495,12 @@ def rollouts_two_horizon(
     episodes: int,
 ) -> TwoHorizonRollout:
     """Sample ``episodes`` two-horizon episodes side by side under the
-    policy ``tables``.
+    policy ``tables``, in ``_step_blocks``' draw order, each episode up to
+    its own ``t1 + t2``.
 
-    Draw order: every ``t1``, then every ``t2``, then the ``(E, n)`` start
-    states, then the steps of all episodes together in ``_step_blocks``'
-    order, each episode up to its own ``t1 + t2``. Fewer than one episode
-    raises ``ConfigError`` before any draw; a longest ``t1 + t2`` above
-    ``MAX_HORIZON`` raises ``HorizonOverflow`` before any step.
+    Fewer than one episode raises ``ConfigError`` before any draw; a
+    longest ``t1 + t2`` above ``MAX_HORIZON`` raises ``HorizonOverflow``
+    before the start states are drawn.
     """
     if episodes < 1:
         raise ConfigError(f"episodes must be at least 1, got {episodes}")
@@ -539,16 +522,14 @@ def _episodes(
     t2: np.ndarray,
 ) -> TwoHorizonRollout:
     """``E`` episodes from the ``(E, n)`` ``starts``, each with its own
-    ``t1`` and ``t2``.
+    ``t1`` and ``t2``, stepped together by ``_step_blocks`` from ``start =
+    t1`` to ``last_steps = t1 + t2``.
 
-    The episodes are stepped together by ``_step_blocks`` from ``start =
-    t1`` to ``last_steps = t1 + t2``, so the steps before an episode's
-    window are taken but, before the earliest ``t1``, not decoded. Of each
-    yielded block, the entries inside their episode's window are scored
-    with one reward call and written to the window's rows of the trace, and
-    the entries at ``t1`` are the snapshots. An episode the count form drops
-    as parked after its ``t1`` earns ``+0.0`` at every later step, which the
-    trace's zeros hold.
+    Of each yielded block, the entries inside their episode's window are
+    scored with one reward call and written to the window's rows of the
+    trace, and the entries at ``t1`` are the snapshots. An episode the count
+    form drops as parked after its ``t1`` earns ``+0.0`` at every later
+    step, which the trace's zeros hold.
     """
     last = t1 + t2
     ends = np.cumsum(t2 + 1)
@@ -680,18 +661,24 @@ def sample_q_conditional(
     state-action pair; agent ``i``'s mean over many such draws is its exact
     neighbors-averaged action value at the snapshot. This is the two-horizon
     episode with ``t1 = 0``, the snapshot as its start states and start
-    actions: every ``t2`` is drawn first, then the episodes are stepped side
-    by side as in ``rollouts_two_horizon``. A ``size`` below 1 raises
-    ``ConfigError`` before any draw.
+    actions, drawn in ``_step_blocks``' order.
+
+    Before any draw, a ``size`` below 1 raises ``ConfigError``, a snapshot
+    that is not ``(n,)`` raises ``DimensionMismatch``, and one with a
+    non-integer entry, a state outside ``0..S-1`` or an action outside
+    ``0..A-1`` raises ``IndexOutOfRange``.
     """
     if size < 1:
         raise ConfigError(f"size must be at least 1, got {size}")
+    snapshot = []
+    for what, entries, k in [("state", snapshot_state, m.n_states),
+                             ("action", snapshot_action, m.n_actions)]:
+        arr = np.asarray(entries)
+        if arr.shape != (m.n,):
+            raise DimensionMismatch(f"snapshot {what}s have shape {arr.shape}, expected ({m.n},)")
+        if not (np.issubdtype(arr.dtype, np.integer) and np.all((arr >= 0) & (arr < k))):
+            raise IndexOutOfRange(f"snapshot {what}s {arr.tolist()} are not integers in 0..{k - 1}")
+        snapshot.append(np.broadcast_to(arr.astype(np.intp), (size, m.n)))
     t2 = sample_geometric(1.0 - math.sqrt(m.gamma), rng, size=size)
-    shape = (size, len(snapshot_state))
-    roll = _episodes(
-        m, tables, rng,
-        np.broadcast_to(np.asarray(snapshot_state, dtype=np.intp), shape),
-        np.broadcast_to(np.asarray(snapshot_action, dtype=np.intp), shape),
-        np.zeros(size, dtype=np.intp), t2,
-    )
+    roll = _episodes(m, tables, rng, *snapshot, np.zeros(size, dtype=np.intp), t2)
     return q_estimates(roll, m, kappa_p)

@@ -56,7 +56,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import netgraph
-from .errors import SpaceTooLarge
+from .errors import IndexOutOfRange, SpaceTooLarge
 from .model import FactoredNmarlModel, embed, tensor_product
 from .policy import CoupledSoftmaxPolicy
 
@@ -95,16 +95,18 @@ class EnumeratedSpace:
         return tuple(itertools.product(*(range(s) for s in self.sizes)))
 
     def index(self, point: Sequence[int]) -> int:
-        idx = 0
-        for size, coord in zip(self.sizes, point):
-            idx = idx * size + coord
-        return idx
+        """The row-major index of ``point``; ``IndexOutOfRange`` unless it has
+        one integer coordinate per axis, each inside its axis."""
+        try:
+            return int(np.ravel_multi_index(tuple(point), self.sizes))
+        except (TypeError, ValueError) as exc:
+            raise IndexOutOfRange(f"point {tuple(point)} is outside sizes {self.sizes}") from exc
 
 
-def enumerate_space(sizes: Sequence[int], cap: int = MAX_JOINT_STATES) -> EnumeratedSpace:
+def enumerate_space(sizes: Sequence[int]) -> EnumeratedSpace:
     total = math.prod(sizes)
-    if total > cap:
-        raise SpaceTooLarge(f"product space has {total} points, cap is {cap}")
+    if total > MAX_JOINT_STATES:
+        raise SpaceTooLarge(f"product space has {total} points, cap is {MAX_JOINT_STATES}")
     return EnumeratedSpace(sizes=tuple(sizes))
 
 

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NonFiniteState, NonPositiveWeight, ProtocolInvariantError
 
-MASS_TOL = 1e-10
+MASS_TOL = 1e-10  # the deviation check_invariants allows in either invariant
 
 
 @dataclass
@@ -112,16 +112,16 @@ def consensus_error(st: PushSumState, theta: np.ndarray) -> float:
     return math.sqrt(diff.sum(axis=2).max())
 
 
-def check_invariants(st: PushSumState, theta: np.ndarray, tol: float = MASS_TOL) -> None:
+def check_invariants(st: PushSumState, theta: np.ndarray) -> None:
     """Assert mass conservation and the per-target averaged property (NaN fails)."""
     n = st.n
     # the ufunc reductions skip the wrappers of ``sum``, ``mean`` and ``max``,
     # with the same bits: ``mean`` is ``add.reduce`` divided by the count
     mass_err = abs(float(np.add.reduce(st.weights)) - n)
-    if not mass_err <= tol:
+    if not mass_err <= MASS_TOL:
         raise ProtocolInvariantError(f"weight mass deviates from {n} by {mass_err:.3e}")
     mean_err = float(np.maximum.reduce(np.abs(np.add.reduce(st.breve) / n - theta), axis=None))
-    if not mean_err <= tol:
+    if not mean_err <= MASS_TOL:
         raise ProtocolInvariantError(
             f"intermediate-vector means deviate from true parameters by {mean_err:.3e}"
         )

@@ -288,8 +288,7 @@ def evaluate_policy(
     discounted objective without any cutoff. ``fixed_horizon`` sums
     explicitly discounted rewards to the ``horizon_eps``-accuracy horizon;
     its per-episode variance is far lower, at the price of a bias below
-    ``horizon_eps``. Draw order: the ``geometric`` horizons, the start
-    states, then the steps in ``estimator._step_blocks``' order.
+    ``horizon_eps``. It draws in ``estimator._step_blocks``' order.
 
     Raises ``HorizonOverflow`` before any step when the horizon exceeds
     ``estimator.MAX_HORIZON``, the cap rollouts enforce: a fixed horizon
@@ -337,7 +336,7 @@ def evaluate_policy(
     discounts = None if method == "geometric" else m.gamma ** np.arange(max_t + 1)
 
     blocks = estimator._step_blocks(
-        m, tables, m.rho.sample(rng, episodes), rng, max_t, None, last_steps=last_steps
+        m, tables, m.rho.sample(rng, episodes), rng, max_t, last_steps=last_steps
     )
     totals = np.zeros(episodes)
     t = 0  # the block's first step

@@ -133,10 +133,11 @@ def zero_reward_model(g: netgraph.AgentGraph, **kw) -> FactoredNmarlModel:
     return constant_reward_model(g, 0.0, **kw)
 
 
-def flat_steps(m, tables, states, rng, steps, actions=None):
-    """``estimator._step_blocks``' steps ``0..steps``, one ``(states, actions)``
-    pair per step."""
-    for states_block, actions_block in _step_blocks(m, tables, states, rng, steps, actions):
+def flat_steps(m, tables, states, rng, steps):
+    """``estimator._step_blocks``' steps ``0..steps`` of one ``(n,)``
+    trajectory whose start actions are drawn (the scalar walk), one
+    ``(states, actions)`` pair per step."""
+    for states_block, actions_block in _step_blocks(m, tables, states, rng, steps):
         yield from zip(states_block, actions_block)
 
 
@@ -156,9 +157,10 @@ def next_states(
     m: FactoredNmarlModel, states, actions, rng: np.random.Generator
 ) -> np.ndarray:
     """Each row's next states: one ``_step_blocks`` step from ``(rows, n)``
-    states and actions (the actions after it come from uniform tables)."""
+    states and actions, stepped as episodes (the actions after it come from
+    uniform tables)."""
     uniform = np.full((m.n, m.n_states, m.n_actions), 1.0 / m.n_actions)
-    _, (nxt, _) = flat_steps(m, uniform, np.asarray(states), rng, 1, np.asarray(actions))
+    _, (nxt, _) = episode_steps(m, uniform, np.asarray(states), rng, 1, np.asarray(actions))
     return nxt
 
 

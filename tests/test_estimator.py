@@ -10,7 +10,14 @@ from hypothesis import strategies as st
 
 from nmarl import estimator, netgraph, oracle
 from nmarl.config import load_config
-from nmarl.errors import BoundViolated, ConfigError, HorizonOverflow, InvalidProbability
+from nmarl.errors import (
+    BoundViolated,
+    ConfigError,
+    DimensionMismatch,
+    HorizonOverflow,
+    IndexOutOfRange,
+    InvalidProbability,
+)
 from nmarl.estimator import (
     TwoHorizonRollout,
     estimate_bound,
@@ -405,7 +412,8 @@ def _stochastic_rows(rng: np.random.Generator, shape: tuple, kind: str) -> np.nd
 @st.composite
 def chains(draw):
     """A model, policy tables, a start ``(n,)`` or ``(E, n)`` of 1 to ``150 //
-    n`` episodes, optional start actions, and the uniforms' edge values."""
+    n`` episodes, start actions (optional, for episodes only), and the
+    uniforms' edge values."""
     n, n_states, n_actions = (draw(st.integers(1, 4)) for _ in range(3))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     kinds = st.sampled_from(["dense", "sparse", "onehot", "short", "overshoot"])
@@ -420,7 +428,8 @@ def chains(draw):
     m = FactoredNmarlModel(line_graph(n), n_states, n_actions, kernels, one, rho, 0.9)
     episodes = draw(st.sampled_from([None, 1]) | st.integers(2, 150 // n))
     start = rho.sample(rng, 1)[0] if episodes is None else rho.sample(rng, episodes)
-    actions = rng.integers(n_actions, size=start.shape) if draw(st.booleans()) else None
+    given = episodes is not None and draw(st.booleans())
+    actions = rng.integers(n_actions, size=start.shape) if given else None
     cums = [np.cumsum(k, axis=-1).ravel() for k in kernels] + [np.cumsum(tables, axis=-1).ravel()]
     cum = np.concatenate(cums)
     edges = np.concatenate(
@@ -442,9 +451,11 @@ def test_simulate_matches_reference(chain, steps, draw_block, seed):
     # does: a single trajectory on scalars, and episode batches of any size.
     m, tables, start, actions, edges = chain
     got_rng, want_rng = support.EdgeRng(seed, edges), support.EdgeRng(seed, edges)
-    walk = support.flat_steps if start.ndim == 1 else support.episode_steps
     with patch.object(estimator, "DRAW_BLOCK", draw_block):
-        got = list(walk(m, tables, start, got_rng, steps, actions))
+        if start.ndim == 1:
+            got = list(support.flat_steps(m, tables, start, got_rng, steps))
+        else:
+            got = list(support.episode_steps(m, tables, start, got_rng, steps, actions))
     want = list(support.ref_simulate(m, tables, start, want_rng, steps, actions))
     assert len(got) == len(want) == steps + 1
     for t, ((s, a), (s_ref, a_ref)) in enumerate(zip(got, want)):
@@ -541,6 +552,36 @@ def test_shipped_rollouts_match_reference(monkeypatch, config, kappa_p):
         want = TwoHorizonRollout(0, t2, snap_s, snap_a, trace)
         assert q == real_q_estimates(want, m, kappa_p)[i]
         assert got_rng.bit_generator.state == want_rng.bit_generator.state, seed
+
+
+@given(
+    st.integers(1, 5),
+    st.integers(2, 4),
+    st.integers(1, 3),
+    st.sampled_from(["dense", "sparse", "short"]),
+    st.sampled_from([estimator.DRAW_BLOCK, 64, 1]),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_rollout_matches_reference(n, n_states, n_actions, kind, draw_block, seed):
+    # Dense random kernels keep thresholds in every kernel row, so the scalar
+    # walk inverts each transition uniform by bisect, which no shipped model
+    # reaches; small draw blocks split a horizon over several blocks, which
+    # _score_trace concatenates. Horizons, snapshot, reward trace and the
+    # generator state are the reference's.
+    rng = np.random.default_rng([seed, 0])
+    m = random_table_model(line_graph(n), rng, n_states, n_actions, gamma=0.95)
+    assert m.kernel_support_lists()[2] is None  # K > 1: the bisect branch
+    tables = _stochastic_rows(rng, (n, n_states, n_actions), kind)
+    got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    with patch.object(estimator, "DRAW_BLOCK", draw_block):
+        roll = rollout_two_horizon(m, tables, got_rng)
+    t1, t2, snap_s, snap_a, trace = support.ref_rollout_two_horizon(m, tables, want_rng)
+    assert (roll.t1, roll.t2) == (t1, t2)
+    np.testing.assert_array_equal(roll.snapshot_state, snap_s)
+    np.testing.assert_array_equal(roll.snapshot_action, snap_a)
+    np.testing.assert_array_equal(roll.reward_trace, trace)
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 def _assert_within(got, want, atol, rtol=1e-13):
@@ -747,6 +788,30 @@ class TestBatchedRollouts:
                 sample_q_conditional(m, tables, 1, (0, 1), (1, 0), rng, size)
         assert rng.bit_generator.state == state
 
+    @pytest.mark.parametrize(
+        "state, action, error",
+        [
+            ((0, 1), (1, 2), IndexOutOfRange),
+            ((0, 1), (-1, 0), IndexOutOfRange),
+            ((-1, 1), (1, 0), IndexOutOfRange),
+            ((0, 2), (1, 0), IndexOutOfRange),
+            ((0, 1), (1.0, 0.0), IndexOutOfRange),
+            ((0, 1), (1, 0, 0), DimensionMismatch),
+            ((0,), (1, 0), DimensionMismatch),
+            ([[0, 1]], (1, 0), DimensionMismatch),
+        ],
+    )
+    def test_bad_snapshot_is_refused_before_any_draw(self, pair, state, action, error):
+        # a negative entry would read another kernel or policy row, and an
+        # action at A the next policy row's thresholds
+        m, pol = pair
+        tables = pol.prob_tables(pol.zero_params())
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        with pytest.raises(error, match="snapshot"):
+            sample_q_conditional(m, tables, 1, state, action, rng, 4)
+        assert rng.bit_generator.state == before
+
 
 @pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937])
 def test_finished_episodes_leave_the_generator_where_drawing_would(bit_generator):
@@ -765,11 +830,11 @@ def test_finished_episodes_leave_the_generator_where_drawing_would(bit_generator
         last_steps = np.full(30, last)
         with patch.object(estimator, "DRAW_BLOCK", 256):  # several blocks
             got = list(
-                estimator._step_blocks(m, tables, starts, got_rng, 200, None, last_steps=last_steps)
+                estimator._step_blocks(m, tables, starts, got_rng, 200, last_steps=last_steps)
             )
-            want = list(estimator._step_blocks(m, tables, want_starts, want_rng, 200, None))
+        want = list(support.ref_simulate(m, tables, want_starts, want_rng, 200))
         assert sum(len(s) for s, *_ in got) <= last + 3
-        assert sum(len(s) for s, _ in want) == 201
+        assert len(want) == 201
         np.testing.assert_equal(got_rng.bit_generator.state, want_rng.bit_generator.state)
         assert got_rng.integers(0, 2**32) == want_rng.integers(0, 2**32)
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nmarl import netgraph, oracle
-from nmarl.errors import SpaceTooLarge
+from nmarl.errors import IndexOutOfRange, SpaceTooLarge
 from nmarl.model import FactoredNmarlModel, InitialDistribution
 from nmarl.policy import CoupledSoftmaxPolicy, MixingSpec
 
@@ -60,6 +60,24 @@ class TestExactObjective:
     def test_space_guard(self):
         with pytest.raises(SpaceTooLarge):
             oracle.enumerate_space([10] * 7)
+
+    def test_index_checks_the_point(self):
+        # a point's index is its position in ``points``; a point of the wrong
+        # length or with a coordinate outside its axis is refused, also
+        # where an unchecked row-major sum lands on another entry
+        space = oracle.enumerate_space((2, 3))
+        assert [space.index(p) for p in space.points] == list(range(6))
+        for bad in [(0, 3), (0, -1), (2, 0), (-1, 0), (0,), (0, 0, 1), (), (0, 1.0)]:
+            with pytest.raises(IndexOutOfRange):
+                space.index(bad)
+        m = random_table_model(line_graph(2), np.random.default_rng(3))
+        tables = uniform_tables(2, 2, 2)
+        chain, q = oracle.global_q_table(m, tables)
+        for s in [(0, 2), (0,), (0, 0, 1)]:
+            with pytest.raises(IndexOutOfRange):
+                oracle.q_at(chain, q, s, (0, 0))
+            with pytest.raises(IndexOutOfRange):
+                oracle.neighbors_averaged_q(m, tables, 0, s, (0, 0), kappa_p=1)
 
 
 class TestDecomposition:

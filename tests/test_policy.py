@@ -10,7 +10,7 @@ from nmarl.errors import DimensionMismatch
 from nmarl.policy import CoupledSoftmaxPolicy, MixingSpec
 
 import support
-from support import bfs_distances, connected_graphs, flat_steps, line_graph, zero_reward_model
+from support import bfs_distances, connected_graphs, episode_steps, line_graph, zero_reward_model
 
 
 def single_agent_policy(n_actions=3):
@@ -300,7 +300,7 @@ def test_score_sums_episode_axis_matches_single_calls(kind, stack, kappa_p):
 
 class TestSampling:
     # Joint actions are drawn by step 0 of estimator._step_blocks, each test
-    # in one batched call.
+    # in one batch of episodes.
 
     def test_saturated_policy_picks_argmax(self, pair_policy):
         theta = np.zeros((2, 4))
@@ -309,7 +309,7 @@ class TestSampling:
         m = zero_reward_model(pair_policy.graph)
         states = np.tile((0, 1), (2000, 1))
         tables = pair_policy.prob_tables(theta)
-        _, acts = next(flat_steps(m, tables, states, np.random.default_rng(0), 0))
+        _, acts = next(episode_steps(m, tables, states, np.random.default_rng(0), 0))
         assert np.all(acts == 0)
 
     def test_uniform_frequencies(self):
@@ -318,7 +318,7 @@ class TestSampling:
         n = 100_000
         states = np.zeros((n, 1), dtype=np.intp)
         tables = pol.prob_tables(np.zeros((1, 3)))
-        _, acts = next(flat_steps(m, tables, states, np.random.default_rng(8), 0))
+        _, acts = next(episode_steps(m, tables, states, np.random.default_rng(8), 0))
         counts = np.bincount(acts[:, 0], minlength=3)
         sigma = math.sqrt((1 / 3) * (2 / 3) / n)
         assert np.max(np.abs(counts / n - 1 / 3)) < 3 * sigma
