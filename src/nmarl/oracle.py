@@ -56,9 +56,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import netgraph
-from .errors import IndexOutOfRange, SpaceTooLarge
+from .errors import DimensionMismatch, IndexOutOfRange, SpaceTooLarge
 from .model import FactoredNmarlModel, embed, tensor_product
-from .policy import CoupledSoftmaxPolicy
+from .policy import CoupledSoftmaxPolicy, _softmax_rows
 
 MAX_JOINT_STATES = 100_000
 MAX_TABLE_ENTRIES = 50_000_000  # dense DP arrays beyond this are refused
@@ -472,12 +472,22 @@ def finite_difference_gradient(
     eps: float = 1e-9,
 ) -> np.ndarray:
     """Central differences of the exact objective along agent ``i``'s
-    coordinates, every perturbed objective in one stacked call."""
+    coordinates, every perturbed objective in one stacked call.
+
+    The ``2d`` perturbed policies come from one mixing product and one
+    softmax over the stack, with the bits of ``pol.prob_tables`` on each.
+    """
     theta = np.array(theta, dtype=float)
+    if theta.shape != (pol.n, pol.d):
+        raise DimensionMismatch(f"parameters have shape {theta.shape}, expected {(pol.n, pol.d)}")
 
     def objective_of_rows(rows: np.ndarray) -> np.ndarray:
         work = np.repeat(theta[None], len(rows), axis=0)
         work[:, i] = rows
-        return exact_objective(m, np.array([pol.prob_tables(w) for w in work]), eps)
+        mixed = pol.coupling @ work
+        if not np.isfinite(mixed).all():
+            raise ValueError("non-finite logits in parameter stack")
+        tables = _softmax_rows(mixed.reshape(len(rows), pol.n, pol.n_states, pol.n_actions))
+        return exact_objective(m, tables, eps)
 
     return central_difference(objective_of_rows, theta[i], h)

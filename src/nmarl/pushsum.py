@@ -18,6 +18,13 @@ vectors equals the target's true parameter. Target columns never interact,
 so :func:`inject_all` mixes every column in one sweep; it equals injecting
 one column at a time (``tests/support.ref_inject``, the per-column
 reference the tests compare it with).
+
+:func:`check_invariants` and :func:`consensus_error` also take stacked
+snapshots: a :class:`PushSumState` whose weights are ``(..., n)`` and whose
+intermediate vectors and estimates are ``(..., n, n, d)``, against true
+parameters ``(..., n, d)``. Each snapshot gets the bits of a call on it
+alone; a state without leading axes is the single snapshot the trainer
+checks every iteration.
 """
 
 from __future__ import annotations
@@ -38,7 +45,8 @@ class PushSumState:
 
     ``breve[i, j]`` is agent ``i``'s intermediate vector for agent ``j``;
     ``estimates[i, j]`` is agent ``i``'s current estimate of ``j``'s
-    parameters, refreshed by :func:`mix_and_estimate`.
+    parameters, refreshed by :func:`mix_and_estimate`. Leading snapshot axes
+    are read by the two checks only.
     """
 
     weights: np.ndarray  # (n,)
@@ -47,7 +55,7 @@ class PushSumState:
 
     @property
     def n(self) -> int:
-        return self.weights.shape[0]
+        return self.weights.shape[-1]
 
 
 def init_state(n: int, d: int) -> PushSumState:
@@ -65,8 +73,7 @@ def mix_and_estimate(st: PushSumState, w: np.ndarray) -> PushSumState:
     :func:`inject_all`, which multiplies by the same mixing matrix.
     """
     n = st.n
-    if w.shape != (n, n):
-        raise DimensionMismatch(f"weight matrix shape {w.shape}, expected {(n, n)}")
+    _check_mixing(w, n)
     new_weights = w @ st.weights
     if new_weights.min() <= 0.0:
         raise NonPositiveWeight(
@@ -92,36 +99,75 @@ def inject_all(st: PushSumState, w: np.ndarray, deltas: np.ndarray) -> PushSumSt
         )
     if not np.isfinite(deltas).all():
         raise NonFiniteState("push-sum deltas must be finite")
+    _check_mixing(w, n)
     augmented = st.breve.copy()
     augmented.reshape(n * n, -1)[:: n + 1] += n * deltas  # the (j, j) rows
     st.breve = (w @ augmented.reshape(n, -1)).reshape(st.breve.shape)
     return st
 
 
-def consensus_error(st: PushSumState, theta: np.ndarray) -> float:
+def consensus_error(st: PushSumState, theta: np.ndarray) -> float | np.ndarray:
     """Worst-case estimate error ``max_{i,j} ||estimates[i, j] - theta[j]||``.
+
+    A float for one state; an array of one error per snapshot for stacked
+    estimates ``(..., n, n, d)`` against ``theta`` ``(..., n, d)``. Any other
+    ``theta`` shape raises :class:`DimensionMismatch`.
 
     Errors beyond ~1e154 overflow when squared; the result is then ``inf``,
     without a warning, and the caller decides what a non-finite error means.
     The square root is taken of the largest squared norm only: it is
     monotone and correctly rounded, so that is the largest norm, bit for bit.
     """
-    diff = st.estimates - theta[None, :, :]
+    diff = st.estimates - _true_parameters(st.estimates, theta)[..., None, :, :]
     with np.errstate(over="ignore"):
         np.square(diff, out=diff)
-    return math.sqrt(diff.sum(axis=2).max())
+    worst = np.sqrt(np.maximum.reduce(np.add.reduce(diff, axis=-1), axis=(-2, -1)))
+    return float(worst) if worst.ndim == 0 else worst
 
 
 def check_invariants(st: PushSumState, theta: np.ndarray) -> None:
-    """Assert mass conservation and the per-target averaged property (NaN fails)."""
-    n = st.n
+    """Assert mass conservation and the per-target averaged property (NaN fails).
+
+    Stacked snapshots are checked in one call. The error names the first
+    snapshot, in C order, that fails, with the deviation a call on it alone
+    reports. A ``theta`` or weight shape that does not match the intermediate
+    vectors raises :class:`DimensionMismatch`.
+    """
+    n = st.breve.shape[-2]
+    theta = _true_parameters(st.breve, theta)
+    if st.weights.shape != st.breve.shape[:-2]:
+        raise DimensionMismatch(
+            f"weights have shape {st.weights.shape}, expected {st.breve.shape[:-2]}"
+        )
     # the ufunc reductions skip the wrappers of ``sum``, ``mean`` and ``max``,
     # with the same bits: ``mean`` is ``add.reduce`` divided by the count
-    mass_err = abs(float(np.add.reduce(st.weights)) - n)
-    if not mass_err <= MASS_TOL:
-        raise ProtocolInvariantError(f"weight mass deviates from {n} by {mass_err:.3e}")
-    mean_err = float(np.maximum.reduce(np.abs(np.add.reduce(st.breve) / n - theta), axis=None))
-    if not mean_err <= MASS_TOL:
-        raise ProtocolInvariantError(
-            f"intermediate-vector means deviate from true parameters by {mean_err:.3e}"
+    mass_err = abs(np.add.reduce(st.weights, axis=-1) - n)
+    if not np.maximum.reduce(mass_err, axis=None) <= MASS_TOL:  # NaN fails
+        _refuse(mass_err, f"weight mass deviates from {n}")
+    mean_err = abs(np.add.reduce(st.breve, axis=-3) / n - theta)
+    if not np.maximum.reduce(mean_err, axis=None) <= MASS_TOL:
+        _refuse(
+            np.maximum.reduce(mean_err, axis=(-2, -1)),
+            "intermediate-vector means deviate from true parameters",
         )
+
+
+def _check_mixing(w: np.ndarray, n: int) -> None:
+    if w.shape != (n, n):
+        raise DimensionMismatch(f"weight matrix shape {w.shape}, expected {(n, n)}")
+
+
+def _true_parameters(vectors: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """``theta`` checked to be ``(..., n, d)`` against ``(..., n, n, d)`` vectors."""
+    theta = np.asarray(theta)
+    expected = vectors.shape[:-3] + vectors.shape[-2:]
+    if theta.shape != expected:
+        raise DimensionMismatch(f"true parameters have shape {theta.shape}, expected {expected}")
+    return theta
+
+
+def _refuse(errors: np.ndarray, what: str) -> None:
+    """Raise for the first snapshot whose error exceeds ``MASS_TOL`` or is NaN."""
+    at = np.unravel_index(np.argmax(~(errors <= MASS_TOL)), np.shape(errors))
+    where = f" at snapshot {', '.join(str(int(k)) for k in at)}" if at else ""
+    raise ProtocolInvariantError(f"{what} by {float(errors[at]):.3e}{where}")

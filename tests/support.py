@@ -16,7 +16,9 @@ from nmarl.model import FactoredNmarlModel, InitialDistribution, table_rewards
 from nmarl.oracle import (
     MAX_TABLE_ENTRIES,
     RestrictedChain,
+    central_difference,
     enumerate_space,
+    exact_objective,
     truncation_horizon,
 )
 
@@ -583,3 +585,16 @@ def ref_gradient_via_averaged_q(m, pol, params, i, eps=1e-9) -> np.ndarray:
     return _ref_score_weighted_sum(
         m, pol, params, i, tables, lambda s, a: _ref_lookup(chain, qtab, s, a), eps
     )
+
+
+def ref_finite_difference_gradient(m, pol, theta, i, h=1e-5, eps=1e-9) -> np.ndarray:
+    """Central differences with one ``prob_tables`` call per perturbed
+    parameter set, stacked into one ``exact_objective`` call."""
+    theta = np.array(theta, dtype=float)
+
+    def objective_of_rows(rows):
+        work = np.repeat(theta[None], len(rows), axis=0)
+        work[:, i] = rows
+        return exact_objective(m, np.array([pol.prob_tables(w) for w in work]), eps)
+
+    return central_difference(objective_of_rows, theta[i], h)

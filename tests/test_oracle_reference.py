@@ -77,6 +77,19 @@ def _matches_reference_loops(inst):
     )
 
 
+@given(instances(), st.sampled_from([1.0, 5.0]), st.integers(0, 2**32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_finite_differences_match_per_set_loop(inst, scale, seed):
+    # [-1, 1] is the range of verify's gradient check and of perfbench's
+    # oracle workload; [-5, 5] reaches sharper softmax tables
+    m, pol, _, i = inst
+    theta = np.random.default_rng(seed).uniform(-scale, scale, size=(m.n, pol.d))
+    np.testing.assert_array_equal(
+        oracle.finite_difference_gradient(m, pol, theta, i),
+        support.ref_finite_difference_gradient(m, pol, theta, i),
+    )
+
+
 @pytest.mark.parametrize("terms", [0, 1, 2, 7, 8, 218])
 def test_sum_series_matches_term_by_term_loop(terms):
     rng = np.random.default_rng(terms)

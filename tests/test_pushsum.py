@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nmarl import netgraph, pushsum
 from nmarl.errors import (
@@ -11,7 +13,7 @@ from nmarl.errors import (
     ProtocolInvariantError,
 )
 
-from support import line_graph, ref_inject
+from support import line_graph, ref_inject, shaped_graph
 
 
 def protocol_round(st, w, theta, deltas):
@@ -107,6 +109,14 @@ class TestInject:
         with pytest.raises(NonFiniteState):
             pushsum.inject_all(st, w, np.array([[np.inf, 0.0], [0.0, 0.0], [0.0, 0.0]]))
 
+    @pytest.mark.parametrize("shape", [(3, 3), (4, 3)])
+    def test_mixing_matrix_shape(self, shape):
+        # a (3, 3) matrix on 4 agents raised numpy's own ValueError; a
+        # (4, 3) one too
+        st = pushsum.init_state(4, 3)
+        with pytest.raises(DimensionMismatch, match="weight matrix shape"):
+            pushsum.inject_all(st, np.full(shape, 0.25), np.ones((4, 3)))
+
 
 class TestInvariants:
     def test_hold_after_every_step_with_random_deltas(self):
@@ -189,6 +199,114 @@ class TestInvariants:
         np.testing.assert_allclose(
             st_p.estimates, st.estimates[np.ix_(inv, inv)], atol=1e-12
         )
+
+
+def _injected_state():
+    """A 4-agent, d = 3 state after one mixing round and one injection."""
+    w = netgraph.weight_matrix(line_graph(4))
+    st = pushsum.init_state(4, 3)
+    theta = protocol_round(st, w, np.zeros((4, 3)), np.random.default_rng(8).normal(size=(4, 3)))
+    return st, theta
+
+
+WRONG_THETAS = [np.zeros((1, 3)), np.zeros((4, 1)), np.zeros(3), np.float64(0.0)]
+WRONG_IDS = ["(1, 3)", "(4, 1)", "(3,)", "scalar"]
+
+
+class TestTrueParameterShape:
+    # each of these broadcast against the (4, 4, 3) state, or raised a bare
+    # IndexError, before the checks compared shapes
+    @pytest.mark.parametrize("theta", WRONG_THETAS, ids=WRONG_IDS)
+    def test_consensus_error_refuses(self, theta):
+        st, _ = _injected_state()
+        with pytest.raises(DimensionMismatch, match="true parameters"):
+            pushsum.consensus_error(st, theta)
+
+    @pytest.mark.parametrize("theta", WRONG_THETAS, ids=WRONG_IDS)
+    def test_check_invariants_refuses(self, theta):
+        st, _ = _injected_state()
+        with pytest.raises(DimensionMismatch, match="true parameters"):
+            pushsum.check_invariants(st, theta)
+
+    def test_right_shape_passes(self):
+        st, theta = _injected_state()
+        pushsum.check_invariants(st, theta)
+        norms = np.linalg.norm(st.estimates - theta[None], axis=-1)
+        assert pushsum.consensus_error(st, theta) == pytest.approx(norms.max(), rel=1e-15)
+
+    def test_weights_must_match_the_vectors(self):
+        st, theta = _injected_state()
+        st.weights = np.ones((2, 4))
+        with pytest.raises(DimensionMismatch, match="weights"):
+            pushsum.check_invariants(st, theta)
+
+
+@st.composite
+def recorded_runs(draw):
+    """States after rounds of a real protocol run, stacked on drawn leading
+    axes, with the true parameters after each round."""
+    n, d = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    lead = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=2)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    w = netgraph.weight_matrix(shaped_graph(draw(st.sampled_from(["line", "ring", "star"])), n))
+    state, theta = pushsum.init_state(n, d), np.zeros((n, d))
+    rows = []
+    for _ in range(math.prod(lead)):
+        theta = protocol_round(state, w, theta, rng.normal(size=(n, d)))
+        rows.append((state.weights, state.breve, state.estimates, theta))
+    weights, breve, estimates, thetas = (np.stack(field) for field in zip(*rows))
+    stacked = pushsum.PushSumState(
+        weights.reshape(lead + (n,)),
+        breve.reshape(lead + (n, n, d)),
+        estimates.reshape(lead + (n, n, d)),
+    )
+    return stacked, thetas.reshape(lead + (n, d))
+
+
+def _snapshot(stacked, at):
+    return pushsum.PushSumState(stacked.weights[at], stacked.breve[at], stacked.estimates[at])
+
+
+class TestStackedSnapshots:
+    @given(recorded_runs())
+    @settings(max_examples=40, deadline=None)
+    def test_one_call_equals_the_per_snapshot_calls(self, run):
+        stacked, thetas = run
+        errors = pushsum.consensus_error(stacked, thetas)
+        assert errors.shape == thetas.shape[:-2]
+        for at in np.ndindex(errors.shape):
+            one = pushsum.consensus_error(_snapshot(stacked, at), thetas[at])
+            assert type(one) is float
+            assert errors[at] == one  # bit for bit
+            pushsum.check_invariants(_snapshot(stacked, at), thetas[at])
+        pushsum.check_invariants(stacked, thetas)
+
+    @given(
+        recorded_runs(),
+        st.sampled_from(["mass", "mean", "nan weight", "nan vector"]),
+        st.data(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_corruption_names_its_snapshot(self, run, kind, data):
+        stacked, thetas = run
+        lead = thetas.shape[:-2]
+        at = np.unravel_index(data.draw(st.integers(0, math.prod(lead) - 1)), lead)
+        n, _, d = stacked.breve.shape[-3:]
+        i, j, k = (data.draw(st.integers(0, size - 1)) for size in (n, n, d))
+        if kind == "mass":
+            stacked.weights[at + (i,)] += 1e-6
+        elif kind == "mean":
+            stacked.breve[at + (i, j, k)] += 1e-6
+        elif kind == "nan weight":
+            stacked.weights[at + (i,)] = np.nan
+        else:
+            stacked.breve[at + (i, j, k)] = np.nan
+        with pytest.raises(ProtocolInvariantError) as alone:
+            pushsum.check_invariants(_snapshot(stacked, at), thetas[at])
+        with pytest.raises(ProtocolInvariantError) as together:
+            pushsum.check_invariants(stacked, thetas)
+        where = ", ".join(str(int(p)) for p in at)
+        assert str(together.value) == f"{alone.value} at snapshot {where}"
 
 
 class TestConsensusError:

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from nmarl import estimator, netgraph, oracle, trainer
 from nmarl.config import load_config
-from nmarl.errors import ConfigError, HorizonOverflow, NonFiniteState
+from nmarl.errors import ConfigError, HorizonOverflow, NonFiniteState, ProtocolInvariantError
 from nmarl.model import FactoredNmarlModel
 from nmarl.policy import CoupledSoftmaxPolicy, MixingSpec
 from nmarl.trainer import DscpConfig, evaluate_policy, learning_rate, run_dscp
@@ -143,6 +143,19 @@ class TestRunDscp:
         m = random_table_model(g, np.random.default_rng(2), fixed_start=True)
         cfg = DscpConfig(iterations=60, seed=7, check_invariants=True)
         run_dscp(m, g, cfg)
+
+    @pytest.mark.parametrize(
+        "field, message", [("weights", "weight mass"), ("breve", "intermediate-vector means")]
+    )
+    def test_invariant_checks_stop_a_corrupted_run(self, field, message):
+        g = line_graph(3)
+        m = random_table_model(g, np.random.default_rng(2), fixed_start=True)
+        run = trainer.start_run(m, DscpConfig(iterations=60, seed=7, check_invariants=True))
+        for _ in range(5):
+            trainer.step(run)
+        getattr(run.ps, field).flat[1] += 1e-6
+        with pytest.raises(ProtocolInvariantError, match=message):
+            trainer.step(run)
 
     def test_graph_other_than_the_models_rejected(self):
         # the policy would couple on one graph while the return estimate and
