@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nmarl import netgraph, oracle
-from nmarl.errors import IndexOutOfRange, SpaceTooLarge
+from nmarl.errors import DimensionMismatch, IndexOutOfRange, SpaceTooLarge
 from nmarl.model import FactoredNmarlModel, InitialDistribution
 from nmarl.policy import CoupledSoftmaxPolicy, MixingSpec
 
@@ -295,6 +295,12 @@ class TestPolicyStacks:
         )
         oracle.finite_difference_gradient(m, pol, theta, 1)
         assert calls == [(2 * pol.d, 3, 2, 2)]
+
+    @pytest.mark.parametrize("shape", [(3, 5), (2, 4), (3, 3, 4)])
+    def test_finite_difference_refuses_a_wrong_parameter_shape(self, line3, shape):
+        m, pol, _ = line3
+        with pytest.raises(DimensionMismatch):
+            oracle.finite_difference_gradient(m, pol, np.zeros(shape), 0)
 
 
 class TestAgentSets:
