@@ -29,7 +29,6 @@ checks every iteration.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np

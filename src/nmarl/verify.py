@@ -122,15 +122,15 @@ def check_pushsum(seed: int = 303, rounds: int = 300) -> tuple[bool, str]:
     rng = np.random.default_rng(seed)
     # the values and generator state of one draw per round
     deltas = rng.normal(size=(rounds, n, d)) / (np.arange(1, rounds + 1) + 10)[:, None, None]
-    thetas = _parameter_path(deltas)
-    check_invariants(pushsum.init_state(n, d), thetas[0])
-    after = thetas[1:]
+    check_invariants(pushsum.init_state(n, d), np.zeros((n, d)))
+    after = np.cumsum(deltas, axis=0)  # the true parameters after each round
     for rows, states in _rounds_in_blocks(w, deltas):
         check_invariants(states, after[rows])
 
     deltas = np.zeros((200, n, d))
     deltas[0] = rng.normal(size=(n, d))
-    before = _parameter_path(deltas)[:-1]
+    before = np.zeros_like(deltas)  # the true parameters before each round
+    before[1:] = deltas[0]
     errs = np.concatenate([
         consensus_error(states, before[rows]) for rows, states in _rounds_in_blocks(w, deltas)
     ])
@@ -142,13 +142,6 @@ def check_pushsum(seed: int = 303, rounds: int = 300) -> tuple[bool, str]:
     lam = math.exp(coef[0])
     ok = lam < 1.0 and r2 > 0.99
     return ok, f"invariants held {rounds} rounds; static decay rate {lam:.4f}, R2 {r2:.5f}"
-
-
-def _parameter_path(deltas: np.ndarray) -> np.ndarray:
-    """True parameters ``(T + 1, n, d)`` before the first and after each round."""
-    thetas = np.zeros((len(deltas) + 1,) + deltas.shape[1:])
-    np.cumsum(deltas, axis=0, out=thetas[1:])
-    return thetas
 
 
 def _rounds_in_blocks(
