@@ -111,8 +111,6 @@ class TestInject:
 
     @pytest.mark.parametrize("shape", [(3, 3), (4, 3)])
     def test_mixing_matrix_shape(self, shape):
-        # a (3, 3) matrix on 4 agents raised numpy's own ValueError; a
-        # (4, 3) one too
         st = pushsum.init_state(4, 3)
         with pytest.raises(DimensionMismatch, match="weight matrix shape"):
             pushsum.inject_all(st, np.full(shape, 0.25), np.ones((4, 3)))
@@ -214,8 +212,6 @@ WRONG_IDS = ["(1, 3)", "(4, 1)", "(3,)", "scalar"]
 
 
 class TestTrueParameterShape:
-    # each of these broadcast against the (4, 4, 3) state, or raised a bare
-    # IndexError, before the checks compared shapes
     @pytest.mark.parametrize("theta", WRONG_THETAS, ids=WRONG_IDS)
     def test_consensus_error_refuses(self, theta):
         st, _ = _injected_state()
