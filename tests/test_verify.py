@@ -1,6 +1,10 @@
-"""Pins of the ``verify`` checks' reports."""
+"""Pins of the ``verify`` checks' reports, and the defects each check must catch."""
 
-from nmarl import verify
+import numpy as np
+import pytest
+
+from nmarl import netgraph, pushsum, verify
+from nmarl.errors import ProtocolInvariantError
 
 
 def test_pushsum_check_detail_is_pinned():
@@ -39,3 +43,27 @@ def test_quick_suite_details_are_pinned():
     report = verify.run_suite("quick")
     assert report["pass"]
     assert {c["name"]: c["detail"] for c in report["checks"]} == QUICK_DETAILS
+
+
+class TestPushsumNegativeControls:
+    """One-line push-sum defects that ``pushsum_invariants`` must fail on its
+    own gates, not through some other exception."""
+
+    def test_injecting_into_the_next_target_fails_the_mean_gate(self, monkeypatch):
+        # each owner's delta lands in the next target's column: the weights
+        # and the mass still hold, only the per-target means move
+        inject = pushsum.inject_all
+        monkeypatch.setattr(
+            pushsum, "inject_all",
+            lambda st, w, deltas: inject(st, w, np.roll(deltas, 1, axis=0)),
+        )
+        with pytest.raises(ProtocolInvariantError, match="intermediate-vector means deviate"):
+            verify.check_pushsum()
+
+    def test_identity_mixing_fails_the_decay_gate(self, monkeypatch):
+        # the identity is column stochastic, so both invariants hold, but no
+        # agent ever hears of another's parameters
+        monkeypatch.setattr(netgraph, "weight_matrix", lambda g: np.eye(g.n))
+        ok, detail = verify.check_pushsum()
+        assert not ok
+        assert detail.startswith("invariants held 300 rounds; static decay rate 1.0000, R2 ")
