@@ -17,7 +17,8 @@ step: the weights sum to ``n``, and the per-target mean of the intermediate
 vectors equals the target's true parameter. Target columns never interact,
 so :func:`inject_all` mixes every column in one sweep; it equals injecting
 one column at a time (``tests/support.ref_inject``, the per-column
-reference the tests compare it with).
+reference the tests compare it with). ``verify.check_pushsum`` relies on it
+too: it certifies two runs as the column halves of one.
 
 :func:`check_invariants` and :func:`consensus_error` also take stacked
 snapshots: a :class:`PushSumState` whose weights are ``(..., n)`` and whose

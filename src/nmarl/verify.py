@@ -34,7 +34,9 @@ from .pushsum import check_invariants, consensus_error
 SAMPLE_CHUNK = 256
 
 # Bytes of the push-sum states check_pushsum records before it checks them in
-# one call: the same 64 KB page-fault threshold.
+# one call: the same 64 KB page-fault threshold. A recorded round is the
+# weights plus one (n, n, d) half of the vectors and one of the estimates, so
+# a block holds 10 of the check's 300 rounds.
 RECORD_BYTES = 64 * 1024
 
 
@@ -99,41 +101,48 @@ def check_gradient_forms(seed: int = 202, draws: int = 3) -> tuple[bool, str]:
 
 def check_pushsum(seed: int = 303, rounds: int = 300) -> tuple[bool, str]:
     """Push-sum's two invariants and its static consensus rate, on a 10-agent
-    ring with ``d`` = 4.
+    ring with ``d`` = 4, certified on one protocol run.
 
-    Invariants: ``rounds`` rounds (mix, then inject a normal delta scaled by
-    ``1 / (t + 10)``). The start state and the state after every round are
-    certified: the weight mass is ``n`` and every target's mean intermediate
-    vector is its true parameter, within ``pushsum.MASS_TOL``. A state just
-    after mixing holds the weights of the round's end and the vectors of the
-    round's start, so these are every weight vector and every (vectors,
-    parameters) pair that a check after each mix and each injection sees.
+    The run has max(``rounds``, 200) rounds over ``2 d`` parameter columns.
+    Target columns never interact, so each half of them is, bit for bit, a
+    run of its own:
 
-    Decay: one normal injection in round 1, then 199 rounds with none. The
-    consensus error after each round's mix, against the parameters before its
-    injection, must fall geometrically: a log-linear fit over rounds 10..200
-    has rate below 1 and R2 above 0.99.
+    - Invariants, columns ``:d``: in each of the first ``rounds`` rounds, a
+      normal delta scaled by ``1 / (t + 10)``. The start state and the state
+      after every round are certified: the weight mass is ``n`` and every
+      target's mean intermediate vector is its true parameter, within
+      ``pushsum.MASS_TOL``. A state just after mixing holds the weights of the
+      round's end and the vectors of the round's start, so these are every
+      weight vector and every (vectors, parameters) pair that a check after
+      each mix and each injection sees.
+    - Decay, columns ``d:``: one normal injection in round 1, drawn after the
+      invariant deltas, then none. The consensus error after each round's
+      mix, against the parameters before its injection, must fall
+      geometrically: a log-linear fit over rounds 10..200 has rate below 1
+      and R2 above 0.99.
 
-    Both runs record the states after their rounds in blocks of at most
-    ``RECORD_BYTES`` and check each block with one stacked call.
+    The states after the rounds are recorded in blocks of at most
+    ``RECORD_BYTES``, each checked with one stacked call. A recorded state
+    holds only what a check reads: the weights, the invariant half of the
+    intermediate vectors and the decay half of the estimates.
     """
     n, d = 10, 4
     w = netgraph.weight_matrix(netgraph.ring_graph(n))
     rng = np.random.default_rng(seed)
+    deltas = np.zeros((max(rounds, 200), n, 2 * d))
     # the values and generator state of one draw per round
-    deltas = rng.normal(size=(rounds, n, d)) / (np.arange(1, rounds + 1) + 10)[:, None, None]
+    deltas[:rounds, :, :d] = (
+        rng.normal(size=(rounds, n, d)) / (np.arange(1, rounds + 1) + 10)[:, None, None]
+    )
+    deltas[0, :, d:] = rng.normal(size=(n, d))
     check_invariants(pushsum.init_state(n, d), np.zeros((n, d)))
-    after = np.cumsum(deltas, axis=0)  # the true parameters after each round
+    after = np.cumsum(deltas[:, :, :d], axis=0)  # the true parameters after each round
+    before = np.zeros_like(after)  # the true parameters before each round
+    before[1:] = deltas[0, :, d:]
+    errs = np.empty(len(deltas))
     for rows, states in _rounds_in_blocks(w, deltas):
         check_invariants(states, after[rows])
-
-    deltas = np.zeros((200, n, d))
-    deltas[0] = rng.normal(size=(n, d))
-    before = np.zeros_like(deltas)  # the true parameters before each round
-    before[1:] = deltas[0]
-    errs = np.concatenate([
-        consensus_error(states, before[rows]) for rows, states in _rounds_in_blocks(w, deltas)
-    ])
+        errs[rows] = consensus_error(states, before[rows])
     ts = np.arange(10, 201)
     ys = np.log(errs[ts - 1])
     a = np.vstack([ts, np.ones_like(ts)]).T
@@ -147,16 +156,17 @@ def check_pushsum(seed: int = 303, rounds: int = 300) -> tuple[bool, str]:
 def _rounds_in_blocks(
     w: np.ndarray, deltas: np.ndarray
 ) -> Iterator[tuple[slice, pushsum.PushSumState]]:
-    """Push-sum rounds from the start state, one per row of ``deltas``: mix,
-    then inject the row.
+    """Push-sum rounds from the start state over ``2 d`` columns, one round
+    per row of ``deltas`` ``(rounds, n, 2 d)``: mix, then inject the row.
 
     Yields ``(rows, states)``: the states after the rounds of ``deltas[rows]``,
     stacked ``(B, ...)`` in one block of at most ``RECORD_BYTES``, which the
-    next block overwrites.
+    next block overwrites. A recorded state holds the weights, the
+    intermediate vectors of columns ``:d`` and the estimates of columns ``d:``.
     """
-    n, d = deltas.shape[1:]
+    n, d = deltas.shape[1], deltas.shape[2] // 2
     size = max(1, RECORD_BYTES // (8 * (n + 2 * n * n * d)))
-    st = pushsum.init_state(n, d)
+    st = pushsum.init_state(n, 2 * d)
     block = pushsum.PushSumState(
         np.empty((size, n)), np.empty((size, n, n, d)), np.empty((size, n, n, d))
     )
@@ -165,7 +175,8 @@ def _rounds_in_blocks(
         for k, delta in enumerate(deltas[rows]):
             pushsum.mix_and_estimate(st, w)
             pushsum.inject_all(st, w, delta)
-            block.weights[k], block.breve[k], block.estimates[k] = st.weights, st.breve, st.estimates
+            block.weights[k] = st.weights
+            block.breve[k], block.estimates[k] = st.breve[..., :d], st.estimates[..., d:]
         b = rows.stop - first
         yield rows, pushsum.PushSumState(block.weights[:b], block.breve[:b], block.estimates[:b])
 

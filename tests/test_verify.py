@@ -23,6 +23,76 @@ def test_value_decomposition_detail_is_pinned():
     assert detail == "max decomposition gap 3.807e-12 over 64 pairs"
 
 
+N, D = 10, 4  # check_pushsum's ring and parameter dimension
+
+
+def _lone_deltas(rounds, seed=303):
+    """The deltas of the two runs check_pushsum certifies, drawn in its order:
+    ``rounds`` invariant rounds, then the decay run's one injection."""
+    rng = np.random.default_rng(seed)
+    invariant = rng.normal(size=(rounds, N, D)) / (np.arange(1, rounds + 1) + 10)[:, None, None]
+    decay = np.zeros((max(rounds, 200), N, D))
+    decay[0] = rng.normal(size=(N, D))
+    return invariant, decay
+
+
+def _states(w, deltas):
+    """(weights, vectors, estimates) after each round of a lone run."""
+    st = pushsum.init_state(N, deltas.shape[-1])
+    for delta in deltas:
+        pushsum.mix_and_estimate(st, w)
+        pushsum.inject_all(st, w, delta)
+        yield st.weights.copy(), st.breve.copy(), st.estimates.copy()
+
+
+class TestOneRunPushsum:
+    """check_pushsum's one run over 2 d columns against the two 4-column runs
+    it stands for."""
+
+    def test_column_halves_equal_lone_runs(self):
+        w = netgraph.weight_matrix(netgraph.ring_graph(N))
+        invariant, decay = _lone_deltas(300)
+        both = np.concatenate([invariant, decay], axis=-1)
+        joint = list(_states(w, both))
+        for half, deltas in ((slice(D), invariant), (slice(D, None), decay)):
+            for (weights, breve, estimates), lone in zip(joint, _states(w, deltas), strict=True):
+                assert np.array_equal(weights, lone[0])  # bit for bit
+                assert np.array_equal(breve[..., half], lone[1])
+                assert np.array_equal(estimates[..., half], lone[2])
+        blocks = [
+            [field.copy() for field in (states.weights, states.breve, states.estimates)]
+            for _, states in verify._rounds_in_blocks(w, both)
+        ]  # copied, since the next block overwrites this one
+        weights, breve, estimates = (np.concatenate(field) for field in zip(*blocks))
+        assert np.array_equal(weights, np.stack([state[0] for state in joint]))
+        assert np.array_equal(breve, np.stack([state[1][..., :D] for state in joint]))
+        assert np.array_equal(estimates, np.stack([state[2][..., D:] for state in joint]))
+
+    @pytest.mark.parametrize("rounds", [50, 400])
+    def test_other_round_counts_keep_the_decay_fit(self, rounds):
+        # the report of the lone decay run, fitted over rounds 10..200 as the
+        # check fits it
+        w = netgraph.weight_matrix(netgraph.ring_graph(N))
+        _, decay = _lone_deltas(rounds)
+        before = np.zeros_like(decay)
+        before[1:] = decay[0]
+        errs = [
+            pushsum.consensus_error(pushsum.PushSumState(*state), theta)
+            for state, theta in zip(_states(w, decay), before)
+        ]
+        ts = np.arange(10, 201)
+        ys = np.log(np.array(errs)[ts - 1])
+        a = np.vstack([ts, np.ones_like(ts)]).T
+        coef, *_ = np.linalg.lstsq(a, ys, rcond=None)
+        r2 = 1 - ((ys - a @ coef) ** 2).sum() / ((ys - ys.mean()) ** 2).sum()
+        ok, detail = verify.check_pushsum(rounds=rounds)
+        assert ok
+        assert detail == (
+            f"invariants held {rounds} rounds; "
+            f"static decay rate {np.exp(coef[0]):.4f}, R2 {r2:.5f}"
+        )
+
+
 QUICK_DETAILS = {
     "value_decomposition": "max decomposition gap 3.807e-12 over 64 pairs",
     "gradient_forms": "form gap 4.857e-16, fd relative gap 3.651e-10",
