@@ -18,6 +18,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from . import estimator, netgraph, oracle, pushsum
+from .errors import ConfigError
 from .model import FactoredNmarlModel, InitialDistribution, embed, table_rewards
 from .policy import CoupledSoftmaxPolicy, MixingSpec
 
@@ -332,6 +333,12 @@ FULL_CHECKS: list[tuple[str, Callable[[], tuple[bool, str]]]] = [
 
 
 def run_suite(level: str = "quick") -> dict:
+    """Run the ``quick`` checks, or at ``full`` also the statistical ones.
+
+    Any other level raises :class:`ConfigError` before a check runs.
+    """
+    if level not in ("quick", "full"):
+        raise ConfigError(f"verify level must be 'quick' or 'full', got {level!r}")
     checks = list(QUICK_CHECKS)
     if level == "full":
         checks += FULL_CHECKS

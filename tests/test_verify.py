@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nmarl import netgraph, pushsum, verify
-from nmarl.errors import ProtocolInvariantError
+from nmarl.errors import ConfigError, ProtocolInvariantError
 
 
 def test_pushsum_check_detail_is_pinned():
@@ -137,3 +137,11 @@ class TestPushsumNegativeControls:
         ok, detail = verify.check_pushsum()
         assert not ok
         assert detail.startswith("invariants held 300 rounds; static decay rate 1.0000, R2 ")
+
+
+@pytest.mark.parametrize("level", ["Full", "QUICK", "", "full ", None])
+def test_unknown_level_is_refused_before_any_check(monkeypatch, level):
+    # a mistyped level used to run the quick checks alone and pass
+    monkeypatch.setattr(verify, "QUICK_CHECKS", [("ran", lambda: pytest.fail("a check ran"))])
+    with pytest.raises(ConfigError, match="verify level must be 'quick' or 'full'"):
+        verify.run_suite(level)
