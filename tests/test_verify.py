@@ -1,4 +1,5 @@
-"""Pins of the ``verify`` checks' reports, and the defects each check must catch."""
+"""Pins of the ``verify`` checks' reports, the runs a check stands for, the
+defects each check must catch, and the suite's levels."""
 
 import numpy as np
 import pytest
