@@ -72,6 +72,11 @@ class DscpConfig:
         if self.iterations < 1:
             raise ConfigError(f"iterations must be at least 1, got {self.iterations}")
         self.mixing()  # MixingSpec checks the weights and kappa_p
+        if self.kappa_p >= 1 and self.self_weight == self.neighbor_weight_total == 0:
+            raise ConfigError(
+                "mixing weights are both 0: at kappa_p >= 1 every coupling row is zero, "
+                "so the policy would ignore its parameters"
+            )
         if not (0 < self.eta0 < math.inf and 0 <= self.t0 < math.inf):  # NaN fails too
             raise ConfigError("learning-rate schedule needs finite eta0 > 0 and t0 >= 0")
         if self.batch < 1:

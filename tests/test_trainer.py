@@ -78,6 +78,17 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="integer"):
             DscpConfig(**{"iterations": 3, field: value})
 
+    @pytest.mark.parametrize("kappa_p", [1, 2])
+    def test_zero_mixing_weights_rejected_when_coupled(self, kappa_p):
+        # every coupling row is zero: the policy ignores its parameters and
+        # training runs without moving them
+        with pytest.raises(ConfigError, match="coupling row is zero"):
+            DscpConfig(3, kappa_p=kappa_p, self_weight=0.0, neighbor_weight_total=0.0)
+        # the weights do not enter a kappa_p = 0 policy, and one weight suffices
+        DscpConfig(3, kappa_p=0, self_weight=0.0, neighbor_weight_total=0.0)
+        DscpConfig(3, kappa_p=kappa_p, self_weight=0.0, neighbor_weight_total=0.1)
+        DscpConfig(3, kappa_p=kappa_p, self_weight=0.1, neighbor_weight_total=0.0)
+
 
 def _steps(m, cfg, gradient=trainer.sampled_gradient):
     """A run of ``cfg.iterations`` steps with ``gradient``, and its rows."""
@@ -437,7 +448,7 @@ def test_shipped_evaluation_matches_reference(config, draw_block):
     # the shipped rewards (table lookups) on stacked blocks of steps
     run = load_config(f"configs/{config}.json")
     m = run.build_model()
-    pol = CoupledSoftmaxPolicy(run.graph, m.n_states, m.n_actions, run.dscp.mixing())
+    pol = CoupledSoftmaxPolicy(m.graph, m.n_states, m.n_actions, run.dscp.mixing())
     theta = np.random.default_rng(4).uniform(-1, 1, size=(m.n, pol.d))
     for method in ("geometric", "fixed_horizon"):
         with patch.object(estimator, "DRAW_BLOCK", draw_block):
@@ -489,7 +500,7 @@ def test_shipped_path_evaluation_scores_fewer_than_half_the_entries():
     # evaluation stops scoring an episode once all of its robots are there
     run = load_config("configs/path_planning.json")
     m = run.build_model()
-    pol = CoupledSoftmaxPolicy(run.graph, m.n_states, m.n_actions, run.dscp.mixing())
+    pol = CoupledSoftmaxPolicy(m.graph, m.n_states, m.n_actions, run.dscp.mixing())
     episodes, eps = run.dscp.eval_episodes, run.dscp.eval_horizon_eps
     horizon = oracle.truncation_horizon(m.gamma, eps, m.reward_bound)
     rewards, seen = m.batch_rewards, []
