@@ -1,11 +1,15 @@
 """Pins of the ``verify`` checks' reports, the runs a check stands for, the
 defects each check must catch, and the suite's levels."""
 
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 
-from nmarl import netgraph, pushsum, verify
+from nmarl import estimator, netgraph, pushsum, verify
 from nmarl.errors import ConfigError, ProtocolInvariantError
+from nmarl.policy import CoupledSoftmaxPolicy
 
 
 def test_pushsum_check_detail_is_pinned():
@@ -138,6 +142,47 @@ class TestPushsumNegativeControls:
         ok, detail = verify.check_pushsum()
         assert not ok
         assert detail.startswith("invariants held 300 rounds; static decay rate 1.0000, R2 ")
+
+
+class TestGradientNegativeControls:
+    """One-line gradient defects that a statistical or exact check must fail
+    on its own gate, not through some other exception."""
+
+    def test_dropped_discount_factor_fails_the_unbiasedness_gate(self, monkeypatch):
+        # the estimate without its 1 / (1 - gamma) is (1 - gamma) = 0.2 times
+        # too small; 5 000 samples pass unpatched and put it far past |z| 4
+        assert verify.check_estimator_unbiased(samples=5_000)[0]
+        estimate = estimator.gradient_estimate
+
+        def dropped(roll, m, pol, params, bound=None):
+            ge = estimate(roll, m, pol, params, bound)
+            return dataclasses.replace(ge, grads=ge.grads * (1.0 - m.gamma))
+
+        monkeypatch.setattr(estimator, "gradient_estimate", dropped)
+        ok, detail = verify.check_estimator_unbiased(samples=5_000)
+        assert not ok
+        worst_z, violations = re.fullmatch(
+            r"worst \|z\| (\S+) over 5000 samples, (\d+) bound violations", detail
+        ).groups()
+        assert float(worst_z) > 20 and violations == "0"
+
+    def test_untransposed_score_shares_fail_the_coupled_term_gate(self, monkeypatch):
+        # agent i weighs agent j's score by coupling[i, j] for coupling[j, i]:
+        # every row still has mean zero, so only the coupled term sees it
+        init = CoupledSoftmaxPolicy.__init__
+
+        def untransposed(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            self._shares = self.coupling[:, :, None]
+
+        monkeypatch.setattr(CoupledSoftmaxPolicy, "__init__", untransposed)
+        ok, detail = verify.check_policy_scores()
+        assert not ok
+        norm, mean, term = map(float, re.fullmatch(
+            r"normalization gap (\S+), score mean (\S+), coupled term gap (\S+) "
+            r"over 2 draws per parameter shape", detail
+        ).groups())
+        assert norm <= 1e-12 and mean <= 1e-12 and term > 1e-3
 
 
 @pytest.mark.parametrize("level", ["Full", "QUICK", "", "full ", None])
