@@ -1,7 +1,9 @@
 """Run-configuration schema: strict parsing of the JSON config files.
 
 The constructors are the schema: each block's keys, scalar types and
-defaults are the parameters of the constructor it feeds (:func:`construct`).
+defaults are the parameters of the constructor it feeds (:func:`construct`),
+and an environment's ``env.overrides`` are the parameters of its builder in
+``BUILDERS`` other than ``comm``.
 A rejected value raises :class:`ConfigError`, or the domain error of the
 constructor that refused it, and the CLI exits 2 on either before any run.
 """
@@ -16,7 +18,7 @@ from pathlib import Path
 from typing import Any, Callable
 
 from . import netgraph
-from .envs import PathPlanningSpec, PathStructure, build_path_env, build_power_env
+from .envs import build_path_env, build_power_env
 from .errors import ConfigError
 from .model import FactoredNmarlModel
 from .trainer import DscpConfig
@@ -26,11 +28,17 @@ _SCALARS = {"int": int, "float": float, "bool": bool, "str": str}
 # DscpConfig fields that the dscp block holds under "lr" and "mixing" only.
 _NESTED = {"lr": {"eta0", "t0", "form"}, "mixing": {"self_weight", "neighbor_weight_total"}}
 _LR_FORM = "eta0/(t+t0)"
+# The model builder of each env.name; each defaults its graph to a ring.
+BUILDERS: dict[str, Callable[..., FactoredNmarlModel]] = {
+    "path_planning": build_path_env,
+    "power_control": build_power_env,
+}
 
 
 @dataclass
 class RunConfig:
-    """Validated run configuration: environment, graph, trainer, outputs."""
+    """Validated run configuration: environment, graph (``None`` for the
+    builder's default ring), trainer, outputs."""
 
     env_name: str
     env_overrides: dict
@@ -41,18 +49,10 @@ class RunConfig:
     raw: dict = field(default_factory=dict)
 
     def build_model(self) -> FactoredNmarlModel:
-        ov = self.env_overrides
-        if self.env_name == "path_planning":
-            layout = inspect.signature(PathStructure).parameters
-            ps = construct(PathStructure, {k: ov[k] for k in ov if k in layout}, "env.overrides")
-            spec = construct(
-                PathPlanningSpec, {k: ov[k] for k in ov if k not in layout}, "env.overrides",
-                n=self.graph.n,
-            )
-            return build_path_env(spec, ps, self.graph)
-        if self.env_name == "power_control":
-            return construct(build_power_env, ov, "env.overrides", comm=self.graph)
-        raise ConfigError(f"unknown environment {self.env_name!r}")
+        if self.env_name not in BUILDERS:
+            raise ConfigError(f"unknown environment {self.env_name!r}")
+        builder = BUILDERS[self.env_name]
+        return construct(builder, self.env_overrides, "env.overrides", comm=self.graph)
 
 
 def construct(target: Callable[..., Any], values: Any, where: str, **given: Any) -> Any:
@@ -140,14 +140,7 @@ def parse_config(obj: dict, overrides: list[str] | None = None) -> RunConfig:
     if not isinstance(env_overrides, dict):
         raise ConfigError("env.overrides must be an object")
 
-    graph = None
-    if "graph" in obj:
-        graph = construct(netgraph.build_graph, obj["graph"], "graph block")
-    elif env_name == "path_planning":
-        starts = env_overrides.get("starts", PathPlanningSpec.starts)
-        if not isinstance(starts, list | tuple):
-            raise ConfigError(f"env.overrides: starts must be a list, got {starts!r}")
-        graph = netgraph.ring_graph(len(starts))
+    graph = construct(netgraph.build_graph, obj["graph"], "graph block") if "graph" in obj else None
 
     dscp = construct(DscpConfig, _dscp_values(obj.get("dscp", {})), "dscp block")
 

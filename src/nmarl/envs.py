@@ -1,5 +1,8 @@
 """Concrete environments: layered-DAG robot path planning and wireless power control.
 
+Each environment is one builder, and its signature is the environment's
+config schema: the parameters other than ``comm`` are the ``env.overrides``
+keys (``config.BUILDERS``), and ``comm`` defaults to a ring over the agents.
 Both builders produce :class:`FactoredNmarlModel` instances with
 deterministic (one-hot) kernels. Each reward family is one batched callable
 that keeps the model's contract: integer state and action arrays ``(..., n)``
@@ -25,7 +28,7 @@ looks the rewards up, and the formula does not run per call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -40,152 +43,97 @@ PATH_LOCATIONS = (
     "d1", "d2", "d3",
     "e",
 )
+# Layered DAG over the 13 locations: each node fans out to the two
+# like-indexed nodes of the next layer, clipped at the layer boundaries (so
+# the outermost nodes have one successor), the lower-index one first (the
+# "upper" edge). Every location reaches the destination ``e``.
+PATH_SUCCESSORS: Mapping[str, tuple[str, ...]] = MappingProxyType({
+    "b1": ("c1",), "b2": ("c1", "c2"), "b3": ("c2", "c3"), "b4": ("c3", "c4"), "b5": ("c4",),
+    "c1": ("d1",), "c2": ("d1", "d2"), "c3": ("d2", "d3"), "c4": ("d3",),
+    "d1": ("e",), "d2": ("e",), "d3": ("e",), "e": (),
+})
 
 
-def _default_successors() -> dict[str, tuple[str, ...]]:
-    """Layered DAG over the 13 locations.
+def _path_moves(
+    locations: Sequence[str], successors: Mapping[str, Sequence[str]], destination: str
+) -> np.ndarray:
+    """Next-location table ``(L, 3)`` of an acyclic location graph.
 
-    Each source node fans out to the two like-indexed nodes of the next
-    layer, clipped at the layer boundaries (so the outermost nodes have a
-    single successor); the lower-index successor is the "upper" edge. Every
-    location reaches the destination ``e``, which has no outgoing edges.
+    Movement rule: action 0 stays put, 1/2 follow the upper/lower edge, and
+    any action beyond the out-degree stays put; a location the successor map
+    leaves out has no successors. Refuses repeated locations, names that are
+    not locations, entries that are not lists of at most two names, cycles,
+    and locations that cannot reach the destination.
     """
-    succ: dict[str, tuple[str, ...]] = {}
-    for k in range(1, 6):
-        lo, hi = max(1, k - 1), min(4, k)
-        succ[f"b{k}"] = tuple(dict.fromkeys((f"c{lo}", f"c{hi}")))
-    for k in range(1, 5):
-        lo, hi = max(1, k - 1), min(3, k)
-        succ[f"c{k}"] = tuple(dict.fromkeys((f"d{lo}", f"d{hi}")))
-    for k in range(1, 4):
-        succ[f"d{k}"] = ("e",)
-    succ["e"] = ()
-    return succ
+    if not isinstance(successors, Mapping):
+        raise ConfigError(f"successors must be an object, got {successors!r}")
+    index = {loc: k for k, loc in enumerate(locations)}
+    if len(index) < len(locations):
+        repeated = sorted({loc for loc in locations if locations.count(loc) > 1})
+        raise ConfigError(f"locations must be distinct (repeated: {repeated})")
+    if destination not in index:
+        raise UnknownLocation(f"destination {destination!r} not a location")
+    for loc, succ in successors.items():
+        if loc not in index:
+            raise UnknownLocation(f"successor map names unknown location {loc!r}")
+        if not isinstance(succ, (list, tuple)) or not all(isinstance(s, str) for s in succ):
+            raise ConfigError(
+                f"successors of {loc!r} must be a list of location names, got {succ!r}"
+            )
+        if len(succ) > 2:
+            raise ConfigError(f"location {loc!r} has out-degree {len(succ)} > 2")
+        for s in succ:
+            if s not in index:
+                raise UnknownLocation(f"{loc!r} points at unknown location {s!r}")
+    # acyclicity + destination reachability by depth-first walk; every
+    # successor is walked, the destination's too, so that no cycle hides
+    # behind a successor that already reaches the destination
+    reaches: dict[str, bool] = {}
+    on_path: set[str] = set()
 
-
-@dataclass(frozen=True)
-class PathStructure:
-    """Acyclic location graph with per-node (upper, lower) edge ordering."""
-
-    locations: tuple[str, ...] = PATH_LOCATIONS
-    successors: Mapping[str, tuple[str, ...]] = field(default_factory=_default_successors)
-    destination: str = "e"
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.successors, Mapping):
-            raise ConfigError(f"successors must be an object, got {self.successors!r}")
-        index = {loc: k for k, loc in enumerate(self.locations)}
-        if len(index) < len(self.locations):
-            repeated = sorted({loc for loc in self.locations if self.locations.count(loc) > 1})
-            raise ConfigError(f"locations must be distinct (repeated: {repeated})")
-        if self.destination not in index:
-            raise UnknownLocation(f"destination {self.destination!r} not a location")
-        for loc, succ in self.successors.items():
-            if loc not in index:
-                raise UnknownLocation(f"successor map names unknown location {loc!r}")
-            if not isinstance(succ, (list, tuple)) or not all(isinstance(s, str) for s in succ):
-                raise ConfigError(
-                    f"successors of {loc!r} must be a list of location names, got {succ!r}"
-                )
-            if len(succ) > 2:
-                raise ConfigError(f"location {loc!r} has out-degree {len(succ)} > 2")
-            for s in succ:
-                if s not in index:
-                    raise UnknownLocation(f"{loc!r} points at unknown location {s!r}")
-        # acyclicity + destination reachability by depth-first walk; every
-        # successor is walked, the destination's too, so that no cycle hides
-        # behind a successor that already reaches the destination
-        reaches: dict[str, bool] = {}
-        on_path: set[str] = set()
-
-        def visit(loc: str) -> bool:
-            if loc in reaches:
-                return reaches[loc]
-            if loc in on_path:
-                raise ConfigError(f"path structure has a cycle through {loc!r}")
-            on_path.add(loc)
-            found = [visit(s) for s in self.successors.get(loc, ())]
-            on_path.discard(loc)
-            reaches[loc] = loc == self.destination or any(found)
+    def visit(loc: str) -> bool:
+        if loc in reaches:
             return reaches[loc]
+        if loc in on_path:
+            raise ConfigError(f"path structure has a cycle through {loc!r}")
+        on_path.add(loc)
+        found = [visit(s) for s in successors.get(loc, ())]
+        on_path.discard(loc)
+        reaches[loc] = loc == destination or any(found)
+        return reaches[loc]
 
-        for loc in self.locations:
-            if not visit(loc):
-                raise ConfigError(f"location {loc!r} cannot reach the destination")
-
-    def index(self, loc: str) -> int:
-        try:
-            return self.locations.index(loc)
-        except ValueError:
-            raise UnknownLocation(f"unknown location {loc!r}") from None
-
-
-def path_transition(loc: str, act: int, ps: PathStructure) -> str:
-    """Movement rule: 0 stays put, 1/2 follow the upper/lower edge, and any
-    action beyond the out-degree stays put."""
-    if loc not in ps.locations:
-        raise UnknownLocation(f"unknown location {loc!r}")
-    succ = ps.successors.get(loc, ())  # a location the map leaves out has none
-    if act == 0 or act > len(succ):
-        return loc
-    return succ[act - 1]
-
-
-@dataclass(frozen=True)
-class PathPlanningSpec:
-    """Ten robots on the layered DAG, started pairwise on the first layer."""
-
-    n: int = 10
-    starts: tuple[str, ...] = ("b1", "b2", "b3", "b4", "b5") * 2
-    gamma: float = 0.9
-    r_eps: float = 0.5
-    collision_weight: float = 0.5
-    terminal_zero_reward: bool = False
-
-    def __post_init__(self) -> None:
-        if len(self.starts) != self.n:
-            raise ConfigError(
-                f"{self.n} agents need {self.n} start locations, got {len(self.starts)}"
-            )
-        for i, loc in enumerate(self.starts):
-            if not isinstance(loc, str):
-                raise ConfigError(f"starts: agent {i}'s start must be a location name, got {loc!r}")
-        if self.r_eps <= 0:
-            raise ConfigError("the per-step time cost must be positive")
-        if self.collision_weight < 0:
-            # the declared reward cap (time cost plus full penalty) needs it
-            raise ConfigError(
-                f"collision_weight must be nonnegative, got {self.collision_weight}"
-            )
-
-
-def _path_next_table(ps: PathStructure) -> np.ndarray:
-    table = np.empty((len(ps.locations), 3), dtype=np.intp)
-    for s, loc in enumerate(ps.locations):
-        for a in range(3):
-            table[s, a] = ps.index(path_transition(loc, a, ps))
-    return table
+    for loc in locations:
+        if not visit(loc):
+            raise ConfigError(f"location {loc!r} cannot reach the destination")
+    moves = np.repeat(np.arange(len(locations), dtype=np.intp)[:, None], 3, axis=1)
+    for loc, succ in successors.items():
+        moves[index[loc], 1 : len(succ) + 1] = [index[s] for s in succ]
+    return moves
 
 
 def _path_planning_rewards(
-    spec: PathPlanningSpec, ps: PathStructure, next_table: np.ndarray, graph: netgraph.AgentGraph
+    next_table: np.ndarray,
+    dest: int,
+    graph: netgraph.AgentGraph,
+    r_eps: float,
+    collision_weight: float,
+    terminal_zero_reward: bool,
 ) -> tuple[BatchRewards, list[float]]:
     """Batched collision reward and its per-agent cap."""
-    n_loc, n_act = next_table.shape
+    n, (n_loc, n_act) = graph.n, next_table.shape
     # Staying costs the flat time penalty; moving additionally costs a share
     # per neighbor that traverses the same (from, to) edge this step. Per
     # flat pair s * A + a: the base reward and whether the agent moves (0 or
     # 1, so base - mover * share is exact either way).
     stay = next_table == np.arange(n_loc)[:, None]
-    base = np.full((n_loc, n_act), -spec.r_eps)
+    base = np.full((n_loc, n_act), -r_eps)
     mover = (~stay).astype(float)
-    if spec.terminal_zero_reward:
-        dest = ps.index(ps.destination)
+    if terminal_zero_reward:
         base[dest] = mover[dest] = 0.0
     # Unordered neighbor edges and an incidence matrix that adds each
     # edge's match to both its ends: one comparison per edge, one matmul.
     edge_i, edge_j = np.nonzero(np.triu(netgraph.hop_mask(graph, 1), 1))
-    incidence = np.zeros((len(edge_i), graph.n))
+    incidence = np.zeros((len(edge_i), n))
     incidence[np.arange(len(edge_i)), edge_i] = 1.0
     incidence[np.arange(len(edge_j)), edge_j] = 1.0
     # Row s * A + a of the table, from key (s * A + a) * width on, holds the
@@ -195,7 +143,7 @@ def _path_planning_rewards(
     counts = np.arange(float(netgraph.max_neighborhood_size(graph, 1)))  # 0..max degree
     width = len(counts)
     with np.errstate(over="ignore", invalid="ignore"):
-        share = spec.collision_weight * counts / spec.n
+        share = collision_weight * counts / n
         table = (base.reshape(-1, 1) - mover.reshape(-1, 1) * share).ravel()
     # A flat pair's key is that of the first action from its state to the
     # same next state, so two agents share an edge when their keys are equal.
@@ -210,38 +158,59 @@ def _path_planning_rewards(
         keys += shared.astype(np.intp)
         return table.take(keys)
 
-    # Formula cap: time cost plus the penalty with every agent colliding.
-    cap = spec.r_eps + spec.collision_weight * graph.n / spec.n
-    return batch, [cap] * graph.n
+    # Formula cap: time cost plus the share w * c / n at c = n, every agent
+    # colliding.
+    cap = r_eps + collision_weight * n / n
+    return batch, [cap] * n
 
 
 def build_path_env(
-    spec: PathPlanningSpec | None = None,
-    ps: PathStructure | None = None,
     comm: netgraph.AgentGraph | None = None,
+    starts: Sequence[str] = ("b1", "b2", "b3", "b4", "b5") * 2,
+    gamma: float = 0.9,
+    r_eps: float = 0.5,
+    collision_weight: float = 0.5,
+    terminal_zero_reward: bool = False,
+    locations: Sequence[str] = PATH_LOCATIONS,
+    successors: Mapping[str, Sequence[str]] = PATH_SUCCESSORS,
+    destination: str = "e",
 ) -> FactoredNmarlModel:
-    """Path-planning model: 13 states, 3 actions, deterministic kernels,
-    direct-neighbor collision rewards, fixed starts."""
-    spec = spec or PathPlanningSpec()
-    ps = ps or PathStructure()
-    comm = comm or netgraph.ring_graph(spec.n)
-    if comm.n != spec.n:
-        raise ConfigError(f"communication graph has {comm.n} agents, spec has {spec.n}")
-    next_table = _path_next_table(ps)
-    n_loc = len(ps.locations)
-    kernel = np.zeros((n_loc, 3, n_loc))
-    for s in range(n_loc):
-        for a in range(3):
-            kernel[s, a, next_table[s, a]] = 1.0
-    batch, bounds = _path_planning_rewards(spec, ps, next_table, comm)
+    """Path-planning model: one robot per start location on the acyclic
+    location graph (by default ten on the layered DAG, started pairwise on
+    its first layer), deterministic kernels from the movement rule
+    (``_path_moves``), direct-neighbor collision rewards, fixed starts.
+
+    ``comm`` defaults to a ring over the robots. ``r_eps`` is the per-step
+    time cost, ``collision_weight`` the penalty weight, and
+    ``terminal_zero_reward`` makes every reward at the destination zero.
+    """
+    if not isinstance(starts, list | tuple):
+        raise ConfigError(f"starts must be a list, got {starts!r}")
+    comm = comm or netgraph.ring_graph(len(starts))
+    moves = _path_moves(locations, successors, destination)
+    if len(starts) != comm.n:
+        raise ConfigError(f"{comm.n} agents need {comm.n} start locations, got {len(starts)}")
+    for i, loc in enumerate(starts):
+        if not isinstance(loc, str):
+            raise ConfigError(f"starts: agent {i}'s start must be a location name, got {loc!r}")
+        if loc not in locations:
+            raise UnknownLocation(f"unknown location {loc!r}")
+    if r_eps <= 0:
+        raise ConfigError("the per-step time cost must be positive")
+    if collision_weight < 0:
+        # the declared reward cap (time cost plus full penalty) needs it
+        raise ConfigError(f"collision_weight must be nonnegative, got {collision_weight}")
+    batch, bounds = _path_planning_rewards(
+        moves, locations.index(destination), comm, r_eps, collision_weight, terminal_zero_reward
+    )
     return FactoredNmarlModel(
         graph=comm,
-        n_states=n_loc,
+        n_states=len(locations),
         n_actions=3,
-        kernels=[kernel] * spec.n,
+        kernels=[np.eye(len(locations))[moves]] * comm.n,
         batch_rewards=batch,
-        rho=InitialDistribution.fixed([ps.index(loc) for loc in spec.starts]),
-        gamma=spec.gamma,
+        rho=InitialDistribution.fixed([locations.index(loc) for loc in starts]),
+        gamma=gamma,
         reward_bounds=bounds,
     )
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import math
 from collections import deque
 
@@ -9,7 +10,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from nmarl import netgraph
-from nmarl.envs import path_transition
+from nmarl.envs import build_path_env
 from nmarl.errors import DimensionMismatch, SpaceTooLarge
 from nmarl.estimator import _step_blocks, half_discount_weights, sample_geometric
 from nmarl.model import FactoredNmarlModel, InitialDistribution, table_rewards
@@ -338,25 +339,37 @@ def ref_inject(st, w, j: int, delta) -> None:
     st.breve[:, j, :] = w @ column
 
 
-def ref_path_reward(spec, ps, graph, i, s, a) -> float:
-    """Agent ``i``'s path-planning reward at joint ``(s, a)``, from the movement rule.
+def ref_move(loc, act, successors):
+    """The path-planning movement rule: 0 stays put, 1/2 follow the
+    upper/lower edge, and an action beyond the out-degree stays put (a
+    location the successor map leaves out has none)."""
+    succ = successors.get(loc, ())
+    return loc if act == 0 or act > len(succ) else succ[act - 1]
+
+
+def ref_path_reward(graph, i, s, a, **env) -> float:
+    """Agent ``i``'s reward at joint ``(s, a)`` in ``build_path_env(graph, **env)``,
+    from the movement rule.
 
     Zero at the destination when ``terminal_zero_reward`` is set; else the
     time cost, plus, for a mover, a share per neighbor that moves along the
     same edge, counted one neighbor at a time.
     """
-    here = ps.locations[s[i]]
-    there = path_transition(here, a[i], ps)
-    if spec.terminal_zero_reward and here == ps.destination:
+    defaults = inspect.signature(build_path_env).parameters.items()
+    env = {**{k: p.default for k, p in defaults}, **env}
+    locations, successors = env["locations"], env["successors"]
+    here = locations[s[i]]
+    there = ref_move(here, a[i], successors)
+    if env["terminal_zero_reward"] and here == env["destination"]:
         return 0.0
     if there == here:
-        return -spec.r_eps
+        return -env["r_eps"]
     shared = 0
     for j in graph.neighbors[i]:
-        loc = ps.locations[s[j]]
-        if j != i and loc == here and path_transition(loc, a[j], ps) == there:
+        loc = locations[s[j]]
+        if j != i and loc == here and ref_move(loc, a[j], successors) == there:
             shared += 1
-    return -spec.r_eps - spec.collision_weight * shared / spec.n
+    return -env["r_eps"] - env["collision_weight"] * shared / graph.n
 
 
 def ref_table_rewards(tables, members):

@@ -1,10 +1,11 @@
+import inspect
 import json
 
 import numpy as np
 import pytest
 
-from nmarl import cli, trainer, verify
-from nmarl.config import construct, load_config, parse_config
+from nmarl import cli, netgraph, trainer, verify
+from nmarl.config import BUILDERS, construct, load_config, parse_config
 from nmarl.errors import ConfigError
 from nmarl.policy import CoupledSoftmaxPolicy, MixingSpec
 from nmarl.trainer import evaluate_policy
@@ -87,7 +88,27 @@ class TestConfigParsing:
     def test_shipped_path_config_valid(self):
         run = load_config("configs/path_planning.json")
         assert run.dscp.iterations == 20000
-        assert run.graph.n == 10
+        assert run.graph is None  # the builder's default ring over the ten starts
+        assert run.build_model().graph == netgraph.ring_graph(10)
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_builder_parameters_are_the_env_override_keys(name):
+    # every parameter but the graph is a key: set all of them, each to its
+    # default or its shipped value, and the model is the shipped one
+    run = load_config(f"configs/{name}.json")
+    params = inspect.signature(BUILDERS[name]).parameters
+    keys = {k: p.default for k, p in params.items() if k != "comm"}
+    overrides = json.loads(json.dumps({**keys, **run.env_overrides}, default=dict))
+    full = parse_config({**run.raw, "env": {"name": name, "overrides": overrides}})
+    got, want = full.build_model(), run.build_model()
+    np.testing.assert_array_equal(got.kernels, want.kernels)
+    assert (got.rho, got.gamma, got.reward_bound) == (want.rho, want.gamma, want.reward_bound)
+    # and no other key is: not the graph, which the graph block gives
+    for key in ("comm", "n_agents"):
+        bad = {**run.raw, "env": {"name": name, "overrides": {key: 1}}}
+        with pytest.raises(ConfigError, match=f"unknown keys \\['{key}'\\] in env.overrides"):
+            parse_config(bad).build_model()
 
 
 PC, PP = "configs/power_control.json", "configs/path_planning.json"
@@ -130,6 +151,8 @@ BAD_INPUTS = [
     (PP, "env.overrides.successors=5"),
     (PP, 'env.overrides.successors={"b1":"c1"}'),
     (PP, "env.overrides.collision_weight=-1"),
+    (PC, 'dscp.mixing={"self_weight":0,"neighbor_weight_total":0}'),
+    (PP, 'graph={"n":4,"edges":[[1,2],[2,3],[3,4],[4,1]]}'),
 ]
 
 

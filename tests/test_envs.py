@@ -12,13 +12,7 @@ from hypothesis import strategies as st
 
 from nmarl import netgraph, trainer
 from nmarl.config import load_config
-from nmarl.envs import (
-    PathPlanningSpec,
-    PathStructure,
-    build_path_env,
-    build_power_env,
-    path_transition,
-)
+from nmarl.envs import PATH_LOCATIONS, PATH_SUCCESSORS, build_path_env, build_power_env
 from nmarl.errors import ConfigError, NonPositiveNoise, UnknownLocation
 from nmarl.model import FactoredNmarlModel
 from nmarl.policy import CoupledSoftmaxPolicy, MixingSpec
@@ -27,6 +21,7 @@ from support import (
     connected_graphs,
     next_states,
     random_table_model,
+    ref_move,
     ref_path_reward,
     ref_power_reward,
     ref_power_rewards,
@@ -34,39 +29,42 @@ from support import (
 )
 
 ROOT = Path(__file__).resolve().parents[1]
+LOC = {loc: k for k, loc in enumerate(PATH_LOCATIONS)}
 
 
-@pytest.fixture
-def structure():
-    return PathStructure()
+def moved(m, loc, act):
+    """The location that agent 0's one-hot kernel in ``m`` moves ``loc`` to under ``act``."""
+    row = m.kernels[0][LOC[loc], act]
+    assert sorted(row) == [0.0] * (len(row) - 1) + [1.0]
+    return PATH_LOCATIONS[int(row.argmax())]
 
 
 class TestPathStructure:
-    def test_default_layering(self, structure):
-        assert structure.successors["b1"] == ("c1",)
-        assert structure.successors["b2"] == ("c1", "c2")
-        assert structure.successors["b5"] == ("c4",)
-        assert structure.successors["c2"] == ("d1", "d2")
-        assert structure.successors["d3"] == ("e",)
-        assert structure.successors["e"] == ()
+    def test_default_layering(self):
+        assert PATH_SUCCESSORS["b1"] == ("c1",)
+        assert PATH_SUCCESSORS["b2"] == ("c1", "c2")
+        assert PATH_SUCCESSORS["b5"] == ("c4",)
+        assert PATH_SUCCESSORS["c2"] == ("d1", "d2")
+        assert PATH_SUCCESSORS["d3"] == ("e",)
+        assert PATH_SUCCESSORS["e"] == ()
 
-    def test_every_location_reaches_destination(self, structure):
+    def test_every_location_reaches_destination(self):
         # independent reachability check by graph walk
         reach = {"e"}
         changed = True
         while changed:
             changed = False
-            for loc, succ in structure.successors.items():
+            for loc, succ in PATH_SUCCESSORS.items():
                 if loc not in reach and any(s in reach for s in succ):
                     reach.add(loc)
                     changed = True
-        assert reach == set(structure.locations)
+        assert reach == set(PATH_LOCATIONS)
 
     def test_cycle_rejected(self):
-        succ = dict(PathStructure().successors)
+        succ = dict(PATH_SUCCESSORS)
         succ["c1"] = ("b1",)
         with pytest.raises(ConfigError):
-            PathStructure(successors=succ)
+            build_path_env(successors=succ)
 
     @pytest.mark.parametrize(
         "change",
@@ -74,63 +72,72 @@ class TestPathStructure:
         ids=["through the destination", "behind a reaching successor"],
     )
     def test_hidden_cycle_rejected(self, change):
-        succ = {**PathStructure().successors, **change}
+        succ = {**PATH_SUCCESSORS, **change}
         with pytest.raises(ConfigError, match="cycle"):
-            PathStructure(successors=succ)
+            build_path_env(successors=succ)
 
     def test_repeated_location_rejected(self):
         # a second "b1" was an extra state no start or successor could reach
-        locations = ("b1",) + PathStructure().locations
+        locations = ("b1",) + PATH_LOCATIONS
         with pytest.raises(ConfigError, match=r"repeated: \['b1'\]"):
-            PathStructure(locations=locations)
+            build_path_env(locations=locations)
 
     def test_unreachable_rejected(self):
-        succ = dict(PathStructure().successors)
+        succ = dict(PATH_SUCCESSORS)
         succ["d2"] = ()
         with pytest.raises(ConfigError):
-            PathStructure(successors=succ)
+            build_path_env(successors=succ)
 
     @pytest.mark.parametrize("entry", ["c1", 3, [["c1"]]], ids=["string", "number", "nested"])
     def test_successor_entry_must_be_a_list_of_names(self, entry):
-        succ = dict(PathStructure().successors)
+        succ = dict(PATH_SUCCESSORS)
         succ["b1"] = entry
         with pytest.raises(ConfigError, match=rf"'b1'.*{re.escape(repr(entry))}"):
-            PathStructure(successors=succ)
+            build_path_env(successors=succ)
 
     def test_unknown_location_rejected(self):
-        succ = dict(PathStructure().successors)
+        succ = dict(PATH_SUCCESSORS)
         succ["b1"] = ("z9",)
         with pytest.raises(UnknownLocation):
-            PathStructure(successors=succ)
+            build_path_env(successors=succ)
 
 
 class TestPathTransition:
-    def test_action_zero_stays(self, structure):
-        for loc in structure.locations:
-            assert path_transition(loc, 0, structure) == loc
+    """The movement rule, read from the built kernels."""
 
-    def test_out_degree_two_branches(self, structure):
-        assert path_transition("b2", 1, structure) == "c1"  # upper edge
-        assert path_transition("b2", 2, structure) == "c2"  # lower edge
+    def test_action_zero_stays(self):
+        m = build_path_env()
+        for loc in PATH_LOCATIONS:
+            assert moved(m, loc, 0) == loc
 
-    def test_action_beyond_degree_stays(self, structure):
-        assert path_transition("b1", 1, structure) == "c1"
-        assert path_transition("b1", 2, structure) == "b1"
-        assert path_transition("e", 1, structure) == "e"
-        assert path_transition("e", 2, structure) == "e"
+    def test_out_degree_two_branches(self):
+        m = build_path_env()
+        assert moved(m, "b2", 1) == "c1"  # upper edge
+        assert moved(m, "b2", 2) == "c2"  # lower edge
 
-    def test_unknown_location(self, structure):
+    def test_action_beyond_degree_stays(self):
+        m = build_path_env()
+        assert moved(m, "b1", 1) == "c1"
+        assert moved(m, "b1", 2) == "b1"
+        assert moved(m, "e", 1) == "e"
+        assert moved(m, "e", 2) == "e"
+
+    def test_unknown_location(self):
         with pytest.raises(UnknownLocation):
-            path_transition("q7", 0, structure)
+            build_path_env(starts=("q7",) * 10)
+
+    def test_every_move_is_the_reference_rule(self):
+        m = build_path_env()
+        for loc, a in itertools.product(PATH_LOCATIONS, range(3)):
+            assert moved(m, loc, a) == ref_move(loc, a, PATH_SUCCESSORS)
 
     def test_location_left_out_of_the_map_has_no_successors(self):
-        # the structure reads a missing entry as "no successors"; so do the
+        # the builder reads a missing entry as "no successors"; so do the
         # moves and the kernels built from them
-        succ = {k: v for k, v in PathStructure().successors.items() if k != "e"}
-        short = PathStructure(successors=succ)
-        assert [path_transition("e", a, short) for a in range(3)] == ["e"] * 3
-        kernels = build_path_env(ps=short).kernels
-        for got, want in zip(kernels, build_path_env().kernels):
+        succ = {k: v for k, v in PATH_SUCCESSORS.items() if k != "e"}
+        short = build_path_env(successors=succ)
+        assert [moved(short, "e", a) for a in range(3)] == ["e"] * 3
+        for got, want in zip(short.kernels, build_path_env().kernels):
             np.testing.assert_array_equal(got, want)
 
 
@@ -141,14 +148,11 @@ class TestPathReward:
     never shares an edge with a mover.
     """
 
-    def setup_method(self):
-        self.ps = PathStructure()
-        self.dest = self.ps.index("e")
-        self.b2, self.c1 = self.ps.index("b2"), self.ps.index("c1")
+    dest, b2, c1 = LOC["e"], LOC["b2"], LOC["c1"]
 
-    def reward0(self, placed, spec=None):
+    def reward0(self, placed, **env):
         """``placed`` maps agent -> (state, action)."""
-        m = build_path_env(spec)
+        m = build_path_env(**env)
         s = np.full(m.n, self.dest)
         a = np.zeros(m.n, dtype=int)
         for j, (s_j, a_j) in placed.items():
@@ -174,8 +178,8 @@ class TestPathReward:
         assert self.reward0({0: (self.b2, 1)}) == -0.5
 
     def test_terminal_zero_flag(self):
-        spec = PathPlanningSpec(terminal_zero_reward=True)
-        assert self.reward0({0: (self.dest, 0), 1: (self.b2, 1)}, spec) == 0.0
+        placed = {0: (self.dest, 0), 1: (self.b2, 1)}
+        assert self.reward0(placed, terminal_zero_reward=True) == 0.0
 
 
 @settings(max_examples=60, deadline=None)
@@ -189,27 +193,23 @@ class TestPathReward:
 )
 def test_path_reward_matches_reference(graph, episodes, crowded, terminal_zero, weight, seed):
     """The batched path-planning reward is the per-agent formula, bit for bit."""
-    ps = PathStructure()
-    spec = PathPlanningSpec(
-        n=graph.n, starts=("b1",) * graph.n, collision_weight=weight,
-        terminal_zero_reward=terminal_zero,
-    )
-    m = build_path_env(spec, ps, graph)
+    env = dict(starts=("b1",) * graph.n, collision_weight=weight, terminal_zero_reward=terminal_zero)
+    m = build_path_env(graph, **env)
     rng = np.random.default_rng(seed)
     # crowded points share two locations, one the destination, so that most
     # movers share an edge and many agents wait at the destination
-    pool = [ps.index("b2"), ps.index("e")] if crowded else range(len(ps.locations))
+    pool = [LOC["b2"], LOC["e"]] if crowded else range(len(PATH_LOCATIONS))
     s = rng.choice(pool, size=(episodes, graph.n))
     a = rng.integers(0, 3, size=(episodes, graph.n))
     got = m.batch_rewards(s, a)
     for e in range(episodes):
-        want = [ref_path_reward(spec, ps, graph, i, s[e], a[e]) for i in range(graph.n)]
+        want = [ref_path_reward(graph, i, s[e], a[e], **env) for i in range(graph.n)]
         np.testing.assert_array_equal(got[e], want)
 
 
 def _family_model(family: str, seed: int) -> FactoredNmarlModel:
     if family == "path":
-        return build_path_env(PathPlanningSpec(terminal_zero_reward=seed % 2 == 1))
+        return build_path_env(terminal_zero_reward=seed % 2 == 1)
     rng = np.random.default_rng(seed)
     g = netgraph.build_graph(4, [(1, 2), (2, 3), (3, 4), (1, 3)])
     if family == "power":
@@ -251,9 +251,7 @@ class TestBuildPathEnv:
         assert m.action_sizes == (3,) * 10
         assert m.reward_bound == pytest.approx(1.0)
         assert m.kappa_r == 1
-        assert m.rho.state == tuple(
-            PathStructure().index(x) for x in PathPlanningSpec().starts
-        )
+        assert m.rho.state == tuple(LOC[x] for x in ("b1", "b2", "b3", "b4", "b5") * 2)
 
     def test_reward_locality_perturbation(self):
         m = build_path_env()
@@ -271,9 +269,7 @@ class TestBuildPathEnv:
             assert m.rewards(s2, a2)[0] == base
 
     def test_everyone_stays_at_destination_geometric_value(self):
-        ps = PathStructure()
-        spec = PathPlanningSpec(starts=("e",) * 10)
-        m = build_path_env(spec, ps)
+        m = build_path_env(starts=("e",) * 10)
         pol = CoupledSoftmaxPolicy(m.graph, 13, 3, MixingSpec(kappa_p=1))
         j, _ = trainer.evaluate_policy(
             m, pol, pol.zero_params(), 5, np.random.default_rng(0),
@@ -281,28 +277,43 @@ class TestBuildPathEnv:
         )
         assert j == pytest.approx(-5.0, abs=1e-4)
 
+    def test_starts_set_the_default_ring(self):
+        m = build_path_env(starts=("b1", "c2", "e"))
+        assert m.graph == netgraph.ring_graph(3)
+        assert m.rho.state == (LOC["b1"], LOC["c2"], LOC["e"])
+
     def test_start_count_mismatch(self):
-        with pytest.raises(ConfigError):
-            PathPlanningSpec(starts=("b1", "b2"))
+        with pytest.raises(ConfigError, match="10 agents need 10 start locations, got 2"):
+            build_path_env(netgraph.ring_graph(10), starts=("b1", "b2"))
+
+    @pytest.mark.parametrize("starts", ["b1", 5, None], ids=["string", "number", "null"])
+    def test_starts_must_be_a_list(self, starts):
+        with pytest.raises(ConfigError, match=f"starts must be a list, got {starts!r}"):
+            build_path_env(starts=starts)
 
     def test_non_string_start_names_agent_and_value(self):
         starts = ("b1", "b2", ["b3"]) + ("b1",) * 7
         with pytest.raises(ConfigError, match=r"agent 2's start .*\['b3'\]"):
-            PathPlanningSpec(starts=starts)
+            build_path_env(starts=starts)
+
+    def test_non_positive_time_cost_rejected(self):
+        for r_eps in (0.0, -0.5):
+            with pytest.raises(ConfigError, match="time cost must be positive"):
+                build_path_env(r_eps=r_eps)
 
     def test_negative_collision_weight_rejected(self):
         # a negative weight would declare a reward cap below the true max |r|
         with pytest.raises(ConfigError, match="collision_weight"):
-            PathPlanningSpec(collision_weight=-0.2)
-        assert build_path_env(PathPlanningSpec(collision_weight=0.0)).reward_bound == 0.5
+            build_path_env(collision_weight=-0.2)
+        assert build_path_env(collision_weight=0.0).reward_bound == 0.5
 
     def test_unknown_location_message_is_unquoted(self):
         with pytest.raises(UnknownLocation) as info:
-            PathStructure().index("z9")
+            build_path_env(starts=("z9",) + ("b1",) * 9)
         assert str(info.value) == "unknown location 'z9'"
 
     def test_comm_graph_size_mismatch(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="4 agents need 4 start locations, got 10"):
             build_path_env(comm=netgraph.ring_graph(4))
 
 

@@ -690,7 +690,7 @@ class TestBatchedRollouts:
         # rewards of the rest of its window
         run = load_config("configs/path_planning.json")
         m = run.build_model()
-        pol = CoupledSoftmaxPolicy(run.graph, m.n_states, m.n_actions, MixingSpec(kappa_p=1))
+        pol = CoupledSoftmaxPolicy(m.graph, m.n_states, m.n_actions, MixingSpec(kappa_p=1))
         tables = pol.prob_tables(pol.zero_params())
         parked_rows = m.parked_rows()  # its own reward call comes first
         rewards, scored = m.batch_rewards, []

@@ -17,7 +17,7 @@ from nmarl.errors import (
     InvalidProbability,
     KernelRowNotStochastic,
 )
-from nmarl.envs import PathPlanningSpec, PathStructure, build_path_env, build_power_env
+from nmarl.envs import PATH_LOCATIONS, build_path_env, build_power_env
 from nmarl.model import FactoredNmarlModel, InitialDistribution, table_rewards
 
 from support import (
@@ -368,7 +368,7 @@ class TestRewardTables:
                      [0.1, 0.5, 1.0, 0.2], [0.3, 0.2, 0.1, 1.0]]
             m = build_power_env(4, 5, gains, [0.5, 1.0, 1.5, 2.0], [0.1, 0.2, 0.05, 0.0])
         else:
-            m = build_path_env(PathPlanningSpec(terminal_zero_reward=True))
+            m = build_path_env(terminal_zero_reward=True)
         tables = m.reward_tables()
         assert m.reward_tables() is tables  # built once
         rng = np.random.default_rng(12)
@@ -496,7 +496,7 @@ class TestKernelSupport:
         if builder == "power":
             m = build_power_env(3, 4, np.eye(3), [1.0] * 3, [0.1] * 3)
         else:
-            m = build_path_env(PathPlanningSpec())
+            m = build_path_env()
         thresholds, successors = m.kernel_support()
         rows = m.n * m.n_states * m.n_actions
         # every one-hot cumsum reaches 1 at its hot column: nothing to count
@@ -528,12 +528,12 @@ class TestParkedRows:
         m = load_config("configs/path_planning.json").build_model()
         parked = m.parked_rows()
         want = np.zeros((m.n, m.n_states), dtype=bool)
-        want[:, PathStructure().index("e")] = True
+        want[:, PATH_LOCATIONS.index("e")] = True
         np.testing.assert_array_equal(parked, want.ravel())
         assert not parked.flags.writeable
 
     def test_destination_with_a_time_cost_parks_nothing(self):
-        m = build_path_env(PathPlanningSpec(terminal_zero_reward=False))
+        m = build_path_env(terminal_zero_reward=False)
         assert not m.parked_rows().any()
 
     def test_shipped_power_control_parks_nothing(self):
