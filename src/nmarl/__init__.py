@@ -18,7 +18,7 @@ from .estimator import (
     rollout_two_horizon,
     sample_geometric,
 )
-from .model import FactoredNmarlModel, InitialDistribution
+from .model import FactoredNmarlModel, point_starts
 from .netgraph import (
     AgentGraph,
     build_graph,
@@ -39,7 +39,6 @@ __all__ = [
     "DscpConfig",
     "FactoredNmarlModel",
     "GradientEstimate",
-    "InitialDistribution",
     "MixingSpec",
     "PushSumState",
     "TrainRecord",
@@ -55,6 +54,7 @@ __all__ = [
     "learning_rate",
     "max_neighborhood_size",
     "mix_and_estimate",
+    "point_starts",
     "q_estimate",
     "ring_graph",
     "rollout_two_horizon",

@@ -35,7 +35,7 @@ import numpy as np
 
 from . import netgraph
 from .errors import ConfigError, NonPositiveNoise, UnknownLocation
-from .model import BatchRewards, FactoredNmarlModel, InitialDistribution, table_rewards, tabulate
+from .model import BatchRewards, FactoredNmarlModel, point_starts, table_rewards, tabulate
 
 PATH_LOCATIONS = (
     "b1", "b2", "b3", "b4", "b5",
@@ -209,7 +209,7 @@ def build_path_env(
         n_actions=3,
         kernels=[np.eye(len(locations))[moves]] * comm.n,
         batch_rewards=batch,
-        rho=InitialDistribution.fixed([locations.index(loc) for loc in starts]),
+        rho=point_starts([locations.index(loc) for loc in starts], len(locations)),
         gamma=gamma,
         reward_bounds=bounds,
     )
@@ -249,7 +249,6 @@ def _power_control_rewards(
 
 
 def build_power_env(
-    n: int,
     levels: int,
     gains: Sequence[Sequence[float]],
     noise: Sequence[float],
@@ -266,13 +265,13 @@ def build_power_env(
     price_i p_i``, ``j`` over its other direct neighbors, is filled here
     into its state-only table by one closed-form call on the grid of its
     members' levels (``model.tabulate``, which ignores numpy's warnings, so
-    an overflowing entry reaches the model's ``ConfigError``).
+    an overflowing entry reaches the model's ``ConfigError``). ``comm``
+    defaults to a ring over ``len(gains)`` agents, and every agent starts at
+    level 0 unless ``start`` says otherwise.
     """
     if levels < 2:
         raise ConfigError(f"need at least 2 power levels, got {levels}")
-    comm = comm or netgraph.ring_graph(n)
-    if comm.n != n:
-        raise ConfigError(f"communication graph has {comm.n} agents, expected {n}")
+    comm = comm or netgraph.ring_graph(len(gains))
     kernel = np.zeros((levels, 3, levels))
     for s in range(levels):
         for a, delta in enumerate(_POWER_ACTIONS):
@@ -284,13 +283,12 @@ def build_power_env(
         np.asarray(noise, dtype=float),
         np.asarray(price, dtype=float),
     )
-    start = list(start) if start is not None else [0] * n
     return FactoredNmarlModel(
         graph=comm,
         n_states=levels,
         n_actions=len(_POWER_ACTIONS),
-        kernels=[kernel] * n,
+        kernels=[kernel] * comm.n,
         batch_rewards=batch,
-        rho=InitialDistribution.fixed(start),
+        rho=point_starts([0] * comm.n if start is None else start, levels),
         gamma=gamma,
     )

@@ -146,7 +146,7 @@ def _step_blocks(
     once. A sampler first draws its horizons, one array per kind for a
     batch: ``t1`` then ``t2`` for a two-horizon rollout, ``t2`` alone for a
     conditional resample, the geometric horizons of an evaluation. Then it
-    draws its start states (``InitialDistribution.sample``), except a
+    draws its start states (``FactoredNmarlModel.sample_starts``), except a
     conditional resample, which starts from the snapshot. Then this
     generator draws: at each step one uniform per entry picks the actions
     (none at step 0 when the start ``actions`` are given), then one uniform
@@ -481,7 +481,7 @@ def rollout_two_horizon(
     t2 = sample_geometric(1.0 - math.sqrt(m.gamma), rng)
     if t1 + t2 > MAX_HORIZON:
         raise HorizonOverflow(f"sampled horizon {t1 + t2} exceeds cap {MAX_HORIZON}")
-    blocks = _step_blocks(m, tables, m.rho.sample(rng, 1)[0], rng, t1 + t2, start=t1)
+    blocks = _step_blocks(m, tables, m.sample_starts(rng, 1)[0], rng, t1 + t2, start=t1)
     states, actions, trace = _score_trace(m, blocks)
     return TwoHorizonRollout(
         t1=t1, t2=t2, snapshot_state=states[0], snapshot_action=actions[0], reward_trace=trace
@@ -509,7 +509,7 @@ def rollouts_two_horizon(
     longest = int((t1 + t2).max())
     if longest > MAX_HORIZON:
         raise HorizonOverflow(f"sampled horizon {longest} exceeds cap {MAX_HORIZON}")
-    return _episodes(m, tables, rng, m.rho.sample(rng, episodes), None, t1, t2)
+    return _episodes(m, tables, rng, m.sample_starts(rng, episodes), None, t1, t2)
 
 
 def _episodes(

@@ -8,6 +8,9 @@ The model contract, which the rest of the package relies on:
 * agent ``i``'s reward reads only its direct neighbors' state-action pairs,
   itself included (``kappa_r = 1``): its reward members are
   ``graph.neighbors[i]``.
+* a start is a per-agent table ``rho`` ``(n, S)``: row ``i`` is agent
+  ``i``'s start distribution, and the agents draw their start states
+  independently (``point_starts`` builds the table of fixed states).
 
 Transition kernels factor per agent, so the global transition probability
 is the product of the local ones. A model has one reward callable, batched
@@ -28,8 +31,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -90,71 +91,19 @@ def embed(table: np.ndarray, inner: Sequence[int], outer: Sequence[int]) -> np.n
     return table.reshape(shape)
 
 
-@dataclass(frozen=True)
-class InitialDistribution:
-    """Start-state distribution: a fixed state or a per-agent product."""
+def point_starts(states: Sequence[int], n_states: int) -> np.ndarray:
+    """The start table ``(n, n_states)`` whose row ``i`` is the point mass on ``states[i]``.
 
-    kind: str  # "fixed" | "product"
-    state: tuple[int, ...] | None = None
-    dists: tuple[np.ndarray, ...] | None = None
-
-    @staticmethod
-    def fixed(state: Sequence[int]) -> "InitialDistribution":
-        return InitialDistribution(kind="fixed", state=tuple(state))
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("fixed", "product"):
-            raise ConfigError(f"a start distribution is 'fixed' or 'product', got {self.kind!r}")
-        if self.kind == "fixed":
-            if self.state is None:
-                raise ConfigError("a fixed start needs its state")
-            if not all(isinstance(s, numbers.Integral) and not isinstance(s, bool)
-                       for s in self.state):
-                raise IndexOutOfRange(f"start states must be integers, got {list(self.state)!r}")
-            object.__setattr__(self, "state", tuple(int(s) for s in self.state))
-            return
-        if self.dists is None:
-            raise ConfigError("a product start needs its distributions")
-        for i, d in enumerate(self.dists):
-            d = np.asarray(d, dtype=float)
-            # NaN fails the comparison, and an infinite entry the sum
-            if not (np.all(d >= 0.0) and abs(d.sum() - 1.0) <= ROW_SUM_TOL):
-                raise InvalidProbability(
-                    f"agent {i}'s start distribution must be finite, nonnegative and sum "
-                    f"to 1, got {d.tolist()}"
-                )
-
-    @staticmethod
-    def product(dists: Sequence[np.ndarray]) -> "InitialDistribution":
-        return InitialDistribution(
-            kind="product", dists=tuple(np.asarray(d, dtype=float) for d in dists)
+    Raises:
+        IndexOutOfRange: a state is a bool, not an integer, or outside ``0..n_states-1``.
+    """
+    states = list(states)
+    if not all(isinstance(s, numbers.Integral) and not isinstance(s, bool) and 0 <= s < n_states
+               for s in states):
+        raise IndexOutOfRange(
+            f"start states must be integers in 0..{n_states - 1}, got {states!r}"
         )
-
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """``size`` start states ``(size, n)``.
-
-        The product draws ``rng.random((size, n))``, one uniform per agent in
-        agent order per state, so its values and the generator state match
-        ``size`` draws of one state each; the fixed state draws nothing. One
-        fixed state is the same read-only ``(1, n)`` array on every call;
-        more are a fresh copy.
-        """
-        if self.kind == "fixed":
-            return self._fixed_row if size == 1 else np.repeat(self._fixed_row, size, axis=0)
-        draws = rng.random((size, len(self.dists)))
-        # A cumsum can end just below 1; clip a draw beyond it to the last state.
-        columns = [
-            np.minimum(np.searchsorted(np.cumsum(d), u, side="right"), len(d) - 1)
-            for d, u in zip(self.dists, draws.T)
-        ]
-        return np.stack(columns, axis=-1)
-
-    @cached_property
-    def _fixed_row(self) -> np.ndarray:
-        # built on first use, so that the model reports a bad state before any array
-        row = np.array([self.state], dtype=np.intp)
-        row.setflags(write=False)
-        return row
+    return np.eye(n_states)[np.array(states, dtype=np.intp)]
 
 
 class FactoredNmarlModel:
@@ -196,7 +145,7 @@ class FactoredNmarlModel:
         kernels: per-agent arrays ``P_i[s, a, s']`` with stochastic rows.
             Deterministic kernels are one-hot rows, not a separate code path.
         batch_rewards: the batched reward callable described above.
-        rho: initial state distribution (fixed or per-agent product).
+        rho: the start table ``(n, n_states)``; row ``i`` is agent ``i``'s start distribution.
         gamma: discount in (0, 1).
         reward_bounds: optional per-agent analytic caps on ``|r_i|``; when
             absent the bound is the largest ``|r_i|`` in the reward tables.
@@ -212,7 +161,7 @@ class FactoredNmarlModel:
         n_actions: int,
         kernels: Sequence[np.ndarray],
         batch_rewards: BatchRewards,
-        rho: InitialDistribution,
+        rho: np.ndarray,
         gamma: float,
         reward_bounds: Sequence[float] | None = None,
     ) -> None:
@@ -223,7 +172,8 @@ class FactoredNmarlModel:
         self.n_states = int(n_states)
         self.n_actions = int(n_actions)
         self.kernels = [np.asarray(k, dtype=float) for k in kernels]
-        self.rho = rho
+        self.rho = np.array(rho, dtype=float)
+        self.rho.setflags(write=False)
         self.gamma = float(gamma)
         self.reward_bounds = list(reward_bounds) if reward_bounds is not None else None
         self.batch_rewards = batch_rewards
@@ -236,6 +186,11 @@ class FactoredNmarlModel:
         self._joint_kernels: dict[tuple[int, ...], np.ndarray] = {}
         self._chain_rewards: dict[tuple, tuple[np.ndarray, float]] = {}
         self.validate()
+        # a start of point masses draws nothing (``sample_starts``)
+        self._start_row: np.ndarray | None = None
+        if np.all(np.count_nonzero(self.rho, axis=1) == 1):
+            self._start_row = self.rho.argmax(axis=1)[None]
+            self._start_row.setflags(write=False)
 
     # ------------------------------------------------------------------
     # shape helpers
@@ -444,9 +399,8 @@ class FactoredNmarlModel:
 
         Raises:
             EmptySpace: the shared state or action space is empty.
-            DimensionMismatch: a kernel shape, the fixed start's length or the
-                product start's distributions disagree with the spaces.
-            IndexOutOfRange: a fixed start state lies outside ``0..S-1``.
+            DimensionMismatch: a kernel or the start table has the wrong shape.
+            InvalidProbability: a start row is not a finite distribution.
             KernelRowNotStochastic: some kernel row does not sum to one.
             ConfigError: a declared reward bound, or a tabulated reward, is
                 not finite, or the bound is so large that a gradient-estimate
@@ -471,20 +425,17 @@ class FactoredNmarlModel:
                 raise KernelRowNotStochastic(
                     f"kernel {i} rows deviate from 1 by up to {worst:.3e}"
                 )
-        if self.rho.kind == "fixed":
-            start = self.rho.state
-            if len(start) != self.n:
-                raise DimensionMismatch(
-                    f"the fixed start has {len(start)} states, expected {self.n}"
-                )
-            if not all(0 <= s < ns for s in start):
-                raise IndexOutOfRange(
-                    f"the fixed start {list(start)} has a state outside 0..{ns - 1}"
-                )
-        elif len(self.rho.dists) != self.n or any(len(d) != ns for d in self.rho.dists):
+        if self.rho.shape != (self.n, ns):
             raise DimensionMismatch(
-                f"the product start needs {self.n} distributions over {ns} states"
+                f"the start table has shape {self.rho.shape}, expected {(self.n, ns)}"
             )
+        for i, row in enumerate(self.rho):
+            # NaN fails the comparison, and an infinite entry the sum
+            if not (np.all(row >= 0.0) and abs(row.sum() - 1.0) <= ROW_SUM_TOL):
+                raise InvalidProbability(
+                    f"agent {i}'s start distribution must be finite, nonnegative and sum "
+                    f"to 1, got {row.tolist()}"
+                )
         zeros = np.zeros((1, self.n), dtype=np.intp)
         shape = np.shape(self.batch_rewards(zeros, zeros))
         if shape != (1, self.n):
@@ -520,6 +471,22 @@ class FactoredNmarlModel:
                     "points of its neighborhood"
                 )
         return max(0.0, *(float(np.max(np.abs(t))) for t in tables))
+
+    def sample_starts(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """``size`` start states ``(size, n)``, agent ``i``'s drawn from ``rho[i]``.
+
+        A table of point masses draws nothing; one state is then the same
+        read-only ``(1, n)`` array on every call, more are a fresh copy. Any
+        other table draws one ``rng.random((size, n))``, whose values and
+        generator state match ``size`` draws of one state. A uniform picks the
+        count of its row's cumsum entries at or below it, clipped to the last
+        state, since a float cumsum can end just below 1.
+        """
+        if self._start_row is not None:
+            return self._start_row if size == 1 else np.repeat(self._start_row, size, axis=0)
+        draws = rng.random((size, self.n))
+        counts = (np.cumsum(self.rho, axis=1) <= draws[..., None]).sum(axis=-1)
+        return np.minimum(counts, self.n_states - 1)
 
     # ------------------------------------------------------------------
     # rewards

@@ -237,14 +237,6 @@ def _full_chain(m: FactoredNmarlModel, prob_tables: np.ndarray) -> RestrictedCha
     return build_restricted_chain(m, everyone, prob_tables, everyone, scale=m.n)
 
 
-def _initial_vector(m: FactoredNmarlModel, space: EnumeratedSpace) -> np.ndarray:
-    if m.rho.kind == "product":
-        return tensor_product(m.rho.dists).ravel()
-    rho = np.zeros(space.size)
-    rho[space.index(m.rho.state)] = 1.0
-    return rho
-
-
 def exact_objective(
     m: FactoredNmarlModel,
     prob_tables: np.ndarray,
@@ -262,11 +254,12 @@ def exact_objective(
     one = stack.ndim == 3
     stack = stack[None] if one else stack
     most = max(1, STACK_BYTES // (8 * ns * (na + ns)))
+    rho = tensor_product(list(m.rho)).ravel()
     values = []
     for part in np.array_split(stack, max(1, -(-len(stack) // most))):  # fewest equal chunks
         chain = _full_chain(m, part)
         v = _state_values(chain, m.gamma, truncation_horizon(m.gamma, eps, chain.reward_bound))
-        values.append((v[:, None, :] @ _initial_vector(m, chain.state_space))[:, 0])
+        values.append((v[:, None, :] @ rho)[:, 0])
     out = np.concatenate(values)
     return float(out[0]) if one else out
 
@@ -343,7 +336,7 @@ def discounted_visitation(
     ]
     tp = tensor_product(per_agent).reshape(space.size, space.size)
     horizon = truncation_horizon(m.gamma, eps, 1.0)
-    tab = sum_series(m.gamma * tp.T, _initial_vector(m, space), horizon + 1)
+    tab = sum_series(m.gamma * tp.T, tensor_product(list(m.rho)).ravel(), horizon + 1)
     return (1.0 - m.gamma) * tab, space
 
 

@@ -341,7 +341,7 @@ def evaluate_policy(
     discounts = None if method == "geometric" else m.gamma ** np.arange(max_t + 1)
 
     blocks = estimator._step_blocks(
-        m, tables, m.rho.sample(rng, episodes), rng, max_t, last_steps=last_steps
+        m, tables, m.sample_starts(rng, episodes), rng, max_t, last_steps=last_steps
     )
     totals = np.zeros(episodes)
     t = 0  # the block's first step

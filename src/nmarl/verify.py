@@ -19,7 +19,7 @@ import numpy as np
 
 from . import estimator, netgraph, oracle, pushsum
 from .errors import ConfigError
-from .model import FactoredNmarlModel, InitialDistribution, embed, table_rewards
+from .model import FactoredNmarlModel, embed, point_starts, table_rewards
 from .policy import CoupledSoftmaxPolicy, MixingSpec
 
 # Bound at import, not read from ``pushsum`` at each call: perfbench's tracer
@@ -54,11 +54,7 @@ def _random_model(
         kernels.append(k / k.sum(axis=-1, keepdims=True))
     members = [list(nb) for nb in g.neighbors]
     tables = [rng.uniform(-1, 1, size=(2,) * (2 * len(nb))) for nb in members]
-    rho = (
-        InitialDistribution.fixed([0] * n)
-        if fixed_start
-        else InitialDistribution.product([np.array([0.5, 0.5])] * n)
-    )
+    rho = point_starts([0] * n, 2) if fixed_start else np.full((n, 2), 0.5)
     return FactoredNmarlModel(
         g, 2, 2, kernels, table_rewards(tables, members), rho, gamma
     )

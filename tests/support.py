@@ -13,7 +13,7 @@ from nmarl import netgraph
 from nmarl.envs import build_path_env
 from nmarl.errors import DimensionMismatch, SpaceTooLarge
 from nmarl.estimator import _step_blocks, half_discount_weights, sample_geometric
-from nmarl.model import FactoredNmarlModel, InitialDistribution, table_rewards
+from nmarl.model import FactoredNmarlModel, point_starts, table_rewards
 from nmarl.oracle import (
     MAX_TABLE_ENTRIES,
     RestrictedChain,
@@ -92,13 +92,13 @@ def random_table_model(
         tables.append(rng.uniform(-reward_scale, reward_scale, size=shape))
         memberships.append(list(members))
     if fixed_start:
-        rho = InitialDistribution.fixed([0] * n)
+        rho = point_starts([0] * n, n_states)
     else:
         dists = []
         for _ in range(n):
             p = rng.random(n_states) + 0.2
             dists.append(p / p.sum())
-        rho = InitialDistribution.product(dists)
+        rho = np.array(dists)
     return FactoredNmarlModel(
         graph=g,
         n_states=n_states,
@@ -127,7 +127,7 @@ def constant_reward_model(
         n_actions=n_actions,
         kernels=kernels,
         batch_rewards=lambda s, a: np.full(s.shape, float(c)),
-        rho=InitialDistribution.fixed([0] * n),
+        rho=point_starts([0] * n, n_states),
         gamma=gamma,
     )
 
@@ -204,7 +204,7 @@ def ref_rollout_two_horizon(m, tables, rng):
     stepped by ``ref_simulate``."""
     t1 = sample_geometric(1.0 - m.gamma, rng)
     t2 = sample_geometric(1.0 - math.sqrt(m.gamma), rng)
-    steps = list(ref_simulate(m, tables, m.rho.sample(rng, 1)[0], rng, t1 + t2))
+    steps = list(ref_simulate(m, tables, m.sample_starts(rng, 1)[0], rng, t1 + t2))
     states, actions, trace = ref_score_trace(m, steps[t1:])
     return t1, t2, states[0], actions[0], trace
 
@@ -231,7 +231,7 @@ def ref_evaluate(m, pol, params, episodes, rng, method="geometric", horizon_eps=
     else:
         max_t = truncation_horizon(m.gamma, horizon_eps, max(m.reward_bound, 1e-12))
         discounts = m.gamma ** np.arange(max_t + 1)
-    steps = ref_simulate(m, tables, m.rho.sample(rng, episodes), rng, max_t)
+    steps = ref_simulate(m, tables, m.sample_starts(rng, episodes), rng, max_t)
     totals = np.zeros(episodes)
     for t, (states, acts) in enumerate(steps):
         rbar = np.asarray(m.batch_rewards(states, acts), dtype=float).mean(axis=-1)
@@ -497,23 +497,15 @@ def ref_averaged_reward_fn(m, inner, outer):
 
 
 def ref_rho_prob(rho, state) -> float:
-    """Start probability of one joint state, agent by agent."""
-    if rho.kind == "fixed":
-        return 1.0 if tuple(state) == rho.state else 0.0
+    """Start probability of one joint state under the start table, agent by agent."""
     p = 1.0
-    for d, s in zip(rho.dists, state):
+    for d, s in zip(rho, state):
         p *= float(d[s])
     return p
 
 
 def ref_initial_vector(m, space) -> np.ndarray:
-    rho = np.zeros(len(space.points))
-    if m.rho.kind == "fixed":
-        rho[space.index(m.rho.state)] = 1.0
-    else:
-        for idx, s in enumerate(space.points):
-            rho[idx] = ref_rho_prob(m.rho, s)
-    return rho
+    return np.array([ref_rho_prob(m.rho, s) for s in space.points])
 
 
 def ref_discounted_visitation(m, prob_tables, eps=1e-9):

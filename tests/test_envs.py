@@ -214,7 +214,7 @@ def _family_model(family: str, seed: int) -> FactoredNmarlModel:
     g = netgraph.build_graph(4, [(1, 2), (2, 3), (3, 4), (1, 3)])
     if family == "power":
         return build_power_env(
-            4, 4, rng.uniform(0.0, 1.0, size=(4, 4)), rng.uniform(0.5, 2.0, size=4),
+            4, rng.uniform(0.0, 1.0, size=(4, 4)), rng.uniform(0.5, 2.0, size=4),
             rng.uniform(0.0, 0.3, size=4), comm=g,
         )
     return random_table_model(g, rng, n_states=3, n_actions=2)
@@ -251,7 +251,8 @@ class TestBuildPathEnv:
         assert m.action_sizes == (3,) * 10
         assert m.reward_bound == pytest.approx(1.0)
         assert m.kappa_r == 1
-        assert m.rho.state == tuple(LOC[x] for x in ("b1", "b2", "b3", "b4", "b5") * 2)
+        starts = [LOC[x] for x in ("b1", "b2", "b3", "b4", "b5") * 2]
+        np.testing.assert_array_equal(m.rho, np.eye(13)[starts])
 
     def test_reward_locality_perturbation(self):
         m = build_path_env()
@@ -280,7 +281,7 @@ class TestBuildPathEnv:
     def test_starts_set_the_default_ring(self):
         m = build_path_env(starts=("b1", "c2", "e"))
         assert m.graph == netgraph.ring_graph(3)
-        assert m.rho.state == (LOC["b1"], LOC["c2"], LOC["e"])
+        np.testing.assert_array_equal(m.rho, np.eye(13)[[LOC["b1"], LOC["c2"], LOC["e"]]])
 
     def test_start_count_mismatch(self):
         with pytest.raises(ConfigError, match="10 agents need 10 start locations, got 2"):
@@ -322,7 +323,7 @@ class TestPowerEnv:
         gains = np.full((n, n), 0.2)
         np.fill_diagonal(gains, 1.0)
         return build_power_env(
-            n=n, levels=levels, gains=gains, noise=[1.0] * n, price=[price] * n,
+            levels=levels, gains=gains, noise=[1.0] * n, price=[price] * n,
             comm=netgraph.build_graph(n, [(k, k + 1) for k in range(1, n)]),
         )
 
@@ -334,7 +335,7 @@ class TestPowerEnv:
     def test_interference_free_log_reward(self):
         gains = np.eye(3)
         m = build_power_env(
-            n=3, levels=4, gains=gains, noise=[1.0] * 3, price=[0.0] * 3,
+            levels=4, gains=gains, noise=[1.0] * 3, price=[0.0] * 3,
             comm=netgraph.build_graph(3, [(1, 2), (2, 3)]),
         )
         r = m.rewards((1, 0, 0), (0, 0, 0))
@@ -353,7 +354,7 @@ class TestPowerEnv:
         with pytest.raises(NonPositiveNoise):
             self_gains = np.eye(2)
             build_power_env(
-                n=2, levels=3, gains=self_gains, noise=[1.0, 0.0], price=[0.0] * 2,
+                levels=3, gains=self_gains, noise=[1.0, 0.0], price=[0.0] * 2,
                 comm=netgraph.build_graph(2, [(1, 2)]),
             )
 
@@ -409,7 +410,7 @@ class TestPowerEnv:
         gains = rng.integers(0, 33, size=(n, n)) / 16.0
         np.fill_diagonal(gains, rng.uniform(0.1, 2.0, size=n))
         noise, price = rng.uniform(0.1, 2.0, size=n), rng.uniform(0.0, 0.5, size=n)
-        m = build_power_env(n, levels, gains, noise, price, comm=g)
+        m = build_power_env(levels, gains, noise, price, comm=g)
         states = rng.integers(0, levels, size=lead + (n,))
         acts = rng.integers(0, 3, size=lead + (n,))
         got = m.batch_rewards(states, acts)
@@ -419,7 +420,7 @@ class TestPowerEnv:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ConfigError):
             build_power_env(
-                n=3, levels=3, gains=np.eye(2), noise=[1.0] * 3, price=[0.0] * 3,
+                levels=3, gains=np.eye(2), noise=[1.0] * 3, price=[0.0] * 3,
                 comm=netgraph.build_graph(3, [(1, 2), (2, 3)]),
             )
 
@@ -428,6 +429,6 @@ class TestPowerEnv:
         gains[0, 1] = -0.1
         with pytest.raises(ConfigError, match="nonnegative"):
             build_power_env(
-                n=2, levels=3, gains=gains, noise=[1.0] * 2, price=[0.0] * 2,
+                levels=3, gains=gains, noise=[1.0] * 2, price=[0.0] * 2,
                 comm=netgraph.build_graph(2, [(1, 2)]),
             )

@@ -30,7 +30,7 @@ from nmarl.estimator import (
     sample_geometric,
     sample_q_conditional,
 )
-from nmarl.model import FactoredNmarlModel, InitialDistribution
+from nmarl.model import FactoredNmarlModel, point_starts
 from nmarl.policy import CoupledSoftmaxPolicy, MixingSpec
 
 import support
@@ -123,7 +123,7 @@ class TestRollout:
         m = FactoredNmarlModel(
             g, 2, 2, [kernel] * 2,
             lambda s, a: np.broadcast_to(s[..., :1], s.shape).astype(float),
-            InitialDistribution.fixed([0, 1]), 0.9,
+            point_starts([0, 1], 2), 0.9,
         )
         pol = CoupledSoftmaxPolicy(g, 2, 2, MixingSpec(kappa_p=1))
         theta = np.zeros((2, 4))
@@ -360,7 +360,7 @@ class TestInverseCdf:
         kernel = np.broadcast_to(self.P, (k, k, k))
         g = line_graph(2)
         one = lambda s, a: np.ones(s.shape)  # noqa: E731  (no parked row)
-        m = FactoredNmarlModel(g, k, k, [kernel] * 2, one, InitialDistribution.fixed([0, 0]), 0.9)
+        m = FactoredNmarlModel(g, k, k, [kernel] * 2, one, point_starts([0, 0], k), 0.9)
         return m, np.broadcast_to(self.P, (2, k, k))
 
     def test_single_trajectory(self):
@@ -421,13 +421,13 @@ def chains(draw):
     kernels = [_stochastic_rows(rng, shape, draw(kinds)) for _ in range(n)]
     tables = _stochastic_rows(rng, (n, n_states, n_actions), draw(kinds))
     if draw(st.booleans()):
-        rho = InitialDistribution.fixed(rng.integers(n_states, size=n).tolist())
+        rho = point_starts(rng.integers(n_states, size=n).tolist(), n_states)
     else:
-        rho = InitialDistribution.product(_stochastic_rows(rng, (n, n_states), "sparse"))
+        rho = _stochastic_rows(rng, (n, n_states), "sparse")
     one = lambda s, a: np.ones(s.shape)  # noqa: E731  (no parked row)
     m = FactoredNmarlModel(line_graph(n), n_states, n_actions, kernels, one, rho, 0.9)
     episodes = draw(st.sampled_from([None, 1]) | st.integers(2, 150 // n))
-    start = rho.sample(rng, 1)[0] if episodes is None else rho.sample(rng, episodes)
+    start = m.sample_starts(rng, 1)[0] if episodes is None else m.sample_starts(rng, episodes)
     given = episodes is not None and draw(st.booleans())
     actions = rng.integers(n_actions, size=start.shape) if given else None
     cums = [np.cumsum(k, axis=-1).ravel() for k in kernels] + [np.cumsum(tables, axis=-1).ravel()]
@@ -474,9 +474,9 @@ def test_empty_threshold_lists(n_states, n_actions, episodes):
     kernels = [_stochastic_rows(rng, (n_states, n_actions, n_states), "dense") for _ in range(3)]
     tables = _stochastic_rows(rng, (3, n_states, n_actions), "dense")
     one = lambda s, a: np.ones(s.shape)  # noqa: E731  (no parked row)
-    rho = InitialDistribution.fixed([n_states - 1] * 3)
+    rho = point_starts([n_states - 1] * 3, n_states)
     m = FactoredNmarlModel(line_graph(3), n_states, n_actions, kernels, one, rho, 0.9)
-    start = rho.sample(rng, 1)[0] if episodes is None else rho.sample(rng, episodes)
+    start = m.sample_starts(rng, 1)[0] if episodes is None else m.sample_starts(rng, episodes)
     got_rng, want_rng = np.random.default_rng(5), np.random.default_rng(5)
     walk = support.flat_steps if episodes is None else support.episode_steps
     got = list(walk(m, tables, start, got_rng, 12))
@@ -497,9 +497,9 @@ def test_long_single_trajectory_matches_reference():
     kernels = [_stochastic_rows(rng, (3, 2, 3), next(kinds)) for _ in range(n)]
     tables = _stochastic_rows(rng, (n, 3, 2), "sparse")
     one = lambda s, a: np.ones(s.shape)  # noqa: E731
-    rho = InitialDistribution.product(_stochastic_rows(rng, (n, 3), "sparse"))
+    rho = _stochastic_rows(rng, (n, 3), "sparse")
     m = FactoredNmarlModel(line_graph(n), 3, 2, kernels, one, rho, 0.9)
-    start = rho.sample(rng, 1)[0]
+    start = m.sample_starts(rng, 1)[0]
     got_rng, want_rng = np.random.default_rng(7), np.random.default_rng(7)
     with patch.object(estimator, "DRAW_BLOCK", 2 * n * 5):  # five steps per block
         got = list(support.flat_steps(m, tables, start, got_rng, 23))
@@ -640,7 +640,7 @@ class TestBatchedRollouts:
         kernel = np.roll(np.eye(7), 1, axis=1)[:, None, :].repeat(2, axis=1)  # s -> s + 1 mod 7
         m = FactoredNmarlModel(
             g, 7, 2, [kernel] * 2, lambda s, a: s.astype(float),
-            InitialDistribution.fixed([0, 3]), 0.9,
+            point_starts([0, 3], 7), 0.9,
         )
         tables = np.full((2, 7, 2), 0.5)
         rng = np.random.default_rng(episodes)
@@ -673,7 +673,7 @@ class TestBatchedRollouts:
         roll = rollouts_two_horizon(m, tables, got_rng, episodes)
         t1 = sample_geometric(1.0 - m.gamma, want_rng, size=episodes)
         t2 = sample_geometric(1.0 - math.sqrt(m.gamma), want_rng, size=episodes)
-        starts = m.rho.sample(want_rng, episodes)
+        starts = m.sample_starts(want_rng, episodes)
         steps = list(support.ref_simulate(m, tables, starts, want_rng, int((t1 + t2).max())))
         states, actions, rewards = support.ref_score_trace(m, steps)
         for e, one in enumerate(_windows(roll)):
@@ -705,7 +705,7 @@ class TestBatchedRollouts:
         m.batch_rewards = rewards
         t1 = sample_geometric(1.0 - m.gamma, want_rng, size=episodes)
         t2 = sample_geometric(1.0 - math.sqrt(m.gamma), want_rng, size=episodes)
-        starts = m.rho.sample(want_rng, episodes)
+        starts = m.sample_starts(want_rng, episodes)
         steps = list(support.ref_simulate(m, tables, starts, want_rng, int((t1 + t2).max())))
         states, actions, want = support.ref_score_trace(m, steps)
         parked = parked_rows.take(np.arange(m.n) * m.n_states + states).all(axis=-1)
@@ -825,8 +825,8 @@ def test_finished_episodes_leave_the_generator_where_drawing_would(bit_generator
         got_rng, want_rng = (np.random.Generator(bit_generator(last)) for _ in range(2))
         for rng in (got_rng, want_rng):
             rng.integers(0, 10)  # leaves a 32-bit half buffered
-        starts = m.rho.sample(got_rng, 30)
-        want_starts = m.rho.sample(want_rng, 30)
+        starts = m.sample_starts(got_rng, 30)
+        want_starts = m.sample_starts(want_rng, 30)
         last_steps = np.full(30, last)
         with patch.object(estimator, "DRAW_BLOCK", 256):  # several blocks
             got = list(

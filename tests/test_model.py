@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from nmarl import model as model_module
-from nmarl import netgraph
+from nmarl import netgraph, oracle
 from nmarl.config import load_config
 from nmarl.errors import (
     ConfigError,
@@ -18,8 +18,9 @@ from nmarl.errors import (
     KernelRowNotStochastic,
 )
 from nmarl.envs import PATH_LOCATIONS, build_path_env, build_power_env
-from nmarl.model import FactoredNmarlModel, InitialDistribution, table_rewards
+from nmarl.model import FactoredNmarlModel, point_starts, table_rewards, tensor_product
 
+import support
 from support import (
     line_graph,
     next_states,
@@ -49,7 +50,7 @@ class TestValidate:
         with pytest.raises(KernelRowNotStochastic):
             FactoredNmarlModel(
                 g, 2, 2, kernels,
-                lambda s, a: np.zeros(s.shape), InitialDistribution.fixed([0, 0]), 0.9,
+                lambda s, a: np.zeros(s.shape), point_starts([0, 0], 2), 0.9,
             )
 
     @pytest.mark.parametrize("row", [[np.nan, np.nan], [np.nan, 1.0], [np.inf, 0.0]])
@@ -61,7 +62,7 @@ class TestValidate:
         with pytest.raises(KernelRowNotStochastic, match="kernel 0"):
             FactoredNmarlModel(
                 g, 2, 2, kernels,
-                lambda s, a: np.zeros(s.shape), InitialDistribution.fixed([0, 0]), 0.9,
+                lambda s, a: np.zeros(s.shape), point_starts([0, 0], 2), 0.9,
             )
 
     def test_short_rows_rejected_when_built(self):
@@ -72,15 +73,16 @@ class TestValidate:
         with pytest.raises(KernelRowNotStochastic, match="kernel 0"):
             FactoredNmarlModel(
                 g, 2, 2, kernels,
-                lambda s, a: np.ones(s.shape), InitialDistribution.fixed([0, 0]), 0.9,
+                lambda s, a: np.ones(s.shape), point_starts([0, 0], 2), 0.9,
             )
 
     def test_fixed_start_outside_space_rejected_when_built(self):
+        # the table of fixed start states refuses the state before any model
         g = line_graph(2)
         with pytest.raises(IndexOutOfRange, match=r"\[0, 5\]"):
             FactoredNmarlModel(
                 g, 2, 2, [np.full((2, 2, 2), 0.5)] * 2,
-                lambda s, a: np.zeros(s.shape), InitialDistribution.fixed([0, 5]), 0.9,
+                lambda s, a: np.zeros(s.shape), point_starts([0, 5], 2), 0.9,
             )
 
     def test_empty_space_rejected(self):
@@ -89,7 +91,7 @@ class TestValidate:
             with pytest.raises(EmptySpace):
                 FactoredNmarlModel(
                     g, ns, na, [np.zeros((ns, na, ns))] * 2,
-                    lambda s, a: np.zeros(s.shape), InitialDistribution.fixed([0, 0]), 0.9,
+                    lambda s, a: np.zeros(s.shape), np.zeros((2, ns)), 0.9,
                 )
 
     @pytest.mark.parametrize("dists", [[[0.5, 0.5]], [[0.2, 0.3, 0.5]] * 2], ids=["one", "wide"])
@@ -99,7 +101,7 @@ class TestValidate:
         with pytest.raises(DimensionMismatch):
             FactoredNmarlModel(
                 g, 2, 2, [np.full((2, 2, 2), 0.5)] * 2, lambda s, a: np.zeros(s.shape),
-                InitialDistribution.product([np.array(d) for d in dists]), 0.9,
+                np.array(dists), 0.9,
             )
 
     def test_reward_shape_rejected(self):
@@ -108,17 +110,17 @@ class TestValidate:
         with pytest.raises(DimensionMismatch):
             FactoredNmarlModel(
                 g, 2, 2, [np.full((2, 2, 2), 0.5)] * 2,
-                lambda s, a: np.zeros(s.shape[:-1]), InitialDistribution.fixed([0, 0]), 0.9,
+                lambda s, a: np.zeros(s.shape[:-1]), point_starts([0, 0], 2), 0.9,
             )
 
     def test_reward_bound_whose_estimate_cap_overflows_rejected(self):
         # every gradient-estimate norm is at most sqrt(2) n R / ((1 - gamma)
         # (1 - sqrt(gamma))), and training squares the norms
         gains = [[1.0, 0.2, 0.0], [0.2, 1.0, 0.2], [0.0, 0.2, 1.0]]
-        build_power_env(3, 4, gains, [1.0] * 3, [1e150] * 3)
+        build_power_env(4, gains, [1.0] * 3, [1e150] * 3)
         for price in (1e160, 5e307):
             with pytest.raises(ConfigError, match="reward"):
-                build_power_env(3, 4, gains, [1.0] * 3, [price] * 3)
+                build_power_env(4, gains, [1.0] * 3, [price] * 3)
 
     def test_enumerated_bound(self, line3_model):
         # brute-force the restricted domains independently
@@ -139,7 +141,7 @@ class TestSampleTransition:
         kernel[:, :, 1] = 1.0  # every row one-hot on state 1
         m = FactoredNmarlModel(
             g, 2, 2, [kernel] * 2,
-            lambda s, a: np.zeros(s.shape), InitialDistribution.fixed([0, 0]), 0.9,
+            lambda s, a: np.zeros(s.shape), point_starts([0, 0], 2), 0.9,
         )
         s, a = np.tile((0, 0), (1000, 1)), np.tile((0, 1), (1000, 1))
         x = next_states(m, s, a, np.random.default_rng(1))
@@ -150,7 +152,7 @@ class TestSampleTransition:
         g = netgraph.build_graph(1, [])
         m = FactoredNmarlModel(
             g, 2, 1, [np.full((2, 1, 2), 0.5)],
-            lambda s, a: np.zeros(s.shape), InitialDistribution.fixed([0]), 0.9,
+            lambda s, a: np.zeros(s.shape), point_starts([0], 2), 0.9,
         )
         n = 100_000
         zeros = np.zeros((n, 1), dtype=np.intp)
@@ -264,48 +266,57 @@ class TestMarginalRestriction:
                 assert marginal.get(key, 0.0) == pytest.approx(p, abs=1e-12)
 
 
+def start_model(rho) -> FactoredNmarlModel:
+    """A model with zero rewards and uniform kernels over the start table ``rho``."""
+    rho = np.asarray(rho, dtype=float)
+    n, ns = rho.shape
+    g = netgraph.build_graph(n, [(k, k + 1) for k in range(1, n)])
+    return FactoredNmarlModel(
+        g, ns, 1, [np.full((ns, 1, ns), 1.0 / ns)] * n, lambda s, a: np.zeros(s.shape), rho, 0.9
+    )
+
+
+def ref_starts(rho, draws):
+    """Start states ``(size, n)`` by each agent's right-sided search of its
+    cumsum, clipped to the last state: the per-agent rule of the product start
+    before the start table."""
+    columns = [
+        np.minimum(np.searchsorted(np.cumsum(d), u, side="right"), len(d) - 1)
+        for d, u in zip(rho, draws.T)
+    ]
+    return np.stack(columns, axis=-1)
+
+
 class TestSerialization:
     def test_rho_sampling_matches_dists(self):
-        dists = [np.array([0.25, 0.75]), np.array([1.0, 0.0])]
-        rho = InitialDistribution.product(dists)
+        m = start_model([[0.25, 0.75], [1.0, 0.0]])
         rng = np.random.default_rng(0)
-        draws = rho.sample(rng, 20_000)
+        draws = m.sample_starts(rng, 20_000)
         assert abs(draws[:, 0].mean() - 0.75) < 3 * np.sqrt(0.25 * 0.75 / 20_000)
         assert np.all(draws[:, 1] == 0)
 
 
 class TestInitialDistribution:
+    """The start table ``rho``: its checks, ``point_starts`` and ``sample_starts``."""
+
     @pytest.mark.parametrize(
         "dist", [[0.2, 0.2], [-0.5, 1.5], [np.nan, 1.0], [np.inf, 0.0]],
         ids=["short", "negative", "nan", "inf"],
     )
     def test_product_refuses_non_distributions(self, dist):
-        dists = [np.array([0.5, 0.5]), np.array(dist)]
         with pytest.raises(InvalidProbability, match="agent 1"):
-            InitialDistribution.product(dists)
-        with pytest.raises(InvalidProbability, match="agent 1"):
-            InitialDistribution(kind="product", dists=tuple(dists))
+            start_model([[0.5, 0.5], dist])
 
     @pytest.mark.parametrize("state", [(0.5, 1.7), (True, 0)], ids=["floats", "bool"])
     def test_fixed_refuses_non_integer_states(self, state):
-        # the dataclass constructor checks what fixed() used to: a truncating
-        # cast would otherwise start (0.5, 1.7) from [0, 1]
-        with pytest.raises(IndexOutOfRange, match="must be integers"):
-            InitialDistribution(kind="fixed", state=state)
-        with pytest.raises(IndexOutOfRange, match="must be integers"):
-            InitialDistribution.fixed(state)
+        # a truncating cast would otherwise start (0.5, 1.7) from [0, 1]
+        with pytest.raises(IndexOutOfRange, match="must be integers in 0..1"):
+            point_starts(state, 2)
 
-    def test_fixed_state_becomes_python_ints(self):
-        rho = InitialDistribution(kind="fixed", state=[np.int64(1), 0])
-        assert rho.state == (1, 0) and all(type(s) is int for s in rho.state)
-
-    @pytest.mark.parametrize(
-        "fields", [{"kind": "bogus", "state": (0, 0)}, {"kind": "fixed"}, {"kind": "product"}],
-        ids=["unknown kind", "fixed without state", "product without dists"],
-    )
-    def test_malformed_kind_rejected(self, fields):
-        with pytest.raises(ConfigError):
-            InitialDistribution(**fields)
+    def test_numpy_integer_states_accepted(self):
+        m = start_model(point_starts([np.int64(1), 0], 2))
+        np.testing.assert_array_equal(m.rho, [[0.0, 1.0], [1.0, 0.0]])
+        assert m.sample_starts(np.random.default_rng(0), 1).tolist() == [[1, 0]]
 
     def test_rho_sample_clips_draw_above_cumsum(self):
         # cumsum([0.7, 0.2, 0.1]) ends at 0.9999999999999999, the largest draw
@@ -324,36 +335,84 @@ class TestInitialDistribution:
         top = np.nextafter(1.0, 0.0)
         assert np.cumsum(d)[-1] <= top
         rng = StubRng([top, 0.0])
-        assert InitialDistribution.product([d, d]).sample(rng, 1).tolist() == [[2, 0]]
+        assert start_model([d, d]).sample_starts(rng, 1).tolist() == [[2, 0]]
         assert rng.sizes == [(1, 2)]
 
     @pytest.mark.parametrize("kind", ["product", "fixed"])
     def test_size_matches_single_draws(self, kind):
         # one (k, n) draw: the values and the generator state of k draws of one
-        dists = [np.array([0.2, 0.3, 0.5]), np.array([0.6, 0.4]), np.array([1.0])]
         rho = (
-            InitialDistribution.product(dists)
+            [[0.2, 0.3, 0.5], [0.6, 0.4, 0.0], [1.0, 0.0, 0.0]]
             if kind == "product"
-            else InitialDistribution.fixed([2, 0, 0])
+            else point_starts([2, 0, 0], 3)
         )
+        m = start_model(rho)
         batch_rng, single_rng = np.random.default_rng(17), np.random.default_rng(17)
-        batch = rho.sample(batch_rng, 500)
-        singles = np.concatenate([rho.sample(single_rng, 1) for _ in range(500)])
+        batch = m.sample_starts(batch_rng, 500)
+        singles = np.concatenate([m.sample_starts(single_rng, 1) for _ in range(500)])
         assert batch.shape == (500, 3)
         assert np.array_equal(batch, singles)
         assert batch_rng.bit_generator.state == single_rng.bit_generator.state
 
     def test_fixed_start_is_not_written_through(self):
-        # one fixed state is a cached read-only array; more are a fresh copy
-        rho = InitialDistribution.fixed([2, 0, 1])
+        # one fixed state is a cached read-only array; more are a fresh copy,
+        # and the table itself is read-only
+        m = start_model(point_starts([2, 0, 1], 3))
         rng = np.random.default_rng(3)
-        one = rho.sample(rng, 1)
+        one = m.sample_starts(rng, 1)
         with pytest.raises(ValueError, match="read-only"):
             one[0, 0] = 7
-        many = rho.sample(rng, 4)
+        with pytest.raises(ValueError, match="read-only"):
+            m.rho[0, 0] = 0.5
+        many = m.sample_starts(rng, 4)
         many[:] = 7
-        assert rho.sample(rng, 1).tolist() == [[2, 0, 1]]
-        assert rho.sample(rng, 4).tolist() == [[2, 0, 1]] * 4
+        assert m.sample_starts(rng, 1) is one
+        assert m.sample_starts(rng, 1).tolist() == [[2, 0, 1]]
+        assert m.sample_starts(rng, 4).tolist() == [[2, 0, 1]] * 4
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 3),
+        n_states=st.integers(1, 4),
+        size=st.sampled_from([1, 2, 37]),
+        data=st.data(),
+    )
+    def test_table_matches_per_agent_rule(self, n, n_states, size, data):
+        # Point-mass rows mixed with dense and sparse ones: a table of point
+        # masses draws nothing, any other one (size, n) uniforms; the states
+        # are the per-agent search's, and the oracle's start vector is the
+        # reference's agent-by-agent product.
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        rows = []
+        for kind in data.draw(st.lists(st.sampled_from(["point", "dense", "sparse"]),
+                                       min_size=n, max_size=n)):
+            if kind == "point":
+                rows.append(np.eye(n_states)[rng.integers(n_states)])
+                continue
+            p = rng.random(n_states) + 0.1
+            if kind == "sparse":
+                p[rng.random(n_states) < 0.5] = 0.0
+                p[rng.integers(n_states)] += 0.1
+            rows.append(p / p.sum())
+        m = start_model(rows)
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = m.sample_starts(got_rng, size)
+        points = all(np.count_nonzero(row) == 1 for row in rows)
+        draws = want_rng.random((size, n))
+        np.testing.assert_array_equal(got, ref_starts(m.rho, draws))
+        assert got.shape == (size, n)
+        if points:
+            want_rng = np.random.default_rng(seed)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+        space = oracle.enumerate_space(m.state_sizes)
+        np.testing.assert_array_equal(
+            tensor_product(list(m.rho)).ravel(), support.ref_initial_vector(m, space)
+        )
+        tables = np.ones((n, n_states, 1))
+        got_visits, _ = oracle.discounted_visitation(m, tables)
+        want_visits, _ = support.ref_discounted_visitation(m, tables)
+        np.testing.assert_allclose(got_visits, want_visits, rtol=0, atol=1e-12)
 
 
 class TestRewardTables:
@@ -366,7 +425,7 @@ class TestRewardTables:
         elif builder == "power":
             gains = [[1.0, 0.3, 0.2, 0.1], [0.2, 1.0, 0.4, 0.3],
                      [0.1, 0.5, 1.0, 0.2], [0.3, 0.2, 0.1, 1.0]]
-            m = build_power_env(4, 5, gains, [0.5, 1.0, 1.5, 2.0], [0.1, 0.2, 0.05, 0.0])
+            m = build_power_env(5, gains, [0.5, 1.0, 1.5, 2.0], [0.1, 0.2, 0.05, 0.0])
         else:
             m = build_path_env(terminal_zero_reward=True)
         tables = m.reward_tables()
@@ -447,7 +506,7 @@ class TestKernelSupport:
         kernel[0, 1, 3] = 1.0
         m = FactoredNmarlModel(
             netgraph.build_graph(1, []), 4, 2, [np.tile(kernel, (4, 1, 1))],
-            lambda s, a: np.zeros(s.shape), InitialDistribution.fixed([0]), 0.9,
+            lambda s, a: np.zeros(s.shape), point_starts([0], 4), 0.9,
         )
         thresholds, successors = m.kernel_support()
         assert thresholds.shape == (1, 8) and successors.shape == (8, 2)
@@ -484,7 +543,7 @@ class TestKernelSupport:
         row = [0.5, 0.5, 2.0**-52, 0.0]
         m = FactoredNmarlModel(
             netgraph.build_graph(1, []), 4, 1, [np.tile(row, (4, 1, 1))],
-            lambda s, a: np.zeros(s.shape), InitialDistribution.fixed([0]), 0.9,
+            lambda s, a: np.zeros(s.shape), point_starts([0], 4), 0.9,
         )
         assert np.cumsum(row)[2] > 1.0
         thresholds, successors = m.kernel_support()
@@ -494,7 +553,7 @@ class TestKernelSupport:
     @pytest.mark.parametrize("builder", ["power", "path"])
     def test_shipped_one_hot_kernels_keep_no_threshold(self, builder):
         if builder == "power":
-            m = build_power_env(3, 4, np.eye(3), [1.0] * 3, [0.1] * 3)
+            m = build_power_env(4, np.eye(3), [1.0] * 3, [0.1] * 3)
         else:
             m = build_path_env()
         thresholds, successors = m.kernel_support()
@@ -521,7 +580,7 @@ class TestParkedRows:
             return np.where((s == 1).all(axis=-1, keepdims=True), value, -1.0) * np.ones(s.shape)
 
         return FactoredNmarlModel(
-            line_graph(2), 2, 2, [kernel] * 2, rewards, InitialDistribution.fixed([0, 0]), 0.9
+            line_graph(2), 2, 2, [kernel] * 2, rewards, point_starts([0, 0], 2), 0.9
         )
 
     def test_shipped_path_planning_parks_every_agent_at_the_destination(self):

@@ -5,7 +5,7 @@ import pytest
 
 from nmarl import netgraph, oracle
 from nmarl.errors import DimensionMismatch, IndexOutOfRange, SpaceTooLarge
-from nmarl.model import FactoredNmarlModel, InitialDistribution
+from nmarl.model import FactoredNmarlModel, point_starts
 from nmarl.policy import CoupledSoftmaxPolicy, MixingSpec
 
 from support import (
@@ -48,7 +48,7 @@ class TestExactObjective:
         m = FactoredNmarlModel(
             g, 2, 1, [kernel],
             lambda s, a: (s == 0).astype(float),
-            InitialDistribution.fixed([0]), 0.9,
+            point_starts([0], 2), 0.9,
         )
         j = oracle.exact_objective(m, uniform_tables(1, 2, 1))
         assert j == pytest.approx(1.0 / (1.0 - 0.81), abs=1e-8)
@@ -150,7 +150,7 @@ class TestVisitation:
         kernel[:, 0, 0] = 1.0  # everything falls into state 0
         m = FactoredNmarlModel(
             g, 2, 1, [kernel], lambda s, a: np.zeros(s.shape),
-            InitialDistribution.fixed([0]), 0.9,
+            point_starts([0], 2), 0.9,
         )
         tab, space = oracle.discounted_visitation(m, uniform_tables(1, 2, 1))
         np.testing.assert_allclose(tab, [1.0, 0.0], atol=1e-9)
@@ -166,7 +166,7 @@ class TestVisitation:
         g = netgraph.build_graph(1, [])
         m = FactoredNmarlModel(
             g, 2, 1, [np.full((2, 1, 2), 0.5)], lambda s, a: np.zeros(s.shape),
-            InitialDistribution.product([np.array([0.5, 0.5])]), 0.9,
+            np.array([[0.5, 0.5]]), 0.9,
         )
         tab, _ = oracle.discounted_visitation(m, uniform_tables(1, 2, 1))
         np.testing.assert_allclose(tab, 0.5, atol=1e-9)
@@ -238,9 +238,9 @@ class TestCentralDifference:
 def _with_start(m, kind):
     """``m`` with a fixed start at state 0 or a uniform product start."""
     rho = (
-        InitialDistribution.fixed([0] * m.n)
+        point_starts([0] * m.n, m.n_states)
         if kind == "fixed"
-        else InitialDistribution.product([np.full(m.n_states, 1.0 / m.n_states)] * m.n)
+        else np.full((m.n, m.n_states), 1.0 / m.n_states)
     )
     return FactoredNmarlModel(
         m.graph, m.n_states, m.n_actions, m.kernels, m.batch_rewards, rho, m.gamma

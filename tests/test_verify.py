@@ -185,6 +185,51 @@ class TestGradientNegativeControls:
         assert norm <= 1e-12 and mean <= 1e-12 and term > 1e-3
 
 
+class TestReturnNegativeControls:
+    """One-line defects of the return estimate's discount and horizon law that
+    ``geometric_sampler`` or ``conditional_q_mean`` must fail on its own gate,
+    not through some other exception. 50 000 resamples keep each defect's
+    |z| at 8 or more, at about 0.3 s per check."""
+
+    SAMPLES = 50_000
+
+    def conditional_z(self):
+        ok, detail = verify.check_conditional_q_mean(samples=self.SAMPLES)
+        z = float(re.fullmatch(
+            rf"\|z\| (\S+) over {self.SAMPLES} conditional resamples", detail
+        ).group(1))
+        return ok, z
+
+    def test_unpatched_checks_pass(self):
+        assert verify.check_geometric_sampler()[0]
+        assert self.conditional_z()[0]
+
+    def test_full_discount_weights_fail_both_gates(self, monkeypatch):
+        # gamma^tau in place of gamma^(tau / 2): the window's reward weights
+        # square, so the truncation identity and the conditional mean both move
+        # (gap 1.34e-01; |z| 13.10 at 50 000 resamples, 17.83 at 100 000)
+        monkeypatch.setattr(
+            estimator, "half_discount_weights", lambda gamma, length: gamma ** np.arange(length)
+        )
+        ok, detail = verify.check_geometric_sampler()
+        gap = float(re.search(r"truncation identity gap (\S+)$", detail).group(1))
+        assert not ok and gap > 0.1
+        ok, z = self.conditional_z()
+        assert not ok and z > 8
+
+    def test_window_from_the_discount_law_fails_the_conditional_gate(self, monkeypatch):
+        # t2 ~ Geom(1 - gamma) in place of Geom(1 - sqrt(gamma)): p -> 1 - (1 - p)^2
+        # maps the window's success probability onto the snapshot's (|z| 9.94
+        # at 50 000 resamples, 14.20 at 100 000)
+        draw = estimator.sample_geometric
+        monkeypatch.setattr(
+            estimator, "sample_geometric",
+            lambda p, rng, size=None: draw(1.0 - (1.0 - p) ** 2, rng, size),
+        )
+        ok, z = self.conditional_z()
+        assert not ok and z > 8
+
+
 @pytest.mark.parametrize("level", ["Full", "QUICK", "", "full ", None])
 def test_unknown_level_is_refused_before_any_check(monkeypatch, level):
     # a mistyped level used to run the quick checks alone and pass
