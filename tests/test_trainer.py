@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from nmarl import estimator, netgraph, oracle, trainer
 from nmarl.config import load_config
-from nmarl.errors import ConfigError, HorizonOverflow, NonFiniteState, ProtocolInvariantError
+from nmarl.errors import (BoundViolated, ConfigError, HorizonOverflow, NonFiniteState,
+                          NonPositiveWeight, ProtocolInvariantError)
 from nmarl.model import FactoredNmarlModel
 from nmarl.policy import CoupledSoftmaxPolicy, MixingSpec
 from nmarl.trainer import DscpConfig, evaluate_policy, learning_rate, run_dscp
@@ -268,6 +269,59 @@ class TestRunDscp:
         cfg = DscpConfig(iterations=5, kappa_p=kappa_p, seed=1)
         with np.errstate(over="ignore"), pytest.raises(NonFiniteState, match="iteration 2"):
             _steps(m, cfg, lambda run, _: np.full(run.theta.shape, 1e306))
+
+    @pytest.mark.parametrize("kappa_p", [1, 2])
+    def test_zeroed_pushsum_weights_stop_the_run(self, kappa_p):
+        run = self._stepped(kappa_p)
+        run.ps.weights[:] = 0.0
+        with pytest.raises(NonPositiveWeight, match="non-positive"):
+            trainer.step(run)
+
+    @pytest.mark.parametrize("kappa_p", [1, 2])
+    def test_nan_intermediate_vector_stops_the_run(self, kappa_p):
+        run = self._stepped(kappa_p)
+        run.ps.breve[1, 2, 0] = np.nan
+        with pytest.raises(NonFiniteState, match="consensus error is nan at iteration 4"):
+            trainer.step(run)
+
+    @pytest.mark.parametrize("kappa_p", [0, 1, 2])
+    def test_estimate_bound_is_checked_every_step(self, kappa_p):
+        run = self._stepped(kappa_p)
+        norms = []
+
+        def bounded(run, executed):
+            grads = trainer.sampled_gradient(run, executed)
+            norms.append(math.sqrt(grads.ravel() @ grads.ravel()))
+            return grads
+
+        trainer.step(run, bounded)
+        assert norms[0] > 0.0
+        run.bound = 0.5 * norms[0]  # below a norm the step just sampled
+        with pytest.raises(BoundViolated, match="exceeds analytic cap"):
+            for _ in range(5):
+                trainer.step(run)
+
+    @pytest.mark.parametrize("kappa_p", [0, 1, 2])
+    def test_horizon_cap_is_checked_by_the_rollout(self, kappa_p, monkeypatch):
+        monkeypatch.setattr(estimator, "MAX_HORIZON", 0)
+        run = trainer.start_run(*self._model_and_config(kappa_p))
+        run.t = 1  # past iteration 1, whose evaluation would refuse the cap first
+        with pytest.raises(HorizonOverflow, match="sampled horizon"):
+            for _ in range(5):
+                trainer.step(run)
+
+    @staticmethod
+    def _model_and_config(kappa_p):
+        g = line_graph(3)
+        m = random_table_model(g, np.random.default_rng(8), fixed_start=True)
+        return m, DscpConfig(iterations=20, kappa_p=kappa_p, seed=3)
+
+    def _stepped(self, kappa_p):
+        """A run three sampled steps in."""
+        run = trainer.start_run(*self._model_and_config(kappa_p))
+        for _ in range(3):
+            trainer.step(run)
+        return run
 
     def test_batch_averaging_changes_estimates_not_bias(self):
         g = line_graph(2)
