@@ -446,7 +446,7 @@ def _count_at_or_below(
     """Per entry, how many of its row's ``thresholds`` ``(k, rows)`` are at
     or below ``u``: on a nondecreasing row, the index of the first column
     above ``u``, or ``k`` when none is. Written into ``out`` when given."""
-    return (thresholds.take(rows, axis=1) <= u).sum(axis=0, out=out)
+    return np.add.reduce(thresholds.take(rows, axis=1) <= u, axis=0, out=out)
 
 
 def _score_trace(
@@ -633,16 +633,28 @@ def gradient_estimate(
     """
     if bound is None:
         bound = estimate_bound(m, pol)
-    q_values = q_estimates(roll, m, pol.spec.kappa_p)
-    scores = pol.score_sums(roll.snapshot_state, roll.snapshot_action, params)
-    grads = q_values[..., None] * scores / (1.0 - m.gamma)
+    grads, q_values = _bounded_gradients(roll, m, pol, pol._checked(params), bound)
     norms = np.sqrt(np.einsum("...ij,...ij->...i", grads, grads))
-    worst = float(np.maximum.reduce(norms, axis=None, initial=0.0))
+    return GradientEstimate(grads=grads, q_values=q_values, norms=norms, bound=bound)
+
+
+def _bounded_gradients(
+    roll: TwoHorizonRollout, m: FactoredNmarlModel, pol: CoupledSoftmaxPolicy,
+    params: np.ndarray, bound: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``gradient_estimate``'s gradients and return estimates on ``_checked``
+    parameters. The bound check squares the norms by ``np.vecdot``, a ufunc,
+    not by the record's ``einsum``; a NaN fails it, and below the cap no
+    square overflows (the model refuses a reward bound whose cap would)."""
+    q_values = q_estimates(roll, m, pol.spec.kappa_p)
+    scores = pol._score_sums(roll.snapshot_state, roll.snapshot_action, params)
+    grads = q_values[..., None] * scores / (1.0 - m.gamma)
+    worst = math.sqrt(np.maximum.reduce(np.vecdot(grads, grads), axis=None, initial=0.0))
     if not worst <= bound * (1.0 + 1e-9):
         raise BoundViolated(
             f"gradient-estimate norm {worst:.6g} exceeds analytic cap {bound:.6g}"
         )
-    return GradientEstimate(grads=grads, q_values=q_values, norms=norms, bound=bound)
+    return grads, q_values
 
 
 def sample_q_conditional(

@@ -105,13 +105,21 @@ class CoupledSoftmaxPolicy:
         same joint parameter, e.g. the true one) or an ``(n, n, d)`` stack of
         per-agent estimate rows (agent ``i`` evaluated at ``params[i]``).
         """
+        return self._tables(self._checked(params))
+
+    def _checked(self, params) -> np.ndarray:
+        """``params`` as a float ``(n, d)`` or ``(n, n, d)`` array, the form the
+        kernels ``_tables`` and ``_score_sums`` take without a check."""
         arr = np.asarray(params, dtype=float)
-        if arr.shape == (self.n, self.d):
-            mixed = self.coupling @ arr
-        elif arr.shape == (self.n, self.n, self.d):
-            mixed = np.einsum("ik,ikd->id", self.coupling, arr)
-        else:
+        if arr.shape not in ((self.n, self.d), (self.n, self.n, self.d)):
             raise DimensionMismatch(f"unsupported parameter stack shape {arr.shape}")
+        return arr
+
+    def _tables(self, arr: np.ndarray) -> np.ndarray:
+        if arr.ndim == 2:
+            mixed = self.coupling @ arr
+        else:
+            mixed = np.einsum("ik,ikd->id", self.coupling, arr)
         if not np.isfinite(mixed).all():
             raise ValueError("non-finite logits in parameter stack")
         return _softmax_rows(mixed.reshape(self.n, self.n_states, self.n_actions))
@@ -139,7 +147,7 @@ class CoupledSoftmaxPolicy:
             raise DimensionMismatch(
                 f"parameter stack has shape {arr.shape}, expected {(self.n, self.d)}"
             )
-        return self.score_sums(snapshot_states, snapshot_actions, arr)[i]
+        return self._score_sums(snapshot_states, snapshot_actions, arr)[i]
 
     def score_sums(
         self,
@@ -157,10 +165,10 @@ class CoupledSoftmaxPolicy:
         snapshot axes, such as an episode axis ``(E, n)``, are scored side by
         side: each snapshot's rows hold the bits of a call with it alone.
         """
+        return self._score_sums(snapshot_states, snapshot_actions, self._checked(params))
+
+    def _score_sums(self, snapshot_states, snapshot_actions, arr: np.ndarray) -> np.ndarray:
         n, n_states, n_actions = self.n, self.n_states, self.n_actions
-        arr = np.asarray(params, dtype=float)
-        if arr.shape not in ((n, self.d), (n, n, self.d)):
-            raise DimensionMismatch(f"unsupported parameter stack shape {arr.shape}")
         states = np.asarray(snapshot_states, dtype=np.intp)
         actions = np.asarray(snapshot_actions, dtype=np.intp)
         # logits[..., v, j]: agent j's logits at its snapshot state under view v

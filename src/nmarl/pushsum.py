@@ -72,16 +72,8 @@ def mix_and_estimate(st: PushSumState, w: np.ndarray) -> PushSumState:
     The intermediate vectors are left untouched; they advance in
     :func:`inject_all`, which multiplies by the same mixing matrix.
     """
-    n = st.n
-    _check_mixing(w, n)
-    new_weights = w @ st.weights
-    if new_weights.min() <= 0.0:
-        raise NonPositiveWeight(
-            "push-sum weight became non-positive; mixing matrix lacks support"
-        )
-    mixed = (w @ st.breve.reshape(n, -1)).reshape(st.breve.shape)
-    st.weights = new_weights
-    st.estimates = mixed / new_weights[:, None, None]
+    _check_mixing(w, st.n)
+    _mix(st, w)
     return st
 
 
@@ -92,17 +84,10 @@ def inject_all(st: PushSumState, w: np.ndarray, deltas: np.ndarray) -> PushSumSt
     (column stochasticity moves the whole injected mass once).
     """
     deltas = np.asarray(deltas, dtype=float)
-    n = st.n
-    if deltas.shape != st.breve.shape[1:]:
-        raise DimensionMismatch(
-            f"deltas have shape {deltas.shape}, expected {st.breve.shape[1:]}"
-        )
     if not np.isfinite(deltas).all():
         raise NonFiniteState("push-sum deltas must be finite")
-    _check_mixing(w, n)
-    augmented = st.breve.copy()
-    augmented.reshape(n * n, -1)[:: n + 1] += n * deltas  # the (j, j) rows
-    st.breve = (w @ augmented.reshape(n, -1)).reshape(st.breve.shape)
+    _check_mixing(w, st.n)
+    _inject(st, w, deltas)
     return st
 
 
@@ -118,10 +103,7 @@ def consensus_error(st: PushSumState, theta: np.ndarray) -> float | np.ndarray:
     The square root is taken of the largest squared norm only: it is
     monotone and correctly rounded, so that is the largest norm, bit for bit.
     """
-    diff = st.estimates - _true_parameters(st.estimates, theta)[..., None, :, :]
-    with np.errstate(over="ignore"):
-        np.square(diff, out=diff)
-    worst = np.sqrt(np.maximum.reduce(np.add.reduce(diff, axis=-1), axis=(-2, -1)))
+    worst = _worst_error(st.estimates, _true_parameters(st.estimates, theta)[..., None, :, :])
     return float(worst) if worst.ndim == 0 else worst
 
 
@@ -150,6 +132,36 @@ def check_invariants(st: PushSumState, theta: np.ndarray) -> None:
             np.maximum.reduce(mean_err, axis=(-2, -1)),
             "intermediate-vector means deviate from true parameters",
         )
+
+
+# The kernels of the three functions above, on arguments they checked: a float
+# ``(n, n)`` matrix, finite deltas, true parameters that broadcast against the
+# estimates. ``trainer.step``, whose run implies those, calls them directly.
+
+
+def _mix(st: PushSumState, w: np.ndarray) -> None:
+    new_weights = w @ st.weights
+    if np.minimum.reduce(new_weights) <= 0.0:
+        raise NonPositiveWeight("push-sum weight became non-positive; mixing matrix lacks support")
+    mixed = (w @ st.breve.reshape(len(w), -1)).reshape(st.breve.shape)
+    st.weights = new_weights
+    st.estimates = mixed / new_weights[:, None, None]
+
+
+def _inject(st: PushSumState, w: np.ndarray, deltas: np.ndarray) -> None:
+    if deltas.shape != st.breve.shape[1:]:
+        raise DimensionMismatch(f"deltas have shape {deltas.shape}, expected {st.breve.shape[1:]}")
+    n = len(w)
+    augmented = st.breve.copy()
+    augmented.reshape(n * n, -1)[:: n + 1] += n * deltas  # the (j, j) rows
+    st.breve = (w @ augmented.reshape(n, -1)).reshape(st.breve.shape)
+
+
+def _worst_error(estimates: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    diff = estimates - theta
+    with np.errstate(over="ignore"):
+        np.square(diff, out=diff)
+    return np.sqrt(np.maximum.reduce(np.add.reduce(diff, axis=-1), axis=(-2, -1)))
 
 
 def _check_mixing(w: np.ndarray, n: int) -> None:

@@ -4,15 +4,21 @@
 the true parameters, the push-sum state or ``None`` at ``kappa_p`` 0, the
 training generator) and ``step`` advances it by one iteration ``t = 1..T``:
 a push-sum mixing round refreshes every agent's estimates, which are the
-executed parameters; ``step``'s
-``gradient(run, executed)`` argument gives per-agent gradient estimates (by
-default a two-horizon rollout under the executed policy); the true
-parameters take a diminishing gradient step, and the changes are injected
-back into the protocol. Iteration ``T`` records final metrics without
-updating, so ``T`` iterations perform ``T - 1`` updates and emit ``T`` rows.
-Runs are deterministic per seed; per-purpose rng streams are derived from
-the master seed by fixed labels so that changing the evaluation load never
-perturbs the training trajectory.
+executed parameters; ``step``'s ``gradient(run, executed)`` argument gives
+per-agent gradient estimates (by default a two-horizon rollout under the
+executed policy); the true parameters take a diminishing gradient step, and
+the changes are injected back into the protocol. Iteration ``T`` records
+final metrics without updating, so ``T`` iterations perform ``T - 1``
+updates and emit ``T`` rows. Runs are deterministic per seed; per-purpose
+rng streams are derived from the master seed by fixed labels so that
+changing the evaluation load never perturbs the training trajectory.
+
+``start_run`` checks once what a run fixes (the ``(n, n)`` mixing matrix, the
+policy's coupling and score constants, the estimate bound), and ``step`` runs
+the private kernels of ``pushsum``, ``policy`` and ``estimator`` without the
+argument checks the run implies: shapes, and finite deltas once the update
+has refused a non-finite ``theta``. Every runtime check stays (positive
+weights, finite consensus error and logits, horizon cap, estimate bound).
 """
 
 from __future__ import annotations
@@ -148,7 +154,8 @@ def _eval_rng(seed: int, t: int) -> np.random.Generator:
 
 @dataclass
 class RunState:
-    """What an iteration hands to the next, beside what stays fixed."""
+    """What an iteration hands to the next, beside what stays fixed: ``pol``,
+    ``w`` and ``bound``, which ``start_run`` checked for the kernels."""
 
     m: FactoredNmarlModel
     cfg: DscpConfig
@@ -166,6 +173,7 @@ def start_run(m: FactoredNmarlModel, cfg: DscpConfig) -> RunState:
     pol = CoupledSoftmaxPolicy(m.graph, m.n_states, m.n_actions, cfg.mixing())
     ps = pushsum.init_state(m.n, pol.d) if cfg.kappa_p >= 1 else None
     w, bound = netgraph.weight_matrix(m.graph), estimator.estimate_bound(m, pol)
+    pushsum._check_mixing(w, m.n)
     return RunState(m, cfg, pol, w, bound, 0, pol.zero_params(), ps, _train_rng(cfg.seed))
 
 
@@ -175,12 +183,12 @@ Gradient = Callable[[RunState, np.ndarray], np.ndarray]
 def sampled_gradient(run: RunState, executed: np.ndarray) -> np.ndarray:
     """Mean of ``cfg.batch`` two-horizon estimates, each from one rollout
     under the ``executed`` parameters ``(n, n, d)`` or ``(n, d)``."""
-    tables = run.pol.prob_tables(executed)
+    tables = run.pol._tables(executed)
     grads = None
     for _ in range(run.cfg.batch):
         roll = estimator.rollout_two_horizon(run.m, tables, run.rng)
-        est = estimator.gradient_estimate(roll, run.m, run.pol, executed, run.bound)
-        grads = est.grads if grads is None else grads + est.grads
+        est, _ = estimator._bounded_gradients(roll, run.m, run.pol, executed, run.bound)
+        grads = est if grads is None else grads + est
     if run.cfg.batch > 1:
         grads /= run.cfg.batch
     return grads
@@ -205,10 +213,10 @@ def step(run: RunState, gradient: Gradient = sampled_gradient) -> IterationRow:
     t = run.t = run.t + 1
     executed, consensus = run.theta, 0.0
     if ps is not None:
-        pushsum.mix_and_estimate(ps, run.w)
+        pushsum._mix(ps, run.w)
         if cfg.check_invariants:
             pushsum.check_invariants(ps, run.theta)
-        consensus = pushsum.consensus_error(ps, run.theta)
+        consensus = float(pushsum._worst_error(ps.estimates, run.theta))
         if not math.isfinite(consensus):
             raise NonFiniteState(f"push-sum consensus error is {consensus} at iteration {t}")
         executed = ps.estimates
@@ -232,7 +240,7 @@ def step(run: RunState, gradient: Gradient = sampled_gradient) -> IterationRow:
             raise NonFiniteState(f"parameters are not finite after iteration {t}'s update")
         run.theta = theta
         if ps is not None:
-            pushsum.inject_all(ps, run.w, deltas)
+            pushsum._inject(ps, run.w, deltas)
             if cfg.check_invariants:
                 pushsum.check_invariants(ps, theta)
 
