@@ -187,8 +187,8 @@ def sampled_gradient(run: RunState, executed: np.ndarray) -> np.ndarray:
     grads = None
     for _ in range(run.cfg.batch):
         roll = estimator.rollout_two_horizon(run.m, tables, run.rng)
-        est, _ = estimator._bounded_gradients(roll, run.m, run.pol, executed, run.bound)
-        grads = est if grads is None else grads + est
+        g, _ = estimator._bounded_gradients(roll, run.m, run.pol, executed, run.bound)
+        grads = g if grads is None else grads + g
     if run.cfg.batch > 1:
         grads /= run.cfg.batch
     return grads
