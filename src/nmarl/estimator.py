@@ -19,15 +19,10 @@ data error.
 
 ``rollouts_two_horizon`` draws ``E`` episodes side by side, for
 ``verify``'s statistical checks; one episode of it draws what
-``rollout_two_horizon`` draws, which steps its one trajectory without the
-batch's bookkeeping. ``sample_q_conditional`` is the batch with ``t1 = 0``
-and the snapshot as its start. All three take the policy as its ``(n, S,
-A)`` probability tables. ``q_estimates``, ``gradient_estimate`` and
-``CoupledSoftmaxPolicy.score_sums`` take the episode axis in front.
-
-Every sample of the chain, here and in the trainer's Monte-Carlo
-evaluation, is drawn in the order ``_step_blocks`` states and stepped by
-its one inversion rule.
+``rollout_two_horizon`` draws. ``sample_q_conditional`` is the batch with
+``t1 = 0`` and the snapshot as its start. All three take the policy as its
+``(n, S, A)`` probability tables, and draw, as the trainer's Monte-Carlo
+evaluation does, in the order ``_step_blocks`` states.
 """
 
 from __future__ import annotations
@@ -48,13 +43,13 @@ from .model import FactoredNmarlModel
 from .policy import CoupledSoftmaxPolicy
 
 MAX_HORIZON = 10**7
-# Most uniforms _step_blocks draws per rng.random call. At 2**13 a block's
-# uniforms and the reward temporaries of scoring it stay at or below 64 KB. On
-# a 2-vCPU x86 machine, numpy temporaries of ~128 KB page-fault on every call:
-# the path-planning reward takes ~70 us with 0 minor faults at 4 000 entries,
-# but ~1 ms with 343 faults at 16 000; a 400-episode path-planning evaluation
-# takes 177-996 minor faults at 2**14 and 0-86 at 2**13 (the count depends on
-# the heap's state).
+# Most uniforms a form of _step_blocks reads per block; the transition
+# uniforms it skips do not count. At 2**13 a block's uniforms and the reward
+# temporaries of scoring it stay at or below 64 KB. On a 2-vCPU x86 machine,
+# numpy temporaries of ~128 KB page-fault on every call: the path-planning
+# reward takes ~70 us with 0 minor faults at 4 000 entries, but ~1 ms with 343
+# at 16 000; a 400-episode path-planning evaluation takes 177-996 minor faults
+# at 2**14 and 0-86 at 2**13 (the count depends on the heap's state).
 DRAW_BLOCK = 2**13
 
 
@@ -62,14 +57,11 @@ DRAW_BLOCK = 2**13
 class TwoHorizonRollout:
     """Sampled episodes: snapshot at ``t1``, rewards over ``[t1, t1 + t2]``.
 
-    One episode (``rollout_two_horizon``) has integer ``t1`` and ``t2``, the
-    integer ``(n,)`` state and action arrays of step ``t1`` as
-    ``_step_blocks`` drew them, and a ``reward_trace`` of shape ``(t2 + 1,
-    n)`` that holds every agent's reward even though each consumer only
-    reads its own neighborhood columns. ``E`` episodes side by side
-    (``rollouts_two_horizon``) have ``(E,)`` horizons and ``(E, n)``
-    snapshots, and their ``reward_trace`` ``(sum(t2 + 1), n)`` holds the
-    episodes' windows one after another, in episode order.
+    One episode (``rollout_two_horizon``) has integer ``t1`` and ``t2``,
+    the ``(n,)`` states and actions of step ``t1`` and every agent's rewards
+    ``(t2 + 1, n)``. ``E`` episodes (``rollouts_two_horizon``) have ``(E,)``
+    horizons, ``(E, n)`` snapshots and their windows ``(sum(t2 + 1), n)``
+    one after another, in episode order.
     """
 
     t1: int | np.ndarray
@@ -138,9 +130,9 @@ def _step_blocks(
     trajectory whose start actions are drawn, or, with ``last_steps``, a
     batch of ``(E, n)`` episodes. Yields the steps from ``start`` on as
     integer states and actions ``(k, ...)`` of ``k`` consecutive steps at a
-    time, one array pair per drawn block: step 0 in the first pair of the
-    scalar walk and alone in the count form. Steps before ``start`` are
-    taken, drawing what they draw, but not returned.
+    time, one array pair per block: step 0 in the first pair of the scalar
+    walk and alone in the count form. Steps before ``start`` are taken,
+    drawing what they draw, but not returned.
 
     The draw order of every sample of the chain in the package, stated here
     once. A sampler first draws its horizons, one array per kind for a
@@ -150,18 +142,23 @@ def _step_blocks(
     conditional resample, which starts from the snapshot. Then this
     generator draws: at each step one uniform per entry picks the actions
     (none at step 0 when the start ``actions`` are given), then one uniform
-    per entry picks the next states, except after the last step. The
-    uniforms after step 0 are drawn in blocks of whole steps, at most
-    ``DRAW_BLOCK`` per ``rng.random`` call (one step per call when a step
-    alone needs more), each block when its first step is taken. The
-    uniforms come as one ``(rows, ...)`` array per drawn block: when the
-    start actions are drawn, their uniforms are the first row of the first
-    block (one uniform per entry beyond ``DRAW_BLOCK``); then each step of
-    the block has a row of transition and a row of action uniforms. The
-    values and the final generator state are those of one ``rng.random``
-    call per step, provided the caller runs this generator to its end and
-    draws nothing else from ``rng`` until then, as every caller in the
-    package does.
+    per entry picks the next states, except after the last step. The values
+    and the final generator state are those of one ``rng.random`` call per
+    step, provided the caller runs this generator to its end and draws
+    nothing else from ``rng`` until then, as every caller in the package does.
+
+    The steps after step 0 come in blocks of whole steps, each drawn when
+    its first step is taken, as rows of one uniform per entry: the
+    start-action row first when those are drawn, then each step's
+    transition row and action row. A block holds at most ``DRAW_BLOCK``
+    uniforms that a form reads (one step when a step alone holds more),
+    beside the start-action row. The count form on kernels where no row
+    keeps a threshold (``model.kernel_support``) reads no transition row:
+    on a ``PCG64`` each step advances past it and draws its action row, and
+    the buffered 32-bit half that ``advance`` drops is put back at the end;
+    any other bit generator draws the pair and drops the transition row
+    (``_action_rows``). Its blocks thus hold twice the steps, and the values
+    and the final state stay the same.
 
     With ``last_steps`` ``(E,)``, each episode's last step that counts, the
     start ``actions``, when given, are ``(E, n)`` too, ``start`` is each
@@ -170,42 +167,33 @@ def _step_blocks(
     actions, and the indices ``(L,)`` of the ``L`` episodes it covers, in
     order. It drops finished episodes, a parked one only once its first step
     is yielded (``_live_count_steps``). Dropping keeps the draw order: every
-    block is drawn whole while an episode is left, and a dropped episode's
-    uniforms are drawn and left unused. Once no episode is left, nothing is
-    stepped and the generator skips the blocks not drawn yet
-    (``_skip_uniforms``): a ``PCG64`` one advances past their uniforms, any
-    other draws them, and either way it ends in the state that drawing them
-    leaves.
+    block is drawn while an episode is left, and a dropped episode's
+    uniforms are left unused. Once no episode is left, nothing is stepped
+    and the blocks not drawn yet are skipped (``_skip_uniforms``).
 
     Each uniform ``u`` inverts to the first index whose cumulative
     probability exceeds ``u``, or the last index when none does (a float
     cumsum can end just below 1). On a nondecreasing cumsum that index is
     the count of the row's thresholds at or below ``u``: the policy's first
     ``A - 1`` cumsum columns, and the kernel's rising columns below 1 only
-    (``model.kernel_support``), whose count then picks the successor state.
-    ``rng.random`` draws lie in ``[0, 1)``, so no uniform reaches a kernel
-    threshold at or above 1, and the support drops those: its counts hold
-    for uniforms in ``[0, 1)`` only. The policy thresholds are built once
-    per call as running column sums: ``columns[c]`` ``(A - 1, n * S)`` is
-    the sum of every flat policy row's first ``c + 1`` probabilities, added
-    in column order as ``np.cumsum`` adds them, so it holds the bits of the
-    cumsum's first ``A - 1`` columns. Two forms take the count, value for
-    value, by one rule:
+    (``model.kernel_support``), whose count then picks the successor. No
+    ``rng.random`` uniform in ``[0, 1)`` reaches a dropped kernel threshold,
+    which is at least 1. ``columns[c]`` ``(A - 1, n * S)``, built once per
+    call, adds every flat policy row's first ``c + 1`` probabilities in
+    column order, so it holds the bits of ``np.cumsum``'s first ``A - 1``
+    columns. Two forms take the count, value for value, by one rule:
 
     * without ``last_steps``, for the training rollout's trajectory, the
       agents step on Python floats (``_scalar_steps``): ``bisect_right``
       over the policy's thresholds as the Python lists ``columns.T`` and
-      the kernel's as ``model.kernel_support_lists`` caches them. A drawn
-      block's steps are computed together when its first step is taken;
+      the kernel's as ``model.kernel_support_lists`` caches them;
     * with ``last_steps``, for an episode batch of any size, one episode
       included, whole rows of ``columns`` and of the kernel thresholds are
-      compared with ``u``, one step at a time, and the kernel count is
-      skipped when no kernel row keeps a threshold (``_live_count_steps``).
-      A drawn block's steps are written into one ``(k, L, n)`` array each
-      for states and actions.
+      compared with ``u``, one step at a time (``_count_stepper``), into
+      one ``(k, L, n)`` array each for a block's states and actions.
 
-    Yielding whole drawn blocks lets a caller such as
-    ``trainer.evaluate_policy`` score a block's steps with one reward call.
+    Yielding whole blocks lets a caller such as ``trainer.evaluate_policy``
+    score a block's steps with one reward call.
 
     Precondition: ``tables`` is finite. On a NaN threshold the two counts
     disagree (``bisect_right`` assumes a sorted list); ``trainer.step``
@@ -219,18 +207,44 @@ def _step_blocks(
         columns[0] = flat[:, 0]
     for c in range(1, n_actions - 1):
         np.add(columns[c - 1], flat[:, c], out=columns[c])
-    size = states.size
-    block = max(1, DRAW_BLOCK // max(1, 2 * size))  # whole steps per draw
-    # at least one draw, so that step 0 is taken inside the loop of a form
+    reads = 1 if last_steps is not None and not len(m.kernel_support()[0]) else 2
+    block = max(1, DRAW_BLOCK // max(1, reads * states.size))  # whole steps per block
+    # at least one block, so that step 0 is taken inside the loop of a form
     draw_rows = [2 * min(block, steps + 1 - t) for t in range(1, steps + 1, block)] or [0]
     draw_rows[0] += actions is None  # a first row of start-action uniforms
-    draws = (rng.random((k,) + states.shape) for k in draw_rows)
+    held = None  # the PCG64 state before the transition rows are skipped
+    if reads == 2:
+        draws = (rng.random((k,) + states.shape) for k in draw_rows)
+    else:
+        held = rng.bit_generator.state if type(rng.bit_generator) is np.random.PCG64 else None
+        draws = _action_rows(rng, draw_rows, states.shape, held is not None)
     if last_steps is None:
         yield from _scalar_steps(m, columns, states, draws, start)
-    else:
-        yield from _live_count_steps(
-            m, columns, states, actions, draws, start, last_steps, rng, draw_rows
-        )
+        return
+    yield from _live_count_steps(m, columns, states, actions, draws, start, last_steps,
+                                 rng, draw_rows)
+    if held is not None:
+        _put_back_half(rng.bit_generator, held)
+
+
+def _action_rows(
+    rng: np.random.Generator, draw_rows: list[int], shape: tuple, advance: bool
+) -> Iterator[np.ndarray]:
+    """The action rows of each block of ``draw_rows``, after its start-action
+    row when its count is odd: a step's transition row is skipped by
+    ``advance`` (a ``PCG64``'s), or else drawn with it and dropped."""
+    size = math.prod(shape)
+    for k in draw_rows:
+        u = np.empty((k - k // 2,) + shape)
+        if k % 2:
+            u[0] = rng.random(shape)
+        for j in range(k % 2, len(u)):
+            if advance:
+                rng.bit_generator.advance(size)
+                u[j] = rng.random(shape)
+            else:
+                u[j] = rng.random((2,) + shape)[1]
+        yield u
 
 
 @lru_cache(maxsize=64)
@@ -262,17 +276,13 @@ def _scalar_steps(
     """``_step_blocks`` on Python scalars for one ``(n,)`` trajectory, whose
     start actions it draws.
 
-    Each agent carries its flat kernel row ``r = p * A + a``, where ``p =
-    agent * S + s`` is its flat policy row, and walks ``p =
-    successors[r][bisect_right(thresholds[r], u)]`` (just ``only_rows[r]``
-    when no kernel row keeps a threshold), then ``r = p * A +
-    bisect_right(policy[p], u')``: the successor lists hold policy rows, so
-    a step is two lookups and no agent offset. The agents' chains are
-    independent (each policy row reads its own state, each kernel is its
-    own), so a drawn block is stepped agent by agent, each through all of
-    the block's steps. The rows go into one flat list, agent by agent; the
-    kept steps' rows are decoded into states and actions by two lookups in
-    ``_row_decoding``'s tables.
+    Each agent carries its flat kernel row ``r = p * A + a``, ``p = agent
+    * S + s`` its flat policy row, and walks ``p =
+    successors[r][bisect_right(thresholds[r], u)]`` (``only_rows[r]`` when
+    no kernel row keeps a threshold), then ``r = p * A +
+    bisect_right(policy[p], u')``. The agents' chains are independent, so a
+    block is stepped agent by agent into one flat list of rows, which
+    ``_row_decoding``'s tables decode into the kept steps' states and actions.
     """
     n, n_actions = len(states), m.n_actions
     pol = columns.T.tolist()
@@ -336,12 +346,10 @@ def _live_count_steps(
     or past ``t + 1 + t // 4``, ``t`` the last read (steps 0, 1, 2, 3, 4, 6,
     8, 11, 14, 18, ... at one step per block); agents stay parked, so a
     later read misses no episode. Once at least half of the stepped episodes
-    are finished, the carried policy rows and actions keep only the others,
-    and every later block takes their columns of the drawn uniforms
-    (``take`` along the episode axis). Until then the finished episodes are
-    stepped and yielded with the others. Once none is left, ``rng`` skips
-    the blocks not drawn yet (``_skip_uniforms``), which are ``draw_rows``'
-    entries after the ones ``draws`` has given.
+    are finished, only the others are carried, and every later block takes
+    their columns of the uniforms; until then the finished ones are stepped
+    and yielded with the others. Once none is left, ``rng`` skips the
+    blocks of ``draw_rows`` that ``draws`` has not given (``_skip_uniforms``).
     """
     step = _count_stepper(m, columns)
     parked = m.parked_rows()
@@ -354,7 +362,9 @@ def _live_count_steps(
     if actions is None:
         first = next(draws)
         actions = _count_at_or_below(columns, pol_rows, first[0])
-        draws = itertools.chain([first[1:]], draws)
+        # an iterator over a list, and no name, so that the block is freed once stepped
+        draws = itertools.chain(iter([first[1:]]), draws)
+        del first
     states_block, actions_block = states[None], actions[None]
     t = 0  # the last step taken
     check = 0  # the first step after which the parked rows are read again
@@ -386,13 +396,9 @@ def _live_count_steps(
 
 def _skip_uniforms(rng: np.random.Generator, draw_rows: list[int], shape: tuple) -> None:
     """Leave ``rng`` where ``rng.random((k,) + shape)`` for each ``k`` of
-    ``draw_rows`` would leave it.
-
-    ``PCG64`` (``np.random.default_rng``'s) turns one 64-bit output into one
-    double, so it advances by the uniforms' count; ``advance`` drops a
-    buffered 32-bit half, which is put back. Other bit generators draw the
-    blocks.
-    """
+    ``draw_rows`` would leave it: ``PCG64`` (``np.random.default_rng``'s)
+    turns one 64-bit output into one double, so it advances by the
+    uniforms' count; other bit generators draw the blocks."""
     bit_gen = rng.bit_generator
     if type(bit_gen) is not np.random.PCG64:
         for k in draw_rows:
@@ -400,6 +406,11 @@ def _skip_uniforms(rng: np.random.Generator, draw_rows: list[int], shape: tuple)
         return
     state = bit_gen.state
     bit_gen.advance(sum(draw_rows) * math.prod(shape))
+    _put_back_half(bit_gen, state)
+
+
+def _put_back_half(bit_gen: np.random.PCG64, state: dict) -> None:
+    """Put back the buffered 32-bit half of ``state``, which ``advance`` drops."""
     if state["has_uint32"]:
         advanced = bit_gen.state
         advanced.update(has_uint32=state["has_uint32"], uinteger=state["uinteger"])
@@ -407,35 +418,34 @@ def _skip_uniforms(rng: np.random.Generator, draw_rows: list[int], shape: tuple)
 
 
 def _count_stepper(m: FactoredNmarlModel, columns: np.ndarray):
-    """The count form's step through one drawn block.
-
-    ``step(pol_rows, actions, u)`` takes the entries' flat policy rows and
-    actions at the step before the block and its uniforms ``(2 * k, ...)``,
-    and returns the block's states and actions ``(k, ...)``, then the policy
-    rows and actions at its last step (those it was given when ``k = 0``).
-    """
+    """The count form's step through one block: ``step(pol_rows, actions,
+    u)`` takes the entries' flat policy rows and actions before the block
+    and its ``k`` steps' uniforms (``(2 * k, ...)``, or ``(k, ...)`` action
+    rows when no kernel row keeps a threshold), and returns the block's
+    states and actions ``(k, ...)``, then the policy rows and actions at its
+    last step. Each step looks its next policy rows up in ``m.successor_rows``."""
     n_actions = m.n_actions
-    kern_thresholds, successors = m.kernel_support()
-    width = successors.shape[1]
-    flat_successors = successors.ravel()
+    kern_thresholds = m.kernel_support()[0]
+    width = len(kern_thresholds) + 1
+    next_rows = m.successor_rows().ravel()
     offsets = _agent_rows(m.n, m.n_states)
 
     def step(
         pol_rows: np.ndarray, actions: np.ndarray, u: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        block = u.reshape((-1, 2) + actions.shape)
-        states_block = np.empty((len(block),) + actions.shape, dtype=np.intp)
-        actions_block = np.empty_like(states_block)
-        for j, (u_next, u_act) in enumerate(block):
+        block = u.reshape((-1, min(width, 2)) + actions.shape)  # (k, rows read per step, ...)
+        rows_block = np.empty((len(block),) + actions.shape, dtype=np.intp)
+        actions_block = np.empty_like(rows_block)
+        for j, u_step in enumerate(block):
             rows = pol_rows * n_actions + actions  # kernel rows
             if width > 1:
-                rows = rows * width + _count_at_or_below(kern_thresholds, rows, u_next)
+                rows = rows * width + _count_at_or_below(kern_thresholds, rows, u_step[0])
             # rows are always in range; "clip" lets take write into ``out``
             # without the buffered copy of the default "raise"
-            states = flat_successors.take(rows, out=states_block[j], mode="clip")
-            pol_rows = offsets + states
-            actions = _count_at_or_below(columns, pol_rows, u_act, actions_block[j])
-        return states_block, actions_block, pol_rows, actions
+            pol_rows = next_rows.take(rows, out=rows_block[j], mode="clip")
+            actions = _count_at_or_below(columns, pol_rows, u_step[-1], actions_block[j])
+        pol_rows = pol_rows.copy()  # rows_block turns into the states
+        return np.subtract(rows_block, offsets, out=rows_block), actions_block, pol_rows, actions
 
     return step
 
@@ -467,15 +477,12 @@ def rollout_two_horizon(
     m: FactoredNmarlModel, tables: np.ndarray, rng: np.random.Generator
 ) -> TwoHorizonRollout:
     """Sample one two-horizon episode under the policy ``tables``, in
-    ``_step_blocks``' draw order.
-
-    A ``t1 + t2`` above ``MAX_HORIZON`` raises ``HorizonOverflow`` before
-    the start state is drawn. The visited steps are scored with one batched
-    reward call after the last step. This is ``rollouts_two_horizon`` for
-    one episode (the same draws, values and generator state), with integer
-    horizons and no episode axis, minus the window bookkeeping of
-    ``_episodes``, which made one episode of the shipped models 1.5-2 times
-    slower.
+    ``_step_blocks``' draw order: ``rollouts_two_horizon`` for one episode
+    (the same draws, values and generator state) with integer horizons and
+    no episode axis, without ``_episodes``' window bookkeeping, which made
+    it 1.5-2 times slower. A ``t1 + t2`` above ``MAX_HORIZON`` raises
+    ``HorizonOverflow`` before the start state is drawn; the visited steps
+    are scored with one batched reward call.
     """
     t1 = sample_geometric(1.0 - m.gamma, rng)
     t2 = sample_geometric(1.0 - math.sqrt(m.gamma), rng)

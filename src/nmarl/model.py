@@ -120,24 +120,15 @@ class FactoredNmarlModel:
     sets ``reward_bound``; without declared ``reward_bounds`` it builds the
     reward tables to find the bound.
 
-    Other derived forms are built lazily and cached. ``stacked_kernel_cum`` holds
-    the kernel row cumsums, every row capped with a ``+inf`` last column.
-    ``estimator._step_blocks`` steps with their compressed form,
-    ``kernel_support``: only the columns where a row's cumsum rises and
-    stays below 1, as arrays for the count form and, through
-    ``kernel_support_lists``, as per-row Python tuples for the scalar walk
-    (``_step_blocks``' docstring states the draw order and when each form
-    is used). ``parked_rows`` marks the flat policy rows ``agent *
-    S + s`` whose kernel row stays on ``s`` under every action and where
-    every reward is ``+0.0``, so that ``trainer.evaluate_policy`` stops
-    stepping an episode once all its agents sit on such rows. Another is one
-    dense reward table per agent over its neighborhood's restricted domain
-    (``reward_tables``). The reward tables feed the reward bound and every
-    reward the exact oracle integrates; rewards do not depend on the policy,
-    so the domain is enumerated once per model. For the same reason the
-    exact oracle's joint transition table of an agent subset
-    (``joint_kernel``), and the reward table of a restricted chain with its
-    bound (``chain_reward``), are built once per model and key.
+    Derived forms are built lazily and cached: the kernel row cumsums
+    (``stacked_kernel_cum``) and the compressed form ``estimator._step_blocks``
+    steps with (``kernel_support``, ``successor_rows``,
+    ``kernel_support_lists``); the ``parked_rows`` on which
+    ``trainer.evaluate_policy`` stops stepping an episode; and, as rewards
+    do not depend on the policy, one dense reward table per agent over its
+    restricted domain (``reward_tables``, for the reward bound and the exact
+    oracle), the oracle's joint kernel of an agent subset (``joint_kernel``)
+    and the reward table of a restricted chain (``chain_reward``).
 
     Args:
         graph: communication network; also defines reward neighborhoods.
@@ -180,6 +171,7 @@ class FactoredNmarlModel:
         self.reward_members: tuple[tuple[int, ...], ...] = graph.neighbors
         self._stacked_cum: np.ndarray | None = None
         self._kernel_support: tuple[np.ndarray, np.ndarray] | None = None
+        self._successor_rows: np.ndarray | None = None
         self._support_lists: tuple | None = None
         self._parked_rows: np.ndarray | None = None
         self._reward_tables: tuple[np.ndarray, ...] | None = None
@@ -206,12 +198,9 @@ class FactoredNmarlModel:
     def stacked_kernel_cum(self) -> np.ndarray:
         """Kernel row cumsums stacked to ``(n, S, A, S)``, last column ``+inf``.
 
-        A uniform inverts to the first state whose capped cumsum exceeds it:
-        a float cumsum can end just below 1, and the cap sends a draw beyond
-        it to the last state. ``kernel_support`` compresses these rows, and
-        ``estimator._step_blocks`` steps with that compressed form only;
-        besides ``kernel_support``, the benchmark's set-up and the tests'
-        reference stepper read this one. Read-only.
+        A uniform inverts to the first state whose capped cumsum exceeds it;
+        the cap sends a draw beyond a float cumsum that ends just below 1 to
+        the last state. ``kernel_support`` compresses these rows. Read-only.
         """
         if self._stacked_cum is None:
             cum = np.cumsum(np.stack(self.kernels), axis=-1)
@@ -235,12 +224,9 @@ class FactoredNmarlModel:
         and ``K`` successors, ``K - 1`` the most any row keeps.
 
         The count of a row's thresholds at or below a uniform ``u`` in
-        ``[0, 1)`` indexes its successor, which is the first column whose
-        capped cumsum exceeds ``u``: the state the capped cumsum inverts
-        ``u`` to. A dropped threshold is at least 1, so no such ``u``
-        reaches it, and a row that reaches 1 at a column keeps no column
-        after it. A one-hot kernel row keeps none, so on one-hot kernels
-        ``K = 1`` and every successor is a plain lookup. Read-only.
+        ``[0, 1)`` indexes the state the capped cumsum inverts ``u`` to: no
+        such ``u`` reaches a dropped threshold, which is at least 1. A
+        one-hot row keeps none, so on one-hot kernels ``K = 1``. Read-only.
         """
         if self._kernel_support is None:
             ns, rows_total = self.n_states, self.n * self.n_states * self.n_actions
@@ -261,6 +247,16 @@ class FactoredNmarlModel:
             self._kernel_support = thresholds, successors
         return self._kernel_support
 
+    def successor_rows(self) -> np.ndarray:
+        """``kernel_support()[1]`` as flat policy rows ``agent * S + s'``
+        (cached), where the count form looks its next policy rows up. Read-only."""
+        if self._successor_rows is None:
+            successors = self.kernel_support()[1]
+            agents = np.arange(len(successors)) // (self.n_states * self.n_actions)
+            self._successor_rows = successors + (agents * self.n_states)[:, None]
+            self._successor_rows.setflags(write=False)
+        return self._successor_rows
+
     def kernel_support_lists(
         self,
     ) -> tuple[tuple[tuple[float, ...], ...], tuple[tuple[int, ...], ...], tuple[int, ...] | None]:
@@ -268,18 +264,14 @@ class FactoredNmarlModel:
 
         Returns ``(thresholds, successor_rows, only_rows)``: ``thresholds[r]``
         is row ``r``'s column of ``kernel_support()[0]`` (``+inf`` padding
-        included) and ``successor_rows[r]`` its row of ``kernel_support()[1]``
-        as flat policy rows ``agent * S + s'``, so that
-        ``successor_rows[r][bisect_right(thresholds[r], u)]`` is the policy
-        row of the state the array count picks. When no row keeps a
-        threshold (``K = 1``, as on one-hot kernels), ``only_rows[r]`` is row
-        ``r``'s one successor row, else ``only_rows`` is ``None``. Tuples, so
-        read-only like the arrays.
+        included) and ``successor_rows[r]`` its row of ``successor_rows()``,
+        so that ``successor_rows[r][bisect_right(thresholds[r], u)]`` is the
+        policy row the array count picks. When no row keeps a threshold
+        (``K = 1``), ``only_rows`` is that array's one column, else ``None``.
+        Tuples, so read-only like the arrays.
         """
         if self._support_lists is None:
-            thresholds, successors = self.kernel_support()
-            agents = np.arange(len(successors)) // (self.n_states * self.n_actions)
-            rows = successors + (agents * self.n_states)[:, None]
+            thresholds, rows = self.kernel_support()[0], self.successor_rows()
             self._support_lists = (
                 tuple(map(tuple, thresholds.T.tolist())),
                 tuple(map(tuple, rows.tolist())),

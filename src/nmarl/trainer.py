@@ -32,7 +32,7 @@ from typing import Callable, IO
 import numpy as np
 
 from . import estimator, netgraph, pushsum
-from .errors import ConfigError, HorizonOverflow, NonFiniteState
+from .errors import ConfigError, DimensionMismatch, HorizonOverflow, NonFiniteState
 from .model import FactoredNmarlModel
 from .oracle import truncation_horizon
 from .policy import CoupledSoftmaxPolicy, MixingSpec
@@ -203,6 +203,8 @@ def step(run: RunState, gradient: Gradient = sampled_gradient) -> IterationRow:
     samples on the true parameters at every ``kappa_p``.
 
     Raises:
+        DimensionMismatch: the gradient is not ``run.theta``'s shape; raised
+            before ``run.theta`` or the push-sum state changes.
         NonFiniteState: the true parameters after an update, or the
             consensus error after a mixing round (which reads every push-sum
             estimate), are not finite. The run stops before it evaluates or
@@ -232,6 +234,8 @@ def step(run: RunState, gradient: Gradient = sampled_gradient) -> IterationRow:
     lr = learning_rate(cfg, t)
     if t < cfg.iterations:
         grads = gradient(run, executed)
+        if grads.shape != run.theta.shape:
+            raise DimensionMismatch(f"gradient has shape {grads.shape}, expected {run.theta.shape}")
         flat = grads.ravel()
         grad_norm = math.sqrt(flat @ flat)  # np.linalg.norm's sum of squares
         deltas = lr * grads
@@ -271,9 +275,10 @@ PAIRWISE_AGENTS = 8  # numpy's float sum adds 8 partial sums from this many term
 
 def _agent_sums(rewards: np.ndarray) -> np.ndarray:
     """``np.add.reduce(rewards, axis=-1)``, bit for bit; below
-    ``PAIRWISE_AGENTS`` agents as column adds from ``+0.0``.
-
-    A single row runs the reduction: numpy adds one-element arrays with
+    ``PAIRWISE_AGENTS`` agents as column adds from ``+0.0``: numpy's order,
+    without its reduction loop per row, which costs more than the adds on a
+    3-agent row. From 8 agents numpy adds partial sums pairwise, and a
+    single row runs the reduction too: numpy adds one-element arrays with
     their operands swapped, which keeps the other NaN where two meet.
     """
     n = rewards.shape[-1]
@@ -307,20 +312,15 @@ def evaluate_policy(
     ``estimator.MAX_HORIZON``, the cap rollouts enforce: a fixed horizon
     before any draw, a geometric run on its largest drawn horizon.
 
-    The steps are scored one drawn block of ``(steps, episodes, n)`` at a
-    time, with one ``batch_rewards`` call per block: ``estimator.DRAW_BLOCK``
-    keeps a block's uniforms and its reward temporaries at or below 64 KB, so
-    the peak memory does not grow with the horizon. Each step's agent mean is
-    ``sum / n`` (the bits of ``mean``), and the episode totals add the steps
-    one at a time, in order.
-
-    The agent sum is bit for bit ``np.add.reduce`` over the agents
-    (``_agent_sums``). Below 8 agents numpy adds a row's terms in order from
-    ``+0.0`` but runs its reduction loop once per row, which costs more
-    than the adds on a 3-agent row; the same adds run as one whole-array
-    add per agent column. From 8 agents on numpy adds 8 partial sums
-    pairwise, an order column adds do not copy, so the reduction runs
-    itself, as it does on a single row.
+    The steps are scored one block of ``(steps, episodes, n)`` at a time,
+    with one ``batch_rewards`` call per block: ``estimator.DRAW_BLOCK``
+    keeps the uniforms a block reads and its reward temporaries at or below
+    64 KB, so the peak memory does not grow with the horizon. On kernels
+    that keep no threshold (both shipped models) a block reads no transition
+    uniform, so it holds twice the steps and half as many reward calls run.
+    Each step's agent mean is ``sum / n`` (the bits of ``mean``, with the
+    agent sum bit for bit ``np.add.reduce``'s, ``_agent_sums``), and the
+    episode totals add the steps one at a time, in order.
 
     A block covers only the episodes not yet finished, and each adds its
     step sums to its own total. An episode is finished once it is past its

@@ -31,7 +31,8 @@ from .pushsum import check_invariants, consensus_error
 # Episodes the statistical checks draw side by side. At 256 a chunk's reward
 # windows (about 2 400 rows of 2 agents at gamma 0.8) and every other per-call
 # temporary stay below 64 KB, the size at which numpy temporaries start to
-# page-fault on every call (estimator.DRAW_BLOCK).
+# page-fault on every call (estimator.DRAW_BLOCK, which counts the uniforms a
+# block reads: both rows of each step, as the checks' random kernels keep thresholds).
 SAMPLE_CHUNK = 256
 
 # Bytes of the push-sum states check_pushsum records before it checks them in

@@ -80,10 +80,16 @@ def random_table_model(
     gamma: float = 0.9,
     fixed_start: bool = False,
     reward_scale: float = 1.0,
+    one_hot: bool = False,
 ) -> FactoredNmarlModel:
-    """Random kernels plus dense random reward tables over the restrictions."""
+    """Random kernels (deterministic ones, whose rows keep no threshold, with
+    ``one_hot``) plus dense random reward tables over the restrictions."""
     n = g.n
-    kernels = [random_stochastic_kernel(rng, n_states, n_actions) for _ in range(n)]
+    if one_hot:
+        kernels = [np.eye(n_states)[rng.integers(n_states, size=(n_states, n_actions))]
+                   for _ in range(n)]
+    else:
+        kernels = [random_stochastic_kernel(rng, n_states, n_actions) for _ in range(n)]
     tables = []
     memberships = []
     for i in range(n):
@@ -209,6 +215,18 @@ def ref_rollout_two_horizon(m, tables, rng):
     return t1, t2, states[0], actions[0], trace
 
 
+def ref_rollouts_two_horizon(m, tables, rng, episodes):
+    """``t1`` and ``t2`` ``(E,)`` and the states, actions and rewards
+    ``(steps, E, n)`` of ``episodes`` episodes drawn in
+    ``rollouts_two_horizon``'s order and stepped by ``ref_simulate`` to the
+    longest ``t1 + t2``."""
+    t1 = sample_geometric(1.0 - m.gamma, rng, size=episodes)
+    t2 = sample_geometric(1.0 - math.sqrt(m.gamma), rng, size=episodes)
+    starts = m.sample_starts(rng, episodes)
+    steps = list(ref_simulate(m, tables, starts, rng, int((t1 + t2).max())))
+    return (t1, t2, *ref_score_trace(m, steps))
+
+
 def ref_conditional_trace(m, tables, snapshot_state, snapshot_action, rng):
     """``t2`` and the reward trace of one conditional resample from a fixed
     snapshot, drawn in ``sample_q_conditional``'s order by ``ref_simulate``."""
@@ -248,13 +266,16 @@ class EdgeRng:
     entry of ``edges`` picked by its value, the others pass unchanged: the
     map acts value by value, so two consumers that draw the same stream in
     different call shapes see the same uniforms. ``bit_generator`` is the
-    wrapped one's.
+    wrapped one's, and ``geometric`` draws from it unchanged.
     """
 
     def __init__(self, seed: int, edges) -> None:
         self.rng = np.random.default_rng(seed)
         self.bit_generator = self.rng.bit_generator
         self.edges = np.asarray(edges, dtype=float)
+
+    def geometric(self, p, size=None):
+        return self.rng.geometric(p, size=size)
 
     def random(self, shape):
         x = self.rng.random(shape)

@@ -411,14 +411,16 @@ def _stochastic_rows(rng: np.random.Generator, shape: tuple, kind: str) -> np.nd
 
 @st.composite
 def chains(draw):
-    """A model, policy tables, a start ``(n,)`` or ``(E, n)`` of 1 to ``150 //
-    n`` episodes, start actions (optional, for episodes only), and the
-    uniforms' edge values."""
+    """A model (one-hot kernels in a quarter of them), policy tables, a start
+    ``(n,)`` or ``(E, n)`` of 1 to ``150 // n`` episodes, start actions
+    (optional, for episodes only), and the uniforms' edge values."""
     n, n_states, n_actions = (draw(st.integers(1, 4)) for _ in range(3))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     kinds = st.sampled_from(["dense", "sparse", "onehot", "short", "overshoot"])
     shape = (n_states, n_actions, n_states)
-    kernels = [_stochastic_rows(rng, shape, draw(kinds)) for _ in range(n)]
+    # one in four models keeps no kernel threshold: the count form skips transition uniforms
+    one_hot = draw(st.integers(0, 3)) == 0
+    kernels = [_stochastic_rows(rng, shape, "onehot" if one_hot else draw(kinds)) for _ in range(n)]
     tables = _stochastic_rows(rng, (n, n_states, n_actions), draw(kinds))
     if draw(st.booleans()):
         rho = point_starts(rng.integers(n_states, size=n).tolist(), n_states)
@@ -438,19 +440,33 @@ def chains(draw):
     return m, tables, start, actions, edges[(edges >= 0.0) & (edges < 1.0)]
 
 
+def _rng_pair(kind: str, seed: int, edges) -> tuple:
+    """Two generators of one stream: numpy's on ``PCG64`` or ``MT19937``, or
+    ``support.EdgeRng`` (``PCG64`` beneath) on ``edges``."""
+    if kind == "edge":
+        return support.EdgeRng(seed, edges), support.EdgeRng(seed, edges)
+    bit_generator = {"pcg64": np.random.PCG64, "mt19937": np.random.MT19937}[kind]
+    return np.random.Generator(bit_generator(seed)), np.random.Generator(bit_generator(seed))
+
+
+RNG_KINDS = st.sampled_from(["edge", "pcg64", "mt19937"])
+
+
 @given(
     chains(),
     st.integers(0, 30),
     st.sampled_from([estimator.DRAW_BLOCK, 64, 1]),
+    RNG_KINDS,
     st.integers(0, 2**32 - 1),
 )
 @settings(max_examples=150, deadline=None)
-def test_simulate_matches_reference(chain, steps, draw_block, seed):
+def test_simulate_matches_reference(chain, steps, draw_block, rng_kind, seed):
     # Both inversion forms and block draws of any size step the chain the
     # reference steps, uniform for uniform, and leave the generator where it
-    # does: a single trajectory on scalars, and episode batches of any size.
+    # does: a single trajectory on scalars, and episode batches of any size,
+    # whose transition uniforms a one-hot model skips (PCG64) or drops.
     m, tables, start, actions, edges = chain
-    got_rng, want_rng = support.EdgeRng(seed, edges), support.EdgeRng(seed, edges)
+    got_rng, want_rng = _rng_pair(rng_kind, seed, edges)
     with patch.object(estimator, "DRAW_BLOCK", draw_block):
         if start.ndim == 1:
             got = list(support.flat_steps(m, tables, start, got_rng, steps))
@@ -462,7 +478,7 @@ def test_simulate_matches_reference(chain, steps, draw_block, seed):
         np.testing.assert_array_equal(s, s_ref, err_msg=f"states at step {t}")
         np.testing.assert_array_equal(a, a_ref, err_msg=f"actions at step {t}")
         assert s.shape == a.shape == start.shape
-    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    np.testing.assert_equal(got_rng.bit_generator.state, want_rng.bit_generator.state)
 
 
 @pytest.mark.parametrize("n_states, n_actions", [(1, 3), (3, 1), (1, 1)])
@@ -559,29 +575,37 @@ def test_shipped_rollouts_match_reference(monkeypatch, config, kappa_p):
     st.integers(2, 4),
     st.integers(1, 3),
     st.sampled_from(["dense", "sparse", "short"]),
+    st.booleans(),
     st.sampled_from([estimator.DRAW_BLOCK, 64, 1]),
+    RNG_KINDS,
     st.integers(0, 2**32 - 1),
 )
 @settings(max_examples=60, deadline=None)
-def test_rollout_matches_reference(n, n_states, n_actions, kind, draw_block, seed):
+def test_rollout_matches_reference(n, n_states, n_actions, kind, one_hot, draw_block, rng_kind,
+                                   seed):
     # Dense random kernels keep thresholds in every kernel row, so the scalar
     # walk inverts each transition uniform by bisect, which no shipped model
-    # reaches; small draw blocks split a horizon over several blocks, which
-    # _score_trace concatenates. Horizons, snapshot, reward trace and the
-    # generator state are the reference's.
+    # reaches; one-hot kernels keep none, as the shipped ones, and a batch's
+    # count form then skips the transition uniforms. Small draw blocks split
+    # a horizon over several blocks, which _score_trace concatenates.
+    # Horizons, snapshots, reward traces and the generator state are the
+    # reference's, for one episode and for a batch of three.
     rng = np.random.default_rng([seed, 0])
-    m = random_table_model(line_graph(n), rng, n_states, n_actions, gamma=0.95)
-    assert m.kernel_support_lists()[2] is None  # K > 1: the bisect branch
+    m = random_table_model(line_graph(n), rng, n_states, n_actions, gamma=0.95, one_hot=one_hot)
+    assert (m.kernel_support_lists()[2] is None) != one_hot  # K > 1: the bisect branch
     tables = _stochastic_rows(rng, (n, n_states, n_actions), kind)
-    got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    edges = np.concatenate([[0.0], np.nextafter(np.cumsum(tables, axis=-1).ravel(), 0.0)])
+    got_rng, want_rng = _rng_pair(rng_kind, seed, edges[edges < 1.0])
     with patch.object(estimator, "DRAW_BLOCK", draw_block):
         roll = rollout_two_horizon(m, tables, got_rng)
+        batch = rollouts_two_horizon(m, tables, got_rng, 3)
     t1, t2, snap_s, snap_a, trace = support.ref_rollout_two_horizon(m, tables, want_rng)
     assert (roll.t1, roll.t2) == (t1, t2)
     np.testing.assert_array_equal(roll.snapshot_state, snap_s)
     np.testing.assert_array_equal(roll.snapshot_action, snap_a)
     np.testing.assert_array_equal(roll.reward_trace, trace)
-    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    _assert_windows(batch, *support.ref_rollouts_two_horizon(m, tables, want_rng, 3))
+    np.testing.assert_equal(got_rng.bit_generator.state, want_rng.bit_generator.state)
 
 
 def _assert_within(got, want, atol, rtol=1e-13):
@@ -600,6 +624,16 @@ def _windows(roll):
         )
         for e in range(len(ends))
     ]
+
+
+def _assert_windows(roll, t1, t2, states, actions, rewards):
+    """Each episode of ``roll`` holds the horizons, the snapshot at ``t1``
+    and the window of rewards of the reference's ``(steps, E, n)`` arrays."""
+    for e, one in enumerate(_windows(roll)):
+        assert (one.t1, one.t2) == (t1[e], t2[e])
+        np.testing.assert_array_equal(one.snapshot_state, states[t1[e], e])
+        np.testing.assert_array_equal(one.snapshot_action, actions[t1[e], e])
+        np.testing.assert_array_equal(one.reward_trace, rewards[t1[e] : t1[e] + t2[e] + 1, e])
 
 
 class TestBatchedRollouts:
@@ -671,16 +705,7 @@ class TestBatchedRollouts:
         tables = pol.prob_tables(np.random.default_rng(n + 1).uniform(-1, 1, size=(n, n, 4)))
         got_rng, want_rng = np.random.default_rng(episodes), np.random.default_rng(episodes)
         roll = rollouts_two_horizon(m, tables, got_rng, episodes)
-        t1 = sample_geometric(1.0 - m.gamma, want_rng, size=episodes)
-        t2 = sample_geometric(1.0 - math.sqrt(m.gamma), want_rng, size=episodes)
-        starts = m.sample_starts(want_rng, episodes)
-        steps = list(support.ref_simulate(m, tables, starts, want_rng, int((t1 + t2).max())))
-        states, actions, rewards = support.ref_score_trace(m, steps)
-        for e, one in enumerate(_windows(roll)):
-            assert (one.t1, one.t2) == (t1[e], t2[e])
-            np.testing.assert_array_equal(one.snapshot_state, states[t1[e], e])
-            np.testing.assert_array_equal(one.snapshot_action, actions[t1[e], e])
-            np.testing.assert_array_equal(one.reward_trace, rewards[t1[e] : t1[e] + t2[e] + 1, e])
+        _assert_windows(roll, *support.ref_rollouts_two_horizon(m, tables, want_rng, episodes))
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
     @pytest.mark.parametrize("episodes", [8, 40])  # the count form: 80 and 400 entries
@@ -701,7 +726,11 @@ class TestBatchedRollouts:
 
         m.batch_rewards = counted
         got_rng, want_rng = np.random.default_rng(3), np.random.default_rng(3)
-        roll = rollouts_two_horizon(m, tables, got_rng, episodes)
+        # 8 episodes fit in one block of DRAW_BLOCK // 80 steps; half of it
+        # spreads them over several, so that a parked one is dropped early
+        block = estimator.DRAW_BLOCK // (2 if episodes == 8 else 1)
+        with patch.object(estimator, "DRAW_BLOCK", block):
+            roll = rollouts_two_horizon(m, tables, got_rng, episodes)
         m.batch_rewards = rewards
         t1 = sample_geometric(1.0 - m.gamma, want_rng, size=episodes)
         t2 = sample_geometric(1.0 - math.sqrt(m.gamma), want_rng, size=episodes)
@@ -817,11 +846,12 @@ class TestBatchedRollouts:
 def test_finished_episodes_leave_the_generator_where_drawing_would(bit_generator):
     # once every episode is past its last step the remaining blocks are
     # skipped (PCG64 advances, others draw), and the generator ends where
-    # drawing every block leaves it, a buffered 32-bit half included
+    # drawing every block leaves it, a buffered 32-bit half included; on a
+    # one-hot model every step's transition uniforms are skipped too
     g = line_graph(5)
-    m = random_table_model(g, np.random.default_rng(6))
     tables = CoupledSoftmaxPolicy(g, 2, 2, MixingSpec(kappa_p=1)).prob_tables(np.zeros((5, 4)))
-    for last in (0, 3, 40):
+    for one_hot, last in itertools.product([False, True], [0, 3, 40]):
+        m = random_table_model(g, np.random.default_rng(6), one_hot=one_hot)
         got_rng, want_rng = (np.random.Generator(bit_generator(last)) for _ in range(2))
         for rng in (got_rng, want_rng):
             rng.integers(0, 10)  # leaves a 32-bit half buffered
@@ -837,6 +867,46 @@ def test_finished_episodes_leave_the_generator_where_drawing_would(bit_generator
         assert len(want) == 201
         np.testing.assert_equal(got_rng.bit_generator.state, want_rng.bit_generator.state)
         assert got_rng.integers(0, 2**32) == want_rng.integers(0, 2**32)
+
+
+class CountingRng:
+    """A ``PCG64`` generator that records the shape of each ``random`` call;
+    ``bit_generator`` is the wrapped one's."""
+
+    def __init__(self, seed: int) -> None:
+        self.rng = np.random.default_rng(seed)
+        self.bit_generator = self.rng.bit_generator
+        self.shapes = []
+
+    def random(self, shape):
+        self.shapes.append(shape)
+        return self.rng.random(shape)
+
+
+@pytest.mark.parametrize("draw_block", [estimator.DRAW_BLOCK, 64, 1])
+def test_one_hot_count_form_draws_only_action_rows(draw_block):
+    # no kernel row keeps a threshold: the count form draws the start-action
+    # row and one action row per step, advances past each transition row,
+    # and a block holds at most DRAW_BLOCK uniforms (a step alone may hold
+    # more), which is DRAW_BLOCK // size steps
+    m = random_table_model(line_graph(3), np.random.default_rng(2), 4, 3, one_hot=True)
+    tables = _stochastic_rows(np.random.default_rng(3), (3, 4, 3), "dense")
+    starts = m.sample_starts(np.random.default_rng(4), 7)
+    got_rng, want_rng = CountingRng(5), np.random.default_rng(5)
+    got_rng.rng.integers(0, 10)  # leaves a 32-bit half buffered
+    want_rng.integers(0, 10)
+    with patch.object(estimator, "DRAW_BLOCK", draw_block):
+        got = list(
+            estimator._step_blocks(m, tables, starts, got_rng, 40, last_steps=np.full(7, 40))
+        )
+    assert got_rng.shapes == [starts.shape] * 41
+    block = max(1, draw_block // starts.size)
+    tail = [40 % block] if 40 % block else []
+    assert [len(s) for s, *_ in got] == [1] + [block] * (40 // block) + tail
+    want = list(support.ref_simulate(m, tables, starts, want_rng, 40))
+    np.testing.assert_array_equal(np.concatenate([s for s, *_ in got]), [s for s, _ in want])
+    np.testing.assert_array_equal(np.concatenate([a for _, a, _ in got]), [a for _, a in want])
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 class TestUnbiasednessSmoke:

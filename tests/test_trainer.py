@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 from nmarl import estimator, netgraph, oracle, trainer
 from nmarl.config import load_config
-from nmarl.errors import (BoundViolated, ConfigError, HorizonOverflow, NonFiniteState,
-                          NonPositiveWeight, ProtocolInvariantError)
+from nmarl.errors import (BoundViolated, ConfigError, DimensionMismatch, HorizonOverflow,
+                          NonFiniteState, NonPositiveWeight, ProtocolInvariantError)
 from nmarl.model import FactoredNmarlModel
 from nmarl.policy import CoupledSoftmaxPolicy, MixingSpec
 from nmarl.trainer import DscpConfig, evaluate_policy, learning_rate, run_dscp
@@ -309,6 +309,25 @@ class TestRunDscp:
         with pytest.raises(HorizonOverflow, match="sampled horizon"):
             for _ in range(5):
                 trainer.step(run)
+
+    @pytest.mark.parametrize("kappa_p", [0, 1])
+    def test_misshapen_gradient_is_refused_before_the_update(self, kappa_p):
+        # an (n, n, d) result would broadcast theta into a stack at kappa_p 0,
+        # and reach the injection only after theta was replaced at kappa_p 1
+        run = self._stepped(kappa_p)
+        theta, seen = run.theta.copy(), []
+
+        def stacked(run, executed):
+            if run.ps is not None:
+                seen.extend(getattr(run.ps, f.name).copy() for f in dataclasses.fields(run.ps))
+            return np.zeros((run.m.n,) + run.theta.shape)
+
+        with pytest.raises(DimensionMismatch, match=r"gradient has shape \(3, 3, "):
+            trainer.step(run, stacked)
+        np.testing.assert_array_equal(run.theta, theta)
+        assert len(seen) == (0 if kappa_p == 0 else 3)
+        for f, before in zip(dataclasses.fields(run.ps) if run.ps else (), seen):
+            np.testing.assert_array_equal(getattr(run.ps, f.name), before, err_msg=f.name)
 
     @staticmethod
     def _model_and_config(kappa_p):
