@@ -181,7 +181,10 @@ def _step_blocks(
     which is at least 1. ``columns[c]`` ``(A - 1, n * S)``, built once per
     call, adds every flat policy row's first ``c + 1`` probabilities in
     column order, so it holds the bits of ``np.cumsum``'s first ``A - 1``
-    columns. Two forms take the count, value for value, by one rule:
+    columns. Both forms carry each entry's flat kernel row ``(agent * S +
+    s) * A + a``, step it to the next by ``model.kernel_support``'s
+    successor rows, and decode a block's rows into its states and actions
+    by ``_row_decoding``. They take the count, value for value, by one rule:
 
     * without ``last_steps``, for the training rollout's trajectory, the
       agents step on Python floats (``_scalar_steps``): ``bisect_right``
@@ -189,8 +192,8 @@ def _step_blocks(
       the kernel's as ``model.kernel_support_lists`` caches them;
     * with ``last_steps``, for an episode batch of any size, one episode
       included, whole rows of ``columns`` and of the kernel thresholds are
-      compared with ``u``, one step at a time (``_count_stepper``), into
-      one ``(k, L, n)`` array each for a block's states and actions.
+      compared with ``u``, one step at a time, into one ``(k, L, n)`` array
+      of a block's kernel rows (``_live_count_steps``).
 
     Yielding whole blocks lets a caller such as ``trainer.evaluate_policy``
     score a block's steps with one reward call.
@@ -337,23 +340,36 @@ def _live_count_steps(
     """``_step_blocks``' count form for ``(E, n)`` episodes, dropping the
     finished ones; each block comes with the indices of the episodes it covers.
 
+    Each entry carries its flat kernel row ``r = p * A + a``, as the scalar
+    walk does, in one ``(L, n)`` array. A step takes ``p =
+    successors[r * K + c]`` (``m.kernel_support``, ``c`` the count of row
+    ``r``'s kernel thresholds at or below the transition uniform, and ``K =
+    1``, no count, when no row keeps one), then ``r = p * A + a'``, ``a'``
+    the count of ``columns`` at or below the action uniform; a block's rows
+    decode by ``_row_decoding``'s tables into its states and actions.
+
     After each yielded block, an episode is finished when the block's last
     step is at or past its ``last_steps`` entry, or when it is at or past
     its ``start`` and every one of its agents sits on a parked row
-    (``model.parked_rows``): it stays there and earns ``+0.0`` at every
-    later step. A read of the parked rows costs about as much as a step, so
-    they are read after step 0 and then after the first block that ends at
-    or past ``t + 1 + t // 4``, ``t`` the last read (steps 0, 1, 2, 3, 4, 6,
-    8, 11, 14, 18, ... at one step per block); agents stay parked, so a
-    later read misses no episode. Once at least half of the stepped episodes
-    are finished, only the others are carried, and every later block takes
-    their columns of the uniforms; until then the finished ones are stepped
-    and yielded with the others. Once none is left, ``rng`` skips the
-    blocks of ``draw_rows`` that ``draws`` has not given (``_skip_uniforms``).
+    (``model.parked_rows``, repeated per action): it stays there and earns
+    ``+0.0`` at every later step. A read of the parked rows costs about as
+    much as a step, so they are read after step 0 and then after the first
+    block that ends at or past ``t + 1 + t // 4``, ``t`` the last read
+    (steps 0, 1, 2, 3, 4, 6, 8, 11, 14, 18, ... at one step per block);
+    agents stay parked, so a later read misses no episode. Once at least
+    half of the stepped episodes are finished, only the others are carried,
+    and every later block takes their columns of the uniforms; until then
+    the finished ones are stepped and yielded with the others. Once none is
+    left, ``rng`` skips the blocks of ``draw_rows`` that ``draws`` has not
+    given (``_skip_uniforms``).
     """
-    step = _count_stepper(m, columns)
+    n_actions = m.n_actions
+    kern_thresholds, successors = m.kernel_support()
+    width = len(kern_thresholds) + 1
+    successors = successors.ravel()
+    state_of, action_of = _row_decoding(m.n, m.n_states, n_actions)
     parked = m.parked_rows()
-    parked = parked if parked.any() else None
+    parked = parked.repeat(n_actions) if parked.any() else None
     episodes = len(states)
     live = np.arange(episodes)  # the stepped episodes
     firsts = np.full(last_steps.shape, start)
@@ -365,21 +381,20 @@ def _live_count_steps(
         # an iterator over a list, and no name, so that the block is freed once stepped
         draws = itertools.chain(iter([first[1:]]), draws)
         del first
-    states_block, actions_block = states[None], actions[None]
+    rows = pol_rows * n_actions + actions
+    block = rows[None]  # the kernel rows of the last block's steps
     t = 0  # the last step taken
     check = 0  # the first step after which the parked rows are read again
     # ``drawn`` blocks of ``draw_rows`` so far; None once every one is stepped
     for drawn, u in enumerate(itertools.chain(draws, [None]), 1):
         if t >= kept_from:  # the block ends at or past kept_from
-            skip = kept_from + len(states_block) - 1 - t  # its steps before kept_from
-            if skip > 0:
-                states_block, actions_block = states_block[skip:], actions_block[skip:]
-            yield states_block, actions_block, live
+            kept = block[max(0, kept_from + len(block) - 1 - t) :]  # from kept_from on
+            yield state_of.take(kept), action_of.take(kept), live
         if u is None or not len(u):  # no block left, or step 0 alone
             return
         done = last_steps <= t
         if parked is not None and t >= check:
-            done |= parked.take(pol_rows).all(axis=-1) & (firsts <= t)
+            done |= parked.take(rows).all(axis=-1) & (firsts <= t)
             check = t + 1 + t // 4
         if 2 * np.count_nonzero(done) >= len(live):
             keep = np.flatnonzero(~done)
@@ -387,11 +402,18 @@ def _live_count_steps(
                 _skip_uniforms(rng, draw_rows[drawn:], states.shape)
                 return
             live, last_steps, firsts = live.take(keep), last_steps.take(keep), firsts.take(keep)
-            pol_rows, actions = pol_rows.take(keep, axis=0), actions.take(keep, axis=0)
+            rows = rows.take(keep, axis=0)
         if len(live) < episodes:
             u = u.take(live, axis=1)
-        states_block, actions_block, pol_rows, actions = step(pol_rows, actions, u)
-        t += len(states_block)
+        u = u.reshape((-1, min(width, 2)) + rows.shape)  # (k, rows read per step, L, n)
+        block = np.empty((len(u),) + rows.shape, dtype=np.intp)
+        for j, u_step in enumerate(u):
+            if width > 1:
+                rows = rows * width + _count_at_or_below(kern_thresholds, rows, u_step[0])
+            pol_rows = successors.take(rows)
+            rows = np.multiply(pol_rows, n_actions, out=block[j])
+            rows += _count_at_or_below(columns, pol_rows, u_step[-1])
+        t += len(block)
 
 
 def _skip_uniforms(rng: np.random.Generator, draw_rows: list[int], shape: tuple) -> None:
@@ -417,46 +439,11 @@ def _put_back_half(bit_gen: np.random.PCG64, state: dict) -> None:
         bit_gen.state = advanced
 
 
-def _count_stepper(m: FactoredNmarlModel, columns: np.ndarray):
-    """The count form's step through one block: ``step(pol_rows, actions,
-    u)`` takes the entries' flat policy rows and actions before the block
-    and its ``k`` steps' uniforms (``(2 * k, ...)``, or ``(k, ...)`` action
-    rows when no kernel row keeps a threshold), and returns the block's
-    states and actions ``(k, ...)``, then the policy rows and actions at its
-    last step. Each step looks its next policy rows up in ``m.successor_rows``."""
-    n_actions = m.n_actions
-    kern_thresholds = m.kernel_support()[0]
-    width = len(kern_thresholds) + 1
-    next_rows = m.successor_rows().ravel()
-    offsets = _agent_rows(m.n, m.n_states)
-
-    def step(
-        pol_rows: np.ndarray, actions: np.ndarray, u: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        block = u.reshape((-1, min(width, 2)) + actions.shape)  # (k, rows read per step, ...)
-        rows_block = np.empty((len(block),) + actions.shape, dtype=np.intp)
-        actions_block = np.empty_like(rows_block)
-        for j, u_step in enumerate(block):
-            rows = pol_rows * n_actions + actions  # kernel rows
-            if width > 1:
-                rows = rows * width + _count_at_or_below(kern_thresholds, rows, u_step[0])
-            # rows are always in range; "clip" lets take write into ``out``
-            # without the buffered copy of the default "raise"
-            pol_rows = next_rows.take(rows, out=rows_block[j], mode="clip")
-            actions = _count_at_or_below(columns, pol_rows, u_step[-1], actions_block[j])
-        pol_rows = pol_rows.copy()  # rows_block turns into the states
-        return np.subtract(rows_block, offsets, out=rows_block), actions_block, pol_rows, actions
-
-    return step
-
-
-def _count_at_or_below(
-    thresholds: np.ndarray, rows: np.ndarray, u: np.ndarray, out: np.ndarray | None = None
-) -> np.ndarray:
+def _count_at_or_below(thresholds: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Per entry, how many of its row's ``thresholds`` ``(k, rows)`` are at
     or below ``u``: on a nondecreasing row, the index of the first column
-    above ``u``, or ``k`` when none is. Written into ``out`` when given."""
-    return np.add.reduce(thresholds.take(rows, axis=1) <= u, axis=0, out=out)
+    above ``u``, or ``k`` when none is."""
+    return np.add.reduce(thresholds.take(rows, axis=1) <= u, axis=0)
 
 
 def _score_trace(

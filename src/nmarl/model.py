@@ -122,8 +122,8 @@ class FactoredNmarlModel:
 
     Derived forms are built lazily and cached: the kernel row cumsums
     (``stacked_kernel_cum``) and the compressed form ``estimator._step_blocks``
-    steps with (``kernel_support``, ``successor_rows``,
-    ``kernel_support_lists``); the ``parked_rows`` on which
+    steps with (``kernel_support``, ``kernel_support_lists``); the
+    ``parked_rows`` on which
     ``trainer.evaluate_policy`` stops stepping an episode; and, as rewards
     do not depend on the policy, one dense reward table per agent over its
     restricted domain (``reward_tables``, for the reward bound and the exact
@@ -171,7 +171,6 @@ class FactoredNmarlModel:
         self.reward_members: tuple[tuple[int, ...], ...] = graph.neighbors
         self._stacked_cum: np.ndarray | None = None
         self._kernel_support: tuple[np.ndarray, np.ndarray] | None = None
-        self._successor_rows: np.ndarray | None = None
         self._support_lists: tuple | None = None
         self._parked_rows: np.ndarray | None = None
         self._reward_tables: tuple[np.ndarray, ...] | None = None
@@ -217,19 +216,21 @@ class FactoredNmarlModel:
         ``r`` keeps its columns ``j < S - 1`` whose float cumsum strictly
         rises (exceeds the column before it, or 0 for ``j = 0``) and stays
         below 1: ``thresholds[k, r]`` is the cumsum at the ``k``-th such
-        column and ``successors[r, k]`` that column. ``successors[r, K_r]``,
-        past row ``r``'s ``K_r`` kept columns, is its first column whose
-        capped cumsum reaches 1 (``S - 1`` when only the cap does). Both are
-        padded, with ``+inf`` and that last successor, to ``K - 1`` thresholds
-        and ``K`` successors, ``K - 1`` the most any row keeps.
+        column ``j`` and ``successors[r, k]`` its flat policy row ``agent * S
+        + j``. ``successors[r, K_r]``, past row ``r``'s ``K_r`` kept columns,
+        is the row of its first column whose capped cumsum reaches 1 (``S -
+        1`` when only the cap does). Both are padded, with ``+inf`` and that
+        last successor, to ``K - 1`` thresholds and ``K`` successors, ``K -
+        1`` the most any row keeps.
 
         The count of a row's thresholds at or below a uniform ``u`` in
-        ``[0, 1)`` indexes the state the capped cumsum inverts ``u`` to: no
-        such ``u`` reaches a dropped threshold, which is at least 1. A
+        ``[0, 1)`` indexes the successor the capped cumsum inverts ``u`` to:
+        no such ``u`` reaches a dropped threshold, which is at least 1. A
         one-hot row keeps none, so on one-hot kernels ``K = 1``. Read-only.
         """
         if self._kernel_support is None:
-            ns, rows_total = self.n_states, self.n * self.n_states * self.n_actions
+            ns, na = self.n_states, self.n_actions
+            rows_total = self.n * ns * na
             capped = self.stacked_kernel_cum().reshape(rows_total, ns)
             cum = capped[:, :-1]
             before = np.concatenate([np.zeros((rows_total, 1)), cum], axis=1)[:, :-1]
@@ -239,43 +240,34 @@ class FactoredNmarlModel:
             width = int(kept.sum(axis=1).max(initial=0))
             thresholds = np.full((width, rows_total), np.inf)
             thresholds[slots, rows] = cum[rows, cols]
+            agent_rows = np.repeat(np.arange(self.n) * ns, ns * na)  # each row's agent * S
             last = (capped >= 1.0).argmax(axis=1)  # the cap is +inf, so every row has one
-            successors = np.repeat(last[:, None], width + 1, axis=1)
-            successors[rows, slots] = cols
+            successors = np.repeat((agent_rows + last)[:, None], width + 1, axis=1)
+            successors[rows, slots] = agent_rows.take(rows) + cols
             thresholds.setflags(write=False)
             successors.setflags(write=False)
             self._kernel_support = thresholds, successors
         return self._kernel_support
-
-    def successor_rows(self) -> np.ndarray:
-        """``kernel_support()[1]`` as flat policy rows ``agent * S + s'``
-        (cached), where the count form looks its next policy rows up. Read-only."""
-        if self._successor_rows is None:
-            successors = self.kernel_support()[1]
-            agents = np.arange(len(successors)) // (self.n_states * self.n_actions)
-            self._successor_rows = successors + (agents * self.n_states)[:, None]
-            self._successor_rows.setflags(write=False)
-        return self._successor_rows
 
     def kernel_support_lists(
         self,
     ) -> tuple[tuple[tuple[float, ...], ...], tuple[tuple[int, ...], ...], tuple[int, ...] | None]:
         """``kernel_support`` per flat row as Python scalars (cached).
 
-        Returns ``(thresholds, successor_rows, only_rows)``: ``thresholds[r]``
-        is row ``r``'s column of ``kernel_support()[0]`` (``+inf`` padding
-        included) and ``successor_rows[r]`` its row of ``successor_rows()``,
-        so that ``successor_rows[r][bisect_right(thresholds[r], u)]`` is the
+        Returns ``(thresholds, successors, only_rows)``: ``thresholds[r]`` is
+        row ``r``'s column of ``kernel_support()[0]`` (``+inf`` padding
+        included) and ``successors[r]`` its row of ``kernel_support()[1]``,
+        so that ``successors[r][bisect_right(thresholds[r], u)]`` is the
         policy row the array count picks. When no row keeps a threshold
         (``K = 1``), ``only_rows`` is that array's one column, else ``None``.
         Tuples, so read-only like the arrays.
         """
         if self._support_lists is None:
-            thresholds, rows = self.kernel_support()[0], self.successor_rows()
+            thresholds, successors = self.kernel_support()
             self._support_lists = (
                 tuple(map(tuple, thresholds.T.tolist())),
-                tuple(map(tuple, rows.tolist())),
-                tuple(rows[:, 0].tolist()) if len(thresholds) == 0 else None,
+                tuple(map(tuple, successors.tolist())),
+                tuple(successors[:, 0].tolist()) if len(thresholds) == 0 else None,
             )
         return self._support_lists
 

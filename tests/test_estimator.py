@@ -746,6 +746,39 @@ class TestBatchedRollouts:
             np.testing.assert_array_equal(one.reward_trace, want[t1[e] : t1[e] + t2[e] + 1, e])
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
+    @pytest.mark.parametrize("draw_block", [estimator.DRAW_BLOCK, 64, 1])
+    def test_parked_threshold_episodes_match_reference(self, draw_block):
+        # kernels that keep thresholds, a last state that absorbs and pays
+        # +0.0 once every reward member sits there (a parked row of every
+        # agent), and 150 episodes over several blocks: the count form steps
+        # its kernel rows to the reference's windows, snapshots and
+        # generator state, and drops parked episodes on the way
+        g, z = line_graph(3), 2
+        base = random_table_model(g, np.random.default_rng(12), 3, 2)
+        kernels = [k.copy() for k in base.kernels]
+        for k in kernels:
+            k[z] = np.eye(3)[z]
+        members = netgraph.hop_mask(g, 1) > 0
+        rewards, scored = base.batch_rewards, []
+
+        def counted(states, acts):
+            scored.append(len(states))
+            away = ((states != z)[..., None, :] & members).any(axis=-1)
+            return np.where(away, rewards(states, acts), 0.0)
+
+        m = FactoredNmarlModel(g, 3, 2, kernels, counted, base.rho, 0.9)
+        assert len(m.kernel_support()[0]) and m.parked_rows().any()
+        pol = CoupledSoftmaxPolicy(g, 3, 2, MixingSpec(kappa_p=1))
+        tables = pol.prob_tables(np.random.default_rng(13).uniform(-1, 1, size=(3, pol.d)))
+        got_rng, want_rng = np.random.default_rng(14), np.random.default_rng(14)
+        scored.clear()
+        with patch.object(estimator, "DRAW_BLOCK", draw_block):
+            roll = rollouts_two_horizon(m, tables, got_rng, 150)
+        assert sum(scored) < np.sum(roll.t2 + 1)  # some dropped as parked inside its window
+        assert max(1, draw_block // (2 * 150 * 3)) < (roll.t1 + roll.t2).max()  # several blocks
+        _assert_windows(roll, *support.ref_rollouts_two_horizon(m, tables, want_rng, 150))
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
     def test_conditional_resamples_match_reference(self, pair):
         m, pol = pair
         est = np.random.default_rng(31).uniform(-0.5, 0.5, size=(2, 2, 4))

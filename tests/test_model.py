@@ -497,36 +497,66 @@ class TestTableRewards:
             table_rewards([np.zeros((2, 2, 2, 2)), np.zeros(shape)], members)
 
 
+def _agent_rows(m: FactoredNmarlModel) -> np.ndarray:
+    """Each flat kernel row's first flat policy row ``agent * S``, ``(n * S * A, 1)``."""
+    return (np.arange(m.n * m.n_states * m.n_actions) // (m.n_states * m.n_actions)
+            * m.n_states)[:, None]
+
+
+def _assert_successors_invert_the_cumsums(m: FactoredNmarlModel) -> None:
+    # at 0, just below 1 and at and beside every threshold, the successor the
+    # count picks, less its agent's first policy row, is the state the capped
+    # cumsum inverts the uniform to
+    thresholds, successors = m.kernel_support()
+    capped = m.stacked_kernel_cum().reshape(len(successors), m.n_states)
+    states = successors - _agent_rows(m)
+    finite = thresholds[np.isfinite(thresholds)]
+    for u in np.concatenate([[0.0, np.nextafter(1.0, 0.0)], finite,
+                             np.nextafter(finite, 0.0), np.nextafter(finite, 1.0)]):
+        count = (thresholds <= u).sum(axis=0)
+        want = (u < capped).argmax(axis=1)
+        np.testing.assert_array_equal(states[np.arange(len(states)), count], want)
+
+
 class TestKernelSupport:
+    """``kernel_support``'s successors are flat policy rows ``agent * S + s'``."""
+
     def test_rising_columns_and_successors(self):
-        # one agent, two actions over four states: a row with zero bins and
-        # one that is one-hot on the last state, which keeps no column
+        # two agents, two actions over four states: a row with zero bins and
+        # one that is one-hot on the last state, which keeps no column;
+        # agent 1's successors are agent 0's past its first row, 4
         kernel = np.zeros((1, 2, 4))
         kernel[0, 0] = [0.0, 0.25, 0.0, 0.75]
         kernel[0, 1, 3] = 1.0
         m = FactoredNmarlModel(
-            netgraph.build_graph(1, []), 4, 2, [np.tile(kernel, (4, 1, 1))],
-            lambda s, a: np.zeros(s.shape), point_starts([0], 4), 0.9,
+            line_graph(2), 4, 2, [np.tile(kernel, (4, 1, 1))] * 2,
+            lambda s, a: np.zeros(s.shape), point_starts([0, 0], 4), 0.9,
         )
         thresholds, successors = m.kernel_support()
-        assert thresholds.shape == (1, 8) and successors.shape == (8, 2)
+        assert thresholds.shape == (1, 16) and successors.shape == (16, 2)
         np.testing.assert_array_equal(thresholds[0, :2], [0.25, np.inf])
+        np.testing.assert_array_equal(thresholds[0, 8:10], [0.25, np.inf])
         np.testing.assert_array_equal(successors[:2], [[1, 3], [3, 3]])
+        np.testing.assert_array_equal(successors[8:10], [[5, 7], [7, 7]])
+        _assert_successors_invert_the_cumsums(m)
         assert m.kernel_support() is m.kernel_support()  # built once
         assert not thresholds.flags.writeable and not successors.flags.writeable
 
     def test_lists_mirror_the_arrays(self):
-        m = random_table_model(line_graph(2), np.random.default_rng(9), 3, 2)
-        thresholds, successors = m.kernel_support()
-        threshold_lists, successor_lists, only_rows = m.kernel_support_lists()
-        assert threshold_lists == tuple(map(tuple, thresholds.T.tolist()))
-        # successors as flat policy rows: agent * S + state
-        agents = np.arange(len(successors)) // (m.n_states * m.n_actions)
-        rows = successors + (agents * m.n_states)[:, None]
-        assert successor_lists == tuple(map(tuple, rows.tolist()))
-        assert only_rows is None  # random kernels keep thresholds
-        assert all(type(x) is float for row in threshold_lists for x in row)
-        assert m.kernel_support_lists() is m.kernel_support_lists()  # built once
+        for one_hot in (False, True):
+            m = random_table_model(line_graph(2), np.random.default_rng(9), 3, 2, one_hot=one_hot)
+            _assert_successors_invert_the_cumsums(m)
+            thresholds, successors = m.kernel_support()
+            threshold_lists, successor_lists, only_rows = m.kernel_support_lists()
+            assert threshold_lists == tuple(map(tuple, thresholds.T.tolist()))
+            assert successor_lists == tuple(map(tuple, successors.tolist()))
+            if one_hot:  # one column of successors, as Python ints
+                assert only_rows == tuple(successors[:, 0].tolist())
+            else:
+                assert only_rows is None  # random kernels keep thresholds
+            assert all(type(x) is float for row in threshold_lists for x in row)
+            assert all(type(x) is int for row in successor_lists for x in row)
+            assert m.kernel_support_lists() is m.kernel_support_lists()  # built once
 
     def test_joint_kernel_is_the_members_product(self, line3_model):
         m = line3_model
@@ -539,16 +569,18 @@ class TestKernelSupport:
 
     def test_thresholds_at_or_above_one_are_dropped(self):
         # every row's cumsum reaches 1 at column 1, then rises by a float
-        # excess before a zero bin: only 0.5 stays, and past it comes column 1
+        # excess before a zero bin: only 0.5 stays, and past it comes column
+        # 1, policy row 1 of agent 0 and 5 of agent 1
         row = [0.5, 0.5, 2.0**-52, 0.0]
         m = FactoredNmarlModel(
-            netgraph.build_graph(1, []), 4, 1, [np.tile(row, (4, 1, 1))],
-            lambda s, a: np.zeros(s.shape), point_starts([0], 4), 0.9,
+            line_graph(2), 4, 1, [np.tile(row, (4, 1, 1))] * 2,
+            lambda s, a: np.zeros(s.shape), point_starts([0, 0], 4), 0.9,
         )
         assert np.cumsum(row)[2] > 1.0
         thresholds, successors = m.kernel_support()
-        np.testing.assert_array_equal(thresholds, [[0.5] * 4])
-        np.testing.assert_array_equal(successors, [[0, 1]] * 4)
+        np.testing.assert_array_equal(thresholds, [[0.5] * 8])
+        np.testing.assert_array_equal(successors, [[0, 1]] * 4 + [[4, 5]] * 4)
+        _assert_successors_invert_the_cumsums(m)
 
     @pytest.mark.parametrize("builder", ["power", "path"])
     def test_shipped_one_hot_kernels_keep_no_threshold(self, builder):
@@ -563,9 +595,11 @@ class TestKernelSupport:
         threshold_lists, successor_lists, only_rows = m.kernel_support_lists()
         assert all(row == () for row in threshold_lists)
         assert only_rows == tuple(row[0] for row in successor_lists)
-        # every row's successor is the state its one-hot kernel row names
+        # every row's successor is the policy row of the state its one-hot
+        # kernel row names
         first = np.stack(m.kernels).reshape(rows, m.n_states).argmax(axis=1)
-        np.testing.assert_array_equal(successors[:, 0], first)
+        np.testing.assert_array_equal(successors[:, 0], _agent_rows(m)[:, 0] + first)
+        _assert_successors_invert_the_cumsums(m)
 
 
 class TestParkedRows:
